@@ -1,17 +1,14 @@
 #!/usr/bin/env python3
 """Benchmark the compiled kernels against the pure-Python fallback.
 
-Function-level timings import both backends side by side; the end-to-end
-row re-runs a representative determinant-certificate workload in a
-subprocess with LKWB_NO_SPEEDUPS=1 to force the pure path.
+Function-level timings import both backends side by side.  End-to-end
+timings of the certifier are the pipeline benchmark's job (perfbench/).
 
-Usage: python benchmarks/bench_kernels.py [--quick]
+Usage: python benchmarks/bench_kernels.py
 """
 
-import argparse
 import os
 import random
-import subprocess
 import sys
 import time
 
@@ -61,9 +58,6 @@ def row(label, t_pure, t_fast):
 
 
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--quick", action="store_true")
-    args = ap.parse_args()
     rng = random.Random(20240902)
 
     print(f"{'kernel':<38} {'pure ms':>9} {'fast ms':>9} {'speedup':>8}")
@@ -93,22 +87,6 @@ def main():
     t_p = timeit(pure.bareiss_det_polyint, pm, repeat=3)
     t_f = timeit(fast.bareiss_det_polyint, pm, repeat=3) if fast else None
     row("bareiss_det_polyint 8x8 deg 8", t_p, t_f)
-
-    if not args.quick:
-        print("-" * 70)
-        code = ("import time; t0=time.time(); "
-                "from lkwb.reducibility import det_on_locus, named_locus; "
-                "v = det_on_locus(6, named_locus('l=r3-2n', 6), 'substituted'); "
-                "assert v.verdict == 'identically_zero'; "
-                "print(f'{time.time()-t0:.2f}')")
-        env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
-        t_fast_e2e = subprocess.run([sys.executable, "-c", code], env=env,
-                                    capture_output=True, text=True).stdout.strip()
-        env["LKWB_NO_SPEEDUPS"] = "1"
-        t_pure_e2e = subprocess.run([sys.executable, "-c", code], env=env,
-                                    capture_output=True, text=True).stdout.strip()
-        print(f"{'end-to-end det certificate n=6':<38} {float(t_pure_e2e)*1e3:9.0f} "
-              f"{float(t_fast_e2e)*1e3:9.0f} {float(t_pure_e2e)/float(t_fast_e2e):6.2f}x")
 
 
 if __name__ == "__main__":

@@ -73,10 +73,6 @@ class ZeroSeed(LKWBError):
     pass
 
 
-class MismatchAgainstTheorem(LKWBError):
-    """A certification verdict disagrees with the expected dimension table."""
-
-
 class InvalidConfig(LKWBError):
     pass
 

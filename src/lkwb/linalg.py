@@ -1,7 +1,8 @@
 """Dense exact linear algebra over any workbench ground field.
 
 Determinants, kernels, subspace lattice operations, operator closure,
-invertible-submatrix certificates and commutant computation.  Matrices and
+invertible-submatrix certificates and commutant computation, plus a sparse
+rank over GF(p) that serves as a one-sided rank bound.  Matrices and
 bases are immutable values; all operations are pure functions, so
 independent jobs can run concurrently without shared state.
 """
@@ -25,10 +26,9 @@ from .errors import (
 from .scalars import (
     FunctionField,
     LaurentPoly,
-    NumberField,
+    QQ,
     Rat,
     RatFunc,
-    RationalField,
     field_from_tag,
     is_rat,
     scalar_to_text,
@@ -755,8 +755,96 @@ def _find_submatrix_fraction_free(m, s):
     return rows_idx, cols_idx
 
 
+# Mersenne prime for the one-sided rank bound in commutant_basis
+_RANK_PRIME = (1 << 61) - 1
+
+
+def rank_mod_p(rows, p, stop=None):
+    """Rank over GF(p) of sparse integer rows, each a {column: value} dict.
+
+    Semi-echelon elimination on the leading column of each row, so only
+    the entries a row actually has are touched.  Returns as soon as the
+    rank reaches stop, when given.
+    """
+    pivots = {}
+    for row in rows:
+        if len(pivots) == stop:
+            break
+        r = {c: v % p for c, v in row.items() if v % p}
+        while r:
+            c = min(r)
+            prow = pivots.get(c)
+            if prow is None:
+                inv = pow(r[c], -1, p)
+                pivots[c] = {k: v * inv % p for k, v in r.items()}
+                break
+            f = r[c]
+            for k, v in prow.items():
+                x = (r.get(k, 0) - f * v) % p
+                if x:
+                    r[k] = x
+                else:
+                    del r[k]
+    return len(pivots)
+
+
+def _commutant_rows(ops, n):
+    """Sparse rows of the system A X - X A = 0, X flattened row-major."""
+    zero = ops[0].field.zero()
+    rows = []
+    for a in ops:
+        ar = a.rows
+        col_entries = [[(q, ar[q][j]) for q in range(n) if ar[q][j]] for j in range(n)]
+        for i in range(n):
+            row_entries = [(p, x) for p, x in enumerate(ar[i]) if x]
+            for j in range(n):
+                row = {}
+                for p, x in row_entries:
+                    row[p * n + j] = row.get(p * n + j, zero) + x
+                for q, x in col_entries[j]:
+                    row[i * n + q] = row.get(i * n + q, zero) - x
+                row = {k: x for k, x in row.items() if x}
+                if row:
+                    rows.append(row)
+    return rows
+
+
+def _nullity_one_mod_p(rows, ncols):
+    """True when rational sparse rows have nullity 1 over GF(2^61 - 1).
+
+    False when the nullity there is larger or a denominator vanishes mod p.
+    """
+    p = _RANK_PRIME
+    inverses = {1: 1}
+    reduced = []
+    for row in rows:
+        r = {}
+        for k, x in row.items():
+            den = int(x.denominator)
+            inv = inverses.get(den)
+            if inv is None:
+                if den % p == 0:
+                    return False
+                inv = inverses[den] = pow(den, -1, p)
+            r[k] = int(x.numerator) * inv
+        reduced.append(r)
+    return rank_mod_p(reduced, p, stop=ncols - 1) == ncols - 1
+
+
 def commutant_basis(ops):
-    """Basis of {X : X A = A X for all A in ops}; always contains the identity."""
+    """Basis of {X : X A = A X for all A in ops}; always contains the identity.
+
+    The basis is the echelonized kernel of the (len(ops) n^2) x n^2 system
+    A X - X A = 0.  Over Q the system is first reduced mod p = 2^61 - 1.
+    Reduction mod p is a ring map from the rationals whose denominators p
+    does not divide, so every minor that vanishes over Q vanishes mod p:
+    rank mod p <= rank over Q.  The identity always commutes, so the
+    nullity over Q is at least 1; a nullity of 1 mod p therefore proves
+    that the commutant is exactly the scalars, and the basis is [I], the
+    echelonized form of that kernel.  Dense exact elimination over the
+    field decides every other case: the nullity mod p is above 1, p
+    divides a denominator, or the field is not Q.
+    """
     if not ops:
         raise DimensionMismatch("no operators given")
     n = ops[0].nrows
@@ -764,27 +852,20 @@ def commutant_basis(ops):
     for op in ops:
         if not op.is_square() or op.nrows != n:
             raise DimensionMismatch("operators must be square of equal size")
+    rows = _commutant_rows(ops, n)
+    if field == QQ and _nullity_one_mod_p(rows, n * n):
+        return [Matrix.identity(field, n)]
     zero = field.zero()
-    rows = []
-    for a in ops:
-        ar = a.rows
-        for i in range(n):
-            for j in range(n):
-                row = [zero] * (n * n)
-                for p in range(n):
-                    x = ar[i][p]
-                    if x:
-                        row[p * n + j] = row[p * n + j] + x
-                for q in range(n):
-                    x = ar[q][j]
-                    if x:
-                        row[i * n + q] = row[i * n + q] - x
-                if any(row):
-                    rows.append(tuple(row))
-    if not rows:
+    dense = []
+    for row in rows:
+        d = [zero] * (n * n)
+        for k, x in row.items():
+            d[k] = x
+        dense.append(tuple(d))
+    if not dense:
         big = Matrix.zeros(field, 1, n * n)
     else:
-        big = Matrix(field, tuple(rows), _trusted=True)
+        big = Matrix(field, tuple(dense), _trusted=True)
     ker = kernel(big)
     mats = []
     for v in ker.vectors:

@@ -28,6 +28,7 @@ from .linalg import (
     is_invariant,
     kernel,
     operator_closure,
+    rank_mod_p,
     subspace_intersect,
 )
 from .lkrep import (
@@ -164,10 +165,13 @@ def expected_spectrum(n, locus, r_val=None):
             count = 2 if exceptional else 1
             return {"min_dim": 1, "k": 2 if exceptional else 1,
                     "k_source": "measured", "count": count}
-        if r_val is not None and r_val ** (2 * n) == -1:
+        if _minus_r3_collision(n, r_val):
             return {"min_dim": d, "k": d + 1, "k_source": "literature", "count": 1}
         return {"min_dim": d, "k": d, "k_source": "literature", "count": 1}
     if locus.name == "l=r3-2n":
+        if n >= 4 and _minus_r3_collision(n, r_val):
+            # r^(3-2n) = -r^3 here: the locus is l=-r3
+            return expected_spectrum(n, named_locus("l=-r3", n), r_val)
         if n == 3:
             count = 2 if exceptional else 1
             return {"min_dim": 1, "k": 2 if exceptional else 1,
@@ -182,6 +186,11 @@ def expected_spectrum(n, locus, r_val=None):
 def _is_exceptional(n, r_val):
     # n = 3 exceptional point r^6 = -1, where -r^3 = 1/r^3
     return n == 3 and r_val ** 6 == -1
+
+
+def _minus_r3_collision(n, r_val):
+    # at r^(2n) = -1, r^(3-2n) = -r^3: the loci l=-r3 and l=r3-2n coincide
+    return r_val is not None and r_val ** (2 * n) == -1
 
 
 def loci_distinct(n, r_val):
@@ -859,10 +868,6 @@ def _to_int_poly(coeffs):
     return ints
 
 
-def _int_poly_deriv(p):
-    return [i * c for i, c in enumerate(p)][1:]
-
-
 def _q_deriv(p):
     return [Rat(i) * c for i, c in enumerate(p)][1:]
 
@@ -934,14 +939,6 @@ def _exact_div_q(a, b):
     for v in q:
         cq = _int_gcd(cq, abs(v))
     return [v // cq for v in q] if cq > 1 else q
-
-
-def _poly_sub_int(a, b):
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 def _poly_pow_mul(base, e, acc):
@@ -1084,7 +1081,7 @@ def _modp_factor_count(s, p):
         cur = _modp_poly_mulmod(cur, xp, s, p)
     # kernel dimension of (Q - I) over GF(p)
     mat = [[(rows[j][i] - (1 if i == j else 0)) % p for j in range(deg)] for i in range(deg)]
-    return deg - _modp_rank(mat, p)
+    return deg - rank_mod_p([dict(enumerate(row)) for row in mat], p)
 
 
 def _modp_powmod_x(e, mod, p):
@@ -1097,33 +1094,6 @@ def _modp_powmod_x(e, mod, p):
         if e:
             base = _modp_poly_mulmod(base, base, mod, p)
     return result
-
-
-def _modp_rank(mat, p):
-    if not mat:
-        return 0
-    mat = [row[:] for row in mat]
-    nr, nc = len(mat), len(mat[0])
-    r = 0
-    for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if mat[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][c], p - 2, p)
-        for i in range(r + 1, nr):
-            f = mat[i][c] * inv % p
-            if f:
-                for j in range(c, nc):
-                    mat[i][j] = (mat[i][j] - f * mat[r][j]) % p
-        r += 1
-        if r == nr:
-            break
-    return r
 
 
 def _poly_of_matrix(coeffs, a):
@@ -1306,8 +1276,8 @@ def _certify_locus(n, locus, r_val, rng, probe_trials, probe_max_n):
     expected = expected_spectrum(n, locus, r_val)
     report, rep, mn, closures = _kernel_at(n, locus, r_val)
     det_vanishes = not det(mn.matrix)
-    exceptional = _is_exceptional(n, r_val) or (n >= 4 and r_val ** (2 * n) == -1
-                                                and locus.name == "l=-r3")
+    exceptional = _is_exceptional(n, r_val) or (n >= 4 and _minus_r3_collision(n, r_val)
+                                                and locus.name in ("l=-r3", "l=r3-2n"))
     mismatches = []
     if not det_vanishes:
         mismatches.append("determinant does not vanish at the locus")

@@ -94,6 +94,13 @@ class TestKernel:
         assert obj["k"] == 2
         assert obj["field"] == "mod: x^4 - x^2 + 1"
 
+    def test_r3_minus_2n_is_minus_r3_at_r_2n_minus_one(self):
+        # r^10 = -1 makes r^(3-2n) = -r^3, so k is 1 + (n-1)(n-2)/2 = 7
+        proc = run_cli("kernel", "--n", "5", "--locus", "l=r3-2n", "--r", "cyclotomic:phi20")
+        obj = json.loads(proc.stdout)
+        assert obj["k"] == 7
+        assert obj["expected_k"] == 7
+
     def test_decimal_r_rejected(self):
         run_cli("kernel", "--n", "4", "--locus", "l=r", "--r", "2.0", expect=2)
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from lkwb import linalg
 from lkwb.errors import DimensionMismatch, NonSquare, SubmatrixNotFound, ZeroSeed
 from lkwb.linalg import (
     Matrix,
@@ -19,9 +20,11 @@ from lkwb.linalg import (
     matrix_to_json,
     operator_closure,
     rank,
+    rank_mod_p,
     subspace_intersect,
     subspace_sum,
 )
+from lkwb.reducibility import catalog, rep_at
 from lkwb.scalars import QLR, QQ, QR, RatFunc, cyclotomic_field, rat
 
 import oracles
@@ -207,6 +210,95 @@ class TestCommutant:
         for b in commutant_basis(ops):
             for op in ops:
                 assert b * op == op * b
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_lk_generators_scalar_at_every_catalog_locus(self, n):
+        for locus in catalog(n):
+            ops = list(rep_at(n, locus, rat(2)).g)
+            assert commutant_basis(ops) == [Matrix.identity(QQ, ops[0].nrows)], locus.name
+
+    def _count_dense_kernels(self, monkeypatch):
+        calls = []
+        dense_kernel = linalg.kernel
+
+        def counted(m):
+            calls.append(m)
+            return dense_kernel(m)
+
+        monkeypatch.setattr(linalg, "kernel", counted)
+        return calls
+
+    def test_scalar_commutant_skips_dense_elimination(self, monkeypatch):
+        calls = self._count_dense_kernels(monkeypatch)
+        ops = [Matrix(QQ, [[0, -1], [1, 0]]), Matrix(QQ, [[1, rat(1, 3)], [0, 1]])]
+        assert commutant_basis(ops) == [Matrix.identity(QQ, 2)]
+        assert not calls
+
+    def test_denominator_divisible_by_p_falls_back(self, monkeypatch):
+        p = (1 << 61) - 1
+        calls = self._count_dense_kernels(monkeypatch)
+        ops = [Matrix(QQ, [[0, -1], [1, 0]]), Matrix(QQ, [[1, rat(1, p)], [0, 1]])]
+        assert commutant_basis(ops) == [Matrix.identity(QQ, 2)]
+        assert len(calls) == 1
+        diag = [Matrix(QQ, [[1, 0], [0, rat(3, 2 * p)]])]
+        assert commutant_basis(diag) == [Matrix(QQ, [[1, 0], [0, 0]]), Matrix(QQ, [[0, 0], [0, 1]])]
+
+    def test_numerator_divisible_by_p_falls_back_to_exact_scalars(self, monkeypatch):
+        # mod p the second operator is the identity, so only the rotation
+        # constrains X there and the nullity mod p is 2; over Q it is 1
+        p = (1 << 61) - 1
+        calls = self._count_dense_kernels(monkeypatch)
+        ops = [Matrix(QQ, [[0, -1], [1, 0]]), Matrix(QQ, [[1, p], [0, 1]])]
+        assert commutant_basis(ops) == [Matrix.identity(QQ, 2)]
+        assert len(calls) == 1
+
+    def test_commutant_dim_against_sympy_nullspace(self):
+        hyp = pytest.importorskip("hypothesis")
+        sympy = pytest.importorskip("sympy")
+        st = hyp.strategies
+        entries = st.sampled_from([rat(0), rat(0), rat(1), rat(-1), rat(2), rat(1, 2), rat(-3, 5)])
+
+        @st.composite
+        def operators(draw):
+            n = draw(st.integers(1, 3))
+            count = draw(st.integers(1, 2))
+            return [Matrix(QQ, [[draw(entries) for _ in range(n)] for _ in range(n)])
+                    for _ in range(count)]
+
+        @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+        @hyp.given(operators())
+        def check(ops):
+            n = ops[0].nrows
+            eye = sympy.eye(n)
+            blocks = []
+            for op in ops:
+                a = sympy.Matrix([[sympy.Rational(int(x.numerator), int(x.denominator))
+                                   for x in row] for row in op.rows])
+                # row-major vec(X A - A X) = (I (x) A^T - A (x) I) vec(X)
+                blocks.append(sympy.kronecker_product(eye, a.T) - sympy.kronecker_product(a, eye))
+            system = sympy.Matrix.vstack(*blocks)
+            assert len(commutant_basis(ops)) == len(system.nullspace())
+
+        check()
+
+
+class TestRankModP:
+    def test_against_rational_rank(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            m = Matrix(QQ, [[rng.randint(-3, 3) for _ in range(6)] for _ in range(5)])
+            rows = [{j: int(x) for j, x in enumerate(row) if x} for row in m.rows]
+            assert rank_mod_p(rows, (1 << 61) - 1) == rank(m)
+
+    def test_rank_drops_mod_small_prime(self):
+        rows = [{0: 1, 1: 2}, {0: 3, 1: 1}]
+        assert rank_mod_p(rows, 7) == 2
+        assert rank_mod_p(rows, 5) == 1
+
+    def test_stop(self):
+        rows = [{0: 1}, {1: 1}, {2: 1}]
+        assert rank_mod_p(rows, 101, stop=2) == 2
+        assert rank_mod_p([], 101) == 0
 
 
 class TestCharpoly:

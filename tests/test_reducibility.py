@@ -311,3 +311,10 @@ class TestCertifyAndScan:
         assert expected_spectrum(6, named_locus("l=-r3", 6))["k"] == 10
         assert expected_spectrum(7, named_locus("l=-r3", 7))["min_dim"] == 15
         assert expected_spectrum(4, GENERIC) is None
+
+    def test_expected_spectrum_r3_minus_2n_collides_with_minus_r3(self):
+        x = cyclotomic_field("phi20").gen()
+        assert expected_spectrum(5, named_locus("l=r3-2n", 5), x) == \
+            expected_spectrum(5, named_locus("l=-r3", 5), x)
+        assert expected_spectrum(5, named_locus("l=r3-2n", 5), x)["k"] == 7
+        assert expected_spectrum(5, named_locus("l=r3-2n", 5), rat(2))["k"] == 1
