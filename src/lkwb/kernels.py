@@ -1,31 +1,385 @@
-"""Backend selection for the hot computational kernels.
+"""Exact kernels shared by the scalar types and the linear algebra.
 
-Imports the compiled extension when present, falling back to the pure
-Python twins.  Set LKWB_NO_SPEEDUPS=1 to force the pure backend (used by
-the benchmark and the backend-equivalence tests).
+Conventions, in one place:
+
+* ``Rat`` is the exact rational type (gmpy2.mpq when available,
+  fractions.Fraction otherwise); ``RAT_BACKEND`` names the choice.
+* "terms" dicts map packed exponent keys (int) to nonzero coefficient
+  objects supporting +, * and truthiness (Rat or int).  Packing is
+  key = a*PACK + b for the monomial l^a r^b, so key addition is exponent
+  addition.
+* A dense polynomial is a list of coefficients in ascending order
+  (index = degree) with no trailing zeros; [] is the zero polynomial.
+  Over Z the coefficients are int, over Q they are Rat, and over GF(p)
+  they are int in [0, p).  ``poly_*`` functions work over Z (``poly_sub``
+  over Z and Q alike), ``qpoly_*`` over Q and ``modp_*`` over GF(p).
 """
 
-import os
+from math import gcd
 
-if os.environ.get("LKWB_NO_SPEEDUPS"):
-    from . import _kernels_py as _impl
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _impl
+try:
+    from gmpy2 import mpq as Rat
 
-BACKEND = _impl.BACKEND
-PACK = _impl.PACK
-pack_exp = _impl.pack_exp
-unpack_exp = _impl.unpack_exp
-terms_mul = _impl.terms_mul
-terms_add = _impl.terms_add
-terms_scale = _impl.terms_scale
-poly_mul_int = _impl.poly_mul_int
-poly_divexact_int = _impl.poly_divexact_int
-poly_eval_int = _impl.poly_eval_int
-poly_content_int = _impl.poly_content_int
-poly_gcd_int = _impl.poly_gcd_int
-bareiss_det_int = _impl.bareiss_det_int
-bareiss_det_polyint = _impl.bareiss_det_polyint
+    RAT_BACKEND = "gmpy2"
+except ImportError:  # pragma: no cover - depends on environment
+    from fractions import Fraction as Rat
+
+    RAT_BACKEND = "fractions"
+
+BACKEND = "pure"
+
+# Key packing stride for (a, b) exponent pairs.  |b| stays far below
+# PACK/2 for any legal exponent bound, so packed addition never carries.
+PACK = 1 << 34
+_HALF = PACK >> 1
+
+
+def pack_exp(a, b):
+    return a * PACK + b
+
+
+def unpack_exp(key):
+    b = ((key + _HALF) % PACK) - _HALF
+    return (key - b) // PACK, b
+
+
+def terms_mul(a, b):
+    """Convolution of two packed-key term dicts."""
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            v = out.get(k)
+            if v is None:
+                out[k] = c1 * c2
+            else:
+                v = v + c1 * c2
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+    return out
+
+
+def terms_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        v = out.get(k)
+        if v is None:
+            out[k] = c
+        else:
+            v = v + c
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Z[x]
+# ---------------------------------------------------------------------------
+
+
+def poly_sub(a, b):
+    """a - b for dense polynomials over Z or Q."""
+    n = min(len(a), len(b))
+    out = [x - y for x, y in zip(a, b)] + list(a[n:]) + [-y for y in b[n:]]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def poly_mul_int(a, b):
+    """Product of dense integer polynomials."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def poly_divexact_int(a, b):
+    """Exact quotient a // b in Z[x]; raises ValueError if inexact."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not a:
+        return []
+    if len(a) < len(b):
+        raise ValueError("inexact polynomial division")
+    rem = list(a)
+    lead = b[-1]
+    db = len(b) - 1
+    q = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = rem[i]
+        if not c:
+            continue
+        qc, r = divmod(c, lead)
+        if r:
+            raise ValueError("inexact polynomial division")
+        q[i - db] = qc
+        for j in range(db + 1):
+            rem[i - db + j] -= qc * b[j]
+    if any(rem):
+        raise ValueError("inexact polynomial division")
+    while q and not q[-1]:
+        q.pop()
+    return q
+
+
+def poly_eval_int(c, x):
+    """Horner evaluation of a dense integer polynomial at integer x."""
+    acc = 0
+    for coef in reversed(c):
+        acc = acc * x + coef
+    return acc
+
+
+def poly_content_int(a):
+    g = 0
+    for c in a:
+        if c:
+            g = gcd(g, c if c > 0 else -c)
+            if g == 1:
+                return 1
+    return g
+
+
+def poly_gcd_int(a, b):
+    """gcd in Z[x] via a primitive pseudo-remainder sequence.
+
+    With one input zero the result is the primitive part of the other.
+    With both nonzero it is the gcd in Z[x]: the gcd of the two contents
+    times the primitive gcd, so poly_gcd_int([6, 6], [4, 4]) == [2, 2].
+    The leading coefficient is positive; [] if both inputs are zero.
+    """
+    a = list(a)
+    b = list(b)
+    if not a and not b:
+        return []
+    if not a or not b:
+        c = a or b
+        cc = poly_content_int(c)
+        c = [x // cc for x in c]
+        return c if c[-1] > 0 else [-x for x in c]
+    ca, cb = poly_content_int(a), poly_content_int(b)
+    a = [c // ca for c in a]
+    b = [c // cb for c in b]
+    cg = gcd(ca, cb)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        # pseudo-remainder of a by b
+        r = list(a)
+        lead = b[-1]
+        db = len(b) - 1
+        while len(r) - 1 >= db and r:
+            if not r[-1]:
+                r.pop()
+                continue
+            shift = len(r) - 1 - db
+            c = r[-1]
+            # scale r by lead, subtract c * x^shift * b
+            r = [lead * x for x in r]
+            for j in range(db + 1):
+                r[shift + j] -= c * b[j]
+            while r and not r[-1]:
+                r.pop()
+        cr = poly_content_int(r)
+        if cr > 1:
+            r = [c // cr for c in r]
+        a, b = b, r
+    if a[-1] < 0:
+        a = [-c for c in a]
+    if cg > 1:
+        a = [c * cg for c in a]
+    return a
+
+
+def bareiss_det_int(rows):
+    """Determinant of a square integer matrix by fraction-free elimination."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    a = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        piv = None
+        for i in range(k, n):
+            if a[i][k]:
+                piv = i
+                break
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot = a[k][k]
+        row_k = a[k]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            head = row_i[k]
+            if head:
+                for j in range(k + 1, n):
+                    row_i[j] = (pivot * row_i[j] - head * row_k[j]) // prev
+                row_i[k] = 0
+            else:
+                # the Bareiss update still rescales rows with a zero head
+                for j in range(k + 1, n):
+                    if row_i[j]:
+                        row_i[j] = (pivot * row_i[j]) // prev
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
+def bareiss_det_polyint(rows):
+    """Determinant over Z[x]: entries and result are dense int-coeff lists."""
+    n = len(rows)
+    if n == 0:
+        return [1]
+    a = [[list(e) for e in r] for r in rows]
+    sign = 1
+    prev = [1]
+    for k in range(n - 1):
+        piv = None
+        best = None
+        for i in range(k, n):
+            e = a[i][k]
+            if e:
+                nt = sum(1 for c in e if c)
+                if best is None or nt < best:
+                    best = nt
+                    piv = i
+        if piv is None:
+            return []
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot = a[k][k]
+        row_k = a[k]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            head = row_i[k]
+            for j in range(k + 1, n):
+                t = poly_mul_int(pivot, row_i[j])
+                if head:
+                    t = poly_sub(t, poly_mul_int(head, row_k[j]))
+                row_i[j] = poly_divexact_int(t, prev) if prev != [1] else t
+            row_i[k] = []
+        prev = pivot
+    d = a[n - 1][n - 1]
+    return [-c for c in d] if sign < 0 else d
+
+
+# ---------------------------------------------------------------------------
+# Q[x]
+# ---------------------------------------------------------------------------
+
+
+def qpoly_to_int(coeffs):
+    """(scale, ints) with coeffs = scale * ints and ints primitive in Z[x]."""
+    den_lcm = 1
+    for c in coeffs:
+        d = int(c.denominator)
+        den_lcm = den_lcm * d // gcd(den_lcm, d)
+    ints = [int(c.numerator) * (den_lcm // int(c.denominator)) for c in coeffs]
+    while ints and not ints[-1]:
+        ints.pop()
+    cont = poly_content_int(ints)
+    if cont > 1:
+        ints = [v // cont for v in ints]
+    return Rat(cont) / den_lcm, ints
+
+
+def qpoly_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Rat(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def qpoly_divmod(a, b):
+    a = list(a)
+    db = len(b) - 1
+    inv = Rat(1) / b[-1]
+    q = [Rat(0)] * max(len(a) - db, 0)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i]
+        if c:
+            qc = c * inv
+            q[i - db] = qc
+            for j in range(db + 1):
+                a[i - db + j] -= qc * b[j]
+    while a and not a[-1]:
+        a.pop()
+    return q, a
+
+
+def qpoly_divexact(a, b):
+    q, r = qpoly_divmod(a, b)
+    if r:
+        raise ValueError("inexact division in Q[x]")
+    return q
+
+
+def qpoly_deriv(p):
+    return [Rat(i) * c for i, c in enumerate(p)][1:]
+
+
+def qpoly_gcd(a, b):
+    """gcd in Q[x], scaled to a primitive integer polynomial (as Rat)."""
+    g = poly_gcd_int(qpoly_to_int(a)[1], qpoly_to_int(b)[1])
+    return [Rat(c) for c in g]
+
+
+# ---------------------------------------------------------------------------
+# GF(p)[x]
+# ---------------------------------------------------------------------------
+
+
+def modp_poly_rem(a, mod, p):
+    a = list(a)
+    dm = len(mod) - 1
+    inv_lead = pow(mod[-1], p - 2, p)
+    for i in range(len(a) - 1, dm - 1, -1):
+        c = a[i]
+        if c:
+            f = c * inv_lead % p
+            for j in range(dm + 1):
+                a[i - dm + j] = (a[i - dm + j] - f * mod[j]) % p
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def modp_poly_mulmod(a, b, mod, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return modp_poly_rem(out, mod, p)
+
+
+def modp_poly_gcd(a, b, p):
+    while b:
+        a, b = b, modp_poly_rem(a, b, p)
+    return a

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from math import gcd as _int_gcd
 
 from . import kernels
 from .errors import (
@@ -312,20 +311,38 @@ def _det_field_elimination(m):
     return detval
 
 
+def clear_denominators(row):
+    """(den, polys): a row of RatFunc entries times den, the lcm of their denominators."""
+    den = LaurentPoly.one()
+    for x in row:
+        if x and not x.den.is_const():
+            g = den.gcd(x.den)
+            den = den.divexact(g) * x.den
+    return den, [x.num * den.divexact(x.den) if x else LaurentPoly.zero() for x in row]
+
+
+def dense_int_row(polys):
+    """(scale, shift, ints): a row of univariate-in-r LaurentPolys over Z[r].
+
+    Entry j equals scale * r^shift * ints[j], with ints[j] a dense integer
+    polynomial, one rational scale and one shift for the whole row, and the
+    integer row of content 1.  A zero row gives scale 0 and all ints [].
+    """
+    parts = [p.to_dense_int_r() for p in polys]
+    # entry scales c_j = scale * mults[j], integer mults of content 1
+    scale, mults = kernels.qpoly_to_int([c for c, _, _ in parts])
+    shift = min((s for _, s, ints in parts if ints), default=0)
+    ints_row = [[0] * (s - shift) + [mults[j] * v for v in ints] if ints else []
+                for j, (_, s, ints) in enumerate(parts)]
+    return scale, shift, ints_row
+
+
 def _det_function_field(m):
     # clear denominators row by row; det m = bareiss_det / prod(row factors)
     cleared = []
     factor = RatFunc.one()
     for row in m.rows:
-        den = LaurentPoly.one()
-        for x in row:
-            if x and not x.den.is_const():
-                g = den.gcd(x.den)
-                den = den.divexact(g) * x.den
-        polys = []
-        for x in row:
-            p = x.num * den.divexact(x.den) if x else LaurentPoly.zero()
-            polys.append(p)
+        den, polys = clear_denominators(row)
         cleared.append(polys)
         factor = factor * RatFunc.from_laurent(den)
     if all(p.is_univariate_r() for row in cleared for p in row):
@@ -337,41 +354,16 @@ def _det_function_field(m):
 
 def _det_univariate(rows):
     """Determinant of a matrix of univariate-in-r Laurent polys, as a poly."""
-    n = len(rows)
     scale = Rat(1)
     shift = 0
-    dense = []
-    for row in rows:
-        drow = []
-        for p in row:
-            c, s, ints = p.to_dense_int_r()
-            drow.append((c, s, ints))
-        dense.append(drow)
     mat = []
-    for drow in dense:
-        # pull out the row content and the lowest power of r
-        nz = [(c, s, ints) for (c, s, ints) in drow if ints]
-        if not nz:
+    for row in rows:
+        rowscale, rshift, ints_row = dense_int_row(row)
+        if not rowscale:
             return LaurentPoly.zero()
-        rshift = min(s for _, s, _ in nz)
-        den_lcm = 1
-        num_gcd = 0
-        for c, _, _ in nz:
-            den_lcm = den_lcm * int(c.denominator) // _int_gcd(den_lcm, int(c.denominator))
-            num_gcd = _int_gcd(num_gcd, abs(int(c.numerator)))
-        rowscale = Rat(num_gcd) / den_lcm
         scale = scale * rowscale
         shift += rshift
-        irow = []
-        for c, s, ints in drow:
-            if not ints:
-                irow.append([])
-                continue
-            mult = int((c / rowscale).numerator)
-            assert int((c / rowscale).denominator) == 1
-            lead = [0] * (s - rshift)
-            irow.append(lead + [mult * v for v in ints])
-        mat.append(irow)
+        mat.append(ints_row)
     d = kernels.bareiss_det_polyint(mat)
     if not d:
         return LaurentPoly.zero()
@@ -662,42 +654,12 @@ def _find_submatrix_fraction_free(m, s):
     Row scaling by nonzero polynomials preserves which index sets give
     invertible minors; Sylvester's identity keeps every division exact.
     """
-    cleared = []
-    for row in m.rows:
-        den = LaurentPoly.one()
-        for x in row:
-            if x and not x.den.is_const():
-                g = den.gcd(x.den)
-                den = den.divexact(g) * x.den
-        cleared.append([x.num * den.divexact(x.den) if x else LaurentPoly.zero() for x in row])
+    cleared = [clear_denominators(row)[1] for row in m.rows]
     univariate = all(p.is_univariate_r() for row in cleared for p in row)
     if univariate:
-        work = []
-        for row in cleared:
-            parts = [p.to_dense_int_r() for p in row]
-            lows = [sh for _, sh, ints in parts if ints]
-            rshift = min(lows) if lows else 0
-            den_lcm = 1
-            for c, _, ints in parts:
-                if ints:
-                    d = int(c.denominator)
-                    den_lcm = den_lcm * d // _int_gcd(den_lcm, d)
-            irow = []
-            for c, sh, ints in parts:
-                if not ints:
-                    irow.append([])
-                else:
-                    mult = int(c.numerator) * (den_lcm // int(c.denominator))
-                    irow.append([0] * (sh - rshift) + [mult * v for v in ints])
-            work.append(irow)
+        work = [dense_int_row(row)[2] for row in cleared]
         zero_p, mul_p, div_p = [], kernels.poly_mul_int, kernels.poly_divexact_int
-
-        def sub_p(a, b):
-            n = max(len(a), len(b))
-            out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-            while out and not out[-1]:
-                out.pop()
-            return out
+        sub_p = kernels.poly_sub
 
         def cost_p(e):
             return (sum(1 for c in e if c), len(e))

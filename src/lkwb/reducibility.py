@@ -9,7 +9,6 @@ at every reducibility locus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from math import gcd as _int_gcd
 
 from . import kernels
 from .errors import (
@@ -23,7 +22,9 @@ from .linalg import (
     Matrix,
     SubspaceBasis,
     charpoly,
+    clear_denominators,
     commutant_basis,
+    dense_int_row,
     det,
     is_invariant,
     kernel,
@@ -44,7 +45,6 @@ from .lkrep import (
 from .scalars import (
     QQ,
     QR,
-    LaurentPoly,
     Rat,
     RatFunc,
     field_of,
@@ -415,48 +415,6 @@ def _nonzero_point_witness_bivariate(d):
     return {}
 
 
-def _clear_row_denominators(rows):
-    """RatFunc rows -> LaurentPoly rows (each row times its denominator lcm)."""
-    out = []
-    for row in rows:
-        den = LaurentPoly.one()
-        for x in row:
-            if x and not x.den.is_const():
-                g = den.gcd(x.den)
-                den = den.divexact(g) * x.den
-        out.append([x.num * den.divexact(x.den) if x else LaurentPoly.zero() for x in row])
-    return out
-
-
-def _dense_int_rows(poly_rows):
-    """Univariate LaurentPoly rows -> primitive dense int rows (zero-det preserved)."""
-    mat = []
-    for row in poly_rows:
-        dense = []
-        lows = []
-        for p in row:
-            c, s, ints = p.to_dense_int_r()
-            dense.append((c, s, ints))
-            if ints:
-                lows.append(s)
-        if not lows:
-            return None  # a zero row: det identically zero
-        rshift = min(lows)
-        den_lcm = 1
-        for c, _, ints in dense:
-            if ints:
-                den_lcm = den_lcm * int(c.denominator) // _int_gcd(den_lcm, int(c.denominator))
-        irow = []
-        for c, s, ints in dense:
-            if not ints:
-                irow.append([])
-                continue
-            mult = int(c.numerator) * (den_lcm // int(c.denominator))
-            irow.append([0] * (s - rshift) + [mult * v for v in ints])
-        mat.append(irow)
-    return mat
-
-
 def _univariate_zero_verdict(matrix, n, locus, method):
     """Exact zero decision for the determinant of a univariate matrix.
 
@@ -465,12 +423,12 @@ def _univariate_zero_verdict(matrix, n, locus, method):
     is the zero polynomial.  A nonzero evaluation at an admissible point is
     an exact nonzero witness.
     """
-    poly_rows = _clear_row_denominators(matrix.rows)
-    int_rows = _dense_int_rows(poly_rows)
+    dense = [dense_int_row(clear_denominators(row)[1]) for row in matrix.rows]
     name = locus.name if locus else "generic"
-    if int_rows is None:
+    if not all(scale for scale, _, _ in dense):
         return DetVerdict(n, name, "identically_zero", method, False,
                           proof={"technique": "zero-row"})
+    int_rows = [ints for _, _, ints in dense]
     degree_bound = sum(max((len(e) - 1) for e in row if e) for row in int_rows)
     dens = [x.den for row in matrix.rows for x in row if x and not x.den.is_const()]
     points = []
@@ -513,7 +471,7 @@ def _den_nonzero_at(den, pt):
 
 def _bivariate_grid_verdict(matrix, n):
     """Exact symbolic zero decision via a degree-bounded evaluation grid."""
-    poly_rows = _clear_row_denominators(matrix.rows)
+    poly_rows = [clear_denominators(row)[1] for row in matrix.rows]
     dl = 0
     dr = 0
     for row in poly_rows:
@@ -851,50 +809,6 @@ def probe_operators(ops, trials, rng):
     return ProbeReport("inconclusive", cdim, trials, False, samples=tuple(sample_notes))
 
 
-def _to_int_poly(coeffs):
-    """Rat coefficient list -> primitive int list (ascending)."""
-    den_lcm = 1
-    for c in coeffs:
-        d = int(c.denominator)
-        den_lcm = den_lcm * d // _int_gcd(den_lcm, d)
-    ints = [int(c.numerator) * (den_lcm // int(c.denominator)) for c in coeffs]
-    while ints and not ints[-1]:
-        ints.pop()
-    cont = 0
-    for v in ints:
-        cont = _int_gcd(cont, abs(v))
-    if cont > 1:
-        ints = [v // cont for v in ints]
-    return ints
-
-
-def _q_deriv(p):
-    return [Rat(i) * c for i, c in enumerate(p)][1:]
-
-
-def _q_gcd(a, b):
-    """gcd in Q[x] as a Rat list (primitive integer scaling)."""
-    g = kernels.poly_gcd_int(_to_int_poly(a), _to_int_poly(b))
-    return [Rat(c) for c in g]
-
-
-def _q_divexact(a, b):
-    from .scalars import _qpoly_divmod
-
-    q, r = _qpoly_divmod(a, b)
-    if r:
-        raise ValueError("inexact division in Q[x]")
-    return q
-
-
-def _q_sub(a, b):
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else Rat(0)) - (b[i] if i < len(b) else Rat(0)) for i in range(n)]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
 def _yun_squarefree(p_int):
     """Yun's squarefree decomposition: list of (int factor, multiplicity).
 
@@ -902,20 +816,20 @@ def _yun_squarefree(p_int):
     scalings stay consistent and the recurrence is exact.
     """
     p = [Rat(c) for c in p_int]
-    dp = _q_deriv(p)
-    g = _q_gcd(p, dp)
+    dp = kernels.qpoly_deriv(p)
+    g = kernels.qpoly_gcd(p, dp)
     if len(g) == 1:
         return [(p_int, 1)]
     out = []
-    c = _q_divexact(p, g)
-    d = _q_sub(_q_divexact(dp, g), _q_deriv(c))
+    c = kernels.qpoly_divexact(p, g)
+    d = kernels.poly_sub(kernels.qpoly_divexact(dp, g), kernels.qpoly_deriv(c))
     i = 1
     while len(c) > 1:
-        s = _q_gcd(c, d)
+        s = kernels.qpoly_gcd(c, d)
         if len(s) > 1:
-            out.append((_to_int_poly(s), i))
-        c = _q_divexact(c, s)
-        d = _q_sub(_q_divexact(d, s), _q_deriv(c))
+            out.append((kernels.qpoly_to_int(s)[1], i))
+        c = kernels.qpoly_divexact(c, s)
+        d = kernels.poly_sub(kernels.qpoly_divexact(d, s), kernels.qpoly_deriv(c))
         i += 1
     return out
 
@@ -923,21 +837,14 @@ def _yun_squarefree(p_int):
 def _exact_div_q(a, b):
     """a / b exactly in Q[x], returned primitive in Z[x] (b | a in Q[x])."""
     # clear to primitive; by Gauss the primitive quotient is integral
-    ca = 0
-    for v in a:
-        ca = _int_gcd(ca, abs(v))
-    cb = 0
-    for v in b:
-        cb = _int_gcd(cb, abs(v))
+    ca, cb = kernels.poly_content_int(a), kernels.poly_content_int(b)
     ap = [v // ca for v in a] if ca > 1 else list(a)
     bp = [v // cb for v in b] if cb > 1 else list(b)
     if bp[-1] < 0:
         bp = [-v for v in bp]
         ap = [-v for v in ap]
     q = kernels.poly_divexact_int(ap, bp)
-    cq = 0
-    for v in q:
-        cq = _int_gcd(cq, abs(v))
+    cq = kernels.poly_content_int(q)
     return [v // cq for v in q] if cq > 1 else q
 
 
@@ -955,7 +862,7 @@ def _charpoly_factor_analysis(cp):
     with coprime nonconstant u*v ~ p when a coprime split is found, else
     {"kind": "unknown"}.
     """
-    p = _to_int_poly(cp)
+    p = kernels.qpoly_to_int(cp)[1]
     deg = len(p) - 1
     classes = _yun_squarefree(p)
     if len(classes) >= 2:
@@ -1031,43 +938,13 @@ def _modp_irreducible(s):
     return False
 
 
-def _modp_poly_mulmod(a, b, mod, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _modp_poly_rem(out, mod, p)
-
-
-def _modp_poly_rem(a, mod, p):
-    a = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
-        if c:
-            f = c * inv_lead % p
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - f * mod[j]) % p
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _modp_gcd(a, b, p):
-    while b:
-        a, b = b, _modp_poly_rem(a, b, p)
-    return a
-
-
 def _modp_factor_count(s, p):
     """Number of irreducible factors mod p (Berlekamp kernel dimension)."""
     deg = len(s) - 1
     deriv = [(i * c) % p for i, c in enumerate(s)][1:]
     while deriv and not deriv[-1]:
         deriv.pop()
-    if not deriv or len(_modp_gcd(list(s), deriv, p)) > 1:
+    if not deriv or len(kernels.modp_poly_gcd(list(s), deriv, p)) > 1:
         return 0  # not squarefree mod p: caller tries another prime
     # rows of the Frobenius matrix: x^(p*i) mod s
     xp = _modp_powmod_x(p, s, p)
@@ -1078,7 +955,7 @@ def _modp_factor_count(s, p):
         for j, c in enumerate(cur):
             row[j] = c
         rows.append(row)
-        cur = _modp_poly_mulmod(cur, xp, s, p)
+        cur = kernels.modp_poly_mulmod(cur, xp, s, p)
     # kernel dimension of (Q - I) over GF(p)
     mat = [[(rows[j][i] - (1 if i == j else 0)) % p for j in range(deg)] for i in range(deg)]
     return deg - rank_mod_p([dict(enumerate(row)) for row in mat], p)
@@ -1086,13 +963,13 @@ def _modp_factor_count(s, p):
 
 def _modp_powmod_x(e, mod, p):
     result = [1]
-    base = _modp_poly_rem([0, 1], mod, p)
+    base = kernels.modp_poly_rem([0, 1], mod, p)
     while e:
         if e & 1:
-            result = _modp_poly_mulmod(result, base, mod, p)
+            result = kernels.modp_poly_mulmod(result, base, mod, p)
         e >>= 1
         if e:
-            base = _modp_poly_mulmod(base, base, mod, p)
+            base = kernels.modp_poly_mulmod(base, base, mod, p)
     return result
 
 

@@ -21,6 +21,7 @@ import re
 from math import gcd
 
 from . import kernels
+from .kernels import RAT_BACKEND, Rat
 from .errors import (
     DenominatorVanishesIdentically,
     DivisionByZero,
@@ -29,15 +30,6 @@ from .errors import (
     PoleAtSpecialization,
     ZeroDivisorEncountered,
 )
-
-try:
-    from gmpy2 import mpq as Rat
-
-    RAT_BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - depends on environment
-    from fractions import Fraction as Rat
-
-    RAT_BACKEND = "fractions"
 
 _RAT_TYPES = (type(Rat(0)), int)
 
@@ -434,18 +426,8 @@ class LaurentPoly:
         Univariate in r only; intcoeffs is primitive with no trailing zeros.
         """
         lo, coeffs = self.to_dense_r()
-        if not coeffs:
-            return Rat(0), 0, []
-        den_lcm = 1
-        for c in coeffs:
-            d = int(c.denominator)
-            den_lcm = den_lcm * d // gcd(den_lcm, d)
-        ints = [int(c.numerator) * (den_lcm // int(c.denominator)) for c in coeffs]
-        cont = 0
-        for v in ints:
-            cont = gcd(cont, abs(v))
-        ints = [v // cont for v in ints]
-        return Rat(cont) / den_lcm, lo, ints
+        scale, ints = kernels.qpoly_to_int(coeffs)
+        return scale, lo, ints
 
     # -- gcd ----------------------------------------------------------------
 
@@ -554,13 +536,8 @@ def _gcd_bivariate(p, q):
             for a, l in v.items():
                 if a == dv:
                     continue
-                t = kernels.poly_mul_int(lu, l)
                 tgt = a + du - dv
-                cur = nu.get(tgt, [])
-                m = max(len(cur), len(t))
-                s = [(cur[i] if i < len(cur) else 0) - (t[i] if i < len(t) else 0) for i in range(m)]
-                while s and not s[-1]:
-                    s.pop()
+                s = kernels.poly_sub(nu.get(tgt, []), kernels.poly_mul_int(lu, l))
                 if s:
                     nu[tgt] = s
                 elif tgt in nu:
@@ -967,9 +944,9 @@ class AlgebraicNumber:
         r0, r1 = f, g
         s0, s1 = [], [Rat(1)]
         while r1:
-            q, r = _qpoly_divmod(r0, r1)
+            q, r = kernels.qpoly_divmod(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _qpoly_sub(s0, _qpoly_mul(q, s1))
+            s0, s1 = s1, kernels.poly_sub(s0, kernels.qpoly_mul(q, s1))
         if len(r0) != 1:
             raise ZeroDivisorEncountered(
                 "element not invertible modulo the supplied modulus (modulus reducible?)"
@@ -1007,44 +984,6 @@ class AlgebraicNumber:
 
     def __repr__(self):
         return f"AlgebraicNumber({algebraic_to_text(self)}, {self.field.tag})"
-
-
-def _qpoly_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    inv = Rat(1) / b[-1]
-    q = [Rat(0)] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            qc = c * inv
-            q[i - db] = qc
-            for j in range(db + 1):
-                a[i - db + j] -= qc * b[j]
-    while a and not a[-1]:
-        a.pop()
-    return q, a
-
-
-def _qpoly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Rat(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _qpoly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else Rat(0)) - (b[i] if i < len(b) else Rat(0)) for i in range(n)]
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,11 @@
-"""Backend equivalence: the compiled kernels must match the pure ones."""
+"""Dense polynomial kernels: packing, Z[x], Q[x] and GF(p)[x] semantics."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
-from lkwb import _kernels_py as pure
 from lkwb import kernels
-
-try:
-    from lkwb import _speedups as fast
-except ImportError:
-    fast = None
-
-needs_compiled = pytest.mark.skipif(fast is None, reason="_speedups not built")
-
-
-def random_terms(rng, nterms):
-    d = {}
-    for _ in range(nterms):
-        key = pure.pack_exp(rng.randint(-6, 6), rng.randint(-40, 40))
-        d[key] = Fraction(rng.randint(-50, 50) or 1, rng.randint(1, 9))
-    return d
+from lkwb.kernels import Rat
 
 
 def random_poly(rng, deg, bits=48):
@@ -30,15 +14,19 @@ def random_poly(rng, deg, bits=48):
     return p
 
 
+def test_selected_backend_exposed():
+    assert kernels.BACKEND == "pure"
+
+
 class TestPacking:
     def test_round_trip(self):
         rng = random.Random(1)
         for _ in range(200):
             a, b = rng.randint(-70000, 70000), rng.randint(-70000, 70000)
-            assert pure.unpack_exp(pure.pack_exp(a, b)) == (a, b)
+            assert kernels.unpack_exp(kernels.pack_exp(a, b)) == (a, b)
 
     def test_additive(self):
-        assert pure.pack_exp(2, 3) + pure.pack_exp(-5, 7) == pure.pack_exp(-3, 10)
+        assert kernels.pack_exp(2, 3) + kernels.pack_exp(-5, 7) == kernels.pack_exp(-3, 10)
 
 
 class TestPureSemantics:
@@ -47,47 +35,57 @@ class TestPureSemantics:
         for _ in range(30):
             a = random_poly(rng, rng.randint(0, 8))
             b = random_poly(rng, rng.randint(0, 8))
-            p = pure.poly_mul_int(a, b)
-            assert pure.poly_divexact_int(p, a) == b
+            p = kernels.poly_mul_int(a, b)
+            assert kernels.poly_divexact_int(p, a) == b
+            assert kernels.poly_sub(p, kernels.poly_mul_int(b, a)) == []
+        assert kernels.poly_mul_int([], [1, 2]) == []
+        assert kernels.poly_divexact_int([], [3]) == []
 
     def test_divexact_rejects_inexact(self):
         with pytest.raises(ValueError):
-            pure.poly_divexact_int([1, 0, 1], [1, 1])
+            kernels.poly_divexact_int([1, 0, 1], [1, 1])
 
     def test_gcd(self):
+        # both inputs nonzero: content gcd times primitive gcd
+        assert kernels.poly_gcd_int([6, 6], [4, 4]) == [2, 2]
+        assert kernels.poly_gcd_int([6, 6], [6, 6]) == [6, 6]
+        # one input zero: the primitive part of the other
+        assert kernels.poly_gcd_int([], [6, 6]) == [1, 1]
+        assert kernels.poly_gcd_int([-6, -6], []) == [1, 1]
+        assert kernels.poly_gcd_int([], []) == []
         rng = random.Random(3)
         for _ in range(30):
             a = random_poly(rng, rng.randint(0, 5), bits=16)
             b = random_poly(rng, rng.randint(0, 5), bits=16)
             g = random_poly(rng, rng.randint(0, 3), bits=8)
-            ag = pure.poly_mul_int(a, g)
-            bg = pure.poly_mul_int(b, g)
-            got = pure.poly_gcd_int(ag, bg)
+            ag = kernels.poly_mul_int(a, g)
+            bg = kernels.poly_mul_int(b, g)
+            got = kernels.poly_gcd_int(ag, bg)
             # the gcd divides both inputs (exact division succeeds) ...
-            pure.poly_divexact_int(ag, got)
-            pure.poly_divexact_int(bg, got)
+            kernels.poly_divexact_int(ag, got)
+            kernels.poly_divexact_int(bg, got)
             # ... and is divisible by the primitive part of the planted g
-            cont = pure.poly_content_int(g)
+            cont = kernels.poly_content_int(g)
             gp = [c // cont for c in g]
             if gp[-1] < 0:
                 gp = [-c for c in gp]
-            pure.poly_divexact_int(got, gp)
+            kernels.poly_divexact_int(got, gp)
 
     def test_bareiss_det_against_expansion(self):
         rng = random.Random(4)
         for n in (1, 2, 3, 4):
             for _ in range(10):
                 m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-                assert pure.bareiss_det_int(m) == _det_expansion(m)
+                assert kernels.bareiss_det_int(m) == _det_expansion(m)
 
     def test_bareiss_polyint_matches_int_evaluation(self):
         rng = random.Random(5)
         for _ in range(10):
             m = [[random_poly(rng, rng.randint(0, 3), bits=10) for _ in range(3)] for _ in range(3)]
-            d = pure.bareiss_det_polyint(m)
+            d = kernels.bareiss_det_polyint(m)
             for x in (2, -1, 5):
-                mx = [[pure.poly_eval_int(e, x) for e in row] for row in m]
-                assert pure.poly_eval_int(d, x) == pure.bareiss_det_int(mx)
+                mx = [[kernels.poly_eval_int(e, x) for e in row] for row in m]
+                assert kernels.poly_eval_int(d, x) == kernels.bareiss_det_int(mx)
 
 
 def _det_expansion(m):
@@ -104,40 +102,114 @@ def _det_expansion(m):
     return total
 
 
-@needs_compiled
-class TestBackendEquivalence:
-    def test_terms_ops(self):
-        rng = random.Random(6)
-        for _ in range(50):
-            a = random_terms(rng, rng.randint(0, 12))
-            b = random_terms(rng, rng.randint(0, 12))
-            assert pure.terms_mul(a, b) == fast.terms_mul(a, b)
-            assert pure.terms_add(a, b) == fast.terms_add(a, b)
-            c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-            assert pure.terms_scale(a, c) == fast.terms_scale(a, c)
+def _trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
 
-    def test_poly_ops(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            a = random_poly(rng, rng.randint(0, 10))
-            b = random_poly(rng, rng.randint(0, 10))
-            assert pure.poly_mul_int(a, b) == fast.poly_mul_int(a, b)
-            p = pure.poly_mul_int(a, b)
-            assert pure.poly_divexact_int(p, a) == fast.poly_divexact_int(p, a)
-            assert pure.poly_gcd_int(a, b) == fast.poly_gcd_int(a, b)
-            x = rng.randint(-20, 20)
-            assert pure.poly_eval_int(a, x) == fast.poly_eval_int(a, x)
-            assert pure.poly_content_int(a) == fast.poly_content_int(a)
 
-    def test_dets(self):
-        rng = random.Random(8)
-        for n in (2, 3, 5, 8):
-            for _ in range(10):
-                m = [[rng.getrandbits(120) - (1 << 119) for _ in range(n)] for _ in range(n)]
-                assert pure.bareiss_det_int(m) == fast.bareiss_det_int(m)
-        for _ in range(10):
-            m = [[random_poly(rng, rng.randint(0, 4), bits=12) for _ in range(4)] for _ in range(4)]
-            assert pure.bareiss_det_polyint(m) == fast.bareiss_det_polyint(m)
+class TestAgainstSympy:
+    """Q[x] and GF(p)[x] helpers against sympy's Poly, on Hypothesis inputs."""
 
-    def test_selected_backend_exposed(self):
-        assert kernels.BACKEND in ("pure", "compiled")
+    @pytest.fixture
+    def env(self):
+        hyp = pytest.importorskip("hypothesis")
+        sympy = pytest.importorskip("sympy")
+        st = hyp.strategies
+        x = sympy.Symbol("x")
+        rats = st.builds(lambda n, d: Rat(n) / d, st.integers(-20, 20), st.integers(1, 6))
+        qpolys = st.lists(rats, max_size=6).map(_trim)
+        settings = hyp.settings(max_examples=80, deadline=None, derandomize=True)
+
+        def to_sympy(coeffs, **kw):
+            terms = [sympy.Rational(int(c.numerator), int(c.denominator)) for c in reversed(coeffs)]
+            return sympy.Poly(terms or [0], x, **kw)
+
+        def from_sympy(poly):
+            return _trim(Rat(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs()))
+
+        return hyp, st, qpolys, settings, to_sympy, from_sympy
+
+    def test_qpoly_arithmetic(self, env):
+        hyp, st, qpolys, settings, to_sympy, from_sympy = env
+
+        @settings
+        @hyp.given(qpolys, qpolys)
+        def check(a, b):
+            sa, sb = to_sympy(a, domain="QQ"), to_sympy(b, domain="QQ")
+            assert kernels.qpoly_mul(a, b) == from_sympy(sa.mul(sb))
+            assert kernels.poly_sub(a, b) == from_sympy(sa.sub(sb))
+            assert kernels.qpoly_deriv(a) == from_sympy(sa.diff())
+            if b:
+                q, r = kernels.qpoly_divmod(a, b)
+                sq, sr = sa.div(sb)
+                assert (_trim(q), r) == (from_sympy(sq), from_sympy(sr))
+                assert kernels.qpoly_divexact(kernels.qpoly_mul(a, b), b) == a
+
+        check()
+
+    def test_qpoly_gcd_and_clearing(self, env):
+        hyp, st, qpolys, settings, to_sympy, from_sympy = env
+
+        @settings
+        @hyp.given(qpolys, qpolys, qpolys)
+        def check(a, b, g):
+            a, b = kernels.qpoly_mul(a, g), kernels.qpoly_mul(b, g)
+            scale, ints = kernels.qpoly_to_int(a)
+            assert [scale * c for c in ints] == a
+            assert kernels.poly_content_int(ints) == (1 if a else 0)
+            got = kernels.qpoly_gcd(a, b)
+            want = from_sympy(to_sympy(a, domain="QQ").gcd(to_sympy(b, domain="QQ")))
+            # same polynomial up to a unit: compare the monic forms
+            assert [c / got[-1] for c in got] == want
+
+        check()
+
+    def test_poly_gcd_int_nonzero_inputs(self, env):
+        hyp, st, _, settings, to_sympy, from_sympy = env
+        zpolys = st.lists(st.integers(-30, 30), min_size=1, max_size=5).map(_trim).filter(bool)
+
+        @settings
+        @hyp.given(zpolys, zpolys, zpolys)
+        def check(a, b, g):
+            a, b = kernels.poly_mul_int(a, g), kernels.poly_mul_int(b, g)
+            want = from_sympy(to_sympy(a, domain="ZZ").gcd(to_sympy(b, domain="ZZ")))
+            if want[-1] < 0:
+                want = [-c for c in want]
+            assert kernels.poly_gcd_int(a, b) == want
+
+        check()
+
+    def test_modp_helpers(self, env):
+        hyp, st, _, settings, to_sympy, from_sympy = env
+
+        @st.composite
+        def cases(draw):
+            p = draw(st.sampled_from([2, 3, 5, 7, 13, 10007]))
+            polys = st.lists(st.integers(0, p - 1), max_size=7).map(_trim)
+            mod = draw(polys.filter(bool))
+            return p, draw(polys), draw(polys), mod
+
+        @settings
+        @hyp.given(cases())
+        def check(case):
+            p, a, b, mod = case
+
+            def sym(c):
+                return to_sympy([Rat(v) for v in c], modulus=p)
+
+            def back(poly):
+                return _trim(int(c) % p for c in from_sympy(poly))
+
+            assert kernels.modp_poly_rem(a, mod, p) == back(sym(a).rem(sym(mod)))
+            if a and b:
+                assert kernels.modp_poly_mulmod(a, b, mod, p) == back((sym(a) * sym(b)).rem(sym(mod)))
+            got = kernels.modp_poly_gcd(a, b, p)
+            want = back(sym(a).gcd(sym(b)))
+            if got:
+                inv = pow(got[-1], -1, p)
+                got = [c * inv % p for c in got]
+            assert got == want
+
+        check()

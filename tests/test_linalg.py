@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from lkwb import linalg
+from lkwb import kernels, linalg
 from lkwb.errors import DimensionMismatch, NonSquare, SubmatrixNotFound, ZeroSeed
 from lkwb.linalg import (
     Matrix,
@@ -25,7 +25,7 @@ from lkwb.linalg import (
     subspace_sum,
 )
 from lkwb.reducibility import catalog, rep_at
-from lkwb.scalars import QLR, QQ, QR, RatFunc, cyclotomic_field, rat
+from lkwb.scalars import QLR, QQ, QR, LaurentPoly, RatFunc, cyclotomic_field, rat
 
 import oracles
 
@@ -72,6 +72,29 @@ class TestDet:
         x = field.gen()
         m = Matrix(field, [[x, field.one()], [field.zero(), x ** 3]])
         assert det(m) == x ** 4
+
+
+class TestRowClearing:
+    def test_clear_denominators(self):
+        L, R = RatFunc.var_l(), RatFunc.var_r()
+        row = [1 / (R - 1), L / (R * R - 1), RatFunc.zero(), R]
+        den, polys = linalg.clear_denominators(row)
+        for x, p in zip(row, polys):
+            assert RatFunc.from_laurent(p) == x * RatFunc.from_laurent(den)
+
+    def test_dense_int_row_reconstructs_entries(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            row = [LaurentPoly.from_pairs([((0, rng.randint(-4, 6)), rat(rng.randint(-9, 9), rng.randint(1, 6)))
+                                           for _ in range(rng.randint(0, 3))])
+                   for _ in range(4)]
+            scale, shift, ints_row = linalg.dense_int_row(row)
+            for p, ints in zip(row, ints_row):
+                back = LaurentPoly.from_pairs([((0, i + shift), scale * c) for i, c in enumerate(ints)])
+                assert back == p
+            content = kernels.poly_content_int([c for ints in ints_row for c in ints])
+            assert content == (1 if any(row) else 0)
+            assert bool(scale) == any(row)
 
 
 class TestKernel:
