@@ -208,7 +208,11 @@ def poly_gcd_int(a, b):
 
 
 def bareiss_det_int(rows):
-    """Determinant of a square integer matrix by fraction-free elimination."""
+    """Determinant of a square integer matrix by fraction-free elimination.
+
+    The determinant verdicts no longer call it (they take ranks mod p); it
+    stays as an exact reference for tests.
+    """
     n = len(rows)
     if n == 0:
         return 1

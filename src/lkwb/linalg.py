@@ -720,6 +720,10 @@ def _find_submatrix_fraction_free(m, s):
 # Mersenne prime for the one-sided rank bound in commutant_basis
 _RANK_PRIME = (1 << 61) - 1
 
+# Exponents e, ascending, of the proven Mersenne primes 2^e - 1 from 2^61 - 1
+# on: the moduli of the determinant zero test above a coefficient bound
+MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
+
 
 def rank_mod_p(rows, p, stop=None):
     """Rank over GF(p) of sparse integer rows, each a {column: value} dict.

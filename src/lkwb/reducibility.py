@@ -9,6 +9,8 @@ at every reducibility locus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from math import comb, isqrt
+from operator import mul
 
 from . import kernels
 from .errors import (
@@ -19,6 +21,7 @@ from .errors import (
     ZeroSeed,
 )
 from .linalg import (
+    MERSENNE_EXPONENTS,
     Matrix,
     SubspaceBasis,
     charpoly,
@@ -418,10 +421,29 @@ def _nonzero_point_witness_bivariate(d):
 def _univariate_zero_verdict(matrix, n, locus, method):
     """Exact zero decision for the determinant of a univariate matrix.
 
-    Proof technique: the cleared determinant is a polynomial of degree at
-    most D (row degree bound); vanishing at D+1 distinct points proves it
-    is the zero polynomial.  A nonzero evaluation at an admissible point is
-    an exact nonzero witness.
+    Clearing the denominators of each row, and the rational content and
+    power of r the row shares, gives an integer matrix A(r) whose
+    determinant D(r) is det M times a nonzero rational function.  D has
+    degree at most degree_bound, the sum of the row degrees, and every
+    coefficient at most B = _coefficient_bound(A) in absolute value.  The
+    test runs modulo p = 2^e - 1, the smallest prime with e in
+    MERSENNE_EXPONENTS and p > B.
+
+    At the points t = 2, -2, 3, -3, ... the entries of A(t) are reduced
+    mod p and rank_mod_p decides whether D(t) = 0 mod p.  Reduction mod p
+    is a ring map, so it commutes with evaluation and with the
+    determinant; the points are distinct mod p because p >= 2^61 - 1.
+
+    * Zero: if D(t) = 0 mod p at all degree_bound + 1 points, D mod p has
+      degree at most degree_bound and more roots than that, so it is the
+      zero polynomial.  Every coefficient c of D is then divisible by p,
+      and |c| <= B < p forces c = 0: D, and with it det M, is zero.
+    * Nonzero: rank mod p <= rank over Q, so full rank mod p at t is an
+      exact witness that D(t) != 0, and then D is not the zero
+      polynomial.  The witness speaks about det M itself only where no
+      entry denominator vanishes, so the search goes on until such a
+      point turns up; D mod p != 0 has at most degree_bound roots, and the
+      denominators finitely many, so it ends.
     """
     dense = [dense_int_row(clear_denominators(row)[1]) for row in matrix.rows]
     name = locus.name if locus else "generic"
@@ -430,43 +452,65 @@ def _univariate_zero_verdict(matrix, n, locus, method):
                           proof={"technique": "zero-row"})
     int_rows = [ints for _, _, ints in dense]
     degree_bound = sum(max((len(e) - 1) for e in row if e) for row in int_rows)
-    dens = [x.den for row in matrix.rows for x in row if x and not x.den.is_const()]
-    points = []
-    val_at = []
-    x = 2
-    while len(points) < degree_bound + 1:
-        for pt in (x, -x):
-            if len(points) >= degree_bound + 1:
-                break
-            dv = kernels.bareiss_det_int([[kernels.poly_eval_int(e, pt) for e in row] for row in int_rows])
-            points.append(pt)
-            val_at.append(dv)
-            if dv:
-                # convert to a witness about det M(n) itself: the row
-                # denominators must not vanish at the point
-                if all(_den_nonzero_at(d, pt) for d in dens):
-                    return DetVerdict(
-                        n, name, "nonzero", method, False,
-                        witness={"r": str(pt), "note": "cleared determinant nonzero at r"},
-                        proof={"technique": "evaluation", "degree_bound": degree_bound},
-                    )
-        x += 1
-        if x > degree_bound + 1000:  # pragma: no cover - safety net
-            raise AssertionError("point search failed")
+    bound = _coefficient_bound(int_rows)
+    exponent = next((e for e in MERSENNE_EXPONENTS if (1 << e) - 1 > bound), None)
+    if exponent is None:
+        raise InfeasibleMode(f"determinant coefficient bound of {bound.bit_length()} bits "
+                             f"exceeds the largest modulus 2^{MERSENNE_EXPONENTS[-1]}-1")
+    p = (1 << exponent) - 1
+    modular = {"modulus": f"2^{exponent}-1", "coefficient_bound_bits": bound.bit_length()}
+    dens = {tuple(x.den.to_dense_int_r()[2])
+            for row in matrix.rows for x in row if x and not x.den.is_const()}
+    width = max(len(e) for row in int_rows for e in row)
+    nonzero = False
+    for checked, pt in enumerate(_grid_points(degree_bound + 1 + sum(len(d) - 1 for d in dens))):
+        if checked > degree_bound and not nonzero:
+            break
+        if rank_mod_p(_rows_at(int_rows, width, pt, p), p) < len(int_rows):
+            continue
+        nonzero = True
+        # a witness about det M(n) itself: no denominator may vanish at the point
+        if all(kernels.poly_eval_int(d, pt) for d in dens):
+            return DetVerdict(
+                n, name, "nonzero", method, False,
+                witness={"r": str(pt), "note": "cleared determinant nonzero at r"},
+                proof={"technique": "evaluation", "degree_bound": degree_bound, **modular},
+            )
+    if nonzero:  # pragma: no cover - the docstring shows the search ends
+        raise AssertionError("point search failed")
     return DetVerdict(
         n, name, "identically_zero", method, False,
-        proof={
-            "technique": "evaluation",
-            "degree_bound": degree_bound,
-            "points_checked": len(points),
-            "all_zero": True,
-        },
+        proof={"technique": "evaluation", "degree_bound": degree_bound,
+               "points_checked": degree_bound + 1, "all_zero": True, **modular},
     )
 
 
-def _den_nonzero_at(den, pt):
-    _, _, ints = den.to_dense_int_r()
-    return kernels.poly_eval_int(ints, pt) != 0
+def _coefficient_bound(int_rows):
+    """Integer B >= |c| for every coefficient c of the determinant of int_rows.
+
+    B = isqrt(prod_i sum_j |a_ij|_1^2) over the dense integer polynomials
+    a_ij.  On |x| = 1 each |a_ij(x)| is at most the l1 norm |a_ij|_1, so by
+    Hadamard's inequality |det A(x)| <= sqrt(prod_i sum_j |a_ij|_1^2), and by
+    Cauchy's estimate on the unit circle no coefficient of det A exceeds
+    that maximum; the coefficients are integers, so the integer square
+    root bounds them as well.
+    """
+    b2 = 1
+    for row in int_rows:
+        b2 *= sum(sum(map(abs, e)) ** 2 for e in row)
+    return isqrt(b2)
+
+
+def _rows_at(int_rows, width, pt, p):
+    """Sparse rows {column: value} of the integer matrix at pt, correct mod p.
+
+    The powers of pt are reduced mod p, and rank_mod_p reduces the values;
+    width is the largest number of coefficients of an entry.
+    """
+    powers = [1]
+    for _ in range(width - 1):
+        powers.append(powers[-1] * pt % p)
+    return [{j: sum(map(mul, e, powers)) for j, e in enumerate(row) if e} for row in int_rows]
 
 
 def _bivariate_grid_verdict(matrix, n):
@@ -777,6 +821,7 @@ def probe_operators(ops, trials, rng):
     if fieldobj != QQ:
         return ProbeReport("inconclusive", cdim, 0, False,
                            samples=("factor analysis is implemented over Q only",))
+    scalar = comm == [Matrix.identity(QQ, n)]
     sample_notes = []
     all_evidence = True
     for t in range(trials):
@@ -787,7 +832,12 @@ def probe_operators(ops, trials, rng):
         for c, b in zip(coeffs, comm):
             if c:
                 sample = sample + b.scale(Rat(c))
-        cp = charpoly(sample)
+        if scalar:
+            # the sample is c I, whose characteristic polynomial is (x - c)^n
+            c = coeffs[0]
+            cp = [Rat(comb(n, i) * (-c) ** (n - i)) for i in range(n + 1)]
+        else:
+            cp = charpoly(sample)
         analysis = _charpoly_factor_analysis(cp)
         if analysis["kind"] == "split":
             witness = _verify_split(sample, ops, analysis["u"], analysis["v"])
@@ -1152,7 +1202,8 @@ def _certify_locus_task(args):
 def _certify_locus(n, locus, r_val, rng, probe_trials, probe_max_n):
     expected = expected_spectrum(n, locus, r_val)
     report, rep, mn, closures = _kernel_at(n, locus, r_val)
-    det_vanishes = not det(mn.matrix)
+    # over a field det M = 0 exactly when the kernel, checked by M v = 0, is nonzero
+    det_vanishes = report.k > 0
     exceptional = _is_exceptional(n, r_val) or (n >= 4 and _minus_r3_collision(n, r_val)
                                                 and locus.name in ("l=-r3", "l=r3-2n"))
     mismatches = []
@@ -1226,8 +1277,8 @@ def _certify_generic(n, r_val, rng, probe_max_n):
     l_val = fieldobj.coerce(l_val)
     rep = build_rep(LKParams(n, l_val, r_val, fieldobj))
     mn = build_m_matrix(rep)
-    det_vanishes = not det(mn.matrix)
     k = kernel(mn.matrix).dim
+    det_vanishes = k > 0
     mismatches = []
     if det_vanishes:
         mismatches.append("determinant vanishes at a non-locus point")

@@ -5,12 +5,16 @@ import random
 
 import pytest
 
+import lkwb.reducibility as reducibility
+from lkwb import kernels
 from lkwb.errors import DepthTooLarge, InfeasibleMode, RelationGateNotPassed, ZeroSeed
-from lkwb.linalg import Matrix, det, kernel
+from lkwb.linalg import MERSENNE_EXPONENTS, Matrix, charpoly, det, kernel
 from lkwb.lkrep import LKRep, rational_rep, substituted_rep, symbolic_rep
 from lkwb.reducibility import (
     GENERIC,
+    _coefficient_bound,
     _kernel_at,
+    _univariate_zero_verdict,
     build_m_matrix,
     catalog,
     certify,
@@ -30,7 +34,7 @@ from lkwb.reducibility import (
     scan,
     summand_count,
 )
-from lkwb.scalars import QQ, QR, cyclotomic_field, rat
+from lkwb.scalars import QQ, QR, LaurentPoly, RatFunc, cyclotomic_field, rat
 
 import oracles
 
@@ -139,6 +143,121 @@ class TestDetOnLocus:
             det_on_locus(8, named_locus("l=r", 8), "substituted")
 
 
+def _qr_matrix(int_rows):
+    """Matrix over Q(r) whose entries are the dense integer polynomials of int_rows."""
+    return Matrix(QR, tuple(
+        tuple(RatFunc.from_laurent(LaurentPoly.from_pairs(
+            [((0, k), rat(c)) for k, c in enumerate(e) if c])) for e in row)
+        for row in int_rows), _trusted=True)
+
+
+def _trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _poly_add(a, b):
+    width = max(len(a), len(b))
+    return _trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(width))
+
+
+class TestModularZeroProof:
+    """The det zero test: D+1 points, rank mod a Mersenne prime above a coefficient bound."""
+
+    @pytest.fixture
+    def matrices(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        polys = st.lists(st.integers(-4, 4), max_size=4).map(_trim)
+
+        @st.composite
+        def draw_matrix(draw):
+            size = draw(st.integers(1, 4))
+            rows = [[draw(polys) for _ in range(size)] for _ in range(size)]
+            if size > 1 and draw(st.booleans()):
+                # a singular matrix: the last row is a Z[r] combination of the others
+                mults = [draw(st.lists(st.integers(-2, 2), max_size=2).map(_trim))
+                         for _ in range(size - 1)]
+                last = [[] for _ in range(size)]
+                for m, row in zip(mults, rows):
+                    last = [_poly_add(acc, kernels.poly_mul_int(m, e)) for acc, e in zip(last, row)]
+                rows[-1] = last
+            return rows
+
+        settings = hyp.settings(max_examples=120, deadline=None, derandomize=True)
+        return hyp, draw_matrix(), settings
+
+    def test_verdict_agrees_with_bareiss_over_z(self, matrices):
+        hyp, mats, settings = matrices
+
+        @settings
+        @hyp.given(mats)
+        def check(rows):
+            verdict = _univariate_zero_verdict(_qr_matrix(rows), len(rows), None,
+                                               "substituted-univariate")
+            d = kernels.bareiss_det_polyint(rows)
+            assert (verdict.verdict == "identically_zero") == (d == [])
+            if d:
+                assert kernels.poly_eval_int(d, int(verdict.witness["r"])) != 0
+
+        check()
+
+    def test_bound_covers_every_coefficient(self, matrices):
+        hyp, mats, settings = matrices
+
+        @settings
+        @hyp.given(mats)
+        def check(rows):
+            d = kernels.bareiss_det_polyint(rows)
+            assert _coefficient_bound(rows) >= max(map(abs, d), default=0)
+
+        check()
+
+    def test_mersenne_exponents_give_primes(self):
+        sympy = pytest.importorskip("sympy")
+        assert list(MERSENNE_EXPONENTS) == sorted(MERSENNE_EXPONENTS)
+        for e in MERSENNE_EXPONENTS:
+            assert sympy.isprime((1 << e) - 1), e
+
+    def test_planted_roots_at_the_first_points(self):
+        # D = 4 and D(r) = (r^2 - 4)(r^2 - 9) vanishes at 2, -2, 3, -3: only the
+        # fifth point, 4, shows that det is not the zero polynomial
+        m = _qr_matrix([[[-4, 0, 1], []], [[], [-9, 0, 1]]])
+        verdict = _univariate_zero_verdict(m, 2, None, "substituted-univariate")
+        assert verdict.verdict == "nonzero"
+        assert verdict.witness["r"] == "4"
+        assert verdict.proof["degree_bound"] == 4
+
+    def test_vanishing_denominator_never_gives_zero(self):
+        # the cleared determinant r + 2 is nonzero at r = 2, where the
+        # denominator vanishes, and zero at r = -2; the witness is r = 3
+        m = Matrix(QR, ((QR.parse("(r+2)/(r-2)"),),), _trusted=True)
+        verdict = _univariate_zero_verdict(m, 1, None, "substituted-univariate")
+        assert verdict.verdict == "nonzero"
+        assert verdict.witness["r"] == "3"
+
+    def test_bound_beyond_the_table_fails_before_any_point(self, monkeypatch):
+        def no_points(*args, **kwargs):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.setattr(reducibility, "rank_mod_p", no_points)
+        m = _qr_matrix([[[1 << 4500, 1]]])
+        with pytest.raises(InfeasibleMode):
+            _univariate_zero_verdict(m, 1, None, "substituted-univariate")
+
+    def test_locus_proofs_name_modulus_and_bound(self):
+        for locus in catalog(4):
+            proof = det_on_locus(4, locus, "substituted").proof
+            assert proof["technique"] == "evaluation"
+            assert proof["points_checked"] == proof["degree_bound"] + 1
+            assert proof["all_zero"]
+            e = int(proof["modulus"][2:-2])
+            assert proof["modulus"] == f"2^{e}-1" and e in MERSENNE_EXPONENTS
+            assert 0 < proof["coefficient_bound_bits"] < e
+
+
 class TestOneDim:
     def test_unique_line_at_one_dim_locus(self):
         rep = rep_at(4, named_locus("l=r3-2n", 4), rat(2))
@@ -234,6 +353,30 @@ class TestProbe:
         assert probe.commutant_dim == 1
         assert not probe.probabilistic
 
+    def test_scalar_commutant_skips_charpoly(self, monkeypatch):
+        def no_charpoly(m):
+            raise AssertionError("charpoly called for a scalar sample")
+
+        analysed = []
+
+        def record(cp):
+            analysed.append(cp)
+            return analyse(cp)
+
+        analyse = reducibility._charpoly_factor_analysis
+        monkeypatch.setattr(reducibility, "charpoly", no_charpoly)
+        monkeypatch.setattr(reducibility, "_charpoly_factor_analysis", record)
+        rep = rational_rep(4, rat(5), rat(2))
+        probe = indecomposability_probe(rep, 10, random.Random(1))
+        assert probe.verdict == "indecomposable_evidence"
+        assert probe.commutant_dim == 1
+        assert probe.samples == tuple(f"sample {t}: charpoly is (linear)^{rep.dim}"
+                                      for t in range(10))
+        # the same draws, and Faddeev-LeVerrier on each c I, give the same polynomials
+        rng = random.Random(1)
+        scalars = [rng.randint(-9, 9) or 1 for _ in range(10)]
+        assert analysed == [charpoly(Matrix.identity(QQ, rep.dim).scale(rat(c))) for c in scalars]
+
     def test_locus_evidence(self):
         rep = rep_at(4, named_locus("l=r", 4), rat(2))
         probe = indecomposability_probe(rep, 10, random.Random(2))
@@ -285,6 +428,16 @@ class TestCertifyAndScan:
             "l=r": (2,), "l=-r3": (3,), "l=r3-2n": (1,),
             "l=+r3-n": (3,), "l=-r3-n": (3,),
         }
+
+    def test_certify_reads_det_from_kernel(self, monkeypatch):
+        def no_det(m):
+            raise AssertionError("det called next to the kernel")
+
+        monkeypatch.setattr(reducibility, "det", no_det)
+        report = certify(3, rat(2), seed=7)
+        assert report.all_match
+        assert all(rec.det_vanishes and rec.k > 0 for rec in report.records)
+        assert not report.generic.det_vanishes and report.generic.k == 0
 
     def test_certify_deterministic_json(self):
         a = json.dumps(certify(3, rat(2), seed=3).to_json_obj())
