@@ -280,7 +280,7 @@ def _cmd_kernel(args):
 def _cmd_certify(args):
     r_val = parse_r(args.r)
     report = certify(args.n, r_val, seed=args.seed, probe_trials=args.probe_trials,
-                     jobs=max(1, args.jobs))
+                     jobs=args.jobs)
     return _finish(args, report.to_json_obj(), report.all_match)
 
 

@@ -37,7 +37,9 @@ from .scalars import (
 class Matrix:
     """Immutable dense matrix with entries in one ground field."""
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    # _nonzeros caches the per-row (column, entry) lists for mat_vec; it is
+    # derived from rows and takes no part in equality or serialization
+    __slots__ = ("field", "nrows", "ncols", "rows", "_nonzeros")
 
     def __init__(self, field, rows, *, _trusted=False):
         if _trusted:
@@ -47,6 +49,7 @@ class Matrix:
         self.field = field
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
+        self._nonzeros = None
         for row in self.rows:
             if len(row) != self.ncols:
                 raise DimensionMismatch("ragged rows")
@@ -119,15 +122,22 @@ class Matrix:
         return Matrix(self.field, tuple(zip(*self.rows)), _trusted=True)
 
     def mat_vec(self, v):
+        """M v, summed over the nonzero entries of M, listed once per matrix."""
         if len(v) != self.ncols:
             raise DimensionMismatch("vector length differs from column count")
+        nonzeros = self._nonzeros
+        if nonzeros is None:
+            nonzeros = self._nonzeros = tuple(
+                tuple((j, a) for j, a in enumerate(row) if a) for row in self.rows)
+        live = [bool(x) for x in v]
+        zero = self.field.zero()
         out = []
-        for row in self.rows:
+        for row in nonzeros:
             acc = None
-            for a, x in zip(row, v):
-                if a and x:
-                    acc = a * x if acc is None else acc + a * x
-            out.append(acc if acc is not None else self.field.zero())
+            for j, a in row:
+                if live[j]:
+                    acc = a * v[j] if acc is None else acc + a * v[j]
+            out.append(zero if acc is None else acc)
         return tuple(out)
 
     def is_zero(self):
@@ -482,11 +492,6 @@ class SubspaceBasis:
     def contains_space(self, other):
         return all(self.contains(v) for v in other.vectors)
 
-    def extend(self, vectors):
-        """Subspace spanned by self and the extra vectors (re-echelonized)."""
-        return SubspaceBasis.from_vectors(self.field, self.ambient_dim,
-                                          list(self.vectors) + list(vectors))
-
     def to_json_obj(self):
         return {
             "ambient_dim": self.ambient_dim,
@@ -547,14 +552,21 @@ def subspace_intersect(a, b):
 def subspace_sum(a, b):
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatch("ambient dimensions differ")
-    return a.extend(b.vectors)
+    return SubspaceBasis.from_vectors(a.field, a.ambient_dim, a.vectors + b.vectors)
 
 
 def operator_closure(seed_vectors, ops):
     """Smallest subspace containing the seeds and stable under every op.
 
-    Breadth-first generations with re-echelonization each generation;
-    terminates because the dimension is bounded by the ambient dimension.
+    The spin of the MeatAxe (Parker 1984; Holt & Rees 1994).  A
+    semi-echelon basis, each row 1 at its pivot and 0 at the pivots of all
+    earlier rows, starts from the seeds; every row is spun once, in the
+    order the rows were found, and the residue of each image op.v against
+    the rows so far, when nonzero, is normalized and appended.  The rows
+    lie in the closure, span the seeds and are mapped into their own span
+    by every op, so they span the closure for any operators, invertible or
+    not.  The spin stops once the rows fill the space; one final
+    echelonization gives the canonical RREF.
     """
     if not ops:
         raise DimensionMismatch("no operators given")
@@ -569,17 +581,41 @@ def operator_closure(seed_vectors, ops):
             raise DimensionMismatch("seed length differs from operator size")
     if not any(any(v) for v in seeds):
         raise ZeroSeed("all seed vectors are zero")
-    basis = SubspaceBasis.from_vectors(field, n, seeds)
-    frontier = basis.vectors
-    while frontier:
-        images = [op.mat_vec(v) for op in ops for v in frontier]
-        new_basis = basis.extend(images)
-        old_pivots = set(basis.pivots)
-        frontier = [v for v, p in zip(new_basis.vectors, new_basis.pivots) if p not in old_pivots]
-        basis = new_basis
-        if basis.dim == n:
-            break
-    return basis
+    one = field.one()
+    rows = []
+    # (pivot, nonzero (column, entry) pairs) of each row, for the reduction
+    echelon = []
+
+    def absorb(v):
+        v = list(v)
+        for p, nonzeros in echelon:
+            c = v[p]
+            if c:
+                for j, b in nonzeros:
+                    v[j] = v[j] - c * b
+        for p, x in enumerate(v):
+            if x:
+                break
+        else:
+            return
+        if x != one:
+            inv = one / x
+            v = [y * inv if y else y for y in v]
+        rows.append(tuple(v))
+        echelon.append((p, tuple((j, y) for j, y in enumerate(v) if y)))
+
+    for v in seeds:
+        if len(rows) < n:
+            absorb(v)
+    spun = 0
+    while spun < len(rows) < n:
+        v = rows[spun]
+        spun += 1
+        for op in ops:
+            absorb(op.mat_vec(v))
+            if len(rows) == n:
+                break
+    return SubspaceBasis.from_vectors(field, n, rows)
 
 
 def is_invariant(space, ops):

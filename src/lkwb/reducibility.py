@@ -17,6 +17,7 @@ from .errors import (
     DepthTooLarge,
     EmptyIntersection,
     InfeasibleMode,
+    InvalidConfig,
     RelationGateNotPassed,
     ZeroSeed,
 )
@@ -665,10 +666,16 @@ def kernel_k(n, locus, r_val, l_val=None, with_closures=True):
 
 
 def minimal_invariant(rep, seed):
-    """Closure of a seed vector under {g_i, g_i^-1}."""
+    """Smallest subspace containing the seed and invariant under the braid group.
+
+    Spun under the generators g_i alone.  A finite-dimensional subspace W
+    with g(W) contained in W for an invertible g has g(W) = W, as g is
+    injective, so g^-1(W) = W too: the closure under {g_i} is already
+    closed under {g_i^-1} and equals the closure under both.
+    """
     if not any(seed):
         raise ZeroSeed("seed vector is zero")
-    return operator_closure([seed], list(rep.g) + list(rep.g_inv))
+    return operator_closure([seed], rep.g)
 
 
 def one_dim_subspaces(rep):
@@ -1166,18 +1173,22 @@ def certify(n, r_val, *, seed=0, probe_trials=10, probe_max_n=5,
 
     Per-locus randomness is derived from (seed, locus name), so output is
     byte-identical regardless of jobs; records merge sorted by locus name.
+    At most one worker process runs per locus.
     """
     import random as _random
 
+    if jobs < 1:
+        raise InvalidConfig(f"jobs must be at least 1, got {jobs}")
     if isinstance(r_val, int):
         r_val = Rat(r_val)
     fieldobj = QQ if is_rat(r_val) else field_of(r_val)
     tasks = [(n, locus, r_val, _random.Random(f"{seed}|{locus.name}"),
               probe_trials, probe_max_n) for locus in catalog(n)]
-    if jobs > 1:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             records = list(ex.map(_certify_locus_task, tasks))
     else:
         records = [_certify_locus_task(t) for t in tasks]

@@ -42,6 +42,26 @@ def naive_rref(rows):
     return m, pivots
 
 
+def naive_closure(seeds, ops):
+    """Smallest subspace containing the seeds and stable under the ops.
+
+    Fraction seed vectors and operator rows.  Every generation applies each
+    op to every basis row and re-echelonizes everything with naive_rref,
+    until the dimension stops growing.  Returns the nonzero RREF rows.
+    """
+    def span(vectors):
+        rows, pivots = naive_rref(vectors)
+        return rows[:len(pivots)]
+
+    basis = span(seeds)
+    while True:
+        images = [[sum(a * x for a, x in zip(row, v)) for row in op] for op in ops for v in basis]
+        grown = span(basis + images)
+        if len(grown) == len(basis):
+            return basis
+        basis = grown
+
+
 def naive_rank(rows):
     return len(naive_rref(rows)[1])
 

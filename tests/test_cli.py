@@ -125,6 +125,10 @@ class TestCertify:
         b = run_cli("certify", "--n", "3", "--r", "2/1", "--seed", "5", "--jobs", "2").stdout
         assert a == b
 
+    def test_jobs_below_one_is_invalid(self):
+        proc = run_cli("certify", "--n", "3", "--r", "2/1", "--jobs", "0", expect=2)
+        assert "jobs" in proc.stderr
+
     def test_text_format_same_verdicts(self):
         a = run_cli("certify", "--n", "3", "--r", "2/1", "--seed", "5").stdout
         t = run_cli("certify", "--n", "3", "--r", "2/1", "--seed", "5", "--format", "text").stdout

@@ -1,6 +1,7 @@
 """Exact linear algebra: determinants, kernels, subspaces, certificates."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -28,6 +29,11 @@ from lkwb.reducibility import catalog, rep_at
 from lkwb.scalars import QLR, QQ, QR, LaurentPoly, RatFunc, cyclotomic_field, rat
 
 import oracles
+
+
+def fractions(rows):
+    """Rows of rationals as plain Fraction lists, for the oracles."""
+    return [[Fraction(int(x.numerator), int(x.denominator)) for x in row] for row in rows]
 
 
 def rand_matrix(field, rng, n, m=None):
@@ -124,6 +130,55 @@ class TestKernel:
             assert kernel(a).dim == oracles.naive_kernel_dim(oracles.to_fraction_rows(a))
 
 
+class TestMatVec:
+    @staticmethod
+    def dense(a, v):
+        column = oracles.mat_mul(fractions(a.rows), fractions([[x] for x in v]))
+        return tuple(x for (x,) in column)
+
+    def test_against_dense_product(self):
+        rng = random.Random(61)
+        for _ in range(30):
+            n, m = rng.randint(1, 5), rng.randint(1, 5)
+            rows = [[QQ.random(rng) if rng.random() < 0.5 else 0 for _ in range(m)]
+                    for _ in range(n)]
+            rows[rng.randrange(n)] = [0] * m
+            a = Matrix(QQ, rows)
+            v = tuple(QQ.random(rng) if rng.random() < 0.6 else rat(0) for _ in range(m))
+            assert a.mat_vec(v) == self.dense(a, v)
+            assert a.mat_vec((rat(0),) * m) == (0,) * n
+
+    def test_zero_matrix(self):
+        z = Matrix.zeros(QQ, 3, 4)
+        assert z.mat_vec((rat(1), rat(2), rat(-1), rat(1, 3))) == (0, 0, 0)
+
+    def test_quotient_ring(self):
+        rng = random.Random(62)
+        field = cyclotomic_field("phi12")
+        zero = field.zero()
+        for _ in range(10):
+            a = Matrix(field, [[field.random(rng) if rng.random() < 0.5 else zero for _ in range(4)]
+                               for _ in range(3)])
+            v = tuple(field.random(rng) if rng.random() < 0.6 else zero for _ in range(4))
+            expect = tuple(sum((x * y for x, y in zip(row, v)), zero) for row in a.rows)
+            assert a.mat_vec(v) == expect
+
+    def test_length_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            Matrix.identity(QQ, 3).mat_vec((rat(1), rat(2)))
+
+    def test_cache_is_not_part_of_the_value(self):
+        rng = random.Random(63)
+        for field in (QQ, cyclotomic_field("phi12")):
+            a = rand_matrix(field, rng, 3)
+            a.mat_vec(tuple(field.random(rng) for _ in range(3)))
+            fresh = Matrix(field, a.rows)
+            assert a == fresh and fresh == a
+            assert a.to_text() == fresh.to_text()
+            assert matrix_to_json(a) == matrix_to_json(fresh)
+            assert a.content_hash() == fresh.content_hash()
+
+
 class TestSubspaces:
     def test_intersection_idempotent(self):
         s = SubspaceBasis.from_vectors(QQ, 4, [(1, 2, 0, 0), (0, 0, 1, 5)])
@@ -169,6 +224,58 @@ class TestClosureInvariance:
         basis = operator_closure([seed], ops)
         assert is_invariant(basis, ops)
         assert basis.contains(seed)
+
+    def test_shape_errors(self):
+        eye = Matrix.identity(QQ, 2)
+        with pytest.raises(DimensionMismatch):
+            operator_closure([(1, 0)], [])
+        with pytest.raises(DimensionMismatch):
+            operator_closure([(1, 0)], [eye, Matrix.identity(QQ, 3)])
+        with pytest.raises(DimensionMismatch):
+            operator_closure([(1, 0)], [Matrix.zeros(QQ, 2, 3)])
+        with pytest.raises(DimensionMismatch):
+            operator_closure([(1, 0, 0)], [eye])
+
+    def test_against_naive_closure_oracle(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        entries = st.sampled_from([rat(0), rat(0), rat(0), rat(1), rat(-1), rat(2), rat(1, 2),
+                                   rat(-3, 5)])
+
+        @st.composite
+        def operator(draw, n):
+            kind = draw(st.sampled_from(["random", "nilpotent", "rank one"]))
+            if kind == "random":
+                rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+            elif kind == "nilpotent":
+                # strictly upper triangular, then the basis permuted
+                perm = draw(st.permutations(range(n)))
+                upper = [[draw(entries) if j > i else rat(0) for j in range(n)] for i in range(n)]
+                rows = [[upper[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+            else:
+                u = [draw(entries) for _ in range(n)]
+                w = [draw(entries) for _ in range(n)]
+                rows = [[a * b for b in w] for a in u]
+            return Matrix(QQ, rows)
+
+        @st.composite
+        def cases(draw):
+            n = draw(st.integers(2, 5))
+            ops = draw(st.lists(operator(n), min_size=1, max_size=3))
+            seeds = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=3))
+            hyp.assume(any(any(v) for v in seeds))
+            return seeds, ops
+
+        @hyp.settings(max_examples=150, deadline=None, derandomize=True)
+        @hyp.given(cases())
+        def check(case):
+            seeds, ops = case
+            got = operator_closure(seeds, ops)
+            expect = oracles.naive_closure(fractions(seeds), [fractions(op.rows) for op in ops])
+            assert fractions(got.vectors) == expect
+            assert is_invariant(got, ops)
+
+        check()
 
     def test_full_space_invariant(self):
         rot = Matrix(QQ, [[0, -1], [1, 0]])

@@ -7,8 +7,22 @@ import pytest
 
 import lkwb.reducibility as reducibility
 from lkwb import kernels
-from lkwb.errors import DepthTooLarge, InfeasibleMode, RelationGateNotPassed, ZeroSeed
-from lkwb.linalg import MERSENNE_EXPONENTS, Matrix, charpoly, det, kernel
+from lkwb.errors import (
+    DepthTooLarge,
+    InfeasibleMode,
+    InvalidConfig,
+    RelationGateNotPassed,
+    ZeroSeed,
+)
+from lkwb.linalg import (
+    MERSENNE_EXPONENTS,
+    Matrix,
+    SubspaceBasis,
+    charpoly,
+    det,
+    kernel,
+    operator_closure,
+)
 from lkwb.lkrep import LKRep, rational_rep, substituted_rep, symbolic_rep
 from lkwb.reducibility import (
     GENERIC,
@@ -299,6 +313,22 @@ class TestMinimalInvariant:
         with pytest.raises(ZeroSeed):
             minimal_invariant(rep, (rat(0),) * 3)
 
+    @pytest.mark.parametrize("n, r_val", [
+        (4, rat(2)),
+        (5, rat(2)),
+        (5, cyclotomic_field("phi20").gen()),
+    ])
+    def test_generators_alone_give_the_closure_under_inverses(self, n, r_val):
+        for locus in catalog(n):
+            rep = rep_at(n, locus, r_val)
+            basis = kernel(build_m_matrix(rep).matrix)
+            assert basis.dim
+            for v in basis.vectors:
+                closure = minimal_invariant(rep, v)
+                assert closure == operator_closure([v], list(rep.g) + list(rep.g_inv))
+                assert closure == SubspaceBasis.from_vectors(rep.field, closure.ambient_dim,
+                                                             closure.vectors)
+
 
 class TestLowerIntersections:
     def test_nontrivial_at_l_equals_r(self):
@@ -438,6 +468,36 @@ class TestCertifyAndScan:
         assert report.all_match
         assert all(rec.det_vanishes and rec.k > 0 for rec in report.records)
         assert not report.generic.det_vanishes and report.generic.k == 0
+
+    def test_jobs_pool_capped_by_loci(self, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        pooled = certify(3, rat(2), seed=3, jobs=100000)
+        assert sizes == [len(catalog(3))]
+        serial = certify(3, rat(2), seed=3)
+        assert sizes == [len(catalog(3))]
+        assert json.dumps(pooled.to_json_obj()) == json.dumps(serial.to_json_obj())
+
+    def test_jobs_below_one_rejected(self):
+        for jobs in (0, -1):
+            with pytest.raises(InvalidConfig):
+                certify(3, rat(2), jobs=jobs)
 
     def test_certify_deterministic_json(self):
         a = json.dumps(certify(3, rat(2), seed=3).to_json_obj())
