@@ -1,5 +1,8 @@
-"""Dense exact linear algebra over any workbench ground field.
+"""Exact linear algebra over any workbench ground field.
 
+Matrices keep dense rows.  Matrix and matrix-vector products walk a
+cached sparse view of those rows, in the summation order of the dense
+loops, and scaling, sums and differences skip zero entries.
 Determinants, kernels, subspace lattice operations, operator closure,
 invertible-submatrix certificates and commutant computation, plus a sparse
 rank over GF(p) that serves as a one-sided rank bound.  Matrices and
@@ -35,9 +38,14 @@ from .scalars import (
 
 
 class Matrix:
-    """Immutable dense matrix with entries in one ground field."""
+    """Immutable matrix with entries in one ground field.
 
-    # _nonzeros caches the per-row (column, entry) lists for mat_vec; it is
+    Rows are dense tuples, which define equality, text, JSON and the
+    content hash.  Products run on a cached sparse view of the rows.
+    """
+
+    # _nonzeros caches the per-row (column, entry) lists of the nonzero
+    # entries, the sparse view that __mul__, mat_vec and vec_mat walk; it is
     # derived from rows and takes no part in equality or serialization
     __slots__ = ("field", "nrows", "ncols", "rows", "_nonzeros")
 
@@ -81,7 +89,8 @@ class Matrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("matrix shapes differ")
         return Matrix(self.field,
-                      tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
+                      tuple(tuple(a + b if b else a for a, b in zip(ra, rb))
+                            for ra, rb in zip(self.rows, other.rows)),
                       _trusted=True)
 
     def __sub__(self, other):
@@ -89,56 +98,83 @@ class Matrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("matrix shapes differ")
         return Matrix(self.field,
-                      tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
+                      tuple(tuple(a - b if b else a for a, b in zip(ra, rb))
+                            for ra, rb in zip(self.rows, other.rows)),
                       _trusted=True)
 
     def __neg__(self):
         return Matrix(self.field, tuple(tuple(-a for a in row) for row in self.rows), _trusted=True)
 
     def __mul__(self, other):
+        """Gustavson's row-by-row product on the cached row nonzeros.
+
+        Each output entry (i, j) sums a_ik * b_kj over the k where both are
+        nonzero, in ascending k, as a * b then acc + a * b; an entry with no
+        such k is the field zero.  The order is that of the textbook triple
+        loop, so entries that are not in canonical form come out the same.
+        """
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check_same_field(other)
         if self.ncols != other.nrows:
             raise DimensionMismatch("inner dimensions differ")
-        bcols = tuple(zip(*other.rows))
+        brows = other._row_nonzeros()
+        zero = self.field.zero()
+        ncols = other.ncols
         out = []
-        for row in self.rows:
-            orow = []
-            for col in bcols:
-                acc = None
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = a * b if acc is None else acc + a * b
-                orow.append(acc if acc is not None else self.field.zero())
-            out.append(tuple(orow))
+        for arow in self._row_nonzeros():
+            acc = [None] * ncols
+            for k, a in arow:
+                for j, b in brows[k]:
+                    x = acc[j]
+                    acc[j] = a * b if x is None else x + a * b
+            out.append(tuple(zero if x is None else x for x in acc))
         return Matrix(self.field, tuple(out), _trusted=True)
 
     def scale(self, c):
         c = self.field.coerce(c)
-        return Matrix(self.field, tuple(tuple(c * a for a in row) for row in self.rows), _trusted=True)
+        return Matrix(self.field, tuple(tuple(c * a if a else a for a in row) for row in self.rows),
+                      _trusted=True)
 
     def transpose(self):
         return Matrix(self.field, tuple(zip(*self.rows)), _trusted=True)
+
+    def _row_nonzeros(self):
+        """Per-row (column, entry) lists of the nonzero entries, built once."""
+        nonzeros = self._nonzeros
+        if nonzeros is None:
+            nonzeros = self._nonzeros = tuple(
+                tuple((j, a) for j, a in enumerate(row) if a) for row in self.rows)
+        return nonzeros
 
     def mat_vec(self, v):
         """M v, summed over the nonzero entries of M, listed once per matrix."""
         if len(v) != self.ncols:
             raise DimensionMismatch("vector length differs from column count")
-        nonzeros = self._nonzeros
-        if nonzeros is None:
-            nonzeros = self._nonzeros = tuple(
-                tuple((j, a) for j, a in enumerate(row) if a) for row in self.rows)
         live = [bool(x) for x in v]
         zero = self.field.zero()
         out = []
-        for row in nonzeros:
+        for row in self._row_nonzeros():
             acc = None
             for j, a in row:
                 if live[j]:
                     acc = a * v[j] if acc is None else acc + a * v[j]
             out.append(zero if acc is None else acc)
         return tuple(out)
+
+    def vec_mat(self, v):
+        """v M for a row vector v: the rows of M at the nonzero v[i], in ascending i."""
+        if len(v) != self.nrows:
+            raise DimensionMismatch("vector length differs from row count")
+        nonzeros = self._row_nonzeros()
+        acc = [None] * self.ncols
+        for i, x in enumerate(v):
+            if x:
+                for j, y in nonzeros[i]:
+                    s = acc[j]
+                    acc[j] = x * y if s is None else s + x * y
+        zero = self.field.zero()
+        return tuple(zero if s is None else s for s in acc)
 
     def is_zero(self):
         return not any(any(row) for row in self.rows)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParameterZero, SemisimplicityViolation
-from .linalg import Matrix, inverse
+from .linalg import Matrix
 from .scalars import QLR, QQ, QR, Rat, is_rat, m_of_r, scalar_to_text
 
 
@@ -168,21 +168,29 @@ def build_sigma(n, q, tau, field):
 
 
 def build_rep(params):
-    """Build g_k = r * sigma_k, the inverses, and e_k = (l/m)(g_k^2 + m g_k - 1).
+    """Build g_k = r * sigma_k, e_k = (l/m)(g_k^2 + m g_k - 1) and the inverses.
 
     The rescale factor r is forced: matching the sigma eigenvalues
     {1, -q, tau q^2} to the BMW eigenvalues {r, -1/r, 1/l} requires the
     scalar r once q = 1/r^2 and tau = r^3/l.
+
+    The inverses come in closed form, g_k^-1 = g_k + m(1 - e_k), with no
+    elimination.  Soundness: the e_k definition gives
+    m g e = l (g^3 + m g^2 - g), and the cubic
+    g^3 = (1/l - m) g^2 + (1 + m/l) g - 1/l reduces that to g^2 + m g - 1,
+    so g (g + m(1 - e)) = g^2 + m g - m g e = 1.  The relation gate checks
+    both identities (e_definition and cubic), and every verdict that reads
+    g_inv goes through build_m_matrix, which refuses a rep whose gate failed.
     """
     field = params.field
     sigma = build_sigma(params.n, params.q, params.tau, field)
     g = tuple(s.scale(params.r) for s in sigma)
-    g_inv = tuple(inverse(gk) for gk in g)
     g_sq = tuple(gk * gk for gk in g)
     N = rep_dim(params.n)
     eye = Matrix.identity(field, N)
     coef = params.l / params.m
     e = tuple((g2 + gk.scale(params.m) - eye).scale(coef) for g2, gk in zip(g_sq, g))
+    g_inv = tuple(gk + (eye - ek).scale(params.m) for gk, ek in zip(g, e))
     return LKRep(params, g, g_inv, e, g_sq)
 
 

@@ -253,28 +253,16 @@ def _rank1_factor(m):
     return u, w
 
 
-def _vec_mat(v, m):
-    """Row vector times matrix."""
-    cols = range(m.ncols)
-    zero = m.field.zero()
-    out = []
-    for b in cols:
-        acc = None
-        for i, x in enumerate(v):
-            if x:
-                y = m.rows[i][b]
-                if y:
-                    acc = x * y if acc is None else acc + x * y
-        out.append(acc if acc is not None else zero)
-    return tuple(out)
-
-
 def build_m_matrix(rep):
     """Matrix of sum(e_i) + sum of conjugates g_{j-1}^-1..e_i..g_{j-1}.
 
     The summand for (i, j) with j = i+1 is e_i itself; conjugate chains are
     built incrementally.  Each e_i has rank 1, which is exploited (after
-    exact verification) to push vectors instead of multiplying matrices.
+    exact verification) to push vectors instead of multiplying matrices:
+    u through g_inv.mat_vec and w through g.vec_mat, both on the cached
+    row nonzeros.  For a rep from build_rep, g_inv is the closed form
+    g + m(1 - e), which is the inverse of g by the e definition and cubic
+    identities that the gate has just verified.
     """
     gate = relation_gate(rep)
     if not gate.all_passed:
@@ -309,7 +297,7 @@ def build_m_matrix(rep):
             add_outer(u, w)
             for j in range(i + 2, n + 1):
                 u = rep.g_inv[j - 2].mat_vec(u)
-                w = _vec_mat(w, rep.g[j - 2])
+                w = rep.g[j - 2].vec_mat(w)
                 add_outer(u, w)
         else:  # fallback: dense conjugation chain
             add_matrix(ei)

@@ -216,3 +216,25 @@ def mat_mul(a, b):
     m = len(b[0])
     k = len(b)
     return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
+
+
+def ordered_mat_mul(a, b, zero):
+    """Product of two row lists of field elements by the textbook triple loop.
+
+    Entry (i, j) sums a[i][k] * b[k][j] over ascending k, skipping pairs
+    with a zero factor, as x * y for the first term and acc + x * y after
+    it; an entry with no such pair is `zero`.  Returns a list of rows.
+    """
+    ncols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        orow = []
+        for j in range(ncols):
+            acc = None
+            for k, x in enumerate(row):
+                y = b[k][j]
+                if x and y:
+                    acc = x * y if acc is None else acc + x * y
+            orow.append(zero if acc is None else acc)
+        out.append(orow)
+    return out

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lkwb import kernels, linalg
-from lkwb.errors import DimensionMismatch, NonSquare, SubmatrixNotFound, ZeroSeed
+from lkwb.errors import DimensionMismatch, FieldMismatch, NonSquare, SubmatrixNotFound, ZeroSeed
 from lkwb.linalg import (
     Matrix,
     SubspaceBasis,
@@ -177,6 +177,201 @@ class TestMatVec:
             assert a.to_text() == fresh.to_text()
             assert matrix_to_json(a) == matrix_to_json(fresh)
             assert a.content_hash() == fresh.content_hash()
+
+
+class Term:
+    """A formal scalar whose value is the expression that built it.
+
+    Products, sums and differences only record their operands, so two
+    results are equal exactly when the same operations ran in the same
+    order.  The name "0" is the zero.
+    """
+
+    __slots__ = ("expr",)
+
+    def __init__(self, expr):
+        self.expr = expr
+
+    def __bool__(self):
+        return self.expr != "0"
+
+    def __mul__(self, other):
+        return Term(f"({self.expr}*{other.expr})")
+
+    def __add__(self, other):
+        return Term(f"({self.expr}+{other.expr})")
+
+    def __sub__(self, other):
+        return Term(f"({self.expr}-{other.expr})")
+
+    def __eq__(self, other):
+        return isinstance(other, Term) and self.expr == other.expr
+
+    __hash__ = None
+
+    def __repr__(self):
+        return self.expr
+
+
+class TermField:
+    """Ground field of Term: just enough for Matrix products."""
+
+    tag = "terms"
+
+    def zero(self):
+        return Term("0")
+
+    def one(self):
+        return Term("1")
+
+    def coerce(self, x):
+        return x if isinstance(x, Term) else Term(str(x))
+
+
+TERMS = TermField()
+
+
+def sparse_rows(field, rng, nrows, ncols, density=0.4):
+    """Random rows with about `density` nonzero entries; Q(r) entries get denominators."""
+    zero = field.zero()
+
+    def entry():
+        if rng.random() >= density:
+            return zero
+        if field is QR:
+            return field.random(rng) / field.random(rng)
+        return field.random(rng)
+
+    return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+
+def product_cases(field, rng):
+    """Operand row lists (a, b): thin, random and all-zero shapes, zero rows and columns."""
+    zero = field.zero()
+    shapes = [(1, 4, 3), (3, 4, 1), (1, 1, 1), (1, 5, 1), (4, 1, 4)]
+    shapes += [(rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)) for _ in range(8)]
+    for n, k, m in shapes:
+        a = sparse_rows(field, rng, n, k)
+        b = sparse_rows(field, rng, k, m)
+        if n > 1:
+            a[rng.randrange(n)] = [zero] * k
+        if m > 1:
+            col = rng.randrange(m)
+            for row in b:
+                row[col] = zero
+        yield a, b
+    yield [[zero] * 3 for _ in range(2)], sparse_rows(field, rng, 3, 4, 0.6)
+    yield sparse_rows(field, rng, 2, 3, 0.6), [[zero] * 4 for _ in range(3)]
+
+
+PRODUCT_FIELDS = (QQ, cyclotomic_field("phi12"), QR)
+
+
+class TestMatrixArithmetic:
+    def test_product_equals_dense_oracle_over_q(self):
+        rng = random.Random(71)
+        for a, b in product_cases(QQ, rng):
+            got = Matrix(QQ, a) * Matrix(QQ, b)
+            assert fractions(got.rows) == oracles.mat_mul(fractions(a), fractions(b))
+
+    def test_product_text_matches_ordered_oracle(self):
+        rng = random.Random(72)
+        for field in PRODUCT_FIELDS:
+            for a, b in product_cases(field, rng):
+                got = Matrix(field, a) * Matrix(field, b)
+                expect = Matrix(field, oracles.ordered_mat_mul(a, b, field.zero()))
+                assert got.to_text() == expect.to_text()
+                assert got == expect
+
+    def test_product_keeps_summation_order(self):
+        # Term entries record how they were combined: ascending k, a * b
+        # first, acc + a * b after, the zero where nothing was summed
+        rng = random.Random(73)
+        for n, k, m in ((1, 4, 3), (3, 4, 1), (5, 6, 4), (4, 4, 4)):
+            a = [[Term(f"a{i}{t}") if rng.random() < 0.6 else Term("0") for t in range(k)]
+                 for i in range(n)]
+            b = [[Term(f"b{t}{j}") if rng.random() < 0.6 else Term("0") for j in range(m)]
+                 for t in range(k)]
+            got = Matrix(TERMS, a) * Matrix(TERMS, b)
+            assert got.rows == tuple(tuple(r) for r in oracles.ordered_mat_mul(a, b, Term("0")))
+            v = a[0]
+            bm = Matrix(TERMS, b)
+            assert bm.vec_mat(v) == tuple(oracles.ordered_mat_mul([v], b, Term("0"))[0])
+
+    def test_vec_mat(self):
+        rng = random.Random(74)
+        for field in PRODUCT_FIELDS:
+            for _, b in product_cases(field, rng):
+                m = Matrix(field, b)
+                v = sparse_rows(field, rng, 1, m.nrows, 0.6)[0]
+                got = m.vec_mat(v)
+                assert got == m.transpose().mat_vec(v)
+                expect = Matrix(field, oracles.ordered_mat_mul([v], b, field.zero()))
+                assert Matrix(field, [got]).to_text() == expect.to_text()
+                if field is QQ:
+                    assert fractions([got]) == oracles.mat_mul(fractions([v]), fractions(b))
+
+    def test_scale(self):
+        rng = random.Random(75)
+        for field in PRODUCT_FIELDS:
+            m = Matrix(field, sparse_rows(field, rng, 4, 5, 0.5))
+            assert m.scale(field.zero()) == Matrix.zeros(field, 4, 5)
+            assert m.scale(field.zero()).to_text() == Matrix.zeros(field, 4, 5).to_text()
+            assert m.scale(field.one()) == m
+            assert m.scale(field.one()).to_text() == m.to_text()
+            c = field.random(rng)
+            while not c:
+                c = field.random(rng)
+            scaled = m.scale(c)
+            assert scaled == Matrix(field, [[c * x for x in row] for row in m.rows])
+            assert scaled.scale(field.one() / c) == m
+
+    def test_add_sub_with_cancellation(self):
+        rng = random.Random(76)
+        for field in PRODUCT_FIELDS:
+            a = sparse_rows(field, rng, 4, 5, 0.7)
+            # b cancels a in some entries, adds to it in others, is zero elsewhere
+            b = [[-x if rng.random() < 0.5 else (field.random(rng) if rng.random() < 0.5 else field.zero())
+                  for x in row] for row in a]
+            ma, mb = Matrix(field, a), Matrix(field, b)
+            zeros = Matrix.zeros(field, 4, 5)
+            for got, expect in ((ma + mb, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]),
+                                (ma - mb, [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)])):
+                assert got == Matrix(field, expect)
+                assert got.to_text() == Matrix(field, expect).to_text()
+            assert (ma - ma).is_zero() and ma - ma == zeros
+            assert (ma + (-ma)).to_text() == zeros.to_text()
+            assert ma + zeros == ma and (ma + zeros).to_text() == ma.to_text()
+            assert ma - zeros == ma and (ma - zeros).to_text() == ma.to_text()
+
+    def test_mismatches_still_raise(self):
+        phi12 = cyclotomic_field("phi12")
+        q, c = Matrix.identity(QQ, 2), Matrix.identity(phi12, 2)
+        for op in (lambda: q * c, lambda: q + c, lambda: q - c):
+            with pytest.raises(FieldMismatch):
+                op()
+        a, b = Matrix.zeros(QQ, 2, 3), Matrix.zeros(QQ, 2, 2)
+        for op in (lambda: a * b, lambda: a + b, lambda: a - b):
+            with pytest.raises(DimensionMismatch):
+                op()
+        with pytest.raises(DimensionMismatch):
+            a.vec_mat((rat(1), rat(2), rat(3)))
+
+    def test_cache_filled_by_product_is_not_part_of_the_value(self):
+        rng = random.Random(77)
+        for field in PRODUCT_FIELDS:
+            a = Matrix(field, sparse_rows(field, rng, 3, 4, 0.5))
+            b = Matrix(field, sparse_rows(field, rng, 4, 2, 0.5))
+            p = a * b
+            b.vec_mat(sparse_rows(field, rng, 1, 4, 0.6)[0])
+            (p * p.transpose()).mat_vec((field.one(),) * 3)
+            for m in (a, b, p):
+                fresh = Matrix(field, m.rows)
+                assert m == fresh and fresh == m
+                assert m.to_text() == fresh.to_text()
+                assert matrix_to_json(m) == matrix_to_json(fresh)
+                assert m.content_hash() == fresh.content_hash()
+            assert a * b == Matrix(field, a.rows) * Matrix(field, b.rows)
 
 
 class TestSubspaces:

@@ -6,10 +6,11 @@ import pytest
 
 from fractions import Fraction
 
-from lkwb.errors import ParameterZero, SemisimplicityViolation
-from lkwb.linalg import Matrix, det, rank
+from lkwb.errors import ParameterZero, RelationGateNotPassed, SemisimplicityViolation
+from lkwb.linalg import Matrix, det, inverse, rank
 from lkwb.lkrep import (
     LKParams,
+    LKRep,
     build_rep,
     build_sigma,
     coordinate_inclusion_preserved,
@@ -23,6 +24,7 @@ from lkwb.lkrep import (
     symbolic_rep,
     verify_relations,
 )
+from lkwb.reducibility import build_m_matrix, catalog, rep_at
 from lkwb.scalars import NumberField, QLR, QQ, cyclotomic_field, rat
 
 import oracles
@@ -94,6 +96,21 @@ class TestBuildRep:
         for gk, gki in zip(rep.g, rep.g_inv):
             assert gk * gki == eye
 
+    def test_closed_form_inverses_match_elimination(self):
+        # g_inv = g + m(1 - e) equals the Gauss-Jordan inverse, value and text
+        phi20 = cyclotomic_field("phi20")
+        reps = [rep_at(n, locus, rat(2)) for n in (4, 5) for locus in catalog(n)]
+        reps += [rep_at(5, locus, phi20.gen()) for locus in catalog(5)]
+        reps += [substituted_rep(4, locus.eps, locus.k) for locus in catalog(4)]
+        reps.append(symbolic_rep(3))
+        for rep in reps:
+            eye = Matrix.identity(rep.field, rep.dim)
+            for gk, gki in zip(rep.g, rep.g_inv):
+                dense = inverse(gk)
+                assert gki == dense
+                assert gki.to_text() == dense.to_text()
+                assert gk * gki == eye
+
     def test_semisimplicity_violation(self):
         with pytest.raises(SemisimplicityViolation):
             rational_rep(3, rat(5), rat(1))
@@ -141,6 +158,46 @@ class TestRelations:
                 continue
             report = verify_relations(rational_rep(6, l, r))
             assert report.all_passed, report.failures
+
+
+def rep_with_generator(rep, k, rows):
+    """rep with g_k replaced by rows, and g_sq, e and g_inv rebuilt as build_rep does."""
+    p = rep.params
+    g = list(rep.g)
+    g[k] = Matrix(rep.field, rows)
+    eye = Matrix.identity(rep.field, rep.dim)
+    g_sq = tuple(gk * gk for gk in g)
+    e = tuple((g2 + gk.scale(p.m) - eye).scale(p.l / p.m) for g2, gk in zip(g_sq, g))
+    g_inv = tuple(gk + (eye - ek).scale(p.m) for gk, ek in zip(g, e))
+    return LKRep(p, tuple(g), g_inv, e, g_sq)
+
+
+class TestGateMutation:
+    """A broken generator must fail the gate, whether the change hits a zero or not."""
+
+    @staticmethod
+    def broken_reps(rep):
+        k = 1
+        rows = [list(row) for row in rep.g[k].rows]
+        cells = [(i, j) for i in range(rep.dim) for j in range(rep.dim)]
+        zi, zj = next((i, j) for i, j in cells if not rows[i][j])
+        ni, nj = next((i, j) for i, j in cells if rows[i][j])
+        was_zero = [list(row) for row in rows]
+        was_zero[zi][zj] = rep.field.one()
+        was_nonzero = [list(row) for row in rows]
+        was_nonzero[ni][nj] = rows[ni][nj] + rows[ni][nj]
+        return rep_with_generator(rep, k, was_zero), rep_with_generator(rep, k, was_nonzero)
+
+    @pytest.mark.parametrize("build", [lambda: rational_rep(4, rat(5), rat(2)),
+                                       lambda: substituted_rep(4, 1, 1)], ids=["Q", "Q(r)"])
+    def test_broken_generator_fails_gate(self, build):
+        rep = build()
+        assert verify_relations(rep).all_passed
+        for broken in self.broken_reps(rep):
+            report = verify_relations(broken)
+            assert not (report.braid and report.cubic and report.e_square), report.failures
+            with pytest.raises(RelationGateNotPassed):
+                build_m_matrix(broken)
 
 
 class TestParamMap:
