@@ -3,8 +3,9 @@
 Subcommands: relations, det, kernel, certify, scan, closure, commutant,
 persist.  Exit status is a pure function of the verdict set: 0 when every
 verdict matches its expectation, 1 on a mismatch (with the report still
-emitted), 2 on invalid configuration.  Every random draw flows from the
-single --seed, so reruns reproduce reports byte-identically.
+emitted) or a typed error (no report), 2 on invalid configuration.  Every
+random draw flows from the single --seed, so reruns reproduce reports
+byte-identically.
 """
 
 from __future__ import annotations
@@ -363,10 +364,21 @@ _DISPATCH = {
 }
 
 
+def _join_negative_values(argv):
+    """Rewrite '--r -3/2' as '--r=-3/2': argparse takes '-3/2' for a flag."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--r", "--l") and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on bad flags, matching InvalidConfig
         return int(exc.code or 0)

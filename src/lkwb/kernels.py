@@ -359,31 +359,104 @@ def qpoly_gcd(a, b):
 # ---------------------------------------------------------------------------
 
 
-def modp_poly_rem(a, mod, p):
+def modp_poly_divmod(a, b, p):
+    """(quotient, remainder) of a by a nonzero b over GF(p)."""
     a = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    for i in range(len(a) - 1, dm - 1, -1):
+    db = len(b) - 1
+    inv_lead = pow(b[-1], -1, p)
+    quot = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1, db - 1, -1):
         c = a[i]
         if c:
             f = c * inv_lead % p
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - f * mod[j]) % p
+            quot[i - db] = f
+            for j in range(db + 1):
+                a[i - db + j] = (a[i - db + j] - f * b[j]) % p
     while a and not a[-1]:
         a.pop()
-    return a
+    return quot, a
 
 
-def modp_poly_mulmod(a, b, mod, p):
+def modp_poly_rem(a, mod, p):
+    return modp_poly_divmod(a, mod, p)[1]
+
+
+def modp_poly_mul(a, b, p):
+    if not a or not b:
+        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return modp_poly_rem(out, mod, p)
+                out[i + j] += ai * bj
+    return [c % p for c in out]
+
+
+def modp_poly_sub(a, b, p):
+    out = [x % p for x in poly_sub(a, b)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def modp_poly_mulmod(a, b, mod, p):
+    return modp_poly_rem(modp_poly_mul(a, b, p), mod, p)
+
+
+def modp_poly_eval(a, x, p):
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % p
+    return acc
 
 
 def modp_poly_gcd(a, b, p):
     while b:
         a, b = b, modp_poly_rem(a, b, p)
     return a
+
+
+def modp_interpolate(xs, ys, p):
+    """The polynomial of degree < len(xs) through the points (xs[i], ys[i]) over GF(p).
+
+    Newton's divided differences; the xs must be distinct mod p.
+    """
+    c = [y % p for y in ys]
+    inverses = {}
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            d = (xs[i] - xs[i - k]) % p
+            inv = inverses.get(d)
+            if inv is None:
+                inv = inverses[d] = pow(d, -1, p)
+            c[i] = (c[i] - c[i - 1]) * inv % p
+    poly = []
+    for x, ci in zip(reversed(xs), reversed(c)):
+        # poly <- poly * (r - x) + ci
+        shifted = [ci] + poly
+        for j, a in enumerate(poly):
+            shifted[j] -= x * a
+        poly = [v % p for v in shifted]
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
+
+
+def modp_ratrecon(u, mod, k, p):
+    """(a, b) with a = b u mod mod, deg a < k, deg b <= deg mod - k, b monic.
+
+    Rational reconstruction by the extended Euclidean algorithm stopped at
+    the first remainder of degree below k (von zur Gathen & Gerhard,
+    Modern Computer Algebra, Theorem 5.16): when a solution with b coprime
+    to mod exists, this is it, up to a constant.  None when the remainder
+    sequence gives none, or its b shares a factor with mod.
+    """
+    r0, r1 = list(mod), list(u)
+    t0, t1 = [], [1]
+    while len(r1) > k:
+        q, r = modp_poly_divmod(r0, r1, p)
+        r0, r1, t0, t1 = r1, r, t1, modp_poly_sub(t0, modp_poly_mul(q, t1, p), p)
+    if len(t1) - 1 > len(mod) - 1 - k or len(modp_poly_gcd(mod, t1, p)) > 1:
+        return None
+    inv = pow(t1[-1], -1, p)
+    return [c * inv % p for c in r1], [c * inv % p for c in t1]

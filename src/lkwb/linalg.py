@@ -797,12 +797,13 @@ _RANK_PRIME = (1 << 61) - 1
 MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
 
 
-def rank_mod_p(rows, p, stop=None):
-    """Rank over GF(p) of sparse integer rows, each a {column: value} dict.
+def _semi_echelon_mod_p(rows, p, stop=None):
+    """Pivot rows {leading column: row} over GF(p) of sparse integer rows.
 
     Semi-echelon elimination on the leading column of each row, so only
-    the entries a row actually has are touched.  Returns as soon as the
-    rank reaches stop, when given.
+    the entries a row actually has are touched: each pivot row is 1 at its
+    leading column and has no other entry left of it.  Stops as soon as
+    the rank reaches stop, when given.
     """
     pivots = {}
     for row in rows:
@@ -823,7 +824,50 @@ def rank_mod_p(rows, p, stop=None):
                     r[k] = x
                 else:
                     del r[k]
-    return len(pivots)
+    return pivots
+
+
+def rank_mod_p(rows, p, stop=None):
+    """Rank over GF(p) of sparse integer rows, each a {column: value} dict.
+
+    Returns as soon as the rank reaches stop, when given.
+    """
+    return len(_semi_echelon_mod_p(rows, p, stop))
+
+
+def nullspace_mod_p(rows, p, ncols):
+    """(pivot columns, kernel basis) over GF(p) of sparse integer rows.
+
+    The pivot columns, ascending, are those of the reduced row echelon
+    form.  There is one basis vector per free column, in ascending order of
+    the free column; each is a dense list of residues, 1 at its own free
+    column and 0 at the other free columns.
+    """
+    pivots = _semi_echelon_mod_p(rows, p)
+    order = sorted(pivots)
+    # back substitution, right to left: clear every later pivot column
+    for c in reversed(order):
+        r = pivots[c]
+        for k in [k for k in r if k != c and k in pivots]:
+            f = r.pop(k)
+            for j, v in pivots[k].items():
+                if j != k:
+                    x = (r.get(j, 0) - f * v) % p
+                    if x:
+                        r[j] = x
+                    else:
+                        del r[j]
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [0] * ncols
+            v[f] = 1
+            for c in order:
+                x = pivots[c].get(f)
+                if x:
+                    v[c] = p - x
+            basis.append(v)
+    return tuple(order), basis
 
 
 def _commutant_rows(ops, n):

@@ -32,6 +32,7 @@ from .linalg import (
     det,
     is_invariant,
     kernel,
+    nullspace_mod_p,
     operator_closure,
     rank_mod_p,
     subspace_intersect,
@@ -355,8 +356,12 @@ def det_on_locus(n, locus, mode, rng=None, samples=3):
     matrix is substituted entrywise before the univariate decision).
     substituted: exact, n <= 7, builds univariate entries directly.
     sampled: probabilistic zero verdicts from random evaluation points
-    (flagged); a nonzero witness is exact.
+    (flagged); a nonzero witness is exact.  The exact modes substitute l
+    as a power of r, so they refuse a custom locus, whose l is a number.
     """
+    if mode in ("symbolic", "substituted") and locus.is_custom:
+        raise InfeasibleMode(f"{mode} mode needs a catalog locus, where l is a power of r; "
+                             "use --mode sampled for a custom l")
     if mode == "symbolic":
         if n > _SYMBOLIC_MAX_N:
             raise InfeasibleMode(f"symbolic mode supports n <= {_SYMBOLIC_MAX_N}")
@@ -418,12 +423,26 @@ def _univariate_zero_verdict(matrix, n, locus, method):
     test runs modulo p = 2^e - 1, the smallest prime with e in
     MERSENNE_EXPONENTS and p > B.
 
-    At the points t = 2, -2, 3, -3, ... the entries of A(t) are reduced
-    mod p and rank_mod_p decides whether D(t) = 0 mod p.  Reduction mod p
-    is a ring map, so it commutes with evaluation and with the
-    determinant; the points are distinct mod p because p >= 2^61 - 1.
+    At the points t = 2, -2, 3, -3, ... the test decides whether
+    D(t) = 0 mod p.  Reduction mod p is a ring map, so it commutes with
+    evaluation and with the determinant; the points are distinct mod p
+    because p >= 2^61 - 1.  A point is proved singular in one of two ways:
 
-    * Zero: if D(t) = 0 mod p at all degree_bound + 1 points, D mod p has
+    * by a kernel witness: a w in GF(p)[r]^N for which A(r) w(r) = 0 has
+      been checked exactly, as an identity of polynomials mod p
+      (_kernel_witness).  Then A(t) w(t) = (A w)(t) = 0 mod p, so where
+      w(t) != 0 mod p the matrix A(t) mod p has a nonzero kernel vector and
+      D(t) = 0 mod p;
+    * otherwise, when there is no witness or it vanishes at t, by
+      rank_mod_p on the entries of A(t) reduced mod p.
+
+    The witness is sought only when the first point is singular, and only
+    the exact identity makes it one: a guess from too few points fails the
+    check and is never used.  When D != 0 no w passes, so a nonzero matrix
+    goes through the ranks as before.
+
+    * Zero: only when each of the degree_bound + 1 points is proved
+      singular, by the witness or by its rank.  Then D mod p has
       degree at most degree_bound and more roots than that, so it is the
       zero polynomial.  Every coefficient c of D is then divisible by p,
       and |c| <= B < p forces c = 0: D, and with it det M, is zero.
@@ -451,10 +470,14 @@ def _univariate_zero_verdict(matrix, n, locus, method):
     dens = {tuple(x.den.to_dense_int_r()[2])
             for row in matrix.rows for x in row if x and not x.den.is_const()}
     width = max(len(e) for row in int_rows for e in row)
+    witness = _kernel_witness(int_rows, width, p, degree_bound)
     nonzero = False
     for checked, pt in enumerate(_grid_points(degree_bound + 1 + sum(len(d) - 1 for d in dens))):
         if checked > degree_bound and not nonzero:
             break
+        # A(t) w(t) = (A w)(t) = 0 mod p, so w(t) != 0 mod p makes A(t) singular
+        if witness and any(kernels.modp_poly_eval(c, pt, p) for c in witness):
+            continue
         if rank_mod_p(_rows_at(int_rows, width, pt, p), p) < len(int_rows):
             continue
         nonzero = True
@@ -472,6 +495,86 @@ def _univariate_zero_verdict(matrix, n, locus, method):
         proof={"technique": "evaluation", "degree_bound": degree_bound,
                "points_checked": degree_bound + 1, "all_zero": True, **modular},
     )
+
+
+_WITNESS_START_POINTS = 4
+
+
+def _kernel_witness(int_rows, width, p, degree_bound):
+    """A nonzero w in GF(p)[r]^N with A(r) w(r) = 0 exactly, or None.
+
+    The kernel of A(t) mod p is taken at the grid points in order, and the
+    basis vector of its first free column kept: 1 there, 0 at the other
+    free columns.  Only points with the pivot columns of largest rank,
+    lexicographically first among those, are used; at all but finitely
+    many points these are the pivot columns of A(r) over GF(p)(r), and the
+    kept vectors are values of one rational vector v(r).  A common
+    denominator q of v comes from rational reconstruction of its
+    coordinates, and w = q v from Newton interpolation of the values.
+    w is accepted only when it is nonzero and A(r) w(r) = 0 holds as an
+    identity in GF(p)[r]; otherwise the number of points doubles.  The
+    search gives up (None) when more than (degree_bound + 1) / 2 points
+    would be needed, and at once when A(t) is invertible mod p at a point,
+    since then no w exists.  Nothing rests on the reconstruction being
+    right: a w that passes the identity check is a kernel vector.
+    """
+    ncols = len(int_rows)
+    limit = (degree_bound + 1) // 2
+    seen = []
+    want = _WITNESS_START_POINTS
+    for pt in _grid_points(limit):
+        pivots, basis = nullspace_mod_p(_rows_at(int_rows, width, pt, p), p, ncols)
+        if not basis:
+            return None
+        seen.append(((-len(pivots), pivots), pt, basis[0]))
+        best = min(key for key, _, _ in seen)
+        good = [(t, v) for key, t, v in seen if key == best]
+        if len(good) < want:
+            continue
+        w = _interpolate_kernel_vector(good, ncols, p)
+        if w is not None and any(w) and _annihilates(int_rows, w, p):
+            return w
+        want *= 2
+        if want > limit:
+            return None
+    return None
+
+
+def _interpolate_kernel_vector(good, ncols, p):
+    """q v from the values v(t) at distinct points t, given as (t, v(t)) pairs, or None.
+
+    Each coordinate of q v is reconstructed as a / b with deg a below half
+    the number of points; its denominator b joins q.
+    """
+    xs = [t for t, _ in good]
+    vs = [v for _, v in good]
+    modulus = [1]
+    for t in xs:
+        modulus = kernels.modp_poly_mul(modulus, [-t % p, 1], p)
+    half = (len(xs) + 1) // 2
+    q = [1]
+    q_at = [1] * len(xs)
+    for j in range(ncols):
+        u = kernels.modp_interpolate(xs, [qt * v[j] for qt, v in zip(q_at, vs)], p)
+        rec = kernels.modp_ratrecon(u, modulus, half, p)
+        if rec is None:
+            return None
+        if len(rec[1]) > 1:
+            q = kernels.modp_poly_mul(q, rec[1], p)
+            q_at = [kernels.modp_poly_eval(q, t, p) for t in xs]
+    return [kernels.modp_interpolate(xs, [qt * v[j] for qt, v in zip(q_at, vs)], p)
+            for j in range(ncols)]
+
+
+def _annihilates(int_rows, w, p):
+    """True when A(r) w(r) = 0 holds as an identity in GF(p)[r]^N."""
+    for row in int_rows:
+        acc = []
+        for e, c in zip(row, w):
+            acc = kernels.modp_poly_sub(acc, kernels.modp_poly_mul(e, c, p), p)
+        if acc:
+            return False
+    return True
 
 
 def _coefficient_bound(int_rows):

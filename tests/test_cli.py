@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -78,6 +79,32 @@ class TestDet:
     def test_infeasible_mode_is_error(self):
         proc = run_cli("det", "--n", "8", "--locus", "l=r", "--mode", "substituted", expect=1)
         assert "InfeasibleMode" in proc.stderr
+
+    @pytest.mark.parametrize("mode", ["substituted", "symbolic"])
+    def test_custom_locus_needs_sampled_mode(self, mode):
+        proc = run_cli("det", "--n", "4", "--locus", "custom", "--l", "5/1", "--mode", mode,
+                       expect=1)
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: InfeasibleMode: ")
+        assert "--mode sampled" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    # sha256 of the reports of `det --n 6 --locus L --mode substituted --seed 29`,
+    # recorded before the kernel-vector witness replaced most of the point ranks
+    GOLDEN_N6 = {
+        "l=r": "6c4ba516e6c5b4e83a5c19884efc81bbcf6bdc9e0fe331608f9e4185cad43d16",
+        "l=-r3": "251c9698d819f9105539dfe3911f77b6d9628b21a3bd236ceaa45bbe4cd84b04",
+        "l=r3-2n": "0e22df482ea6cd03d315c81224da2d2111d07c54e96c6342b5efca84c01a420f",
+        "l=+r3-n": "aff930b69305a4a06c68166b2ef6cc9dced945a776854bb6782cd6f7465c71be",
+        "l=-r3-n": "9d7d49254b016600c7c55dde242359b7633d340e9b9c8dfea4f90a34538fdfee",
+    }
+
+    @pytest.mark.parametrize("locus", sorted(GOLDEN_N6))
+    def test_golden_n6_substituted_reports(self, locus):
+        proc = run_cli("det", "--n", "6", "--locus", locus, "--mode", "substituted",
+                       "--seed", "29")
+        assert proc.stderr == ""
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == self.GOLDEN_N6[locus]
 
 
 class TestKernel:
@@ -160,6 +187,15 @@ class TestScanClosurePersist:
         proc = run_cli("commutant", "--n", "4", "--r", "2/1", "--l", "5/1")
         obj = json.loads(proc.stdout)
         assert obj["commutant_dim"] == 1
+
+    @pytest.mark.parametrize("option, value", [("--l", "-9/2"), ("--r", "-3/2")])
+    def test_negative_value_after_a_space(self, option, value):
+        values = {"--r": "2/1", "--l": "5/1", option: value}
+        spaced = run_cli("commutant", "--n", "3", "--r", values["--r"], "--l", values["--l"])
+        joined = run_cli("commutant", "--n", "3", f"--r={values['--r']}",
+                         f"--l={values['--l']}")
+        assert spaced.stdout == joined.stdout and spaced.stderr == joined.stderr == ""
+        assert json.loads(spaced.stdout)[option[2:]] == value
 
     def test_persist(self):
         proc = run_cli("persist", "--locus", "l=r", "--r", "2/1", "--n", "5", "--n-max", "6")

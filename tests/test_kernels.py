@@ -213,3 +213,67 @@ class TestAgainstSympy:
             assert got == want
 
         check()
+
+
+class TestModpReconstruction:
+    """Newton interpolation and rational reconstruction over GF(p)."""
+
+    P = (1 << 61) - 1
+
+    @pytest.fixture
+    def fractions(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        coeffs = st.integers(0, self.P - 1)
+
+        @st.composite
+        def draw(draw):
+            a = _trim(draw(st.lists(coeffs, max_size=6)))
+            b = _trim(draw(st.lists(coeffs, max_size=6)) + [1])
+            if not a:
+                b = [1]
+            # deg a + deg b < points, at the first grid points 2, -2, 3, -3, ...
+            count = len(a) + len(b) - 1 + draw(st.integers(0, 3))
+            xs = [s * (2 + i // 2) for i, s in zip(range(max(count, 1)), [1, -1] * 8)]
+            return a, b, xs
+
+        settings = hyp.settings(max_examples=150, deadline=None, derandomize=True)
+        return hyp, draw(), settings
+
+    def test_interpolation_through_the_points(self):
+        p = self.P
+        rng = random.Random(5)
+        for count in range(1, 12):
+            xs = rng.sample(range(-50, 50), count)
+            ys = [rng.randrange(p) for _ in xs]
+            u = kernels.modp_interpolate(xs, ys, p)
+            assert len(u) <= count
+            assert [kernels.modp_poly_eval(u, x, p) for x in xs] == ys
+
+    def test_reconstruction_round_trip(self, fractions):
+        hyp, cases, settings = fractions
+        p = self.P
+
+        @settings
+        @hyp.given(cases)
+        def check(case):
+            a, b, xs = case
+            hyp.assume(all(kernels.modp_poly_eval(b, x, p) for x in xs))
+            ys = [kernels.modp_poly_eval(a, x, p) * pow(kernels.modp_poly_eval(b, x, p), -1, p)
+                  for x in xs]
+            u = kernels.modp_interpolate(xs, ys, p)
+            mod = [1]
+            for x in xs:
+                mod = kernels.modp_poly_mul(mod, [-x % p, 1], p)
+            assert kernels.modp_ratrecon(u, mod, len(a), p) == (a, b)
+
+        check()
+
+    def test_reconstruction_refuses_a_shared_factor(self):
+        # mod = (r - 1)(r - 2): the values 0, 0 are 0 / 1, while the values 0, 1
+        # of u = r - 1 are no c / (r - s); the Euclidean candidate 0 / (r - 2)
+        # has a denominator that vanishes at 2
+        p = 101
+        mod = kernels.modp_poly_mul([p - 1, 1], [p - 2, 1], p)
+        assert kernels.modp_ratrecon([], mod, 1, p) == ([], [1])
+        assert kernels.modp_ratrecon([p - 1, 1], mod, 1, p) is None

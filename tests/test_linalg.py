@@ -19,6 +19,7 @@ from lkwb.linalg import (
     kernel,
     matrix_from_json,
     matrix_to_json,
+    nullspace_mod_p,
     operator_closure,
     rank,
     rank_mod_p,
@@ -624,6 +625,42 @@ class TestRankModP:
         rows = [{0: 1}, {1: 1}, {2: 1}]
         assert rank_mod_p(rows, 101, stop=2) == 2
         assert rank_mod_p([], 101) == 0
+
+
+class TestNullspaceModP:
+    P = (1 << 61) - 1
+
+    def test_against_rational_kernel(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+            ints = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+            if nrows > 2 and rng.random() < 0.5:
+                ints[-1] = [2 * a - b for a, b in zip(ints[0], ints[1])]
+            m = Matrix(QQ, ints)
+            rows = [{j: x for j, x in enumerate(row) if x} for row in ints]
+            pivots, basis = nullspace_mod_p(rows, self.P, ncols)
+            assert len(basis) == kernel(m).dim
+            assert len(pivots) == rank(m)
+            free = [j for j in range(ncols) if j not in pivots]
+            for f, v in zip(free, basis):
+                assert len(v) == ncols
+                assert [v[j] for j in free] == [int(j == f) for j in free]
+                for row in ints:
+                    assert sum(a * b for a, b in zip(row, v)) % self.P == 0
+
+    def test_pivots_are_the_rref_pivots(self):
+        # the semi-echelon meets column 1 before column 0 here
+        rows = [{1: 1, 2: 1}, {0: 1, 1: 1}, {0: 1, 2: -1}]
+        pivots, basis = nullspace_mod_p(rows, 101, 3)
+        assert pivots == (0, 1)
+        assert basis == [[1, 100, 1]]
+
+    def test_kernel_grows_mod_a_small_prime(self):
+        rows = [{0: 1, 1: 2}, {0: 3, 1: 1}]
+        assert nullspace_mod_p(rows, 7, 2) == ((0, 1), [])
+        assert nullspace_mod_p(rows, 5, 2) == ((0,), [[3, 1]])
+        assert nullspace_mod_p([], 5, 2) == ((), [[1, 0], [0, 1]])
 
 
 class TestCharpoly:

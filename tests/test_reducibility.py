@@ -272,6 +272,150 @@ class TestModularZeroProof:
             assert 0 < proof["coefficient_bound_bits"] < e
 
 
+class TestKernelWitness:
+    """The polynomial kernel vector mod p that proves the zero test's points singular."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        seen = {"rank": 0, "nullspace": 0, "witness": []}
+        rank, nullspace, witness = (reducibility.rank_mod_p, reducibility.nullspace_mod_p,
+                                    reducibility._kernel_witness)
+
+        def counting_rank(*args, **kwargs):
+            seen["rank"] += 1
+            return rank(*args, **kwargs)
+
+        def counting_nullspace(*args, **kwargs):
+            seen["nullspace"] += 1
+            return nullspace(*args, **kwargs)
+
+        def recording_witness(*args):
+            w = witness(*args)
+            seen["witness"].append((args, w))
+            return w
+
+        monkeypatch.setattr(reducibility, "rank_mod_p", counting_rank)
+        monkeypatch.setattr(reducibility, "nullspace_mod_p", counting_nullspace)
+        monkeypatch.setattr(reducibility, "_kernel_witness", recording_witness)
+        return seen
+
+    @staticmethod
+    def locus_matrix(n, name):
+        locus = named_locus(name, n)
+        return build_m_matrix(substituted_rep(n, locus.eps, locus.k)).matrix, locus
+
+    def test_locus_points_need_no_rank(self, monkeypatch):
+        for name in ("l=r", "l=-r3", "l=r3-2n", "l=+r3-n", "l=-r3-n"):
+            matrix, locus = self.locus_matrix(5, name)
+            want = _univariate_zero_verdict(matrix, 5, locus, "substituted")
+            with monkeypatch.context() as mp:
+                seen = self.spy(mp)
+                got = _univariate_zero_verdict(matrix, 5, locus, "substituted")
+            assert got == want and got.verdict == "identically_zero"
+            (int_rows, _, p, degree_bound), w = seen["witness"][0]
+            assert seen["rank"] == 0
+            assert seen["nullspace"] <= (degree_bound + 1) // 2
+            assert any(w) and reducibility._annihilates(int_rows, w, p)
+
+    def test_corrupted_witness_fails_the_identity(self, monkeypatch):
+        matrix, locus = self.locus_matrix(5, "l=+r3-n")
+        with monkeypatch.context() as mp:
+            seen = self.spy(mp)
+            _univariate_zero_verdict(matrix, 5, locus, "substituted")
+        (int_rows, _, p, _), w = seen["witness"][0]
+        assert reducibility._annihilates(int_rows, w, p)
+        for j, c in enumerate(w):
+            for i in range(len(c)):
+                bad = [list(x) for x in w]
+                bad[j][i] = (bad[j][i] + 1) % p
+                assert not reducibility._annihilates(int_rows, bad, p), (j, i)
+
+    def test_corrupted_witness_falls_back_to_ranks(self, monkeypatch):
+        matrix, locus = self.locus_matrix(5, "l=+r3-n")
+        want = _univariate_zero_verdict(matrix, 5, locus, "substituted")
+        interpolate = reducibility._interpolate_kernel_vector
+
+        def corrupted(*args):
+            w = interpolate(*args)
+            if w is not None:
+                w[0] = kernels.poly_sub(w[0], [-1])  # one coefficient changed
+            return w
+
+        monkeypatch.setattr(reducibility, "_interpolate_kernel_vector", corrupted)
+        seen = self.spy(monkeypatch)
+        got = _univariate_zero_verdict(matrix, 5, locus, "substituted")
+        assert got == want
+        degree_bound = got.proof["degree_bound"]
+        assert seen["witness"][0][1] is None
+        assert seen["rank"] == degree_bound + 1
+        # the give-up rule: the points double from 4 while they fit in
+        # (degree_bound + 1) / 2, and no point kernel is taken after that
+        doubled = 4
+        while 2 * doubled <= (degree_bound + 1) // 2:
+            doubled *= 2
+        assert seen["nullspace"] == doubled
+
+    def test_zero_candidate_is_refused(self, monkeypatch):
+        matrix, locus = self.locus_matrix(4, "l=r")
+        want = _univariate_zero_verdict(matrix, 4, locus, "substituted")
+        monkeypatch.setattr(reducibility, "_interpolate_kernel_vector",
+                            lambda good, ncols, p: [[] for _ in range(ncols)])
+        seen = self.spy(monkeypatch)
+        assert _univariate_zero_verdict(matrix, 4, locus, "substituted") == want
+        assert seen["witness"][0][1] is None
+        assert seen["rank"] == want.proof["degree_bound"] + 1
+
+    def test_points_where_the_witness_vanishes_are_ranked(self, monkeypatch):
+        matrix, locus = self.locus_matrix(5, "l=-r3")
+        want = _univariate_zero_verdict(matrix, 5, locus, "substituted")
+        witness = reducibility._kernel_witness
+
+        def vanishing_at_3(int_rows, width, p, degree_bound):
+            # still a kernel vector, and zero at the third grid point r = 3
+            w = witness(int_rows, width, p, degree_bound)
+            return [kernels.modp_poly_mul(c, [p - 3, 1], p) for c in w]
+
+        monkeypatch.setattr(reducibility, "_kernel_witness", vanishing_at_3)
+        seen = self.spy(monkeypatch)
+        assert _univariate_zero_verdict(matrix, 5, locus, "substituted") == want
+        assert seen["rank"] == 1
+
+    def test_points_with_other_pivots_are_skipped(self, monkeypatch):
+        # rank 2 with pivot columns (0, 2), except at r = 2, where they are (1, 2);
+        # the kernel vector (-1/(r - 2), 1, 0) gives w = (-1, r - 2, 0)
+        rows = [[[-2, 1], [1], []], [[4, -4, 1], [-2, 1], []], [[], [], [1] + [0] * 19 + [1]]]
+        seen = self.spy(monkeypatch)
+        verdict = _univariate_zero_verdict(_qr_matrix(rows), 3, None, "substituted-univariate")
+        assert verdict.verdict == "identically_zero"
+        (_, _, p, degree_bound), w = seen["witness"][0]
+        assert degree_bound == 23
+        assert w == [[p - 1], [p - 2, 1], []]
+        assert seen["nullspace"] == 5
+        assert seen["rank"] == 0
+
+    def test_nonzero_matrix_passes_no_candidate(self, monkeypatch):
+        # D = (r^2 - 4)(r^2 - 9)(r^2 - 16)(r^2 - 25)(r^30 + 1): the first eight
+        # points are singular, each with the kernel (1, 0), which A w = 0 rejects
+        f = [1]
+        for t in (2, 3, 4, 5):
+            f = kernels.poly_mul_int(f, [-t * t, 0, 1])
+        rows = [[f, []], [[], [1] + [0] * 29 + [1]]]
+        annihilates = reducibility._annihilates
+        checked = []
+
+        def recording(*args):
+            checked.append(annihilates(*args))
+            return checked[-1]
+
+        monkeypatch.setattr(reducibility, "_annihilates", recording)
+        seen = self.spy(monkeypatch)
+        verdict = _univariate_zero_verdict(_qr_matrix(rows), 2, None, "substituted-univariate")
+        assert verdict.verdict == "nonzero"
+        assert verdict.witness["r"] == "6"
+        assert checked == [False, False]
+        assert seen["witness"][0][1] is None
+
+
 class TestOneDim:
     def test_unique_line_at_one_dim_locus(self):
         rep = rep_at(4, named_locus("l=r3-2n", 4), rat(2))
