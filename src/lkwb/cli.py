@@ -16,7 +16,7 @@ import random
 import sys
 
 from .errors import InvalidConfig, IoFailure, LKWBError
-from .linalg import commutant_basis, det, kernel
+from .linalg import commutant_basis, kernel
 from .lkrep import (
     build_rep,
     LKParams,
@@ -27,9 +27,7 @@ from .lkrep import (
     convention_report,
 )
 from .reducibility import (
-    GENERIC,
     build_m_matrix,
-    catalog,
     certify,
     det_on_locus,
     expected_spectrum,
@@ -42,7 +40,6 @@ from .reducibility import (
 )
 from .scalars import (
     CYCLOTOMIC_MODULI,
-    QQ,
     cyclotomic_field,
     field_of,
     is_rat,
@@ -68,7 +65,6 @@ def build_parser():
         if mode:
             p.add_argument("--mode", choices=_MODE_CHOICES, default="substituted")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -88,6 +84,7 @@ def build_parser():
 
     p = sub.add_parser("certify", help="certify the full dimension table at a point")
     p.add_argument("--probe-trials", type=int, default=10)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, one locus each")
     common(p, needs_r=True)
 
     p = sub.add_parser("scan", help="sweep catalog loci plus random non-locus l values")
@@ -265,6 +262,8 @@ def _cmd_kernel(args):
     locus = _locus_from_args(args)
     r_val = parse_r(args.r)
     l_val = parse_l(args.l)
+    if locus.is_generic and l_val is None:
+        raise InvalidConfig("kernel at generic parameters requires --l")
     report = kernel_k(args.n, locus, r_val, l_val=l_val)
     expected = expected_spectrum(args.n, locus, r_val)
     obj = report.to_json_obj()

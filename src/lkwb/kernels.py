@@ -249,7 +249,11 @@ def bareiss_det_int(rows):
 
 
 def bareiss_det_polyint(rows):
-    """Determinant over Z[x]: entries and result are dense int-coeff lists."""
+    """Determinant over Z[x]: entries and result are dense int-coeff lists.
+
+    A test reference: linalg.det runs its own fraction-free elimination,
+    and this stays as an independent check of it.
+    """
     n = len(rows)
     if n == 0:
         return [1]

@@ -14,6 +14,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import partial
+from itertools import combinations
+from math import lcm, prod
+from operator import floordiv, mul, sub, truediv
 
 from . import kernels
 from .errors import (
@@ -311,50 +315,8 @@ def inverse(m):
 
 
 # ---------------------------------------------------------------------------
-# Determinants
+# Fraction-free elimination: determinants and invertible minors
 # ---------------------------------------------------------------------------
-
-
-def det(m):
-    """Exact determinant.
-
-    Fraction-free (Bareiss) over polynomial entries after clearing
-    denominators; ordinary elimination over the field otherwise.
-    """
-    if not m.is_square():
-        raise NonSquare("determinant of a non-square matrix")
-    if m.nrows == 0:
-        return m.field.one()
-    if isinstance(m.field, FunctionField):
-        return _det_function_field(m)
-    return _det_field_elimination(m)
-
-
-def _det_field_elimination(m):
-    a = [list(row) for row in m.rows]
-    n = m.nrows
-    field = m.field
-    detval = field.one()
-    for k in range(n):
-        piv = None
-        best_cost = None
-        for i in range(k, n):
-            if a[i][k]:
-                cost = _pivot_cost(field, a[i][k])
-                if best_cost is None or cost < best_cost:
-                    piv, best_cost = i, cost
-        if piv is None:
-            return field.zero()
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            detval = -detval
-        pv = a[k][k]
-        detval = detval * pv
-        for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] / pv
-                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[k])]
-    return detval
 
 
 def clear_denominators(row):
@@ -383,74 +345,141 @@ def dense_int_row(polys):
     return scale, shift, ints_row
 
 
-def _det_function_field(m):
-    # clear denominators row by row; det m = bareiss_det / prod(row factors)
-    cleared = []
-    factor = RatFunc.one()
-    for row in m.rows:
-        den, polys = clear_denominators(row)
-        cleared.append(polys)
-        factor = factor * RatFunc.from_laurent(den)
-    if all(p.is_univariate_r() for row in cleared for p in row):
-        d = _det_univariate(cleared)
-    else:
-        d = _bareiss_laurent(cleared)
-    return RatFunc.from_laurent(d) / factor
+def _fraction_free(work, s, ring):
+    """s steps of Bareiss elimination with full pivoting, in place on work.
 
-
-def _det_univariate(rows):
-    """Determinant of a matrix of univariate-in-r Laurent polys, as a poly."""
-    scale = Rat(1)
-    shift = 0
-    mat = []
-    for row in rows:
-        rowscale, rshift, ints_row = dense_int_row(row)
-        if not rowscale:
-            return LaurentPoly.zero()
-        scale = scale * rowscale
-        shift += rshift
-        mat.append(ints_row)
-    d = kernels.bareiss_det_polyint(mat)
-    if not d:
-        return LaurentPoly.zero()
-    p = LaurentPoly.from_pairs([((0, i + shift), c) for i, c in enumerate(d)])
-    return p.scale(scale)
-
-
-def _bareiss_laurent(rows):
-    """Fraction-free determinant over the bivariate Laurent ring."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    sign = 1
-    prev = LaurentPoly.one()
-    for k in range(n - 1):
-        piv = None
-        best = None
-        for i in range(k, n):
-            e = a[i][k]
-            if e:
-                if best is None or len(e.terms) < best:
-                    best = len(e.terms)
-                    piv = i
-        if piv is None:
-            return LaurentPoly.zero()
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        row_k = a[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                t = pivot * row_i[j]
-                if head:
-                    t = t - head * row_k[j]
-                row_i[j] = t.divexact(prev) if prev.terms != {0: Rat(1)} else t
-            row_i[k] = LaurentPoly.zero()
+    ring is (mul, sub, divexact, cost) of an integral domain with a falsy
+    zero.  Each step takes the least-cost nonzero entry, the first in
+    row-major order on a tie, among the rows and columns not yet chosen,
+    and sets every other such entry to (a_pq a_ij - a_iq a_pj) / d for the
+    pivot a_pq and the previous pivot d (no division at the first step).
+    By Sylvester's identity (Bareiss 1968) that entry is a minor of work,
+    so the division is exact, and the k-th pivot is the minor on the first
+    k chosen rows and columns in pivot order.  Returns (rows, cols,
+    last_pivot), the indices in pivot order, or None when the rank is
+    below s.
+    """
+    mul, sub, divexact, cost = ring
+    rows_left = list(range(len(work)))
+    cols_left = list(range(len(work[0])))
+    rows, cols = [], []
+    prev = None
+    for step in range(s):
+        best = best_cost = None
+        for i in rows_left:
+            wi = work[i]
+            for j in cols_left:
+                x = wi[j]
+                if x:
+                    c = cost(x)
+                    if best_cost is None or c < best_cost:
+                        best, best_cost = (i, j), c
+        if best is None:
+            return None
+        bi, bj = best
+        rows.append(bi)
+        cols.append(bj)
+        rows_left.remove(bi)
+        cols_left.remove(bj)
+        pivot = work[bi][bj]
+        if step == s - 1:
+            break
+        prow = work[bi]
+        for i in rows_left:
+            wi = work[i]
+            head = wi[bj]
+            for j in cols_left:
+                a = wi[j]
+                t = mul(pivot, a) if a else a
+                if head and prow[j]:
+                    t = sub(t, mul(head, prow[j]))
+                wi[j] = divexact(t, prev) if t and prev is not None else t
         prev = pivot
-    d = a[n - 1][n - 1]
-    return -d if sign < 0 else d
+    return rows, cols, pivot
+
+
+def _domain(m):
+    """(work, ring, finish): m as rows over the integral domain that eliminates it.
+
+    Each row of work is the row of m times a nonzero scalar, so the same
+    minors are invertible; ring is as in _fraction_free, and finish(pivot,
+    odd) turns the last pivot of a full elimination into det m, negated
+    when odd.  Q runs over Z, each row times the lcm of its denominators.
+    Q(r) and Q(l,r) rows go through clear_denominators, and then, when
+    every entry is univariate in r, through dense_int_row over Z[r];
+    otherwise they stay LaurentPoly rows.  Any other field, such as
+    Q[x]/(f), keeps its rows and divides in the field.
+    """
+    field = m.field
+    if field == QQ:
+        dens = [lcm(*(int(x.denominator) for x in row)) for row in m.rows]
+        work = [[int(x.numerator) * (d // int(x.denominator)) for x in row]
+                for d, row in zip(dens, m.rows)]
+        return work, (mul, sub, floordiv, abs), lambda d, odd: Rat(-d if odd else d, prod(dens))
+    if not isinstance(field, FunctionField):
+        ring = (mul, sub, truediv, partial(_pivot_cost, field))
+        return [list(row) for row in m.rows], ring, lambda d, odd: -d if odd else d
+    cleared = [clear_denominators(row) for row in m.rows]
+    polys = [row for _, row in cleared]
+
+    def factor():
+        return prod((den for den, _ in cleared), start=LaurentPoly.one())
+
+    if not all(p.is_univariate_r() for row in polys for p in row):
+        ring = (mul, sub, LaurentPoly.divexact, lambda e: len(e.terms))
+        return polys, ring, lambda d, odd: RatFunc(-d if odd else d, factor())
+    dense = [dense_int_row(row) for row in polys]
+
+    def finish(d, odd):
+        shift = sum(s for _, s, _ in dense)
+        p = LaurentPoly.from_pairs([((0, i + shift), -c if odd else c) for i, c in enumerate(d)])
+        return RatFunc(p.scale(prod(scale for scale, _, _ in dense)), factor())
+
+    ring = (kernels.poly_mul_int, kernels.poly_sub, kernels.poly_divexact_int,
+            lambda e: (len(e) - e.count(0), len(e)))
+    return [ints for _, _, ints in dense], ring, finish
+
+
+def det(m):
+    """Exact determinant: the last pivot of a full fraction-free elimination.
+
+    The rows and columns in pivot order permute m to a matrix whose
+    determinant is that pivot; the parity of the two permutations gives
+    the sign.
+    """
+    if not m.is_square():
+        raise NonSquare("determinant of a non-square matrix")
+    if m.nrows == 0:
+        return m.field.one()
+    work, ring, finish = _domain(m)
+    found = _fraction_free(work, m.nrows, ring)
+    if found is None:
+        return m.field.zero()
+    rows, cols, pivot = found
+    inversions = sum(a > b for perm in (rows, cols) for a, b in combinations(perm, 2))
+    return finish(pivot, inversions % 2 == 1)
+
+
+def find_invertible_submatrix(m, s):
+    """Row/column index sets, ascending, whose s x s minor is invertible.
+
+    The rows and columns of s fraction-free pivoting steps; raises
+    SubmatrixNotFound when rank(m) < s.  The minor is verified exactly by
+    its rank through _rref, an elimination independent of the search.
+    """
+    if s > min(m.nrows, m.ncols):
+        raise DimensionMismatch("requested size exceeds matrix dimensions")
+    if s == 0:
+        return (), ()
+    work, ring, _ = _domain(m)
+    found = _fraction_free(work, s, ring)
+    if found is None:
+        raise SubmatrixNotFound(f"no invertible {s}x{s} submatrix (rank < {s})")
+    rows_idx = tuple(sorted(found[0]))
+    cols_idx = tuple(sorted(found[1]))
+    if rank(m.submatrix(rows_idx, cols_idx)) != s:
+        raise AssertionError("fraction-free pivoting found a singular minor; this is a bug")
+    return rows_idx, cols_idx
 
 
 # ---------------------------------------------------------------------------
@@ -663,130 +692,6 @@ def is_invariant(space, ops):
             if not space.contains(op.mat_vec(v)):
                 return False
     return True
-
-
-def find_invertible_submatrix(m, s):
-    """Row/column index sets whose s x s minor is invertible.
-
-    Greedy full pivoting with exact verification of the returned minor;
-    raises SubmatrixNotFound when rank(m) < s.  Polynomial entries go
-    through fraction-free elimination to avoid rational-function swell.
-    """
-    if s > min(m.nrows, m.ncols):
-        raise DimensionMismatch("requested size exceeds matrix dimensions")
-    if s == 0:
-        return (), ()
-    if isinstance(m.field, FunctionField):
-        return _find_submatrix_fraction_free(m, s)
-    field = m.field
-    work = [list(row) for row in m.rows]
-    rows_left = list(range(m.nrows))
-    cols_left = list(range(m.ncols))
-    chosen_rows = []
-    chosen_cols = []
-    for _ in range(s):
-        best = None
-        best_cost = None
-        for i in rows_left:
-            wi = work[i]
-            for j in cols_left:
-                x = wi[j]
-                if x:
-                    cost = _pivot_cost(field, x)
-                    if best_cost is None or cost < best_cost:
-                        best, best_cost = (i, j), cost
-        if best is None:
-            raise SubmatrixNotFound(f"no invertible {s}x{s} submatrix (rank < {s})")
-        bi, bj = best
-        chosen_rows.append(bi)
-        chosen_cols.append(bj)
-        rows_left.remove(bi)
-        cols_left.remove(bj)
-        pv = work[bi][bj]
-        for i in rows_left:
-            x = work[i][bj]
-            if x:
-                f = x / pv
-                wi = work[i]
-                wb = work[bi]
-                for j in cols_left:
-                    if wb[j]:
-                        wi[j] = wi[j] - f * wb[j]
-    rows_idx = tuple(sorted(chosen_rows))
-    cols_idx = tuple(sorted(chosen_cols))
-    minor = m.submatrix(rows_idx, cols_idx)
-    if not det(minor):
-        raise AssertionError("pivoting found a singular minor; this is a bug")
-    return rows_idx, cols_idx
-
-
-def _find_submatrix_fraction_free(m, s):
-    """Submatrix search by Bareiss elimination over cleared polynomial rows.
-
-    Row scaling by nonzero polynomials preserves which index sets give
-    invertible minors; Sylvester's identity keeps every division exact.
-    """
-    cleared = [clear_denominators(row)[1] for row in m.rows]
-    univariate = all(p.is_univariate_r() for row in cleared for p in row)
-    if univariate:
-        work = [dense_int_row(row)[2] for row in cleared]
-        zero_p, mul_p, div_p = [], kernels.poly_mul_int, kernels.poly_divexact_int
-        sub_p = kernels.poly_sub
-
-        def cost_p(e):
-            return (sum(1 for c in e if c), len(e))
-
-        one_p = [1]
-    else:
-        work = [list(r) for r in cleared]
-        zero_p = LaurentPoly.zero()
-        mul_p = lambda a, b: a * b
-        div_p = lambda a, b: a.divexact(b)
-        sub_p = lambda a, b: a - b
-        cost_p = lambda e: (len(e.terms),)
-        one_p = LaurentPoly.one()
-    rows_left = list(range(m.nrows))
-    cols_left = list(range(m.ncols))
-    chosen_rows = []
-    chosen_cols = []
-    prev = one_p
-    for _ in range(s):
-        best = None
-        best_cost = None
-        for i in rows_left:
-            wi = work[i]
-            for j in cols_left:
-                e = wi[j]
-                if e:
-                    c = cost_p(e)
-                    if best_cost is None or c < best_cost:
-                        best, best_cost = (i, j), c
-        if best is None:
-            raise SubmatrixNotFound(f"no invertible {s}x{s} submatrix (rank < {s})")
-        bi, bj = best
-        chosen_rows.append(bi)
-        chosen_cols.append(bj)
-        rows_left.remove(bi)
-        cols_left.remove(bj)
-        pivot = work[bi][bj]
-        prow = work[bi]
-        first = prev == one_p
-        for i in rows_left:
-            wi = work[i]
-            head = wi[bj]
-            for j in cols_left:
-                a = wi[j]
-                t = mul_p(pivot, a) if a else zero_p
-                if head and prow[j]:
-                    t = sub_p(t, mul_p(head, prow[j]))
-                wi[j] = t if (first or not t) else div_p(t, prev)
-        prev = pivot
-    rows_idx = tuple(sorted(chosen_rows))
-    cols_idx = tuple(sorted(chosen_cols))
-    minor = m.submatrix(rows_idx, cols_idx)
-    if not det(minor):
-        raise AssertionError("fraction-free pivoting found a singular minor; this is a bug")
-    return rows_idx, cols_idx
 
 
 # Mersenne prime for the one-sided rank bound in commutant_basis

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ParameterZero, SemisimplicityViolation
 from .linalg import Matrix
-from .scalars import QLR, QQ, QR, Rat, is_rat, m_of_r, scalar_to_text
+from .scalars import QLR, QQ, QR, Rat, m_of_r, scalar_to_text
 
 
 def pair_basis(n):

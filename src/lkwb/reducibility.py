@@ -51,7 +51,6 @@ from .scalars import (
     QQ,
     QR,
     Rat,
-    RatFunc,
     field_of,
     is_rat,
     rat,

@@ -106,6 +106,31 @@ class TestDet:
         assert proc.stderr == ""
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == self.GOLDEN_N6[locus]
 
+    # sha256 of the reports, at --seed 29, of the det paths that call linalg.det:
+    # the symbolic Bareiss (n <= 4) and grid (n = 5) verdicts and the sampled points;
+    # recorded when each determinant had its own elimination loop
+    GOLDEN_DET = {
+        ("3", "generic", "symbolic"): "fca5f0870162d7193053d710a37ead8e71b1f9f675dc7ccad1e96025908a1e58",
+        ("4", "generic", "symbolic"): "81202ad6fcad2877c480a567fe56b88570e3d510ddb063472eddc18cae30fc73",
+        ("5", "generic", "symbolic"): "0f4860d6017dd29f2c2faff11e1ae032c00122c555d0538299de3be48dd2048a",
+        ("6", "generic", "sampled"): "556621c74cb0e52962551cca00a1723d72168aaa4cc5f53dc1b88323e12273ac",
+        ("6", "l=r", "sampled"): "1bea6eba81feb0eadf5c6b1a4c23014190b8bcda17f5bb744a7e2fe694721c01",
+    }
+
+    @pytest.mark.parametrize("n, locus, mode", sorted(GOLDEN_DET))
+    def test_golden_det_reports(self, n, locus, mode):
+        proc = run_cli("det", "--n", n, "--locus", locus, "--mode", mode, "--seed", "29")
+        assert proc.stderr == ""
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert digest == self.GOLDEN_DET[(n, locus, mode)]
+
+    @pytest.mark.parametrize("args", [("det", "--n", "4", "--mode", "sampled"),
+                                      ("kernel", "--n", "4", "--locus", "l=r", "--r", "2/1")])
+    def test_jobs_is_a_certify_option_only(self, args):
+        proc = run_cli(*args, "--jobs", "2", expect=2)
+        assert "unrecognized arguments: --jobs 2" in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestKernel:
     def test_expected_dimension(self):
@@ -133,6 +158,12 @@ class TestKernel:
 
     def test_unknown_cyclotomic_rejected(self):
         run_cli("kernel", "--n", "4", "--locus", "l=r", "--r", "cyclotomic:phi7", expect=2)
+
+    def test_generic_locus_requires_l(self):
+        proc = run_cli("kernel", "--n", "4", "--r", "2/1", expect=2)
+        assert proc.stdout == ""
+        assert "requires --l" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestCertify:

@@ -80,6 +80,30 @@ class TestDet:
         m = Matrix(field, [[x, field.one()], [field.zero(), x ** 3]])
         assert det(m) == x ** 4
 
+    @pytest.mark.parametrize("field", [QQ, cyclotomic_field("phi12"), QR, QLR],
+                             ids=lambda f: f.tag)
+    def test_sign_of_permuted_triangular(self, field):
+        # det(P T Q) = sign(P) sign(Q) times the diagonal product of a triangular T
+        rng = random.Random(31)
+        n = 5
+        for _ in range(4):
+            diag = []
+            while len(diag) < n:
+                x = field.random(rng)
+                if x:
+                    diag.append(x)
+            rows = [[diag[i] if i == j else field.random(rng) if j > i else field.zero()
+                     for j in range(n)] for i in range(n)]
+            sigma = rng.sample(range(n), n)
+            tau = rng.sample(range(n), n)
+            permuted = Matrix(field, [[rows[sigma[i]][tau[j]] for j in range(n)] for i in range(n)])
+            expect = diag[0]
+            for x in diag[1:]:
+                expect = expect * x
+            if oracles._perm_sign(sigma) * oracles._perm_sign(tau) < 0:
+                expect = -expect
+            assert det(permuted) == expect
+
 
 class TestRowClearing:
     def test_clear_denominators(self):
@@ -507,6 +531,29 @@ class TestSubmatrixCertificates:
         assert det(m.submatrix(ri, ci)) != 0
         with pytest.raises(SubmatrixNotFound):
             find_invertible_submatrix(m, s + 1)
+
+    def test_bivariate_path(self):
+        L, R = RatFunc.var_l(), RatFunc.var_r()
+        top = [[L, R, 1, L * R, 0], [1, L + R, R, 0, L]]
+        dependent = [L * a - R * b for a, b in zip(*top)]
+        m = Matrix(QLR, top + [dependent, [1 / (R + 1), 0, L, 1, R / (L - 1)]])
+        ri, ci = find_invertible_submatrix(m, 3)
+        assert rank(m.submatrix(ri, ci)) == 3
+        with pytest.raises(SubmatrixNotFound):
+            find_invertible_submatrix(m, 4)
+
+    def test_number_field_path(self):
+        # B C with B 4 x 2 and C 2 x 5 has rank at most 2
+        field = cyclotomic_field("phi12")
+        rng = random.Random(23)
+        for _ in range(3):
+            m = rand_matrix(field, rng, 4, 2) * rand_matrix(field, rng, 2, 5)
+            s = rank(m)
+            ri, ci = find_invertible_submatrix(m, s)
+            assert len(ri) == len(ci) == s == 2
+            assert rank(m.submatrix(ri, ci)) == s
+            with pytest.raises(SubmatrixNotFound):
+                find_invertible_submatrix(m, s + 1)
 
     def test_size_exceeds_dimensions(self):
         with pytest.raises(DimensionMismatch):
