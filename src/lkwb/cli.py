@@ -15,7 +15,7 @@ import json
 import random
 import sys
 
-from .errors import InvalidConfig, IoFailure, LKWBError
+from .errors import DivisionByZero, InvalidConfig, IoFailure, LKWBError
 from .linalg import commutant_basis, kernel
 from .lkrep import (
     build_rep,
@@ -117,7 +117,7 @@ def parse_r(spec):
         raise InvalidConfig("decimal r values are not accepted; use an exact rational p/q")
     try:
         return parse_rat(spec)
-    except ValueError as exc:
+    except (ValueError, DivisionByZero) as exc:
         raise InvalidConfig(f"cannot parse --r: {exc}")
 
 
@@ -128,7 +128,7 @@ def parse_l(spec):
         raise InvalidConfig("decimal l values are not accepted; use an exact rational p/q")
     try:
         return parse_rat(spec)
-    except ValueError as exc:
+    except (ValueError, DivisionByZero) as exc:
         raise InvalidConfig(f"cannot parse --l: {exc}")
 
 

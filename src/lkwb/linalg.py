@@ -3,18 +3,21 @@
 Matrices keep dense rows.  Matrix and matrix-vector products walk a
 cached sparse view of those rows, in the summation order of the dense
 loops, and scaling, sums and differences skip zero entries.
-Determinants, kernels, subspace lattice operations, operator closure,
-invertible-submatrix certificates and commutant computation, plus a sparse
-rank over GF(p) that serves as a one-sided rank bound.  Matrices and
-bases are immutable values; all operations are pure functions, so
-independent jobs can run concurrently without shared state.
+
+There are three eliminations.  Over the field, one semi-echelon basis
+and a back substitution give every reduced row echelon form: rank,
+kernels, inverses, subspace spans and intersections, operator closure.
+Fraction-free pivoting over an integral domain gives determinants and
+invertible-submatrix certificates.  A sparse semi-echelon over GF(p)
+gives one-sided rank bounds and modular kernels.  Matrices and bases are
+immutable values; all operations are pure functions, so independent jobs
+can run concurrently without shared state.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from functools import partial
 from itertools import combinations
 from math import lcm, prod
 from operator import floordiv, mul, sub, truediv
@@ -36,7 +39,6 @@ from .scalars import (
     Rat,
     RatFunc,
     field_from_tag,
-    is_rat,
     scalar_to_text,
 )
 
@@ -240,61 +242,79 @@ def matrix_from_json(s):
 
 
 # ---------------------------------------------------------------------------
-# Pivoting and echelon forms
+# Semi-echelon elimination and echelon forms
 # ---------------------------------------------------------------------------
 
 
-def _pivot_cost(field, x):
-    """Smaller cost = preferred pivot.
+def _reduce(v, echelon):
+    """The list v, reduced in place to zero at the pivot of every echelon row.
 
-    Over polynomial entries prefer the sparsest candidate (fewest terms) to
-    limit expression swell; over the rationals prefer the max-magnitude
-    numerator; over quotient rings the first nonzero candidate.
+    Each row is (pivot, nonzero (column, entry) pairs), 1 at its pivot and
+    0 at the pivots of all earlier rows, so one pass in row order suffices.
     """
-    if isinstance(x, RatFunc):
-        return len(x.num.terms) + len(x.den.terms)
-    if is_rat(x):
-        n = x.numerator
-        return -(n if n >= 0 else -n)
-    return 0
+    for p, nonzeros in echelon:
+        c = v[p]
+        if c:
+            for j, b in nonzeros:
+                v[j] = v[j] - c * b
+    return v
+
+
+def _absorb(echelon, v, one):
+    """Append the residue of the list v against echelon, made 1 at its pivot.
+
+    The pivot is the first nonzero entry of the residue; a zero residue
+    leaves echelon as it is.
+    """
+    p = next((j for j, x in enumerate(_reduce(v, echelon)) if x), None)
+    if p is None:
+        return
+    x = v[p]
+    if x != one:
+        inv = one / x
+        v = [y * inv if y else y for y in v]
+    echelon.append((p, tuple((j, y) for j, y in enumerate(v) if y)))
+
+
+def _dense(nonzeros, ncols, zero):
+    """The row of length ncols with the given nonzero (column, entry) pairs."""
+    v = [zero] * ncols
+    for j, y in nonzeros:
+        v[j] = y
+    return v
+
+
+def _back_substitute(echelon, ncols, zero):
+    """(rows, pivots) of the reduced row echelon form of semi-echelon rows.
+
+    From the last row to the first, each row is reduced against the rows
+    already done, which are zero at the pivots of this row and of every
+    row before it; sorting the rows by pivot then gives the canonical RREF.
+    """
+    done = []
+    rows = {}
+    for p, nonzeros in reversed(echelon):
+        v = _reduce(_dense(nonzeros, ncols, zero), done)
+        done.append((p, tuple((j, y) for j, y in enumerate(v) if y)))
+        rows[p] = tuple(v)
+    pivots = sorted(rows)
+    return [rows[p] for p in pivots], pivots
 
 
 def _rref(rows, field):
     """Reduced row echelon form; returns (rows, pivot_columns).
 
-    Deterministic: best pivot by cost, ties broken by first row.
+    Every row is absorbed into one semi-echelon basis, which a back
+    substitution turns into the RREF.
     """
-    rows = [list(r) for r in rows]
-    nr = len(rows)
-    nc = len(rows[0]) if rows else 0
-    pivots = []
-    pr = 0
-    for c in range(nc):
-        best = None
-        best_cost = None
-        for i in range(pr, nr):
-            x = rows[i][c]
-            if x:
-                cost = _pivot_cost(field, x)
-                if best_cost is None or cost < best_cost:
-                    best, best_cost = i, cost
-        if best is None:
-            continue
-        if best != pr:
-            rows[pr], rows[best] = rows[best], rows[pr]
-        pv = rows[pr][c]
-        if pv != field.one():
-            rows[pr] = [x / pv if x else x for x in rows[pr]]
-        prow = rows[pr]
-        for i in range(nr):
-            if i != pr and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], prow)]
-        pivots.append(c)
-        pr += 1
-        if pr == nr:
+    ncols = len(rows[0]) if rows else 0
+    one = field.one()
+    echelon = []
+    for row in rows:
+        if len(echelon) == ncols:
             break
-    return [tuple(r) for r in rows[:pr]], pivots
+        _absorb(echelon, list(row), one)
+    return _back_substitute(echelon, ncols, field.zero())
 
 
 def rank(m):
@@ -417,7 +437,7 @@ def _domain(m):
                 for d, row in zip(dens, m.rows)]
         return work, (mul, sub, floordiv, abs), lambda d, odd: Rat(-d if odd else d, prod(dens))
     if not isinstance(field, FunctionField):
-        ring = (mul, sub, truediv, partial(_pivot_cost, field))
+        ring = (mul, sub, truediv, lambda x: 0)
         return [list(row) for row in m.rows], ring, lambda d, odd: -d if odd else d
     cleared = [clear_denominators(row) for row in m.rows]
     polys = [row for _, row in cleared]
@@ -494,7 +514,8 @@ class SubspaceBasis:
     of subspaces.
     """
 
-    __slots__ = ("field", "ambient_dim", "vectors", "pivots")
+    # _rows: the vectors as the (pivot, nonzero pairs) rows that reduce walks
+    __slots__ = ("field", "ambient_dim", "vectors", "pivots", "_rows")
 
     def __init__(self, field, ambient_dim, vectors, pivots, *, _trusted=False):
         if not _trusted:
@@ -503,6 +524,8 @@ class SubspaceBasis:
         self.ambient_dim = ambient_dim
         self.vectors = vectors
         self.pivots = pivots
+        self._rows = tuple((p, tuple((j, b) for j, b in enumerate(v) if b))
+                           for v, p in zip(vectors, pivots))
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors):
@@ -542,14 +565,7 @@ class SubspaceBasis:
 
     def reduce(self, v):
         """Residue of v modulo the subspace."""
-        v = list(v)
-        for row, p in zip(self.vectors, self.pivots):
-            c = v[p]
-            if c:
-                for j, b in enumerate(row):
-                    if b:
-                        v[j] = v[j] - c * b
-        return tuple(v)
+        return tuple(_reduce(list(v), self._rows))
 
     def contains(self, v):
         return not any(self.reduce(v))
@@ -592,26 +608,22 @@ def kernel(m):
 
 
 def subspace_intersect(a, b):
+    """a ∩ b by Zassenhaus: the RREF of the rows (u, u), u in a, and (w, 0), w in b.
+
+    A row (u + w, u) of their span is zero in its first half exactly when
+    u = -w lies in both, so the RREF rows with a pivot in the second half
+    carry there the RREF of a ∩ b.
+    """
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatch("ambient dimensions differ")
     if a.field != b.field:
         raise FieldMismatch("subspaces over different fields")
-    if a.dim == 0 or b.dim == 0:
-        return SubspaceBasis.zero(a.field, a.ambient_dim)
     n = a.ambient_dim
-    cols = list(a.vectors) + [tuple(-x for x in v) for v in b.vectors]
-    mat = Matrix(a.field, tuple(tuple(col[i] for col in cols) for i in range(n)), _trusted=True)
-    ker = kernel(mat)
-    vecs = []
-    for w in ker.vectors:
-        acc = [a.field.zero()] * n
-        for coef, av in zip(w[: a.dim], a.vectors):
-            if coef:
-                for j, x in enumerate(av):
-                    if x:
-                        acc[j] = acc[j] + coef * x
-        vecs.append(tuple(acc))
-    return SubspaceBasis.from_vectors(a.field, n, vecs)
+    zeros = (a.field.zero(),) * n
+    rows, pivots = _rref([u + u for u in a.vectors] + [w + zeros for w in b.vectors], a.field)
+    k = sum(p < n for p in pivots)
+    return SubspaceBasis(a.field, n, tuple(row[n:] for row in rows[k:]),
+                         tuple(p - n for p in pivots[k:]), _trusted=True)
 
 
 def subspace_sum(a, b):
@@ -630,8 +642,8 @@ def operator_closure(seed_vectors, ops):
     the rows so far, when nonzero, is normalized and appended.  The rows
     lie in the closure, span the seeds and are mapped into their own span
     by every op, so they span the closure for any operators, invertible or
-    not.  The spin stops once the rows fill the space; one final
-    echelonization gives the canonical RREF.
+    not.  The spin stops once the rows fill the space; a back substitution
+    on the rows gives the canonical RREF.
     """
     if not ops:
         raise DimensionMismatch("no operators given")
@@ -646,41 +658,21 @@ def operator_closure(seed_vectors, ops):
             raise DimensionMismatch("seed length differs from operator size")
     if not any(any(v) for v in seeds):
         raise ZeroSeed("all seed vectors are zero")
-    one = field.one()
-    rows = []
-    # (pivot, nonzero (column, entry) pairs) of each row, for the reduction
+    one, zero = field.one(), field.zero()
     echelon = []
-
-    def absorb(v):
-        v = list(v)
-        for p, nonzeros in echelon:
-            c = v[p]
-            if c:
-                for j, b in nonzeros:
-                    v[j] = v[j] - c * b
-        for p, x in enumerate(v):
-            if x:
-                break
-        else:
-            return
-        if x != one:
-            inv = one / x
-            v = [y * inv if y else y for y in v]
-        rows.append(tuple(v))
-        echelon.append((p, tuple((j, y) for j, y in enumerate(v) if y)))
-
     for v in seeds:
-        if len(rows) < n:
-            absorb(v)
+        if len(echelon) < n:
+            _absorb(echelon, list(v), one)
     spun = 0
-    while spun < len(rows) < n:
-        v = rows[spun]
+    while spun < len(echelon) < n:
+        v = _dense(echelon[spun][1], n, zero)
         spun += 1
         for op in ops:
-            absorb(op.mat_vec(v))
-            if len(rows) == n:
+            _absorb(echelon, list(op.mat_vec(v)), one)
+            if len(echelon) == n:
                 break
-    return SubspaceBasis.from_vectors(field, n, rows)
+    rows, pivots = _back_substitute(echelon, n, zero)
+    return SubspaceBasis(field, n, tuple(rows), tuple(pivots), _trusted=True)
 
 
 def is_invariant(space, ops):
@@ -694,12 +686,12 @@ def is_invariant(space, ops):
     return True
 
 
-# Mersenne prime for the one-sided rank bound in commutant_basis
-_RANK_PRIME = (1 << 61) - 1
-
 # Exponents e, ascending, of the proven Mersenne primes 2^e - 1 from 2^61 - 1
 # on: the moduli of the determinant zero test above a coefficient bound
 MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
+
+# Mersenne prime for the one-sided rank bound in commutant_basis
+_RANK_PRIME = (1 << MERSENNE_EXPONENTS[0]) - 1
 
 
 def _semi_echelon_mod_p(rows, p, stop=None):
@@ -843,16 +835,8 @@ def commutant_basis(ops):
     if field == QQ and _nullity_one_mod_p(rows, n * n):
         return [Matrix.identity(field, n)]
     zero = field.zero()
-    dense = []
-    for row in rows:
-        d = [zero] * (n * n)
-        for k, x in row.items():
-            d[k] = x
-        dense.append(tuple(d))
-    if not dense:
-        big = Matrix.zeros(field, 1, n * n)
-    else:
-        big = Matrix(field, tuple(dense), _trusted=True)
+    dense = [tuple(_dense(row.items(), n * n, zero)) for row in rows]
+    big = Matrix(field, tuple(dense), _trusted=True) if dense else Matrix.zeros(field, 1, n * n)
     ker = kernel(big)
     mats = []
     for v in ker.vectors:

@@ -393,7 +393,3 @@ def substituted_rep(n, eps, k):
 
 def rational_rep(n, l, r):
     return build_rep(LKParams(n, l, r, QQ))
-
-
-def field_rep(field, n, l, r):
-    return build_rep(LKParams(n, l, r, field))

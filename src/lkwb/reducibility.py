@@ -18,6 +18,7 @@ from .errors import (
     EmptyIntersection,
     InfeasibleMode,
     InvalidConfig,
+    PoleAtSpecialization,
     RelationGateNotPassed,
     ZeroSeed,
 )
@@ -228,17 +229,10 @@ class MnMatrix:
 
 
 def _rank1_factor(m):
-    """(u, w) with m = outer(u, w), or None; verified exactly."""
-    piv = None
-    for i, row in enumerate(m.rows):
-        for j, x in enumerate(row):
-            if x:
-                piv = (i, j)
-                break
-        if piv:
-            break
+    """(u, w) with m = outer(u, w), verified exactly; AssertionError if m is not rank 1."""
+    piv = next(((i, j) for i, row in enumerate(m.rows) for j, x in enumerate(row) if x), None)
     if piv is None:
-        return None
+        raise AssertionError("zero matrix has no rank-1 factorization")
     i0, j0 = piv
     p = m.rows[i0][j0]
     u = tuple(row[j0] for row in m.rows)
@@ -249,7 +243,7 @@ def _rank1_factor(m):
         for b, wb in enumerate(w):
             expect = ua * wb if (ua and wb) else zero
             if row[b] != expect:
-                return None
+                raise AssertionError("matrix is not of rank 1")
     return u, w
 
 
@@ -257,10 +251,11 @@ def build_m_matrix(rep):
     """Matrix of sum(e_i) + sum of conjugates g_{j-1}^-1..e_i..g_{j-1}.
 
     The summand for (i, j) with j = i+1 is e_i itself; conjugate chains are
-    built incrementally.  Each e_i has rank 1, which is exploited (after
-    exact verification) to push vectors instead of multiplying matrices:
-    u through g_inv.mat_vec and w through g.vec_mat, both on the cached
-    row nonzeros.  For a rep from build_rep, g_inv is the closed form
+    built incrementally.  Each e_i has rank 1, its only nonzero row being
+    that of the pair (i, i+1); after exact verification of the factors,
+    vectors are pushed instead of multiplying matrices: u through
+    g_inv.mat_vec and w through g.vec_mat, both on the cached row
+    nonzeros.  For a rep from build_rep, g_inv is the closed form
     g + m(1 - e), which is the inverse of g by the e definition and cubic
     identities that the gate has just verified.
     """
@@ -281,30 +276,13 @@ def build_m_matrix(rep):
                     if wb:
                         row[b] = row[b] + ua * wb
 
-    def add_matrix(mx):
-        for a in range(N):
-            row = total[a]
-            src = mx.rows[a]
-            for b in range(N):
-                if src[b]:
-                    row[b] = row[b] + src[b]
-
     for i in range(1, n):
-        ei = rep.e[i - 1]
-        fact = _rank1_factor(ei)
-        if fact is not None:
-            u, w = fact
+        u, w = _rank1_factor(rep.e[i - 1])
+        add_outer(u, w)
+        for j in range(i + 2, n + 1):
+            u = rep.g_inv[j - 2].mat_vec(u)
+            w = rep.g[j - 2].vec_mat(w)
             add_outer(u, w)
-            for j in range(i + 2, n + 1):
-                u = rep.g_inv[j - 2].mat_vec(u)
-                w = rep.g[j - 2].vec_mat(w)
-                add_outer(u, w)
-        else:  # fallback: dense conjugation chain
-            add_matrix(ei)
-            t = ei
-            for j in range(i + 2, n + 1):
-                t = rep.g_inv[j - 2] * t * rep.g[j - 2]
-                add_matrix(t)
     mat = Matrix(fieldobj, tuple(tuple(row) for row in total), _trusted=True)
     return MnMatrix(n=n, matrix=mat,
                     l_text=scalar_to_text(rep.params.l),
@@ -404,7 +382,7 @@ def _nonzero_point_witness_bivariate(d):
         for lv in (5, 7, 3, 11, 13):
             try:
                 val = d.evaluate(rat(lv), rat(rv))
-            except Exception:
+            except PoleAtSpecialization:
                 continue
             if val:
                 return {"l": str(lv), "r": str(rv), "det": format(str(val))}
@@ -653,6 +631,15 @@ def random_rational(rng, bound=_SAMPLE_BOUND):
     return rat(num, den)
 
 
+def _random_l_off_catalog(n, r_val, rng, bound=_SAMPLE_BOUND):
+    """A random nonzero rational l that no catalog locus takes at r_val; hits are redrawn."""
+    catalog_values = [loc.l_value(r_val) for loc in catalog(n)]
+    while True:
+        l_val = random_rational(rng, bound)
+        if l_val and all(l_val != v for v in catalog_values):
+            return l_val
+
+
 def _det_sampled(n, locus, rng, samples):
     tested = []
     for _ in range(samples):
@@ -661,10 +648,7 @@ def _det_sampled(n, locus, rng, samples):
             if r_val and abs(r_val) != 1:
                 break
         if locus.is_generic:
-            while True:
-                l_val = random_rational(rng)
-                if l_val and all(loc.l_value(r_val) != l_val for loc in catalog(n)):
-                    break
+            l_val = _random_l_off_catalog(n, r_val, rng)
         else:
             l_val = locus.l_value(r_val)
         rep = build_rep(LKParams(n, l_val, r_val, QQ))
@@ -1269,6 +1253,8 @@ def certify(n, r_val, *, seed=0, probe_trials=10, probe_max_n=5,
 
     if jobs < 1:
         raise InvalidConfig(f"jobs must be at least 1, got {jobs}")
+    if probe_trials < 0:
+        raise InvalidConfig(f"probe_trials must be at least 0, got {probe_trials}")
     if isinstance(r_val, int):
         r_val = Rat(r_val)
     fieldobj = QQ if is_rat(r_val) else field_of(r_val)
@@ -1369,16 +1355,9 @@ def _certify_locus(n, locus, r_val, rng, probe_trials, probe_max_n):
 
 
 def _certify_generic(n, r_val, rng, probe_max_n):
-    catalog_values = [loc.l_value(r_val) for loc in catalog(n)]
-    while True:
-        l_val = random_rational(rng, 50)
-        if l_val and all(l_val != v for v in catalog_values):
-            break
-    fieldobj = QQ if is_rat(r_val) else field_of(r_val)
-    l_val = fieldobj.coerce(l_val)
-    rep = build_rep(LKParams(n, l_val, r_val, fieldobj))
-    mn = build_m_matrix(rep)
-    k = kernel(mn.matrix).dim
+    l_val = _random_l_off_catalog(n, r_val, rng, 50)
+    report, rep, _, _ = _kernel_at(n, None, r_val, l_val, with_closures=False)
+    k = report.k
     det_vanishes = k > 0
     mismatches = []
     if det_vanishes:
@@ -1386,12 +1365,12 @@ def _certify_generic(n, r_val, rng, probe_max_n):
     if k != 0:
         mismatches.append(f"kernel dimension {k} at a non-locus point")
     cdim = -1
-    if n <= probe_max_n and fieldobj == QQ:
+    if n <= probe_max_n and rep.field == QQ:
         cdim = len(commutant_basis(list(rep.g)))
         if cdim != 1:
             mismatches.append(f"commutant dimension {cdim} at a non-locus point")
     return GenericRecord(
-        l_text=scalar_to_text(l_val),
+        l_text=report.l_text,
         det_vanishes=det_vanishes,
         k=k,
         commutant_dim=cdim,
@@ -1433,10 +1412,7 @@ def scan(n, r_val, rng, extra=5, seed=None):
         r_val = Rat(r_val)
     rows = []
     ok = True
-    catalog_values = []
     for locus in catalog(n):
-        l_val = locus.l_value(r_val)
-        catalog_values.append(l_val)
         report = kernel_k(n, locus, r_val, with_closures=False)
         reducible = report.k > 0
         match = reducible
@@ -1450,20 +1426,15 @@ def scan(n, r_val, rng, extra=5, seed=None):
             "match": match,
         })
     for _ in range(extra):
-        while True:
-            l_val = random_rational(rng, 50)
-            if l_val and all(l_val != v for v in catalog_values):
-                break
-        rep = build_rep(LKParams(n, l_val, r_val, QQ))
-        mn = build_m_matrix(rep)
-        k = kernel(mn.matrix).dim
-        reducible = k > 0
+        l_val = _random_l_off_catalog(n, r_val, rng, 50)
+        report, _, _, _ = _kernel_at(n, None, r_val, l_val, with_closures=False)
+        reducible = report.k > 0
         match = not reducible
         ok = ok and match
         rows.append({
             "locus": "random",
-            "l": scalar_to_text(QQ.coerce(l_val)),
-            "k": k,
+            "l": report.l_text,
+            "k": report.k,
             "reducible": reducible,
             "expected_reducible": False,
             "match": match,

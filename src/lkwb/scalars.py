@@ -272,9 +272,6 @@ class LaurentPoly:
             return self.terms[0]
         raise ValueError("not a constant")
 
-    def is_monomial(self):
-        return len(self.terms) == 1
-
     def exp_range(self):
         """(amin, amax, bmin, bmax) over all terms; zero poly gives zeros."""
         if not self.terms:
@@ -302,9 +299,6 @@ class LaurentPoly:
     def total_span(self):
         amin, amax, bmin, bmax = self.exp_range()
         return (amax - amin) + (bmax - bmin)
-
-    def leading_key(self):
-        return max(self.terms)
 
     def leading_coeff(self):
         return self.terms[max(self.terms)]
@@ -1385,7 +1379,3 @@ def scalar_to_text(x):
     if isinstance(x, AlgebraicNumber):
         return algebraic_to_text(x)
     raise TypeError(f"not a scalar: {type(x).__name__}")
-
-
-def scalar_from_text(s, field):
-    return field.parse(s)

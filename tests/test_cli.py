@@ -159,6 +159,15 @@ class TestKernel:
     def test_unknown_cyclotomic_rejected(self):
         run_cli("kernel", "--n", "4", "--locus", "l=r", "--r", "cyclotomic:phi7", expect=2)
 
+    @pytest.mark.parametrize("args", [
+        ("kernel", "--n", "4", "--locus", "l=r", "--r", "1/0"),
+        ("commutant", "--n", "4", "--r", "2/1", "--l", "1/0"),
+    ])
+    def test_zero_denominator_rejected(self, args):
+        proc = run_cli(*args, expect=2)
+        assert "cannot parse" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_generic_locus_requires_l(self):
         proc = run_cli("kernel", "--n", "4", "--r", "2/1", expect=2)
         assert proc.stdout == ""
@@ -186,6 +195,11 @@ class TestCertify:
     def test_jobs_below_one_is_invalid(self):
         proc = run_cli("certify", "--n", "3", "--r", "2/1", "--jobs", "0", expect=2)
         assert "jobs" in proc.stderr
+
+    def test_negative_probe_trials_is_invalid(self):
+        proc = run_cli("certify", "--n", "5", "--r", "2", "--probe-trials", "-1", expect=2)
+        assert "probe_trials" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_text_format_same_verdicts(self):
         a = run_cli("certify", "--n", "3", "--r", "2/1", "--seed", "5").stdout

@@ -1,12 +1,21 @@
 """Exact linear algebra: determinants, kernels, subspaces, certificates."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from lkwb import kernels, linalg
-from lkwb.errors import DimensionMismatch, FieldMismatch, NonSquare, SubmatrixNotFound, ZeroSeed
+from lkwb.errors import (
+    DimensionMismatch,
+    DivisionByZero,
+    FieldMismatch,
+    NonSquare,
+    SubmatrixNotFound,
+    ZeroSeed,
+)
 from lkwb.linalg import (
     Matrix,
     SubspaceBasis,
@@ -26,8 +35,8 @@ from lkwb.linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from lkwb.reducibility import catalog, rep_at
-from lkwb.scalars import QLR, QQ, QR, LaurentPoly, RatFunc, cyclotomic_field, rat
+from lkwb.reducibility import _kernel_at, catalog, named_locus, rep_at
+from lkwb.scalars import QLR, QQ, QR, LaurentPoly, RatFunc, cyclotomic_field, rat, scalar_to_text
 
 import oracles
 
@@ -501,6 +510,184 @@ class TestClosureInvariance:
         rot = Matrix(QQ, [[0, -1], [1, 0]])
         assert is_invariant(SubspaceBasis.full(QQ, 2), [rot])
         assert not is_invariant(SubspaceBasis.from_vectors(QQ, 2, [(1, 1)]), [rot])
+
+
+def oracle_rref(rows):
+    """Nonzero rows, as tuples, and pivots of the naive Gauss-Jordan RREF."""
+    rref, pivots = oracles.naive_rref(rows)
+    return [tuple(row) for row in rref[:len(pivots)]], pivots
+
+
+def oracle_null_vectors(field, rows, ncols):
+    """One null vector per free column of the oracle RREF, 1 there."""
+    rref, pivots = oracle_rref(rows)
+    vecs = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [field.zero()] * ncols
+            v[f] = field.one()
+            for row, p in zip(rref, pivots):
+                v[p] = -row[f]
+            vecs.append(v)
+    return vecs
+
+
+def oracle_intersection(field, a, b):
+    """RREF of a ∩ b from the null space of the columns (a | -b), recombined."""
+    n = a.ambient_dim
+    cols = list(a.vectors) + [[-x for x in w] for w in b.vectors]
+    null = oracle_null_vectors(field, [[col[i] for col in cols] for i in range(n)], len(cols))
+    vecs = []
+    for coef in null:
+        acc = [field.zero()] * n
+        for c, u in zip(coef, a.vectors):
+            for j, x in enumerate(u):
+                acc[j] = acc[j] + c * x
+        vecs.append(acc)
+    return oracle_rref(vecs)
+
+
+def texts(rows):
+    return [[scalar_to_text(x) for x in row] for row in rows]
+
+
+def elimination_cases(field, rng, count, size):
+    """Rows of random products, tall or wide, every other one rank-deficient.
+
+    Some gain a zero row or a repeated row.
+    """
+    for case in range(count):
+        nrows, ncols = rng.randint(1, size), rng.randint(1, size)
+        # odd cases go through an inner dimension below both sides, zero included
+        inner = rng.randint(1, min(nrows, ncols)) - case % 2
+        if inner:
+            m = rand_matrix(field, rng, nrows, inner) * rand_matrix(field, rng, inner, ncols)
+        else:
+            m = Matrix.zeros(field, nrows, ncols)
+        rows = list(m.rows)
+        if rng.random() < 0.5:
+            rows.insert(rng.randrange(len(rows) + 1), (field.zero(),) * ncols)
+        if rng.random() < 0.5:
+            rows.insert(rng.randrange(len(rows) + 1), rows[rng.randrange(len(rows))])
+        yield rows
+
+
+# (field, number of cases, largest dimension) of the shared-elimination checks
+ELIMINATION_FIELDS = [
+    pytest.param(QQ, 30, 6, id="Q"),
+    pytest.param(cyclotomic_field("phi12"), 10, 4, id="phi12"),
+    pytest.param(QR, 8, 3, id="Q(r)"),
+]
+
+
+class TestSharedEliminationAgainstOracles:
+    """The semi-echelon engine against the naive Gauss-Jordan oracles, value and text."""
+
+    @pytest.mark.parametrize("field,count,size", ELIMINATION_FIELDS)
+    def test_span_rank_and_kernel(self, field, count, size):
+        rng = random.Random(61)
+        for rows in elimination_cases(field, rng, count, size):
+            ncols = len(rows[0])
+            expect, pivots = oracle_rref(rows)
+            span = SubspaceBasis.from_vectors(field, ncols, rows)
+            assert span.vectors == tuple(expect) and span.pivots == tuple(pivots)
+            assert texts(span.vectors) == texts(expect)
+            m = Matrix(field, rows)
+            assert rank(m) == len(pivots)
+            null, _ = oracle_rref(oracle_null_vectors(field, rows, ncols))
+            ker = kernel(m)
+            assert ker.vectors == tuple(null)
+            assert texts(ker.vectors) == texts(null)
+
+    @pytest.mark.parametrize("field,count,size", ELIMINATION_FIELDS)
+    def test_inverse(self, field, count, size):
+        rng = random.Random(62)
+        one, zero = field.one(), field.zero()
+        for case in range(count):
+            # one size below the other checks, as an inverse eliminates n x 2n;
+            # odd cases are singular, a product through n - 1
+            n = rng.randint(1 + case % 2, size - 1)
+            inner = n - case % 2
+            m = rand_matrix(field, rng, n, inner) * rand_matrix(field, rng, inner, n)
+            aug = [list(row) + [one if i == j else zero for j in range(n)]
+                   for i, row in enumerate(m.rows)]
+            rref, pivots = oracle_rref(aug)
+            if pivots[:n] != list(range(n)):
+                with pytest.raises(DivisionByZero):
+                    inverse(m)
+                continue
+            expect = [row[n:] for row in rref]
+            got = inverse(m)
+            assert got.rows == tuple(expect)
+            assert texts(got.rows) == texts(expect)
+
+    @pytest.mark.parametrize("field,count,size", ELIMINATION_FIELDS)
+    def test_intersection(self, field, count, size):
+        rng = random.Random(63)
+        for rows in elimination_cases(field, rng, count, size):
+            ncols = len(rows[0])
+            shared = [rows[rng.randrange(len(rows))] for _ in range(rng.randint(0, 2))]
+            others = list(rand_matrix(field, rng, rng.randint(1, size), ncols).rows)
+            a = SubspaceBasis.from_vectors(field, ncols, rows)
+            b = SubspaceBasis.from_vectors(field, ncols, shared + others[:rng.randint(0, size)])
+            for x, y in ((a, b), (b, a), (a, a), (a, SubspaceBasis.zero(field, ncols))):
+                expect, pivots = oracle_intersection(field, x, y)
+                got = subspace_intersect(x, y)
+                assert got.vectors == tuple(expect) and got.pivots == tuple(pivots)
+                assert texts(got.vectors) == texts(expect)
+                assert got.dim == x.dim + y.dim - subspace_sum(x, y).dim
+
+    @pytest.mark.parametrize("field,count,size", ELIMINATION_FIELDS)
+    def test_closure(self, field, count, size):
+        rng = random.Random(64)
+        for seeds in elimination_cases(field, rng, count, size):
+            if not any(any(v) for v in seeds):
+                continue
+            n = len(seeds[0])
+            inner = rng.randint(1, n)
+            ops = [rand_matrix(field, rng, n, inner) * rand_matrix(field, rng, inner, n),
+                   Matrix(field, [[field.random(rng) if j > i else field.zero() for j in range(n)]
+                                  for i in range(n)])]
+            ops = ops[:rng.randint(1, 2)]
+            expect = oracles.naive_closure([list(v) for v in seeds],
+                                           [[list(row) for row in op.rows] for op in ops])
+            got = operator_closure(seeds, ops)
+            assert got.vectors == tuple(map(tuple, expect))
+            assert texts(got.vectors) == texts(expect)
+
+
+# sha256 of the K(n) basis and of the closures of its vectors, recorded before
+# the field eliminations of linalg were merged into one semi-echelon engine
+PINNED_KERNELS = [
+    (6, "l=-r3", "phi24",
+     "8ee38390cb1e513d10e47ac2dbb088116b10b370b7597f842521795d4210be64",
+     "62f082ae5757fafa35efbc55f6d86005fbb8a25ed88969cbcf992fce57116faa"),
+    (5, "l=r3-2n", "phi20",
+     "6434ef13124797ee20cf87e47d7c3436f8d73efe006e248620d58cf9dcb3827d",
+     "9d534548a6eda03b07a37208668a54a6ba324725d662e8d1c4b1140a7358256b"),
+    (7, "l=r", "2",
+     "3cb889fcb63d0b5d5f55136d827c911c2f829afe0e2a85e03eb43c81215c972f",
+     "ce06f5db07ad7969223e45852445c10d7c4105c19cb6990b66736316598a5a0a"),
+    (7, "l=+r3-n", "2",
+     "ff3f642c0416150fb59b6686eb6d0d4125d8809513cee84687adecd353e8b781",
+     "73745a3d6c2aba9a09c91df44dc5880a0d4f8e14dfbdfe317416b5be40b1f9ee"),
+    (6, "l=-r3", "3/2",
+     "39a4006b9e3640cc1db3ba95c747f9dfc4a3ad912647e70f38fa90d0d335d1b6",
+     "2bd0932dd98d7d94673f0784c7cb06d680702d20ec35372cb77d6f193597e107"),
+]
+
+
+@pytest.mark.parametrize("n,locus,r,basis_hash,closures_hash", PINNED_KERNELS,
+                         ids=[f"{n}-{locus}-{r.replace('/', '_')}"
+                              for n, locus, r, _, _ in PINNED_KERNELS])
+def test_pinned_kernel_bases_and_closures(n, locus, r, basis_hash, closures_hash):
+    def sha(obj):
+        return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+    r_val = cyclotomic_field(r).gen() if r.startswith("phi") else QQ.parse(r)
+    report, _, _, closures = _kernel_at(n, named_locus(locus, n), r_val)
+    assert sha(report.basis.to_json_obj()) == basis_hash
+    assert sha([c.to_json_obj() for c in closures]) == closures_hash
 
 
 class TestSubmatrixCertificates:

@@ -23,7 +23,7 @@ from lkwb.linalg import (
     kernel,
     operator_closure,
 )
-from lkwb.lkrep import LKRep, rational_rep, substituted_rep, symbolic_rep
+from lkwb.lkrep import LKRep, pair_index_map, rational_rep, substituted_rep, symbolic_rep
 from lkwb.reducibility import (
     GENERIC,
     _coefficient_bound,
@@ -86,6 +86,35 @@ class TestMnMatrix:
                 t = rep.g_inv[j - 2] * t * rep.g[j - 2]
                 total = total + t
         assert mn.matrix == total
+
+
+    @staticmethod
+    def _reps():
+        yield from (symbolic_rep(n) for n in (3, 4))
+        for n in (3, 4, 5):
+            yield from (substituted_rep(n, loc.eps, loc.k) for loc in catalog(n))
+        for name, n in (("phi12", 3), ("phi20", 5)):
+            r = cyclotomic_field(name).gen()
+            yield from (rep_at(n, loc, r) for loc in catalog(n))
+        for n in (3, 4, 5):
+            for r in (rat(2), rat(3, 2), rat(-5, 3)):
+                for l in (1 / r, -r, r, -1 / r, rat(5), rat(-3, 7)):
+                    yield rational_rep(n, l, r)
+
+    def test_every_e_i_is_rank_one_on_its_pair_row(self):
+        for rep in self._reps():
+            index = pair_index_map(rep.n)
+            for i, e in enumerate(rep.e, start=1):
+                u, w = reducibility._rank1_factor(e)
+                assert [a for a, row in enumerate(e.rows) if any(row)] == [index[(i, i + 1)]]
+                assert [a for a, x in enumerate(u) if x] == [index[(i, i + 1)]]
+                assert all(x == ua * wb for row, ua in zip(e.rows, u) for x, wb in zip(row, w))
+
+    def test_rank1_factor_rejects_other_ranks(self):
+        with pytest.raises(AssertionError):
+            reducibility._rank1_factor(Matrix(QQ, [[1, 2, 0], [0, 1, 3], [1, 3, 3]]))
+        with pytest.raises(AssertionError):
+            reducibility._rank1_factor(Matrix.zeros(QQ, 3, 3))
 
 
 class TestKernelDims:
