@@ -20,7 +20,7 @@ import hashlib
 import json
 from itertools import combinations
 from math import lcm, prod
-from operator import floordiv, mul, sub, truediv
+from operator import floordiv, mul, sub
 
 from . import kernels
 from .errors import (
@@ -418,6 +418,23 @@ def _fraction_free(work, s, ring):
     return rows, cols, pivot
 
 
+def _inverse_once():
+    """Exact division in a field as a product by the divisor's inverse.
+
+    _fraction_free divides a whole step by the same previous pivot, so
+    only the inverse of the last divisor is kept, and each pivot is
+    inverted once instead of once per updated entry.
+    """
+    last = [None, None]
+
+    def divexact(t, d):
+        if d is not last[0]:
+            last[:] = d, d.inverse()
+        return t * last[1]
+
+    return divexact
+
+
 def _domain(m):
     """(work, ring, finish): m as rows over the integral domain that eliminates it.
 
@@ -428,7 +445,8 @@ def _domain(m):
     Q(r) and Q(l,r) rows go through clear_denominators, and then, when
     every entry is univariate in r, through dense_int_row over Z[r];
     otherwise they stay LaurentPoly rows.  Any other field, such as
-    Q[x]/(f), keeps its rows and divides in the field.
+    Q[x]/(f), keeps its rows and divides in the field through
+    _inverse_once.
     """
     field = m.field
     if field == QQ:
@@ -437,7 +455,7 @@ def _domain(m):
                 for d, row in zip(dens, m.rows)]
         return work, (mul, sub, floordiv, abs), lambda d, odd: Rat(-d if odd else d, prod(dens))
     if not isinstance(field, FunctionField):
-        ring = (mul, sub, truediv, lambda x: 0)
+        ring = (mul, sub, _inverse_once(), lambda x: 0)
         return [list(row) for row in m.rows], ring, lambda d, odd: -d if odd else d
     cleared = [clear_denominators(row) for row in m.rows]
     polys = [row for _, row in cleared]

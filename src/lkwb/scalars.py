@@ -8,7 +8,9 @@ Four kinds of scalars, one per ground field:
   their fractions (``RatFunc``) -- the field Q(l,r),
 * the same restricted to r only -- the field Q(r),
 * elements of quotient rings Q[x]/(f) for algebraic values of r
-  (``AlgebraicNumber`` over a ``NumberField``).
+  (``AlgebraicNumber`` over a ``NumberField``), each kept as an integer
+  coefficient vector over one positive denominator, in lowest terms, so
+  that arithmetic in Z[x]/(f) builds no rationals.
 
 All values are immutable after construction and safe to share between
 workers.  Text serialization round-trips bit-exactly for every type.
@@ -18,7 +20,8 @@ from __future__ import annotations
 
 import os
 import re
-from math import gcd
+from math import gcd, lcm
+from operator import add, sub
 
 from . import kernels
 from .kernels import RAT_BACKEND, Rat
@@ -766,10 +769,13 @@ class RatFunc:
 
 
 class NumberField:
-    """Quotient ring Q[x]/(f) for a monic modulus f.
+    """Quotient ring Q[x]/(f) for a monic modulus f of degree d.
 
     Irreducibility of f is the caller's contract; a reducible modulus
-    surfaces as ZeroDivisorEncountered during inversion.
+    surfaces as ZeroDivisorEncountered during inversion.  Products need f
+    only through the reductions of x^d .. x^(2d-2) modulo f, kept as
+    sparse rows of (index, coefficient): int coefficients when f is
+    integral, Rat ones otherwise.
     """
 
     def __init__(self, modulus, label=None):
@@ -792,7 +798,9 @@ class NumberField:
                 base = red[0]
                 shifted = [s + top * b for s, b in zip(shifted, base)]
             red.append(tuple(shifted))
-        self._red = red
+        if all(c.denominator == 1 for c in coeffs):
+            red = [[int(c) for c in row] for row in red]
+        self._red = tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in red)
 
     @property
     def tag(self):
@@ -808,29 +816,27 @@ class NumberField:
         return f"NumberField({self.tag})"
 
     def element(self, coeffs):
-        coeffs = [Rat(c) for c in coeffs]
-        if len(coeffs) > self.degree:
-            coeffs = self._reduce(coeffs)
-        coeffs.extend(Rat(0) for _ in range(self.degree - len(coeffs)))
-        return AlgebraicNumber(self, tuple(coeffs))
+        """sum coeffs[i] x^i for at most 2d - 1 rational coefficients."""
+        if len(coeffs) > 2 * self.degree - 1:
+            raise ValueError(f"more than {2 * self.degree - 1} coefficients for {self.tag}")
+        return AlgebraicNumber(self, self._reduce([Rat(c) for c in coeffs]))
 
     def _reduce(self, coeffs):
+        """The d coefficients of sum coeffs[i] x^i mod f, for i < 2d - 1."""
         d = self.degree
         out = list(coeffs[:d])
-        out.extend(Rat(0) for _ in range(d - len(out)))
-        for i in range(len(coeffs) - 1, d - 1, -1):
-            c = coeffs[i]
+        out.extend([0] * (d - len(out)))
+        for row, c in zip(self._red, coeffs[d:]):
             if c:
-                for j, rc in enumerate(self._red[i - d]):
-                    if rc:
-                        out[j] += c * rc
+                for j, rc in row:
+                    out[j] += c * rc
         return out
 
     def gen(self):
         return self.element([0, 1])
 
     def zero(self):
-        return AlgebraicNumber(self, tuple(Rat(0) for _ in range(self.degree)))
+        return AlgebraicNumber(self, (0,) * self.degree)
 
     def one(self):
         return self.element([1])
@@ -861,20 +867,44 @@ class NumberField:
 
 
 class AlgebraicNumber:
-    """Element of a NumberField, represented by coefficients of degree < deg f."""
+    """Element sum(nums[i] x^i) / den of a NumberField, i < deg f.
 
-    __slots__ = ("field", "coeffs")
+    nums is a tuple of deg f ints and den a positive int with
+    gcd(den, *nums) = 1, so each element has one representation (zero is
+    all zeros over 1).  The constructor is the one normalization: it clears
+    Rat entries of nums into den, then divides out the common factor.  A
+    product is an integer convolution reduced by the field's table, a sum
+    over equal denominators one tuple sum; ``coeffs`` gives the Rat
+    coefficients that text and inversion read.
+    """
 
-    def __init__(self, field, coeffs):
+    __slots__ = ("field", "nums", "den")
+
+    def __init__(self, field, nums, den=1):
+        try:
+            g = gcd(den, *nums)
+        except TypeError:  # a Rat entry: clear the denominators into den first
+            lcd = lcm(*(int(c.denominator) for c in nums))
+            nums = [int(c.numerator) * (lcd // int(c.denominator)) for c in nums]
+            den *= lcd
+            g = gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
         self.field = field
-        self.coeffs = coeffs
+        self.nums = tuple(nums)
+        self.den = den
+
+    @property
+    def coeffs(self):
+        return tuple(Rat(c, self.den) for c in self.nums)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.nums)
 
     def __eq__(self, other):
         if isinstance(other, AlgebraicNumber):
-            return self.field == other.field and self.coeffs == other.coeffs
+            return self.field == other.field and self.nums == other.nums and self.den == other.den
         if is_rat(other):
             return self == self.field.from_rat(other)
         return NotImplemented
@@ -892,21 +922,24 @@ class AlgebraicNumber:
         return None
 
     def __neg__(self):
-        return AlgebraicNumber(self.field, tuple(-c for c in self.coeffs))
+        return AlgebraicNumber(self.field, tuple(-c for c in self.nums), self.den)
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return AlgebraicNumber(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        if da == db:
+            return AlgebraicNumber(self.field, tuple(map(op, self.nums, o.nums)), da)
+        return AlgebraicNumber(self.field, [op(a * db, b * da) for a, b in zip(self.nums, o.nums)], da * db)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return AlgebraicNumber(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -915,15 +948,14 @@ class AlgebraicNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        d = self.field.degree
-        prod = [Rat(0)] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        return AlgebraicNumber(self.field, tuple(self.field._reduce(prod)))
+        field = self.field
+        prod = [0] * (2 * field.degree - 1)
+        for i, a in enumerate(self.nums):
+            if a:
+                for k, b in enumerate(o.nums, i):
+                    if b:
+                        prod[k] += a * b
+        return AlgebraicNumber(field, field._reduce(prod), self.den * o.den)
 
     __rmul__ = __mul__
 

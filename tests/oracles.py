@@ -140,6 +140,36 @@ def ext_euclid_inverse(poly, modulus):
     return poly_mod_reduce(inv, modulus)
 
 
+def quotient_mul(a, b, modulus):
+    """a * b in Q[x]/(modulus) on Fraction coefficient lists of length deg modulus.
+
+    The schoolbook product in Q[x], then its remainder by long division.
+    """
+    return _pad(poly_mod_reduce(poly_mul(a, b), modulus), len(modulus) - 1)
+
+
+def quotient_inverse(a, modulus):
+    """Inverse of a nonzero a in Q[x]/(modulus), padded to deg modulus."""
+    a = [Fraction(c) for c in a]
+    while a and a[-1] == 0:
+        a.pop()
+    return _pad(ext_euclid_inverse(a, modulus), len(modulus) - 1)
+
+
+def quotient_pow(a, e, modulus):
+    """a ** e in Q[x]/(modulus) by e repeated products (a inverted for e < 0)."""
+    if e < 0:
+        a, e = quotient_inverse(a, modulus), -e
+    out = _pad([Fraction(1)], len(modulus) - 1)
+    for _ in range(e):
+        out = quotient_mul(out, a, modulus)
+    return out
+
+
+def _pad(poly, d):
+    return [Fraction(c) for c in poly] + [Fraction(0)] * (d - len(poly))
+
+
 def poly_mul(a, b):
     if not a or not b:
         return []

@@ -12,7 +12,6 @@ from contextlib import contextmanager
 from lkwb.linalg import Matrix, commutant_basis, det, find_invertible_submatrix, kernel
 from lkwb.lkrep import param_map, rational_rep, substituted_rep, symbolic_rep, verify_relations
 from lkwb.reducibility import (
-    GENERIC,
     _kernel_at,
     build_m_matrix,
     catalog,

@@ -153,6 +153,22 @@ class TestKernel:
         assert obj["k"] == 7
         assert obj["expected_k"] == 7
 
+    # sha256 of the reports of `kernel --n 5 --locus L --r cyclotomic:phi20`,
+    # recorded when Q[x]/(f) coefficients were Fractions
+    GOLDEN_N5_PHI20 = {
+        "l=r": "01b3e54ff6c7caef9befdb35a68b162ab112bc1fcdf9a80bb0d79d303b7e8f02",
+        "l=-r3": "aaa7952ce772b359bc6b76cef06ce44815f206d726e8dc3d43dc4e7417b75804",
+        "l=r3-2n": "b957013e348dee6e2f1ac13113987b2e4532db0bff5fd878938260df259b583c",
+        "l=+r3-n": "954bf8c32ca934357da47907d6324e1c810520700db49db67e7c3bf0fdb3f5bf",
+        "l=-r3-n": "dd2e20a3fcb79263950dd081c415dedd7ebeb2ba2aa38fe3098cf3cc7c651a5b",
+    }
+
+    @pytest.mark.parametrize("locus", sorted(GOLDEN_N5_PHI20))
+    def test_golden_n5_phi20_reports(self, locus):
+        proc = run_cli("kernel", "--n", "5", "--locus", locus, "--r", "cyclotomic:phi20")
+        assert proc.stderr == ""
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == self.GOLDEN_N5_PHI20[locus]
+
     def test_decimal_r_rejected(self):
         run_cli("kernel", "--n", "4", "--locus", "l=r", "--r", "2.0", expect=2)
 
@@ -186,6 +202,13 @@ class TestCertify:
         a = run_cli("certify", "--n", "3", "--r", "2/1", "--seed", "5").stdout
         b = run_cli("certify", "--n", "3", "--r", "2/1", "--seed", "5").stdout
         assert a == b
+
+    def test_golden_phi20_report(self):
+        # sha256 recorded when Q[x]/(f) coefficients were Fractions
+        proc = run_cli("certify", "--n", "5", "--r", "cyclotomic:phi20", "--seed", "29")
+        assert proc.stderr == ""
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert digest == "b78b9fe3055166db450d74a6a87d84f63ef24627332f2151677cd7b959140d03"
 
     def test_jobs_matches_serial(self):
         a = run_cli("certify", "--n", "3", "--r", "2/1", "--seed", "5").stdout

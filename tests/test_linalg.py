@@ -89,6 +89,24 @@ class TestDet:
         m = Matrix(field, [[x, field.one()], [field.zero(), x ** 3]])
         assert det(m) == x ** 4
 
+    @pytest.mark.parametrize("name", ["phi12", "phi24"])
+    def test_number_field_against_charpoly_and_products(self, name):
+        # det m = (-1)^n charpoly(m)(0), the charpoly by Faddeev-LeVerrier with
+        # no elimination; and det(ab) = det(a) det(b), with singular factors too
+        field = cyclotomic_field(name)
+        rng = random.Random(53)
+        for n in (1, 2, 4, 6):
+            if n == 1:
+                singular = Matrix.zeros(field, 1, 1)
+            else:
+                singular = rand_matrix(field, rng, n, n - 1) * rand_matrix(field, rng, n - 1, n)
+            assert not det(singular)
+            for a in (rand_matrix(field, rng, n), rand_matrix(field, rng, n), singular):
+                b = rand_matrix(field, rng, n)
+                constant = charpoly(a)[0]
+                assert det(a) == (-constant if n % 2 else constant)
+                assert det(a * b) == det(a) * det(b)
+
     @pytest.mark.parametrize("field", [QQ, cyclotomic_field("phi12"), QR, QLR],
                              ids=lambda f: f.tag)
     def test_sign_of_permuted_triangular(self, field):

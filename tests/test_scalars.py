@@ -1,10 +1,10 @@
 """Scalar arithmetic: rationals, Laurent rational functions, quotient rings."""
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
-
-from fractions import Fraction
 
 from lkwb.errors import (
     DenominatorVanishesIdentically,
@@ -21,7 +21,6 @@ from lkwb.scalars import (
     QR,
     LaurentPoly,
     NumberField,
-    Rat,
     RatFunc,
     cyclotomic_field,
     field_arith,
@@ -202,6 +201,128 @@ class TestCyclotomic:
             elem.inverse()
 
 
+# the quotient rings checked against the plain-Fraction reference: three
+# cyclotomic moduli and one monic modulus with non-integral coefficients
+QUOTIENTS = {
+    "phi12": cyclotomic_field("phi12"),
+    "phi20": cyclotomic_field("phi20"),
+    "phi24": cyclotomic_field("phi24"),
+    "x^3 + 1/3*x - 2": NumberField((-2, rat(1, 3), 0, 1)),
+}
+
+
+def _fractions(x):
+    return [Fraction(int(c.numerator), int(c.denominator)) for c in x.coeffs]
+
+
+def _assert_canonical(x):
+    field = x.field
+    assert len(x.nums) == field.degree
+    assert all(type(c) is int for c in x.nums) and type(x.den) is int
+    assert x.den > 0
+    assert gcd(x.den, *x.nums) == 1
+    assert x.coeffs == tuple(rat(c, x.den) for c in x.nums)
+    assert hash(x) == hash((field, x.coeffs))
+    again = field.element(list(x.coeffs))
+    assert again == x and hash(again) == hash(x)
+    assert bool(x) == any(x.coeffs)
+    text = x.to_text()
+    assert field.parse(text) == x
+    assert field.parse(text).to_text() == text
+
+
+class TestQuotientRingAgainstReference:
+    """+, -, *, inverse and ** in Q[x]/(f) against tests/oracles.py."""
+
+    def _elements(self, hyp, d):
+        st = hyp.strategies
+        coeff = st.one_of(st.just(0), st.integers(-30, 30),
+                          st.builds(rat, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 60)))
+        return st.lists(coeff, min_size=0, max_size=d)
+
+    @pytest.mark.parametrize("name", sorted(QUOTIENTS))
+    def test_arithmetic_matches_reference(self, name):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        field = QUOTIENTS[name]
+        modulus = [Fraction(int(c.numerator), int(c.denominator)) for c in field.modulus]
+        elems = self._elements(hyp, field.degree)
+
+        @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+        @hyp.given(elems, elems, st.integers(-3, 6))
+        def check(ca, cb, e):
+            a, b = field.element(ca), field.element(cb)
+            fa, fb = _fractions(a), _fractions(b)
+            for x in (a, b):
+                _assert_canonical(x)
+            cases = [
+                (a + b, [p + q for p, q in zip(fa, fb)]),
+                (a - b, [p - q for p, q in zip(fa, fb)]),
+                (a * b, oracles.quotient_mul(fa, fb, modulus)),
+                (-a, [-p for p in fa]),
+            ]
+            if b:
+                cases.append((b.inverse(), oracles.quotient_inverse(fb, modulus)))
+                cases.append((a / b, oracles.quotient_mul(fa, oracles.quotient_inverse(fb, modulus),
+                                                          modulus)))
+            if a or e >= 0:
+                cases.append((a ** e, oracles.quotient_pow(fa, e, modulus)))
+            for got, expect in cases:
+                _assert_canonical(got)
+                assert _fractions(got) == expect
+                assert (got == a) == (_fractions(got) == fa)
+
+        check()
+
+    def test_equal_values_from_different_denominators(self):
+        field = QUOTIENTS["phi20"]
+        half = field.element([rat(1, 2), rat(3, 2)])
+        assert (half + half).nums == (1, 3, 0, 0, 0, 0, 0, 0) and (half + half).den == 1
+        assert half - half == field.zero() and (half - half).den == 1
+        third = field.element([rat(1, 3)])
+        assert (half * 6 - third * 3).nums == (2, 9, 0, 0, 0, 0, 0, 0)
+
+    def test_integral_modulus_arithmetic_builds_no_fraction(self, monkeypatch):
+        # +, - and * of elements with integer or fractional coefficients over
+        # an integral modulus stay in ints: no Fraction is constructed
+        field = QUOTIENTS["phi24"]
+        rng = random.Random(17)
+        xs = [field.random(rng) for _ in range(6)] + [field.gen() ** 5, field.one()]
+        created = []
+        real_new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            created.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        results = [(a + b, a - b, a * b, -a) for a in xs for b in xs]
+        monkeypatch.undo()
+        assert len(results) == len(xs) ** 2
+        assert created == []
+
+    def test_rational_modulus(self):
+        field = NumberField((rat(-1, 2), 0, 1))  # x^2 - 1/2
+        x = field.gen()
+        assert x * x == rat(1, 2)
+        assert (x * x).nums == (1, 0) and (x * x).den == 2
+        assert x.inverse() == 2 * x
+        assert (x + 1) * (x - 1) == rat(-1, 2)
+        cubic = QUOTIENTS["x^3 + 1/3*x - 2"]
+        y = cubic.gen()
+        assert y ** 3 == 2 - y * rat(1, 3)
+        assert (y ** 3).nums == (6, -1, 0) and (y ** 3).den == 3
+        assert y * y.inverse() == 1
+        _assert_canonical(y ** -4)
+
+    def test_zero_divisor_reducible_rational_modulus(self):
+        field = NumberField((rat(-1, 4), 0, 1))  # x^2 - 1/4 = (x - 1/2)(x + 1/2)
+        elem = field.element([rat(-1, 2), 1])
+        assert elem * field.element([rat(1, 2), 1]) == field.zero()
+        with pytest.raises(ZeroDivisorEncountered):
+            elem.inverse()
+
+
 class TestNormalization:
     def test_denominator_positive_leading_and_content_one(self):
         f = (L - R) / (LaurentPoly.from_pairs([((0, 2), -2), ((0, 0), 2)]))
@@ -284,6 +405,12 @@ class TestSerialization:
         z = field.element([rat(1, 2), -2, 0, rat(7, 3)])
         assert field.parse(z.to_text()) == z
         assert field.parse(z.to_text()).to_text() == z.to_text()
+
+    def test_algebraic_too_many_coefficients_rejected(self):
+        field = cyclotomic_field("phi12")  # products have at most 7 coefficients
+        assert field.parse("[0,0,0,0,0,0,1]") == field.gen() ** 6
+        with pytest.raises(ValueError):
+            field.parse("[0,0,0,0,0,0,0,1]")
 
     def test_field_tags(self):
         assert field_from_tag("Q") == QQ
