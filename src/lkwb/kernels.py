@@ -297,7 +297,10 @@ def bareiss_det_polyint(rows):
 
 
 def qpoly_to_int(coeffs):
-    """(scale, ints) with coeffs = scale * ints and ints primitive in Z[x]."""
+    """(scale, ints) with coeffs = scale * ints and ints primitive in Z[x].
+
+    scale is an int when it is integral, a Rat otherwise.
+    """
     den_lcm = 1
     for c in coeffs:
         d = int(c.denominator)
@@ -308,7 +311,7 @@ def qpoly_to_int(coeffs):
     cont = poly_content_int(ints)
     if cont > 1:
         ints = [v // cont for v in ints]
-    return Rat(cont) / den_lcm, ints
+    return (Rat(cont, den_lcm) if den_lcm != 1 else cont), ints
 
 
 def qpoly_mul(a, b):

@@ -5,7 +5,9 @@ Four kinds of scalars, one per ground field:
 * arbitrary-precision rationals (``Rat``; gmpy2.mpq when available,
   fractions.Fraction otherwise),
 * bivariate Laurent polynomials in l and r over Q (``LaurentPoly``) and
-  their fractions (``RatFunc``) -- the field Q(l,r),
+  their fractions (``RatFunc``) -- the field Q(l,r); a coefficient is an
+  int whenever it is integral, so that arithmetic over Z[l, r] builds no
+  rationals,
 * the same restricted to r only -- the field Q(r),
 * elements of quotient rings Q[x]/(f) for algebraic values of r
   (``AlgebraicNumber`` over a ``NumberField``), each kept as an integer
@@ -94,15 +96,6 @@ def parse_rat(s):
     return rat(p, q)
 
 
-def _rat_gcd(a, b):
-    # gcd of two rationals: gcd of numerators / lcm of denominators
-    an, ad = int(a.numerator), int(a.denominator)
-    bn, bd = int(b.numerator), int(b.denominator)
-    num = gcd(abs(an), abs(bn))
-    den = ad * bd // gcd(ad, bd)
-    return Rat(num) / den
-
-
 # ---------------------------------------------------------------------------
 # Laurent polynomials in l, r
 # ---------------------------------------------------------------------------
@@ -111,12 +104,43 @@ _pack = kernels.pack_exp
 _unpack = kernels.unpack_exp
 
 
+def _coeff(c):
+    """A Laurent coefficient: an int when c is integral, a Rat otherwise."""
+    if type(c) is not int:
+        if not isinstance(c, _RAT_TYPES):
+            c = Rat(c)
+        if c.denominator == 1:
+            return int(c.numerator)
+    return c
+
+
+def _settle(terms):
+    """terms with each integral Rat coefficient replaced by its int, in place."""
+    for k, c in terms.items():
+        if type(c) is not int:
+            terms[k] = _coeff(c)
+    return terms
+
+
+def _cdiv(a, b):
+    """Exact quotient of two Laurent coefficients, an int when integral."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Rat(a, b) if r else q
+    return _coeff(a / b)
+
+
 class LaurentPoly:
     """Laurent polynomial in l and r with rational coefficients.
 
     Terms are stored as a dict from packed exponent keys to nonzero
-    coefficients; equality is structural.  Exponents are bounded by
-    ``exponent_bound()`` and overflow raises ExponentOverflow.
+    coefficients; equality is structural.  A coefficient is an int whenever
+    it is integral and a Rat only when it is a true fraction, so products
+    and sums over Z[l, r] stay in ints; every constructor and operation
+    keeps that form (``_coeff``, ``_settle``, ``_cdiv``).  Equality, hashes
+    and text do not depend on it, since Rat(2) == 2 and both hash alike.
+    Exponents are bounded by ``exponent_bound()`` and overflow raises
+    ExponentOverflow.
     """
 
     __slots__ = ("terms",)
@@ -132,7 +156,7 @@ class LaurentPoly:
         for (a, b), c in pairs:
             if abs(a) > bound or abs(b) > bound:
                 raise ExponentOverflow(f"exponent ({a},{b}) exceeds bound {bound}")
-            c = Rat(c)
+            c = _coeff(c)
             if not c:
                 continue
             k = _pack(a, b)
@@ -140,7 +164,7 @@ class LaurentPoly:
             if v is None:
                 terms[k] = c
             else:
-                v = v + c
+                v = _coeff(v + c)
                 if v:
                     terms[k] = v
                 else:
@@ -149,7 +173,7 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c):
-        c = Rat(c)
+        c = _coeff(c)
         return cls({0: c} if c else {})
 
     @classmethod
@@ -162,15 +186,15 @@ class LaurentPoly:
 
     @classmethod
     def one(cls):
-        return cls({0: Rat(1)})
+        return cls({0: 1})
 
     @classmethod
     def var_l(cls):
-        return cls({_pack(1, 0): Rat(1)})
+        return cls({_pack(1, 0): 1})
 
     @classmethod
     def var_r(cls):
-        return cls({_pack(0, 1): Rat(1)})
+        return cls({_pack(0, 1): 1})
 
     def pairs(self):
         """Iterate ((a, b), coeff) in lexicographically descending order."""
@@ -184,7 +208,7 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return self.terms == other.terms
         if is_rat(other):
-            return self.terms == ({0: Rat(other)} if other else {})
+            return self.terms == ({0: _coeff(other)} if other else {})
         return NotImplemented
 
     def __hash__(self):
@@ -204,7 +228,7 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return LaurentPoly(kernels.terms_add(self.terms, o.terms))
+        return LaurentPoly(_settle(kernels.terms_add(self.terms, o.terms)))
 
     __radd__ = __add__
 
@@ -226,7 +250,7 @@ class LaurentPoly:
         elif len(self.terms) == 1 and o.terms:
             out = o._mul_single(self)
         else:
-            out = LaurentPoly(kernels.terms_mul(self.terms, o.terms))
+            out = LaurentPoly(_settle(kernels.terms_mul(self.terms, o.terms)))
         out._check_bound()
         return out
 
@@ -235,14 +259,14 @@ class LaurentPoly:
     def _mul_single(self, mono):
         ((k0, c0),) = mono.terms.items()
         if k0 == 0:
-            return LaurentPoly({k: c * c0 for k, c in self.terms.items()})
-        return LaurentPoly({k + k0: c * c0 for k, c in self.terms.items()})
+            return LaurentPoly(_settle({k: c * c0 for k, c in self.terms.items()}))
+        return LaurentPoly(_settle({k + k0: c * c0 for k, c in self.terms.items()}))
 
     def __pow__(self, n):
         if n < 0:
             if len(self.terms) == 1:
                 ((k, c),) = self.terms.items()
-                out = LaurentPoly({k * n: Rat(1) / c ** (-n)})
+                out = LaurentPoly({k * n: _cdiv(1, c ** (-n))})
                 out._check_bound()
                 return out
             raise ValueError("negative power of a non-monomial Laurent polynomial")
@@ -270,7 +294,7 @@ class LaurentPoly:
 
     def const_value(self):
         if not self.terms:
-            return Rat(0)
+            return 0
         if len(self.terms) == 1 and 0 in self.terms:
             return self.terms[0]
         raise ValueError("not a constant")
@@ -307,22 +331,22 @@ class LaurentPoly:
         return self.terms[max(self.terms)]
 
     def content(self):
-        """Positive rational gcd of the coefficients (0 for the zero poly)."""
-        it = iter(self.terms.values())
+        """Positive gcd of the coefficients (0 for the zero poly).
+
+        An int fold when every coefficient is an int; otherwise the gcd of
+        the numerators over the lcm of the denominators, a true fraction.
+        """
+        cs = self.terms.values()
         try:
-            g = abs(next(it))
-        except StopIteration:
-            return Rat(0)
-        for c in it:
-            # no early exit: a fractional coefficient can still shrink g below 1
-            g = _rat_gcd(g, c)
-        return g
+            return gcd(*cs)
+        except TypeError:  # math.gcd takes only ints: a Rat coefficient
+            return Rat(gcd(*(int(c.numerator) for c in cs)), lcm(*(int(c.denominator) for c in cs)))
 
     def scale(self, c):
-        c = Rat(c)
+        c = _coeff(c)
         if not c:
             return LaurentPoly.zero()
-        return LaurentPoly({k: v * c for k, v in self.terms.items()})
+        return LaurentPoly(_settle({k: v * c for k, v in self.terms.items()}))
 
     def shift(self, da, db):
         """Multiply by the monomial l^da * r^db."""
@@ -339,24 +363,27 @@ class LaurentPoly:
             raise DivisionByZero("division by zero polynomial")
         if not self.terms:
             return LaurentPoly.zero()
+        oterms = other.terms
+        if len(oterms) == 1:  # a monomial divides every Laurent polynomial
+            ((k0, c0),) = oterms.items()
+            return LaurentPoly({k - k0: _cdiv(c, c0) for k, c in self.terms.items()})
         rem = dict(self.terms)
         quot = {}
-        lead_k = max(other.terms)
-        lead_c = other.terms[lead_k]
-        oterms = other.terms
+        lead_k = max(oterms)
+        lead_c = oterms[lead_k]
         # any exact quotient has its lowest key >= qmin
-        qmin = min(self.terms) - min(other.terms)
+        qmin = min(self.terms) - min(oterms)
         while rem:
             rk = max(rem)
             qk = rk - lead_k
             if qk < qmin:
                 raise ValueError("inexact Laurent division")
-            qc = rem[rk] / lead_c
+            qc = _cdiv(rem[rk], lead_c)
             quot[qk] = qc
             for k, c in oterms.items():
                 kk = qk + k
                 v = rem.get(kk)
-                nv = (v if v is not None else Rat(0)) - qc * c
+                nv = (v if v is not None else 0) - qc * c
                 if nv:
                     rem[kk] = nv
                 elif v is not None:
@@ -386,7 +413,7 @@ class LaurentPoly:
                     out[nk] = v
                 else:
                     del out[nk]
-        return LaurentPoly(out)
+        return LaurentPoly(_settle(out))
 
     def evaluate(self, l_val, r_val):
         """Exact evaluation; the result lives in the arithmetic of the inputs."""
@@ -412,7 +439,7 @@ class LaurentPoly:
                 raise ValueError("not univariate in r")
             exps.append(b)
         lo, hi = min(exps), max(exps)
-        coeffs = [Rat(0)] * (hi - lo + 1)
+        coeffs = [0] * (hi - lo + 1)
         for k, c in self.terms.items():
             coeffs[_unpack(k)[1] - lo] = c
         return lo, coeffs
@@ -604,9 +631,9 @@ class RatFunc:
         if den.leading_coeff() < 0:
             c = -c
         if c != 1:
-            inv = Rat(1) / c
-            den = den.scale(inv)
-            num = num.scale(inv)
+            c = LaurentPoly.const(c)
+            den = den.divexact(c)
+            num = num.divexact(c)
         if not den.is_const():
             if (den.is_univariate_r() and num.is_univariate_r()) or (
                 num.total_span() <= _GCD_SPAN_LIMIT and den.total_span() <= _GCD_SPAN_LIMIT
@@ -655,7 +682,7 @@ class RatFunc:
         return self.num.is_const() and self.den.is_const()
 
     def const_value(self):
-        return self.num.const_value() / self.den.const_value()
+        return _cdiv(self.num.const_value(), self.den.const_value())
 
     def is_univariate_r(self):
         return self.num.is_univariate_r() and self.den.is_univariate_r()
@@ -709,9 +736,8 @@ class RatFunc:
         if o is None:
             return NotImplemented
         if self.den.is_const() and o.den.is_const():
-            dc = self.den.const_value() * o.den.const_value()
-            num = self.num * o.num
-            return RatFunc(num.scale(Rat(1) / dc) if dc != 1 else num, LaurentPoly.one(), _normalized=True)
+            # a normalized constant denominator is 1
+            return RatFunc(self.num * o.num, LaurentPoly.one(), _normalized=True)
         return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__

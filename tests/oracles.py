@@ -7,6 +7,7 @@ implementation.  These stay independent of the paths they check.
 
 from fractions import Fraction
 from itertools import permutations
+from math import gcd, lcm
 
 
 def to_fraction_rows(matrix):
@@ -178,6 +179,82 @@ def poly_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+# Laurent polynomials in l and r: dicts from exponent pairs (a, b), for the
+# monomial l^a r^b, to nonzero Fractions.
+
+
+def laurent(pairs):
+    """The Laurent polynomial sum c l^a r^b over ((a, b), c) pairs."""
+    out = {}
+    for key, c in pairs:
+        out[key] = out.get(key, Fraction(0)) + Fraction(c)
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def laurent_add(p, q):
+    return laurent(list(p.items()) + list(q.items()))
+
+
+def laurent_neg(p):
+    return {k: -c for k, c in p.items()}
+
+
+def laurent_mul(p, q):
+    return laurent(((a1 + a2, b1 + b2), c1 * c2)
+                   for (a1, b1), c1 in p.items() for (a2, b2), c2 in q.items())
+
+
+def laurent_pow(p, e):
+    """p ** e by e repeated products; for e < 0, p must be a monomial."""
+    if e < 0:
+        ((a, b), c), = p.items()
+        return {(a * e, b * e): c ** e}
+    out = {(0, 0): Fraction(1)}
+    for _ in range(e):
+        out = laurent_mul(out, p)
+    return out
+
+
+def laurent_content(p):
+    """The positive rational c with p / c integral of content 1 (0 for p = 0)."""
+    if not p:
+        return Fraction(0)
+    den = lcm(*(c.denominator for c in p.values()))
+    return Fraction(gcd(*(int(c * den) for c in p.values())), den)
+
+
+def laurent_substitute_l(p, eps, k):
+    """p with l replaced by eps * r^k."""
+    return laurent(((0, b + k * a), c * Fraction(eps) ** a) for (a, b), c in p.items())
+
+
+def laurent_evaluate(p, l_val, r_val):
+    return sum((c * Fraction(l_val) ** a * Fraction(r_val) ** b for (a, b), c in p.items()),
+               Fraction(0))
+
+
+def laurent_gcd_r(p, q):
+    """gcd of two nonzero Laurent polynomials in r alone.
+
+    The powers of r are units, so each side is shifted to a polynomial
+    with a nonzero constant term; Euclid in Q[r] by poly_divmod, then the
+    result is scaled to content 1 with a positive leading coefficient.
+    """
+    def dense(p):
+        lo = min(b for _, b in p)
+        hi = max(b for _, b in p)
+        return [p.get((0, lo + i), Fraction(0)) for i in range(hi - lo + 1)]
+
+    f, g = dense(p), dense(q)
+    while g:
+        _, rem = poly_divmod(f, g)
+        f, g = g, rem
+    c = laurent_content({(0, i): x for i, x in enumerate(f) if x != 0})
+    if f[-1] < 0:
+        c = -c
+    return {(0, i): x / c for i, x in enumerate(f) if x != 0}
 
 
 def zip_pad(a, b):

@@ -106,6 +106,32 @@ class TestDet:
         assert proc.stderr == ""
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == self.GOLDEN_N6[locus]
 
+    # sha256 of the reports of `det --n 7 --locus L --mode substituted --seed 29`,
+    # recorded when Laurent coefficients were all Fractions
+    GOLDEN_N7 = {
+        "l=r": "f9989646e2ba502b867c8d56864e210fc8a99f728d98bd6c963119845e9f59e0",
+        "l=-r3": "e552628f6b48330c43dff52f05d22e9de45ca046908d8b4b75e3572fdd743333",
+        "l=r3-2n": "a5621a0145d62e410f0501bda89c16fbfe13add001c448feb8879bf5becaf34b",
+        "l=+r3-n": "464ae87bcb24ff749ffcd5d1c3201caed0c6a94ca7af212b8250e1174cc48c5b",
+        "l=-r3-n": "a24bb202834cf1eb1ab86c2f934e04f2e843df1aa661150a0c4f51de637ab5e6",
+    }
+
+    @pytest.mark.parametrize("locus", sorted(GOLDEN_N7))
+    def test_golden_n7_substituted_reports(self, locus):
+        proc = run_cli("det", "--n", "7", "--locus", locus, "--mode", "substituted",
+                       "--seed", "29")
+        assert proc.stderr == ""
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == self.GOLDEN_N7[locus]
+
+    def test_golden_symbolic_substituted_entrywise(self):
+        # the Q(l,r) matrix substituted entry by entry; recorded when Laurent
+        # coefficients were all Fractions
+        proc = run_cli("det", "--n", "5", "--locus", "l=-r3", "--mode", "symbolic",
+                       "--seed", "29")
+        assert proc.stderr == ""
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert digest == "324096e3cb1ae8655eb6af517e12e3bf2ff53cae8d9e12fd612fef9314922b20"
+
     # sha256 of the reports, at --seed 29, of the det paths that call linalg.det:
     # the symbolic Bareiss (n <= 4) and grid (n = 5) verdicts and the sampled points;
     # recorded when each determinant had its own elimination loop

@@ -34,9 +34,11 @@ from lkwb.scalars import (
     scalar_to_text,
     set_exponent_bound,
     exponent_bound,
+    parse_laurent,
     specialize,
     substitute_locus,
 )
+from lkwb.lkrep import substituted_rep
 
 import oracles
 
@@ -321,6 +323,236 @@ class TestQuotientRingAgainstReference:
         assert elem * field.element([rat(1, 2), 1]) == field.zero()
         with pytest.raises(ZeroDivisorEncountered):
             elem.inverse()
+
+
+def _laurent_ref(p):
+    """The plain-Fraction reference dict of a LaurentPoly."""
+    return {key: Fraction(int(c.numerator), int(c.denominator)) for key, c in p.pairs()}
+
+
+def _assert_laurent_canonical(p):
+    for c in p.terms.values():
+        assert c
+        # an integral coefficient is an int, never a Rat with denominator 1
+        assert (type(c) is int) == (c.denominator == 1)
+        if type(c) is not int:
+            assert type(c) is type(rat(1, 2))
+    as_rats = LaurentPoly({k: rat(c) for k, c in p.terms.items()})
+    assert as_rats == p and p == as_rats and hash(as_rats) == hash(p)
+    text = p.to_text()
+    again = parse_laurent(text)
+    assert again == p and hash(again) == hash(p) and again.to_text() == text
+    assert {k: type(c) for k, c in again.terms.items()} == {k: type(c) for k, c in p.terms.items()}
+
+
+def _assert_ratfunc_canonical(f):
+    _assert_laurent_canonical(f.num)
+    _assert_laurent_canonical(f.den)
+    assert f.den.leading_coeff() > 0 and f.den.content() == 1
+    again = parse_ratfunc(f.to_text())
+    assert again == f and again.to_text() == f.to_text()
+
+
+def _same_fraction(f, num, den):
+    """f == num / den, cross-multiplied in the reference arithmetic."""
+    return (oracles.laurent_mul(_laurent_ref(f.num), den)
+            == oracles.laurent_mul(num, _laurent_ref(f.den)))
+
+
+class TestLaurentAgainstReference:
+    """LaurentPoly and RatFunc arithmetic against the dict-of-Fraction reference."""
+
+    def _pairs(self, hyp, univariate=False, max_size=5, span=(2, 4)):
+        st = hyp.strategies
+        coeff = st.one_of(st.just(0), st.integers(-30, 30), st.integers(-10 ** 20, 10 ** 20),
+                          st.builds(rat, st.integers(-40, 40), st.sampled_from([1, 2, 3, 4, 6])))
+        a = st.just(0) if univariate else st.integers(-span[0], span[0])
+        return st.lists(st.tuples(st.tuples(a, st.integers(-span[1], span[1])), coeff),
+                        max_size=max_size)
+
+    def test_laurent_arithmetic_matches_reference(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        pairs = self._pairs(hyp)
+        scalar = st.one_of(st.integers(-12, 12), st.builds(rat, st.integers(-12, 12), st.integers(1, 6)))
+        mono = st.tuples(st.integers(-2, 2), st.integers(-4, 4),
+                         st.sampled_from([1, -1, 2, -3, rat(1, 2), rat(-2, 3)]))
+
+        @hyp.settings(max_examples=80, deadline=None, derandomize=True)
+        @hyp.given(pairs, pairs, scalar, st.integers(0, 3), mono, st.integers(-3, 3),
+                   st.sampled_from([(1, 2), (-1, 3), (1, -5), (-1, -1)]))
+        def check(pa, pb, c, e, m, me, locus):
+            a, b = LaurentPoly.from_pairs(pa), LaurentPoly.from_pairs(pb)
+            fa, fb = oracles.laurent(pa), oracles.laurent(pb)
+            mono_poly = LaurentPoly.term(m[2], m[0], m[1])
+            fm = oracles.laurent([((m[0], m[1]), m[2])])
+            eps, k = locus
+            cases = [
+                (a, fa),
+                (a + b, oracles.laurent_add(fa, fb)),
+                (a - b, oracles.laurent_add(fa, oracles.laurent_neg(fb))),
+                (a * b, oracles.laurent_mul(fa, fb)),
+                (-a, oracles.laurent_neg(fa)),
+                (a ** e, oracles.laurent_pow(fa, e)),
+                (mono_poly ** me, oracles.laurent_pow(fm, me)),
+                (a * mono_poly, oracles.laurent_mul(fa, fm)),
+                (a.scale(c), oracles.laurent_mul(fa, oracles.laurent([((0, 0), c)]))),
+                (a.divexact(mono_poly), oracles.laurent_mul(fa, oracles.laurent_pow(fm, -1))),
+                (a.substitute_l(eps, k), oracles.laurent_substitute_l(fa, eps, k)),
+            ]
+            if b:
+                cases.append(((a * b).divexact(b), fa))
+            for got, expect in cases:
+                _assert_laurent_canonical(got)
+                assert _laurent_ref(got) == expect
+            content = a.content()
+            assert content == oracles.laurent_content(fa)
+            assert (type(content) is int) == all(v.denominator == 1 for v in fa.values())
+            point = (rat(3, 2), rat(-5, 7))
+            assert a.evaluate(*point) == oracles.laurent_evaluate(fa, *point)
+
+        check()
+
+    def test_univariate_gcd_matches_reference(self):
+        hyp = pytest.importorskip("hypothesis")
+        pairs = self._pairs(hyp, univariate=True)
+        extra = self._pairs(hyp, univariate=True, max_size=3)
+
+        @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+        @hyp.given(pairs, pairs, extra)
+        def check(pa, pb, pc):
+            # a common factor c makes a nontrivial gcd likely
+            common = LaurentPoly.from_pairs(pc) or LaurentPoly.one()
+            a, b = LaurentPoly.from_pairs(pa) * common, LaurentPoly.from_pairs(pb) * common
+            hyp.assume(a and b)
+            got = a.gcd(b)
+            _assert_laurent_canonical(got)
+            assert _laurent_ref(got) == oracles.laurent_gcd_r(_laurent_ref(a), _laurent_ref(b))
+            assert a.divexact(got) * got == a and b.divexact(got) * got == b
+
+        check()
+
+    @pytest.mark.parametrize("univariate", [True, False], ids=["Q(r)", "Q(l,r)"])
+    def test_ratfunc_arithmetic_matches_reference(self, univariate):
+        hyp = pytest.importorskip("hypothesis")
+        # bivariate sums reduce by _gcd_bivariate, whose remainder sequence
+        # can take seconds on four-term operands of l-degree 4; keep them small
+        pairs = (self._pairs(hyp, univariate=True, max_size=4) if univariate
+                 else self._pairs(hyp, max_size=3, span=(1, 2)))
+
+        @hyp.settings(max_examples=50, deadline=None, derandomize=True)
+        @hyp.given(pairs, pairs, pairs, pairs)
+        def check(pa, pb, pc, pd):
+            na, da = oracles.laurent(pa), oracles.laurent(pb) or {(0, 0): Fraction(1)}
+            nb, db = oracles.laurent(pc), oracles.laurent(pd) or {(0, 0): Fraction(1)}
+            f = RatFunc(LaurentPoly.from_pairs(pa), LaurentPoly.from_pairs(pb) or LaurentPoly.one())
+            g = RatFunc(LaurentPoly.from_pairs(pc), LaurentPoly.from_pairs(pd) or LaurentPoly.one())
+            mul = oracles.laurent_mul
+            cases = [
+                (f, na, da),
+                (f + g, oracles.laurent_add(mul(na, db), mul(nb, da)), mul(da, db)),
+                (f - g, oracles.laurent_add(mul(na, db), oracles.laurent_neg(mul(nb, da))),
+                 mul(da, db)),
+                (f * g, mul(na, nb), mul(da, db)),
+            ]
+            if g:
+                cases.append((f / g, mul(na, db), mul(da, nb)))
+            for got, num, den in cases:
+                _assert_ratfunc_canonical(got)
+                assert _same_fraction(got, num, den)
+
+        check()
+
+
+class TestLaurentIntegerCoefficients:
+    """The int/Rat boundary of LaurentPoly coefficients and its failure paths."""
+
+    def test_exponent_overflow_on_every_path(self):
+        r, l = LaurentPoly.var_r(), LaurentPoly.var_l()
+        r4 = LaurentPoly.term(1, 0, 4)
+        old = exponent_bound()
+        set_exponent_bound(8)
+        try:
+            with pytest.raises(ExponentOverflow):
+                LaurentPoly.from_pairs([((0, 1), 1), ((0, -9), 3)])
+            with pytest.raises(ExponentOverflow):
+                (r4 + r) * (r4 + 1) * r
+            with pytest.raises(ExponentOverflow):
+                r4 * r4 * r
+            with pytest.raises(ExponentOverflow):
+                (r + 1).shift(9, 0)
+            with pytest.raises(ExponentOverflow):
+                (r + 1) ** 9
+            with pytest.raises(ExponentOverflow):
+                LaurentPoly.term(2, 0, 3) ** -3
+            with pytest.raises(ExponentOverflow):
+                (l ** 2 + r).substitute_l(-1, 5)
+        finally:
+            set_exponent_bound(old)
+
+    def test_division_by_an_integer_gives_fractions(self):
+        r = LaurentPoly.var_r()
+        half = (r + 1).divexact(LaurentPoly.const(2))
+        assert half == LaurentPoly.from_pairs([((0, 1), rat(1, 2)), ((0, 0), rat(1, 2))])
+        assert half.to_text() == "1/2*r + 1/2"
+        assert all(c == rat(1, 2) and type(c) is not int for c in half.terms.values())
+        assert half * 2 == r + 1
+        _assert_laurent_canonical(half * 2)
+        even = (r * 6 + 4).divexact(LaurentPoly.const(-2))
+        assert even == -3 * r - 2
+        assert all(type(c) is int for c in even.terms.values())
+        thirds = (r * 2 + 1).divexact(LaurentPoly.term(3, 0, 1))
+        assert thirds.to_text() == "2/3 + 1/3*r^-1"
+        assert (LaurentPoly.term(rat(1, 2), 0, 0) + rat(1, 2)).terms == {0: 1}
+
+    def test_integral_results_of_fractional_operands_are_ints(self):
+        half = rat(1, 2)
+        r, l = LaurentPoly.var_r(), LaurentPoly.var_l()
+        p = LaurentPoly.from_pairs([((1, 0), half), ((0, 1), half)])  # (l + r) / 2
+        results = [
+            LaurentPoly.from_pairs([((0, 1), half), ((0, 1), half)]),
+            p + p,
+            p - LaurentPoly.from_pairs([((1, 0), rat(-1, 2)), ((0, 1), rat(-1, 2))]),
+            p * 2,
+            p * (r * 2 + l * 2),
+            p.scale(4),
+            p.substitute_l(1, 1),
+            p.divexact(LaurentPoly.const(half)),
+            LaurentPoly.term(half, 0, 1) ** -1,
+            LaurentPoly.const(rat(6, 3)),
+        ]
+        for q in results:
+            assert q.terms and all(type(c) is int for c in q.terms.values()), q
+            _assert_laurent_canonical(q)
+        assert p.substitute_l(1, 1) == r
+
+    def test_inexact_division_raises(self):
+        r, l = LaurentPoly.var_r(), LaurentPoly.var_l()
+        with pytest.raises(ValueError):
+            (r ** 2 + 1).divexact(r + 1)
+        with pytest.raises(ValueError):
+            (l + r).divexact(l - r)
+        with pytest.raises(DivisionByZero):
+            (r + 1).divexact(LaurentPoly.zero())
+
+    def test_integral_arithmetic_builds_no_fraction(self, monkeypatch):
+        rng = random.Random(23)
+        polys = [LaurentPoly.from_pairs([((rng.randint(-2, 2), rng.randint(-4, 4)),
+                                          rng.randint(-9, 9)) for _ in range(rng.randint(1, 6))])
+                 for _ in range(6)]
+        created = []
+        real_new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            created.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        results = [(a + b, a - b, a * b) for a in polys for b in polys]
+        rep = substituted_rep(5, -1, 3)
+        monkeypatch.undo()
+        assert len(results) == len(polys) ** 2 and rep.dim == 10
+        assert created == []
 
 
 class TestNormalization:
