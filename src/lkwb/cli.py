@@ -30,6 +30,7 @@ from .reducibility import (
     build_m_matrix,
     certify,
     det_on_locus,
+    exceptional_layering,
     expected_spectrum,
     kernel_k,
     minimal_invariant,
@@ -306,7 +307,9 @@ def _cmd_closure(args):
     closure = minimal_invariant(rep, ker.vectors[0])
     contained = all(ker.contains(v) for v in closure.vectors)
     expected = expected_spectrum(args.n, locus, r_val)
-    ok = expected is None or closure.dim == expected["min_dim"]
+    # at exceptional points the closure may be all of a layered K(n)
+    ok = (expected is None or exceptional_layering(args.n, locus, r_val)
+          or closure.dim == expected["min_dim"])
     obj = {
         "n": args.n,
         "locus": locus.name,

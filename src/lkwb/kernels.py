@@ -10,9 +10,10 @@ Conventions, in one place:
   addition.
 * A dense polynomial is a list of coefficients in ascending order
   (index = degree) with no trailing zeros; [] is the zero polynomial.
-  Over Z the coefficients are int, over Q they are Rat, and over GF(p)
-  they are int in [0, p).  ``poly_*`` functions work over Z (``poly_sub``
-  over Z and Q alike), ``qpoly_*`` over Q and ``modp_*`` over GF(p).
+  ``poly_*`` functions work over Z with int coefficients and ``modp_*``
+  over GF(p) with ints in [0, p).  Q[x] work runs on primitive integer
+  polynomials (pseudo-division, Gauss's lemma); ``qpoly_to_int`` clears
+  Rat coefficients into one at the edges.
 """
 
 from math import gcd
@@ -86,7 +87,7 @@ def terms_add(a, b):
 
 
 def poly_sub(a, b):
-    """a - b for dense polynomials over Z or Q."""
+    """a - b for dense integer polynomials."""
     n = min(len(a), len(b))
     out = [x - y for x, y in zip(a, b)] + list(a[n:]) + [-y for y in b[n:]]
     while out and not out[-1]:
@@ -138,6 +139,44 @@ def poly_divexact_int(a, b):
     return q
 
 
+def poly_pseudo_divmod(a, b):
+    """(s, q, r) with s*a = q*b + r in Z[x], deg r < deg b, s a power of lc(b).
+
+    Each quotient coefficient is taken exactly when lc(b) divides the
+    leading coefficient of the running remainder; only otherwise is the
+    remainder (and the quotient so far) scaled by lc(b) first.  So s is
+    lc(b)^k with k at most deg a - deg b + 1, and 1 when b is monic.
+    """
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(a)
+    lead = b[-1]
+    db = len(b) - 1
+    s = 1
+    q = [0] * max(len(r) - db, 0)
+    while len(r) > db:
+        c = r[-1]
+        qc, rem = divmod(c, lead)
+        if rem:
+            s *= lead
+            r = [lead * x for x in r]
+            q = [lead * x for x in q]
+            qc = c
+        shift = len(r) - 1 - db
+        q[shift] = qc
+        for j in range(db):
+            r[shift + j] -= qc * b[j]
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return s, q, r
+
+
+def poly_deriv(a):
+    """Derivative of a dense integer polynomial."""
+    return [i * c for i, c in enumerate(a)][1:]
+
+
 def poly_eval_int(c, x):
     """Horner evaluation of a dense integer polynomial at integer x."""
     acc = 0
@@ -180,22 +219,7 @@ def poly_gcd_int(a, b):
     if len(a) < len(b):
         a, b = b, a
     while b:
-        # pseudo-remainder of a by b
-        r = list(a)
-        lead = b[-1]
-        db = len(b) - 1
-        while len(r) - 1 >= db and r:
-            if not r[-1]:
-                r.pop()
-                continue
-            shift = len(r) - 1 - db
-            c = r[-1]
-            # scale r by lead, subtract c * x^shift * b
-            r = [lead * x for x in r]
-            for j in range(db + 1):
-                r[shift + j] -= c * b[j]
-            while r and not r[-1]:
-                r.pop()
+        r = poly_pseudo_divmod(a, b)[2]
         cr = poly_content_int(r)
         if cr > 1:
             r = [c // cr for c in r]
@@ -312,53 +336,6 @@ def qpoly_to_int(coeffs):
     if cont > 1:
         ints = [v // cont for v in ints]
     return (Rat(cont, den_lcm) if den_lcm != 1 else cont), ints
-
-
-def qpoly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Rat(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def qpoly_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    inv = Rat(1) / b[-1]
-    q = [Rat(0)] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            qc = c * inv
-            q[i - db] = qc
-            for j in range(db + 1):
-                a[i - db + j] -= qc * b[j]
-    while a and not a[-1]:
-        a.pop()
-    return q, a
-
-
-def qpoly_divexact(a, b):
-    q, r = qpoly_divmod(a, b)
-    if r:
-        raise ValueError("inexact division in Q[x]")
-    return q
-
-
-def qpoly_deriv(p):
-    return [Rat(i) * c for i, c in enumerate(p)][1:]
-
-
-def qpoly_gcd(a, b):
-    """gcd in Q[x], scaled to a primitive integer polynomial (as Rat)."""
-    g = poly_gcd_int(qpoly_to_int(a)[1], qpoly_to_int(b)[1])
-    return [Rat(c) for c in g]
 
 
 # ---------------------------------------------------------------------------

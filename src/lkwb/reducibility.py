@@ -198,6 +198,18 @@ def _minus_r3_collision(n, r_val):
     return r_val is not None and r_val ** (2 * n) == -1
 
 
+def exceptional_layering(n, locus, r_val):
+    """True at the exceptional points, where K(n) is layered at this locus.
+
+    There (r^6 = -1 for n = 3; r^(2n) = -1 at l=-r3 and l=r3-2n for
+    n >= 4) the kernel is a line plus the (n-1)(n-2)/2-dimensional
+    subspace, so the closure of one kernel vector may be all of K(n):
+    minimal dimensions are recorded, not checked against the table.
+    """
+    return _is_exceptional(n, r_val) or (n >= 4 and _minus_r3_collision(n, r_val)
+                                         and locus.name in ("l=-r3", "l=r3-2n"))
+
+
 def loci_distinct(n, r_val):
     """Pairwise-distinctness data for the catalog l values at a given r."""
     values = [(loc.name, loc.l_value(r_val)) for loc in catalog(n)]
@@ -940,43 +952,29 @@ def probe_operators(ops, trials, rng):
     return ProbeReport("inconclusive", cdim, trials, False, samples=tuple(sample_notes))
 
 
-def _yun_squarefree(p_int):
-    """Yun's squarefree decomposition: list of (int factor, multiplicity).
+def _yun_squarefree(p):
+    """Yun's squarefree decomposition of a primitive p in Z[x]: (factor, multiplicity) pairs.
 
-    Runs in Q[x]; the (c, d) pair is always divided by the same factor, so
-    scalings stay consistent and the recurrence is exact.
+    Each factor is primitive with a positive leading coefficient.  Every
+    gcd is primitive, so by Gauss's lemma each division it takes part in
+    is exact in Z[x].
     """
-    p = [Rat(c) for c in p_int]
-    dp = kernels.qpoly_deriv(p)
-    g = kernels.qpoly_gcd(p, dp)
+    dp = kernels.poly_deriv(p)
+    g = kernels.poly_gcd_int(p, dp)
     if len(g) == 1:
-        return [(p_int, 1)]
+        return [(p, 1)]
     out = []
-    c = kernels.qpoly_divexact(p, g)
-    d = kernels.poly_sub(kernels.qpoly_divexact(dp, g), kernels.qpoly_deriv(c))
+    c = kernels.poly_divexact_int(p, g)
+    d = kernels.poly_sub(kernels.poly_divexact_int(dp, g), kernels.poly_deriv(c))
     i = 1
     while len(c) > 1:
-        s = kernels.qpoly_gcd(c, d)
+        s = kernels.poly_gcd_int(c, d)
         if len(s) > 1:
-            out.append((kernels.qpoly_to_int(s)[1], i))
-        c = kernels.qpoly_divexact(c, s)
-        d = kernels.poly_sub(kernels.qpoly_divexact(d, s), kernels.qpoly_deriv(c))
+            out.append((s, i))
+        c = kernels.poly_divexact_int(c, s)
+        d = kernels.poly_sub(kernels.poly_divexact_int(d, s), kernels.poly_deriv(c))
         i += 1
     return out
-
-
-def _exact_div_q(a, b):
-    """a / b exactly in Q[x], returned primitive in Z[x] (b | a in Q[x])."""
-    # clear to primitive; by Gauss the primitive quotient is integral
-    ca, cb = kernels.poly_content_int(a), kernels.poly_content_int(b)
-    ap = [v // ca for v in a] if ca > 1 else list(a)
-    bp = [v // cb for v in b] if cb > 1 else list(b)
-    if bp[-1] < 0:
-        bp = [-v for v in bp]
-        ap = [-v for v in ap]
-    q = kernels.poly_divexact_int(ap, bp)
-    cq = kernels.poly_content_int(q)
-    return [v // cq for v in q] if cq > 1 else q
 
 
 def _poly_pow_mul(base, e, acc):
@@ -998,7 +996,7 @@ def _charpoly_factor_analysis(cp):
     classes = _yun_squarefree(p)
     if len(classes) >= 2:
         u = _poly_pow_mul(classes[0][0], classes[0][1], [1])
-        v = _exact_div_q(p, u)
+        v = kernels.poly_divexact_int(p, u)
         return {"kind": "split", "u": u, "v": v}
     s, mult = classes[0]
     sdeg = len(s) - 1
@@ -1011,7 +1009,7 @@ def _charpoly_factor_analysis(cp):
     if roots:
         lin = _linear_factor(roots[0])
         u = _poly_pow_mul(lin, mult, [1])
-        v = _exact_div_q(p, u)
+        v = kernels.poly_divexact_int(p, u)
         if len(v) > 1:
             return {"kind": "split", "u": u, "v": v}
         return {"kind": "power", "note": f"(linear)^{mult}"}
@@ -1072,7 +1070,7 @@ def _modp_irreducible(s):
 def _modp_factor_count(s, p):
     """Number of irreducible factors mod p (Berlekamp kernel dimension)."""
     deg = len(s) - 1
-    deriv = [(i * c) % p for i, c in enumerate(s)][1:]
+    deriv = [c % p for c in kernels.poly_deriv(s)]
     while deriv and not deriv[-1]:
         deriv.pop()
     if not deriv or len(kernels.modp_poly_gcd(list(s), deriv, p)) > 1:
@@ -1291,8 +1289,7 @@ def _certify_locus(n, locus, r_val, rng, probe_trials, probe_max_n):
     report, rep, mn, closures = _kernel_at(n, locus, r_val)
     # over a field det M = 0 exactly when the kernel, checked by M v = 0, is nonzero
     det_vanishes = report.k > 0
-    exceptional = _is_exceptional(n, r_val) or (n >= 4 and _minus_r3_collision(n, r_val)
-                                                and locus.name in ("l=-r3", "l=r3-2n"))
+    exceptional = exceptional_layering(n, locus, r_val)
     mismatches = []
     if not det_vanishes:
         mismatches.append("determinant does not vanish at the locus")

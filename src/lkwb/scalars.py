@@ -801,7 +801,8 @@ class NumberField:
     surfaces as ZeroDivisorEncountered during inversion.  Products need f
     only through the reductions of x^d .. x^(2d-2) modulo f, kept as
     sparse rows of (index, coefficient): int coefficients when f is
-    integral, Rat ones otherwise.
+    integral, Rat ones otherwise.  Inversion needs f only as the primitive
+    integer polynomial ``modulus_int``.
     """
 
     def __init__(self, modulus, label=None):
@@ -811,6 +812,7 @@ class NumberField:
         if coeffs[-1] != 1:
             raise ValueError("modulus must be monic")
         self.modulus = coeffs
+        self.modulus_int = kernels.qpoly_to_int(coeffs)[1]
         self.degree = len(coeffs) - 1
         self.label = label
         d = self.degree
@@ -865,7 +867,7 @@ class NumberField:
         return AlgebraicNumber(self, (0,) * self.degree)
 
     def one(self):
-        return self.element([1])
+        return AlgebraicNumber(self, (1,) + (0,) * (self.degree - 1))
 
     def from_int(self, i):
         return self.element([i])
@@ -900,8 +902,8 @@ class AlgebraicNumber:
     all zeros over 1).  The constructor is the one normalization: it clears
     Rat entries of nums into den, then divides out the common factor.  A
     product is an integer convolution reduced by the field's table, a sum
-    over equal denominators one tuple sum; ``coeffs`` gives the Rat
-    coefficients that text and inversion read.
+    over equal denominators one tuple sum, and an inverse an extended
+    Euclid over Z[x]; ``coeffs`` gives the Rat coefficients that text reads.
     """
 
     __slots__ = ("field", "nums", "den")
@@ -988,23 +990,28 @@ class AlgebraicNumber:
     def inverse(self):
         if not self:
             raise DivisionByZero("inverse of zero in quotient ring")
-        # extended Euclid in Q[x] against the modulus
-        f = list(self.field.modulus)
-        g = list(self.coeffs)
-        while g and not g[-1]:
-            g.pop()
-        r0, r1 = f, g
-        s0, s1 = [], [Rat(1)]
-        while r1:
-            q, r = kernels.qpoly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, kernels.poly_sub(s0, kernels.qpoly_mul(q, s1))
-        if len(r0) != 1:
-            raise ZeroDivisorEncountered(
-                "element not invertible modulo the supplied modulus (modulus reducible?)"
-            )
-        inv_lead = Rat(1) / r0[0]
-        return self.field.element([c * inv_lead for c in s0])
+        # extended Euclid over Z[x] against the primitive modulus F, keeping
+        # s_i * nums = r_i (mod F) with the content of (r_i, s_i) divided out;
+        # at a constant r_i = c, the inverse is den * s_i / c
+        r0, r1 = list(self.field.modulus_int), list(self.nums)
+        while not r1[-1]:
+            r1.pop()
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            scale, q, r = kernels.poly_pseudo_divmod(r0, r1)
+            if not r:
+                raise ZeroDivisorEncountered(
+                    "element not invertible modulo the supplied modulus (modulus reducible?)"
+                )
+            s = kernels.poly_sub([scale * c for c in s0], kernels.poly_mul_int(q, s1))
+            g = gcd(*r, *s)
+            r0, r1 = r1, [c // g for c in r]
+            s0, s1 = s1, [c // g for c in s]
+        c = r1[0]
+        if c < 0:
+            c, s1 = -c, [-v for v in s1]
+        nums = [self.den * v for v in s1]
+        return AlgebraicNumber(self.field, nums + [0] * (self.field.degree - len(nums)), c)
 
     def __truediv__(self, other):
         o = self._coerce(other)

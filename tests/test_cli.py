@@ -195,6 +195,23 @@ class TestKernel:
         assert proc.stderr == ""
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == self.GOLDEN_N5_PHI20[locus]
 
+    # sha256 of the reports of `kernel --n 6 --locus L --r cyclotomic:phi24 --seed 29`,
+    # which invert in Q[x]/(f); recorded when inversion ran on Fraction coefficients
+    GOLDEN_N6_PHI24 = {
+        "l=r": "9b7113925cccadfcd255f5274809963ee7510a561026170b1c5165dc455a091f",
+        "l=-r3": "38795123cb847ab9e9342b00f65fc24b7ac11aa4dbbb3fd0eed2e8b603add584",
+        "l=r3-2n": "3ebaeaf29209931d6ee05d0c4daf2720fadc35cced330fb654b8a99c4ce37bd8",
+        "l=+r3-n": "e55528a4251e5d794531b4caa90f73e6cad275c10a1e7f9c7b345191a00199d3",
+        "l=-r3-n": "bb97eb34503dab271088b3f729807de712d36089e5332cd07076c424703b9275",
+    }
+
+    @pytest.mark.parametrize("locus", sorted(GOLDEN_N6_PHI24))
+    def test_golden_n6_phi24_reports(self, locus):
+        proc = run_cli("kernel", "--n", "6", "--locus", locus, "--r", "cyclotomic:phi24",
+                       "--seed", "29")
+        assert proc.stderr == ""
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == self.GOLDEN_N6_PHI24[locus]
+
     def test_decimal_r_rejected(self):
         run_cli("kernel", "--n", "4", "--locus", "l=r", "--r", "2.0", expect=2)
 
@@ -236,6 +253,19 @@ class TestCertify:
         digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
         assert digest == "b78b9fe3055166db450d74a6a87d84f63ef24627332f2151677cd7b959140d03"
 
+    # sha256 of the reports of `certify --n N --r R --seed 29`, whose probe notes
+    # come from the squarefree decomposition; recorded when it ran in Q[x]
+    GOLDEN_Q = {
+        ("5", "2/1"): "8b360a8975221e8b7f50d07c283c918df964dc92290c67f40486abecfac16669",
+        ("4", "3/2"): "704d29dc53fb27f8427253e4cd3d6f602ecee3a788bf1c8aab8b8fbc2c619aef",
+    }
+
+    @pytest.mark.parametrize("n, r", sorted(GOLDEN_Q))
+    def test_golden_rational_reports(self, n, r):
+        proc = run_cli("certify", "--n", n, "--r", r, "--seed", "29")
+        assert proc.stderr == ""
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == self.GOLDEN_Q[(n, r)]
+
     def test_jobs_matches_serial(self):
         a = run_cli("certify", "--n", "3", "--r", "2/1", "--seed", "5").stdout
         b = run_cli("certify", "--n", "3", "--r", "2/1", "--seed", "5", "--jobs", "2").stdout
@@ -276,6 +306,40 @@ class TestScanClosurePersist:
         obj = json.loads(proc.stdout)
         assert obj["closure_dim"] == 2
         assert obj["contained_in_kernel"] is True
+
+    def test_closure_at_exceptional_point_checks_containment(self):
+        # at r^10 = -1, K(5) is a line plus a 6-dimensional subspace, and the
+        # first kernel vector spins all of it
+        proc = run_cli("closure", "--n", "5", "--locus", "l=-r3", "--r", "cyclotomic:phi20")
+        obj = json.loads(proc.stdout)
+        assert (obj["k"], obj["closure_dim"], obj["expected_dim"]) == (7, 7, 6)
+        assert obj["contained_in_kernel"] is True
+
+    def test_closure_checks_expected_dim_at_rational_r(self, monkeypatch, capsys):
+        from lkwb import cli
+
+        def one_more(n, locus, r_val):
+            return {**expected_spectrum(n, locus, r_val), "min_dim": 3}
+
+        expected_spectrum = cli.expected_spectrum
+        monkeypatch.setattr(cli, "expected_spectrum", one_more)
+        assert cli.main(["closure", "--n", "4", "--locus", "l=r", "--r", "2/1"]) == 1
+        obj = json.loads(capsys.readouterr().out)
+        assert (obj["closure_dim"], obj["expected_dim"]) == (2, 3)
+        assert obj["contained_in_kernel"] is True
+
+    def test_closure_escaping_kernel_fails_at_exceptional_point(self, monkeypatch, capsys):
+        from lkwb import cli
+
+        def spin_first_basis_vector(rep, seed):
+            e0 = [rep.field.one()] + [rep.field.zero()] * (rep.dim - 1)
+            return minimal_invariant(rep, e0)
+
+        minimal_invariant = cli.minimal_invariant
+        monkeypatch.setattr(cli, "minimal_invariant", spin_first_basis_vector)
+        args = ["closure", "--n", "5", "--locus", "l=-r3", "--r", "cyclotomic:phi20"]
+        assert cli.main(args) == 1
+        assert json.loads(capsys.readouterr().out)["contained_in_kernel"] is False
 
     def test_commutant_generic(self):
         proc = run_cli("commutant", "--n", "4", "--r", "2/1", "--l", "5/1")

@@ -1,4 +1,4 @@
-"""Dense polynomial kernels: packing, Z[x], Q[x] and GF(p)[x] semantics."""
+"""Dense polynomial kernels: packing, Z[x] and GF(p)[x] semantics, clearing Q[x] into Z[x]."""
 
 import random
 
@@ -110,7 +110,7 @@ def _trim(coeffs):
 
 
 class TestAgainstSympy:
-    """Q[x] and GF(p)[x] helpers against sympy's Poly, on Hypothesis inputs."""
+    """Z[x] and GF(p)[x] helpers against sympy's Poly, on Hypothesis inputs."""
 
     @pytest.fixture
     def env(self):
@@ -131,38 +131,68 @@ class TestAgainstSympy:
 
         return hyp, st, qpolys, settings, to_sympy, from_sympy
 
-    def test_qpoly_arithmetic(self, env):
+    def test_pseudo_divmod_sub_deriv(self, env):
+        hyp, st, _, settings, to_sympy, from_sympy = env
+        zpolys = st.lists(st.integers(-30, 30), max_size=7).map(_trim)
+
+        @settings
+        @hyp.given(zpolys, zpolys.filter(bool))
+        def check(a, b):
+            sa, sb = to_sympy(a, domain="ZZ"), to_sympy(b, domain="ZZ")
+            assert kernels.poly_sub(a, b) == from_sympy(sa.sub(sb))
+            assert kernels.poly_deriv(a) == from_sympy(sa.diff())
+            s, q, r = kernels.poly_pseudo_divmod(a, b)
+            scaled = [s * c for c in a]
+            assert kernels.poly_sub(kernels.poly_sub(scaled, kernels.poly_mul_int(q, b)), r) == []
+            assert len(r) < len(b)
+            # s = lc(b)^k, with k no larger than prem's exponent
+            full = max(len(a) - len(b) + 1, 0)
+            k, power = 0, 1
+            while power != s:
+                assert k < full
+                k, power = k + 1, power * b[-1]
+            assert [b[-1] ** (full - k) * c for c in r] == from_sympy(sa.prem(sb))
+
+        check()
+
+    def test_qpoly_to_int_round_trip(self, env):
         hyp, st, qpolys, settings, to_sympy, from_sympy = env
 
         @settings
         @hyp.given(qpolys, qpolys)
-        def check(a, b):
-            sa, sb = to_sympy(a, domain="QQ"), to_sympy(b, domain="QQ")
-            assert kernels.qpoly_mul(a, b) == from_sympy(sa.mul(sb))
-            assert kernels.poly_sub(a, b) == from_sympy(sa.sub(sb))
-            assert kernels.qpoly_deriv(a) == from_sympy(sa.diff())
-            if b:
-                q, r = kernels.qpoly_divmod(a, b)
-                sq, sr = sa.div(sb)
-                assert (_trim(q), r) == (from_sympy(sq), from_sympy(sr))
-                assert kernels.qpoly_divexact(kernels.qpoly_mul(a, b), b) == a
+        def check(a, g):
+            poly = to_sympy(a, domain="QQ") * to_sympy(g, domain="QQ")
+            coeffs = from_sympy(poly)
+            scale, ints = kernels.qpoly_to_int(coeffs)
+            assert [scale * c for c in ints] == coeffs
+            assert all(type(c) is int for c in ints)
+            if coeffs:
+                want = poly.clear_denoms(convert=True)[1].primitive()[1]
+                assert ints == [int(c) for c in from_sympy(want)]
+                assert scale > 0
+            else:
+                assert ints == []
 
         check()
 
-    def test_qpoly_gcd_and_clearing(self, env):
-        hyp, st, qpolys, settings, to_sympy, from_sympy = env
+    def test_yun_squarefree_against_sqf_list(self, env):
+        hyp, st, _, settings, to_sympy, from_sympy = env
+        from lkwb.reducibility import _yun_squarefree
+
+        factors = st.lists(st.integers(-6, 6), min_size=2, max_size=4).map(_trim).filter(
+            lambda f: len(f) > 1 and kernels.poly_content_int(f) == 1)
 
         @settings
-        @hyp.given(qpolys, qpolys, qpolys)
-        def check(a, b, g):
-            a, b = kernels.qpoly_mul(a, g), kernels.qpoly_mul(b, g)
-            scale, ints = kernels.qpoly_to_int(a)
-            assert [scale * c for c in ints] == a
-            assert kernels.poly_content_int(ints) == (1 if a else 0)
-            got = kernels.qpoly_gcd(a, b)
-            want = from_sympy(to_sympy(a, domain="QQ").gcd(to_sympy(b, domain="QQ")))
-            # same polynomial up to a unit: compare the monic forms
-            assert [c / got[-1] for c in got] == want
+        @hyp.given(st.lists(st.tuples(factors, st.integers(1, 3)), min_size=1, max_size=3))
+        def check(parts):
+            p = [1]
+            for f, m in parts:
+                for _ in range(m):
+                    p = kernels.poly_mul_int(p, f)
+            if p[-1] < 0:
+                p = [-c for c in p]
+            _, want = to_sympy([Rat(c) for c in p], domain="ZZ").sqf_list()
+            assert _yun_squarefree(p) == [([int(c) for c in from_sympy(f)], m) for f, m in want]
 
         check()
 

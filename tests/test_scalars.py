@@ -285,11 +285,13 @@ class TestQuotientRingAgainstReference:
         assert (half * 6 - third * 3).nums == (2, 9, 0, 0, 0, 0, 0, 0)
 
     def test_integral_modulus_arithmetic_builds_no_fraction(self, monkeypatch):
-        # +, - and * of elements with integer or fractional coefficients over
-        # an integral modulus stay in ints: no Fraction is constructed
+        # +, -, *, inverse, / and negative ** of elements with integer or
+        # fractional coefficients over an integral modulus stay in ints: no
+        # Fraction is constructed
         field = QUOTIENTS["phi24"]
         rng = random.Random(17)
         xs = [field.random(rng) for _ in range(6)] + [field.gen() ** 5, field.one()]
+        assert all(xs)
         created = []
         real_new = Fraction.__new__
 
@@ -298,10 +300,13 @@ class TestQuotientRingAgainstReference:
             return real_new(cls, *args, **kwargs)
 
         monkeypatch.setattr(Fraction, "__new__", counting_new)
-        results = [(a + b, a - b, a * b, -a) for a in xs for b in xs]
+        results = [(a + b, a - b, a * b, -a, a / b) for a in xs for b in xs]
+        inverses = [(a.inverse(), a ** -3) for a in xs]
         monkeypatch.undo()
         assert len(results) == len(xs) ** 2
         assert created == []
+        for a, (inv, cube) in zip(xs, inverses):
+            assert a * inv == field.one() and cube * a ** 3 == field.one()
 
     def test_rational_modulus(self):
         field = NumberField((rat(-1, 2), 0, 1))  # x^2 - 1/2
