@@ -387,6 +387,41 @@ def modp_poly_mulmod(a, b, mod, p):
     return modp_poly_rem(modp_poly_mul(a, b, p), mod, p)
 
 
+def modp_poly_powmod(base, e, mod, p):
+    """base^e mod mod over GF(p), by repeated squaring."""
+    result = [1]
+    base = modp_poly_rem(base, mod, p)
+    while e:
+        if e & 1:
+            result = modp_poly_mulmod(result, base, mod, p)
+        e >>= 1
+        if e:
+            base = modp_poly_mulmod(base, base, mod, p)
+    return result
+
+
+def modp_poly_root(f, p):
+    """A root in GF(p) of the integer polynomial f, or None when none is found.
+
+    Cantor-Zassenhaus: g = gcd(x^p - x, f) is the product of the distinct
+    linear factors of f mod p, and gcd((x + a)^((p - 1)/2) - 1, g) splits g
+    for about half of the shifts a.  g becomes the smaller factor each time,
+    over the shifts a = 0, 1, ..., 63 in turn.  p is an odd prime that does
+    not divide the leading coefficient of f.
+    """
+    f = [c % p for c in f]
+    g = modp_poly_gcd(f, modp_poly_sub(modp_poly_powmod([0, 1], p, f, p), [0, 1], p), p)
+    for a in range(64):
+        if len(g) <= 2:
+            break
+        h = modp_poly_gcd(g, modp_poly_sub(modp_poly_powmod([a, 1], (p - 1) // 2, g, p), [1], p), p)
+        if 2 <= len(h) < len(g):
+            g = min(h, modp_poly_divmod(g, h, p)[0], key=len)
+    if len(g) != 2:
+        return None
+    return -g[0] * pow(g[1], -1, p) % p
+
+
 def modp_poly_eval(a, x, p):
     acc = 0
     for c in reversed(a):

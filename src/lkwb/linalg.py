@@ -9,15 +9,16 @@ and a back substitution give every reduced row echelon form: rank,
 kernels, inverses, subspace spans and intersections, operator closure.
 Fraction-free pivoting over an integral domain gives determinants and
 invertible-submatrix certificates.  A sparse semi-echelon over GF(p)
-gives one-sided rank bounds and modular kernels.  Matrices and bases are
-immutable values; all operations are pure functions, so independent jobs
-can run concurrently without shared state.
+gives one-sided rank bounds, modular kernels and spin dimensions.
+Matrices and bases are immutable values; all operations are pure
+functions, so independent jobs can run concurrently without shared state.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from functools import lru_cache
 from itertools import combinations
 from math import lcm, prod
 from operator import floordiv, mul, sub
@@ -35,10 +36,12 @@ from .errors import (
 from .scalars import (
     FunctionField,
     LaurentPoly,
+    NumberField,
     QQ,
     Rat,
     RatFunc,
     field_from_tag,
+    is_rat,
     scalar_to_text,
 )
 
@@ -708,8 +711,108 @@ def is_invariant(space, ops):
 # on: the moduli of the determinant zero test above a coefficient bound
 MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
 
-# Mersenne prime for the one-sided rank bound in commutant_basis
+# Mersenne prime for the one-sided rank bound in commutant_basis, and the
+# prime that Q is reduced by
 _RANK_PRIME = (1 << MERSENNE_EXPONENTS[0]) - 1
+
+# 2^61 - 31, a prime that is 1 mod 120: phi12, phi20 and phi24 split into
+# linear factors over GF(p), so Q[x]/(f) maps into GF(p) through a root of f
+_SPLIT_PRIME = (1 << 61) - 31
+
+
+def residue_prime(field):
+    """The prime p that image_mod_p reduces the field by, or None."""
+    if field == QQ:
+        return _RANK_PRIME
+    if isinstance(field, NumberField):
+        return _SPLIT_PRIME
+    return None
+
+
+@lru_cache(maxsize=None)
+def _root_powers(field, p):
+    """(1, z, ..., z^(d-1)) mod p for a root z of the modulus f of field, or None.
+
+    x -> z is a ring map from the elements of Q[x]/(f) whose denominators
+    p does not divide exactly when f(z) = 0 mod p and p does not divide the
+    leading coefficient of the primitive integer f; both are checked here.
+    """
+    f = field.modulus_int
+    if f[-1] % p == 0:
+        return None
+    z = kernels.modp_poly_root(f, p)
+    if z is None or kernels.modp_poly_eval(f, z, p):
+        return None
+    return tuple(pow(z, i, p) for i in range(field.degree))
+
+
+def image_mod_p(x, p):
+    """The residue in GF(p) of a scalar of Q or of Q[x]/(f), or those of a Matrix.
+
+    A Matrix gives one {column: residue} dict of its nonzero residues per
+    row, the sparse rows that rank_mod_p takes.  None when there is no
+    image: p divides a denominator, f has no root mod p (found once per
+    field), or the field is neither Q nor Q[x]/(f).
+    """
+    field = QQ if is_rat(x) else getattr(x, "field", None)
+    if field == QQ:
+        powers = ()
+    elif isinstance(field, NumberField):
+        powers = _root_powers(field, p)
+        if powers is None:
+            return None
+    else:
+        return None
+    if not isinstance(x, Matrix):
+        return _residue(x, p, powers)
+    rows = []
+    for nonzeros in x._row_nonzeros():
+        row = {}
+        for j, a in nonzeros:
+            y = _residue(a, p, powers)
+            if y is None:
+                return None
+            if y:
+                row[j] = y
+        rows.append(row)
+    return rows
+
+
+def _residue(x, p, powers):
+    """x mod p, or None when p divides its denominator; powers are () over Q."""
+    if powers:
+        num, den = sum(map(mul, x.nums, powers)), x.den
+    else:
+        num, den = int(x.numerator), int(x.denominator)
+    if den == 1:
+        return num % p
+    if den % p == 0:
+        return None
+    return num * pow(den, -1, p) % p
+
+
+def _pivot_mod_p(pivots, row, p):
+    """Reduce a sparse integer row against the pivot rows over GF(p).
+
+    A nonzero residue, made 1 at its leading column, becomes the pivot row
+    of that column and is returned; a zero residue returns None.
+    """
+    r = {c: v % p for c, v in row.items() if v % p}
+    while r:
+        c = min(r)
+        prow = pivots.get(c)
+        if prow is None:
+            inv = pow(r[c], -1, p)
+            prow = pivots[c] = {k: v * inv % p for k, v in r.items()}
+            return prow
+        f = r[c]
+        for k, v in prow.items():
+            x = (r.get(k, 0) - f * v) % p
+            if x:
+                r[k] = x
+            else:
+                del r[k]
+    return None
 
 
 def _semi_echelon_mod_p(rows, p, stop=None):
@@ -724,22 +827,39 @@ def _semi_echelon_mod_p(rows, p, stop=None):
     for row in rows:
         if len(pivots) == stop:
             break
-        r = {c: v % p for c, v in row.items() if v % p}
-        while r:
-            c = min(r)
-            prow = pivots.get(c)
-            if prow is None:
-                inv = pow(r[c], -1, p)
-                pivots[c] = {k: v * inv % p for k, v in r.items()}
-                break
-            f = r[c]
-            for k, v in prow.items():
-                x = (r.get(k, 0) - f * v) % p
-                if x:
-                    r[k] = x
-                else:
-                    del r[k]
+        _pivot_mod_p(pivots, row, p)
     return pivots
+
+
+def spin_mod_p(seed, columns, p):
+    """Dimension over GF(p) of the closure of seed under the operators.
+
+    seed is a {column: residue} dict and each operator is given by the
+    image_mod_p of its transpose, a list of its columns as such dicts.  The
+    spin of operator_closure: every pivot row v is spun once, in the order
+    found, and each image op.v is reduced by the pivot step of
+    _semi_echelon_mod_p.
+    """
+    n = len(columns[0])
+    pivots = {}
+    found = [_pivot_mod_p(pivots, seed, p)]
+    if found[0] is None:
+        return 0
+    spun = 0
+    while spun < len(found) < n:
+        v = found[spun]
+        spun += 1
+        for cols in columns:
+            image = {}
+            for j, x in v.items():
+                for i, a in cols[j].items():
+                    image[i] = image.get(i, 0) + x * a
+            prow = _pivot_mod_p(pivots, image, p)
+            if prow is not None:
+                found.append(prow)
+                if len(found) == n:
+                    break
+    return len(found)
 
 
 def rank_mod_p(rows, p, stop=None):
@@ -812,18 +932,14 @@ def _nullity_one_mod_p(rows, ncols):
     False when the nullity there is larger or a denominator vanishes mod p.
     """
     p = _RANK_PRIME
-    inverses = {1: 1}
     reduced = []
     for row in rows:
         r = {}
         for k, x in row.items():
-            den = int(x.denominator)
-            inv = inverses.get(den)
-            if inv is None:
-                if den % p == 0:
-                    return False
-                inv = inverses[den] = pow(den, -1, p)
-            r[k] = int(x.numerator) * inv
+            y = image_mod_p(x, p)
+            if y is None:
+                return False
+            r[k] = y
         reduced.append(r)
     return rank_mod_p(reduced, p, stop=ncols - 1) == ncols - 1
 

@@ -676,7 +676,7 @@ class RatFunc:
     # -- predicates -----------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.num.terms)
 
     def is_const(self):
         return self.num.is_const() and self.den.is_const()
@@ -870,7 +870,7 @@ class NumberField:
         return AlgebraicNumber(self, (1,) + (0,) * (self.degree - 1))
 
     def from_int(self, i):
-        return self.element([i])
+        return AlgebraicNumber(self, (i,) + (0,) * (self.degree - 1))
 
     def from_rat(self, c):
         return self.element([c])
@@ -932,9 +932,10 @@ class AlgebraicNumber:
 
     def __eq__(self, other):
         if isinstance(other, AlgebraicNumber):
-            return self.field == other.field and self.nums == other.nums and self.den == other.den
+            return ((self.field is other.field or self.field == other.field)
+                    and self.nums == other.nums and self.den == other.den)
         if is_rat(other):
-            return self == self.field.from_rat(other)
+            return self == self._coerce(other)
         return NotImplemented
 
     def __hash__(self):
@@ -942,9 +943,11 @@ class AlgebraicNumber:
 
     def _coerce(self, other):
         if isinstance(other, AlgebraicNumber):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch("algebraic numbers from different fields")
             return other
+        if type(other) is int:
+            return self.field.from_int(other)
         if is_rat(other):
             return self.field.from_rat(other)
         return None

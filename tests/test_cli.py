@@ -212,6 +212,22 @@ class TestKernel:
         assert proc.stderr == ""
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == self.GOLDEN_N6_PHI24[locus]
 
+    # sha256 of the reports of `kernel --n 3 --locus L --r cyclotomic:phi12 --seed 29`,
+    # recorded when every closure was an exact spin
+    GOLDEN_N3_PHI12 = {
+        "l=-r3": "be91ff7e9713d942d5256254703b4bbc1f86156f15c3032568a52c7be5cf8d2c",
+        "l=r3-2n": "72b96fe42595674bf032eaa03dcee19fe56af9b01d852d5ab28c7e7b6af89d8e",
+        "l=+r3-n": "6120376f587a5db8c9f5836fb4f03302f23da4a75bcf4250c32ac4cd10d74c3d",
+        "l=-r3-n": "96f7782df479609061ce7ee82b06314a6f1a43d94ed03693683186629fd32833",
+    }
+
+    @pytest.mark.parametrize("locus", sorted(GOLDEN_N3_PHI12))
+    def test_golden_n3_phi12_reports(self, locus):
+        proc = run_cli("kernel", "--n", "3", "--locus", locus, "--r", "cyclotomic:phi12",
+                       "--seed", "29")
+        assert proc.stderr == ""
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == self.GOLDEN_N3_PHI12[locus]
+
     def test_decimal_r_rejected(self):
         run_cli("kernel", "--n", "4", "--locus", "l=r", "--r", "2.0", expect=2)
 
@@ -265,6 +281,20 @@ class TestCertify:
         proc = run_cli("certify", "--n", n, "--r", r, "--seed", "29")
         assert proc.stderr == ""
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == self.GOLDEN_Q[(n, r)]
+
+    # sha256 of the reports of `certify --n N --r R --seed S`, recorded when
+    # every closure was an exact spin
+    GOLDEN_CLOSURES = {
+        ("7", "2/1", "29"): "a4afc8d3fa1474e943550ebdfbc73c8734a61f15f6b84cf01f9798d16e8bc3ca",
+        ("6", "3/2", "1"): "f4ebf27a210216f8e860d27200a84c270419ff2c722a8f5d4cdae2b49fdfec01",
+    }
+
+    @pytest.mark.parametrize("n, r, seed", sorted(GOLDEN_CLOSURES))
+    def test_golden_closure_reports(self, n, r, seed):
+        proc = run_cli("certify", "--n", n, "--r", r, "--seed", seed)
+        assert proc.stderr == ""
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert digest == self.GOLDEN_CLOSURES[(n, r, seed)]
 
     def test_jobs_matches_serial(self):
         a = run_cli("certify", "--n", "3", "--r", "2/1", "--seed", "5").stdout

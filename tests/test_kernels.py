@@ -307,3 +307,34 @@ class TestModpReconstruction:
         mod = kernels.modp_poly_mul([p - 1, 1], [p - 2, 1], p)
         assert kernels.modp_ratrecon([], mod, 1, p) == ([], [1])
         assert kernels.modp_ratrecon([p - 1, 1], mod, 1, p) is None
+
+
+class TestModpRoot:
+    """A root in GF(p) by Cantor-Zassenhaus, or None."""
+
+    def test_cyclotomic_moduli_split_mod_the_closure_prime(self):
+        from lkwb.scalars import CYCLOTOMIC_MODULI
+
+        p = (1 << 61) - 31
+        assert p % 120 == 1
+        for f in CYCLOTOMIC_MODULI.values():
+            z = kernels.modp_poly_root(list(f), p)
+            assert z is not None and kernels.modp_poly_eval(list(f), z, p) == 0
+
+    def test_roots_of_random_products_of_linear_factors(self):
+        rng = random.Random(7)
+        for p in (101, 10007, (1 << 61) - 1):
+            for _ in range(20):
+                roots = [rng.randrange(p) for _ in range(rng.randint(1, 6))]
+                f = [1]
+                for z in roots:
+                    f = kernels.modp_poly_mul(f, [-z % p, 1], p)
+                # an irreducible quadratic factor adds no root
+                f = kernels.modp_poly_mul(f, [1, 0, 1], p) if p % 4 == 3 else f
+                assert kernels.modp_poly_root(f, p) in roots
+
+    def test_none_without_a_root(self):
+        # x^2 + 1 is irreducible mod 7, and x^2 - 2 mod 5
+        assert kernels.modp_poly_root([1, 0, 1], 7) is None
+        assert kernels.modp_poly_root([-2, 0, 1], 5) is None
+        assert kernels.modp_poly_root([1, 0, 1], 13) in (5, 8)

@@ -23,6 +23,7 @@ from lkwb.linalg import (
     commutant_basis,
     det,
     find_invertible_submatrix,
+    image_mod_p,
     inverse,
     is_invariant,
     kernel,
@@ -32,6 +33,8 @@ from lkwb.linalg import (
     operator_closure,
     rank,
     rank_mod_p,
+    residue_prime,
+    spin_mod_p,
     subspace_intersect,
     subspace_sum,
 )
@@ -969,3 +972,86 @@ class TestSerialization:
                 if det(m):
                     break
             assert inverse(m) * m == Matrix.identity(field, 3)
+
+
+class TestImageModP:
+    """The ring maps Q -> GF(2^61 - 1) and Q[x]/(f) -> GF(2^61 - 31), x -> a root of f."""
+
+    FIELDS = [QQ] + [cyclotomic_field(name) for name in ("phi12", "phi20", "phi24")]
+
+    def test_primes(self):
+        assert residue_prime(QQ) == (1 << 61) - 1
+        assert residue_prime(cyclotomic_field("phi24")) == (1 << 61) - 31
+        assert residue_prime(QR) is None and residue_prime(QLR) is None
+
+    def test_ring_map(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=100, deadline=None, derandomize=True)
+        @hyp.given(st.sampled_from(self.FIELDS), st.integers(0, 2 ** 32))
+        def check(field, seed):
+            rng = random.Random(seed)
+            a, b = field.random(rng), field.random(rng)
+            p = residue_prime(field)
+            ia, ib = image_mod_p(a, p), image_mod_p(b, p)
+            assert image_mod_p(a * b, p) == ia * ib % p
+            assert image_mod_p(a + b, p) == (ia + ib) % p
+            assert image_mod_p(a - b, p) == (ia - ib) % p
+            assert image_mod_p(field.one(), p) == 1 and image_mod_p(field.zero(), p) == 0
+            if a:
+                assert image_mod_p(field.one() / a, p) * ia % p == 1
+
+        check()
+
+    def test_matrix_rows_and_refusals(self):
+        p = residue_prime(QQ)
+        m = Matrix(QQ, [[rat(1, 2), 0], [0, rat(p)]])
+        assert image_mod_p(m, p) == [{0: pow(2, -1, p)}, {}]
+        # p divides a denominator: no image, for the matrix as for the entry
+        assert image_mod_p(rat(1, p), p) is None
+        assert image_mod_p(Matrix(QQ, [[1, rat(3, 2 * p)]]), p) is None
+        # Q(r) has no map here
+        assert image_mod_p(RatFunc.var_r(), p) is None
+        assert image_mod_p(Matrix.identity(QR, 2), p) is None
+
+    def test_no_image_without_a_root(self):
+        from lkwb.scalars import NumberField
+
+        # x^2 + 1 has no root mod p = 2^61 - 1, which is 3 mod 4
+        field = NumberField((1, 0, 1))
+        p = residue_prime(QQ)
+        assert image_mod_p(field.gen(), p) is None
+        assert image_mod_p(field.gen(), residue_prime(field)) is not None
+
+    def test_spin_dimension_against_the_exact_closure(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        entries = st.sampled_from([rat(0), rat(0), rat(0), rat(1), rat(-1), rat(2), rat(1, 2),
+                                   rat(-3, 5)])
+
+        @st.composite
+        def cases(draw):
+            n = draw(st.integers(1, 5))
+            ops = draw(st.lists(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                         min_size=n, max_size=n), min_size=1, max_size=3))
+            seed = draw(st.lists(entries, min_size=n, max_size=n))
+            hyp.assume(any(seed))
+            return seed, [Matrix(QQ, rows) for rows in ops]
+
+        @hyp.settings(max_examples=150, deadline=None, derandomize=True)
+        @hyp.given(cases())
+        def check(case):
+            seed, ops = case
+            p = residue_prime(QQ)
+            columns = [image_mod_p(op.transpose(), p) for op in ops]
+            (row,) = image_mod_p(Matrix(QQ, [seed]), p)
+            assert spin_mod_p(row, columns, p) == operator_closure([seed], ops).dim
+
+        check()
+
+    def test_spin_of_a_zero_residue(self):
+        p = residue_prime(QQ)
+        columns = [image_mod_p(Matrix.identity(QQ, 2), p)]
+        assert spin_mod_p({0: p}, columns, p) == 0
+        assert spin_mod_p({1: 3}, columns, p) == 1

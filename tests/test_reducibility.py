@@ -1,12 +1,14 @@
 """Test element M(n), kernels at loci, invariant subspaces, certification."""
 
+import functools
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
 import lkwb.reducibility as reducibility
-from lkwb import kernels
+from lkwb import kernels, linalg
 from lkwb.errors import (
     DepthTooLarge,
     InfeasibleMode,
@@ -26,6 +28,7 @@ from lkwb.linalg import (
 from lkwb.lkrep import LKRep, pair_index_map, rational_rep, substituted_rep, symbolic_rep
 from lkwb.reducibility import (
     GENERIC,
+    _certified_closures,
     _coefficient_bound,
     _kernel_at,
     _univariate_zero_verdict,
@@ -48,7 +51,7 @@ from lkwb.reducibility import (
     scan,
     summand_count,
 )
-from lkwb.scalars import QQ, QR, LaurentPoly, RatFunc, cyclotomic_field, rat
+from lkwb.scalars import QQ, QR, LaurentPoly, RatFunc, cyclotomic_field, parse_rat, rat
 
 import oracles
 
@@ -501,6 +504,134 @@ class TestMinimalInvariant:
                 assert closure == operator_closure([v], list(rep.g) + list(rep.g_inv))
                 assert closure == SubspaceBasis.from_vectors(rep.field, closure.ambient_dim,
                                                              closure.vectors)
+
+
+@functools.lru_cache(maxsize=None)
+def kernel_case(n, locus, r):
+    """(rep, K(n)) at a catalog locus; r is a rational or a cyclotomic modulus name."""
+    r_val = cyclotomic_field(r).gen() if r.startswith("phi") else parse_rat(r)
+    rep = rep_at(n, named_locus(locus, n), r_val)
+    return rep, kernel(build_m_matrix(rep).matrix)
+
+
+def count_exact_spins(monkeypatch):
+    """The seeds of every exact minimal_invariant spin from here on."""
+    seeds = []
+    exact = reducibility.minimal_invariant
+
+    def counted(rep, seed):
+        seeds.append(seed)
+        return exact(rep, seed)
+
+    monkeypatch.setattr(reducibility, "minimal_invariant", counted)
+    return seeds
+
+
+class TestCertifiedClosures:
+    """Closures certified by a spin mod p equal the exact spins; mutants fall back."""
+
+    # the exceptional points n = 5 at phi20 and n = 6 at phi24 hold a line and
+    # a (n-1)(n-2)/2-dimensional invariant subspace inside K(n)
+    CASES = [(4, "l=r", "2"), (5, "l=+r3-n", "3/2"), (4, "l=-r3", "-5/3"),
+             (3, "l=-r3", "phi12"), (3, "l=+r3-n", "phi12"), (5, "l=-r3", "phi20"),
+             (5, "l=r", "phi20"), (6, "l=r3-2n", "phi24")]
+
+    def test_against_the_exact_spin(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+        @hyp.given(st.sampled_from(self.CASES), st.data())
+        def check(case, data):
+            rep, basis = kernel_case(*case)
+            field = rep.field
+
+            def vector_of(space):
+                coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=space.dim,
+                                            max_size=space.dim).filter(any))
+                return tuple(sum((c * v[j] for c, v in zip(coeffs, space.vectors) if c),
+                                 field.zero()) for j in range(space.ambient_dim))
+
+            # a random invariant subspace: K(n) or the closure of a vector of it
+            u = basis if data.draw(st.booleans()) else operator_closure([vector_of(basis)], rep.g)
+            count = data.draw(st.integers(1, 3))
+            vectors = list(u.vectors[:2]) + [vector_of(u) for _ in range(count)]
+            known = data.draw(st.sampled_from([[u], [basis, u], [u, basis]]))
+            got = _certified_closures(rep, vectors, known)
+            assert got == [operator_closure([v], rep.g) for v in vectors]
+
+        check()
+
+    @pytest.mark.parametrize("n, locus, r, spins", [
+        (4, "l=r", "2", 0), (5, "l=-r3", "phi20", 1), (6, "l=r3-2n", "phi24", 1),
+        (3, "l=-r3-n", "phi12", 0)])
+    def test_exact_spins_only_where_the_certificate_falls_short(self, monkeypatch, n, locus, r,
+                                                                spins):
+        rep, basis = kernel_case(n, locus, r)
+        seeds = count_exact_spins(monkeypatch)
+        closures = _certified_closures(rep, basis.vectors, [basis])
+        assert len(seeds) == spins
+        assert closures == [operator_closure([v], rep.g) for v in basis.vectors]
+
+    def test_a_root_that_is_no_root_is_refused(self, monkeypatch):
+        field = cyclotomic_field("phi12")
+        expected = {locus.name: kernel_k(3, locus, field.gen()).to_json_obj()
+                    for locus in catalog(3)}
+        p = linalg.residue_prime(field)
+        root = kernels.modp_poly_root
+        monkeypatch.setattr(kernels, "modp_poly_root", lambda f, q: (root(f, q) + 1) % q)
+        linalg._root_powers.cache_clear()
+        try:
+            assert linalg.image_mod_p(field.gen(), p) is None
+            seeds = count_exact_spins(monkeypatch)
+            for locus in catalog(3):
+                report = kernel_k(3, locus, field.gen())
+                assert report.to_json_obj() == expected[locus.name]
+                assert seeds[-report.k:] == list(report.basis.vectors)
+        finally:
+            monkeypatch.undo()
+            linalg._root_powers.cache_clear()
+
+    @pytest.mark.parametrize("n, locus", [(4, "l=r"), (4, "l=-r3"), (5, "l=+r3-n")])
+    def test_a_prime_dividing_a_denominator_falls_back(self, monkeypatch, n, locus):
+        # at r = 2^61 - 1 the prime divides the denominators of the g_i
+        p = linalg.residue_prime(QQ)
+        rep = rep_at(n, named_locus(locus, n), rat(p))
+        assert all(linalg.image_mod_p(g.transpose(), p) is None for g in rep.g)
+        seeds = count_exact_spins(monkeypatch)
+        report, rep, _, closures = _kernel_at(n, named_locus(locus, n), rat(p))
+        assert seeds == list(report.basis.vectors)
+        assert closures == [operator_closure([v], rep.g) for v in report.basis.vectors]
+        assert report.minimal_dims == (report.k,) and report.unique_minimal
+
+    def test_a_vector_outside_the_known_subspace_is_refused(self, monkeypatch):
+        # diag(1, 2, 3): e_2 spins to a line mod p, of the dimension of span(e_1)
+        g = Matrix(QQ, [[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+        rep = SimpleNamespace(field=QQ, g=(g,))
+        line = SubspaceBasis.coordinate(QQ, 3, [0])
+        v = (rat(0), rat(1), rat(0))
+        p = linalg.residue_prime(QQ)
+        assert linalg.spin_mod_p({1: 1}, [linalg.image_mod_p(g.transpose(), p)], p) == line.dim
+        seeds = count_exact_spins(monkeypatch)
+        assert _certified_closures(rep, [v, line.vectors[0]], [line]) == [
+            SubspaceBasis.coordinate(QQ, 3, [1]), line]
+        assert seeds == [v]
+
+    # an overstated spin dimension at the exceptional point would certify K(n)
+    # for a vector of the smaller subspace; the spin itself is checked against
+    # operator_closure in test_linalg.py
+    @pytest.mark.parametrize("n, locus, r, shift", [
+        (4, "l=-r3", "2", -1), (4, "l=-r3", "2", 1), (5, "l=-r3", "phi20", -1),
+        (6, "l=r", "phi24", 1)])
+    def test_a_wrong_spin_dimension_falls_back(self, monkeypatch, n, locus, r, shift):
+        rep, _ = kernel_case(n, locus, r)
+        want = kernel_k(n, named_locus(locus, n), rep.params.r).to_json_obj()
+        spin = linalg.spin_mod_p
+        monkeypatch.setattr(reducibility, "spin_mod_p", lambda *args: spin(*args) + shift)
+        seeds = count_exact_spins(monkeypatch)
+        report = kernel_k(n, named_locus(locus, n), rep.params.r)
+        assert report.to_json_obj() == want
+        assert seeds == list(report.basis.vectors)
 
 
 class TestLowerIntersections:

@@ -302,9 +302,16 @@ class TestQuotientRingAgainstReference:
         monkeypatch.setattr(Fraction, "__new__", counting_new)
         results = [(a + b, a - b, a * b, -a, a / b) for a in xs for b in xs]
         inverses = [(a.inverse(), a ** -3) for a in xs]
+        mixed = [(a * 6, 3 * a, a + 1, 1 - a, a == 1) for a in xs] + [field.from_int(-3)]
         monkeypatch.undo()
         assert len(results) == len(xs) ** 2
         assert created == []
+        three = field.one() + field.one() + field.one()
+        for a, (six_a, three_a, plus, minus, is_one) in zip(xs, mixed):
+            assert six_a == a * (three + three) and three_a == a * three
+            assert plus == a + field.one() and minus == field.one() - a
+            assert is_one == (a == field.one())
+        assert mixed[-1] == -three
         for a, (inv, cube) in zip(xs, inverses):
             assert a * inv == field.one() and cube * a ** 3 == field.one()
 
