@@ -207,8 +207,6 @@ def _finish(args, obj, ok):
 
 
 def _cmd_relations(args):
-    if args.n < 3:
-        raise InvalidConfig("n must be >= 3")
     if args.symbolic:
         rep = symbolic_rep(args.n)
     else:
@@ -247,8 +245,6 @@ def _export_matrices(rep, directory):
 
 
 def _cmd_det(args):
-    if args.n < 3:
-        raise InvalidConfig("n must be >= 3")
     locus = _locus_from_args(args)
     rng = random.Random(args.seed) if args.mode == "sampled" else None
     verdict = det_on_locus(args.n, locus, args.mode, rng=rng)

@@ -272,49 +272,6 @@ def bareiss_det_int(rows):
     return sign * a[n - 1][n - 1]
 
 
-def bareiss_det_polyint(rows):
-    """Determinant over Z[x]: entries and result are dense int-coeff lists.
-
-    A test reference: linalg.det runs its own fraction-free elimination,
-    and this stays as an independent check of it.
-    """
-    n = len(rows)
-    if n == 0:
-        return [1]
-    a = [[list(e) for e in r] for r in rows]
-    sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        piv = None
-        best = None
-        for i in range(k, n):
-            e = a[i][k]
-            if e:
-                nt = sum(1 for c in e if c)
-                if best is None or nt < best:
-                    best = nt
-                    piv = i
-        if piv is None:
-            return []
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        row_k = a[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                t = poly_mul_int(pivot, row_i[j])
-                if head:
-                    t = poly_sub(t, poly_mul_int(head, row_k[j]))
-                row_i[j] = poly_divexact_int(t, prev) if prev != [1] else t
-            row_i[k] = []
-        prev = pivot
-    d = a[n - 1][n - 1]
-    return [-c for c in d] if sign < 0 else d
-
-
 # ---------------------------------------------------------------------------
 # Q[x]
 # ---------------------------------------------------------------------------

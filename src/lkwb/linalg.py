@@ -7,9 +7,10 @@ loops, and scaling, sums and differences skip zero entries.
 There are three eliminations.  Over the field, one semi-echelon basis
 and a back substitution give every reduced row echelon form: rank,
 kernels, inverses, subspace spans and intersections, operator closure.
-Fraction-free pivoting over an integral domain gives determinants and
-invertible-submatrix certificates.  A sparse semi-echelon over GF(p)
-gives one-sided rank bounds, modular kernels and spin dimensions.
+Fraction-free pivoting over Z, the Laurent ring or Q[x]/(f) gives
+determinants and invertible-submatrix certificates.  A sparse
+semi-echelon over GF(p) gives one-sided rank bounds, among them the
+scalar-commutant certificate, modular kernels and spin dimensions.
 Matrices and bases are immutable values; all operations are pure
 functions, so independent jobs can run concurrently without shared state.
 """
@@ -117,10 +118,11 @@ class Matrix:
     def __mul__(self, other):
         """Gustavson's row-by-row product on the cached row nonzeros.
 
-        Each output entry (i, j) sums a_ik * b_kj over the k where both are
-        nonzero, in ascending k, as a * b then acc + a * b; an entry with no
-        such k is the field zero.  The order is that of the textbook triple
-        loop, so entries that are not in canonical form come out the same.
+        Output row i is _row_combination of the rows of other at the
+        nonzero a_ik, in ascending k: entry (i, j) sums a_ik * b_kj as
+        a * b then acc + a * b, and one with no such k is the field zero.
+        The order is that of the textbook triple loop, so entries that are
+        not in canonical form come out the same.
         """
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -129,16 +131,10 @@ class Matrix:
             raise DimensionMismatch("inner dimensions differ")
         brows = other._row_nonzeros()
         zero = self.field.zero()
-        ncols = other.ncols
-        out = []
-        for arow in self._row_nonzeros():
-            acc = [None] * ncols
-            for k, a in arow:
-                for j, b in brows[k]:
-                    x = acc[j]
-                    acc[j] = a * b if x is None else x + a * b
-            out.append(tuple(zero if x is None else x for x in acc))
-        return Matrix(self.field, tuple(out), _trusted=True)
+        return Matrix(self.field,
+                      tuple(_row_combination(arow, brows, other.ncols, zero)
+                            for arow in self._row_nonzeros()),
+                      _trusted=True)
 
     def scale(self, c):
         c = self.field.coerce(c)
@@ -175,15 +171,8 @@ class Matrix:
         """v M for a row vector v: the rows of M at the nonzero v[i], in ascending i."""
         if len(v) != self.nrows:
             raise DimensionMismatch("vector length differs from row count")
-        nonzeros = self._row_nonzeros()
-        acc = [None] * self.ncols
-        for i, x in enumerate(v):
-            if x:
-                for j, y in nonzeros[i]:
-                    s = acc[j]
-                    acc[j] = x * y if s is None else s + x * y
-        zero = self.field.zero()
-        return tuple(zero if s is None else s for s in acc)
+        return _row_combination(((i, x) for i, x in enumerate(v) if x), self._row_nonzeros(),
+                                self.ncols, self.field.zero())
 
     def is_zero(self):
         return not any(any(row) for row in self.rows)
@@ -234,6 +223,23 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field.tag})"
+
+
+def _row_combination(pairs, rows, ncols, zero):
+    """The row sum x * rows[i] over the (i, x) pairs, rows as (column, entry) lists.
+
+    Each entry sums x * y over the pairs whose row has a nonzero y in its
+    column, in the order of the pairs, as x * y then acc + x * y; a column
+    with no such pair is zero.  Matrix.__mul__ and Matrix.vec_mat share
+    this loop, so entries that are not in canonical form come out the same
+    from both.
+    """
+    acc = [None] * ncols
+    for i, x in pairs:
+        for j, y in rows[i]:
+            s = acc[j]
+            acc[j] = x * y if s is None else s + x * y
+    return tuple(zero if s is None else s for s in acc)
 
 
 def matrix_to_json(m):
@@ -352,22 +358,6 @@ def clear_denominators(row):
     return den, [x.num * den.divexact(x.den) if x else LaurentPoly.zero() for x in row]
 
 
-def dense_int_row(polys):
-    """(scale, shift, ints): a row of univariate-in-r LaurentPolys over Z[r].
-
-    Entry j equals scale * r^shift * ints[j], with ints[j] a dense integer
-    polynomial, one rational scale and one shift for the whole row, and the
-    integer row of content 1.  A zero row gives scale 0 and all ints [].
-    """
-    parts = [p.to_dense_int_r() for p in polys]
-    # entry scales c_j = scale * mults[j], integer mults of content 1
-    scale, mults = kernels.qpoly_to_int([c for c, _, _ in parts])
-    shift = min((s for _, s, ints in parts if ints), default=0)
-    ints_row = [[0] * (s - shift) + [mults[j] * v for v in ints] if ints else []
-                for j, (_, s, ints) in enumerate(parts)]
-    return scale, shift, ints_row
-
-
 def _fraction_free(work, s, ring):
     """s steps of Bareiss elimination with full pivoting, in place on work.
 
@@ -444,12 +434,11 @@ def _domain(m):
     Each row of work is the row of m times a nonzero scalar, so the same
     minors are invertible; ring is as in _fraction_free, and finish(pivot,
     odd) turns the last pivot of a full elimination into det m, negated
-    when odd.  Q runs over Z, each row times the lcm of its denominators.
-    Q(r) and Q(l,r) rows go through clear_denominators, and then, when
-    every entry is univariate in r, through dense_int_row over Z[r];
-    otherwise they stay LaurentPoly rows.  Any other field, such as
-    Q[x]/(f), keeps its rows and divides in the field through
-    _inverse_once.
+    when odd.  There are three rings.  Q runs over Z, each row times the
+    lcm of its denominators.  Q(r) and Q(l,r) rows go through
+    clear_denominators into the Laurent ring, with the term count as the
+    pivot cost.  Any other field, such as Q[x]/(f), keeps its rows and
+    divides in the field through _inverse_once.
     """
     field = m.field
     if field == QQ:
@@ -461,24 +450,12 @@ def _domain(m):
         ring = (mul, sub, _inverse_once(), lambda x: 0)
         return [list(row) for row in m.rows], ring, lambda d, odd: -d if odd else d
     cleared = [clear_denominators(row) for row in m.rows]
-    polys = [row for _, row in cleared]
-
-    def factor():
-        return prod((den for den, _ in cleared), start=LaurentPoly.one())
-
-    if not all(p.is_univariate_r() for row in polys for p in row):
-        ring = (mul, sub, LaurentPoly.divexact, lambda e: len(e.terms))
-        return polys, ring, lambda d, odd: RatFunc(-d if odd else d, factor())
-    dense = [dense_int_row(row) for row in polys]
 
     def finish(d, odd):
-        shift = sum(s for _, s, _ in dense)
-        p = LaurentPoly.from_pairs([((0, i + shift), -c if odd else c) for i, c in enumerate(d)])
-        return RatFunc(p.scale(prod(scale for scale, _, _ in dense)), factor())
+        return RatFunc(-d if odd else d, prod((den for den, _ in cleared), start=LaurentPoly.one()))
 
-    ring = (kernels.poly_mul_int, kernels.poly_sub, kernels.poly_divexact_int,
-            lambda e: (len(e) - e.count(0), len(e)))
-    return [ints for _, _, ints in dense], ring, finish
+    ring = (mul, sub, LaurentPoly.divexact, lambda e: len(e.terms))
+    return [row for _, row in cleared], ring, finish
 
 
 def det(m):
@@ -711,8 +688,7 @@ def is_invariant(space, ops):
 # on: the moduli of the determinant zero test above a coefficient bound
 MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
 
-# Mersenne prime for the one-sided rank bound in commutant_basis, and the
-# prime that Q is reduced by
+# The Mersenne prime 2^61 - 1 that image_mod_p reduces Q by
 _RANK_PRIME = (1 << MERSENNE_EXPONENTS[0]) - 1
 
 # 2^61 - 31, a prime that is 1 mod 120: phi12, phi20 and phi24 split into
@@ -905,20 +881,25 @@ def nullspace_mod_p(rows, p, ncols):
     return tuple(order), basis
 
 
-def _commutant_rows(ops, n):
-    """Sparse rows of the system A X - X A = 0, X flattened row-major."""
-    zero = ops[0].field.zero()
+def _commutant_rows(ops, n, zero):
+    """Sparse rows of the system A X - X A = 0, X flattened row-major.
+
+    Each operator A is given by its rows, {column: entry} dicts of its
+    nonzero entries in ascending column, over any ring whose zero is
+    given; so are the rows of the system.
+    """
     rows = []
     for a in ops:
-        ar = a.rows
-        col_entries = [[(q, ar[q][j]) for q in range(n) if ar[q][j]] for j in range(n)]
+        cols = [{} for _ in range(n)]
+        for q, arow in enumerate(a):
+            for j, x in arow.items():
+                cols[j][q] = x
         for i in range(n):
-            row_entries = [(p, x) for p, x in enumerate(ar[i]) if x]
             for j in range(n):
                 row = {}
-                for p, x in row_entries:
+                for p, x in a[i].items():
                     row[p * n + j] = row.get(p * n + j, zero) + x
-                for q, x in col_entries[j]:
+                for q, x in cols[j].items():
                     row[i * n + q] = row.get(i * n + q, zero) - x
                 row = {k: x for k, x in row.items() if x}
                 if row:
@@ -926,37 +907,21 @@ def _commutant_rows(ops, n):
     return rows
 
 
-def _nullity_one_mod_p(rows, ncols):
-    """True when rational sparse rows have nullity 1 over GF(2^61 - 1).
-
-    False when the nullity there is larger or a denominator vanishes mod p.
-    """
-    p = _RANK_PRIME
-    reduced = []
-    for row in rows:
-        r = {}
-        for k, x in row.items():
-            y = image_mod_p(x, p)
-            if y is None:
-                return False
-            r[k] = y
-        reduced.append(r)
-    return rank_mod_p(reduced, p, stop=ncols - 1) == ncols - 1
-
-
 def commutant_basis(ops):
     """Basis of {X : X A = A X for all A in ops}; always contains the identity.
 
     The basis is the echelonized kernel of the (len(ops) n^2) x n^2 system
-    A X - X A = 0.  Over Q the system is first reduced mod p = 2^61 - 1.
-    Reduction mod p is a ring map from the rationals whose denominators p
-    does not divide, so every minor that vanishes over Q vanishes mod p:
-    rank mod p <= rank over Q.  The identity always commutes, so the
-    nullity over Q is at least 1; a nullity of 1 mod p therefore proves
-    that the commutant is exactly the scalars, and the basis is [I], the
-    echelonized form of that kernel.  Dense exact elimination over the
-    field decides every other case: the nullity mod p is above 1, p
-    divides a denominator, or the field is not Q.
+    A X - X A = 0.  Wherever residue_prime gives a prime p, over Q and
+    Q[x]/(f), each operator is first reduced mod p once and the system is
+    built over GF(p).  Reduction mod p is a ring map from the scalars whose
+    denominators p does not divide, so every minor that vanishes over the
+    field vanishes mod p: rank mod p <= rank over the field.  The identity
+    always commutes, so the nullity over the field is at least 1; a
+    nullity of 1 mod p therefore proves that the commutant is exactly the
+    scalars, and the basis is [I], the echelonized form of that kernel.
+    Dense exact elimination over the field decides every other case: the
+    field has no such prime, p divides a denominator, or the nullity mod p
+    is above 1.
     """
     if not ops:
         raise DimensionMismatch("no operators given")
@@ -965,10 +930,15 @@ def commutant_basis(ops):
     for op in ops:
         if not op.is_square() or op.nrows != n:
             raise DimensionMismatch("operators must be square of equal size")
-    rows = _commutant_rows(ops, n)
-    if field == QQ and _nullity_one_mod_p(rows, n * n):
-        return [Matrix.identity(field, n)]
+    p = residue_prime(field)
+    images = [image_mod_p(op, p) for op in ops]
+    if None not in images:
+        rows = _commutant_rows(images, n, 0)
+        if rank_mod_p(rows, p, stop=n * n - 1) == n * n - 1:
+            return [Matrix.identity(field, n)]
     zero = field.zero()
+    exact = [[dict(nonzeros) for nonzeros in op._row_nonzeros()] for op in ops]
+    rows = _commutant_rows(exact, n, zero)
     dense = [tuple(_dense(row.items(), n * n, zero)) for row in rows]
     big = Matrix(field, tuple(dense), _trusted=True) if dense else Matrix.zeros(field, 1, n * n)
     ker = kernel(big)

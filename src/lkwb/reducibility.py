@@ -29,7 +29,6 @@ from .linalg import (
     charpoly,
     clear_denominators,
     commutant_basis,
-    dense_int_row,
     det,
     is_invariant,
     image_mod_p,
@@ -402,6 +401,22 @@ def _nonzero_point_witness_bivariate(d):
             if val:
                 return {"l": str(lv), "r": str(rv), "det": format(str(val))}
     return {}
+
+
+def dense_int_row(polys):
+    """(scale, shift, ints): a row of univariate-in-r LaurentPolys over Z[r].
+
+    Entry j equals scale * r^shift * ints[j], with ints[j] a dense integer
+    polynomial, one rational scale and one shift for the whole row, and the
+    integer row of content 1.  A zero row gives scale 0 and all ints [].
+    """
+    parts = [p.to_dense_int_r() for p in polys]
+    # entry scales c_j = scale * mults[j], integer mults of content 1
+    scale, mults = kernels.qpoly_to_int([c for c, _, _ in parts])
+    shift = min((s for _, s, ints in parts if ints), default=0)
+    ints_row = [[0] * (s - shift) + [mults[j] * v for v in ints] if ints else []
+                for j, (_, s, ints) in enumerate(parts)]
+    return scale, shift, ints_row
 
 
 def _univariate_zero_verdict(matrix, n, locus, method):
@@ -1230,37 +1245,36 @@ class CertificationReport:
     field_tag: str
     seed: object
     records: tuple
-    generic: object
+    generic: GenericRecord
 
     @property
     def all_match(self):
-        ok = all(rec.match for rec in self.records)
-        if self.generic is not None:
-            ok = ok and self.generic.match
-        return ok
+        return all(rec.match for rec in self.records) and self.generic.match
 
     def to_json_obj(self):
-        loci = [rec.to_json_obj() for rec in self.records]
-        if self.generic is not None:
-            loci.append(self.generic.to_json_obj())
         return {
             "n": self.n,
             "r": {"value": self.r_text, "field": self.field_tag},
             "seed": self.seed,
             "all_match": self.all_match,
-            "loci": loci,
+            "loci": [rec.to_json_obj() for rec in self.records] + [self.generic.to_json_obj()],
         }
 
 
-def certify(n, r_val, *, seed=0, probe_trials=10, probe_max_n=5,
-            include_generic=True, jobs=1):
+# Largest n at which certify runs the indecomposability probe and the
+# generic commutant
+_PROBE_MAX_N = 5
+
+
+def certify(n, r_val, *, seed=0, probe_trials=10, jobs=1):
     """Certify the dimension/uniqueness table at every catalog locus.
 
     Per locus: point determinant, k(n), invariance of K(n), minimal
     invariant subspace dimensions (closure from every kernel vector),
     one-dimensional subspace count where expected, and (for n up to
-    probe_max_n) the indecomposability probe.  A failing comparison is a
-    first-class result recorded in the report, not a crash.
+    _PROBE_MAX_N) the indecomposability probe.  A generic record at a
+    random l off the loci follows the catalog loci.  A failing comparison
+    is a first-class result recorded in the report, not a crash.
 
     Per-locus randomness is derived from (seed, locus name), so output is
     byte-identical regardless of jobs; records merge sorted by locus name.
@@ -1275,8 +1289,8 @@ def certify(n, r_val, *, seed=0, probe_trials=10, probe_max_n=5,
     if isinstance(r_val, int):
         r_val = Rat(r_val)
     fieldobj = QQ if is_rat(r_val) else field_of(r_val)
-    tasks = [(n, locus, r_val, _random.Random(f"{seed}|{locus.name}"),
-              probe_trials, probe_max_n) for locus in catalog(n)]
+    tasks = [(n, locus, r_val, _random.Random(f"{seed}|{locus.name}"), probe_trials)
+             for locus in catalog(n)]
     workers = min(jobs, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -1286,9 +1300,7 @@ def certify(n, r_val, *, seed=0, probe_trials=10, probe_max_n=5,
     else:
         records = [_certify_locus_task(t) for t in tasks]
     records.sort(key=lambda rec: rec.locus)
-    generic = None
-    if include_generic:
-        generic = _certify_generic(n, r_val, _random.Random(f"{seed}|generic"), probe_max_n)
+    generic = _certify_generic(n, r_val, _random.Random(f"{seed}|generic"))
     return CertificationReport(
         n=n,
         r_text=scalar_to_text(fieldobj.coerce(r_val)),
@@ -1303,7 +1315,7 @@ def _certify_locus_task(args):
     return _certify_locus(*args)
 
 
-def _certify_locus(n, locus, r_val, rng, probe_trials, probe_max_n):
+def _certify_locus(n, locus, r_val, rng, probe_trials):
     expected = expected_spectrum(n, locus, r_val)
     report, rep, mn, closures = _kernel_at(n, locus, r_val)
     # over a field det M = 0 exactly when the kernel, checked by M v = 0, is nonzero
@@ -1340,7 +1352,7 @@ def _certify_locus(n, locus, r_val, rng, probe_trials, probe_max_n):
             break
     probe_verdict = "skipped"
     probabilistic = False
-    if probe_trials and n <= probe_max_n and rep.field == QQ:
+    if probe_trials and n <= _PROBE_MAX_N and rep.field == QQ:
         probe = indecomposability_probe(rep, probe_trials, rng)
         probe_verdict = probe.verdict
         probabilistic = probe.probabilistic
@@ -1371,7 +1383,7 @@ def _certify_locus(n, locus, r_val, rng, probe_trials, probe_max_n):
     )
 
 
-def _certify_generic(n, r_val, rng, probe_max_n):
+def _certify_generic(n, r_val, rng):
     l_val = _random_l_off_catalog(n, r_val, rng, 50)
     report, rep, _, _ = _kernel_at(n, None, r_val, l_val, with_closures=False)
     k = report.k
@@ -1382,7 +1394,7 @@ def _certify_generic(n, r_val, rng, probe_max_n):
     if k != 0:
         mismatches.append(f"kernel dimension {k} at a non-locus point")
     cdim = -1
-    if n <= probe_max_n and rep.field == QQ:
+    if n <= _PROBE_MAX_N and rep.field == QQ:
         cdim = len(commutant_basis(list(rep.g)))
         if cdim != 1:
             mismatches.append(f"commutant dimension {cdim} at a non-locus point")

@@ -1,12 +1,12 @@
 """Independent reference oracles for the test suite.
 
-Deliberately naive: plain fractions.Fraction arithmetic, first-nonzero
-pivoting, no Bareiss, no pivot heuristics, no shared code with the main
+Deliberately naive: plain fractions.Fraction or int arithmetic,
+first-nonzero pivoting, no pivot heuristics, no shared code with the main
 implementation.  These stay independent of the paths they check.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, zip_longest
 from math import gcd, lcm
 
 
@@ -179,6 +179,57 @@ def poly_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def bareiss_det_polyint(rows):
+    """Determinant over Z[x] of dense integer coefficient lists, as one.
+
+    Bareiss elimination with first-nonzero pivoting on int coefficient
+    lists: each update is divided by the previous pivot by long division,
+    which must leave no remainder.  The zero polynomial is [].
+    """
+
+    def trim(a):
+        while a and not a[-1]:
+            a.pop()
+        return a
+
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1) if a and b else []
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def divexact(a, b):
+        a = trim(list(a))
+        q = [0] * max(len(a) - len(b) + 1, 0)
+        while a:
+            assert len(a) >= len(b) and a[-1] % b[-1] == 0, "inexact Bareiss division"
+            c, shift = a[-1] // b[-1], len(a) - len(b)
+            q[shift] = c
+            for i, y in enumerate(b):
+                a[shift + i] -= c * y
+            trim(a)
+        return q
+
+    m = [[trim(list(e)) for e in row] for row in rows]
+    n = len(m)
+    sign, prev = 1, [1]
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot_row is None:
+            return []
+        if pivot_row != k:
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                t = [a - b for a, b in zip_longest(mul(m[k][k], m[i][j]), mul(m[i][k], m[k][j]),
+                                                   fillvalue=0)]
+                m[i][j] = divexact(t, prev)
+        prev = m[k][k]
+    return [sign * c for c in prev]
 
 
 # Laurent polynomials in l and r: dicts from exponent pairs (a, b), for the

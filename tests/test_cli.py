@@ -376,6 +376,25 @@ class TestScanClosurePersist:
         obj = json.loads(proc.stdout)
         assert obj["commutant_dim"] == 1
 
+    # sha256 of `commutant` reports over Q[x]/(f) and over Q, recorded when
+    # only Q had the modular certificate and it reduced the system entry by entry
+    GOLDEN_COMMUTANT = {
+        ("--n", "4", "--locus", "l=r", "--r", "cyclotomic:phi12"):
+            "fc66ef56dd694c96f7f9bd1a4136743e8fb47daa81e099ddf60029d440822caa",
+        ("--n", "5", "--r", "cyclotomic:phi20", "--l", "2/1"):
+            "98cc3bb902ac759244cdafd3cd2ef84c1e5f9412c39c814cf6ac7248cbab7842",
+        ("--n", "6", "--locus", "l=-r3", "--r", "cyclotomic:phi24"):
+            "f8a6661e98928727fcaf5ebf4411c1f33723d99d37883c568349db03b7e21985",
+        ("--n", "5", "--r", "2/1", "--l", "5/1"):
+            "bcc294dbaf72588a762c331097ccbc7b8a6036e13dea2e4a50027609b90d9c12",
+    }
+
+    @pytest.mark.parametrize("args", sorted(GOLDEN_COMMUTANT))
+    def test_golden_commutant_reports(self, args):
+        proc = run_cli("commutant", *args)
+        assert proc.stderr == ""
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == self.GOLDEN_COMMUTANT[args]
+
     @pytest.mark.parametrize("option, value", [("--l", "-9/2"), ("--r", "-3/2")])
     def test_negative_value_after_a_space(self, option, value):
         values = {"--r": "2/1", "--l": "5/1", option: value}
@@ -397,6 +416,9 @@ class TestScanClosurePersist:
 class TestConfigValidation:
     def test_n_too_small(self):
         run_cli("certify", "--n", "2", "--r", "2/1", expect=2)
+        for argv in (("relations", "--n", "2", "--symbolic"), ("det", "--n", "2")):
+            proc = run_cli(*argv, expect=2)
+            assert "n must be >= 3" in proc.stderr
 
     def test_bad_locus(self):
         proc = run_cli("kernel", "--n", "3", "--locus", "l=r", "--r", "2/1", expect=2)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from lkwb import kernels, linalg
+from lkwb import linalg
 from lkwb.errors import (
     DimensionMismatch,
     DivisionByZero,
@@ -38,7 +38,8 @@ from lkwb.linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from lkwb.reducibility import _kernel_at, catalog, named_locus, rep_at
+from lkwb.lkrep import substituted_rep
+from lkwb.reducibility import _kernel_at, build_m_matrix, catalog, dense_int_row, named_locus, rep_at
 from lkwb.scalars import QLR, QQ, QR, LaurentPoly, RatFunc, cyclotomic_field, rat, scalar_to_text
 
 import oracles
@@ -110,6 +111,49 @@ class TestDet:
                 assert det(a) == (-constant if n % 2 else constant)
                 assert det(a * b) == det(a) * det(b)
 
+    @staticmethod
+    def _cleared_oracle_det(m):
+        """det of a Q(r) matrix from the Z[r] Bareiss oracle on its cleared rows.
+
+        Row i of m is scale_i r^shift_i / den_i times an integer row, so
+        det m is the oracle's determinant of the integer rows times the
+        product of those row factors.
+        """
+        den, scale, shift, int_rows = LaurentPoly.one(), rat(1), 0, []
+        for row in m.rows:
+            row_den, polys = linalg.clear_denominators(row)
+            row_scale, row_shift, ints = dense_int_row(polys)
+            den, scale, shift = den * row_den, scale * row_scale, shift + row_shift
+            int_rows.append(ints)
+        d = oracles.bareiss_det_polyint(int_rows)
+        num = LaurentPoly.from_pairs([((0, i + shift), scale * c) for i, c in enumerate(d)])
+        return RatFunc(num, den)
+
+    def test_univariate_against_bareiss_oracle(self):
+        rng = random.Random(43)
+        singular = 0
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            rows = [[QR.random(rng) / QR.random(rng) if rng.random() < 0.7 else QR.zero()
+                     for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.3:
+                # a singular matrix: the last row is a Q(r) combination of the others
+                mults = [QR.random(rng) / QR.random(rng) for _ in range(n - 1)]
+                rows[-1] = [sum((c * row[j] for c, row in zip(mults, rows)), QR.zero())
+                            for j in range(n)]
+                singular += 1
+            m = Matrix(QR, rows)
+            d = det(m)
+            assert d == self._cleared_oracle_det(m)
+            assert bool(d) == (rank(m) == n)
+        assert singular
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_m_matrix_at_l_r2_against_bareiss_oracle(self, n):
+        m = build_m_matrix(substituted_rep(n, 1, 2)).matrix
+        d = det(m)
+        assert d and d == self._cleared_oracle_det(m)
+
     @pytest.mark.parametrize("field", [QQ, cyclotomic_field("phi12"), QR, QLR],
                              ids=lambda f: f.tag)
     def test_sign_of_permuted_triangular(self, field):
@@ -142,20 +186,6 @@ class TestRowClearing:
         den, polys = linalg.clear_denominators(row)
         for x, p in zip(row, polys):
             assert RatFunc.from_laurent(p) == x * RatFunc.from_laurent(den)
-
-    def test_dense_int_row_reconstructs_entries(self):
-        rng = random.Random(41)
-        for _ in range(40):
-            row = [LaurentPoly.from_pairs([((0, rng.randint(-4, 6)), rat(rng.randint(-9, 9), rng.randint(1, 6)))
-                                           for _ in range(rng.randint(0, 3))])
-                   for _ in range(4)]
-            scale, shift, ints_row = linalg.dense_int_row(row)
-            for p, ints in zip(row, ints_row):
-                back = LaurentPoly.from_pairs([((0, i + shift), scale * c) for i, c in enumerate(ints)])
-                assert back == p
-            content = kernels.poly_content_int([c for ints in ints_row for c in ints])
-            assert content == (1 if any(row) else 0)
-            assert bool(scale) == any(row)
 
 
 class TestKernel:
@@ -740,6 +770,27 @@ class TestSubmatrixCertificates:
         with pytest.raises(SubmatrixNotFound):
             find_invertible_submatrix(m, s + 1)
 
+    def test_function_field_minors_have_nonzero_det(self):
+        rng = random.Random(47)
+        for _ in range(10):
+            # B C with B 5 x s and C s x 4 has rank at most s; row i is then
+            # divided by d_i, which keeps the rank
+            s = rng.randint(1, 3)
+            b = Matrix(QR, [[QR.random(rng) for _ in range(s)] for _ in range(5)])
+            c = Matrix(QR, [[QR.random(rng) for _ in range(4)] for _ in range(s)])
+            dens = [QR.random(rng) for _ in range(5)]
+            m = Matrix(QR, [[x / d for x in row] for row, d in zip((b * c).rows, dens)])
+            ri, ci = find_invertible_submatrix(m, rank(m))
+            assert det(m.submatrix(ri, ci))
+        # M(4) at l = r has a kernel of dimension 2
+        m = build_m_matrix(substituted_rep(4, 1, 1)).matrix
+        s = rank(m)
+        assert s == m.nrows - 2
+        ri, ci = find_invertible_submatrix(m, s)
+        assert det(m.submatrix(ri, ci))
+        with pytest.raises(SubmatrixNotFound):
+            find_invertible_submatrix(m, s + 1)
+
     def test_bivariate_path(self):
         L, R = RatFunc.var_l(), RatFunc.var_r()
         top = [[L, R, 1, L * R, 0], [1, L + R, R, 0, L]]
@@ -831,6 +882,56 @@ class TestCommutant:
         calls = self._count_dense_kernels(monkeypatch)
         ops = [Matrix(QQ, [[0, -1], [1, 0]]), Matrix(QQ, [[1, p], [0, 1]])]
         assert commutant_basis(ops) == [Matrix.identity(QQ, 2)]
+        assert len(calls) == 1
+
+    @staticmethod
+    def _system_nullity(ops):
+        """Dimension of the dense exact kernel of A X - X A = 0, X row-major.
+
+        Entry (i, j) of A X - X A is sum_p A_ip X_pj - sum_q X_iq A_qj.
+        """
+        field, n = ops[0].field, ops[0].nrows
+        rows = []
+        for a in ops:
+            for i in range(n):
+                for j in range(n):
+                    row = [field.zero()] * (n * n)
+                    for p in range(n):
+                        row[p * n + j] = row[p * n + j] + a.rows[i][p]
+                        row[i * n + p] = row[i * n + p] - a.rows[p][j]
+                    rows.append(row)
+        return kernel(Matrix(field, rows)).dim
+
+    @pytest.mark.parametrize("name", ["phi12", "phi20", "phi24"])
+    def test_number_field_scalars_exactly_when_system_nullity_is_one(self, name, monkeypatch):
+        field = cyclotomic_field(name)
+        x = field.gen()
+        rng = random.Random(name)
+        cases = [list(rep_at(3, None, x, l_val=rat(2)).g), list(rep_at(4, None, x, l_val=rat(5)).g)]
+        cases += [list(rep_at(n, locus, x).g) for n in (3, 4) for locus in catalog(n)]
+        cases.append([rand_matrix(field, rng, 3) for _ in range(2)])
+        # block-diagonal control: X = diag(a, a, b) commutes with both operators
+        one, zero = field.one(), field.zero()
+        cases.append([Matrix(field, [[x, one, zero], [zero, x, zero], [zero, zero, one]]),
+                      Matrix(field, [[one, zero, zero], [x, one, zero], [zero, zero, x * x]])])
+        nullities = [self._system_nullity(ops) for ops in cases]
+        assert 1 in nullities and nullities[-1] == 2
+        calls = self._count_dense_kernels(monkeypatch)
+        for ops, nullity in zip(cases, nullities):
+            before = len(calls)
+            basis = commutant_basis(ops)
+            assert len(basis) == nullity
+            assert (basis == [Matrix.identity(field, ops[0].nrows)]) == (nullity == 1)
+            # the modular certificate leaves no dense kernel for a scalar commutant
+            assert len(calls) - before == (nullity != 1)
+
+    def test_number_field_denominator_divisible_by_p_falls_back(self, monkeypatch):
+        p = (1 << 61) - 31
+        field = cyclotomic_field("phi24")
+        x = field.gen()
+        calls = self._count_dense_kernels(monkeypatch)
+        ops = [Matrix(field, [[0, -1], [1, 0]]), Matrix(field, [[1, x * rat(1, p)], [0, 1]])]
+        assert commutant_basis(ops) == [Matrix.identity(field, 2)]
         assert len(calls) == 1
 
     def test_commutant_dim_against_sympy_nullspace(self):

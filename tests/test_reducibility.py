@@ -35,6 +35,7 @@ from lkwb.reducibility import (
     build_m_matrix,
     catalog,
     certify,
+    dense_int_row,
     det_on_locus,
     embed_subspace,
     expected_spectrum,
@@ -235,6 +236,20 @@ class TestModularZeroProof:
         settings = hyp.settings(max_examples=120, deadline=None, derandomize=True)
         return hyp, draw_matrix(), settings
 
+    def test_dense_int_row_reconstructs_entries(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            row = [LaurentPoly.from_pairs([((0, rng.randint(-4, 6)), rat(rng.randint(-9, 9), rng.randint(1, 6)))
+                                           for _ in range(rng.randint(0, 3))])
+                   for _ in range(4)]
+            scale, shift, ints_row = dense_int_row(row)
+            for p, ints in zip(row, ints_row):
+                back = LaurentPoly.from_pairs([((0, i + shift), scale * c) for i, c in enumerate(ints)])
+                assert back == p
+            content = kernels.poly_content_int([c for ints in ints_row for c in ints])
+            assert content == (1 if any(row) else 0)
+            assert bool(scale) == any(row)
+
     def test_verdict_agrees_with_bareiss_over_z(self, matrices):
         hyp, mats, settings = matrices
 
@@ -243,7 +258,7 @@ class TestModularZeroProof:
         def check(rows):
             verdict = _univariate_zero_verdict(_qr_matrix(rows), len(rows), None,
                                                "substituted-univariate")
-            d = kernels.bareiss_det_polyint(rows)
+            d = oracles.bareiss_det_polyint(rows)
             assert (verdict.verdict == "identically_zero") == (d == [])
             if d:
                 assert kernels.poly_eval_int(d, int(verdict.witness["r"])) != 0
@@ -256,7 +271,7 @@ class TestModularZeroProof:
         @settings
         @hyp.given(mats)
         def check(rows):
-            d = kernels.bareiss_det_polyint(rows)
+            d = oracles.bareiss_det_polyint(rows)
             assert _coefficient_bound(rows) >= max(map(abs, d), default=0)
 
         check()
