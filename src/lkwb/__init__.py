@@ -7,7 +7,6 @@ dimensions and uniqueness of the invariant subspaces at every
 reducibility locus.
 """
 
-from .kernels import BACKEND as KERNEL_BACKEND
 from .scalars import (
     QQ,
     QLR,

@@ -20,7 +20,6 @@ from .linalg import commutant_basis, kernel
 from .lkrep import (
     build_rep,
     LKParams,
-    rational_rep,
     relation_gate,
     symbolic_rep,
     verify_relations,
@@ -214,10 +213,7 @@ def _cmd_relations(args):
         l_val = parse_l(args.l)
         if l_val is None:
             raise InvalidConfig("point mode requires --l (or pass --symbolic)")
-        if not is_rat(r_val):
-            rep = build_rep(LKParams(args.n, field_of(r_val).coerce(l_val), r_val, field_of(r_val)))
-        else:
-            rep = rational_rep(args.n, l_val, r_val)
+        rep = build_rep(LKParams(args.n, l_val, r_val, field_of(r_val)))
     report = verify_relations(rep)
     obj = report.to_json_obj()
     if args.convention:

@@ -14,7 +14,7 @@ class FieldMismatch(LKWBError):
 
 
 class ExponentOverflow(LKWBError):
-    """A Laurent exponent exceeded the configured bound (LKWB_MAX_DEGREE)."""
+    """A Laurent exponent exceeded the bound 2^16 in absolute value."""
 
 
 class DenominatorVanishesIdentically(LKWBError):

@@ -2,8 +2,7 @@
 
 Conventions, in one place:
 
-* ``Rat`` is the exact rational type (gmpy2.mpq when available,
-  fractions.Fraction otherwise); ``RAT_BACKEND`` names the choice.
+* ``Rat`` is the exact rational type, fractions.Fraction.
 * "terms" dicts map packed exponent keys (int) to nonzero coefficient
   objects supporting +, * and truthiness (Rat or int).  Packing is
   key = a*PACK + b for the monomial l^a r^b, so key addition is exponent
@@ -16,21 +15,15 @@ Conventions, in one place:
   Rat coefficients into one at the edges.
 """
 
-from math import gcd
+from fractions import Fraction as Rat
+from math import gcd, lcm
 
-try:
-    from gmpy2 import mpq as Rat
-
-    RAT_BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - depends on environment
-    from fractions import Fraction as Rat
-
-    RAT_BACKEND = "fractions"
-
+# the name of this kernel implementation, recorded with benchmark results
 BACKEND = "pure"
 
 # Key packing stride for (a, b) exponent pairs.  |b| stays far below
-# PACK/2 for any legal exponent bound, so packed addition never carries.
+# PACK/2 under the Laurent exponent bound 2^16, so packed addition never
+# carries.
 PACK = 1 << 34
 _HALF = PACK >> 1
 
@@ -284,9 +277,8 @@ def qpoly_to_int(coeffs):
     """
     den_lcm = 1
     for c in coeffs:
-        d = int(c.denominator)
-        den_lcm = den_lcm * d // gcd(den_lcm, d)
-    ints = [int(c.numerator) * (den_lcm // int(c.denominator)) for c in coeffs]
+        den_lcm = lcm(den_lcm, c.denominator)
+    ints = [c.numerator * (den_lcm // c.denominator) for c in coeffs]
     while ints and not ints[-1]:
         ints.pop()
     cont = poly_content_int(ints)

@@ -1,8 +1,8 @@
 """Exact linear algebra over any workbench ground field.
 
 Matrices keep dense rows.  Matrix and matrix-vector products walk a
-cached sparse view of those rows, in the summation order of the dense
-loops, and scaling, sums and differences skip zero entries.
+cached sparse view of those rows, and scaling, sums and differences skip
+zero entries.
 
 There are three eliminations.  Over the field, one semi-echelon basis
 and a back substitution give every reduced row echelon form: rank,
@@ -121,8 +121,6 @@ class Matrix:
         Output row i is _row_combination of the rows of other at the
         nonzero a_ik, in ascending k: entry (i, j) sums a_ik * b_kj as
         a * b then acc + a * b, and one with no such k is the field zero.
-        The order is that of the textbook triple loop, so entries that are
-        not in canonical form come out the same.
         """
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -231,8 +229,7 @@ def _row_combination(pairs, rows, ncols, zero):
     Each entry sums x * y over the pairs whose row has a nonzero y in its
     column, in the order of the pairs, as x * y then acc + x * y; a column
     with no such pair is zero.  Matrix.__mul__ and Matrix.vec_mat share
-    this loop, so entries that are not in canonical form come out the same
-    from both.
+    this loop.
     """
     acc = [None] * ncols
     for i, x in pairs:
@@ -442,8 +439,8 @@ def _domain(m):
     """
     field = m.field
     if field == QQ:
-        dens = [lcm(*(int(x.denominator) for x in row)) for row in m.rows]
-        work = [[int(x.numerator) * (d // int(x.denominator)) for x in row]
+        dens = [lcm(*(x.denominator for x in row)) for row in m.rows]
+        work = [[x.numerator * (d // x.denominator) for x in row]
                 for d, row in zip(dens, m.rows)]
         return work, (mul, sub, floordiv, abs), lambda d, odd: Rat(-d if odd else d, prod(dens))
     if not isinstance(field, FunctionField):
@@ -759,7 +756,7 @@ def _residue(x, p, powers):
     if powers:
         num, den = sum(map(mul, x.nums, powers)), x.den
     else:
-        num, den = int(x.numerator), int(x.denominator)
+        num, den = x.numerator, x.denominator
     if den == 1:
         return num % p
     if den % p == 0:

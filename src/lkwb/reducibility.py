@@ -55,7 +55,6 @@ from .scalars import (
     QR,
     Rat,
     field_of,
-    is_rat,
     rat,
     scalar_to_text,
 )
@@ -727,12 +726,11 @@ class KernelReport:
 
 def rep_at(n, locus, r_val, l_val=None):
     """Representation at a concrete point: l from the locus (or explicit)."""
-    fieldobj = field_of(r_val) if not is_rat(r_val) else QQ
     if locus is not None and not locus.is_generic:
         l_val = locus.l_value(r_val)
     if l_val is None:
         raise ValueError("generic locus requires an explicit l value")
-    return build_rep(LKParams(n, l_val, r_val, fieldobj))
+    return build_rep(LKParams(n, l_val, r_val, field_of(r_val)))
 
 
 def _kernel_at(n, locus, r_val, l_val=None, with_closures=True):
@@ -1066,7 +1064,7 @@ def _charpoly_factor_analysis(cp):
 
 def _linear_factor(root):
     # x - root with integer coefficients
-    num, den = int(root.numerator), int(root.denominator)
+    num, den = root.numerator, root.denominator
     return [-num, den]
 
 
@@ -1288,7 +1286,7 @@ def certify(n, r_val, *, seed=0, probe_trials=10, jobs=1):
         raise InvalidConfig(f"probe_trials must be at least 0, got {probe_trials}")
     if isinstance(r_val, int):
         r_val = Rat(r_val)
-    fieldobj = QQ if is_rat(r_val) else field_of(r_val)
+    fieldobj = field_of(r_val)
     tasks = [(n, locus, r_val, _random.Random(f"{seed}|{locus.name}"), probe_trials)
              for locus in catalog(n)]
     workers = min(jobs, len(tasks))

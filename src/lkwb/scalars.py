@@ -2,31 +2,30 @@
 
 Four kinds of scalars, one per ground field:
 
-* arbitrary-precision rationals (``Rat``; gmpy2.mpq when available,
-  fractions.Fraction otherwise),
+* arbitrary-precision rationals (``Rat``, which is fractions.Fraction),
 * bivariate Laurent polynomials in l and r over Q (``LaurentPoly``) and
-  their fractions (``RatFunc``) -- the field Q(l,r); a coefficient is an
-  int whenever it is integral, so that arithmetic over Z[l, r] builds no
-  rationals,
+  their fractions (``RatFunc``, always in lowest terms) -- the field
+  Q(l,r); a coefficient is an int whenever it is integral, so that
+  arithmetic over Z[l, r] builds no rationals,
 * the same restricted to r only -- the field Q(r),
 * elements of quotient rings Q[x]/(f) for algebraic values of r
   (``AlgebraicNumber`` over a ``NumberField``), each kept as an integer
   coefficient vector over one positive denominator, in lowest terms, so
   that arithmetic in Z[x]/(f) builds no rationals.
 
+Every value has exactly one representation, so equality is structural.
 All values are immutable after construction and safe to share between
 workers.  Text serialization round-trips bit-exactly for every type.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from math import gcd, lcm
 from operator import add, sub
 
 from . import kernels
-from .kernels import RAT_BACKEND, Rat
+from .kernels import Rat
 from .errors import (
     DenominatorVanishesIdentically,
     DivisionByZero,
@@ -36,37 +35,13 @@ from .errors import (
     ZeroDivisorEncountered,
 )
 
-_RAT_TYPES = (type(Rat(0)), int)
+# the name of the rational type, recorded with benchmark results
+RAT_BACKEND = "fractions"
 
-_DEFAULT_EXP_BOUND = 1 << 16
+_RAT_TYPES = (Rat, int)
 
-
-def _read_exp_bound():
-    raw = os.environ.get("LKWB_MAX_DEGREE")
-    if not raw:
-        return _DEFAULT_EXP_BOUND
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ExponentOverflow(f"LKWB_MAX_DEGREE is not an integer: {raw!r}")
-    if not 1 <= val <= (kernels.PACK >> 2):
-        raise ExponentOverflow(f"LKWB_MAX_DEGREE out of range: {val}")
-    return val
-
-
-_EXP_BOUND = _read_exp_bound()
-
-
-def exponent_bound():
-    """Current bound on |exponent| for l and r (env LKWB_MAX_DEGREE)."""
-    return _EXP_BOUND
-
-
-def set_exponent_bound(value):
-    global _EXP_BOUND
-    if not 1 <= value <= (kernels.PACK >> 2):
-        raise ExponentOverflow(f"exponent bound out of range: {value}")
-    _EXP_BOUND = value
+# bound on |exponent| of l and r in a Laurent polynomial
+_EXP_BOUND = 1 << 16
 
 
 def rat(p, q=1):
@@ -110,7 +85,7 @@ def _coeff(c):
         if not isinstance(c, _RAT_TYPES):
             c = Rat(c)
         if c.denominator == 1:
-            return int(c.numerator)
+            return c.numerator
     return c
 
 
@@ -139,7 +114,7 @@ class LaurentPoly:
     and sums over Z[l, r] stay in ints; every constructor and operation
     keeps that form (``_coeff``, ``_settle``, ``_cdiv``).  Equality, hashes
     and text do not depend on it, since Rat(2) == 2 and both hash alike.
-    Exponents are bounded by ``exponent_bound()`` and overflow raises
+    Exponents are bounded by 2^16 in absolute value and overflow raises
     ExponentOverflow.
     """
 
@@ -323,10 +298,6 @@ class LaurentPoly:
     def is_univariate_r(self):
         return all(_unpack(k)[0] == 0 for k in self.terms)
 
-    def total_span(self):
-        amin, amax, bmin, bmax = self.exp_range()
-        return (amax - amin) + (bmax - bmin)
-
     def leading_coeff(self):
         return self.terms[max(self.terms)]
 
@@ -340,7 +311,7 @@ class LaurentPoly:
         try:
             return gcd(*cs)
         except TypeError:  # math.gcd takes only ints: a Rat coefficient
-            return Rat(gcd(*(int(c.numerator) for c in cs)), lcm(*(int(c.denominator) for c in cs)))
+            return Rat(gcd(*(c.numerator for c in cs)), lcm(*(c.denominator for c in cs)))
 
     def scale(self, c):
         c = _coeff(c)
@@ -456,7 +427,13 @@ class LaurentPoly:
     # -- gcd ----------------------------------------------------------------
 
     def gcd(self, other):
-        """Polynomial gcd, exact; see RatFunc for when it is applied."""
+        """Polynomial gcd, exact, with a positive leading coefficient.
+
+        A gcd in the Laurent ring is unique up to a monomial and a rational
+        factor.  With both inputs nonzero this one has integer coefficients
+        with content 1 and minimum exponents 0; with one input zero it is
+        the other input.
+        """
         if not self.terms:
             return _make_positive(other)
         if not other.terms:
@@ -505,15 +482,15 @@ def _gcd_univariate_r(p, q):
 
 
 def _bi_coeff_map(p):
-    """Map a -> dense int-list in r, plus overall monomial shift and scale."""
+    """Map a -> dense int-list in r: p cleared of denominators, min exponents 0."""
     amin, _amax, bmin, _bmax = p.exp_range()
     cols = {}
     den_lcm = 1
-    for k, c in p.terms.items():
-        den_lcm = den_lcm * int(c.denominator) // gcd(den_lcm, int(c.denominator))
+    for c in p.terms.values():
+        den_lcm = lcm(den_lcm, c.denominator)
     for k, c in p.terms.items():
         a, b = _unpack(k)
-        cols.setdefault(a - amin, {})[b - bmin] = int(c.numerator) * (den_lcm // int(c.denominator))
+        cols.setdefault(a - amin, {})[b - bmin] = c.numerator * (den_lcm // c.denominator)
     dense = {}
     for a, col in cols.items():
         hi = max(col)
@@ -525,16 +502,18 @@ def _bi_coeff_map(p):
 
 
 def _gcd_bivariate(p, q):
-    """Primitive-PRS gcd viewing p, q in (Z[r])[l]; exact for small inputs."""
+    """Primitive-PRS gcd viewing p, q in (Z[r])[l]; see LaurentPoly.gcd."""
     dp = _bi_coeff_map(p)
     dq = _bi_coeff_map(q)
 
     def content(d):
-        g = []
-        for lst in d.values():
-            g = kernels.poly_gcd_int(g, lst)
+        """gcd in Z[r] of the l-coefficients, integer content included."""
+        cols = iter(d.values())
+        g = next(cols)
+        for lst in cols:
             if g == [1]:
                 break
+            g = kernels.poly_gcd_int(g, lst)
         return g
 
     def primitive(d):
@@ -571,7 +550,8 @@ def _gcd_bivariate(p, q):
 
     u, cu = primitive(dp)
     v, cv = primitive(dq)
-    cont_gcd = kernels.poly_gcd_int(cu, cv)
+    # the primitive part of gcd(cu, cv): poly_gcd_int with one input zero
+    cont_gcd = kernels.poly_gcd_int([], kernels.poly_gcd_int(cu, cv))
     if degree(u) < degree(v):
         u, v = v, u
     while v:
@@ -595,17 +575,13 @@ def _gcd_bivariate(p, q):
 # Rational functions
 # ---------------------------------------------------------------------------
 
-_GCD_SPAN_LIMIT = 32
-
-
 class RatFunc:
-    """Quotient of Laurent polynomials, normalized.
+    """Quotient of Laurent polynomials in lowest terms.
 
     The denominator is a true polynomial (minimum exponents zero), has
-    content 1 and positive leading coefficient.  Full gcd reduction is
-    applied when both parts are univariate in r or small (total exponent
-    span <= 32); beyond that only content and monomial factors are removed.
-    Equality and zero tests never rely on canonical form.
+    integer coefficients with content 1 and a positive leading coefficient,
+    and shares no nonconstant factor with the numerator.  That form is
+    unique, so equality is structural.
     """
 
     __slots__ = ("num", "den")
@@ -635,15 +611,12 @@ class RatFunc:
             den = den.divexact(c)
             num = num.divexact(c)
         if not den.is_const():
-            if (den.is_univariate_r() and num.is_univariate_r()) or (
-                num.total_span() <= _GCD_SPAN_LIMIT and den.total_span() <= _GCD_SPAN_LIMIT
-            ):
-                namin, _, nbmin, _ = num.exp_range()
-                shifted = num.shift(-namin, -nbmin) if (namin or nbmin) else num
-                g = shifted.gcd(den)
-                if not g.is_const():
-                    num = num.divexact(g)
-                    den = den.divexact(g)
+            namin, _, nbmin, _ = num.exp_range()
+            shifted = num.shift(-namin, -nbmin) if (namin or nbmin) else num
+            g = shifted.gcd(den)
+            if not g.is_const():
+                num = num.divexact(g)
+                den = den.divexact(g)
         self.num = num
         self.den = den
 
@@ -691,9 +664,7 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den == o.den:
-            return self.num == o.num
-        return kernels.terms_mul(self.num.terms, o.den.terms) == kernels.terms_mul(o.num.terms, self.den.terms)
+        return self.den == o.den and self.num == o.num
 
     __hash__ = None
 
@@ -912,8 +883,8 @@ class AlgebraicNumber:
         try:
             g = gcd(den, *nums)
         except TypeError:  # a Rat entry: clear the denominators into den first
-            lcd = lcm(*(int(c.denominator) for c in nums))
-            nums = [int(c.numerator) * (lcd // int(c.denominator)) for c in nums]
+            lcd = lcm(*(c.denominator for c in nums))
+            nums = [c.numerator * (lcd // c.denominator) for c in nums]
             den *= lcd
             g = gcd(den, *nums)
         if g != 1:

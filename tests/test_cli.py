@@ -50,20 +50,6 @@ class TestRelations:
         text = (out / "g1.mat").read_text()
         assert Matrix.from_text(text).to_text() == text
 
-    def test_env_exponent_bound(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-        env["LKWB_MAX_DEGREE"] = "4"
-        code = ("from lkwb.scalars import RatFunc\n"
-                "from lkwb.errors import ExponentOverflow\n"
-                "try:\n"
-                "    RatFunc.var_r() ** 9\n"
-                "    raise SystemExit(1)\n"
-                "except ExponentOverflow:\n"
-                "    raise SystemExit(0)\n")
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
-        assert proc.returncode == 0, proc.stderr
-
 
 class TestDet:
     def test_locus_substituted(self):

@@ -743,6 +743,42 @@ class TestProbe:
         assert probe.witness["verified_invariant"]
         assert sum(probe.witness["split_dims"]) == 5
 
+    def test_irreducible_charpoly_is_evidence(self):
+        # the commutant of a quarter turn is Q(i); a sample a + bJ with b != 0
+        # has the irreducible charpoly x^2 - 2ax + a^2 + b^2, found to have
+        # no rational root and certified irreducible by one factor mod p
+        probe = probe_operators([Matrix(QQ, [[0, -1], [1, 0]])], 10, random.Random(1))
+        assert probe.verdict == "indecomposable_evidence"
+        assert probe.commutant_dim == 2 and probe.probabilistic
+        assert probe.samples == tuple(f"sample {t}: charpoly is (irreducible deg 2)^1"
+                                      for t in range(10))
+
+    def test_rational_root_splits_charpoly(self):
+        # a diagonal sample diag(a, b), a != b, splits at the rational root a
+        probe = probe_operators([Matrix(QQ, [[2, 0], [0, 3]])], 10, random.Random(1))
+        assert probe.verdict == "decomposable_witness"
+        assert not probe.probabilistic
+        assert probe.witness["split_dims"] == [1, 1]
+        assert probe.witness["verified_invariant"]
+
+    def test_modp_factor_count_matches_sympy(self):
+        # sympy's factor_list over GF(p) counts the irreducible factors
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(5)
+        checked = 0
+        for p in (3, 5, 7, 10007):
+            for _ in range(30):
+                deg = rng.randint(1, 8)
+                s = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+                poly = sympy.Poly(list(reversed(s)), x, modulus=p)
+                if sympy.degree(sympy.gcd(poly, poly.diff(x))) > 0:
+                    continue  # not squarefree mod p
+                _, factors = poly.factor_list()
+                assert reducibility._modp_factor_count(s, p) == sum(m for _, m in factors), (s, p)
+                checked += 1
+        assert checked >= 60
+
 
 class TestLociDistinctness:
     def test_rational_r_no_collisions(self):

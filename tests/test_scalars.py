@@ -32,8 +32,6 @@ from lkwb.scalars import (
     poly_x_to_text,
     rat,
     scalar_to_text,
-    set_exponent_bound,
-    exponent_bound,
     parse_laurent,
     specialize,
     substitute_locus,
@@ -475,32 +473,71 @@ class TestLaurentAgainstReference:
 
         check()
 
+    def test_bivariate_gcd_and_lowest_terms_match_sympy(self):
+        hyp = pytest.importorskip("hypothesis")
+        sympy = pytest.importorskip("sympy")
+        st = hyp.strategies
+        coeff = st.one_of(st.integers(-9, 9), st.builds(rat, st.integers(-9, 9), st.sampled_from([2, 3])))
+        pairs = st.lists(st.tuples(st.tuples(st.integers(-1, 2), st.integers(-2, 2)), coeff),
+                         min_size=1, max_size=3)
+        sl, sr = sympy.symbols("l r")
+
+        def to_sympy(p):
+            """p times the monomial that makes its minimum exponents 0, over Z."""
+            amin, _, bmin, _ = p.exp_range()
+            expr = sum(sympy.Rational(c.numerator, c.denominator)
+                       * sl ** (a - amin) * sr ** (b - bmin) for (a, b), c in p.pairs())
+            return sympy.Poly(expr, sl, sr, domain="QQ").clear_denoms(convert=True)[1]
+
+        @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+        @hyp.given(pairs, pairs, pairs)
+        def check(pa, pb, pc):
+            a, b, c = (LaurentPoly.from_pairs(x) for x in (pa, pb, pc))
+            hyp.assume(a and b and c)
+            ac, bc = a * c, b * c
+            g = ac.gcd(bc)
+            assert ac.divexact(g) * g == ac and bc.divexact(g) * g == bc
+            want = sympy.gcd(to_sympy(ac), to_sympy(bc)).primitive()[1]
+            assert to_sympy(g) in (want, -want)
+            f = RatFunc(ac * 6, bc * 3)
+            expect = RatFunc(a * 2, b)
+            assert (f.num, f.den) == (expect.num, expect.den)
+            assert _same_fraction(f, _laurent_ref(a * 2), _laurent_ref(b))
+            amin, _, bmin, _ = f.den.exp_range()
+            assert (amin, bmin) == (0, 0)
+            assert all(type(v) is int for v in f.den.terms.values())
+            _assert_ratfunc_canonical(f)  # content 1, positive leading coefficient
+
+        check()
+
 
 class TestLaurentIntegerCoefficients:
     """The int/Rat boundary of LaurentPoly coefficients and its failure paths."""
 
     def test_exponent_overflow_on_every_path(self):
+        # the bound on |exponent| is 2^16; each input reaches just past it
         r, l = LaurentPoly.var_r(), LaurentPoly.var_l()
-        r4 = LaurentPoly.term(1, 0, 4)
-        old = exponent_bound()
-        set_exponent_bound(8)
-        try:
-            with pytest.raises(ExponentOverflow):
-                LaurentPoly.from_pairs([((0, 1), 1), ((0, -9), 3)])
-            with pytest.raises(ExponentOverflow):
-                (r4 + r) * (r4 + 1) * r
-            with pytest.raises(ExponentOverflow):
-                r4 * r4 * r
-            with pytest.raises(ExponentOverflow):
-                (r + 1).shift(9, 0)
-            with pytest.raises(ExponentOverflow):
-                (r + 1) ** 9
-            with pytest.raises(ExponentOverflow):
-                LaurentPoly.term(2, 0, 3) ** -3
-            with pytest.raises(ExponentOverflow):
-                (l ** 2 + r).substitute_l(-1, 5)
-        finally:
-            set_exponent_bound(old)
+        half = LaurentPoly.term(1, 0, 2 ** 15)
+        with pytest.raises(ExponentOverflow):
+            LaurentPoly.from_pairs([((0, 1), 1), ((0, -(2 ** 16 + 1)), 3)])
+        with pytest.raises(ExponentOverflow):
+            (half + r) * (half + 1) * r
+        with pytest.raises(ExponentOverflow):
+            half * half * r
+        with pytest.raises(ExponentOverflow):
+            (r + 1).shift(2 ** 16 + 1, 0)
+        with pytest.raises(ExponentOverflow):
+            (half + r) ** 3
+        with pytest.raises(ExponentOverflow):
+            LaurentPoly.term(2, 0, 2 ** 15) ** -3
+        with pytest.raises(ExponentOverflow):
+            (l ** 2 + r).substitute_l(-1, 2 ** 15 + 1)
+        # every path reaches the bound itself without raising
+        assert (half + r) * (half + 1) == half * half + half * (r + 1) + r
+        assert (r + 1).shift(2 ** 16, -2 ** 16).exp_range() == (2 ** 16, 2 ** 16, -2 ** 16, 1 - 2 ** 16)
+        assert (half + r) ** 2 == half * half + 2 * half * r + r * r
+        assert LaurentPoly.term(2, 0, 2 ** 14) ** -4 == LaurentPoly.term(rat(1, 16), 0, -2 ** 16)
+        assert (l ** 2 + r).substitute_l(-1, 2 ** 15) == LaurentPoly.term(1, 0, 2 ** 16) + r
 
     def test_division_by_an_integer_gives_fractions(self):
         r = LaurentPoly.var_r()
@@ -584,6 +621,12 @@ class TestNormalization:
         b = R - 1
         assert a == b
 
+    def test_bivariate_gcd_keeps_integer_content(self):
+        l, r = LaurentPoly.var_l(), LaurentPoly.var_r()
+        num, den = 6 * l + 6 * r, l ** 2 + 2 * l + l * r + 2 * r
+        assert num.gcd(den) == l + r
+        assert RatFunc(num, den).to_text() == "(6)/(l + 2)"
+
     def test_laurent_units_pulled_from_denominator(self):
         f = ONE / RatFunc.from_laurent(LaurentPoly.term(1, 0, -3))
         # 1 / r^-3 = r^3
@@ -592,37 +635,13 @@ class TestNormalization:
 
 class TestExponentBound:
     def test_overflow_raises(self):
-        old = exponent_bound()
-        set_exponent_bound(8)
-        try:
-            with pytest.raises(ExponentOverflow):
-                _ = R ** 9
-            with pytest.raises(ExponentOverflow):
-                LaurentPoly.term(1, 9, 0)
-        finally:
-            set_exponent_bound(old)
-
-
-class TestRationalBackendFallback:
-    def test_fraction_fallback(self, tmp_path):
-        # shadow gmpy2 so the import falls back to fractions.Fraction
-        import os
-        import subprocess
-        import sys
-
-        (tmp_path / "gmpy2.py").write_text("raise ImportError('shadowed')\n")
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(tmp_path) + os.pathsep + src
-        code = (
-            "from lkwb.scalars import RAT_BACKEND, rat\n"
-            "from lkwb.reducibility import kernel_k, named_locus\n"
-            "assert RAT_BACKEND == 'fractions'\n"
-            "rep = kernel_k(4, named_locus('l=r', 4), rat(2))\n"
-            "assert rep.k == 2 and rep.minimal_dims == (2,)\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
-        assert proc.returncode == 0, proc.stderr
+        assert (R ** 2 ** 16).num == LaurentPoly.term(1, 0, 2 ** 16)
+        with pytest.raises(ExponentOverflow):
+            _ = R ** (2 ** 16 + 1)
+        with pytest.raises(ExponentOverflow):
+            _ = R ** -(2 ** 16 + 1)
+        with pytest.raises(ExponentOverflow):
+            LaurentPoly.term(1, 2 ** 16 + 1, 0)
 
 
 class TestSerialization:
