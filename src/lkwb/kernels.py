@@ -410,21 +410,33 @@ def modp_interpolate(xs, ys, p):
     return poly
 
 
-def modp_ratrecon(u, mod, k, p):
-    """(a, b) with a = b u mod mod, deg a < k, deg b <= deg mod - k, b monic.
+def modp_ratrecon(u, mod, p):
+    """(a, b) with a = b u mod mod, deg a + deg b <= deg mod - 2, b monic, or None.
 
-    Rational reconstruction by the extended Euclidean algorithm stopped at
-    the first remainder of degree below k (von zur Gathen & Gerhard,
-    Modern Computer Algebra, Theorem 5.16): when a solution with b coprime
-    to mod exists, this is it, up to a constant.  None when the remainder
-    sequence gives none, or its b shares a factor with mod.
+    Maximal-quotient rational reconstruction (Monagan, ISSAC 2004): each
+    remainder r_i of the extended Euclidean algorithm on (mod, u) comes
+    with a t_i such that r_i = t_i u mod mod and
+    deg r_i + deg t_i = deg mod - deg q_i, q_i being the next quotient
+    (von zur Gathen & Gerhard, Modern Computer Algebra, Theorem 5.16).
+    The pair (r_i, t_i) of the quotient of largest degree is returned when
+    that degree is at least 2, so one value more than the fit needs agrees
+    with it.  None when no quotient reaches 2, or when b shares a factor
+    with mod.  A zero u gives ([], [1]).
     """
+    if not u:
+        return [], [1]
     r0, r1 = list(mod), list(u)
     t0, t1 = [], [1]
-    while len(r1) > k:
+    top, best = 1, None
+    while r1:
         q, r = modp_poly_divmod(r0, r1, p)
+        if len(q) - 1 > top:
+            top, best = len(q) - 1, (r1, t1)
         r0, r1, t0, t1 = r1, r, t1, modp_poly_sub(t0, modp_poly_mul(q, t1, p), p)
-    if len(t1) - 1 > len(mod) - 1 - k or len(modp_poly_gcd(mod, t1, p)) > 1:
+    if best is None:
         return None
-    inv = pow(t1[-1], -1, p)
-    return [c * inv % p for c in r1], [c * inv % p for c in t1]
+    a, b = best
+    if len(modp_poly_gcd(mod, b, p)) > 1:
+        return None
+    inv = pow(b[-1], -1, p)
+    return [c * inv % p for c in a], [c * inv % p for c in b]

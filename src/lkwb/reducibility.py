@@ -242,15 +242,20 @@ class MnMatrix:
 
 
 def _rank1_factor(m):
-    """(u, w) with m = outer(u, w), verified exactly; AssertionError if m is not rank 1."""
+    """(u, w) with m = outer(u, w), verified exactly; AssertionError if m is not rank 1.
+
+    With p the first nonzero entry, at (i0, j0), u is column j0 divided by
+    p and w is row i0 as it is: u is 1 at i0, and w carries no denominator
+    that m does not have.
+    """
     piv = next(((i, j) for i, row in enumerate(m.rows) for j, x in enumerate(row) if x), None)
     if piv is None:
         raise AssertionError("zero matrix has no rank-1 factorization")
     i0, j0 = piv
     p = m.rows[i0][j0]
-    u = tuple(row[j0] for row in m.rows)
-    w = tuple(x / p for x in m.rows[i0])
     zero = m.field.zero()
+    u = tuple(row[j0] / p if row[j0] else zero for row in m.rows)
+    w = m.rows[i0]
     for a, ua in enumerate(u):
         row = m.rows[a]
         for b, wb in enumerate(w):
@@ -265,12 +270,14 @@ def build_m_matrix(rep):
 
     The summand for (i, j) with j = i+1 is e_i itself; conjugate chains are
     built incrementally.  Each e_i has rank 1, its only nonzero row being
-    that of the pair (i, i+1); after exact verification of the factors,
+    that of the pair (i, i+1), so its factors are the unit vector u at that
+    row and w, the row itself; after exact verification of the factors,
     vectors are pushed instead of multiplying matrices: u through
     g_inv.mat_vec and w through g.vec_mat, both on the cached row
-    nonzeros.  For a rep from build_rep, g_inv is the closed form
-    g + m(1 - e), which is the inverse of g by the e definition and cubic
-    identities that the gate has just verified.
+    nonzeros.  Neither chain divides, so no entry carries a denominator
+    that g, g_inv and e do not.  For a rep from build_rep, g_inv is the
+    closed form g + m(1 - e), which is the inverse of g by the e
+    definition and cubic identities that the gate has just verified.
     """
     gate = relation_gate(rep)
     if not gate.all_passed:
@@ -442,10 +449,11 @@ def _univariate_zero_verdict(matrix, n, locus, method):
     * otherwise, when there is no witness or it vanishes at t, by
       rank_mod_p on the entries of A(t) reduced mod p.
 
-    The witness is sought only when the first point is singular, and only
-    the exact identity makes it one: a guess from too few points fails the
-    check and is never used.  When D != 0 no w passes, so a nonzero matrix
-    goes through the ranks as before.
+    The witness is sought only when the first point is singular, from the
+    point kernels mod p of at most half the degree_bound + 1 points, and
+    only the exact identity makes it one: a guess from too few points
+    fails the check and is never used.  When D != 0 no w passes, so a
+    nonzero matrix goes through the ranks as before.
 
     * Zero: only when each of the degree_bound + 1 points is proved
       singular, by the witness or by its rank.  Then D mod p has
@@ -516,60 +524,69 @@ def _kernel_witness(int_rows, width, p, degree_bound):
     many points these are the pivot columns of A(r) over GF(p)(r), and the
     kept vectors are values of one rational vector v(r).  A common
     denominator q of v comes from rational reconstruction of its
-    coordinates, and w = q v from Newton interpolation of the values.
-    w is accepted only when it is nonzero and A(r) w(r) = 0 holds as an
-    identity in GF(p)[r]; otherwise the number of points doubles.  The
-    search gives up (None) when more than (degree_bound + 1) / 2 points
-    would be needed, and at once when A(t) is invertible mod p at a point,
+    coordinates, and w = q v from their numerators.  A candidate is made
+    at every count of such points from 4 to 16, then at every second count
+    to 32, every fourth to 64 and so on, and at the last point: the count
+    grows by at most an eighth and passes every power of 2.  w is accepted
+    only when it is nonzero and A(r) w(r) = 0 holds as an identity in
+    GF(p)[r].  The search takes at most the largest 4 * 2^j points with
+    4 * 2^j <= (degree_bound + 1) / 2, none when 4 is already above that,
+    and gives up (None) at once when A(t) is invertible mod p at a point,
     since then no w exists.  Nothing rests on the reconstruction being
     right: a w that passes the identity check is a kernel vector.
     """
     ncols = len(int_rows)
     limit = (degree_bound + 1) // 2
+    cap = _WITNESS_START_POINTS
+    if cap > limit:
+        return None
+    while 2 * cap <= limit:
+        cap *= 2
     seen = []
     want = _WITNESS_START_POINTS
-    for pt in _grid_points(limit):
+    for pt in _grid_points(cap):
         pivots, basis = nullspace_mod_p(_rows_at(int_rows, width, pt, p), p, ncols)
         if not basis:
             return None
         seen.append(((-len(pivots), pivots), pt, basis[0]))
         best = min(key for key, _, _ in seen)
         good = [(t, v) for key, t, v in seen if key == best]
-        if len(good) < want:
+        if len(good) < want and len(seen) < cap:
             continue
         w = _interpolate_kernel_vector(good, ncols, p)
         if w is not None and any(w) and _annihilates(int_rows, w, p):
             return w
-        want *= 2
-        if want > limit:
-            return None
+        step = 1 << max(0, len(good).bit_length() - 4)
+        want = (len(good) // step + 1) * step
     return None
 
 
 def _interpolate_kernel_vector(good, ncols, p):
     """q v from the values v(t) at distinct points t, given as (t, v(t)) pairs, or None.
 
-    Each coordinate of q v is reconstructed as a / b with deg a below half
-    the number of points; its denominator b joins q.
+    Coordinate j of q v is reconstructed as a / b from the values of q v_j,
+    with q the product of the denominators found before it; b then joins
+    q, and the numerators already found are multiplied by b.  None at the
+    first coordinate that does not reconstruct.
     """
     xs = [t for t, _ in good]
     vs = [v for _, v in good]
     modulus = [1]
     for t in xs:
         modulus = kernels.modp_poly_mul(modulus, [-t % p, 1], p)
-    half = (len(xs) + 1) // 2
-    q = [1]
     q_at = [1] * len(xs)
+    w = []
     for j in range(ncols):
         u = kernels.modp_interpolate(xs, [qt * v[j] for qt, v in zip(q_at, vs)], p)
-        rec = kernels.modp_ratrecon(u, modulus, half, p)
+        rec = kernels.modp_ratrecon(u, modulus, p)
         if rec is None:
             return None
-        if len(rec[1]) > 1:
-            q = kernels.modp_poly_mul(q, rec[1], p)
-            q_at = [kernels.modp_poly_eval(q, t, p) for t in xs]
-    return [kernels.modp_interpolate(xs, [qt * v[j] for qt, v in zip(q_at, vs)], p)
-            for j in range(ncols)]
+        a, b = rec
+        if len(b) > 1:
+            q_at = [qt * kernels.modp_poly_eval(b, t, p) % p for qt, t in zip(q_at, xs)]
+            w = [kernels.modp_poly_mul(c, b, p) for c in w]
+        w.append(a)
+    return w
 
 
 def _annihilates(int_rows, w, p):

@@ -257,6 +257,9 @@ class LaurentPoly:
 
     def _check_bound(self):
         bound = _EXP_BOUND
+        # a key l^a r^b with a != 0 has |key| > bound, and with a = 0 it is b
+        if max(map(abs, self.terms), default=0) <= bound:
+            return
         for k in self.terms:
             a, b = _unpack(k)
             if abs(a) > bound or abs(b) > bound:

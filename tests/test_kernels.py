@@ -264,8 +264,10 @@ class TestModpReconstruction:
             b = _trim(draw(st.lists(coeffs, max_size=6)) + [1])
             if not a:
                 b = [1]
-            # deg a + deg b < points, at the first grid points 2, -2, 3, -3, ...
-            count = len(a) + len(b) - 1 + draw(st.integers(0, 3))
+            # deg a + deg b <= points - 2, at the first grid points 2, -2, 3, -3, ...;
+            # recovery is certain when 2 (deg a + deg b) < points, and beyond that
+            # could fail only if another quotient were at least as large as the pair's
+            count = len(a) + len(b) + draw(st.integers(0, 2))
             xs = [s * (2 + i // 2) for i, s in zip(range(max(count, 1)), [1, -1] * 8)]
             return a, b, xs
 
@@ -297,18 +299,32 @@ class TestModpReconstruction:
             mod = [1]
             for x in xs:
                 mod = kernels.modp_poly_mul(mod, [-x % p, 1], p)
-            assert kernels.modp_ratrecon(u, mod, len(a), p) == (a, b)
+            assert kernels.modp_ratrecon(u, mod, p) == (a, b)
 
         check()
 
     def test_reconstruction_refuses_a_shared_factor(self):
-        # mod = (r - 1)(r - 2): the values 0, 0 are 0 / 1, while the values 0, 1
-        # of u = r - 1 are no c / (r - s); the Euclidean candidate 0 / (r - 2)
-        # has a denominator that vanishes at 2
+        # at r = 1, ..., 6 the values 0, 1, 1/2, ..., 1/5: the largest quotient,
+        # of degree 3, comes after (r - 1) / (r - 1)^2, whose denominator
+        # vanishes at 1
+        p = 101
+        xs = range(1, 7)
+        mod = [1]
+        for x in xs:
+            mod = kernels.modp_poly_mul(mod, [-x % p, 1], p)
+        u = kernels.modp_interpolate(xs, [0] + [pow(x - 1, -1, p) for x in xs[1:]], p)
+        assert kernels.modp_ratrecon(u, mod, p) is None
+        # 1 / (r + 1) at the same points is found
+        u = kernels.modp_interpolate(xs, [pow(x + 1, -1, p) for x in xs], p)
+        assert kernels.modp_ratrecon(u, mod, p) == ([1], [1, 1])
+
+    def test_reconstruction_needs_a_confirming_point(self):
+        # mod = (r - 1)(r - 2): u = r - 1 fits two values with no point to spare,
+        # so its only quotient has degree 1; a zero u is 0 / 1
         p = 101
         mod = kernels.modp_poly_mul([p - 1, 1], [p - 2, 1], p)
-        assert kernels.modp_ratrecon([], mod, 1, p) == ([], [1])
-        assert kernels.modp_ratrecon([p - 1, 1], mod, 1, p) is None
+        assert kernels.modp_ratrecon([], mod, p) == ([], [1])
+        assert kernels.modp_ratrecon([p - 1, 1], mod, p) is None
 
 
 class TestModpRoot:

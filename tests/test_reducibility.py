@@ -77,20 +77,35 @@ class TestMnMatrix:
         with pytest.raises(RelationGateNotPassed):
             build_m_matrix(broken)
 
+    @staticmethod
+    def dense_chain(rep):
+        """M(n) from matrix products: each e_i, then its conjugates one by one."""
+        total = Matrix.zeros(rep.field, rep.dim, rep.dim)
+        for e in rep.e:
+            total = total + e
+        for i in range(1, rep.n):
+            t = rep.e[i - 1]
+            for j in range(i + 2, rep.n + 1):
+                t = rep.g_inv[j - 2] * t * rep.g[j - 2]
+                total = total + t
+        return total
+
     def test_rank1_fast_path_equals_dense_chain(self):
         # same M(n) whether or not the rank-1 factorization is exploited
         rep = rational_rep(4, rat(7, 2), rat(3))
-        mn = build_m_matrix(rep)
-        total = Matrix.zeros(QQ, rep.dim, rep.dim)
-        for e in rep.e:
-            total = total + e
-        for i in range(1, 3):
-            t = rep.e[i - 1]
-            for j in range(i + 2, 5):
-                t = rep.g_inv[j - 2] * t * rep.g[j - 2]
-                total = total + t
-        assert mn.matrix == total
+        assert build_m_matrix(rep).matrix == self.dense_chain(rep)
 
+    @pytest.mark.parametrize("n, field", [(4, "Q(r)"), (5, "Q(r)"), (5, "phi20")])
+    def test_rank1_chains_equal_dense_chain_on_every_locus(self, n, field):
+        for locus in catalog(n):
+            if field == "Q(r)":
+                rep = substituted_rep(n, locus.eps, locus.k)
+            else:
+                rep = rep_at(n, locus, cyclotomic_field(field).gen())
+            mn = build_m_matrix(rep).matrix
+            assert mn == self.dense_chain(rep), locus.name
+            if field == "Q(r)":  # no entry of M(n) has a denominator on the loci
+                assert all(x.den.is_const() for row in mn.rows for x in row), locus.name
 
     @staticmethod
     def _reps():
@@ -110,8 +125,11 @@ class TestMnMatrix:
             index = pair_index_map(rep.n)
             for i, e in enumerate(rep.e, start=1):
                 u, w = reducibility._rank1_factor(e)
-                assert [a for a, row in enumerate(e.rows) if any(row)] == [index[(i, i + 1)]]
-                assert [a for a, x in enumerate(u) if x] == [index[(i, i + 1)]]
+                pair_row = index[(i, i + 1)]
+                assert [a for a, row in enumerate(e.rows) if any(row)] == [pair_row]
+                assert [a for a, x in enumerate(u) if x] == [pair_row]
+                assert u[pair_row] == rep.field.one()
+                assert tuple(w) == e.rows[pair_row]
                 assert all(x == ua * wb for row, ua in zip(e.rows, u) for x, wb in zip(row, w))
 
     def test_rank1_factor_rejects_other_ranks(self):
@@ -364,6 +382,18 @@ class TestKernelWitness:
             assert seen["nullspace"] <= (degree_bound + 1) // 2
             assert any(w) and reducibility._annihilates(int_rows, w, p)
 
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_catalog_witnesses_take_few_points_and_no_rank(self, monkeypatch, n):
+        for locus in catalog(n):
+            matrix = build_m_matrix(substituted_rep(n, locus.eps, locus.k)).matrix
+            with monkeypatch.context() as mp:
+                seen = self.spy(mp)
+                got = _univariate_zero_verdict(matrix, n, locus, "substituted")
+            assert got.verdict == "identically_zero", locus.name
+            assert seen["witness"][0][1] is not None, locus.name
+            assert seen["nullspace"] <= 16, locus.name
+            assert seen["rank"] == 0, locus.name
+
     def test_corrupted_witness_fails_the_identity(self, monkeypatch):
         matrix, locus = self.locus_matrix(5, "l=+r3-n")
         with monkeypatch.context() as mp:
@@ -459,7 +489,8 @@ class TestKernelWitness:
         verdict = _univariate_zero_verdict(_qr_matrix(rows), 2, None, "substituted-univariate")
         assert verdict.verdict == "nonzero"
         assert verdict.witness["r"] == "6"
-        assert checked == [False, False]
+        # one candidate at each of 4, 5, 6, 7 and 8 points, all refused
+        assert checked == [False] * 5
         assert seen["witness"][0][1] is None
 
 
