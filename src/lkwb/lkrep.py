@@ -3,8 +3,9 @@
 The braid-generator action is built on the pair basis x_{s,t}
 (1 <= s < t <= n), rescaled by r so that the generator eigenvalues are
 {r, -1/r, 1/l}, with the parameter dictionary q = 1/r^2 and tau = r^3/l.
-The defining relations are verified explicitly; build_m_matrix in the
-reducibility module refuses representations that have not passed the gate.
+The defining relations are one table of identities between sums of words
+in g, g^2 and e, checked row by row on the sparse rows; build_m_matrix in
+the reducibility module refuses representations that fail that gate.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParameterZero, SemisimplicityViolation
-from .linalg import Matrix
+from .linalg import Matrix, _row_combination
 from .scalars import QLR, QQ, QR, Rat, m_of_r, scalar_to_text
 
 
@@ -238,79 +239,71 @@ def verify_relations(rep):
 
     (a) braid relations, (b) far commutation, (c) e_i e_j = 0 for
     |i-j| >= 2, (d) the e_i definition identity, (e) cubic annihilation
-    (X-r)(X+1/r)(X-1/l), (f) e_i^2 = delta e_i.
+    (X-r)(X+1/r)(X-1/l), (f) e_i^2 = delta e_i.  Each instance is a row of
+    one table: family, failure label and two sides, each a list of
+    (coefficient, word) terms, a word being matrices multiplied left to
+    right and () the identity.
     """
     p = rep.params
-    n = p.n
-    field = p.field
     g, e, g_sq = rep.g, rep.e, rep.g_sq
-    N = rep.dim
-    eye = Matrix.identity(field, N)
-    failures = []
-
-    braid = True
-    for i in range(n - 2):
-        lhs = g[i] * g[i + 1] * g[i]
-        rhs = g[i + 1] * g[i] * g[i + 1]
-        if lhs != rhs:
-            braid = False
-            failures.append(f"braid({i + 1},{i + 2})")
-
-    far = True
-    for i in range(n - 1):
-        for j in range(i + 2, n - 1):
-            if g[i] * g[j] != g[j] * g[i]:
-                far = False
-                failures.append(f"far({i + 1},{j + 1})")
-
-    e_products = True
-    for i in range(n - 1):
-        for j in range(i + 2, n - 1):
-            if not (e[i] * e[j]).is_zero():
-                e_products = False
-                failures.append(f"ee({i + 1},{j + 1})")
-
-    coef = p.l / p.m
-    e_definition = True
-    for i in range(n - 1):
-        rhs = (g_sq[i] + g[i].scale(p.m) - eye).scale(coef)
-        if e[i] != rhs:
-            e_definition = False
-            failures.append(f"edef({i + 1})")
-
+    one = p.field.one()
     # cubic (X - r)(X + 1/r)(X - 1/l) expanded via elementary symmetric sums
-    one = field.one()
-    r_inv = one / p.r
-    l_inv = one / p.l
+    r_inv, l_inv = one / p.r, one / p.l
     s1 = p.r - r_inv + l_inv
     s2 = -one + p.r * l_inv - r_inv * l_inv
-    cubic = True
-    for i in range(n - 1):
-        g3 = g_sq[i] * g[i]
-        val = g3 - g_sq[i].scale(s1) + g[i].scale(s2) + eye.scale(l_inv)
-        if not val.is_zero():
-            cubic = False
-            failures.append(f"cubic({i + 1})")
-
     delta = p.delta()
-    e_square = True
-    for i in range(n - 1):
-        if e[i] * e[i] != e[i].scale(delta):
-            e_square = False
-            failures.append(f"esq({i + 1})")
+    gens = range(p.n - 1)
+    far = [(i, j) for i in gens for j in range(i + 2, p.n - 1)]
+    table = [
+        *(("braid", f"braid({i + 1},{i + 2})", [(one, (g[i], g[i + 1], g[i]))],
+           [(one, (g[i + 1], g[i], g[i + 1]))]) for i in range(p.n - 2)),
+        *(("far_commutation", f"far({i + 1},{j + 1})", [(one, (g[i], g[j]))],
+           [(one, (g[j], g[i]))]) for i, j in far),
+        *(("e_products", f"ee({i + 1},{j + 1})", [(one, (e[i], e[j]))], []) for i, j in far),
+        # e_i = (l/m)(g_i^2 + m g_i - 1) multiplied through by m/l: over Q(r)
+        # and Q(l,r), m/l has no denominator to reduce against and l/m has
+        *(("e_definition", f"edef({i + 1})", [(p.m / p.l, (e[i],))],
+           [(one, (g_sq[i],)), (p.m, (g[i],)), (-one, ())]) for i in gens),
+        *(("cubic", f"cubic({i + 1})", [(one, (g_sq[i], g[i]))],
+           [(s1, (g_sq[i],)), (-s2, (g[i],)), (-l_inv, ())]) for i in gens),
+        *(("e_square", f"esq({i + 1})", [(one, (e[i], e[i]))], [(delta, (e[i],))]) for i in gens),
+    ]
+    passed = dict.fromkeys(("braid", "far_commutation", "e_products", "e_definition", "cubic",
+                            "e_square"), True)
+    failures = []
+    for family, label, lhs, rhs in table:
+        if not _holds(lhs, rhs, rep.dim, p.field):
+            passed[family] = False
+            failures.append(label)
+    return RelationReport(n=p.n, field_tag=p.field.tag, delta=scalar_to_text(delta),
+                          failures=tuple(failures), **passed)
 
-    return RelationReport(
-        n=n,
-        field_tag=field.tag,
-        braid=braid,
-        far_commutation=far,
-        e_products=e_products,
-        e_definition=e_definition,
-        cubic=cubic,
-        e_square=e_square,
-        delta=scalar_to_text(delta),
-        failures=tuple(failures),
-    )
+
+def _holds(lhs, rhs, dim, field):
+    """True iff the sides agree, compared on their nonzero entries row by row.
+
+    Row i of a word is row i of its first matrix carried through the rest
+    by _row_combination, the loop of Matrix.__mul__ and vec_mat, on the
+    cached row nonzeros; a side combines its word rows the same way.  The
+    check stops at the first row where the sides differ.
+    """
+    zero, one = field.zero(), field.one()
+
+    def nonzeros(v):
+        return tuple((j, x) for j, x in enumerate(v) if x)
+
+    def side(terms, i):
+        rows = []
+        for _, word in terms:
+            row = word[0]._row_nonzeros()[i] if word else ((i, one),)
+            for m in word[1:]:
+                row = nonzeros(_row_combination(row, m._row_nonzeros(), dim, zero))
+            rows.append(row)
+        if len(terms) == 1 and terms[0][0] == one:
+            return rows[0]
+        return nonzeros(_row_combination(enumerate(c for c, _ in terms), rows, dim, zero))
+
+    return all(side(lhs, i) == side(rhs, i) for i in range(dim))
 
 
 def relation_gate(rep):

@@ -828,16 +828,13 @@ def minimal_invariant(rep, seed):
 def one_dim_subspaces(rep):
     """Common eigenlines of the g_i with constant eigenvalue r or -1/r."""
     fieldobj = rep.field
-    N = rep.dim
     out = []
     r_val = rep.params.r
     one = fieldobj.one()
     for lam, lam_name in ((r_val, "r"), (-(one / r_val), "-1/r")):
-        stacked = []
-        eye = Matrix.identity(fieldobj, N)
-        for gk in rep.g:
-            diff = gk - eye.scale(lam)
-            stacked.extend(diff.rows)
+        # the rows of g_k - lam I: lam comes off the diagonal entry of each row
+        stacked = [row[:i] + (row[i] - lam,) + row[i + 1:]
+                   for gk in rep.g for i, row in enumerate(gk.rows)]
         ker = kernel(Matrix(fieldobj, tuple(stacked), _trusted=True))
         if ker.dim:
             out.append({"lambda": lam_name, "lambda_value": scalar_to_text(lam), "space": ker})
@@ -982,15 +979,16 @@ def probe_operators(ops, trials, rng):
         coeffs = [rng.randint(-9, 9) for _ in comm]
         if not any(coeffs):
             coeffs[0] = 1
-        sample = Matrix.zeros(QQ, n, n)
-        for c, b in zip(coeffs, comm):
-            if c:
-                sample = sample + b.scale(Rat(c))
         if scalar:
-            # the sample is c I, whose characteristic polynomial is (x - c)^n
+            # the sample c I is not built: its characteristic polynomial is
+            # (x - c)^n, one linear factor, which never splits
             c = coeffs[0]
             cp = [Rat(comb(n, i) * (-c) ** (n - i)) for i in range(n + 1)]
         else:
+            sample = Matrix.zeros(QQ, n, n)
+            for c, b in zip(coeffs, comm):
+                if c:
+                    sample = sample + b.scale(Rat(c))
             cp = charpoly(sample)
         analysis = _charpoly_factor_analysis(cp)
         if analysis["kind"] == "split":

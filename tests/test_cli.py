@@ -50,6 +50,27 @@ class TestRelations:
         text = (out / "g1.mat").read_text()
         assert Matrix.from_text(text).to_text() == text
 
+    # sha256 of `relations` reports over Q(l,r), Q and Q[x]/(f), recorded when
+    # the gate compared whole matrices built for each relation
+    GOLDEN_RELATIONS = {
+        ("--n", "3", "--symbolic", "--convention"):
+            "1d45858b0a9ec32d9427281988046afef2cafd0dbfdb22acbb5da65c6c278f1c",
+        ("--n", "4", "--symbolic", "--convention"):
+            "e3ce5b81cf404f725a006c4fb972b2528093b71cd816578a22dff3b1c1dabb9a",
+        ("--n", "5", "--symbolic", "--convention"):
+            "be9cf602d68da9a01c239ff3835b66afac8f2fc041dc788397f47fa4318a86cd",
+        ("--n", "7", "--r", "2/1", "--l", "5/1"):
+            "262de338ed763bb3f6a3c3aa3ae1bb7789433a6b5c493fdedbd0791dd1b7f728",
+        ("--n", "6", "--r", "cyclotomic:phi24", "--l", "2/1"):
+            "eb3e2b4e0844f78c2f483644d6bb40f93cd49ae4c077712a2b23abea8e4636ca",
+    }
+
+    @pytest.mark.parametrize("args", sorted(GOLDEN_RELATIONS))
+    def test_golden_relations_reports(self, args):
+        proc = run_cli("relations", *args)
+        assert proc.stderr == ""
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == self.GOLDEN_RELATIONS[args]
+
 
 class TestDet:
     def test_locus_substituted(self):

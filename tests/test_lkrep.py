@@ -200,6 +200,122 @@ class TestGateMutation:
                 build_m_matrix(broken)
 
 
+def with_entry(m, i, j, x):
+    rows = [list(row) for row in m.rows]
+    rows[i][j] = x
+    return Matrix(m.field, rows)
+
+
+def replaced(rep, **fields):
+    """rep with some of its fields swapped for others, nothing rebuilt."""
+    parts = {"params": rep.params, "g": rep.g, "g_inv": rep.g_inv, "e": rep.e, "g_sq": rep.g_sq}
+    parts.update(fields)
+    return LKRep(**parts)
+
+
+def swapped_far(rep):
+    g = list(rep.g)
+    g[0], g[2] = g[2], g[0]
+    return replaced(rep, g=tuple(g))
+
+
+def perturbed_g(rep):
+    g = list(rep.g)
+    g[1] = with_entry(g[1], 0, 0, g[1].rows[0][0] + rep.field.one())
+    return replaced(rep, g=tuple(g))
+
+
+def perturbed_e(rep):
+    e = list(rep.e)
+    e[1] = with_entry(e[1], 1, 1, e[1].rows[1][1] + rep.field.one())
+    return replaced(rep, e=tuple(e))
+
+
+def far_e(rep):
+    e = list(rep.e)
+    e[0] = e[0] + e[2]
+    return replaced(rep, e=tuple(e))
+
+
+def perturbed_g_sq(rep):
+    g_sq = list(rep.g_sq)
+    g_sq[3] = with_entry(g_sq[3], 2, 5, g_sq[3].rows[2][5] + rep.field.one())
+    return replaced(rep, g_sq=tuple(g_sq))
+
+
+def perturbed_last_row(rep):
+    g = list(rep.g)
+    last = rep.dim - 1
+    g[3] = with_entry(g[3], last, 0, g[3].rows[last][0] + rep.field.one())
+    return replaced(rep, g=tuple(g))
+
+
+def wrong_delta(rep):
+    p = rep.params
+    return replaced(rep, params=LKParams(p.n, p.l + p.field.one(), p.r, p.field))
+
+
+class TestGateMutantReports:
+    """Each relation family broken on purpose, with the full report pinned.
+
+    The reports were recorded from the gate that compared whole matrices,
+    so they fix the booleans, delta and the order of the failure labels.
+    """
+
+    FAMILIES = ("braid", "far_commutation", "e_products", "e_definition",
+                "cubic_annihilation", "e_square")
+
+    # mutant -> (families that fail, failure labels in report order)
+    EXPECTED = {
+        swapped_far: ({"braid", "far_commutation", "e_definition", "cubic_annihilation"},
+                      ["braid(3,4)", "far(1,4)", "edef(1)", "edef(3)", "cubic(1)", "cubic(3)"]),
+        perturbed_g: ({"braid", "e_definition", "cubic_annihilation"},
+                      ["braid(1,2)", "braid(2,3)", "edef(2)", "cubic(2)"]),
+        perturbed_e: ({"e_definition", "e_square"}, ["edef(2)", "esq(2)"]),
+        far_e: ({"e_products", "e_definition"}, ["ee(1,3)", "ee(1,4)", "edef(1)"]),
+        perturbed_g_sq: ({"e_definition", "cubic_annihilation"}, ["edef(4)", "cubic(4)"]),
+        wrong_delta: ({"e_definition", "cubic_annihilation", "e_square"},
+                      [f"{rel}({i})" for rel in ("edef", "cubic", "esq") for i in range(1, 5)]),
+    }
+
+    # field -> (rep, delta text, delta text of wrong_delta)
+    BUILDS = {
+        "Q": (lambda: rational_rep(5, rat(5), rat(2)), "21/5", "44/9"),
+        "Q(r)": (lambda: substituted_rep(5, 1, 1), "2",
+                 "(2*r^3 + 3*r^2 - r - 1)/(r^3 + r^2 - r - 1)"),
+    }
+
+    # g_4 x_{4,5} = (1/l) x_{4,5}, and g_sq is not rebuilt: the change of
+    # g_4 in that row adds (1/l^2) d to g_4^2 g_4 and -s2 d to the right
+    # side of cubic(4), equal at l = r, so cubic(4) holds over Q(r) only
+    LAST_ROW = {
+        "Q": ({"braid", "far_commutation", "e_definition", "cubic_annihilation"},
+              ["braid(3,4)", "far(1,4)", "far(2,4)", "edef(4)", "cubic(4)"]),
+        "Q(r)": ({"braid", "far_commutation", "e_definition"},
+                 ["braid(3,4)", "far(1,4)", "far(2,4)", "edef(4)"]),
+    }
+
+    def expected(self, field_tag, delta, failing, failures):
+        out = {"n": 5, "field": field_tag}
+        out.update({family: family not in failing for family in self.FAMILIES})
+        out.update({"delta": delta, "all_passed": False, "failures": failures})
+        return out
+
+    @pytest.mark.parametrize("mutant", list(EXPECTED), ids=lambda m: m.__name__)
+    @pytest.mark.parametrize("field_tag", sorted(BUILDS))
+    def test_report_pinned(self, field_tag, mutant):
+        build, delta, wrong = self.BUILDS[field_tag]
+        expected = self.expected(field_tag, wrong if mutant is wrong_delta else delta,
+                                 *self.EXPECTED[mutant])
+        assert verify_relations(mutant(build())).to_json_obj() == expected
+
+    @pytest.mark.parametrize("field_tag", sorted(BUILDS))
+    def test_last_row_report_pinned(self, field_tag):
+        build, delta, _ = self.BUILDS[field_tag]
+        expected = self.expected(field_tag, delta, *self.LAST_ROW[field_tag])
+        assert verify_relations(perturbed_last_row(build())).to_json_obj() == expected
+
+
 class TestParamMap:
     def test_locus_images(self):
         # the catalog loci land on the resume list {1/q, -1, 1/q^n, (1/sqrt q)^n, -(1/sqrt q)^n}
