@@ -56,7 +56,8 @@ class Matrix:
 
     # _nonzeros caches the per-row (column, entry) lists of the nonzero
     # entries, the sparse view that __mul__, mat_vec and vec_mat walk; it is
-    # derived from rows and takes no part in equality or serialization
+    # derived from rows, or kept from the product that made them, and takes
+    # no part in equality or serialization
     __slots__ = ("field", "nrows", "ncols", "rows", "_nonzeros")
 
     def __init__(self, field, rows, *, _trusted=False):
@@ -120,7 +121,9 @@ class Matrix:
 
         Output row i is _row_combination of the rows of other at the
         nonzero a_ik, in ascending k: entry (i, j) sums a_ik * b_kj as
-        a * b then acc + a * b, and one with no such k is the field zero.
+        a * b then acc + a * b, and one with no such k, or whose sum
+        cancels, is the field zero.  The pairs become the product's cached
+        row nonzeros.
         """
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -128,11 +131,12 @@ class Matrix:
         if self.ncols != other.nrows:
             raise DimensionMismatch("inner dimensions differ")
         brows = other._row_nonzeros()
+        nonzeros = tuple(_row_combination(arow, brows) for arow in self._row_nonzeros())
         zero = self.field.zero()
-        return Matrix(self.field,
-                      tuple(_row_combination(arow, brows, other.ncols, zero)
-                            for arow in self._row_nonzeros()),
-                      _trusted=True)
+        out = Matrix(self.field, tuple(tuple(_dense(row, other.ncols, zero)) for row in nonzeros),
+                     _trusted=True)
+        out._nonzeros = nonzeros
+        return out
 
     def scale(self, c):
         c = self.field.coerce(c)
@@ -169,8 +173,8 @@ class Matrix:
         """v M for a row vector v: the rows of M at the nonzero v[i], in ascending i."""
         if len(v) != self.nrows:
             raise DimensionMismatch("vector length differs from row count")
-        return _row_combination(((i, x) for i, x in enumerate(v) if x), self._row_nonzeros(),
-                                self.ncols, self.field.zero())
+        pairs = _row_combination(((i, x) for i, x in enumerate(v) if x), self._row_nonzeros())
+        return tuple(_dense(pairs, self.ncols, self.field.zero()))
 
     def is_zero(self):
         return not any(any(row) for row in self.rows)
@@ -223,20 +227,25 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field.tag})"
 
 
-def _row_combination(pairs, rows, ncols, zero):
-    """The row sum x * rows[i] over the (i, x) pairs, rows as (column, entry) lists.
+def _row_combination(pairs, rows):
+    """Sorted nonzero (column, entry) pairs of the row sum x * rows[i] over the (i, x) pairs.
 
-    Each entry sums x * y over the pairs whose row has a nonzero y in its
-    column, in the order of the pairs, as x * y then acc + x * y; a column
-    with no such pair is zero.  Matrix.__mul__ and Matrix.vec_mat share
-    this loop.
+    rows[i] is a list of (column, entry) pairs.  Each entry sums x * y
+    over the pairs whose row has a nonzero y in its column, in the order
+    of the pairs, as x * y then acc + x * y; x = None stands for one and
+    adds y with no product.  A column whose sum cancels is left out, like
+    one that no row reaches.  This is the one sparse row loop:
+    Matrix.__mul__ and Matrix.vec_mat densify its pairs, and the relation
+    gate carries them through each word.
     """
-    acc = [None] * ncols
+    acc = {}
     for i, x in pairs:
         for j, y in rows[i]:
-            s = acc[j]
-            acc[j] = x * y if s is None else s + x * y
-    return tuple(zero if s is None else s for s in acc)
+            if x is not None:
+                y = x * y
+            s = acc.get(j)
+            acc[j] = y if s is None else s + y
+    return [(j, s) for j, s in sorted(acc.items()) if s]
 
 
 def matrix_to_json(m):
@@ -352,7 +361,26 @@ def clear_denominators(row):
         if x and not x.den.is_const():
             g = den.gcd(x.den)
             den = den.divexact(g) * x.den
+    if den.is_const():  # every denominator is 1
+        return den, [x.num for x in row]
     return den, [x.num * den.divexact(x.den) if x else LaurentPoly.zero() for x in row]
+
+
+def clear_entries(field, entries):
+    """(den, cleared): the entries times den, a nonzero common denominator.
+
+    The cleared entries lie in the integral domain that the fraction-free
+    elimination runs over: Z for Q, den the lcm of the denominators; the
+    Laurent ring for Q(r) and Q(l,r), through clear_denominators; any
+    other field, such as Q[x]/(f), is its own domain, with den its one and
+    the entries as they are.
+    """
+    if field == QQ:
+        den = lcm(*(x.denominator for x in entries))
+        return den, [x.numerator * (den // x.denominator) for x in entries]
+    if isinstance(field, FunctionField):
+        return clear_denominators(entries)
+    return field.one(), list(entries)
 
 
 def _fraction_free(work, s, ring):
@@ -428,31 +456,25 @@ def _inverse_once():
 def _domain(m):
     """(work, ring, finish): m as rows over the integral domain that eliminates it.
 
-    Each row of work is the row of m times a nonzero scalar, so the same
-    minors are invertible; ring is as in _fraction_free, and finish(pivot,
-    odd) turns the last pivot of a full elimination into det m, negated
-    when odd.  There are three rings.  Q runs over Z, each row times the
-    lcm of its denominators.  Q(r) and Q(l,r) rows go through
-    clear_denominators into the Laurent ring, with the term count as the
-    pivot cost.  Any other field, such as Q[x]/(f), keeps its rows and
+    Row i of work is row i of m through clear_entries, so it is the row
+    times a nonzero scalar and the same minors are invertible; ring is as
+    in _fraction_free, and finish(pivot, odd) turns the last pivot of a
+    full elimination into det m, negated when odd, by dividing out the
+    product of the row denominators.  The rings: Z; the Laurent ring, with
+    the term count as the pivot cost; any other field, such as Q[x]/(f),
     divides in the field through _inverse_once.
     """
     field = m.field
+    cleared = [clear_entries(field, row) for row in m.rows]
+    work = [row for _, row in cleared]
+    dens = [den for den, _ in cleared]
     if field == QQ:
-        dens = [lcm(*(x.denominator for x in row)) for row in m.rows]
-        work = [[x.numerator * (d // x.denominator) for x in row]
-                for d, row in zip(dens, m.rows)]
         return work, (mul, sub, floordiv, abs), lambda d, odd: Rat(-d if odd else d, prod(dens))
-    if not isinstance(field, FunctionField):
-        ring = (mul, sub, _inverse_once(), lambda x: 0)
-        return [list(row) for row in m.rows], ring, lambda d, odd: -d if odd else d
-    cleared = [clear_denominators(row) for row in m.rows]
-
-    def finish(d, odd):
-        return RatFunc(-d if odd else d, prod((den for den, _ in cleared), start=LaurentPoly.one()))
-
-    ring = (mul, sub, LaurentPoly.divexact, lambda e: len(e.terms))
-    return [row for _, row in cleared], ring, finish
+    if isinstance(field, FunctionField):
+        ring = (mul, sub, LaurentPoly.divexact, lambda e: len(e.terms))
+        return work, ring, lambda d, odd: RatFunc(-d if odd else d,
+                                                  prod(dens, start=LaurentPoly.one()))
+    return work, (mul, sub, _inverse_once(), lambda x: 0), lambda d, odd: -d if odd else d
 
 
 def det(m):

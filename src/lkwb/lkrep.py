@@ -4,8 +4,11 @@ The braid-generator action is built on the pair basis x_{s,t}
 (1 <= s < t <= n), rescaled by r so that the generator eigenvalues are
 {r, -1/r, 1/l}, with the parameter dictionary q = 1/r^2 and tau = r^3/l.
 The defining relations are one table of identities between sums of words
-in g, g^2 and e, checked row by row on the sparse rows; build_m_matrix in
-the reducibility module refuses representations that fail that gate.
+in g, g^2 and e.  Each identity is multiplied through by a nonzero scalar
+that puts every entry and coefficient in the field's integral domain (Z
+for Q, the Laurent ring for Q(r) and Q(l,r), the field for Q[x]/(f)),
+then checked row by row on sparse integral rows; build_m_matrix in the
+reducibility module refuses representations that fail that gate.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParameterZero, SemisimplicityViolation
-from .linalg import Matrix, _row_combination
+from .linalg import Matrix, _row_combination, clear_entries
 from .scalars import QLR, QQ, QR, Rat, m_of_r, scalar_to_text
 
 
@@ -243,15 +246,26 @@ def verify_relations(rep):
     one table: family, failure label and two sides, each a list of
     (coefficient, word) terms, a word being matrices multiplied left to
     right and () the identity.
+
+    The rows are checked on cleared entries.  linalg.clear_entries gives
+    one common denominator D of every entry of g, e and g_sq over the
+    field's integral domain (Z for Q, the Laurent ring for Q(r) and
+    Q(l,r), where D = 1 on every substituted rep, the field itself for
+    Q[x]/(f)), and the words run on the matrices times D.  _scaled
+    multiplies each row through by the nonzero K D^L that makes every
+    coefficient lie in that domain, so the products and sums stay there;
+    the scaled identity holds exactly when the row does, since the domain
+    has no zero divisors.
     """
     p = rep.params
-    g, e, g_sq = rep.g, rep.e, rep.g_sq
-    one = p.field.one()
+    field = p.field
+    one = field.one()
     # cubic (X - r)(X + 1/r)(X - 1/l) expanded via elementary symmetric sums
     r_inv, l_inv = one / p.r, one / p.l
     s1 = p.r - r_inv + l_inv
     s2 = -one + p.r * l_inv - r_inv * l_inv
     delta = p.delta()
+    den, (g, e, g_sq) = _cleared(field, (rep.g, rep.e, rep.g_sq))
     gens = range(p.n - 1)
     far = [(i, j) for i in gens for j in range(i + 2, p.n - 1)]
     table = [
@@ -271,37 +285,77 @@ def verify_relations(rep):
     passed = dict.fromkeys(("braid", "far_commutation", "e_products", "e_definition", "cubic",
                             "e_square"), True)
     failures = []
+    _, (unit,) = clear_entries(field, [one])
     for family, label, lhs, rhs in table:
-        if not _holds(lhs, rhs, rep.dim, p.field):
+        if not _holds(*_scaled(lhs, rhs, den, field), rep.dim, unit):
             passed[family] = False
             failures.append(label)
-    return RelationReport(n=p.n, field_tag=p.field.tag, delta=scalar_to_text(delta),
+    return RelationReport(n=p.n, field_tag=field.tag, delta=scalar_to_text(delta),
                           failures=tuple(failures), **passed)
 
 
-def _holds(lhs, rhs, dim, field):
-    """True iff the sides agree, compared on their nonzero entries row by row.
+def _cleared(field, families):
+    """(D, rows): every matrix of the families times D, as its sparse rows.
+
+    D is the common denominator that linalg.clear_entries takes of all
+    their nonzero entries; a matrix is the list of its rows, each a list
+    of (column, entry) pairs over the field's integral domain.
+    """
+    views = [[m._row_nonzeros() for m in mats] for mats in families]
+    den, entries = clear_entries(field, [x for mats in views for rows in mats
+                                         for row in rows for _, x in row])
+    it = iter(entries)
+    return den, [[[[(j, next(it)) for j, _ in row] for row in rows] for rows in mats]
+                 for mats in views]
+
+
+def _scaled(lhs, rhs, den, field):
+    """The sides of lhs = rhs times K D^L, on words of matrices times D.
+
+    L is the longest word of the row: a word of length k on the cleared
+    matrices is D^k times the word, so its coefficient c becomes
+    c D^(L-k), and K is the common denominator of those, which leaves
+    every coefficient in the domain.  A coefficient of one becomes None,
+    which _row_combination adds with no product; a term with coefficient
+    -1 moves to the other side as such a term, and a zero term is dropped.
+    """
+    longest = max(len(word) for _, word in lhs + rhs)
+    terms = [(side, word, c if len(word) == longest else c * den ** (longest - len(word)))
+             for side, ts in enumerate((lhs, rhs)) for c, word in ts]
+    _, coeffs = clear_entries(field, [c for _, _, c in terms])
+    sides = ([], [])
+    for (side, word, _), c in zip(terms, coeffs):
+        if c == -1:
+            side, c = 1 - side, None
+        elif c == 1:
+            c = None
+        elif not c:
+            continue
+        sides[side].append((c, word))
+    return sides
+
+
+def _holds(lhs, rhs, dim, unit):
+    """True iff the sides agree, compared on their nonzero pairs row by row.
 
     Row i of a word is row i of its first matrix carried through the rest
-    by _row_combination, the loop of Matrix.__mul__ and vec_mat, on the
-    cached row nonzeros; a side combines its word rows the same way.  The
-    check stops at the first row where the sides differ.
+    by linalg._row_combination, the one sparse row loop, and a side
+    combines its word rows the same way; the identity's row i is
+    (i, unit), unit the domain's one.  Both give sorted nonzero
+    (column, entry) pairs of canonical domain elements, so the sides agree
+    exactly when their pairs are equal.  The check stops at the first row
+    where they differ.
     """
-    zero, one = field.zero(), field.one()
-
-    def nonzeros(v):
-        return tuple((j, x) for j, x in enumerate(v) if x)
-
     def side(terms, i):
         rows = []
         for _, word in terms:
-            row = word[0]._row_nonzeros()[i] if word else ((i, one),)
+            row = word[0][i] if word else [(i, unit)]
             for m in word[1:]:
-                row = nonzeros(_row_combination(row, m._row_nonzeros(), dim, zero))
+                row = _row_combination(row, m)
             rows.append(row)
-        if len(terms) == 1 and terms[0][0] == one:
+        if len(terms) == 1 and terms[0][0] is None:
             return rows[0]
-        return nonzeros(_row_combination(enumerate(c for c, _ in terms), rows, dim, zero))
+        return _row_combination(enumerate(c for c, _ in terms), rows)
 
     return all(side(lhs, i) == side(rhs, i) for i in range(dim))
 

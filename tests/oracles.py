@@ -396,3 +396,44 @@ def ordered_mat_mul(a, b, zero):
             orow.append(zero if acc is None else acc)
         out.append(orow)
     return out
+
+
+def relation_failures(n, l, r, g, e, g_sq):
+    """Failure labels of the Lawrence-Krammer relation table, whole matrices at a time.
+
+    g, e and g_sq are lists of n - 1 square Fraction row lists, l and r
+    Fractions.  Every relation is checked by forming both sides as whole
+    matrices with mat_mul and comparing them entry by entry, in the label
+    order of the workbench's relation report: braid, far commutation,
+    e_i e_j = 0, e_i = (l/m)(g_i^2 + m g_i - 1) with g_sq as g_i^2, the
+    cubic (X - r)(X + 1/r)(X - 1/l) with g_sq g as X^3 and g_sq as X^2,
+    then e_i^2 = delta e_i.
+    """
+    dim = len(g[0])
+    eye = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+
+    def comb(*terms):
+        return [[sum((c * m[i][j] for c, m in terms), Fraction(0)) for j in range(dim)]
+                for i in range(dim)]
+
+    m = 1 / r - r
+    roots = (r, -1 / r, 1 / l)
+    s1 = sum(roots)
+    s2 = roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]
+    s3 = roots[0] * roots[1] * roots[2]
+    delta = (1 / l - l) / m + 1
+    zero = [[Fraction(0)] * dim for _ in range(dim)]
+    gens = range(n - 1)
+    far = [(i, j) for i in gens for j in range(i + 2, n - 1)]
+    checks = [
+        *((f"braid({i + 1},{i + 2})", mat_mul(mat_mul(g[i], g[i + 1]), g[i]),
+           mat_mul(mat_mul(g[i + 1], g[i]), g[i + 1])) for i in range(n - 2)),
+        *((f"far({i + 1},{j + 1})", mat_mul(g[i], g[j]), mat_mul(g[j], g[i])) for i, j in far),
+        *((f"ee({i + 1},{j + 1})", mat_mul(e[i], e[j]), zero) for i, j in far),
+        *((f"edef({i + 1})", e[i], comb((l / m, g_sq[i]), (l, g[i]), (-l / m, eye)))
+          for i in gens),
+        *((f"cubic({i + 1})", comb((1, mat_mul(g_sq[i], g[i])), (-s1, g_sq[i]), (s2, g[i]),
+                                   (-s3, eye)), zero) for i in gens),
+        *((f"esq({i + 1})", mat_mul(e[i], e[i]), comb((delta, e[i]))) for i in gens),
+    ]
+    return [label for label, a, b in checks if a != b]

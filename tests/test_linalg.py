@@ -187,6 +187,26 @@ class TestRowClearing:
         for x, p in zip(row, polys):
             assert RatFunc.from_laurent(p) == x * RatFunc.from_laurent(den)
 
+    @pytest.mark.parametrize("field", [QQ, QR, QLR, cyclotomic_field("phi12")],
+                             ids=["Q", "Q(r)", "Q(l,r)", "phi12"])
+    def test_clear_entries_in_the_domain(self, field):
+        # den * x is the cleared entry, an int over Q and a Laurent polynomial
+        # over Q(r) and Q(l,r); Q[x]/(f) is its own domain
+        rng = random.Random(81)
+        entries = [field.random(rng) for _ in range(6)] + [field.zero()]
+        if field in (QR, QLR):
+            entries += [field.one() / (field.r() + 2), field.r() / field.random(rng)]
+        den, cleared = linalg.clear_entries(field, entries)
+        assert den and len(cleared) == len(entries)
+        for x, c in zip(entries, cleared):
+            if field is QQ:
+                assert type(c) is int and c == x * den
+            elif field in (QR, QLR):
+                assert isinstance(c, LaurentPoly)
+                assert RatFunc.from_laurent(c) == x * RatFunc.from_laurent(den)
+            else:
+                assert den == field.one() and c is x
+
 
 class TestKernel:
     def test_zero_matrix(self):
@@ -395,6 +415,52 @@ class TestMatrixArithmetic:
                 assert Matrix(field, [got]).to_text() == expect.to_text()
                 if field is QQ:
                     assert fractions([got]) == oracles.mat_mul(fractions([v]), fractions(b))
+
+    @pytest.mark.parametrize("field", [QQ, QR, cyclotomic_field("phi20")],
+                             ids=["Q", "Q(r)", "phi20"])
+    def test_cancelled_entries_against_dense_triple_loop(self, field):
+        # entry (i, j) of a * b is made to cancel by solving for b[k][j] at
+        # the last nonzero a[i][k]: it is the field zero in the dense rows and
+        # absent from the (column, entry) pairs of _row_combination
+        rng = random.Random(78)
+        zero = field.zero()
+        cancelled = 0
+        for n, k, m in [(4, 5, 4), (3, 6, 5), (6, 4, 6)] * 3:
+            a = sparse_rows(field, rng, n, k, 0.7)
+            b = sparse_rows(field, rng, k, m, 0.6)
+            targets = set()
+            for i, row in enumerate(a):
+                live = [t for t, x in enumerate(row) if x]
+                j = rng.randrange(m)
+                if len(live) < 2 or not any(b[t][j] for t in live[:-1]):
+                    continue
+                partial = sum((row[t] * b[t][j] for t in live[:-1]), zero)
+                if partial:
+                    b[live[-1]][j] = -partial / row[live[-1]]
+                    targets.add((i, j))
+            ma, mb = Matrix(field, a), Matrix(field, b)
+            got = ma * mb
+            expect = oracles.ordered_mat_mul(a, b, zero)
+            # a later row's solve may have changed an earlier target's column
+            targets = {(i, j) for i, j in targets if not expect[i][j]}
+            assert got.rows == tuple(tuple(row) for row in expect)
+            assert got.to_text() == Matrix(field, expect).to_text()
+            for i, row in enumerate(a):
+                pairs = linalg._row_combination(
+                    [(t, x) for t, x in enumerate(row) if x], mb._row_nonzeros())
+                assert pairs == [(j, x) for j, x in enumerate(expect[i]) if x]
+                # None stands for a coefficient of one
+                units = [(t, None) for t, x in enumerate(row) if x]
+                ones = [(t, field.one()) for t, _ in units]
+                assert (linalg._row_combination(units, mb._row_nonzeros())
+                        == linalg._row_combination(ones, mb._row_nonzeros()))
+                assert mb.vec_mat(row) == tuple(expect[i])
+                assert list(got._row_nonzeros()[i]) == pairs
+            for i, j in targets:
+                assert got.rows[i][j] == zero and not got.rows[i][j]
+                assert all(c != j for c, _ in got._row_nonzeros()[i])
+            cancelled += len(targets)
+        assert cancelled >= 5
 
     def test_scale(self):
         rng = random.Random(75)

@@ -316,6 +316,97 @@ class TestGateMutantReports:
         assert verify_relations(perturbed_last_row(build())).to_json_obj() == expected
 
 
+def perturbed_by(name, k, i, j, extra):
+    """Mutant builder: entry (i, j) of the k-th matrix of rep.<name> plus extra(field)."""
+    def mutant(rep):
+        mats = list(getattr(rep, name))
+        mats[k] = with_entry(mats[k], i, j, mats[k].rows[i][j] + extra(rep.field))
+        return replaced(rep, **{name: tuple(mats)})
+    return mutant
+
+
+class TestGateClearedReports:
+    """Mutants whose perturbed entry brings a new denominator into the gate.
+
+    Over Q(r) the substituted reps have Laurent polynomial entries, so the
+    entry with denominator r + 2 is the only one the gate has to clear; over
+    Q(l,r) the denominator l + r joins the r^2 - 1 of e and delta.  The
+    reports were recorded from the gate that multiplied field entries.
+    """
+
+    Q_R_DELTA = "2"
+    Q_LR_DELTA = "(l*r + r^2 - 1 - l^-1*r)/(r^2 - 1)"
+
+    @staticmethod
+    def report(field_tag, delta, failing, failures):
+        return TestGateMutantReports().expected(field_tag, delta, failing, failures)
+
+    def test_q_r_denominator_r_plus_2(self):
+        rep = substituted_rep(5, 1, 1)
+        g_entry = perturbed_by("g", 1, 0, 0, lambda f: f.one() / (f.r() + 2))
+        assert verify_relations(g_entry(rep)).to_json_obj() == self.report(
+            "Q(r)", self.Q_R_DELTA, {"braid", "e_definition", "cubic_annihilation"},
+            ["braid(1,2)", "braid(2,3)", "edef(2)", "cubic(2)"])
+        e_entry = perturbed_by("e", 2, 3, 4, lambda f: f.r() / (f.r() + 2))
+        assert verify_relations(e_entry(rep)).to_json_obj() == self.report(
+            "Q(r)", self.Q_R_DELTA, {"e_products", "e_definition", "e_square"},
+            ["ee(1,3)", "edef(3)", "esq(3)"])
+
+    def test_q_lr_denominator_l_plus_r(self):
+        rep = symbolic_rep(5)
+        g_entry = perturbed_by("g", 1, 0, 0, lambda f: f.one() / (f.l() + f.r()))
+        assert verify_relations(g_entry(rep)).to_json_obj() == self.report(
+            "Q(l,r)", self.Q_LR_DELTA, {"braid", "e_definition", "cubic_annihilation"},
+            ["braid(1,2)", "braid(2,3)", "edef(2)", "cubic(2)"])
+        g_sq_entry = perturbed_by("g_sq", 2, 3, 4, lambda f: f.l() / (f.l() + f.r()))
+        assert verify_relations(g_sq_entry(rep)).to_json_obj() == self.report(
+            "Q(l,r)", self.Q_LR_DELTA, {"e_definition", "cubic_annihilation"},
+            ["edef(3)", "cubic(3)"])
+
+
+def fraction_mats(rep):
+    """g, e and g_sq of a rep over Q as Fraction row lists, for the oracle."""
+    return [[oracles.to_fraction_rows(m) for m in mats] for mats in (rep.g, rep.e, rep.g_sq)]
+
+
+class TestGateAgainstWholeMatrixOracle:
+    """verify_relations' failure labels equal those of oracles.relation_failures."""
+
+    POINTS = ((Fraction(5, 11), Fraction(3, 7)), (Fraction(5), Fraction(2)),
+              (Fraction(-7, 3), Fraction(2, 9)))
+
+    def test_unperturbed_reps_pass(self):
+        for l, r in self.POINTS:
+            rep = rational_rep(5, l, r)
+            assert oracles.relation_failures(5, l, r, *fraction_mats(rep)) == []
+            assert verify_relations(rep).failures == ()
+
+    def test_one_perturbed_entry(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        nonzero = st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 12))
+        points = st.one_of(st.sampled_from(self.POINTS), st.tuples(nonzero, nonzero))
+
+        @hyp.settings(max_examples=40, deadline=None, derandomize=True)
+        @hyp.given(st.sampled_from((4, 5)), points, st.data())
+        def check(n, point, data):
+            l, r = point
+            try:
+                rep = rational_rep(n, l, r)
+            except SemisimplicityViolation:
+                hyp.reject()
+            name = data.draw(st.sampled_from(("g", "e", "g_sq")))
+            k = data.draw(st.integers(0, n - 2))
+            i = data.draw(st.integers(0, rep.dim - 1))
+            j = data.draw(st.integers(0, rep.dim - 1))
+            extra = data.draw(nonzero)
+            mutant = perturbed_by(name, k, i, j, lambda f: extra)(rep)
+            expect = oracles.relation_failures(n, l, r, *fraction_mats(mutant))
+            assert list(verify_relations(mutant).failures) == expect
+
+        check()
+
+
 class TestParamMap:
     def test_locus_images(self):
         # the catalog loci land on the resume list {1/q, -1, 1/q^n, (1/sqrt q)^n, -(1/sqrt q)^n}
