@@ -57,8 +57,10 @@ def build_parser():
 
     def common(p, *, needs_r=False, locus=False, mode=False):
         p.add_argument("--n", type=int, required=True, help="strand count (>= 3)")
-        p.add_argument("--r", help="rational p/q or cyclotomic:<phi12|phi20|phi24>",
-                       required=needs_r)
+        if not mode:
+            # det's --mode keeps r symbolic or samples it from --seed: no --r
+            p.add_argument("--r", help="rational p/q or cyclotomic:<phi12|phi20|phi24>",
+                           required=needs_r)
         p.add_argument("--l", help="rational l value (custom locus)")
         if locus:
             p.add_argument("--locus", choices=_LOCUS_CHOICES, default="generic")
@@ -134,6 +136,8 @@ def parse_l(spec):
 
 def _locus_from_args(args):
     name = getattr(args, "locus", "generic")
+    if args.l is not None and name not in ("generic", "custom"):
+        raise InvalidConfig(f"--locus {name} fixes l; --l is for --locus custom or generic")
     if name == "custom":
         l_val = parse_l(args.l)
         if l_val is None:

@@ -18,7 +18,6 @@ functions, so independent jobs can run concurrently without shared state.
 from __future__ import annotations
 
 import hashlib
-import json
 from functools import lru_cache
 from itertools import combinations
 from math import lcm, prod
@@ -41,7 +40,6 @@ from .scalars import (
     QQ,
     Rat,
     RatFunc,
-    field_from_tag,
     is_rat,
     scalar_to_text,
 )
@@ -50,8 +48,8 @@ from .scalars import (
 class Matrix:
     """Immutable matrix with entries in one ground field.
 
-    Rows are dense tuples, which define equality, text, JSON and the
-    content hash.  Products run on a cached sparse view of the rows.
+    Rows are dense tuples, which define equality, text and the content
+    hash.  Products run on a cached sparse view of the rows.
     """
 
     # _nonzeros caches the per-row (column, entry) lists of the nonzero
@@ -113,9 +111,6 @@ class Matrix:
                             for ra, rb in zip(self.rows, other.rows)),
                       _trusted=True)
 
-    def __neg__(self):
-        return Matrix(self.field, tuple(tuple(-a for a in row) for row in self.rows), _trusted=True)
-
     def __mul__(self, other):
         """Gustavson's row-by-row product on the cached row nonzeros.
 
@@ -176,9 +171,6 @@ class Matrix:
         pairs = _row_combination(((i, x) for i, x in enumerate(v) if x), self._row_nonzeros())
         return tuple(_dense(pairs, self.ncols, self.field.zero()))
 
-    def is_zero(self):
-        return not any(any(row) for row in self.rows)
-
     def is_square(self):
         return self.nrows == self.ncols
 
@@ -195,30 +187,6 @@ class Matrix:
             for x in row:
                 lines.append(scalar_to_text(x))
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text):
-        lines = text.strip().split("\n")
-        head = lines[0].split(None, 2)
-        nrows, ncols = int(head[0]), int(head[1])
-        field = field_from_tag(head[2] if len(head) > 2 else "Q")
-        entries = [field.parse(s) for s in lines[1 : 1 + nrows * ncols]]
-        rows = tuple(tuple(entries[i * ncols : (i + 1) * ncols]) for i in range(nrows))
-        return cls(field, rows, _trusted=True)
-
-    def to_json_obj(self):
-        return {
-            "rows": self.nrows,
-            "cols": self.ncols,
-            "field": self.field.tag,
-            "entries": [[scalar_to_text(x) for x in row] for row in self.rows],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        field = field_from_tag(obj["field"])
-        rows = tuple(tuple(field.parse(s) for s in row) for row in obj["entries"])
-        return cls(field, rows, _trusted=True)
 
     def content_hash(self):
         return hashlib.sha256(self.to_text().encode()).hexdigest()
@@ -246,14 +214,6 @@ def _row_combination(pairs, rows):
             s = acc.get(j)
             acc[j] = y if s is None else s + y
     return [(j, s) for j, s in sorted(acc.items()) if s]
-
-
-def matrix_to_json(m):
-    return json.dumps(m.to_json_obj())
-
-
-def matrix_from_json(s):
-    return Matrix.from_json_obj(json.loads(s))
 
 
 # ---------------------------------------------------------------------------
@@ -558,11 +518,6 @@ class SubspaceBasis:
         return cls(field, ambient_dim, (), (), _trusted=True)
 
     @classmethod
-    def full(cls, field, ambient_dim):
-        eye = Matrix.identity(field, ambient_dim)
-        return cls(field, ambient_dim, eye.rows, tuple(range(ambient_dim)), _trusted=True)
-
-    @classmethod
     def coordinate(cls, field, ambient_dim, indices):
         """Span of the unit vectors at the given coordinate indices."""
         one, zero = field.one(), field.zero()
@@ -641,12 +596,6 @@ def subspace_intersect(a, b):
     k = sum(p < n for p in pivots)
     return SubspaceBasis(a.field, n, tuple(row[n:] for row in rows[k:]),
                          tuple(p - n for p in pivots[k:]), _trusted=True)
-
-
-def subspace_sum(a, b):
-    if a.ambient_dim != b.ambient_dim:
-        raise AmbientMismatch("ambient dimensions differ")
-    return SubspaceBasis.from_vectors(a.field, a.ambient_dim, a.vectors + b.vectors)
 
 
 def operator_closure(seed_vectors, ops):

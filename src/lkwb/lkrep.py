@@ -367,19 +367,6 @@ def relation_gate(rep):
     return rep._gate
 
 
-def coordinate_inclusion_preserved(rep, k):
-    """Entrywise check that g_1..g_{k-1} preserve the span of pairs with t <= k."""
-    basis = pair_basis(rep.n)
-    inside = [j for j, (_, t) in enumerate(basis) if t <= k]
-    outside = [i for i, (_, t) in enumerate(basis) if t > k]
-    for gk in list(rep.g[: k - 1]) + list(rep.g_inv[: k - 1]):
-        for j in inside:
-            for i in outside:
-                if gk.rows[i][j]:
-                    return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Parameter dictionary
 # ---------------------------------------------------------------------------

@@ -211,17 +211,6 @@ def exceptional_layering(n, locus, r_val):
                                          and locus.name in ("l=-r3", "l=r3-2n"))
 
 
-def loci_distinct(n, r_val):
-    """Pairwise-distinctness data for the catalog l values at a given r."""
-    values = [(loc.name, loc.l_value(r_val)) for loc in catalog(n)]
-    collisions = []
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if values[i][1] == values[j][1]:
-                collisions.append((values[i][0], values[j][0]))
-    return collisions
-
-
 # ---------------------------------------------------------------------------
 # The test element M(n)
 # ---------------------------------------------------------------------------
@@ -307,11 +296,6 @@ def build_m_matrix(rep):
     return MnMatrix(n=n, matrix=mat,
                     l_text=scalar_to_text(rep.params.l),
                     r_text=scalar_to_text(rep.params.r))
-
-
-def summand_count(n):
-    """Number of summands in the test element: (n-1) e's plus the conjugates."""
-    return (n - 1) + (n - 1) * (n - 2) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -861,9 +861,6 @@ class NumberField:
     def random(self, rng, bound=9):
         return self.element([rat(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(self.degree)])
 
-    def format(self, x):
-        return algebraic_to_text(x)
-
     def parse(self, s):
         return parse_algebraic(s, self)
 
@@ -1052,9 +1049,6 @@ class RationalField:
     def random(self, rng, bound=100):
         return rat(rng.randint(-bound, bound), rng.randint(1, bound))
 
-    def format(self, x):
-        return format_rat(x)
-
     def parse(self, s):
         return parse_rat(s)
 
@@ -1125,9 +1119,6 @@ class FunctionField:
             num = LaurentPoly.one()
         return RatFunc(num)
 
-    def format(self, x):
-        return ratfunc_to_text(x)
-
     def parse(self, s):
         return self.coerce(parse_ratfunc(s))
 
@@ -1175,54 +1166,6 @@ def field_of(x):
     raise FieldMismatch(f"not a scalar: {type(x).__name__}")
 
 
-def field_from_tag(tag):
-    tag = tag.strip()
-    if tag == "Q":
-        return QQ
-    if tag == "Q(l,r)":
-        return QLR
-    if tag == "Q(r)":
-        return QR
-    if tag.startswith("mod:"):
-        return NumberField(parse_poly_x(tag[4:]))
-    raise ValueError(f"unknown field tag: {tag!r}")
-
-
-# ---------------------------------------------------------------------------
-# Field operations on scalars
-# ---------------------------------------------------------------------------
-
-
-def field_arith(a, b, op):
-    """Strict field arithmetic: operands must share one ground field."""
-    ta, tb = _strict_kind(a), _strict_kind(b)
-    if ta != tb:
-        raise FieldMismatch(f"mixed ground fields: {ta} vs {tb}")
-    if isinstance(a, AlgebraicNumber) and a.field != b.field:
-        raise FieldMismatch("algebraic numbers from different fields")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if not b:
-            raise DivisionByZero("field_arith: division by zero")
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def _strict_kind(x):
-    if is_rat(x):
-        return "rational"
-    if isinstance(x, RatFunc):
-        return "ratfunc"
-    if isinstance(x, AlgebraicNumber):
-        return "algebraic"
-    raise FieldMismatch(f"not a scalar: {type(x).__name__}")
-
-
 def m_of_r(r_val):
     """m = 1/r - r; satisfies r^2 + m*r - 1 = 0."""
     if isinstance(r_val, int):
@@ -1236,28 +1179,6 @@ def m_of_r(r_val):
     if isinstance(r_val, AlgebraicNumber):
         return r_val.inverse() - r_val
     raise FieldMismatch(f"unsupported scalar type {type(r_val).__name__}")
-
-
-def substitute_locus(p, eps, k):
-    """Substitute l -> eps*r^k into a rational function (eps in {+1,-1})."""
-    if isinstance(p, LaurentPoly):
-        p = RatFunc.from_laurent(p)
-    return p.substitute_l(eps, k)
-
-
-def specialize(p, r_val, l_val=None):
-    """Exact evaluation of p at (l, r); raises PoleAtSpecialization on poles."""
-    if isinstance(p, LaurentPoly):
-        p = RatFunc.from_laurent(p)
-    if l_val is None:
-        if not p.is_univariate_r():
-            raise ValueError("l value required for a bivariate rational function")
-        l_val = Rat(1)
-    if isinstance(r_val, int):
-        r_val = Rat(r_val)
-    if isinstance(l_val, int):
-        l_val = Rat(l_val)
-    return p.evaluate(l_val, r_val)
 
 
 # ---------------------------------------------------------------------------
@@ -1394,21 +1315,6 @@ def poly_x_to_text(coeffs):
         else:
             chunks.append(("- " if c < 0 else "+ ") + text)
     return " ".join(chunks) if chunks else "0"
-
-
-def parse_poly_x(s):
-    s = s.strip()
-    if s == "0":
-        return ()
-    terms = {}
-    for term in _split_terms(s):
-        coeff, exps = _parse_term(term, ("x",))
-        e = exps["x"]
-        if e < 0:
-            raise ValueError("negative exponent in modulus")
-        terms[e] = terms.get(e, Rat(0)) + coeff
-    deg = max(terms)
-    return tuple(terms.get(i, Rat(0)) for i in range(deg + 1))
 
 
 def scalar_to_text(x):

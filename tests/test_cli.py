@@ -38,17 +38,19 @@ class TestRelations:
         run_cli("relations", "--n", "4", "--r", "2/1", expect=2)
 
     def test_export_matrices(self, tmp_path):
+        from lkwb.lkrep import LKParams, build_rep
+        from lkwb.scalars import QQ
+
         out = tmp_path / "mats"
         proc = run_cli("relations", "--n", "3", "--r", "2/1", "--l", "5/1",
                        "--export-matrices", str(out))
         obj = json.loads(proc.stdout)
-        assert len(obj["exported"]) == 4  # g1 g2 e1 e2
-        # the exported files round-trip through the matrix text format
-        sys.path.insert(0, SRC)
-        from lkwb.linalg import Matrix
-
-        text = (out / "g1.mat").read_text()
-        assert Matrix.from_text(text).to_text() == text
+        names = ["g1.mat", "e1.mat", "g2.mat", "e2.mat"]
+        assert obj["exported"] == [str(out / name) for name in names]
+        rep = build_rep(LKParams(3, 5, 2, QQ))
+        mats = [rep.g[0], rep.e[0], rep.g[1], rep.e[1]]
+        for name, mat in zip(names, mats):
+            assert (out / name).read_text() == mat.to_text()
 
     # sha256 of `relations` reports over Q(l,r), Q and Q[x]/(f), recorded when
     # the gate compared whole matrices built for each relation
@@ -421,6 +423,19 @@ class TestScanClosurePersist:
 
 
 class TestConfigValidation:
+    # a catalog locus fixes l, and det takes no --r
+    @pytest.mark.parametrize("args", [
+        ("det", "--n", "4", "--locus", "l=r", "--mode", "substituted", "--l", "7/1"),
+        ("det", "--n", "4", "--locus", "l=r", "--mode", "substituted", "--r", "2/1"),
+        ("kernel", "--n", "4", "--locus", "l=r", "--r", "2/1", "--l", "7/1"),
+        ("closure", "--n", "4", "--locus", "l=r", "--r", "2/1", "--l", "7/1"),
+        ("commutant", "--n", "4", "--locus", "l=-r3", "--r", "2/1", "--l", "7/1"),
+        ("persist", "--n", "5", "--locus", "l=r", "--r", "2/1", "--l", "7/1"),
+    ])
+    def test_ignored_value_is_refused(self, args):
+        proc = run_cli(*args, expect=2)
+        assert proc.stdout == ""
+
     def test_n_too_small(self):
         run_cli("certify", "--n", "2", "--r", "2/1", expect=2)
         for argv in (("relations", "--n", "2", "--symbolic"), ("det", "--n", "2")):

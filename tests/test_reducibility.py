@@ -21,7 +21,6 @@ from lkwb.linalg import (
     Matrix,
     SubspaceBasis,
     charpoly,
-    det,
     kernel,
     operator_closure,
 )
@@ -41,7 +40,6 @@ from lkwb.reducibility import (
     expected_spectrum,
     indecomposability_probe,
     kernel_k,
-    loci_distinct,
     lower_intersection,
     minimal_invariant,
     named_locus,
@@ -50,7 +48,6 @@ from lkwb.reducibility import (
     probe_operators,
     rep_at,
     scan,
-    summand_count,
 )
 from lkwb.scalars import QQ, QR, LaurentPoly, RatFunc, cyclotomic_field, parse_rat, rat
 
@@ -64,11 +61,6 @@ class TestMnMatrix:
         e1, e2 = rep.e
         conj = rep.g_inv[1] * e1 * rep.g[1]
         assert mn.matrix == e1 + e2 + conj
-
-    def test_summand_counts(self):
-        assert summand_count(5) == 10
-        assert summand_count(3) == 3
-        assert summand_count(7) == 21
 
     def test_gate_enforced(self):
         rep = rational_rep(3, rat(5), rat(2))
@@ -809,6 +801,12 @@ class TestProbe:
                 assert reducibility._modp_factor_count(s, p) == sum(m for _, m in factors), (s, p)
                 checked += 1
         assert checked >= 60
+
+
+def loci_distinct(n, r_val):
+    """The pairs of catalog loci whose l values coincide at r_val."""
+    values = [(loc.name, loc.l_value(r_val)) for loc in catalog(n)]
+    return [(a, b) for i, (a, la) in enumerate(values) for b, lb in values[i + 1:] if la == lb]
 
 
 class TestLociDistinctness:

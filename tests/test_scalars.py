@@ -23,18 +23,13 @@ from lkwb.scalars import (
     NumberField,
     RatFunc,
     cyclotomic_field,
-    field_arith,
-    field_from_tag,
     m_of_r,
-    parse_poly_x,
     parse_rat,
     parse_ratfunc,
     poly_x_to_text,
     rat,
     scalar_to_text,
     parse_laurent,
-    specialize,
-    substitute_locus,
 )
 from lkwb.lkrep import substituted_rep
 
@@ -47,25 +42,25 @@ ONE = RatFunc.one()
 
 class TestFieldArith:
     def test_rational_add(self):
-        assert field_arith(rat(1, 2), rat(1, 3), "add") == rat(5, 6)
+        assert rat(1, 2) + rat(1, 3) == rat(5, 6)
 
     def test_monomial_cancellation(self):
-        assert field_arith(L * R ** -1, R, "mul") == L
+        assert L * R ** -1 * R == L
 
     def test_inverse_cancellation(self):
-        assert field_arith(ONE / (L - R), L - R, "mul") == ONE
+        assert ONE / (L - R) * (L - R) == ONE
 
     def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            rat(1) / rat(0)
         with pytest.raises(DivisionByZero):
-            field_arith(rat(1), rat(0), "div")
+            ONE / (L - L)
 
     def test_field_mismatch(self):
-        with pytest.raises(FieldMismatch):
-            field_arith(rat(1), R, "add")
         f = cyclotomic_field("phi12")
         g = cyclotomic_field("phi20")
         with pytest.raises(FieldMismatch):
-            field_arith(f.gen(), g.gen(), "mul")
+            f.gen() * g.gen()
 
 
 class TestMOfR:
@@ -100,14 +95,14 @@ class TestMOfR:
 
 class TestSubstituteLocus:
     def test_identical_substitution(self):
-        assert not substitute_locus(L - R, 1, 1)
+        assert not (L - R).substitute_l(1, 1)
 
     def test_expansion(self):
-        assert substitute_locus(L * R ** 3 + 1, -1, 3) == 1 - R ** 6
+        assert (L * R ** 3 + 1).substitute_l(-1, 3) == 1 - R ** 6
 
     def test_one_dim_locus_value(self):
         n = 4
-        assert not substitute_locus(L - R ** (3 - 2 * n), 1, 3 - 2 * n)
+        assert not (L - R ** (3 - 2 * n)).substitute_l(1, 3 - 2 * n)
 
     def test_commutes_with_arithmetic(self):
         rng = random.Random(11)
@@ -117,33 +112,33 @@ class TestSubstituteLocus:
             eps = 1 if rng.random() < 0.5 else -1
             k = rng.randint(-4, 4)
             try:
-                lhs = substitute_locus(p * q, eps, k)
-                rhs = substitute_locus(p, eps, k) * substitute_locus(q, eps, k)
+                lhs = (p * q).substitute_l(eps, k)
+                rhs = p.substitute_l(eps, k) * q.substitute_l(eps, k)
             except DenominatorVanishesIdentically:
                 continue
             assert lhs == rhs
-            assert substitute_locus(p + q, eps, k) == substitute_locus(p, eps, k) + substitute_locus(q, eps, k)
+            assert (p + q).substitute_l(eps, k) == p.substitute_l(eps, k) + q.substitute_l(eps, k)
 
     def test_denominator_vanishes(self):
         p = ONE / (L - R)
         with pytest.raises(DenominatorVanishesIdentically):
-            substitute_locus(p, 1, 1)
+            p.substitute_l(1, 1)
 
 
 class TestSpecialize:
     def test_m_at_three_halves(self):
-        assert specialize(m_of_r(R), rat(3, 2)) == rat(-5, 6)
+        assert m_of_r(R).evaluate(rat(1), rat(3, 2)) == rat(-5, 6)
 
     def test_parameter_dictionary_product(self):
         t = R ** 3 / L
-        assert specialize(L * t, rat(7), rat(5)) == rat(343)
+        assert (L * t).evaluate(rat(5), rat(7)) == rat(343)
 
     def test_power_difference_nonzero(self):
-        assert specialize(R ** 6 - 1, rat(2)) == 63
+        assert (R ** 6 - 1).evaluate(rat(1), rat(2)) == 63
 
     def test_pole(self):
         with pytest.raises(PoleAtSpecialization):
-            specialize(ONE / (R - 2), rat(2))
+            (ONE / (R - 2)).evaluate(rat(1), rat(2))
 
 
 class TestExactnessProperties:
@@ -675,18 +670,11 @@ class TestSerialization:
         with pytest.raises(ValueError):
             field.parse("[0,0,0,0,0,0,0,1]")
 
-    def test_field_tags(self):
-        assert field_from_tag("Q") == QQ
-        assert field_from_tag("Q(l,r)") == QLR
-        assert field_from_tag("Q(r)") == QR
-        field = cyclotomic_field("phi24")
-        assert field_from_tag(field.tag) == field
-
     def test_modulus_text(self):
         coeffs = CYCLOTOMIC_MODULI["phi12"]
         text = poly_x_to_text([rat(c) for c in coeffs])
         assert text == "x^4 - x^2 + 1"
-        assert parse_poly_x(text) == tuple(rat(c) for c in coeffs)
+        assert cyclotomic_field("phi12").tag == "mod: " + text
 
     def test_scalar_text_dispatch(self):
         assert scalar_to_text(rat(3, 4)) == "3/4"
