@@ -55,13 +55,15 @@ def build_parser():
     top = argparse.ArgumentParser(prog="lkwb", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, *, needs_r=False, locus=False, mode=False):
+    def common(p, *, needs_r=False, locus=False, mode=False, takes_l=True):
         p.add_argument("--n", type=int, required=True, help="strand count (>= 3)")
         if not mode:
             # det's --mode keeps r symbolic or samples it from --seed: no --r
             p.add_argument("--r", help="rational p/q or cyclotomic:<phi12|phi20|phi24>",
                            required=needs_r)
-        p.add_argument("--l", help="rational l value (custom locus)")
+        if takes_l:
+            # certify and scan take l from the catalog or draw it: no --l
+            p.add_argument("--l", help="rational l value (custom locus)")
         if locus:
             p.add_argument("--locus", choices=_LOCUS_CHOICES, default="generic")
         if mode:
@@ -87,10 +89,10 @@ def build_parser():
     p = sub.add_parser("certify", help="certify the full dimension table at a point")
     p.add_argument("--probe-trials", type=int, default=10)
     p.add_argument("--jobs", type=int, default=1, help="worker processes, one locus each")
-    common(p, needs_r=True)
+    common(p, needs_r=True, takes_l=False)
 
     p = sub.add_parser("scan", help="sweep catalog loci plus random non-locus l values")
-    common(p, needs_r=True)
+    common(p, needs_r=True, takes_l=False)
 
     p = sub.add_parser("closure", help="minimal invariant subspace from a kernel vector")
     common(p, needs_r=True, locus=True)
@@ -211,6 +213,8 @@ def _finish(args, obj, ok):
 
 def _cmd_relations(args):
     if args.symbolic:
+        if args.r is not None or args.l is not None:
+            raise InvalidConfig("--symbolic keeps l and r symbolic; it takes no --r or --l")
         rep = symbolic_rep(args.n)
     else:
         r_val = parse_r(args.r)
@@ -246,6 +250,9 @@ def _export_matrices(rep, directory):
 
 def _cmd_det(args):
     locus = _locus_from_args(args)
+    if locus.is_generic and args.l is not None:
+        raise InvalidConfig("det at the generic locus keeps l symbolic or samples it; "
+                            "--l is for --locus custom")
     rng = random.Random(args.seed) if args.mode == "sampled" else None
     verdict = det_on_locus(args.n, locus, args.mode, rng=rng)
     expected = "nonzero" if locus.is_generic or locus.is_custom else "identically_zero"

@@ -16,7 +16,7 @@ Conventions, in one place:
 """
 
 from fractions import Fraction as Rat
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 # the name of this kernel implementation, recorded with benchmark results
 BACKEND = "pure"
@@ -408,6 +408,29 @@ def modp_interpolate(xs, ys, p):
     while poly and not poly[-1]:
         poly.pop()
     return poly
+
+
+def ratrecon_int(u, p):
+    """The fraction a/b = u mod p with |a|, b <= isqrt(p // 2) and gcd(a, b) = 1, or None.
+
+    Wang's rational reconstruction (Wang, Guy & Davenport, SIGSAM Bull. 16,
+    1982): the half-extended Euclidean algorithm on (p, u) keeps
+    r_i = t_i u mod p and stops at the first remainder within the bound;
+    that pair is the only candidate, since two fractions within the bound
+    that agree mod p are equal.
+    """
+    bound = isqrt(p // 2)
+    r0, r1 = p, u % p
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    if t1 > bound or gcd(r1, t1) != 1:
+        return None
+    return Rat(r1, t1)
 
 
 def modp_ratrecon(u, mod, p):

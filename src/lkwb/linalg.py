@@ -1,18 +1,21 @@
 """Exact linear algebra over any workbench ground field.
 
 Matrices keep dense rows.  Matrix and matrix-vector products walk a
-cached sparse view of those rows, and scaling, sums and differences skip
-zero entries.
+cached sparse view of those rows, and scaling and sums skip zero
+entries.
 
 There are three eliminations.  Over the field, one semi-echelon basis
 and a back substitution give every reduced row echelon form: rank,
-kernels, inverses, subspace spans and intersections, operator closure.
-Fraction-free pivoting over Z, the Laurent ring or Q[x]/(f) gives
-determinants and invertible-submatrix certificates.  A sparse
-semi-echelon over GF(p) gives one-sided rank bounds, among them the
-scalar-commutant certificate, modular kernels and spin dimensions.
-Matrices and bases are immutable values; all operations are pure
-functions, so independent jobs can run concurrently without shared state.
+inverses, subspace spans and intersections, operator closure, and
+kernels over every field but Q.  Fraction-free pivoting over Z, the
+Laurent ring or Q[x]/(f) gives determinants and invertible-submatrix
+certificates.  A sparse semi-echelon over GF(p) gives one-sided rank
+bounds, among them the scalar-commutant certificate, modular kernels and
+spin dimensions; a kernel over Q is taken mod p too, lifted by rational
+reconstruction and checked exactly on integer rows, with the exact RREF
+as its fallback.  Matrices and bases are immutable values; all
+operations are pure functions, so independent jobs can run concurrently
+without shared state.
 """
 
 from __future__ import annotations
@@ -78,6 +81,17 @@ class Matrix:
                    _trusted=True)
 
     @classmethod
+    def from_nonzeros(cls, field, nonzeros, ncols):
+        """The matrix whose rows have the given sorted nonzero (column, entry) pairs.
+
+        The pairs become its cached sparse view.
+        """
+        zero = field.zero()
+        out = cls(field, tuple(tuple(_dense(row, ncols, zero)) for row in nonzeros), _trusted=True)
+        out._nonzeros = nonzeros
+        return out
+
+    @classmethod
     def zeros(cls, field, nrows, ncols):
         zero = field.zero()
         return cls(field, tuple((zero,) * ncols for _ in range(nrows)), _trusted=True)
@@ -102,15 +116,6 @@ class Matrix:
                             for ra, rb in zip(self.rows, other.rows)),
                       _trusted=True)
 
-    def __sub__(self, other):
-        self._check_same_field(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("matrix shapes differ")
-        return Matrix(self.field,
-                      tuple(tuple(a - b if b else a for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.rows, other.rows)),
-                      _trusted=True)
-
     def __mul__(self, other):
         """Gustavson's row-by-row product on the cached row nonzeros.
 
@@ -126,12 +131,9 @@ class Matrix:
         if self.ncols != other.nrows:
             raise DimensionMismatch("inner dimensions differ")
         brows = other._row_nonzeros()
-        nonzeros = tuple(_row_combination(arow, brows) for arow in self._row_nonzeros())
-        zero = self.field.zero()
-        out = Matrix(self.field, tuple(tuple(_dense(row, other.ncols, zero)) for row in nonzeros),
-                     _trusted=True)
-        out._nonzeros = nonzeros
-        return out
+        return Matrix.from_nonzeros(
+            self.field, tuple(_row_combination(arow, brows) for arow in self._row_nonzeros()),
+            other.ncols)
 
     def scale(self, c):
         c = self.field.coerce(c)
@@ -558,7 +560,22 @@ class SubspaceBasis:
 
 
 def kernel(m):
-    """Echelonized basis of the right null space of m; M v = 0 is verified."""
+    """Echelonized basis of the right null space of m; M v = 0 is verified.
+
+    Over Q the basis is lifted from GF(p) by _lifted_kernel and checked
+    on integer rows.  Over any other field, or when no prime lifts it,
+    _rref_kernel takes it from the exact RREF of m over the field.  Both
+    give the same basis, the canonical RREF of the kernel.
+    """
+    if m.field == QQ:
+        basis = _lifted_kernel(m)
+        if basis is not None:
+            return basis
+    return _rref_kernel(m)
+
+
+def _rref_kernel(m):
+    """The kernel from the exact RREF of m, verified by M v = 0 with mat_vec."""
     rows, pivots = _rref(m.rows, m.field)
     n = m.ncols
     free = [c for c in range(n) if c not in set(pivots)]
@@ -847,6 +864,81 @@ def nullspace_mod_p(rows, p, ncols):
                     v[c] = p - x
             basis.append(v)
     return tuple(order), basis
+
+
+# How many of the MERSENNE_EXPONENTS primes, in turn, _lifted_kernel tries
+_LIFT_PRIMES = 4
+
+
+def _lifted_kernel(m):
+    """The RREF basis of the kernel of m over Q from a kernel over GF(p), or None.
+
+    Dixon's method at one prime (Numer. Math. 40, 1982).  For each prime
+    p = 2^e - 1 of the first _LIFT_PRIMES MERSENNE_EXPONENTS in turn:
+    nullspace_mod_p on the image of m with its columns reversed gives one
+    vector per free column f, 1 at f, 0 at the other free columns and
+    nonzero only right of f; in ascending f that is an RREF.  Each residue
+    is lifted to Q by kernels.ratrecon_int, and each lifted vector, cleared
+    to integers, must be annihilated exactly by the integer rows of m.  A
+    prime that divides a denominator, fails a reconstruction or fails the
+    check gives way to the next; None when every prime does.
+
+    Exact: rank mod p <= rank over Q, so the nullity k over Q is at most
+    the count of vectors mod p.  The lifted vectors lie in the kernel and
+    are independent, carrying the identity on their free columns, so they
+    span it; the RREF of a space is unique, so it is the basis the exact
+    elimination gives.  An empty basis mod p proves k = 0 outright.
+    """
+    n = m.ncols
+    last = n - 1
+    int_rows = None
+    for e in MERSENNE_EXPONENTS[:_LIFT_PRIMES]:
+        p = (1 << e) - 1
+        image = image_mod_p(m, p)
+        if image is None:
+            continue
+        pivots, basis = nullspace_mod_p([{last - j: x for j, x in row.items()} for row in image],
+                                        p, n)
+        if not basis:
+            return SubspaceBasis.zero(QQ, n)
+        vectors = [_lift(v, p) for v in reversed(basis)]
+        if None in vectors:
+            continue
+        if int_rows is None:
+            int_rows = _int_rows(m)
+        if all(_annihilated(int_rows, v) for v in vectors):
+            pivots = set(pivots)
+            free = tuple(sorted(last - c for c in range(n) if c not in pivots))
+            return SubspaceBasis(QQ, n, tuple(vectors), free, _trusted=True)
+    return None
+
+
+def _lift(v, p):
+    """The residues of v lifted to Q by ratrecon_int, in reverse order, or None."""
+    zero = QQ.zero()
+    out = []
+    for x in reversed(v):
+        y = kernels.ratrecon_int(x, p) if x else zero
+        if y is None:
+            return None
+        out.append(y)
+    return tuple(out)
+
+
+def _int_rows(m):
+    """The nonzero rows of m over Q, each times the lcm of its denominators, as integer pairs."""
+    out = []
+    for row in m._row_nonzeros():
+        if row:
+            _, ints = clear_entries(QQ, [a for _, a in row])
+            out.append([(j, a) for (j, _), a in zip(row, ints)])
+    return out
+
+
+def _annihilated(int_rows, v):
+    """True iff v, cleared to integers, has a zero dot product with every integer row."""
+    _, w = clear_entries(QQ, v)
+    return not any(sum(a * w[j] for j, a in row) for row in int_rows)
 
 
 def _commutant_rows(ops, n, zero):

@@ -117,13 +117,14 @@ def build_sigma(n, q, tau, field):
 
     Case-wise action on x_{s,t}; transcription fidelity is enforced by the
     relation gate, which rejects any build violating the braid/BMW laws.
+    Each matrix keeps the nonzeros of its columns as its sparse rows.
     """
     if not q or not tau:
         raise ParameterZero("q and tau must be nonzero")
     basis = pair_basis(n)
     idx = {p: i for i, p in enumerate(basis)}
     N = len(basis)
-    zero, one = field.zero(), field.one()
+    one = field.one()
     qm1 = q - one
     one_minus_q = one - q
     qpow = {1: q}
@@ -166,8 +167,12 @@ def build_sigma(n, q, tau, field):
                 add((s, t + 1), q)
             else:  # unreachable: the cases cover 1 <= k <= n-1  # pragma: no cover
                 raise AssertionError((k, s, t))
-        rows = tuple(tuple(cols[j].get(i, zero) for j in range(N)) for i in range(N))
-        mats.append(Matrix(field, rows, _trusted=True))
+        nonzeros = tuple([] for _ in range(N))
+        for j, col in enumerate(cols):
+            for i, c in col.items():
+                if c:
+                    nonzeros[i].append((j, c))
+        mats.append(Matrix.from_nonzeros(field, nonzeros, N))
     return tuple(mats)
 
 
@@ -178,24 +183,43 @@ def build_rep(params):
     {1, -q, tau q^2} to the BMW eigenvalues {r, -1/r, 1/l} requires the
     scalar r once q = 1/r^2 and tau = r^3/l.
 
-    The inverses come in closed form, g_k^-1 = g_k + m(1 - e_k), with no
-    elimination.  Soundness: the e_k definition gives
-    m g e = l (g^3 + m g^2 - g), and the cubic
+    Every matrix is built on its sparse rows, which it keeps as its cached
+    row nonzeros: g_k from those of sigma_k, g_k^2 by the sparse product.
+    e_k has rank 1, with one nonzero row, at the pair a = (k, k+1), so only
+    row a of g_k^2 + m g_k - 1 is formed.  The inverses come in closed form,
+    g_k^-1 = g_k + m(1 - e_k), which is g_k + m 1 off row a.  Soundness:
+    the e_k definition gives m g e = l (g^3 + m g^2 - g), and the cubic
     g^3 = (1/l - m) g^2 + (1 + m/l) g - 1/l reduces that to g^2 + m g - 1,
     so g (g + m(1 - e)) = g^2 + m g - m g e = 1.  The relation gate checks
-    both identities (e_definition and cubic), and every verdict that reads
-    g_inv goes through build_m_matrix, which refuses a rep whose gate failed.
+    both identities (e_definition and cubic) on every row, which refuses
+    any other nonzero row of g_k^2 + m g_k - 1, and every verdict that
+    reads g_inv goes through build_m_matrix, which refuses a rep whose
+    gate failed.
     """
     field = params.field
-    sigma = build_sigma(params.n, params.q, params.tau, field)
-    g = tuple(s.scale(params.r) for s in sigma)
-    g_sq = tuple(gk * gk for gk in g)
+    r, m = params.r, params.m
+    one = field.one()
+    coef = params.l / m
     N = rep_dim(params.n)
-    eye = Matrix.identity(field, N)
-    coef = params.l / params.m
-    e = tuple((g2 + gk.scale(params.m) - eye).scale(coef) for g2, gk in zip(g_sq, g))
-    g_inv = tuple(gk + (eye - ek).scale(params.m) for gk, ek in zip(g, e))
-    return LKRep(params, g, g_inv, e, g_sq)
+    index = pair_index_map(params.n)
+    g, g_sq, e, g_inv = [], [], [], []
+    for k, sigma in enumerate(build_sigma(params.n, params.q, params.tau, field), start=1):
+        gk = Matrix.from_nonzeros(field, tuple([(j, r * c) for j, c in row]
+                                               for row in sigma._row_nonzeros()), N)
+        g2 = gk * gk
+        rows = gk._row_nonzeros()
+        a = index[(k, k + 1)]
+        # the one nonzero row of e_k: (l/m) times row a of g_k^2 + m g_k - 1
+        erow = [(j, coef * y) for j, y in _row_combination(
+            ((0, None), (1, m), (2, -one)), (g2._row_nonzeros()[a], rows[a], ((a, one),)))]
+        # g_k^-1 = g_k + m 1 - m e_k: g_k + m 1, less m e_k on row a
+        inv = [_row_combination(((0, None), (1, m)), (row, ((i, one),))) for i, row in enumerate(rows)]
+        inv[a] = _row_combination(((0, None), (1, -m)), (inv[a], erow))
+        g.append(gk)
+        g_sq.append(g2)
+        e.append(Matrix.from_nonzeros(field, tuple(erow if i == a else [] for i in range(N)), N))
+        g_inv.append(Matrix.from_nonzeros(field, tuple(inv), N))
+    return LKRep(params, tuple(g), tuple(g_inv), tuple(e), tuple(g_sq))
 
 
 # ---------------------------------------------------------------------------

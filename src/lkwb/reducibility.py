@@ -235,8 +235,16 @@ def _rank1_factor(m):
 
     With p the first nonzero entry, at (i0, j0), u is column j0 divided by
     p and w is row i0 as it is: u is 1 at i0, and w carries no denominator
-    that m does not have.
+    that m does not have.  When the cached row nonzeros of m have one
+    nonzero row, as every e_k of build_rep has, u is the unit vector at
+    that row and w the row: m = outer(u, w) holds by construction.  Any
+    other m is checked entry by entry.
     """
+    live = [i for i, row in enumerate(m._row_nonzeros()) if row]
+    if len(live) == 1:
+        i0, = live
+        one, zero = m.field.one(), m.field.zero()
+        return tuple(one if i == i0 else zero for i in range(m.nrows)), m.rows[i0]
     piv = next(((i, j) for i, row in enumerate(m.rows) for j, x in enumerate(row) if x), None)
     if piv is None:
         raise AssertionError("zero matrix has no rank-1 factorization")
@@ -260,9 +268,9 @@ def build_m_matrix(rep):
     The summand for (i, j) with j = i+1 is e_i itself; conjugate chains are
     built incrementally.  Each e_i has rank 1, its only nonzero row being
     that of the pair (i, i+1), so its factors are the unit vector u at that
-    row and w, the row itself; after exact verification of the factors,
-    vectors are pushed instead of multiplying matrices: u through
-    g_inv.mat_vec and w through g.vec_mat, both on the cached row
+    row and w, the row itself, which _rank1_factor reads off the sparse
+    view of e_i.  Vectors are pushed instead of multiplying matrices: u
+    through g_inv.mat_vec and w through g.vec_mat, both on the cached row
     nonzeros.  Neither chain divides, so no entry carries a denominator
     that g, g_inv and e do not.  For a rep from build_rep, g_inv is the
     closed form g + m(1 - e), which is the inverse of g by the e

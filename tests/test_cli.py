@@ -431,6 +431,12 @@ class TestConfigValidation:
         ("closure", "--n", "4", "--locus", "l=r", "--r", "2/1", "--l", "7/1"),
         ("commutant", "--n", "4", "--locus", "l=-r3", "--r", "2/1", "--l", "7/1"),
         ("persist", "--n", "5", "--locus", "l=r", "--r", "2/1", "--l", "7/1"),
+        # certify and scan take no --l, symbolic relations no point, generic det no l
+        ("certify", "--n", "4", "--r", "2/1", "--l", "7/1"),
+        ("scan", "--n", "4", "--r", "2/1", "--l", "7/1"),
+        ("relations", "--n", "3", "--symbolic", "--r", "2/1", "--l", "7/1"),
+        ("det", "--n", "4", "--locus", "generic", "--mode", "sampled", "--l", "7/1"),
+        ("det", "--n", "4", "--locus", "generic", "--mode", "symbolic", "--l", "7/1"),
     ])
     def test_ignored_value_is_refused(self, args):
         proc = run_cli(*args, expect=2)

