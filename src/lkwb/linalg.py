@@ -563,9 +563,9 @@ def kernel(m):
     """Echelonized basis of the right null space of m; M v = 0 is verified.
 
     Over Q the basis is lifted from GF(p) by _lifted_kernel and checked
-    on integer rows.  Over any other field, or when no prime lifts it,
-    _rref_kernel takes it from the exact RREF of m over the field.  Both
-    give the same basis, the canonical RREF of the kernel.
+    on integer rows.  Over any other field, or when the prime does not
+    lift it, _rref_kernel takes it from the exact RREF of m over the
+    field.  Both give the same basis, the canonical RREF of the kernel.
     """
     if m.field == QQ:
         basis = _lifted_kernel(m)
@@ -866,22 +866,17 @@ def nullspace_mod_p(rows, p, ncols):
     return tuple(order), basis
 
 
-# How many of the MERSENNE_EXPONENTS primes, in turn, _lifted_kernel tries
-_LIFT_PRIMES = 4
-
-
 def _lifted_kernel(m):
     """The RREF basis of the kernel of m over Q from a kernel over GF(p), or None.
 
-    Dixon's method at one prime (Numer. Math. 40, 1982).  For each prime
-    p = 2^e - 1 of the first _LIFT_PRIMES MERSENNE_EXPONENTS in turn:
+    Dixon's method at one prime (Numer. Math. 40, 1982), p = _RANK_PRIME:
     nullspace_mod_p on the image of m with its columns reversed gives one
     vector per free column f, 1 at f, 0 at the other free columns and
     nonzero only right of f; in ascending f that is an RREF.  Each residue
     is lifted to Q by kernels.ratrecon_int, and each lifted vector, cleared
-    to integers, must be annihilated exactly by the integer rows of m.  A
-    prime that divides a denominator, fails a reconstruction or fails the
-    check gives way to the next; None when every prime does.
+    to integers, must be annihilated exactly by the integer rows of m.
+    None when p divides a denominator, a reconstruction fails or the check
+    fails; kernel then takes the exact RREF.
 
     Exact: rank mod p <= rank over Q, so the nullity k over Q is at most
     the count of vectors mod p.  The lifted vectors lie in the kernel and
@@ -889,28 +884,25 @@ def _lifted_kernel(m):
     span it; the RREF of a space is unique, so it is the basis the exact
     elimination gives.  An empty basis mod p proves k = 0 outright.
     """
+    p = _RANK_PRIME
+    image = image_mod_p(m, p)
+    if image is None:
+        return None
     n = m.ncols
     last = n - 1
-    int_rows = None
-    for e in MERSENNE_EXPONENTS[:_LIFT_PRIMES]:
-        p = (1 << e) - 1
-        image = image_mod_p(m, p)
-        if image is None:
-            continue
-        pivots, basis = nullspace_mod_p([{last - j: x for j, x in row.items()} for row in image],
-                                        p, n)
-        if not basis:
-            return SubspaceBasis.zero(QQ, n)
-        vectors = [_lift(v, p) for v in reversed(basis)]
-        if None in vectors:
-            continue
-        if int_rows is None:
-            int_rows = _int_rows(m)
-        if all(_annihilated(int_rows, v) for v in vectors):
-            pivots = set(pivots)
-            free = tuple(sorted(last - c for c in range(n) if c not in pivots))
-            return SubspaceBasis(QQ, n, tuple(vectors), free, _trusted=True)
-    return None
+    pivots, basis = nullspace_mod_p([{last - j: x for j, x in row.items()} for row in image],
+                                    p, n)
+    if not basis:
+        return SubspaceBasis.zero(QQ, n)
+    vectors = [_lift(v, p) for v in reversed(basis)]
+    if None in vectors:
+        return None
+    int_rows = _int_rows(m)
+    if not all(_annihilated(int_rows, v) for v in vectors):
+        return None
+    pivots = set(pivots)
+    free = tuple(sorted(last - c for c in range(n) if c not in pivots))
+    return SubspaceBasis(QQ, n, tuple(vectors), free, _trusted=True)
 
 
 def _lift(v, p):

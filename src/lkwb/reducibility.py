@@ -231,35 +231,19 @@ class MnMatrix:
 
 
 def _rank1_factor(m):
-    """(u, w) with m = outer(u, w), verified exactly; AssertionError if m is not rank 1.
+    """(u, w) with m = outer(u, w) for m with one nonzero row; AssertionError otherwise.
 
-    With p the first nonzero entry, at (i0, j0), u is column j0 divided by
-    p and w is row i0 as it is: u is 1 at i0, and w carries no denominator
-    that m does not have.  When the cached row nonzeros of m have one
-    nonzero row, as every e_k of build_rep has, u is the unit vector at
-    that row and w the row: m = outer(u, w) holds by construction.  Any
-    other m is checked entry by entry.
+    Every e_k of build_rep has one nonzero row, that of the pair (k, k+1):
+    u is the unit vector at that row and w the row itself, read off the
+    cached row nonzeros of m, so m = outer(u, w) holds by construction and
+    w carries no denominator that m does not have.
     """
     live = [i for i, row in enumerate(m._row_nonzeros()) if row]
-    if len(live) == 1:
-        i0, = live
-        one, zero = m.field.one(), m.field.zero()
-        return tuple(one if i == i0 else zero for i in range(m.nrows)), m.rows[i0]
-    piv = next(((i, j) for i, row in enumerate(m.rows) for j, x in enumerate(row) if x), None)
-    if piv is None:
-        raise AssertionError("zero matrix has no rank-1 factorization")
-    i0, j0 = piv
-    p = m.rows[i0][j0]
-    zero = m.field.zero()
-    u = tuple(row[j0] / p if row[j0] else zero for row in m.rows)
-    w = m.rows[i0]
-    for a, ua in enumerate(u):
-        row = m.rows[a]
-        for b, wb in enumerate(w):
-            expect = ua * wb if (ua and wb) else zero
-            if row[b] != expect:
-                raise AssertionError("matrix is not of rank 1")
-    return u, w
+    if len(live) != 1:
+        raise AssertionError(f"expected one nonzero row, found {len(live)}")
+    i0, = live
+    one, zero = m.field.one(), m.field.zero()
+    return tuple(one if i == i0 else zero for i in range(m.nrows)), m.rows[i0]
 
 
 def build_m_matrix(rep):

@@ -691,9 +691,6 @@ class RatFunc:
         if o is None:
             return NotImplemented
         if self.den == o.den:
-            if self.den.is_const():
-                # a normalized constant denominator is 1
-                return RatFunc(self.num + o.num, self.den, _normalized=True)
             return RatFunc(self.num + o.num, self.den)
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 

@@ -235,20 +235,7 @@ class TestKernel:
 class TestLiftedKernel:
     """The kernel over Q lifted from GF(p) against the exact RREF kernel, _rref_kernel."""
 
-    FIRST, SECOND = (1 << 61) - 1, (1 << 89) - 1
-
-    @staticmethod
-    def primes_tried(monkeypatch):
-        """The list that every prime nullspace_mod_p is called with is appended to."""
-        tried = []
-        original = linalg.nullspace_mod_p
-
-        def spy(rows, p, ncols):
-            tried.append(p)
-            return original(rows, p, ncols)
-
-        monkeypatch.setattr(linalg, "nullspace_mod_p", spy)
-        return tried
+    P = (1 << 61) - 1
 
     @staticmethod
     def assert_exact(m):
@@ -257,11 +244,10 @@ class TestLiftedKernel:
         assert basis == exact
         assert basis.to_json_obj() == exact.to_json_obj()
 
-    def test_random_low_rank_products(self, monkeypatch):
+    def test_random_low_rank_products(self):
         hyp = pytest.importorskip("hypothesis")
         st = hyp.strategies
-        tried = self.primes_tried(monkeypatch)
-        needed = []
+        lifted = []
         big = st.integers(-10 ** 4, 10 ** 4)
 
         @hyp.settings(max_examples=60, deadline=None, derandomize=True)
@@ -274,44 +260,41 @@ class TestLiftedKernel:
             a = [[rat(data.draw(big), data.draw(st.integers(1, 9))) for _ in range(k)]
                  for _ in range(nrows)]
             b = [[data.draw(big) for _ in range(ncols)] for _ in range(k)]
-            tried.clear()
-            self.assert_exact(Matrix(QQ, a) * Matrix(QQ, b))
-            needed.append(len(tried))
+            m = Matrix(QQ, a) * Matrix(QQ, b)
+            self.assert_exact(m)
+            lifted.append(linalg._lifted_kernel(m) is not None)
 
         check()
-        assert max(needed) >= 2
+        assert any(lifted) and not all(lifted)
 
-    def test_first_prime_divides_a_pivot_minor(self, monkeypatch):
+    def test_prime_dividing_a_pivot_minor_falls_back(self):
         # rank 2 over Q but 1 mod p: the extra vector (1, -1, 0) mod p fails the check
-        m = Matrix(QQ, [[1, 1, 0], [1, 1 + self.FIRST, 0]])
-        tried = self.primes_tried(monkeypatch)
+        m = Matrix(QQ, [[1, 1, 0], [1, 1 + self.P, 0]])
+        assert linalg._lifted_kernel(m) is None
         self.assert_exact(m)
-        assert tried == [self.FIRST, self.SECOND]
         assert kernel(m).vectors == ((0, 0, 1),)
 
-    def test_denominator_divisible_by_the_first_prime(self, monkeypatch):
-        m = Matrix(QQ, [[rat(1, self.FIRST), 1, 2], [2, 4, 8]])
-        assert image_mod_p(m, self.FIRST) is None
-        tried = self.primes_tried(monkeypatch)
+    def test_denominator_divisible_by_the_prime_falls_back(self):
+        m = Matrix(QQ, [[rat(1, self.P), 1, 2], [2, 4, 8]])
+        assert image_mod_p(m, self.P) is None
+        assert linalg._lifted_kernel(m) is None
         self.assert_exact(m)
-        assert tried == [self.SECOND]
 
     def test_corrupted_reconstruction_is_refused(self, monkeypatch):
         from lkwb import kernels
 
+        m = Matrix(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+        assert linalg._lifted_kernel(m).vectors == ((1, 1, -1),)
         original = kernels.ratrecon_int
         monkeypatch.setattr(kernels, "ratrecon_int", lambda u, p: original(u, p) + 1)
-        tried = self.primes_tried(monkeypatch)
-        m = Matrix(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+        # the prime lifts a wrong vector, so the exact RREF gives the basis
+        assert linalg._lifted_kernel(m) is None
         self.assert_exact(m)
-        # every prime lifts a wrong vector, so the exact RREF gives the basis
-        assert tried == [(1 << e) - 1 for e in linalg.MERSENNE_EXPONENTS[:linalg._LIFT_PRIMES]]
         assert kernel(m).vectors == ((1, 1, -1),)
 
     def test_full_rank_mod_p_proves_a_zero_kernel(self, monkeypatch):
-        tried = self.primes_tried(monkeypatch)
+        monkeypatch.setattr(linalg, "_rref_kernel", None)
         assert kernel(Matrix(QQ, [[1, 2], [3, rat(4, 5)]])).dim == 0
-        assert tried == [self.FIRST]
 
 
 class TestMatVec:

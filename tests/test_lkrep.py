@@ -135,8 +135,9 @@ class TestBuildRep:
             for ek in rep.e:
                 u, w = _rank1_factor(ek)
                 assert tuple(tuple(a * b for b in w) for a in u) == ek.rows
-        # a rank-1 matrix with two nonzero rows is factored by the dense check
-        assert _rank1_factor(Matrix(QQ, [[0, 0], [2, 4], [1, 2]])) == ((0, 1, rat(1, 2)), (2, 4))
+        # only a matrix with one nonzero row is factored, as every e_k has
+        with pytest.raises(AssertionError):
+            _rank1_factor(Matrix(QQ, [[0, 0], [2, 4], [1, 2]]))
 
     def test_semisimplicity_violation(self):
         with pytest.raises(SemisimplicityViolation):
