@@ -9,7 +9,8 @@ and a back substitution give every reduced row echelon form: rank,
 inverses, subspace spans and intersections, operator closure, and
 kernels over every field but Q.  Fraction-free pivoting over Z, the
 Laurent ring or Q[x]/(f) gives determinants and invertible-submatrix
-certificates.  A sparse semi-echelon over GF(p) gives one-sided rank
+certificates, and rows cleared into those domains check subspace
+invariance.  A sparse semi-echelon over GF(p) gives one-sided rank
 bounds, among them the scalar-commutant certificate, modular kernels and
 spin dimensions; a kernel over Q is taken mod p too, lifted by rational
 reconstruction and checked exactly on integer rows, with the exact RREF
@@ -56,7 +57,7 @@ class Matrix:
     """
 
     # _nonzeros caches the per-row (column, entry) lists of the nonzero
-    # entries, the sparse view that __mul__, mat_vec and vec_mat walk; it is
+    # entries, the sparse view that __mul__ and mat_vec walk; it is
     # derived from rows, or kept from the product that made them, and takes
     # no part in equality or serialization
     __slots__ = ("field", "nrows", "ncols", "rows", "_nonzeros")
@@ -140,9 +141,6 @@ class Matrix:
         return Matrix(self.field, tuple(tuple(c * a if a else a for a in row) for row in self.rows),
                       _trusted=True)
 
-    def transpose(self):
-        return Matrix(self.field, tuple(zip(*self.rows)), _trusted=True)
-
     def _row_nonzeros(self):
         """Per-row (column, entry) lists of the nonzero entries, built once."""
         nonzeros = self._nonzeros
@@ -165,13 +163,6 @@ class Matrix:
                     acc = a * v[j] if acc is None else acc + a * v[j]
             out.append(zero if acc is None else acc)
         return tuple(out)
-
-    def vec_mat(self, v):
-        """v M for a row vector v: the rows of M at the nonzero v[i], in ascending i."""
-        if len(v) != self.nrows:
-            raise DimensionMismatch("vector length differs from row count")
-        pairs = _row_combination(((i, x) for i, x in enumerate(v) if x), self._row_nonzeros())
-        return tuple(_dense(pairs, self.ncols, self.field.zero()))
 
     def is_square(self):
         return self.nrows == self.ncols
@@ -205,8 +196,9 @@ def _row_combination(pairs, rows):
     of the pairs, as x * y then acc + x * y; x = None stands for one and
     adds y with no product.  A column whose sum cancels is left out, like
     one that no row reaches.  This is the one sparse row loop:
-    Matrix.__mul__ and Matrix.vec_mat densify its pairs, and the relation
-    gate carries them through each word.
+    Matrix.__mul__ densifies its pairs, the relation gate carries them
+    through each word, and build_m_matrix and is_invariant push vectors
+    through cleared rows and columns with it.
     """
     acc = {}
     for i, x in pairs:
@@ -343,6 +335,36 @@ def clear_entries(field, entries):
     if isinstance(field, FunctionField):
         return clear_denominators(entries)
     return field.one(), list(entries)
+
+
+def clear_rows(field, rows):
+    """(den, cleared): sparse (column, entry) rows times den, their clear_entries denominator."""
+    den, entries = clear_entries(field, [x for row in rows for _, x in row])
+    it = iter(entries)
+    return den, [[(j, next(it)) for j, _ in row] for row in rows]
+
+
+def divide_entries(field, den, entries):
+    """clear_entries undone: the domain entries over den, each in the field's normal form.
+
+    Any field other than Q, Q(r) and Q(l,r) is its own domain, with den one.
+    """
+    if field == QQ:
+        return [Rat(x, den) for x in entries]
+    if isinstance(field, FunctionField):
+        if den == 1:
+            return [RatFunc.from_laurent(x) for x in entries]
+        return [RatFunc(x, den) for x in entries]
+    return list(entries)
+
+
+def sparse_columns(rows, ncols):
+    """The columns of sparse rows as (row, entry) pairs: _row_combination on them is M v."""
+    cols = [[] for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row:
+            cols[j].append((i, x))
+    return cols
 
 
 def _fraction_free(work, s, ring):
@@ -531,6 +553,8 @@ class SubspaceBasis:
         return len(self.vectors)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, SubspaceBasis):
             return NotImplemented
         return (self.field == other.field and self.ambient_dim == other.ambient_dim
@@ -659,12 +683,33 @@ def operator_closure(seed_vectors, ops):
 
 
 def is_invariant(space, ops):
-    """True iff op.v lies in the space for every op and basis vector v."""
+    """True iff op.v lies in the space for every op and basis vector v.
+
+    The pivot identity on cleared rows.  The RREF basis b_i is the identity
+    on its pivots p_i, so w lies in its span exactly when
+    w = sum_i w[p_i] b_i.  clear_rows takes the basis to c_i = D b_i, with
+    c_i[p_i] = D, and each op g to D_g g, over the field's integral domain
+    (Z for Q).  With y = (D_g g) c_j = D D_g g b_j, the vector g b_j lies in
+    the span exactly when D y = sum_i y[p_i] c_i, an identity of sparse
+    rows in the domain, which has no zero divisors.
+    """
+    n = space.ambient_dim
     for op in ops:
-        if op.ncols != space.ambient_dim:
+        if op.ncols != n:
             raise DimensionMismatch("operator size differs from ambient dimension")
-        for v in space.vectors:
-            if not space.contains(op.mat_vec(v)):
+    if not space.vectors:
+        return True
+    field = space.field
+    den, basis = clear_rows(field, [pairs for _, pairs in space._rows])
+    for op in ops:
+        _, rows = clear_rows(field, op._row_nonzeros())
+        cols = sparse_columns(rows, n)
+        for c in basis:
+            y = _row_combination(c, cols)
+            at = dict(y)
+            spanned = _row_combination(
+                ((i, at[p]) for i, p in enumerate(space.pivots) if p in at), basis)
+            if spanned != (y if den == 1 else [(j, den * x) for j, x in y]):
                 return False
     return True
 
@@ -673,20 +718,22 @@ def is_invariant(space, ops):
 # on: the moduli of the determinant zero test above a coefficient bound
 MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
 
-# The Mersenne prime 2^61 - 1 that image_mod_p reduces Q by
-_RANK_PRIME = (1 << MERSENNE_EXPONENTS[0]) - 1
-
-# 2^61 - 31, a prime that is 1 mod 120: phi12, phi20 and phi24 split into
-# linear factors over GF(p), so Q[x]/(f) maps into GF(p) through a root of f
-_SPLIT_PRIME = (1 << 61) - 31
+# A prime below 2^30, so each residue is one 30-bit digit of a Python int,
+# and 1 mod 120, so phi12, phi20 and phi24 split into linear factors mod p
+_CERTIFICATE_PRIME = 1073740201
 
 
 def residue_prime(field):
-    """The prime p that image_mod_p reduces the field by, or None."""
-    if field == QQ:
-        return _RANK_PRIME
-    if isinstance(field, NumberField):
-        return _SPLIT_PRIME
+    """The prime p of the one-sided certificates over the field, or None.
+
+    Reduction mod p is a ring map from the scalars whose denominators p
+    does not divide, so at any such prime a rank or a spin dimension mod p
+    is at most the one over the field; a drop at p only sends the case to
+    the exact path.  _lifted_kernel takes its own, larger prime, which its
+    reconstruction bound needs.
+    """
+    if field == QQ or isinstance(field, NumberField):
+        return _CERTIFICATE_PRIME
     return None
 
 
@@ -792,22 +839,36 @@ def _semi_echelon_mod_p(rows, p, stop=None):
     return pivots
 
 
-def spin_mod_p(seed, columns, p):
-    """Dimension over GF(p) of the closure of seed under the operators.
+def columns_mod_p(m, p):
+    """One {row: residue} dict per column of m, from its sparse rows mod p, or None."""
+    rows = image_mod_p(m, p)
+    if rows is None:
+        return None
+    cols = [{} for _ in range(m.ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            cols[j][i] = x
+    return cols
 
-    seed is a {column: residue} dict and each operator is given by the
-    image_mod_p of its transpose, a list of its columns as such dicts.  The
-    spin of operator_closure: every pivot row v is spun once, in the order
-    found, and each image op.v is reduced by the pivot step of
-    _semi_echelon_mod_p.
+
+def spin_mod_p(seed, columns, p, stop=None):
+    """Dimension over GF(p) of the closure of seed under the operators, at most stop.
+
+    seed is a {column: residue} dict and each operator is given by its
+    columns_mod_p, a list of its columns as such dicts.  The spin of
+    operator_closure: every pivot row v is spun once, in the order found,
+    and each image op.v is reduced by the pivot step of
+    _semi_echelon_mod_p.  The spin ends as soon as the dimension reaches
+    stop, when given, so it returns min(dimension, stop).
     """
     n = len(columns[0])
+    cap = n if stop is None else min(stop, n)
     pivots = {}
     found = [_pivot_mod_p(pivots, seed, p)]
     if found[0] is None:
         return 0
     spun = 0
-    while spun < len(found) < n:
+    while spun < len(found) < cap:
         v = found[spun]
         spun += 1
         for cols in columns:
@@ -818,9 +879,9 @@ def spin_mod_p(seed, columns, p):
             prow = _pivot_mod_p(pivots, image, p)
             if prow is not None:
                 found.append(prow)
-                if len(found) == n:
+                if len(found) == cap:
                     break
-    return len(found)
+    return min(len(found), cap)
 
 
 def rank_mod_p(rows, p, stop=None):
@@ -869,7 +930,9 @@ def nullspace_mod_p(rows, p, ncols):
 def _lifted_kernel(m):
     """The RREF basis of the kernel of m over Q from a kernel over GF(p), or None.
 
-    Dixon's method at one prime (Numer. Math. 40, 1982), p = _RANK_PRIME:
+    Dixon's method at one prime (Numer. Math. 40, 1982), p = 2^61 - 1, large
+    enough that kernels.ratrecon_int, which recovers fractions a/b with
+    |a|, b <= sqrt(p/2), lifts the kernels at small points:
     nullspace_mod_p on the image of m with its columns reversed gives one
     vector per free column f, 1 at f, 0 at the other free columns and
     nonzero only right of f; in ascending f that is an RREF.  Each residue
@@ -884,7 +947,7 @@ def _lifted_kernel(m):
     span it; the RREF of a space is unique, so it is the basis the exact
     elimination gives.  An empty basis mod p proves k = 0 outright.
     """
-    p = _RANK_PRIME
+    p = (1 << MERSENNE_EXPONENTS[0]) - 1
     image = image_mod_p(m, p)
     if image is None:
         return None

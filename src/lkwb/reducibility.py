@@ -26,10 +26,14 @@ from .linalg import (
     MERSENNE_EXPONENTS,
     Matrix,
     SubspaceBasis,
+    _row_combination,
     charpoly,
     clear_denominators,
+    clear_entries,
+    columns_mod_p,
     commutant_basis,
     det,
+    divide_entries,
     is_invariant,
     image_mod_p,
     kernel,
@@ -37,11 +41,13 @@ from .linalg import (
     operator_closure,
     rank_mod_p,
     residue_prime,
+    sparse_columns,
     spin_mod_p,
     subspace_intersect,
 )
 from .lkrep import (
     LKParams,
+    _cleared,
     build_rep,
     pair_basis,
     pair_index_map,
@@ -230,35 +236,39 @@ class MnMatrix:
         return self.matrix.field
 
 
-def _rank1_factor(m):
-    """(u, w) with m = outer(u, w) for m with one nonzero row; AssertionError otherwise.
+def _rank1_factor(rows):
+    """(a, row): the index and pairs of the one nonzero sparse row; AssertionError otherwise.
 
-    Every e_k of build_rep has one nonzero row, that of the pair (k, k+1):
-    u is the unit vector at that row and w the row itself, read off the
-    cached row nonzeros of m, so m = outer(u, w) holds by construction and
-    w carries no denominator that m does not have.
+    Every e_k of build_rep has one nonzero row, that of the pair (k, k+1),
+    so e_k = outer(u, w) for the unit vector u at row a and the row w.
     """
-    live = [i for i, row in enumerate(m._row_nonzeros()) if row]
+    live = [i for i, row in enumerate(rows) if row]
     if len(live) != 1:
         raise AssertionError(f"expected one nonzero row, found {len(live)}")
-    i0, = live
-    one, zero = m.field.one(), m.field.zero()
-    return tuple(one if i == i0 else zero for i in range(m.nrows)), m.rows[i0]
+    a, = live
+    return a, rows[a]
 
 
 def build_m_matrix(rep):
     """Matrix of sum(e_i) + sum of conjugates g_{j-1}^-1..e_i..g_{j-1}.
 
     The summand for (i, j) with j = i+1 is e_i itself; conjugate chains are
-    built incrementally.  Each e_i has rank 1, its only nonzero row being
-    that of the pair (i, i+1), so its factors are the unit vector u at that
-    row and w, the row itself, which _rank1_factor reads off the sparse
-    view of e_i.  Vectors are pushed instead of multiplying matrices: u
-    through g_inv.mat_vec and w through g.vec_mat, both on the cached row
-    nonzeros.  Neither chain divides, so no entry carries a denominator
-    that g, g_inv and e do not.  For a rep from build_rep, g_inv is the
-    closed form g + m(1 - e), which is the inverse of g by the e
-    definition and cubic identities that the gate has just verified.
+    built incrementally.  Each e_i = outer(u, w) has rank 1: u is the unit
+    vector at its one nonzero row, that of the pair (i, i+1), and w is that
+    row (_rank1_factor).  Vectors are pushed instead of multiplying
+    matrices: u through g_inv and w through g, both on sparse rows.
+
+    The arithmetic runs in the field's integral domain (Z for Q, the
+    Laurent ring for Q(r) and Q(l,r), Q[x]/(f) itself).  g, g_inv and e are
+    cleared once each, to D_g g, D_i g_inv and D_e e (lkrep._cleared), so the
+    summand of a chain of length k is outer(u_k, w_k) / (D_e S^k) with
+    S = D_i D_g.  Each summand is scaled by S^(K-k), K = n - 2 the longest
+    chain, and added to one sum in the domain, which is divided by
+    D_e S^K once per entry at the end (divide_entries); the division puts
+    each entry in its canonical form, so the matrix is the one the field
+    arithmetic gives.  For a rep from build_rep, g_inv is the closed form
+    g + m(1 - e), which is the inverse of g by the e definition and cubic
+    identities that the gate has just verified.
     """
     gate = relation_gate(rep)
     if not gate.all_passed:
@@ -266,25 +276,40 @@ def build_m_matrix(rep):
     n = rep.n
     N = rep.dim
     fieldobj = rep.field
-    zero = fieldobj.zero()
-    total = [[zero] * N for _ in range(N)]
+    den_g, (g,) = _cleared(fieldobj, (rep.g,))
+    den_i, (g_inv,) = _cleared(fieldobj, (rep.g_inv,))
+    den_e, (e,) = _cleared(fieldobj, (rep.e,))
+    inv_cols = [sparse_columns(rows, N) for rows in g_inv]
+    _, (unit,) = clear_entries(fieldobj, [fieldobj.one()])
+    step = den_i * den_g
+    longest = n - 2
+    # the factor S^(K-k) of a chain of length k
+    scales = [step ** (longest - k) for k in range(longest + 1)]
+    total = [{} for _ in range(N)]
 
-    def add_outer(u, w):
-        for a, ua in enumerate(u):
-            if ua:
-                row = total[a]
-                for b, wb in enumerate(w):
-                    if wb:
-                        row[b] = row[b] + ua * wb
+    def add_outer(u, w, scale):
+        if scale != 1:
+            u = [(a, x * scale) for a, x in u]
+        for a, x in u:
+            row = total[a]
+            for b, y in w:
+                t = row.get(b)
+                row[b] = x * y if t is None else t + x * y
 
     for i in range(1, n):
-        u, w = _rank1_factor(rep.e[i - 1])
-        add_outer(u, w)
-        for j in range(i + 2, n + 1):
-            u = rep.g_inv[j - 2].mat_vec(u)
-            w = rep.g[j - 2].vec_mat(w)
-            add_outer(u, w)
-    mat = Matrix(fieldobj, tuple(tuple(row) for row in total), _trusted=True)
+        a, w = _rank1_factor(e[i - 1])
+        u = [(a, unit)]
+        add_outer(u, w, scales[0])
+        for k, j in enumerate(range(i + 2, n + 1), start=1):
+            u = _row_combination(u, inv_cols[j - 2])
+            w = _row_combination(w, g[j - 2])
+            add_outer(u, w, scales[k])
+    den = den_e * step ** longest
+    nonzeros = []
+    for row in total:
+        cols = sorted(b for b, x in row.items() if x)
+        nonzeros.append(list(zip(cols, divide_entries(fieldobj, den, [row[b] for b in cols]))))
+    mat = Matrix.from_nonzeros(fieldobj, tuple(nonzeros), N)
     return MnMatrix(n=n, matrix=mat,
                     l_text=scalar_to_text(rep.params.l),
                     r_text=scalar_to_text(rep.params.r))
@@ -768,24 +793,34 @@ def _certified_closures(rep, vectors, known):
     dimension is at least the spin dimension of v mod p: residues
     independent over GF(p) lift to independent vectors when p divides no
     denominator (image_mod_p).  So when a known U contains v exactly and
-    has that dimension, the closure of v is U.  Otherwise the exact spin
-    decides, and its closure is known from then on.
+    has that dimension, the closure of v is U.  The spin stops at the
+    largest dimension among the known subspaces: a v whose spin goes past
+    it lies in none of them.  A vector of U's own basis lies in U without
+    a check.  Otherwise the exact spin decides, and its closure is known
+    from then on.
     """
     p = residue_prime(rep.field)
-    columns = [image_mod_p(g.transpose(), p) for g in rep.g]
+    columns = [columns_mod_p(g, p) for g in rep.g]
     seeds = image_mod_p(Matrix(rep.field, tuple(vectors), _trusted=True), p)
     if seeds is None or None in columns:
         seeds = [None] * len(vectors)
     known = list(known)
     closures = []
     for v, seed in zip(vectors, seeds):
-        d = spin_mod_p(seed, columns, p) if seed is not None else None
-        cl = next((u for u in known if u.dim == d and u.contains(v)), None)
+        cl = None
+        if seed is not None and known:
+            d = spin_mod_p(seed, columns, p, stop=max(u.dim for u in known))
+            cl = next((u for u in known if u.dim == d and _lies_in(v, u)), None)
         if cl is None:
             cl = minimal_invariant(rep, v)
             known.append(cl)
         closures.append(cl)
     return closures
+
+
+def _lies_in(v, space):
+    """True iff v lies in the space: at once for a vector of its own basis."""
+    return any(v is b for b in space.vectors) or space.contains(v)
 
 
 def minimal_invariant(rep, seed):

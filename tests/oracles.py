@@ -437,3 +437,73 @@ def relation_failures(n, l, r, g, e, g_sq):
         *((f"esq({i + 1})", mat_mul(e[i], e[i]), comb((delta, e[i]))) for i in gens),
     ]
     return [label for label, a, b in checks if a != b]
+
+
+def m_matrix_by_field_loop(g, g_inv, e, zero, one):
+    """M(n) summed in the field: each e_i and its conjugate chains, one outer product at a time.
+
+    g, g_inv and e are lists of n - 1 square row lists of field elements,
+    and zero and one the field's.  e_i is the outer product of the unit
+    vector u at its one nonzero row and that row w; for j = i+2..n, u is
+    pushed through g_inv[j-2] and w through g[j-2] by textbook
+    matrix-vector products, and every outer(u, w) is added entry by entry
+    into one matrix of field elements.
+    """
+    dim = len(e[0])
+    total = [[zero] * dim for _ in range(dim)]
+
+    def apply(m, v):
+        out = []
+        for row in m:
+            acc = zero
+            for x, y in zip(row, v):
+                if x and y:
+                    acc = acc + x * y
+            out.append(acc)
+        return out
+
+    def add_outer(u, w):
+        for a, x in enumerate(u):
+            if x:
+                for b, y in enumerate(w):
+                    if y:
+                        total[a][b] = total[a][b] + x * y
+
+    for i in range(1, len(e) + 1):
+        (a,) = [k for k, row in enumerate(e[i - 1]) if any(row)]
+        u = [one if k == a else zero for k in range(dim)]
+        w = list(e[i - 1][a])
+        add_outer(u, w)
+        for j in range(i + 2, len(e) + 2):
+            u = apply(g_inv[j - 2], u)
+            w = apply([list(col) for col in zip(*g[j - 2])], w)
+            add_outer(u, w)
+    return total
+
+
+def invariant_by_reduction(basis, pivots, ops, zero):
+    """True iff op v lies in the span of an RREF basis for every op and basis vector v.
+
+    basis holds the RREF rows, lists of field elements 1 at their pivot
+    columns and 0 at every other pivot; ops are square row lists and zero
+    is the field's.  Each
+    image op v, a textbook matrix-vector product, is reduced against the
+    rows in order, w - w[p] b for the row b of pivot p, and must reduce to
+    zero.
+    """
+    for op in ops:
+        for v in basis:
+            w = []
+            for row in op:
+                acc = zero
+                for x, y in zip(row, v):
+                    if x and y:
+                        acc = acc + x * y
+                w.append(acc)
+            for p, b in zip(pivots, basis):
+                c = w[p]
+                if c:
+                    w = [x - c * y for x, y in zip(w, b)]
+            if any(w):
+                return False
+    return True

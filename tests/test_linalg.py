@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -20,6 +21,7 @@ from lkwb.linalg import (
     Matrix,
     SubspaceBasis,
     charpoly,
+    columns_mod_p,
     commutant_basis,
     det,
     find_invertible_submatrix,
@@ -37,7 +39,8 @@ from lkwb.linalg import (
 )
 from lkwb.lkrep import substituted_rep
 from lkwb.reducibility import _kernel_at, build_m_matrix, catalog, dense_int_row, named_locus, rep_at
-from lkwb.scalars import QLR, QQ, QR, LaurentPoly, RatFunc, cyclotomic_field, rat, scalar_to_text
+from lkwb.scalars import (QLR, QQ, QR, LaurentPoly, RatFunc, cyclotomic_field, parse_rat, rat,
+                          scalar_to_text)
 
 import oracles
 
@@ -460,22 +463,6 @@ class TestMatrixArithmetic:
                  for t in range(k)]
             got = Matrix(TERMS, a) * Matrix(TERMS, b)
             assert got.rows == tuple(tuple(r) for r in oracles.ordered_mat_mul(a, b, Term("0")))
-            v = a[0]
-            bm = Matrix(TERMS, b)
-            assert bm.vec_mat(v) == tuple(oracles.ordered_mat_mul([v], b, Term("0"))[0])
-
-    def test_vec_mat(self):
-        rng = random.Random(74)
-        for field in PRODUCT_FIELDS:
-            for _, b in product_cases(field, rng):
-                m = Matrix(field, b)
-                v = sparse_rows(field, rng, 1, m.nrows, 0.6)[0]
-                got = m.vec_mat(v)
-                assert got == m.transpose().mat_vec(v)
-                expect = Matrix(field, oracles.ordered_mat_mul([v], b, field.zero()))
-                assert Matrix(field, [got]).to_text() == expect.to_text()
-                if field is QQ:
-                    assert fractions([got]) == oracles.mat_mul(fractions([v]), fractions(b))
 
     @pytest.mark.parametrize("field", [QQ, QR, cyclotomic_field("phi20")],
                              ids=["Q", "Q(r)", "phi20"])
@@ -515,7 +502,6 @@ class TestMatrixArithmetic:
                 ones = [(t, field.one()) for t, _ in units]
                 assert (linalg._row_combination(units, mb._row_nonzeros())
                         == linalg._row_combination(ones, mb._row_nonzeros()))
-                assert mb.vec_mat(row) == tuple(expect[i])
                 assert list(got._row_nonzeros()[i]) == pairs
             for i, j in targets:
                 assert got.rows[i][j] == zero and not got.rows[i][j]
@@ -566,8 +552,6 @@ class TestMatrixArithmetic:
         for op in (lambda: a * b, lambda: a + b, lambda: a + b.scale(-1)):
             with pytest.raises(DimensionMismatch):
                 op()
-        with pytest.raises(DimensionMismatch):
-            a.vec_mat((rat(1), rat(2), rat(3)))
 
     def test_cache_filled_by_product_is_not_part_of_the_value(self):
         rng = random.Random(77)
@@ -575,8 +559,8 @@ class TestMatrixArithmetic:
             a = Matrix(field, sparse_rows(field, rng, 3, 4, 0.5))
             b = Matrix(field, sparse_rows(field, rng, 4, 2, 0.5))
             p = a * b
-            b.vec_mat(sparse_rows(field, rng, 1, 4, 0.6)[0])
-            (p * p.transpose()).mat_vec((field.one(),) * 3)
+            b.mat_vec(sparse_rows(field, rng, 1, 2, 0.6)[0])
+            (p * Matrix(field, list(zip(*p.rows)))).mat_vec((field.one(),) * 3)
             for m in (a, b, p):
                 fresh = Matrix(field, m.rows)
                 assert m == fresh and fresh == m
@@ -687,6 +671,96 @@ class TestClosureInvariance:
         rot = Matrix(QQ, [[0, -1], [1, 0]])
         assert is_invariant(SubspaceBasis.coordinate(QQ, 2, [0, 1]), [rot])
         assert not is_invariant(SubspaceBasis.from_vectors(QQ, 2, [(1, 1)]), [rot])
+
+    @staticmethod
+    def scalar(field, rng):
+        """A random scalar: large denominators over Q, true denominators over Q(r)."""
+        if field == QQ:
+            return rat(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 9))
+        if field == QR:
+            return field.random(rng) / field.random(rng)
+        return field.random(rng)
+
+    def test_pivot_identity_against_the_reduction_oracle(self):
+        # ops = S T S^-1 with T block upper triangular leave the span of the first
+        # d columns of S invariant; a mutant moves one entry of an op or of a
+        # basis vector off its pivots, and both checks must then agree
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        fields = [QQ, QR, cyclotomic_field("phi20")]
+
+        @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+        @hyp.given(st.sampled_from(fields), st.integers(2, 4), st.data())
+        def check(field, n, data):
+            rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+            d = data.draw(st.integers(0, n))
+            one, zero = field.one(), field.zero()
+            s = Matrix(field, [[one if i == j else field.random(rng) if j < i else zero
+                                for j in range(n)] for i in range(n)])
+            s_inv = inverse(s)
+            ops = []
+            for _ in range(data.draw(st.integers(1, 2))):
+                t = Matrix(field, [[zero if i >= d > j else self.scalar(field, rng)
+                                    for j in range(n)] for i in range(n)])
+                ops.append(s * t * s_inv)
+            space = SubspaceBasis.from_vectors(field, n, [[s.rows[i][j] for i in range(n)]
+                                                          for j in range(d)])
+            assert is_invariant(space, ops)
+            mutant = data.draw(st.sampled_from(["none", "op", "basis"]))
+            if mutant == "op":
+                k, i, j = (data.draw(st.integers(0, x - 1)) for x in (len(ops), n, n))
+                rows = [list(row) for row in ops[k].rows]
+                rows[i][j] = rows[i][j] + one
+                ops[k] = Matrix(field, rows)
+            free = [j for j in range(n) if j not in space.pivots]
+            if mutant == "basis" and d and free:
+                i, j = data.draw(st.integers(0, d - 1)), data.draw(st.sampled_from(free))
+                vectors = [list(v) for v in space.vectors]
+                vectors[i][j] = vectors[i][j] + one
+                space = SubspaceBasis(field, n, tuple(map(tuple, vectors)), space.pivots,
+                                      _trusted=True)
+            expect = oracles.invariant_by_reduction(
+                [list(v) for v in space.vectors], space.pivots, [op.rows for op in ops], zero)
+            assert is_invariant(space, ops) == expect
+
+        check()
+
+    @pytest.mark.parametrize("n, locus, r", [(5, "l=r", "101/7"), (4, "l=-r3", "37/11"),
+                                             (5, "l=-r3", "phi20"), (4, "l=+r3-n", "Q(r)")])
+    def test_mutants_of_the_kernel_are_refused(self, n, locus, r):
+        loc = named_locus(locus, n)
+        if r == "Q(r)":
+            rep = substituted_rep(n, loc.eps, loc.k)
+        else:
+            r_val = cyclotomic_field(r).gen() if r.startswith("phi") else parse_rat(r)
+            rep = rep_at(n, loc, r_val)
+        space = kernel(build_m_matrix(rep).matrix)
+        field, ops, one = rep.field, list(rep.g), rep.field.one()
+
+        def oracle(space, ops):
+            return oracles.invariant_by_reduction([list(v) for v in space.vectors],
+                                                  space.pivots, [op.rows for op in ops],
+                                                  field.zero())
+
+        assert space.dim and is_invariant(space, ops) and oracle(space, ops)
+        # one basis entry moved off the pivots
+        free = next(j for j in range(space.ambient_dim) if j not in space.pivots)
+        vectors = [list(v) for v in space.vectors]
+        vectors[0][free] = vectors[0][free] + one
+        moved = SubspaceBasis(field, space.ambient_dim, tuple(map(tuple, vectors)), space.pivots,
+                              _trusted=True)
+        assert not is_invariant(moved, ops) and not oracle(moved, ops)
+        # one generator entry: g_1 + E_ij sends the last basis vector, 1 at
+        # column j, to its old image plus the unit vector e_i outside the
+        # space, and every other basis vector, 0 at column j, to its old image
+        units = [tuple(one if k == i else field.zero() for k in range(space.ambient_dim))
+                 for i in range(space.ambient_dim)]
+        i = next(i for i, e_i in enumerate(units) if not space.contains(e_i))
+        j = space.pivots[-1]
+        rows = [list(row) for row in ops[0].rows]
+        rows[i][j] = rows[i][j] + one
+        broken = [Matrix(field, rows)] + ops[1:]
+        assert not is_invariant(space, broken) and not oracle(space, broken)
 
 
 def oracle_rref(rows):
@@ -994,7 +1068,7 @@ class TestCommutant:
         assert not calls
 
     def test_denominator_divisible_by_p_falls_back(self, monkeypatch):
-        p = (1 << 61) - 1
+        p = residue_prime(QQ)
         calls = self._count_dense_kernels(monkeypatch)
         ops = [Matrix(QQ, [[0, -1], [1, 0]]), Matrix(QQ, [[1, rat(1, p)], [0, 1]])]
         assert commutant_basis(ops) == [Matrix.identity(QQ, 2)]
@@ -1005,7 +1079,7 @@ class TestCommutant:
     def test_numerator_divisible_by_p_falls_back_to_exact_scalars(self, monkeypatch):
         # mod p the second operator is the identity, so only the rotation
         # constrains X there and the nullity mod p is 2; over Q it is 1
-        p = (1 << 61) - 1
+        p = residue_prime(QQ)
         calls = self._count_dense_kernels(monkeypatch)
         ops = [Matrix(QQ, [[0, -1], [1, 0]]), Matrix(QQ, [[1, p], [0, 1]])]
         assert commutant_basis(ops) == [Matrix.identity(QQ, 2)]
@@ -1053,8 +1127,8 @@ class TestCommutant:
             assert len(calls) - before == (nullity != 1)
 
     def test_number_field_denominator_divisible_by_p_falls_back(self, monkeypatch):
-        p = (1 << 61) - 31
         field = cyclotomic_field("phi24")
+        p = residue_prime(field)
         x = field.gen()
         calls = self._count_dense_kernels(monkeypatch)
         ops = [Matrix(field, [[0, -1], [1, 0]]), Matrix(field, [[1, x * rat(1, p)], [0, 1]])]
@@ -1198,13 +1272,17 @@ class TestSerialization:
 
 
 class TestImageModP:
-    """The ring maps Q -> GF(2^61 - 1) and Q[x]/(f) -> GF(2^61 - 31), x -> a root of f."""
+    """The ring maps Q -> GF(p) and Q[x]/(f) -> GF(p), x -> a root of f, at the certificate prime."""
 
     FIELDS = [QQ] + [cyclotomic_field(name) for name in ("phi12", "phi20", "phi24")]
 
     def test_primes(self):
-        assert residue_prime(QQ) == (1 << 61) - 1
-        assert residue_prime(cyclotomic_field("phi24")) == (1 << 61) - 31
+        # one prime below 2^30, 1 mod 120 so that phi12, phi20 and phi24 split
+        p = residue_prime(QQ)
+        assert p == 1073740201 < 1 << 30 and p % 120 == 1
+        assert all(p % d for d in range(2, isqrt(p) + 1))
+        assert all(residue_prime(cyclotomic_field(name)) == p
+                   for name in ("phi12", "phi20", "phi24"))
         assert residue_prime(QR) is None and residue_prime(QLR) is None
 
     def test_ring_map(self):
@@ -1243,7 +1321,7 @@ class TestImageModP:
 
         # x^2 + 1 has no root mod p = 2^61 - 1, which is 3 mod 4
         field = NumberField((1, 0, 1))
-        p = residue_prime(QQ)
+        p = (1 << 61) - 1
         assert image_mod_p(field.gen(), p) is None
         assert image_mod_p(field.gen(), residue_prime(field)) is not None
 
@@ -1267,9 +1345,39 @@ class TestImageModP:
         def check(case):
             seed, ops = case
             p = residue_prime(QQ)
-            columns = [image_mod_p(op.transpose(), p) for op in ops]
+            columns = [columns_mod_p(op, p) for op in ops]
             (row,) = image_mod_p(Matrix(QQ, [seed]), p)
             assert spin_mod_p(row, columns, p) == operator_closure([seed], ops).dim
+
+        check()
+
+    def test_spin_stopped_at_a_dimension(self):
+        # spin_mod_p(..., stop=s) is min(spin, s); columns_mod_p is the image of
+        # the transpose, read off the sparse rows
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        entries = st.sampled_from([rat(0), rat(0), rat(0), rat(1), rat(-1), rat(2), rat(1, 2),
+                                   rat(-3, 5)])
+
+        @st.composite
+        def cases(draw):
+            n = draw(st.integers(1, 6))
+            ops = draw(st.lists(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                         min_size=n, max_size=n), min_size=1, max_size=3))
+            seed = draw(st.lists(entries, min_size=n, max_size=n))
+            return seed, [Matrix(QQ, rows) for rows in ops]
+
+        @hyp.settings(max_examples=150, deadline=None, derandomize=True)
+        @hyp.given(cases())
+        def check(case):
+            seed, ops = case
+            p = residue_prime(QQ)
+            columns = [columns_mod_p(op, p) for op in ops]
+            assert columns == [image_mod_p(Matrix(QQ, list(zip(*op.rows))), p) for op in ops]
+            (row,) = image_mod_p(Matrix(QQ, [seed]), p)
+            full = spin_mod_p(row, columns, p)
+            for stop in range(1, len(seed) + 2):
+                assert spin_mod_p(row, columns, p, stop=stop) == min(full, stop)
 
         check()
 

@@ -132,12 +132,15 @@ class TestBuildRep:
                     assert a == b and a.to_text() == b.to_text()
                     view = [[(j, x) for j, x in enumerate(row) if x] for row in a.rows]
                     assert [list(row) for row in a._row_nonzeros()] == view
+            zero = rep.field.zero()
             for ek in rep.e:
-                u, w = _rank1_factor(ek)
-                assert tuple(tuple(a * b for b in w) for a in u) == ek.rows
+                a, w = _rank1_factor(ek._row_nonzeros())
+                row = dict(w)
+                assert tuple(tuple(row.get(j, zero) if i == a else zero for j in range(rep.dim))
+                             for i in range(rep.dim)) == ek.rows
         # only a matrix with one nonzero row is factored, as every e_k has
         with pytest.raises(AssertionError):
-            _rank1_factor(Matrix(QQ, [[0, 0], [2, 4], [1, 2]]))
+            _rank1_factor(Matrix(QQ, [[0, 0], [2, 4], [1, 2]])._row_nonzeros())
 
     def test_semisimplicity_violation(self):
         with pytest.raises(SemisimplicityViolation):

@@ -116,19 +116,46 @@ class TestMnMatrix:
         for rep in self._reps():
             index = pair_index_map(rep.n)
             for i, e in enumerate(rep.e, start=1):
-                u, w = reducibility._rank1_factor(e)
+                a, w = reducibility._rank1_factor(e._row_nonzeros())
                 pair_row = index[(i, i + 1)]
-                assert [a for a, row in enumerate(e.rows) if any(row)] == [pair_row]
-                assert [a for a, x in enumerate(u) if x] == [pair_row]
-                assert u[pair_row] == rep.field.one()
-                assert tuple(w) == e.rows[pair_row]
-                assert all(x == ua * wb for row, ua in zip(e.rows, u) for x, wb in zip(row, w))
+                assert [b for b, row in enumerate(e.rows) if any(row)] == [pair_row]
+                assert a == pair_row
+                assert list(w) == [(j, x) for j, x in enumerate(e.rows[pair_row]) if x]
+
+    @staticmethod
+    def by_field_loop(rep):
+        """M(n) from oracles.m_matrix_by_field_loop, summed in the field."""
+        f = rep.field
+        rows = oracles.m_matrix_by_field_loop(*([m.rows for m in mats] for mats in
+                                                (rep.g, rep.g_inv, rep.e)), f.zero(), f.one())
+        return Matrix(f, rows)
+
+    @pytest.mark.parametrize("field, n", [
+        *((r, n) for r in ("2", "37/11", "101/7") for n in range(3, 8)),
+        *(("Q(r)", n) for n in range(4, 8)),
+        *(("Q(l,r)", n) for n in range(3, 6)),
+        ("phi20", 4), ("phi20", 5), ("phi24", 6)])
+    def test_domain_sum_equals_the_field_loop(self, field, n):
+        # one sum over a common denominator, divided once, against the field sum
+        if field == "Q(l,r)":
+            reps = [symbolic_rep(n)]
+        elif field == "Q(r)":
+            reps = [substituted_rep(n, locus.eps, locus.k) for locus in catalog(n)]
+        else:
+            r = cyclotomic_field(field).gen() if field.startswith("phi") else parse_rat(field)
+            reps = [rep_at(n, locus, r) for locus in catalog(n)]
+        for rep in reps:
+            got = build_m_matrix(rep).matrix
+            want = self.by_field_loop(rep)
+            assert got == want and got.to_text() == want.to_text()
+            assert [list(row) for row in got._row_nonzeros()] == [
+                [(j, x) for j, x in enumerate(row) if x] for row in got.rows]
 
     def test_rank1_factor_rejects_other_ranks(self):
         with pytest.raises(AssertionError):
-            reducibility._rank1_factor(Matrix(QQ, [[1, 2, 0], [0, 1, 3], [1, 3, 3]]))
+            reducibility._rank1_factor(Matrix(QQ, [[1, 2, 0], [0, 1, 3], [1, 3, 3]])._row_nonzeros())
         with pytest.raises(AssertionError):
-            reducibility._rank1_factor(Matrix.zeros(QQ, 3, 3))
+            reducibility._rank1_factor(Matrix.zeros(QQ, 3, 3)._row_nonzeros())
 
 
 class TestKernelDims:
@@ -611,6 +638,28 @@ class TestCertifiedClosures:
         assert len(seeds) == spins
         assert closures == [operator_closure([v], rep.g) for v in basis.vectors]
 
+    # the kernel-cyclo points: r^(2n) = -1, where K(n) on l=-r3 and l=r3-2n is
+    # layered
+    @pytest.mark.parametrize("n, locus, r", [
+        (n, locus.name, r) for n, r in ((3, "phi12"), (5, "phi20"), (6, "phi24"))
+        for locus in catalog(n)])
+    def test_a_spin_stopped_at_the_known_dimension_changes_no_closure(self, monkeypatch, n,
+                                                                      locus, r):
+        rep, basis = kernel_case(n, locus, r)
+        capped = _certified_closures(rep, basis.vectors, [basis])
+        spin = linalg.spin_mod_p
+        stops = []
+
+        def uncapped(seed, columns, p, stop=None):
+            stops.append(stop)
+            return spin(seed, columns, p)
+
+        monkeypatch.setattr(reducibility, "spin_mod_p", uncapped)
+        assert _certified_closures(rep, basis.vectors, [basis]) == capped
+        assert stops and all(s is not None for s in stops)
+        if (n, locus) == (6, "l=-r3"):
+            assert sorted({c.dim for c in capped}) == [10, 11]
+
     def test_a_root_that_is_no_root_is_refused(self, monkeypatch):
         field = cyclotomic_field("phi12")
         expected = {locus.name: kernel_k(3, locus, field.gen()).to_json_obj()
@@ -632,10 +681,10 @@ class TestCertifiedClosures:
 
     @pytest.mark.parametrize("n, locus", [(4, "l=r"), (4, "l=-r3"), (5, "l=+r3-n")])
     def test_a_prime_dividing_a_denominator_falls_back(self, monkeypatch, n, locus):
-        # at r = 2^61 - 1 the prime divides the denominators of the g_i
+        # at r = p the prime divides the denominators of the g_i
         p = linalg.residue_prime(QQ)
         rep = rep_at(n, named_locus(locus, n), rat(p))
-        assert all(linalg.image_mod_p(g.transpose(), p) is None for g in rep.g)
+        assert all(linalg.columns_mod_p(g, p) is None for g in rep.g)
         seeds = count_exact_spins(monkeypatch)
         report, rep, _, closures = _kernel_at(n, named_locus(locus, n), rat(p))
         assert seeds == list(report.basis.vectors)
@@ -649,7 +698,7 @@ class TestCertifiedClosures:
         line = SubspaceBasis.coordinate(QQ, 3, [0])
         v = (rat(0), rat(1), rat(0))
         p = linalg.residue_prime(QQ)
-        assert linalg.spin_mod_p({1: 1}, [linalg.image_mod_p(g.transpose(), p)], p) == line.dim
+        assert linalg.spin_mod_p({1: 1}, [linalg.columns_mod_p(g, p)], p) == line.dim
         seeds = count_exact_spins(monkeypatch)
         assert _certified_closures(rep, [v, line.vectors[0]], [line]) == [
             SubspaceBasis.coordinate(QQ, 3, [1]), line]
@@ -665,7 +714,8 @@ class TestCertifiedClosures:
         rep, _ = kernel_case(n, locus, r)
         want = kernel_k(n, named_locus(locus, n), rep.params.r).to_json_obj()
         spin = linalg.spin_mod_p
-        monkeypatch.setattr(reducibility, "spin_mod_p", lambda *args: spin(*args) + shift)
+        monkeypatch.setattr(reducibility, "spin_mod_p",
+                            lambda *args, **kwargs: spin(*args, **kwargs) + shift)
         seeds = count_exact_spins(monkeypatch)
         report = kernel_k(n, named_locus(locus, n), rep.params.r)
         assert report.to_json_obj() == want
