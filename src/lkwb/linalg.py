@@ -1,8 +1,7 @@
 """Exact linear algebra over any workbench ground field.
 
-Matrices keep dense rows.  Matrix and matrix-vector products walk a
-cached sparse view of those rows, and scaling and sums skip zero
-entries.
+Matrices keep dense rows.  Products walk a cached sparse view of those
+rows, and scaling and sums skip zero entries.
 
 There are three eliminations.  Over the field, one semi-echelon basis
 and a back substitution give every reduced row echelon form: rank,
@@ -12,11 +11,12 @@ Laurent ring or Q[x]/(f) gives determinants and invertible-submatrix
 certificates, and rows cleared into those domains check subspace
 invariance.  A sparse semi-echelon over GF(p) gives one-sided rank
 bounds, among them the scalar-commutant certificate, modular kernels and
-spin dimensions; a kernel over Q is taken mod p too, lifted by rational
-reconstruction and checked exactly on integer rows, with the exact RREF
-as its fallback.  Matrices and bases are immutable values; all
-operations are pure functions, so independent jobs can run concurrently
-without shared state.
+spin dimensions; a kernel over Q is taken mod p too and lifted by
+rational reconstruction, with the exact RREF as its fallback.  Every
+exact check is a product on rows cleared into the domain: annihilates
+decides M v = 0 and SubspaceBasis.contains decides v in U.  Matrices and
+bases are immutable values; all operations are pure functions, so
+independent jobs can run concurrently without shared state.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class Matrix:
     """
 
     # _nonzeros caches the per-row (column, entry) lists of the nonzero
-    # entries, the sparse view that __mul__ and mat_vec walk; it is
+    # entries, the sparse view that __mul__ walks; it is
     # derived from rows, or kept from the product that made them, and takes
     # no part in equality or serialization
     __slots__ = ("field", "nrows", "ncols", "rows", "_nonzeros")
@@ -149,21 +149,6 @@ class Matrix:
                 tuple((j, a) for j, a in enumerate(row) if a) for row in self.rows)
         return nonzeros
 
-    def mat_vec(self, v):
-        """M v, summed over the nonzero entries of M, listed once per matrix."""
-        if len(v) != self.ncols:
-            raise DimensionMismatch("vector length differs from column count")
-        live = [bool(x) for x in v]
-        zero = self.field.zero()
-        out = []
-        for row in self._row_nonzeros():
-            acc = None
-            for j, a in row:
-                if live[j]:
-                    acc = a * v[j] if acc is None else acc + a * v[j]
-            out.append(zero if acc is None else acc)
-        return tuple(out)
-
     def is_square(self):
         return self.nrows == self.ncols
 
@@ -197,7 +182,8 @@ def _row_combination(pairs, rows):
     adds y with no product.  A column whose sum cancels is left out, like
     one that no row reaches.  This is the one sparse row loop:
     Matrix.__mul__ densifies its pairs, the relation gate carries them
-    through each word, and build_m_matrix and is_invariant push vectors
+    through each word, operator_closure spins with it, and build_m_matrix,
+    annihilates and the pivot identity of SubspaceBasis push vectors
     through cleared rows and columns with it.
     """
     acc = {}
@@ -515,8 +501,9 @@ class SubspaceBasis:
     of subspaces.
     """
 
-    # _rows: the vectors as the (pivot, nonzero pairs) rows that reduce walks
-    __slots__ = ("field", "ambient_dim", "vectors", "pivots", "_rows")
+    # _cleared: (D, rows), the vectors times their clear_rows denominator D
+    # as sparse rows over the field's integral domain, built on first use
+    __slots__ = ("field", "ambient_dim", "vectors", "pivots", "_cleared")
 
     def __init__(self, field, ambient_dim, vectors, pivots, *, _trusted=False):
         if not _trusted:
@@ -525,8 +512,7 @@ class SubspaceBasis:
         self.ambient_dim = ambient_dim
         self.vectors = vectors
         self.pivots = pivots
-        self._rows = tuple((p, tuple((j, b) for j, b in enumerate(v) if b))
-                           for v, p in zip(vectors, pivots))
+        self._cleared = None
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors):
@@ -561,12 +547,36 @@ class SubspaceBasis:
                 and self.pivots == other.pivots
                 and all(a == b for va, vb in zip(self.vectors, other.vectors) for a, b in zip(va, vb)))
 
-    def reduce(self, v):
-        """Residue of v modulo the subspace."""
-        return tuple(_reduce(list(v), self._rows))
+    def _cleared_rows(self):
+        """(D, c): the basis vectors b_i cleared to c_i = D b_i (clear_rows), built once."""
+        if self._cleared is None:
+            self._cleared = clear_rows(self.field, [[(j, b) for j, b in enumerate(v) if b]
+                                                    for v in self.vectors])
+        return self._cleared
+
+    def _spans(self, y):
+        """True iff the sparse row y over the field's integral domain lies in the span.
+
+        The pivot identity: the RREF basis b_i is the identity on its pivots
+        p_i, so w lies in the span exactly when w = sum_i w[p_i] b_i, that
+        is, for c_i = D b_i and y a nonzero multiple of w, when
+        D y = sum_i y[p_i] c_i in the domain, which has no zero divisors.
+        """
+        den, basis = self._cleared_rows()
+        at = dict(y)
+        spanned = _row_combination(
+            ((i, at[p]) for i, p in enumerate(self.pivots) if p in at), basis)
+        return spanned == (y if den == 1 else [(j, den * x) for j, x in y])
 
     def contains(self, v):
-        return not any(self.reduce(v))
+        """True iff v lies in the subspace: at once for a basis vector, else by _spans."""
+        if len(v) != self.ambient_dim:
+            raise AmbientMismatch("vector length differs from ambient dimension")
+        if any(v is b for b in self.vectors):
+            return True
+        field = self.field
+        _, (y,) = clear_rows(field, [[(j, field.coerce(x)) for j, x in enumerate(v) if x]])
+        return self._spans(y)
 
     def contains_space(self, other):
         return all(self.contains(v) for v in other.vectors)
@@ -586,10 +596,14 @@ class SubspaceBasis:
 def kernel(m):
     """Echelonized basis of the right null space of m; M v = 0 is verified.
 
-    Over Q the basis is lifted from GF(p) by _lifted_kernel and checked
-    on integer rows.  Over any other field, or when the prime does not
-    lift it, _rref_kernel takes it from the exact RREF of m over the
-    field.  Both give the same basis, the canonical RREF of the kernel.
+    Both paths read it off one RREF of m with its columns reversed, whose
+    null vector at a free column c is 1 there, 0 at the other free columns
+    and -R[i][c] at the pivot, left of c, of each RREF row R[i].  Reversed
+    back, the vector of the free column f is 1 at f, 0 at the other free
+    columns and nonzero only right of f: in ascending f these vectors are
+    the kernel's RREF, which is unique.  Over Q, _lifted_kernel takes that
+    RREF mod p and lifts it; otherwise, or when the lift fails,
+    _rref_kernel takes it over the field.
     """
     if m.field == QQ:
         basis = _lifted_kernel(m)
@@ -599,25 +613,44 @@ def kernel(m):
 
 
 def _rref_kernel(m):
-    """The kernel from the exact RREF of m, verified by M v = 0 with mat_vec."""
-    rows, pivots = _rref(m.rows, m.field)
+    """The kernel from the exact RREF of m with its columns reversed, verified by annihilates."""
     n = m.ncols
-    free = [c for c in range(n) if c not in set(pivots)]
+    rows, pivots = _rref([row[::-1] for row in m.rows], m.field)
     one, zero = m.field.one(), m.field.zero()
-    vecs = []
-    for f in free:
+    free = sorted(set(range(n)) - set(pivots))
+    vectors = []
+    for c in reversed(free):
         v = [zero] * n
-        v[f] = one
-        for idx, p in enumerate(pivots):
-            x = rows[idx][f]
+        v[c] = one
+        for row, p in zip(rows, pivots):
+            x = row[c]
             if x:
                 v[p] = -x
-        vecs.append(tuple(v))
-    basis = SubspaceBasis.from_vectors(m.field, n, vecs)
-    for v in basis.vectors:
-        if any(m.mat_vec(v)):
-            raise AssertionError("kernel verification failed")
-    return basis
+        vectors.append(tuple(reversed(v)))
+    if not annihilates(m, vectors):
+        raise AssertionError("kernel verification failed")
+    return SubspaceBasis(m.field, n, tuple(vectors), tuple(n - 1 - c for c in reversed(free)),
+                         _trusted=True)
+
+
+def annihilates(m, vectors):
+    """True iff M v = 0 for every vector v; DimensionMismatch for a length other than ncols.
+
+    Each row of m and each v is cleared on its own (clear_rows) into the
+    field's integral domain, which has no zero divisors, and the product
+    is _row_combination of the cleared v on the cleared columns.
+    """
+    n = m.ncols
+    for v in vectors:
+        if len(v) != n:
+            raise DimensionMismatch("vector length differs from column count")
+    field = m.field
+    cols = sparse_columns([clear_rows(field, [row])[1][0] for row in m._row_nonzeros()], n)
+    for v in vectors:
+        _, (w,) = clear_rows(field, [[(j, x) for j, x in enumerate(v) if x]])
+        if _row_combination(w, cols):
+            return False
+    return True
 
 
 def subspace_intersect(a, b):
@@ -649,8 +682,9 @@ def operator_closure(seed_vectors, ops):
     the rows so far, when nonzero, is normalized and appended.  The rows
     lie in the closure, span the seeds and are mapped into their own span
     by every op, so they span the closure for any operators, invertible or
-    not.  The spin stops once the rows fill the space; a back substitution
-    on the rows gives the canonical RREF.
+    not.  Each image is _row_combination of the row's nonzeros on the op's
+    sparse_columns.  The spin stops once the rows fill the space; a back
+    substitution on the rows gives the canonical RREF.
     """
     if not ops:
         raise DimensionMismatch("no operators given")
@@ -666,16 +700,17 @@ def operator_closure(seed_vectors, ops):
     if not any(any(v) for v in seeds):
         raise ZeroSeed("all seed vectors are zero")
     one, zero = field.one(), field.zero()
+    columns = [sparse_columns(op._row_nonzeros(), n) for op in ops]
     echelon = []
     for v in seeds:
         if len(echelon) < n:
             _absorb(echelon, list(v), one)
     spun = 0
     while spun < len(echelon) < n:
-        v = _dense(echelon[spun][1], n, zero)
+        v = echelon[spun][1]
         spun += 1
-        for op in ops:
-            _absorb(echelon, list(op.mat_vec(v)), one)
+        for cols in columns:
+            _absorb(echelon, _dense(_row_combination(v, cols), n, zero), one)
             if len(echelon) == n:
                 break
     rows, pivots = _back_substitute(echelon, n, zero)
@@ -685,13 +720,10 @@ def operator_closure(seed_vectors, ops):
 def is_invariant(space, ops):
     """True iff op.v lies in the space for every op and basis vector v.
 
-    The pivot identity on cleared rows.  The RREF basis b_i is the identity
-    on its pivots p_i, so w lies in its span exactly when
-    w = sum_i w[p_i] b_i.  clear_rows takes the basis to c_i = D b_i, with
-    c_i[p_i] = D, and each op g to D_g g, over the field's integral domain
-    (Z for Q).  With y = (D_g g) c_j = D D_g g b_j, the vector g b_j lies in
-    the span exactly when D y = sum_i y[p_i] c_i, an identity of sparse
-    rows in the domain, which has no zero divisors.
+    The pivot identity on cleared rows (SubspaceBasis._spans): each op g
+    is cleared to D_g g and each basis vector b_j to c_j = D b_j, over the
+    field's integral domain (Z for Q), and y = (D_g g) c_j = D D_g g b_j
+    must lie in the span.
     """
     n = space.ambient_dim
     for op in ops:
@@ -699,18 +731,12 @@ def is_invariant(space, ops):
             raise DimensionMismatch("operator size differs from ambient dimension")
     if not space.vectors:
         return True
-    field = space.field
-    den, basis = clear_rows(field, [pairs for _, pairs in space._rows])
+    _, basis = space._cleared_rows()
     for op in ops:
-        _, rows = clear_rows(field, op._row_nonzeros())
+        _, rows = clear_rows(space.field, op._row_nonzeros())
         cols = sparse_columns(rows, n)
-        for c in basis:
-            y = _row_combination(c, cols)
-            at = dict(y)
-            spanned = _row_combination(
-                ((i, at[p]) for i, p in enumerate(space.pivots) if p in at), basis)
-            if spanned != (y if den == 1 else [(j, den * x) for j, x in y]):
-                return False
+        if not all(space._spans(_row_combination(c, cols)) for c in basis):
+            return False
     return True
 
 
@@ -840,22 +866,18 @@ def _semi_echelon_mod_p(rows, p, stop=None):
 
 
 def columns_mod_p(m, p):
-    """One {row: residue} dict per column of m, from its sparse rows mod p, or None."""
+    """The columns of m mod p as (row, residue) pairs (sparse_columns), or None."""
     rows = image_mod_p(m, p)
     if rows is None:
         return None
-    cols = [{} for _ in range(m.ncols)]
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            cols[j][i] = x
-    return cols
+    return sparse_columns([row.items() for row in rows], m.ncols)
 
 
 def spin_mod_p(seed, columns, p, stop=None):
     """Dimension over GF(p) of the closure of seed under the operators, at most stop.
 
     seed is a {column: residue} dict and each operator is given by its
-    columns_mod_p, a list of its columns as such dicts.  The spin of
+    columns_mod_p, a list of its columns as (row, residue) pairs.  The spin of
     operator_closure: every pivot row v is spun once, in the order found,
     and each image op.v is reduced by the pivot step of
     _semi_echelon_mod_p.  The spin ends as soon as the dimension reaches
@@ -874,7 +896,7 @@ def spin_mod_p(seed, columns, p, stop=None):
         for cols in columns:
             image = {}
             for j, x in v.items():
-                for i, a in cols[j].items():
+                for i, a in cols[j]:
                     image[i] = image.get(i, 0) + x * a
             prow = _pivot_mod_p(pivots, image, p)
             if prow is not None:
@@ -933,19 +955,16 @@ def _lifted_kernel(m):
     Dixon's method at one prime (Numer. Math. 40, 1982), p = 2^61 - 1, large
     enough that kernels.ratrecon_int, which recovers fractions a/b with
     |a|, b <= sqrt(p/2), lifts the kernels at small points:
-    nullspace_mod_p on the image of m with its columns reversed gives one
-    vector per free column f, 1 at f, 0 at the other free columns and
-    nonzero only right of f; in ascending f that is an RREF.  Each residue
-    is lifted to Q by kernels.ratrecon_int, and each lifted vector, cleared
-    to integers, must be annihilated exactly by the integer rows of m.
+    nullspace_mod_p of the image of m with its columns reversed gives the
+    RREF that kernel describes, over GF(p); each residue is lifted by
+    kernels.ratrecon_int, and annihilates must hold for the lifted vectors.
     None when p divides a denominator, a reconstruction fails or the check
-    fails; kernel then takes the exact RREF.
+    fails.
 
     Exact: rank mod p <= rank over Q, so the nullity k over Q is at most
     the count of vectors mod p.  The lifted vectors lie in the kernel and
     are independent, carrying the identity on their free columns, so they
-    span it; the RREF of a space is unique, so it is the basis the exact
-    elimination gives.  An empty basis mod p proves k = 0 outright.
+    span it and are its RREF.  An empty basis mod p proves k = 0 outright.
     """
     p = (1 << MERSENNE_EXPONENTS[0]) - 1
     image = image_mod_p(m, p)
@@ -960,8 +979,7 @@ def _lifted_kernel(m):
     vectors = [_lift(v, p) for v in reversed(basis)]
     if None in vectors:
         return None
-    int_rows = _int_rows(m)
-    if not all(_annihilated(int_rows, v) for v in vectors):
+    if not annihilates(m, vectors):
         return None
     pivots = set(pivots)
     free = tuple(sorted(last - c for c in range(n) if c not in pivots))
@@ -980,41 +998,22 @@ def _lift(v, p):
     return tuple(out)
 
 
-def _int_rows(m):
-    """The nonzero rows of m over Q, each times the lcm of its denominators, as integer pairs."""
-    out = []
-    for row in m._row_nonzeros():
-        if row:
-            _, ints = clear_entries(QQ, [a for _, a in row])
-            out.append([(j, a) for (j, _), a in zip(row, ints)])
-    return out
-
-
-def _annihilated(int_rows, v):
-    """True iff v, cleared to integers, has a zero dot product with every integer row."""
-    _, w = clear_entries(QQ, v)
-    return not any(sum(a * w[j] for j, a in row) for row in int_rows)
-
-
 def _commutant_rows(ops, n, zero):
     """Sparse rows of the system A X - X A = 0, X flattened row-major.
 
-    Each operator A is given by its rows, {column: entry} dicts of its
+    Each operator A is given by its rows, the (column, entry) pairs of its
     nonzero entries in ascending column, over any ring whose zero is
-    given; so are the rows of the system.
+    given; the rows of the system are {column: entry} dicts.
     """
     rows = []
     for a in ops:
-        cols = [{} for _ in range(n)]
-        for q, arow in enumerate(a):
-            for j, x in arow.items():
-                cols[j][q] = x
+        cols = sparse_columns(a, n)
         for i in range(n):
             for j in range(n):
                 row = {}
-                for p, x in a[i].items():
+                for p, x in a[i]:
                     row[p * n + j] = row.get(p * n + j, zero) + x
-                for q, x in cols[j].items():
+                for q, x in cols[j]:
                     row[i * n + q] = row.get(i * n + q, zero) - x
                 row = {k: x for k, x in row.items() if x}
                 if row:
@@ -1048,12 +1047,11 @@ def commutant_basis(ops):
     p = residue_prime(field)
     images = [image_mod_p(op, p) for op in ops]
     if None not in images:
-        rows = _commutant_rows(images, n, 0)
+        rows = _commutant_rows([[row.items() for row in image] for image in images], n, 0)
         if rank_mod_p(rows, p, stop=n * n - 1) == n * n - 1:
             return [Matrix.identity(field, n)]
     zero = field.zero()
-    exact = [[dict(nonzeros) for nonzeros in op._row_nonzeros()] for op in ops]
-    rows = _commutant_rows(exact, n, zero)
+    rows = _commutant_rows([op._row_nonzeros() for op in ops], n, zero)
     dense = [tuple(_dense(row.items(), n * n, zero)) for row in rows]
     big = Matrix(field, tuple(dense), _trusted=True) if dense else Matrix.zeros(field, 1, n * n)
     ker = kernel(big)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParameterZero, SemisimplicityViolation
-from .linalg import Matrix, _row_combination, clear_entries
+from .linalg import Matrix, _row_combination, clear_entries, clear_rows
 from .scalars import QLR, QQ, QR, Rat, m_of_r, scalar_to_text
 
 
@@ -321,16 +321,14 @@ def verify_relations(rep):
 def _cleared(field, families):
     """(D, rows): every matrix of the families times D, as its sparse rows.
 
-    D is the common denominator that linalg.clear_entries takes of all
-    their nonzero entries; a matrix is the list of its rows, each a list
-    of (column, entry) pairs over the field's integral domain.
+    D is the common denominator that linalg.clear_rows takes of all their
+    sparse rows; a matrix is the list of its rows, each a list of
+    (column, entry) pairs over the field's integral domain.
     """
     views = [[m._row_nonzeros() for m in mats] for mats in families]
-    den, entries = clear_entries(field, [x for mats in views for rows in mats
-                                         for row in rows for _, x in row])
-    it = iter(entries)
-    return den, [[[[(j, next(it)) for j, _ in row] for row in rows] for rows in mats]
-                 for mats in views]
+    den, cleared = clear_rows(field, [row for mats in views for rows in mats for row in rows])
+    it = iter(cleared)
+    return den, [[[next(it) for _ in rows] for rows in mats] for mats in views]
 
 
 def _scaled(lhs, rhs, den, field):

@@ -27,6 +27,7 @@ from .linalg import (
     Matrix,
     SubspaceBasis,
     _row_combination,
+    annihilates,
     charpoly,
     clear_denominators,
     clear_entries,
@@ -99,21 +100,6 @@ class Locus:
     def substitute(self, rf):
         """Apply l -> eps * r^k to a rational function."""
         return rf.substitute_l(self.eps, self.k)
-
-    def l_text(self):
-        if self.is_custom:
-            return scalar_to_text(self.custom_l)
-        if self.is_generic:
-            return "generic"
-        sign = "" if self.eps == 1 else "-"
-        if self.k == 0:
-            return f"{sign}1"
-        if self.k == 1:
-            return f"{sign}r"
-        return f"{sign}r^{self.k}"
-
-    def __str__(self):
-        return self.name
 
 
 GENERIC = Locus("generic")
@@ -226,14 +212,7 @@ def exceptional_layering(n, locus, r_val):
 class MnMatrix:
     """The matrix of the test element acting on the pair basis."""
 
-    n: int
     matrix: Matrix
-    l_text: str
-    r_text: str
-
-    @property
-    def field(self):
-        return self.matrix.field
 
 
 def _rank1_factor(rows):
@@ -310,9 +289,7 @@ def build_m_matrix(rep):
         cols = sorted(b for b, x in row.items() if x)
         nonzeros.append(list(zip(cols, divide_entries(fieldobj, den, [row[b] for b in cols]))))
     mat = Matrix.from_nonzeros(fieldobj, tuple(nonzeros), N)
-    return MnMatrix(n=n, matrix=mat,
-                    l_text=scalar_to_text(rep.params.l),
-                    r_text=scalar_to_text(rep.params.r))
+    return MnMatrix(matrix=mat)
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +322,11 @@ class DetVerdict:
 _SYMBOLIC_MAX_N = 5
 _SUBSTITUTED_MAX_N = 7
 _SAMPLE_BOUND = 10 ** 4
+# evaluation points of a sampled determinant verdict
+_DET_SAMPLES = 3
 
 
-def det_on_locus(n, locus, mode, rng=None, samples=3):
+def det_on_locus(n, locus, mode, rng=None):
     """Decide whether det M(n) vanishes on a locus (or generically).
 
     symbolic: exact, n <= 5, over Q(l,r) (for a named locus the symbolic
@@ -375,7 +354,7 @@ def det_on_locus(n, locus, mode, rng=None, samples=3):
     if mode == "sampled":
         if rng is None:
             raise ValueError("sampled mode requires an rng")
-        return _det_sampled(n, locus, rng, samples)
+        return _det_sampled(n, locus, rng)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -687,9 +666,9 @@ def _random_l_off_catalog(n, r_val, rng, bound=_SAMPLE_BOUND):
             return l_val
 
 
-def _det_sampled(n, locus, rng, samples):
+def _det_sampled(n, locus, rng):
     tested = []
-    for _ in range(samples):
+    for _ in range(_DET_SAMPLES):
         while True:
             r_val = random_rational(rng)
             if r_val and abs(r_val) != 1:
@@ -795,9 +774,9 @@ def _certified_closures(rep, vectors, known):
     denominator (image_mod_p).  So when a known U contains v exactly and
     has that dimension, the closure of v is U.  The spin stops at the
     largest dimension among the known subspaces: a v whose spin goes past
-    it lies in none of them.  A vector of U's own basis lies in U without
-    a check.  Otherwise the exact spin decides, and its closure is known
-    from then on.
+    it lies in none of them.  SubspaceBasis.contains answers at once for a
+    vector of U's own basis.  Otherwise the exact spin decides, and its
+    closure is known from then on.
     """
     p = residue_prime(rep.field)
     columns = [columns_mod_p(g, p) for g in rep.g]
@@ -810,17 +789,12 @@ def _certified_closures(rep, vectors, known):
         cl = None
         if seed is not None and known:
             d = spin_mod_p(seed, columns, p, stop=max(u.dim for u in known))
-            cl = next((u for u in known if u.dim == d and _lies_in(v, u)), None)
+            cl = next((u for u in known if u.dim == d and u.contains(v)), None)
         if cl is None:
             cl = minimal_invariant(rep, v)
             known.append(cl)
         closures.append(cl)
     return closures
-
-
-def _lies_in(v, space):
-    """True iff v lies in the space: at once for a vector of its own basis."""
-    return any(v is b for b in space.vectors) or space.contains(v)
 
 
 def minimal_invariant(rep, seed):
@@ -923,8 +897,7 @@ def persistent_vector_check(locus, n_max, r_val):
         rep = rep_at(n, locus, r_val)
         mn = build_m_matrix(rep)
         v = embed_pair_vector(v5, 5, n, rep.field)
-        ok = not any(mn.matrix.mat_vec(v))
-        checked.append((n, ok))
+        checked.append((n, annihilates(mn.matrix, [v])))
     return PersistenceReport(
         locus=locus.name,
         r_text=report.r_text,
@@ -1094,8 +1067,12 @@ def _linear_factor(root):
     return [-num, den]
 
 
-def _rational_roots(p, cap=10 ** 4):
-    """Rational roots of an integer polynomial (divisor search bounded by cap)."""
+# the largest divisor of the end coefficients that _rational_roots tries
+_ROOT_DIVISOR_CAP = 10 ** 4
+
+
+def _rational_roots(p):
+    """Rational roots of an integer polynomial (divisor search bounded by _ROOT_DIVISOR_CAP)."""
     if not p:
         return []
     roots = []
@@ -1104,8 +1081,8 @@ def _rational_roots(p, cap=10 ** 4):
         while p and p[0] == 0:
             p = p[1:]
     a0, an = abs(p[0]), abs(p[-1])
-    p_divs = [d for d in range(1, min(a0, cap) + 1) if a0 % d == 0]
-    q_divs = [d for d in range(1, min(an, cap) + 1) if an % d == 0]
+    p_divs = [d for d in range(1, min(a0, _ROOT_DIVISOR_CAP) + 1) if a0 % d == 0]
+    q_divs = [d for d in range(1, min(an, _ROOT_DIVISOR_CAP) + 1) if an % d == 0]
     seen = set()
     for q in q_divs:
         for pd in p_divs:
@@ -1455,7 +1432,11 @@ class ScanReport:
         }
 
 
-def scan(n, r_val, rng, extra=5, seed=None):
+# random non-locus rows of a scan
+_SCAN_RANDOM_ROWS = 5
+
+
+def scan(n, r_val, rng, seed=None):
     """Sweep the catalog loci plus random non-locus l values at a fixed r.
 
     Catalog rows must be reducible (det zero, k > 0), random rows
@@ -1478,7 +1459,7 @@ def scan(n, r_val, rng, extra=5, seed=None):
             "expected_reducible": True,
             "match": match,
         })
-    for _ in range(extra):
+    for _ in range(_SCAN_RANDOM_ROWS):
         l_val = _random_l_off_catalog(n, r_val, rng, 50)
         report, _, _, _ = _kernel_at(n, None, r_val, l_val, with_closures=False)
         reducible = report.k > 0

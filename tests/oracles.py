@@ -507,3 +507,40 @@ def invariant_by_reduction(basis, pivots, ops, zero):
             if any(w):
                 return False
     return True
+
+
+def kernel_by_two_eliminations(rows, ncols, zero, one):
+    """(rows, pivots) of the RREF of the right null space, by two eliminations.
+
+    The exact kernel as lkwb once took it: one null vector per free column
+    f of naive_rref(rows), 1 at f and -R[i][f] at the pivot of each RREF
+    row R[i], and a second naive_rref of those vectors.  rows are lists of
+    field elements and zero and one the field's.
+    """
+    rref, pivots = naive_rref(rows)
+    vectors = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [zero] * ncols
+            v[f] = one
+            for row, p in zip(rref, pivots):
+                if row[f] != 0:
+                    v[p] = -row[f]
+            vectors.append(v)
+    basis, basis_pivots = naive_rref(vectors)
+    return [tuple(v) for v in basis[:len(basis_pivots)]], basis_pivots
+
+
+def residue_by_reduction(basis, pivots, v):
+    """The residue of v modulo the span of an RREF basis.
+
+    basis holds the RREF rows, 1 at their pivot columns and 0 at every
+    other pivot; v is reduced against the rows in order, w - w[p] b for the
+    row b of pivot p.  v lies in the span exactly when the residue is zero.
+    """
+    w = list(v)
+    for p, b in zip(pivots, basis):
+        c = w[p]
+        if c:
+            w = [x - c * y for x, y in zip(w, b)]
+    return w

@@ -10,6 +10,7 @@ import pytest
 
 from lkwb import linalg
 from lkwb.errors import (
+    AmbientMismatch,
     DimensionMismatch,
     DivisionByZero,
     FieldMismatch,
@@ -20,6 +21,7 @@ from lkwb.errors import (
 from lkwb.linalg import (
     Matrix,
     SubspaceBasis,
+    annihilates,
     charpoly,
     columns_mod_p,
     commutant_basis,
@@ -222,11 +224,11 @@ class TestKernel:
             assert rank(a) + kernel(a).dim == 6
 
     def test_vectors_annihilated(self):
-        rng = random.Random(6)
         a = Matrix(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
         basis = kernel(a)
+        assert basis.dim == 1
         for v in basis.vectors:
-            assert not any(a.mat_vec(v))
+            assert oracles.mat_mul(fractions(a.rows), fractions([[x] for x in v])) == [[0]] * 3
 
     def test_kernel_dim_against_naive_oracle(self):
         rng = random.Random(8)
@@ -298,54 +300,6 @@ class TestLiftedKernel:
     def test_full_rank_mod_p_proves_a_zero_kernel(self, monkeypatch):
         monkeypatch.setattr(linalg, "_rref_kernel", None)
         assert kernel(Matrix(QQ, [[1, 2], [3, rat(4, 5)]])).dim == 0
-
-
-class TestMatVec:
-    @staticmethod
-    def dense(a, v):
-        column = oracles.mat_mul(fractions(a.rows), fractions([[x] for x in v]))
-        return tuple(x for (x,) in column)
-
-    def test_against_dense_product(self):
-        rng = random.Random(61)
-        for _ in range(30):
-            n, m = rng.randint(1, 5), rng.randint(1, 5)
-            rows = [[QQ.random(rng) if rng.random() < 0.5 else 0 for _ in range(m)]
-                    for _ in range(n)]
-            rows[rng.randrange(n)] = [0] * m
-            a = Matrix(QQ, rows)
-            v = tuple(QQ.random(rng) if rng.random() < 0.6 else rat(0) for _ in range(m))
-            assert a.mat_vec(v) == self.dense(a, v)
-            assert a.mat_vec((rat(0),) * m) == (0,) * n
-
-    def test_zero_matrix(self):
-        z = Matrix.zeros(QQ, 3, 4)
-        assert z.mat_vec((rat(1), rat(2), rat(-1), rat(1, 3))) == (0, 0, 0)
-
-    def test_quotient_ring(self):
-        rng = random.Random(62)
-        field = cyclotomic_field("phi12")
-        zero = field.zero()
-        for _ in range(10):
-            a = Matrix(field, [[field.random(rng) if rng.random() < 0.5 else zero for _ in range(4)]
-                               for _ in range(3)])
-            v = tuple(field.random(rng) if rng.random() < 0.6 else zero for _ in range(4))
-            expect = tuple(sum((x * y for x, y in zip(row, v)), zero) for row in a.rows)
-            assert a.mat_vec(v) == expect
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            Matrix.identity(QQ, 3).mat_vec((rat(1), rat(2)))
-
-    def test_cache_is_not_part_of_the_value(self):
-        rng = random.Random(63)
-        for field in (QQ, cyclotomic_field("phi12")):
-            a = rand_matrix(field, rng, 3)
-            a.mat_vec(tuple(field.random(rng) for _ in range(3)))
-            fresh = Matrix(field, a.rows)
-            assert a == fresh and fresh == a
-            assert a.to_text() == fresh.to_text()
-            assert a.content_hash() == fresh.content_hash()
 
 
 class Term:
@@ -559,14 +513,151 @@ class TestMatrixArithmetic:
             a = Matrix(field, sparse_rows(field, rng, 3, 4, 0.5))
             b = Matrix(field, sparse_rows(field, rng, 4, 2, 0.5))
             p = a * b
-            b.mat_vec(sparse_rows(field, rng, 1, 2, 0.6)[0])
-            (p * Matrix(field, list(zip(*p.rows)))).mat_vec((field.one(),) * 3)
+            annihilates(b, [sparse_rows(field, rng, 1, 2, 0.6)[0]])
+            annihilates(p * Matrix(field, list(zip(*p.rows))), [(field.one(),) * 3])
             for m in (a, b, p):
                 fresh = Matrix(field, m.rows)
                 assert m == fresh and fresh == m
                 assert m.to_text() == fresh.to_text()
                 assert m.content_hash() == fresh.content_hash()
             assert a * b == Matrix(field, a.rows) * Matrix(field, b.rows)
+
+
+class TestAnnihilates:
+    """annihilates(m, vectors), M v = 0 on cleared rows, against a dense product."""
+
+    @staticmethod
+    def dense(a, v):
+        zero = a.field.zero()
+        return [sum((x * y for x, y in zip(row, v)), zero) for row in a.rows]
+
+    @staticmethod
+    def cases(field, rng, count):
+        """(a, v): kernel vectors of sparse a, one-entry mutants of them, a random v."""
+        zero, one = field.zero(), field.one()
+        for _ in range(count):
+            n, m = rng.randint(1, 4), rng.randint(2, 5)
+            rows = sparse_rows(field, rng, n, m, 0.5)
+            rows[rng.randrange(n)] = [zero] * m
+            a = Matrix(field, rows)
+            for v in oracle_null_vectors(field, rows, m):
+                yield a, tuple(v)
+                w = list(v)
+                w[rng.randrange(m)] += one
+                yield a, tuple(w)
+            yield a, tuple(field.random(rng) if rng.random() < 0.6 else zero for _ in range(m))
+
+    @pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=["Q", "phi12", "Q(r)"])
+    def test_against_dense_product(self, field):
+        rng = random.Random(61)
+        seen = set()
+        for a, v in self.cases(field, rng, 12 if field is QR else 30):
+            expect = not any(self.dense(a, v))
+            assert annihilates(a, [v]) == expect
+            assert annihilates(a, [v, v]) == expect
+            assert annihilates(a, [(field.zero(),) * a.ncols])
+            seen.add(expect)
+        assert seen == {True, False}
+
+    def test_zero_matrix(self):
+        z = Matrix.zeros(QQ, 3, 4)
+        assert annihilates(z, [(rat(1), rat(2), rat(-1), rat(1, 3))])
+        assert annihilates(z, [])
+
+    def test_one_failing_vector_fails_the_list(self):
+        a = Matrix(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+        good, bad = (rat(1), rat(1), rat(-1)), (rat(1), rat(0), rat(0))
+        assert annihilates(a, [good])
+        assert not annihilates(a, [good, bad]) and not annihilates(a, [bad, good])
+
+    def test_length_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            annihilates(Matrix.identity(QQ, 3), [(rat(1), rat(2))])
+        with pytest.raises(DimensionMismatch):
+            annihilates(Matrix.identity(QQ, 3), [(rat(0),) * 3, (rat(0),) * 4])
+
+    def test_cache_is_not_part_of_the_value(self):
+        rng = random.Random(63)
+        for field in (QQ, cyclotomic_field("phi12")):
+            a = rand_matrix(field, rng, 3)
+            annihilates(a, [tuple(field.random(rng) for _ in range(3))])
+            fresh = Matrix(field, a.rows)
+            assert a == fresh and fresh == a
+            assert a.to_text() == fresh.to_text()
+            assert a.content_hash() == fresh.content_hash()
+
+
+def big_scalar(field, rng):
+    """A random scalar: 40-bit numerators and denominators over Q, true denominators over Q(r)."""
+    if field == QQ:
+        return rat(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 10 ** 12))
+    if field == QR:
+        return field.random(rng) / field.random(rng)
+    return field.random(rng)
+
+
+# fields of the checks against the two-elimination kernel and the reduction residue
+REFERENCE_FIELDS = [QQ, QR, cyclotomic_field("phi20")]
+
+
+class TestExactKernel:
+    """_rref_kernel, one RREF of m with its columns reversed, against two eliminations."""
+
+    def test_against_two_eliminations(self):
+        # over Q the entries are past the lift's reconstruction bound, so kernel
+        # takes the exact path as well
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        lifts = []
+
+        @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+        @hyp.given(st.sampled_from(REFERENCE_FIELDS), st.data())
+        def check(field, data):
+            rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+            size = 3 if field == QR else 5
+            nrows, ncols = data.draw(st.integers(1, size)), data.draw(st.integers(1, size + 1))
+            inner = data.draw(st.integers(0, min(nrows, ncols)))
+            if inner:
+                m = (Matrix(field, [[big_scalar(field, rng) for _ in range(inner)]
+                                    for _ in range(nrows)])
+                     * Matrix(field, [[big_scalar(field, rng) for _ in range(ncols)]
+                                      for _ in range(inner)]))
+            else:
+                m = Matrix.zeros(field, nrows, ncols)
+            rows, pivots = oracles.kernel_by_two_eliminations(
+                [list(row) for row in m.rows], ncols, field.zero(), field.one())
+            got = linalg._rref_kernel(m)
+            assert got.vectors == tuple(rows) and got.pivots == tuple(pivots)
+            assert texts(got.vectors) == texts(rows)
+            assert kernel(m) == got
+            if field == QQ and got.dim and any(x.denominator > 1 << 30 for v in rows for x in v):
+                lifts.append(linalg._lifted_kernel(m) is not None)
+
+        check()
+        assert lifts and not any(lifts)
+
+    @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=["Q", "Q(r)", "phi20"])
+    def test_one_elimination(self, field, monkeypatch):
+        rng = random.Random(65)
+        calls = []
+        rref = linalg._rref
+
+        def counting(rows, f):
+            calls.append(len(rows))
+            return rref(rows, f)
+
+        monkeypatch.setattr(linalg, "_rref", counting)
+        m = rand_matrix(field, rng, 2, 3) * rand_matrix(field, rng, 3, 5)
+        assert linalg._rref_kernel(m).dim == 3
+        assert calls == [2]
+
+    def test_one_elimination_for_m_n(self, monkeypatch):
+        mn = build_m_matrix(rep_at(6, named_locus("l=-r3", 6), rat(37, 11))).matrix
+        calls = []
+        rref = linalg._rref
+        monkeypatch.setattr(linalg, "_rref", lambda rows, f: calls.append(1) or rref(rows, f))
+        assert linalg._rref_kernel(mn).dim == 10
+        assert calls == [1]
 
 
 class TestSubspaces:
@@ -592,6 +683,49 @@ class TestSubspaces:
         s = SubspaceBasis.from_vectors(QQ, 3, [(1, 1, 0)])
         assert s.contains((2, 2, 0))
         assert not s.contains((1, 0, 0))
+
+    def test_containment_refuses_a_vector_of_another_length(self):
+        s = SubspaceBasis.from_vectors(QQ, 3, [(1, 2, 0), (0, 0, 1)])
+        for v in ((1, 2, 0, 0), (1, 2), ()):
+            with pytest.raises(AmbientMismatch):
+                s.contains(v)
+        with pytest.raises(AmbientMismatch):
+            SubspaceBasis.zero(QQ, 3).contains((0, 0))
+
+    def test_containment_against_the_reduction_oracle(self):
+        # a combination of the basis, or of random rows, with one entry moved
+        # or not; the pivot identity and the reduction residue must agree
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        seen = set()
+
+        @hyp.settings(max_examples=80, deadline=None, derandomize=True)
+        @hyp.given(st.sampled_from(REFERENCE_FIELDS), st.data())
+        def check(field, data):
+            rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+            n = data.draw(st.integers(1, 5))
+            zero, one = field.zero(), field.one()
+            rows = [[big_scalar(field, rng) if rng.random() < 0.7 else zero for _ in range(n)]
+                    for _ in range(data.draw(st.integers(0, n)))]
+            space = SubspaceBasis.from_vectors(field, n, rows)
+            v = [zero] * n
+            for row in rows:
+                c = big_scalar(field, rng)
+                v = [x + c * y for x, y in zip(v, row)]
+            if data.draw(st.booleans()):
+                j = data.draw(st.integers(0, n - 1))
+                v[j] = v[j] + data.draw(st.sampled_from([one, big_scalar(field, rng)]))
+            expect = not any(oracles.residue_by_reduction(space.vectors, space.pivots, v))
+            assert space.contains(tuple(v)) == expect
+            assert space.contains(tuple(v)) == expect
+            assert space == SubspaceBasis.from_vectors(field, n, rows)
+            if space.dim:
+                assert space.contains(space.vectors[-1])
+                assert space.contains(tuple(list(space.vectors[-1])))
+            seen.add(expect)
+
+        check()
+        assert seen == {True, False}
 
 
 class TestClosureInvariance:
@@ -1373,7 +1507,8 @@ class TestImageModP:
             seed, ops = case
             p = residue_prime(QQ)
             columns = [columns_mod_p(op, p) for op in ops]
-            assert columns == [image_mod_p(Matrix(QQ, list(zip(*op.rows))), p) for op in ops]
+            assert columns == [[sorted(col.items()) for col in
+                                image_mod_p(Matrix(QQ, list(zip(*op.rows))), p)] for op in ops]
             (row,) = image_mod_p(Matrix(QQ, [seed]), p)
             full = spin_mod_p(row, columns, p)
             for stop in range(1, len(seed) + 2):
@@ -1383,6 +1518,7 @@ class TestImageModP:
 
     def test_spin_of_a_zero_residue(self):
         p = residue_prime(QQ)
-        columns = [image_mod_p(Matrix.identity(QQ, 2), p)]
+        columns = [columns_mod_p(Matrix.identity(QQ, 2), p)]
+        assert columns == [[[(0, 1)], [(1, 1)]]]
         assert spin_mod_p({0: p}, columns, p) == 0
         assert spin_mod_p({1: 3}, columns, p) == 1
