@@ -14,6 +14,7 @@ import argparse
 import json
 import random
 import sys
+from functools import cache
 
 from .errors import DivisionByZero, InvalidConfig, IoFailure, LKWBError
 from .linalg import commutant_basis, kernel
@@ -51,7 +52,9 @@ _LOCUS_CHOICES = ("generic", "l=r", "l=-r3", "l=r3-2n", "l=+r3-n", "l=-r3-n", "c
 _MODE_CHOICES = ("symbolic", "substituted", "sampled")
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process: parse_args keeps no state in it."""
     top = argparse.ArgumentParser(prog="lkwb", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -13,8 +13,9 @@ invariance.  A sparse semi-echelon over GF(p) gives one-sided rank
 bounds, among them the scalar-commutant certificate, modular kernels and
 spin dimensions; a kernel over Q is taken mod p too and lifted by
 rational reconstruction, with the exact RREF as its fallback.  Every
-exact check is a product on rows cleared into the domain: annihilates
-decides M v = 0 and SubspaceBasis.contains decides v in U.  Matrices and
+exact check is a product on rows cleared into the domain and mapped into
+the integers by int_images: annihilates decides M v = 0 and
+SubspaceBasis.contains decides v in U.  Matrices and
 bases are immutable values; all operations are pure functions, so
 independent jobs can run concurrently without shared state.
 """
@@ -22,6 +23,7 @@ independent jobs can run concurrently without shared state.
 from __future__ import annotations
 
 import hashlib
+import sys
 from functools import lru_cache
 from itertools import combinations
 from math import lcm, prod
@@ -330,6 +332,81 @@ def clear_rows(field, rows):
     return den, [[(j, next(it)) for j, _ in row] for row in rows]
 
 
+def _image_base(bound, norm_f):
+    """B of the base t = 2^B of the integer image: the least with t > 2 bound + ||f||_1."""
+    return (2 * bound + norm_f).bit_length()
+
+
+def _images_pay(b):
+    """True iff images at t = 2^b are taken: t fits in one digit of a Python int.
+
+    Then the image of a value with d coefficients has at most d digits, and
+    a product of two images takes at most the d^2 digit products that the
+    field's product takes on one-digit coefficients, in one call, with no
+    reduction or gcd.  A wider t has no such guarantee: B grows with the
+    height of the entries, and the images then lose to the field's own
+    arithmetic (at a rational l of 64 bits over phi20, B is near 590).
+    """
+    return b <= sys.int_info.bits_per_digit
+
+
+def _as_is(row):
+    """The rows themselves, whose pairs are nonzero, compared over Q or the domain."""
+    return row
+
+
+def _nonzero(row):
+    return [(j, x) for j, x in row if x]
+
+
+def _residues(modulus):
+    """The canonical residues mod modulus of a sparse int row, zeros left out."""
+    def residue(row):
+        return [(j, y) for j, x in row if (y := x % modulus)]
+    return residue
+
+
+def int_images(field, groups, bound):
+    """(images, scales, residue): groups of cleared rows under one ring map into Z or Z/N.
+
+    Each group is a list of sparse rows over the field's integral domain
+    (clear_rows).  The field's image_ring (scalars.LaurentImage over Q(r),
+    scalars.ModularImage over Q[x]/(f) with f in Z[x]) scales each group
+    by one nonzero s into Z[r] or Z[x]/(f).  bound(norms, scale_norms,
+    gamma) gets norms[g][i][k], the L1 norm of s times entry k of row i of
+    group g, scale_norms[g], the L1 norm of that group's s, and gamma, with
+    ||a b||_1 <= gamma ||a||_1 ||b||_1 in the ring, and returns C, a bound
+    on the coefficients of every difference the caller compares.  The map
+    is r -> t into Z, or x -> t into Z/N for N = f(t), with t = 2^B >
+    2C + ||f||_1 (_image_base).  A nonzero value d whose coefficients lie
+    within C maps to a nonzero image: over Z[r] its lowest nonzero
+    coefficient is not divisible by t; over Z[x]/(f), of degree e < deg f,
+    |d(t)| >= t^e - C (t^e - 1)/(t - 1) > 0 and |d(t)| < 2C t^(deg f - 1)
+    < f(t).  So two values are equal exactly when their images are; images
+    are s times the entry mapped, scales[g] is the image of s, and
+    residue(row) gives the canonical images of a sparse row, zeros left
+    out, for the comparison.  The images are only compared, never decoded.
+    Over Q, Q(l,r), Q[x]/(f) with f not in Z[x], and wherever t would be
+    wider than _images_pay allows, the images are the rows themselves,
+    every scale is 1 and residue is the row itself: its pairs are nonzero
+    already (clear_rows, _row_combination).
+    """
+    ring = field.image_ring
+    if ring is not None:
+        scales = [ring.scale([x for row in rows for _, x in row]) for rows in groups]
+        norms = [[[ring.norm(x, s) for _, x in row] for row in rows]
+                 for rows, s in zip(groups, scales)]
+        b = _image_base(bound(norms, [ring.scale_norm(s) for s in scales], ring.gamma),
+                        ring.norm_f)
+        if _images_pay(b):
+            modulus = ring.modulus(b)
+            return ([[[(j, ring.at(x, s, b)) for j, x in row] for row in rows]
+                     for rows, s in zip(groups, scales)],
+                    [ring.scale_at(s, b) for s in scales],
+                    _nonzero if modulus is None else _residues(modulus))
+    return groups, [1] * len(groups), _as_is
+
+
 def divide_entries(field, den, entries):
     """clear_entries undone: the domain entries over den, each in the field's normal form.
 
@@ -554,19 +631,35 @@ class SubspaceBasis:
                                                     for v in self.vectors])
         return self._cleared
 
-    def _spans(self, y):
-        """True iff the sparse row y over the field's integral domain lies in the span.
+    def _spans(self, groups, bound_y, ys):
+        """True iff every row that ys gives lies in the span, by the pivot identity.
 
-        The pivot identity: the RREF basis b_i is the identity on its pivots
-        p_i, so w lies in the span exactly when w = sum_i w[p_i] b_i, that
-        is, for c_i = D b_i and y a nonzero multiple of w, when
+        The RREF basis b_i is the identity on its pivots p_i, so w lies in
+        the span exactly when w = sum_i w[p_i] b_i, that is, for c_i = D b_i
+        and y a nonzero multiple of w over the field's integral domain, when
         D y = sum_i y[p_i] c_i in the domain, which has no zero divisors.
+        The check runs on int_images of the cleared basis and of the
+        groups: ys(basis, images) gives the rows y from the images, and
+        bound_y(norms, gamma) bounds the L1 norm of their entries by some
+        Y.  c_i is D at p_i and zero at the other pivots, so the two sides
+        agree at every pivot, and elsewhere differ by at most
+        gamma Y (||D||_1 + sum_i ||c_i[j]||_1) <= gamma Y sum_i ||c_i||_1;
+        with no basis, D = 1 and the bound is gamma Y.
         """
-        den, basis = self._cleared_rows()
-        at = dict(y)
-        spanned = _row_combination(
-            ((i, at[p]) for i, p in enumerate(self.pivots) if p in at), basis)
-        return spanned == (y if den == 1 else [(j, den * x) for j, x in y])
+        _, basis = self._cleared_rows()
+
+        def bound(norms, scale_norms, gamma):
+            return gamma * bound_y(norms, gamma) * (sum(map(sum, norms[0])) or 1)
+
+        (basis, *images), _, residue = int_images(self.field, [basis, *groups], bound)
+        den = dict(basis[0])[self.pivots[0]] if basis else 1
+        for y in ys(basis, images):
+            at = dict(y)
+            spanned = _row_combination(
+                ((i, at[p]) for i, p in enumerate(self.pivots) if p in at), basis)
+            if residue(spanned) != residue(y if den == 1 else [(j, den * x) for j, x in y]):
+                return False
+        return True
 
     def contains(self, v):
         """True iff v lies in the subspace: at once for a basis vector, else by _spans."""
@@ -576,7 +669,8 @@ class SubspaceBasis:
             return True
         field = self.field
         _, (y,) = clear_rows(field, [[(j, field.coerce(x)) for j, x in enumerate(v) if x]])
-        return self._spans(y)
+        return self._spans([[y]], lambda norms, gamma: max(norms[1][0], default=0),
+                           lambda basis, images: images[0])
 
     def contains_space(self, other):
         return all(self.contains(v) for v in other.vectors)
@@ -637,20 +731,27 @@ def annihilates(m, vectors):
     """True iff M v = 0 for every vector v; DimensionMismatch for a length other than ncols.
 
     Each row of m and each v is cleared on its own (clear_rows) into the
-    field's integral domain, which has no zero divisors, and the product
-    is _row_combination of the cleared v on the cleared columns.
+    field's integral domain, which has no zero divisors, and mapped by
+    int_images; the product is _row_combination of the image of v on the
+    image columns.  An entry of M v has an L1 norm of at most gamma times
+    the largest row L1 norm of M times the largest entry norm of v.
     """
     n = m.ncols
     for v in vectors:
         if len(v) != n:
             raise DimensionMismatch("vector length differs from column count")
     field = m.field
-    cols = sparse_columns([clear_rows(field, [row])[1][0] for row in m._row_nonzeros()], n)
-    for v in vectors:
-        _, (w,) = clear_rows(field, [[(j, x) for j, x in enumerate(v) if x]])
-        if _row_combination(w, cols):
-            return False
-    return True
+    rows = [clear_rows(field, [row])[1][0] for row in m._row_nonzeros()]
+    ws = [clear_rows(field, [[(j, x) for j, x in enumerate(v) if x]])[1][0] for v in vectors]
+
+    def bound(norms, scale_norms, gamma):
+        rows, ws = norms
+        return (gamma * max((sum(r) for r in rows), default=0)
+                * max((max(w, default=0) for w in ws), default=0))
+
+    (rows, ws), _, residue = int_images(field, [rows, ws], bound)
+    cols = sparse_columns(rows, n)
+    return not any(residue(_row_combination(w, cols)) for w in ws)
 
 
 def subspace_intersect(a, b):
@@ -723,7 +824,9 @@ def is_invariant(space, ops):
     The pivot identity on cleared rows (SubspaceBasis._spans): each op g
     is cleared to D_g g and each basis vector b_j to c_j = D b_j, over the
     field's integral domain (Z for Q), and y = (D_g g) c_j = D D_g g b_j
-    must lie in the span.
+    must lie in the span.  y is formed on the int_images, and its entries
+    have L1 norms of at most gamma times the largest row L1 norm of D_g g
+    times the largest entry norm of the c_j.
     """
     n = space.ambient_dim
     for op in ops:
@@ -731,13 +834,20 @@ def is_invariant(space, ops):
             raise DimensionMismatch("operator size differs from ambient dimension")
     if not space.vectors:
         return True
-    _, basis = space._cleared_rows()
-    for op in ops:
-        _, rows = clear_rows(space.field, op._row_nonzeros())
-        cols = sparse_columns(rows, n)
-        if not all(space._spans(_row_combination(c, cols)) for c in basis):
-            return False
-    return True
+
+    def bound_y(norms, gamma):
+        c = max(max(row) for row in norms[0])
+        return gamma * c * max((max((sum(r) for r in rows), default=0) for rows in norms[1:]),
+                               default=0)
+
+    def ys(basis, images):
+        for rows in images:
+            cols = sparse_columns(rows, n)
+            for c in basis:
+                yield _row_combination(c, cols)
+
+    return space._spans([clear_rows(space.field, op._row_nonzeros())[1] for op in ops],
+                        bound_y, ys)
 
 
 # Exponents e, ascending, of the proven Mersenne primes 2^e - 1 from 2^61 - 1

@@ -7,16 +7,18 @@ The defining relations are one table of identities between sums of words
 in g, g^2 and e.  Each identity is multiplied through by a nonzero scalar
 that puts every entry and coefficient in the field's integral domain (Z
 for Q, the Laurent ring for Q(r) and Q(l,r), the field for Q[x]/(f)),
-then checked row by row on sparse integral rows; build_m_matrix in the
-reducibility module refuses representations that fail that gate.
+then checked row by row on the integer images of those sparse integral
+rows (linalg.int_images); build_m_matrix in the reducibility module
+refuses representations that fail that gate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .errors import ParameterZero, SemisimplicityViolation
-from .linalg import Matrix, _row_combination, clear_entries, clear_rows
+from .linalg import Matrix, _row_combination, clear_entries, clear_rows, int_images
 from .scalars import QLR, QQ, QR, Rat, m_of_r, scalar_to_text
 
 
@@ -269,7 +271,8 @@ def verify_relations(rep):
     (X-r)(X+1/r)(X-1/l), (f) e_i^2 = delta e_i.  Each instance is a row of
     one table: family, failure label and two sides, each a list of
     (coefficient, word) terms, a word being matrices multiplied left to
-    right and () the identity.
+    right and () the identity; a matrix is named by its index in
+    g + e + g_sq.
 
     The rows are checked on cleared entries.  linalg.clear_entries gives
     one common denominator D of every entry of g, e and g_sq over the
@@ -279,7 +282,7 @@ def verify_relations(rep):
     multiplies each row through by the nonzero K D^L that makes every
     coefficient lie in that domain, so the products and sums stay there;
     the scaled identity holds exactly when the row does, since the domain
-    has no zero divisors.
+    has no zero divisors.  _holds compares the sides on int_images.
     """
     p = rep.params
     field = p.field
@@ -289,8 +292,9 @@ def verify_relations(rep):
     s1 = p.r - r_inv + l_inv
     s2 = -one + p.r * l_inv - r_inv * l_inv
     delta = p.delta()
-    den, (g, e, g_sq) = _cleared(field, (rep.g, rep.e, rep.g_sq))
+    mats = (*rep.g, *rep.e, *rep.g_sq)
     gens = range(p.n - 1)
+    g, e, g_sq = (range(k * len(gens), (k + 1) * len(gens)) for k in range(3))
     far = [(i, j) for i in gens for j in range(i + 2, p.n - 1)]
     table = [
         *(("braid", f"braid({i + 1},{i + 2})", [(one, (g[i], g[i + 1], g[i]))],
@@ -306,80 +310,107 @@ def verify_relations(rep):
            [(s1, (g_sq[i],)), (-s2, (g[i],)), (-l_inv, ())]) for i in gens),
         *(("e_square", f"esq({i + 1})", [(one, (e[i], e[i]))], [(delta, (e[i],))]) for i in gens),
     ]
+    den, rows = clear_rows(field, [row for m in mats for row in m._row_nonzeros()])
+    scaled = [_scaled(lhs, rhs, den, field) for _, _, lhs, rhs in table]
     passed = dict.fromkeys(("braid", "far_commutation", "e_products", "e_definition", "cubic",
                             "e_square"), True)
     failures = []
-    _, (unit,) = clear_entries(field, [one])
-    for family, label, lhs, rhs in table:
-        if not _holds(*_scaled(lhs, rhs, den, field), rep.dim, unit):
+    for (family, label, _, _), ok in zip(table, _holds(field, rows, scaled, rep.dim)):
+        if not ok:
             passed[family] = False
             failures.append(label)
     return RelationReport(n=p.n, field_tag=field.tag, delta=scalar_to_text(delta),
                           failures=tuple(failures), **passed)
 
 
-def _cleared(field, families):
-    """(D, rows): every matrix of the families times D, as its sparse rows.
+def _cleared(field, mats):
+    """(D, rows): every matrix times D, as its sparse rows.
 
     D is the common denominator that linalg.clear_rows takes of all their
     sparse rows; a matrix is the list of its rows, each a list of
     (column, entry) pairs over the field's integral domain.
     """
-    views = [[m._row_nonzeros() for m in mats] for mats in families]
-    den, cleared = clear_rows(field, [row for mats in views for rows in mats for row in rows])
+    views = [m._row_nonzeros() for m in mats]
+    den, cleared = clear_rows(field, [row for rows in views for row in rows])
     it = iter(cleared)
-    return den, [[[next(it) for _ in rows] for rows in mats] for mats in views]
+    return den, [[next(it) for _ in rows] for rows in views]
 
 
 def _scaled(lhs, rhs, den, field):
-    """The sides of lhs = rhs times K D^L, on words of matrices times D.
+    """(L, terms): the sides of lhs = rhs times K D^L, on words of matrices times D.
 
     L is the longest word of the row: a word of length k on the cleared
     matrices is D^k times the word, so its coefficient c becomes
     c D^(L-k), and K is the common denominator of those, which leaves
-    every coefficient in the domain.  A coefficient of one becomes None,
-    which _row_combination adds with no product; a term with coefficient
-    -1 moves to the other side as such a term, and a zero term is dropped.
+    every coefficient in the domain.  terms lists (side, word, c), side 0
+    or 1, for every nonzero c.
     """
     longest = max(len(word) for _, word in lhs + rhs)
     terms = [(side, word, c if len(word) == longest else c * den ** (longest - len(word)))
              for side, ts in enumerate((lhs, rhs)) for c, word in ts]
     _, coeffs = clear_entries(field, [c for _, _, c in terms])
-    sides = ([], [])
-    for (side, word, _), c in zip(terms, coeffs):
-        if c == -1:
-            side, c = 1 - side, None
-        elif c == 1:
-            c = None
-        elif not c:
-            continue
-        sides[side].append((c, word))
-    return sides
+    return longest, [(side, word, c) for (side, word, _), c in zip(terms, coeffs) if c]
 
 
-def _holds(lhs, rhs, dim, unit):
-    """True iff the sides agree, compared on their nonzero pairs row by row.
+def _holds(field, rows, scaled, dim):
+    """For each scaled row, True iff its sides agree, compared on int_images row by row.
+
+    The images come from one linalg.int_images call on three kinds of
+    groups: the rows of the cleared matrices, dim rows each, with one
+    scale s; the rows of the identity; and the coefficients of each row.
+    A term c w of a row whose longest word has length L then has the
+    coefficient image(c) image(s)^(L - k), so every term carries the same
+    s^L.  Its value has an L1 norm of at most ||c||_1 (gamma ||s||_1)^(L-k)
+    gamma^k prod nu(M) over the k matrices M of w, nu(M) the largest row L1
+    norm of M, and C bounds the sum of those over both sides of any row.
 
     Row i of a word is row i of its first matrix carried through the rest
     by linalg._row_combination, the one sparse row loop, and a side
-    combines its word rows the same way; the identity's row i is
-    (i, unit), unit the domain's one.  Both give sorted nonzero
-    (column, entry) pairs of canonical domain elements, so the sides agree
-    exactly when their pairs are equal.  The check stops at the first row
-    where they differ.
+    combines its word rows the same way; the empty word gives row i of the
+    identity.  A coefficient of one adds its word row with no product, and
+    a term with coefficient -1 moves to the other side as such a term.
+    Both sides give sorted nonzero (column, image) pairs, and the row
+    holds exactly when their residues are equal.  The check of a row stops
+    at the first index where they differ.
     """
+    _, (unit,) = clear_entries(field, [field.one()])
+
+    def bound(norms, scale_norms, gamma):
+        rows, _, *coeffs = norms
+        s = scale_norms[0]
+        nu = [max((sum(r) for r in rows[k:k + dim]), default=0) for k in range(0, len(rows), dim)]
+        return max(sum(c * (gamma * s) ** (longest - len(w)) * gamma ** len(w)
+                       * prod(nu[m] for m in w) for c, (_, w, _) in zip(cs, terms))
+                   for ((cs,), (longest, terms)) in zip(coeffs, scaled))
+
+    (rows, eye, *coeffs), (scale, *_), residue = int_images(
+        field, [rows, [[(i, unit)] for i in range(dim)],
+                *([[(k, c) for k, (_, _, c) in enumerate(terms)]] for _, terms in scaled)], bound)
+    mats = [rows[k:k + dim] for k in range(0, len(rows), dim)]
+
     def side(terms, i):
         rows = []
         for _, word in terms:
-            row = word[0][i] if word else [(i, unit)]
+            row = mats[word[0]][i] if word else eye[i]
             for m in word[1:]:
-                row = _row_combination(row, m)
+                row = _row_combination(row, mats[m])
             rows.append(row)
         if len(terms) == 1 and terms[0][0] is None:
             return rows[0]
         return _row_combination(enumerate(c for c, _ in terms), rows)
 
-    return all(side(lhs, i) == side(rhs, i) for i in range(dim))
+    for (longest, terms), (cs,) in zip(scaled, coeffs):
+        sides = ([], [])
+        for (s, word, _), (_, c) in zip(terms, cs):
+            if scale != 1:
+                c = c * scale ** (longest - len(word))
+            if c == -1:
+                s, c = 1 - s, None
+            elif c == 1:
+                c = None
+            sides[s].append((c, word))
+        lhs, rhs = sides
+        yield all(residue(side(lhs, i)) == residue(side(rhs, i)) for i in range(dim))
 
 
 def relation_gate(rep):

@@ -255,9 +255,9 @@ def build_m_matrix(rep):
     n = rep.n
     N = rep.dim
     fieldobj = rep.field
-    den_g, (g,) = _cleared(fieldobj, (rep.g,))
-    den_i, (g_inv,) = _cleared(fieldobj, (rep.g_inv,))
-    den_e, (e,) = _cleared(fieldobj, (rep.e,))
+    den_g, g = _cleared(fieldobj, rep.g)
+    den_i, g_inv = _cleared(fieldobj, rep.g_inv)
+    den_e, e = _cleared(fieldobj, rep.e)
     inv_cols = [sparse_columns(rows, N) for rows in g_inv]
     _, (unit,) = clear_entries(fieldobj, [fieldobj.one()])
     step = den_i * den_g

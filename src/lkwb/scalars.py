@@ -776,7 +776,8 @@ class NumberField:
     only through the reductions of x^d .. x^(2d-2) modulo f, kept as
     sparse rows of (index, coefficient): int coefficients when f is
     integral, Rat ones otherwise.  Inversion needs f only as the primitive
-    integer polynomial ``modulus_int``.
+    integer polynomial ``modulus_int``.  ``image_ring`` is the
+    ModularImage of Z[x]/(f) when f is in Z[x], else None.
     """
 
     def __init__(self, modulus, label=None):
@@ -803,6 +804,8 @@ class NumberField:
         if all(c.denominator == 1 for c in coeffs):
             red = [[int(c) for c in row] for row in red]
         self._red = tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in red)
+        self.image_ring = (ModularImage(self) if all(c.denominator == 1 for c in coeffs)
+                           else None)
 
     @property
     def tag(self):
@@ -1020,14 +1023,112 @@ class AlgebraicNumber:
 
 
 # ---------------------------------------------------------------------------
+# Integer images by Kronecker substitution
+# ---------------------------------------------------------------------------
+
+
+def _at(coeffs, b):
+    """sum coeffs[i] 2^(b i), by Horner's rule."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v << b) + c
+    return v
+
+
+class LaurentImage:
+    """The integer image of Q(r)'s Laurent ring: Z[r] -> Z by r -> t = 2^b.
+
+    A group of entries is scaled by c r^s into Z[r], c the lcm of their
+    coefficient denominators and s >= 0 the least shift that leaves no
+    negative exponent (a Q(r) term key is its r exponent).  ||ab||_1 <=
+    ||a||_1 ||b||_1 over Z[r], so gamma is 1, and there is no modulus.
+    """
+
+    gamma = 1
+    norm_f = 0
+
+    @staticmethod
+    def scale(xs):
+        terms = [x.terms for x in xs]
+        return (lcm(*(c.denominator for t in terms for c in t.values())),
+                max(0, -min((min(t) for t in terms if t), default=0)))
+
+    @staticmethod
+    def norm(x, scale):
+        """||scale x||_1."""
+        return sum(abs(c.numerator) * (scale[0] // c.denominator) for c in x.terms.values())
+
+    @staticmethod
+    def at(x, scale, b):
+        """The image of scale x."""
+        s, shift = scale
+        return sum(c.numerator * (s // c.denominator) << b * (e + shift)
+                   for e, c in x.terms.items())
+
+    @staticmethod
+    def scale_norm(scale):
+        return scale[0]
+
+    @staticmethod
+    def scale_at(scale, b):
+        s, shift = scale
+        return s << b * shift
+
+    @staticmethod
+    def modulus(b):
+        return None
+
+
+class ModularImage:
+    """The integer image of Q[x]/(f), f in Z[x]: Z[x]/(f) -> Z/N by x -> t = 2^b, N = f(t).
+
+    A group of entries is scaled into Z[x]/(f) by the lcm of their
+    denominators.  gamma, the largest L1 norm of x^k mod f for k < 2d - 1,
+    gives ||ab mod f||_1 <= gamma ||a||_1 ||b||_1.  The image of a value
+    is its coefficients at t, not reduced mod N, so that -1 maps to -1.
+    """
+
+    def __init__(self, field):
+        self.f = tuple(int(c) for c in field.modulus)
+        self.norm_f = sum(map(abs, self.f))
+        self.gamma = max([1] + [sum(abs(c) for _, c in row) for row in field._red])
+
+    @staticmethod
+    def scale(xs):
+        return lcm(*(x.den for x in xs))
+
+    @staticmethod
+    def norm(x, scale):
+        """||scale x||_1."""
+        return sum(map(abs, x.nums)) * (scale // x.den)
+
+    @staticmethod
+    def at(x, scale, b):
+        """The image of scale x."""
+        return _at(x.nums, b) * (scale // x.den)
+
+    @staticmethod
+    def scale_norm(scale):
+        return scale
+
+    @staticmethod
+    def scale_at(scale, b):
+        return scale
+
+    def modulus(self, b):
+        return _at(self.f, b)
+
+
+# ---------------------------------------------------------------------------
 # Ground-field objects
 # ---------------------------------------------------------------------------
 
 
 class RationalField:
-    """The field Q; elements are Rat values."""
+    """The field Q; elements are Rat values.  Its integral domain Z needs no image ring."""
 
     tag = "Q"
+    image_ring = None
 
     def zero(self):
         return Rat(0)
@@ -1063,12 +1164,13 @@ class RationalField:
 
 
 class FunctionField:
-    """Q(l,r) or Q(r); elements are RatFunc values."""
+    """Q(l,r) or Q(r); elements are RatFunc values.  Q(r) has the LaurentImage ring."""
 
     def __init__(self, variables):
         if tuple(variables) not in (("l", "r"), ("r",)):
             raise ValueError("supported variable sets: (l, r) and (r,)")
         self.variables = tuple(variables)
+        self.image_ring = LaurentImage() if self.variables == ("r",) else None
 
     @property
     def tag(self):

@@ -460,3 +460,39 @@ class TestConfigValidation:
         obj = json.loads(proc.stdout)
         # l = 8 = r^3 is not a catalog locus; kernel is trivial
         assert obj["k"] == 0
+
+
+class TestManyCallsInOneProcess:
+    """main(argv) called again and again in one process, on its one parser."""
+
+    CALLS = (
+        ("relations", "--n", "4", "--r", "2/1", "--l", "5/1", "--convention"),
+        ("kernel", "--n", "5", "--locus", "l=-r3", "--r", "cyclotomic:phi20", "--seed", "29"),
+        ("kernel", "--n", "4", "--locus", "l=r", "--r", "2/1", "--bogus"),
+        ("det", "--n", "4", "--locus", "l=r", "--mode", "substituted", "--format", "text"),
+        ("relations", "--n", "4", "--r", "2/1"),
+        ("certify", "--n", "4", "--r", "2/1", "--seed", "3", "--out", "{out}"),
+        ("det", "--help"),
+        ("kernel", "--n", "4", "--locus", "l=r", "--r", "2/1", "--seed", "7"),
+    )
+
+    def test_each_call_equals_a_fresh_run(self, tmp_path, monkeypatch, capsys):
+        from lkwb import cli
+
+        # the usage and help text wrap at the terminal width, which COLUMNS sets
+        monkeypatch.setenv("COLUMNS", "80")
+        out = tmp_path / "report.json"
+        codes = set()
+        for call in self.CALLS:
+            args = [a.format(out=out) for a in call]
+            fresh = run_cli(*args, expect=None)
+            written = out.read_text() if out.exists() else None
+            out.unlink(missing_ok=True)
+            code = cli.main(args)
+            got = capsys.readouterr()
+            assert (got.out, got.err, code) == (fresh.stdout, fresh.stderr, fresh.returncode), args
+            assert (out.read_text() if out.exists() else None) == written
+            out.unlink(missing_ok=True)
+            codes.add(code)
+        assert codes == {0, 2}
+        assert cli.build_parser() is cli.build_parser()
