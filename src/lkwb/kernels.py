@@ -449,16 +449,22 @@ def modp_ratrecon(u, mod, p):
     if not u:
         return [], [1]
     r0, r1 = list(mod), list(u)
-    t0, t1 = [], [1]
+    quotients = []
     top, best = 1, None
     while r1:
         q, r = modp_poly_divmod(r0, r1, p)
         if len(q) - 1 > top:
-            top, best = len(q) - 1, (r1, t1)
-        r0, r1, t0, t1 = r1, r, t1, modp_poly_sub(t0, modp_poly_mul(q, t1, p), p)
+            top, best = len(q) - 1, (len(quotients), r1)
+        quotients.append(q)
+        r0, r1 = r1, r
     if best is None:
         return None
-    a, b = best
+    # t_i of the chosen remainder from the quotients before it, computed
+    # only for it: t_0 = 0, t_1 = 1, t_(j+1) = t_(j-1) - q_(j-1) t_j
+    i, a = best
+    t0, b = [], [1]
+    for q in quotients[:i]:
+        t0, b = b, modp_poly_sub(t0, modp_poly_mul(q, b, p), p)
     if len(modp_poly_gcd(mod, b, p)) > 1:
         return None
     inv = pow(b[-1], -1, p)

@@ -396,12 +396,15 @@ def dense_int_row(polys):
     polynomial, one rational scale and one shift for the whole row, and the
     integer row of content 1.  A zero row gives scale 0 and all ints [].
     """
-    parts = [p.to_dense_int_r() for p in polys]
-    # entry scales c_j = scale * mults[j], integer mults of content 1
-    scale, mults = kernels.qpoly_to_int([c for c, _, _ in parts])
-    shift = min((s for _, s, ints in parts if ints), default=0)
-    ints_row = [[0] * (s - shift) + [mults[j] * v for v in ints] if ints else []
-                for j, (_, s, ints) in enumerate(parts)]
+    dense = [p.to_dense_r() for p in polys]
+    # one primitive integer list for the coefficients of the whole row, in
+    # order; no entry ends in a zero, so neither does the list
+    scale, ints = kernels.qpoly_to_int([c for _, coeffs in dense for c in coeffs])
+    shift = min((lo for lo, coeffs in dense if coeffs), default=0)
+    ints_row, end = [], 0
+    for lo, coeffs in dense:
+        start, end = end, end + len(coeffs)
+        ints_row.append([0] * (lo - shift) + ints[start:end] if coeffs else [])
     return scale, shift, ints_row
 
 
@@ -430,7 +433,7 @@ def _univariate_zero_verdict(matrix, n, locus, method):
       rank_mod_p on the entries of A(t) reduced mod p.
 
     The witness is sought only when the first point is singular, from the
-    point kernels mod p of at most half the degree_bound + 1 points, and
+    kernel vectors mod p of at most half the degree_bound + 1 points, and
     only the exact identity makes it one: a guess from too few points
     fails the check and is never used.  When D != 0 no w passes, so a
     nonzero matrix goes through the ranks as before.
@@ -447,7 +450,8 @@ def _univariate_zero_verdict(matrix, n, locus, method):
       point turns up; D mod p != 0 has at most degree_bound roots, and the
       denominators finitely many, so it ends.
     """
-    dense = [dense_int_row(clear_denominators(row)[1]) for row in matrix.rows]
+    cleared = [clear_denominators(row) for row in matrix.rows]
+    dense = [dense_int_row(polys) for _, polys in cleared]
     name = locus.name if locus else "generic"
     if not all(scale for scale, _, _ in dense):
         return DetVerdict(n, name, "identically_zero", method, False,
@@ -461,10 +465,13 @@ def _univariate_zero_verdict(matrix, n, locus, method):
                              f"exceeds the largest modulus 2^{MERSENNE_EXPONENTS[-1]}-1")
     p = (1 << exponent) - 1
     modular = {"modulus": f"2^{exponent}-1", "coefficient_bound_bits": bound.bit_length()}
-    dens = {tuple(x.den.to_dense_int_r()[2])
-            for row in matrix.rows for x in row if x and not x.den.is_const()}
+    # a row's lcm vanishes exactly where one of its entry denominators does
+    dens = {tuple(den.to_dense_int_r()[2]) for den in {den for den, _ in cleared}
+            if not den.is_const()}
     width = max(len(e) for row in int_rows for e in row)
     witness = _kernel_witness(int_rows, width, p, degree_bound)
+    # w(t) != 0 as soon as one coordinate is: the shortest are tried first
+    witness = witness and sorted(filter(None, witness), key=len)
     nonzero = False
     for checked, pt in enumerate(_grid_points(degree_bound + 1 + sum(len(d) - 1 for d in dens))):
         if checked > degree_bound and not nonzero:
@@ -492,27 +499,41 @@ def _univariate_zero_verdict(matrix, n, locus, method):
 
 
 _WITNESS_START_POINTS = 4
+# the probe of _kernel_witness weighs coordinate j of v by _PROBE_BASE^(j+1) mod p
+_PROBE_BASE = 3
 
 
 def _kernel_witness(int_rows, width, p, degree_bound):
     """A nonzero w in GF(p)[r]^N with A(r) w(r) = 0 exactly, or None.
 
-    The kernel of A(t) mod p is taken at the grid points in order, and the
-    basis vector of its first free column kept: 1 there, 0 at the other
-    free columns.  Only points with the pivot columns of largest rank,
-    lexicographically first among those, are used; at all but finitely
-    many points these are the pivot columns of A(r) over GF(p)(r), and the
-    kept vectors are values of one rational vector v(r).  A common
-    denominator q of v comes from rational reconstruction of its
-    coordinates, and w = q v from their numerators.  A candidate is made
-    at every count of such points from 4 to 16, then at every second count
-    to 32, every fourth to 64 and so on, and at the last point: the count
-    grows by at most an eighth and passes every power of 2.  w is accepted
-    only when it is nonzero and A(r) w(r) = 0 holds as an identity in
-    GF(p)[r].  The search takes at most the largest 4 * 2^j points with
-    4 * 2^j <= (degree_bound + 1) / 2, none when 4 is already above that,
-    and gives up (None) at once when A(t) is invertible mod p at a point,
-    since then no w exists.  Nothing rests on the reconstruction being
+    Let f be the first free column of A(r) over GF(p)(r): the columns left
+    of f are independent and column f is a combination of them, so one
+    kernel vector v(r) is 1 at f and 0 right of it.  At a point t the first
+    free column f_t of A(t) mod p is at most f, since a minor that is
+    nonzero at t is nonzero as a polynomial; where f_t = f, the kernel
+    vector of the columns 0..f of A(t) that is 1 at f is unique, and it is
+    v(t).
+
+    A full nullspace_mod_p at the first grid point gives f_t there; every
+    later point is solved on the columns 0..f only
+    (_leading_kernel_vector), and the largest first free column wins:
+
+    * a point with f_t < f is skipped;
+    * a point with columns 0..f independent gets a full nullspace_mod_p,
+      and the search restarts at its f_t with no points kept;
+    * where A(t) is invertible mod p no w exists, and the search gives up
+      (None) at once.
+
+    A common denominator q of v comes from rational reconstruction of its
+    coordinates, and w = q v from their numerators.  At every count of
+    kept points from 4 on, one probe, a fixed combination of the
+    coordinates, is reconstructed; the f + 1 coordinates are built
+    (_interpolate_kernel_vector) only when the probe's fraction is the one
+    of the count before, once per fraction.  The search takes at most the
+    largest 4 * 2^j points with 4 * 2^j <= (degree_bound + 1) / 2, none
+    when 4 is already above that.  w, padded with zeros right of f, is
+    accepted only when it is nonzero and A(r) w(r) = 0 holds as an
+    identity in GF(p)[r] (_annihilates).  Nothing rests on the search being
     right: a w that passes the identity check is a kernel vector.
     """
     ncols = len(int_rows)
@@ -522,32 +543,94 @@ def _kernel_witness(int_rows, width, p, degree_bound):
         return None
     while 2 * cap <= limit:
         cap *= 2
-    seen = []
-    want = _WITNESS_START_POINTS
+    f = None
     for pt in _grid_points(cap):
-        pivots, basis = nullspace_mod_p(_rows_at(int_rows, width, pt, p), p, ncols)
-        if not basis:
-            return None
-        seen.append(((-len(pivots), pivots), pt, basis[0]))
-        best = min(key for key, _, _ in seen)
-        good = [(t, v) for key, t, v in seen if key == best]
-        if len(good) < want and len(seen) < cap:
+        if f is not None:
+            f_t, v = _leading_kernel_vector(int_rows, width, pt, p, f)
+            if f_t < f:
+                continue
+        if f is None or f_t > f:
+            pivots, basis = nullspace_mod_p(_rows_at(int_rows, width, pt, p), p, ncols)
+            if not basis:
+                return None
+            f = min(set(range(ncols)).difference(pivots))
+            v = basis[0][:f + 1]
+            weights = [pow(_PROBE_BASE, j + 1, p) for j in range(f + 1)]
+            good, modulus, last, tried = [], [1], None, None
+        good.append((pt, v))
+        modulus = kernels.modp_poly_mul(modulus, [-pt % p, 1], p)
+        if len(good) < _WITNESS_START_POINTS:
             continue
-        w = _interpolate_kernel_vector(good, ncols, p)
-        if w is not None and any(w) and _annihilates(int_rows, w, p):
-            return w
-        step = 1 << max(0, len(good).bit_length() - 4)
-        want = (len(good) // step + 1) * step
+        probe = kernels.modp_interpolate([t for t, _ in good],
+                                         [sum(map(mul, weights, u)) for _, u in good], p)
+        rec = kernels.modp_ratrecon(probe, modulus, p)
+        if rec is not None and rec == last and rec != tried:
+            tried = rec
+            w = _interpolate_kernel_vector(good, f + 1, p)
+            if w is not None and any(w):
+                w += [[] for _ in range(ncols - f - 1)]
+                if _annihilates(int_rows, w, p):
+                    return w
+        last = rec
     return None
+
+
+def _leading_kernel_vector(int_rows, width, pt, p, f):
+    """(f_t, v) from the columns 0..f of A(pt) mod p alone.
+
+    f_t is the first free column of those columns, f + 1 when they are
+    independent.  v is the kernel vector of length f + 1 that is 1 at f
+    when f_t = f, else None.  The rows are reduced in order, dense on the
+    columns 0..f: pivot row c holds the entries right of c, reduced mod p,
+    of a row that is 1 at c.  A row is reduced only where it is read, so
+    its entries grow by less than p^2 a step.  Once the columns 0..f-1 all
+    have a pivot row, v comes from back substitution, and each later row is
+    only checked against it.
+    """
+    powers = [1]
+    for _ in range(width - 1):
+        powers.append(powers[-1] * pt % p)
+    pivots = {}
+    rows = iter(int_rows)
+    for row in rows:
+        r = [sum(map(mul, e, powers)) for e in row[:f + 1]]
+        for c in range(f + 1):
+            x = r[c] % p
+            if not x:
+                continue
+            tail = pivots.get(c)
+            if tail is None:
+                inv = pow(x, -1, p)
+                pivots[c] = [y * inv % p for y in r[c + 1:]]
+                break
+            r[c + 1:] = [y - x * z for y, z in zip(r[c + 1:], tail)]
+        if len(pivots) == f + 1:
+            return f + 1, None
+        if len(pivots) == f and f not in pivots:
+            break
+    else:
+        return next(c for c in range(f + 1) if c not in pivots), None
+    v = [0] * f + [1]
+    for c in range(f - 1, -1, -1):
+        v[c] = -sum(map(mul, pivots[c], v[c + 1:])) % p
+    for row in rows:
+        if sum(sum(map(mul, e, powers)) * x for e, x in zip(row, v)) % p:
+            return f + 1, None
+    return f, v
 
 
 def _interpolate_kernel_vector(good, ncols, p):
     """q v from the values v(t) at distinct points t, given as (t, v(t)) pairs, or None.
 
-    Coordinate j of q v is reconstructed as a / b from the values of q v_j,
-    with q the product of the denominators found before it; b then joins
-    q, and the numerators already found are multiplied by b.  None at the
-    first coordinate that does not reconstruct.
+    Coordinate j of q v, with q the product of the denominators found
+    before it, is interpolated from the values of q v_j.  An interpolant of
+    degree at most k - 3, for k points, agrees with two points to spare
+    and is taken as q v_j itself.  One spare point is not enough: the grid
+    is symmetric at every even k, where the interpolant of an even or odd
+    function has degree at most k - 2 whatever the function.  Any other
+    coordinate is reconstructed as a / b (kernels.modp_ratrecon), b then
+    joins q, and the numerators already found are multiplied by b.  None
+    at the first coordinate that does not reconstruct.
     """
     xs = [t for t, _ in good]
     vs = [v for _, v in good]
@@ -558,6 +641,9 @@ def _interpolate_kernel_vector(good, ncols, p):
     w = []
     for j in range(ncols):
         u = kernels.modp_interpolate(xs, [qt * v[j] for qt, v in zip(q_at, vs)], p)
+        if len(u) < len(xs) - 1:
+            w.append(u)
+            continue
         rec = kernels.modp_ratrecon(u, modulus, p)
         if rec is None:
             return None
@@ -570,13 +656,46 @@ def _interpolate_kernel_vector(good, ncols, p):
 
 
 def _annihilates(int_rows, w, p):
-    """True when A(r) w(r) = 0 holds as an identity in GF(p)[r]^N."""
-    for row in int_rows:
-        acc = []
-        for e, c in zip(row, w):
-            acc = kernels.modp_poly_sub(acc, kernels.modp_poly_mul(e, c, p), p)
-        if acc:
-            return False
+    """True when A(r) w(r) = 0 holds as an identity in GF(p)[r]^N.
+
+    Checked in Z by Kronecker substitution r = X = 2^W, over all N rows and
+    the columns j where w_j != 0; the others add nothing.  Each coefficient
+    of s_i = sum_j a_ij w_j, with the a_ij integer polynomials and the w_j
+    coefficients in [0, p), is a sum of at most N min(len a, len w) products
+    a c, so its absolute value is at most
+    bound = N * min(len a, len w) * max|a| * (p - 1) < 2^(W-1), W a multiple
+    of 8.  The coefficients of s_i are then the balanced base-X digits of the
+    integer s_i(X) = sum_j a_ij(X) w_j(X), one product per entry, and
+    A w = 0 in GF(p)[r] exactly when p divides every one of them.
+    """
+    cols = [j for j, c in enumerate(w) if c]
+    rows = [[row[j] for j in cols] for row in int_rows]
+    alen = max((len(e) for row in rows for e in row), default=0)
+    if not alen:
+        return True
+    wlen = max(len(w[j]) for j in cols)
+    amax = max(abs(c) for row in rows for e in row for c in e)
+    nbytes = (len(int_rows) * min(alen, wlen) * amax * (p - 1)).bit_length() // 8 + 1
+    shift = 8 * nbytes
+    half = 1 << (shift - 1)
+
+    def packed(coeffs):
+        x = 0
+        for c in reversed(coeffs):
+            x = (x << shift) + c
+        return x
+
+    at_x = [packed(w[j]) for j in cols]
+    length = alen + wlen - 1
+    offset = packed([half] * length)
+    for row in rows:
+        s = sum(packed(e) * x for e, x in zip(row, at_x) if e)
+        if not s:
+            continue
+        digits = (s + offset).to_bytes(length * nbytes, "little")
+        for k in range(0, len(digits), nbytes):
+            if (int.from_bytes(digits[k:k + nbytes], "little") - half) % p:
+                return False
     return True
 
 

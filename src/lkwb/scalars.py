@@ -403,19 +403,22 @@ class LaurentPoly:
         return acc
 
     def to_dense_r(self):
-        """(shift, coeffs): self = r^shift * sum coeffs[i] r^i, univariate only."""
-        if not self.terms:
+        """(shift, coeffs): self = r^shift * sum coeffs[i] r^i, univariate only.
+
+        A key is a * PACK + b with |b| < PACK / 2, so the keys of a
+        polynomial in r alone are its exponents, and any other key lies
+        outside (-PACK / 2, PACK / 2).
+        """
+        terms = self.terms
+        if not terms:
             return 0, []
-        exps = []
-        for k in self.terms:
-            a, b = _unpack(k)
-            if a:
-                raise ValueError("not univariate in r")
-            exps.append(b)
-        lo, hi = min(exps), max(exps)
+        lo, hi = min(terms), max(terms)
+        half = kernels.PACK >> 1
+        if lo <= -half or hi >= half:
+            raise ValueError("not univariate in r")
         coeffs = [0] * (hi - lo + 1)
-        for k, c in self.terms.items():
-            coeffs[_unpack(k)[1] - lo] = c
+        for k, c in terms.items():
+            coeffs[k - lo] = c
         return lo, coeffs
 
     def to_dense_int_r(self):

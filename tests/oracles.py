@@ -544,3 +544,20 @@ def residue_by_reduction(basis, pivots, v):
         if c:
             w = [x - c * y for x, y in zip(w, b)]
     return w
+
+
+def annihilates_modp(rows, w, p):
+    """True iff sum_j rows[i][j] w[j] is the zero polynomial mod p for every row i.
+
+    rows[i][j] and w[j] are dense int coefficient lists; schoolbook
+    products, summed per row and degree, reduced mod p at the end.
+    """
+    for row in rows:
+        acc = {}
+        for e, c in zip(row, w):
+            for i, x in enumerate(e):
+                for j, y in enumerate(c):
+                    acc[i + j] = acc.get(i + j, 0) + x * y
+        if any(v % p for v in acc.values()):
+            return False
+    return True

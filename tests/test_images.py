@@ -467,6 +467,46 @@ class TestGammaTerms:
         assert space.contains((x, -4 * one))
 
 
+class TestRepeatedGammaTerms:
+    """The powers of gamma for a value that takes several products to form.
+
+    A product of k + 1 factors in Z[x]/(f) can grow its L1 norm by gamma^k,
+    and the images are reduced mod f(t) only at the comparison.  Each check
+    below compares a wrong identity whose sides differ by d with d(t0) = 0
+    at the base t0 = 2^b0 that its bound would give without the extra
+    factors of gamma.
+    """
+
+    def test_gate_word_needs_gamma_to_its_length(self):
+        # over Q[x]/(x^2 - 10), gamma = 10: the row M0^4 = (x - 28) M1^4 on the
+        # 1 x 1 matrices M0 = (x) and M1 = (1) is wrong, since x^4 = 100 there.
+        # Without gamma^k the bound is 1 + ||x - 28||_1 = 30, with base 2^7,
+        # where x - 28 maps to 100 as well
+        field = NumberField((-10, 0, 1))
+        x, one = field.gen(), field.one()
+        row = (4, [(0, (0,) * 4, one), (1, (1,) * 4, x - 28)])
+        rows = [[(0, x)], [(0, one)]]
+        assert linalg._image_base(30, field.image_ring.norm_f) == 7
+        assert list(_holds(field, rows, [row], 1)) == [False]
+        with pytest.MonkeyPatch.context() as mp:
+            forced_base(mp, 7)
+            assert list(_holds(field, rows, [row], 1)) == [True]
+
+    def test_is_invariant_needs_gamma_inside_y(self, monkeypatch):
+        # over Q[x]/(x^3 - 32), gamma = 32: g = ((0, x^2), (2x, 0)) maps
+        # (1, x^2) to (32x, 2x), outside its span, where 32x (1, x^2) =
+        # (32x, 1024).  Without the gamma inside Y, Y = 1 * 2 and the bound
+        # is 32 * 2 * (1 + 1) = 128, with base 2^9, where 2x - 1024 maps to 0
+        field = NumberField((-32, 0, 0, 1))
+        x, one, zero = field.gen(), field.one(), field.zero()
+        space = SubspaceBasis.from_vectors(field, 2, [[one, x * x]])
+        op = Matrix(field, [[zero, x * x], [2 * x, zero]])
+        assert linalg._image_base(128, field.image_ring.norm_f) == 9
+        assert not is_invariant(space, [op])
+        forced_base(monkeypatch, 9)
+        assert is_invariant(space, [op])
+
+
 class TestNonIntegralModulus:
     """Q[x]/(x^2 + 1/2): no integer image, and the checks give the oracles' verdicts."""
 

@@ -247,6 +247,10 @@ def _poly_add(a, b):
     return _trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(width))
 
 
+def _poly_sum(polys):
+    return functools.reduce(_poly_add, polys, [])
+
+
 class TestModularZeroProof:
     """The det zero test: D+1 points, rank mod a Mersenne prime above a coefficient bound."""
 
@@ -361,25 +365,30 @@ class TestKernelWitness:
 
     @staticmethod
     def spy(monkeypatch):
-        seen = {"rank": 0, "nullspace": 0, "witness": []}
-        rank, nullspace, witness = (reducibility.rank_mod_p, reducibility.nullspace_mod_p,
-                                    reducibility._kernel_witness)
+        # nullspace: full point kernels; solves: leading-column point solves;
+        # candidates: full vectors built from a stable probe
+        seen = {"rank": 0, "nullspace": 0, "solves": 0, "candidates": 0, "witness": []}
+        rank, nullspace, solve, interpolate, witness = (
+            reducibility.rank_mod_p, reducibility.nullspace_mod_p,
+            reducibility._leading_kernel_vector, reducibility._interpolate_kernel_vector,
+            reducibility._kernel_witness)
 
-        def counting_rank(*args, **kwargs):
-            seen["rank"] += 1
-            return rank(*args, **kwargs)
-
-        def counting_nullspace(*args, **kwargs):
-            seen["nullspace"] += 1
-            return nullspace(*args, **kwargs)
+        def counting(key, fn):
+            def counted(*args, **kwargs):
+                seen[key] += 1
+                return fn(*args, **kwargs)
+            return counted
 
         def recording_witness(*args):
             w = witness(*args)
             seen["witness"].append((args, w))
             return w
 
-        monkeypatch.setattr(reducibility, "rank_mod_p", counting_rank)
-        monkeypatch.setattr(reducibility, "nullspace_mod_p", counting_nullspace)
+        monkeypatch.setattr(reducibility, "rank_mod_p", counting("rank", rank))
+        monkeypatch.setattr(reducibility, "nullspace_mod_p", counting("nullspace", nullspace))
+        monkeypatch.setattr(reducibility, "_leading_kernel_vector", counting("solves", solve))
+        monkeypatch.setattr(reducibility, "_interpolate_kernel_vector",
+                            counting("candidates", interpolate))
         monkeypatch.setattr(reducibility, "_kernel_witness", recording_witness)
         return seen
 
@@ -398,11 +407,17 @@ class TestKernelWitness:
             assert got == want and got.verdict == "identically_zero"
             (int_rows, _, p, degree_bound), w = seen["witness"][0]
             assert seen["rank"] == 0
-            assert seen["nullspace"] <= (degree_bound + 1) // 2
+            # one full kernel, at the first point, then leading-column solves
+            assert seen["nullspace"] == 1
+            assert 1 + seen["solves"] <= (degree_bound + 1) // 2
             assert any(w) and reducibility._annihilates(int_rows, w, p)
+            assert oracles.annihilates_modp(int_rows, w, p)
 
-    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_catalog_witnesses_take_few_points_and_no_rank(self, monkeypatch, n):
+        # at n = 4, l=-r3-n the coordinates of v are even in r, and
+        # the symmetric grid makes their interpolants one degree short at
+        # every even count
         for locus in catalog(n):
             matrix = build_m_matrix(substituted_rep(n, locus.eps, locus.k)).matrix
             with monkeypatch.context() as mp:
@@ -410,8 +425,23 @@ class TestKernelWitness:
                 got = _univariate_zero_verdict(matrix, n, locus, "substituted")
             assert got.verdict == "identically_zero", locus.name
             assert seen["witness"][0][1] is not None, locus.name
-            assert seen["nullspace"] <= 16, locus.name
+            assert seen["nullspace"] == 1, locus.name
+            assert 1 + seen["solves"] <= 16, locus.name
+            assert seen["candidates"] == 1, locus.name
             assert seen["rank"] == 0, locus.name
+
+    def test_witness_is_zero_right_of_the_first_free_column(self, monkeypatch):
+        for name in ("l=r", "l=-r3", "l=r3-2n", "l=+r3-n"):
+            matrix, locus = self.locus_matrix(6, name)
+            with monkeypatch.context() as mp:
+                seen = self.spy(mp)
+                _univariate_zero_verdict(matrix, 6, locus, "substituted")
+            (int_rows, width, p, _), w = seen["witness"][0]
+            pivots, _ = linalg.nullspace_mod_p(reducibility._rows_at(int_rows, width, 2, p),
+                                               p, len(int_rows))
+            f = min(set(range(len(int_rows))).difference(pivots))
+            assert len(w) == len(int_rows)
+            assert w[f] and not any(w[f + 1:]), name
 
     def test_corrupted_witness_fails_the_identity(self, monkeypatch):
         matrix, locus = self.locus_matrix(5, "l=+r3-n")
@@ -425,6 +455,73 @@ class TestKernelWitness:
                 bad = [list(x) for x in w]
                 bad[j][i] = (bad[j][i] + 1) % p
                 assert not reducibility._annihilates(int_rows, bad, p), (j, i)
+
+    @pytest.mark.parametrize("n, name", [(4, "l=r3-2n"), (5, "l=-r3"), (6, "l=+r3-n"),
+                                         (6, "l=r3-2n")])
+    def test_one_coefficient_mutants_agree_with_the_field_check(self, monkeypatch, n, name):
+        # 200 mutants: one coefficient of w, anywhere up to two past its
+        # length and in the zero padding right of the first free column,
+        # moved by a random nonzero residue
+        matrix, locus = self.locus_matrix(n, name)
+        with monkeypatch.context() as mp:
+            seen = self.spy(mp)
+            _univariate_zero_verdict(matrix, n, locus, "substituted")
+        (int_rows, _, p, _), w = seen["witness"][0]
+        rng = random.Random(n * 100 + len(name))
+        for _ in range(200):
+            bad = [list(c) for c in w]
+            j = rng.randrange(len(bad))
+            i = rng.randrange(len(bad[j]) + 2)
+            bad[j] += [0] * (i + 1 - len(bad[j]))
+            bad[j][i] = (bad[j][i] + rng.randrange(1, p)) % p
+            bad[j] = _trim(bad[j])
+            assert not reducibility._annihilates(int_rows, bad, p), (j, i)
+            assert not oracles.annihilates_modp(int_rows, bad, p), (j, i)
+
+    def test_packed_identity_agrees_with_the_field_check(self):
+        # A w = 0 over Z[r] by construction, with w reduced mod p, and then
+        # one coefficient moved: the packed check and the field check agree
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        p = (1 << 61) - 1
+        polys = st.lists(st.integers(-(1 << 40), 1 << 40), max_size=5).map(_trim)
+
+        @hyp.settings(max_examples=120, deadline=None, derandomize=True)
+        @hyp.given(st.integers(2, 4).flatmap(lambda size: st.tuples(
+            st.lists(st.lists(polys, min_size=size - 1, max_size=size - 1),
+                     min_size=size, max_size=size),
+            st.lists(polys, min_size=size - 1, max_size=size - 1),
+            st.integers(0, size - 1), st.integers(0, 6), st.integers(1, p - 1))))
+        def check(case):
+            cols, w, j, i, shift = case
+            # the last column makes A w = 0 with w = (w_0, ..., w_{N-2}, 1)
+            rows = [row + [[-c for c in _poly_sum(kernels.poly_mul_int(a, b)
+                                                  for a, b in zip(row, w))]]
+                    for row in cols]
+            w = [[c % p for c in e] for e in w] + [[1]]
+            assert reducibility._annihilates(rows, w, p)
+            assert oracles.annihilates_modp(rows, w, p)
+            bad = [list(e) for e in w]
+            bad[j] += [0] * (i + 1 - len(bad[j]))
+            bad[j][i] = (bad[j][i] + shift) % p
+            bad[j] = _trim(bad[j])
+            assert (reducibility._annihilates(rows, bad, p)
+                    == oracles.annihilates_modp(rows, bad, p))
+
+        check()
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_packed_identity_at_its_bound(self, sign):
+        # every coefficient of every row of A w is N * 5 * p * (p - 1), the
+        # stated bound itself, and divisible by p; one entry moved by 1 is not
+        p = (1 << 61) - 1
+        size, length = 8, 5
+        rows = [[[sign * p] * length for _ in range(size)] for _ in range(size)]
+        w = [[p - 1] * length for _ in range(size)]
+        assert reducibility._annihilates(rows, w, p)
+        rows[size - 1][0] = [sign * (p + 1)] + [sign * p] * (length - 1)
+        assert not reducibility._annihilates(rows, w, p)
+        assert not oracles.annihilates_modp(rows, w, p)
 
     def test_corrupted_witness_falls_back_to_ranks(self, monkeypatch):
         matrix, locus = self.locus_matrix(5, "l=+r3-n")
@@ -445,11 +542,14 @@ class TestKernelWitness:
         assert seen["witness"][0][1] is None
         assert seen["rank"] == degree_bound + 1
         # the give-up rule: the points double from 4 while they fit in
-        # (degree_bound + 1) / 2, and no point kernel is taken after that
+        # (degree_bound + 1) / 2, and no point is solved after that
         doubled = 4
         while 2 * doubled <= (degree_bound + 1) // 2:
             doubled *= 2
-        assert seen["nullspace"] == doubled
+        assert seen["nullspace"] == 1
+        assert 1 + seen["solves"] == doubled
+        # one candidate for the one stable probe
+        assert seen["candidates"] == 1
 
     def test_zero_candidate_is_refused(self, monkeypatch):
         matrix, locus = self.locus_matrix(4, "l=r")
@@ -478,7 +578,10 @@ class TestKernelWitness:
 
     def test_points_with_other_pivots_are_skipped(self, monkeypatch):
         # rank 2 with pivot columns (0, 2), except at r = 2, where they are (1, 2);
-        # the kernel vector (-1/(r - 2), 1, 0) gives w = (-1, r - 2, 0)
+        # the kernel vector (-1/(r - 2), 1, 0) gives w = (-1, r - 2, 0).  The
+        # first point, r = 2, has the smaller first free column 0; at r = -2
+        # columns 0..1 are independent, so the search restarts there with a
+        # full kernel, and r = 2 is not used
         rows = [[[-2, 1], [1], []], [[4, -4, 1], [-2, 1], []], [[], [], [1] + [0] * 19 + [1]]]
         seen = self.spy(monkeypatch)
         verdict = _univariate_zero_verdict(_qr_matrix(rows), 3, None, "substituted-univariate")
@@ -486,7 +589,43 @@ class TestKernelWitness:
         (_, _, p, degree_bound), w = seen["witness"][0]
         assert degree_bound == 23
         assert w == [[p - 1], [p - 2, 1], []]
-        assert seen["nullspace"] == 5
+        # full kernels at 2 and -2; solves at -2, 3, -3, 4 and -4, where the
+        # probe repeats
+        assert seen["nullspace"] == 2
+        assert seen["solves"] == 5
+        assert seen["candidates"] == 1
+        assert seen["rank"] == 0
+
+    def test_a_later_point_with_a_smaller_first_free_column_is_skipped(self, monkeypatch):
+        # as above with the special point at r = 3, the third grid point:
+        # there column 0 vanishes, so its first free column is 0 < 1, and it
+        # is skipped, with no full kernel; w = (-1, r - 3, 0)
+        rows = [[[-3, 1], [1], []], [[9, -6, 1], [-3, 1], []], [[], [], [1] + [0] * 19 + [1]]]
+        seen = self.spy(monkeypatch)
+        verdict = _univariate_zero_verdict(_qr_matrix(rows), 3, None, "substituted-univariate")
+        assert verdict.verdict == "identically_zero"
+        (_, _, p, _), w = seen["witness"][0]
+        assert w == [[p - 1], [p - 3, 1], []]
+        # one full kernel at 2; solves at -2, 3 (skipped), -3, 4 and -4
+        assert seen["nullspace"] == 1
+        assert seen["solves"] == 5
+        assert seen["candidates"] == 1
+        assert seen["rank"] == 0
+
+    def test_a_row_past_the_pivots_shows_the_restart(self, monkeypatch):
+        # column 0 is (r - 2) times column 1 = (r + 2, 1, 0), so w = (-1, r - 2, 0).
+        # At r = 2 column 0 vanishes: first free column 0.  At r = -2 row 0 is
+        # zero on column 0, so the solve on column 0 is done after that row,
+        # and only row 1, checked against v = (1), shows that column 0 has
+        # rank 1 there: the search restarts at -2
+        rows = [[[-4, 0, 1], [2, 1], []], [[-2, 1], [1], []], [[], [], [1] + [0] * 19 + [1]]]
+        seen = self.spy(monkeypatch)
+        verdict = _univariate_zero_verdict(_qr_matrix(rows), 3, None, "substituted-univariate")
+        assert verdict.verdict == "identically_zero"
+        (_, _, p, _), w = seen["witness"][0]
+        assert w == [[p - 1], [p - 2, 1], []]
+        assert seen["nullspace"] == 2
+        assert seen["solves"] == 5
         assert seen["rank"] == 0
 
     def test_nonzero_matrix_passes_no_candidate(self, monkeypatch):
@@ -508,9 +647,63 @@ class TestKernelWitness:
         verdict = _univariate_zero_verdict(_qr_matrix(rows), 2, None, "substituted-univariate")
         assert verdict.verdict == "nonzero"
         assert verdict.witness["r"] == "6"
-        # one candidate at each of 4, 5, 6, 7 and 8 points, all refused
-        assert checked == [False] * 5
+        # one candidate, at 5 points, where the constant probe first repeats,
+        # and refused; at r = 6, columns 0..0 are independent, and the full
+        # kernel there is empty: the search gives up
+        assert checked == [False]
+        assert seen["nullspace"] == 2
+        assert seen["solves"] == 8
         assert seen["witness"][0][1] is None
+
+    @pytest.fixture
+    def planted(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        polys = st.lists(st.integers(-3, 3), max_size=3).map(_trim)
+
+        @st.composite
+        def draw_product(draw):
+            # A = B C over Z[r] with B size x inner and C inner x size: rank at
+            # most inner, so det A = 0 when inner < size; inner = size is the
+            # full-rank control
+            size = draw(st.integers(2, 4))
+            inner = draw(st.integers(1, size))
+            b = [[draw(polys) for _ in range(inner)] for _ in range(size)]
+            c = [[draw(polys) for _ in range(size)] for _ in range(inner)]
+            rows = [[_poly_sum(kernels.poly_mul_int(b[i][k], c[k][j]) for k in range(inner))
+                     for j in range(size)] for i in range(size)]
+            return rows, inner
+
+        settings = hyp.settings(max_examples=150, deadline=None, derandomize=True)
+        return hyp, draw_product(), settings
+
+    def test_planted_rank_products(self, monkeypatch, planted):
+        hyp, products, settings = planted
+        seen = self.spy(monkeypatch)
+
+        @settings
+        @hyp.given(products)
+        def check(case):
+            rows, inner = case
+            size = len(rows)
+            seen.update(rank=0, nullspace=0, solves=0, candidates=0, witness=[])
+            verdict = _univariate_zero_verdict(_qr_matrix(rows), size, None,
+                                               "substituted-univariate")
+            d = oracles.bareiss_det_polyint(rows)
+            assert (verdict.verdict == "identically_zero") == (d == [])
+            if inner < size:
+                assert d == []
+            for (int_rows, _, p, _), w in seen["witness"]:
+                if w is not None:
+                    assert d == [] and any(w)
+                    assert oracles.annihilates_modp(int_rows, w, p)
+            if d:
+                # the control: no w passes, and the ranks find a nonzero point
+                assert all(w is None for _, w in seen["witness"])
+                assert seen["rank"] >= 1
+                assert kernels.poly_eval_int(d, int(verdict.witness["r"])) != 0
+
+        check()
 
 
 class TestOneDim:

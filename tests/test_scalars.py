@@ -534,6 +534,25 @@ class TestLaurentIntegerCoefficients:
         assert LaurentPoly.term(2, 0, 2 ** 14) ** -4 == LaurentPoly.term(rat(1, 16), 0, -2 ** 16)
         assert (l ** 2 + r).substitute_l(-1, 2 ** 15) == LaurentPoly.term(1, 0, 2 ** 16) + r
 
+    def test_dense_r_reads_the_exponents_off_the_keys(self):
+        # univariate in r up to the exponent bound on both sides, and any l
+        # exponent, however small, refused
+        rng = random.Random(31)
+        bound = 2 ** 16
+        for _ in range(200):
+            exps = rng.sample(range(-bound, bound + 1), rng.randint(1, 4))
+            exps += rng.choice(([], [bound], [-bound], [bound, -bound]))
+            pairs = [((0, e), rat(rng.randint(-9, 9) or 1, rng.randint(1, 4))) for e in exps]
+            p = LaurentPoly.from_pairs(pairs)
+            lo, coeffs = p.to_dense_r()
+            assert coeffs[-1] and lo == min(b for (_, b), _ in pairs)
+            assert LaurentPoly.from_pairs(
+                [((0, lo + i), c) for i, c in enumerate(coeffs) if c]) == p
+        assert LaurentPoly.from_pairs([]).to_dense_r() == (0, [])
+        for a, b in ((1, 0), (-1, 0), (1, -bound), (-1, bound), (bound, bound), (-bound, -bound)):
+            with pytest.raises(ValueError):
+                LaurentPoly.from_pairs([((a, b), 1), ((0, 3), 2)]).to_dense_r()
+
     def test_division_by_an_integer_gives_fractions(self):
         r = LaurentPoly.var_r()
         half = (r + 1).divexact(LaurentPoly.const(2))
