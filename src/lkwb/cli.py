@@ -21,7 +21,6 @@ from .linalg import commutant_basis, kernel
 from .lkrep import (
     build_rep,
     LKParams,
-    relation_gate,
     symbolic_rep,
     verify_relations,
     convention_report,
@@ -336,7 +335,7 @@ def _cmd_commutant(args):
     if locus.is_generic and l_val is None:
         raise InvalidConfig("commutant at generic parameters requires --l")
     rep = rep_at(args.n, locus if not locus.is_generic else None, r_val, l_val=l_val)
-    gate = relation_gate(rep)
+    gate = verify_relations(rep)
     basis = commutant_basis(list(rep.g))
     obj = {
         "n": args.n,
@@ -350,6 +349,8 @@ def _cmd_commutant(args):
 
 
 def _cmd_persist(args):
+    if args.n != 5:
+        raise InvalidConfig("persist starts from K(5) at n = 5; --n must be 5")
     locus = _locus_from_args(args)
     if locus.name not in ("l=r", "l=-r3"):
         raise InvalidConfig("persist runs at --locus l=r or l=-r3")

@@ -178,6 +178,14 @@ def poly_eval_int(c, x):
     return acc
 
 
+def poly_eval_pow2(c, b):
+    """c(2^b) by Horner's rule on shifts: the Kronecker packing of c at base 2^b."""
+    acc = 0
+    for coef in reversed(c):
+        acc = (acc << b) + coef
+    return acc
+
+
 def poly_content_int(a):
     g = 0
     for c in a:

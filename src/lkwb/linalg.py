@@ -371,8 +371,8 @@ def int_images(field, groups, bound):
 
     Each group is a list of sparse rows over the field's integral domain
     (clear_rows).  The field's image_ring (scalars.LaurentImage over Q(r),
-    scalars.ModularImage over Q[x]/(f) with f in Z[x]) scales each group
-    by one nonzero s into Z[r] or Z[x]/(f).  bound(norms, scale_norms,
+    scalars.ModularImage over Q[x]/(f)) scales each group by one nonzero
+    s into Z[r] or Z[x]/(f).  bound(norms, scale_norms,
     gamma) gets norms[g][i][k], the L1 norm of s times entry k of row i of
     group g, scale_norms[g], the L1 norm of that group's s, and gamma, with
     ||a b||_1 <= gamma ||a||_1 ||b||_1 in the ring, and returns C, a bound
@@ -386,10 +386,10 @@ def int_images(field, groups, bound):
     are s times the entry mapped, scales[g] is the image of s, and
     residue(row) gives the canonical images of a sparse row, zeros left
     out, for the comparison.  The images are only compared, never decoded.
-    Over Q, Q(l,r), Q[x]/(f) with f not in Z[x], and wherever t would be
-    wider than _images_pay allows, the images are the rows themselves,
-    every scale is 1 and residue is the row itself: its pairs are nonzero
-    already (clear_rows, _row_combination).
+    Over Q and Q(l,r), and wherever t would be wider than _images_pay
+    allows, the images are the rows themselves, every scale is 1 and
+    residue is the row itself: its pairs are nonzero already (clear_rows,
+    _row_combination).
     """
     ring = field.image_ring
     if ring is not None:
@@ -877,13 +877,11 @@ def residue_prime(field):
 def _root_powers(field, p):
     """(1, z, ..., z^(d-1)) mod p for a root z of the modulus f of field, or None.
 
-    x -> z is a ring map from the elements of Q[x]/(f) whose denominators
-    p does not divide exactly when f(z) = 0 mod p and p does not divide the
-    leading coefficient of the primitive integer f; both are checked here.
+    f is monic in Z[x], so x -> z is a ring map from the elements of
+    Q[x]/(f) whose denominators p does not divide exactly when
+    f(z) = 0 mod p, which is checked here.
     """
-    f = field.modulus_int
-    if f[-1] % p == 0:
-        return None
+    f = field.modulus
     z = kernels.modp_poly_root(f, p)
     if z is None or kernels.modp_poly_eval(f, z, p):
         return None

@@ -88,7 +88,7 @@ class LKParams:
 class LKRep:
     """The representation: generator matrices, their inverses, and the e_i."""
 
-    __slots__ = ("params", "g", "g_inv", "e", "g_sq", "_gate")
+    __slots__ = ("params", "g", "g_inv", "e", "g_sq")
 
     def __init__(self, params, g, g_inv, e, g_sq):
         self.params = params
@@ -96,7 +96,6 @@ class LKRep:
         self.g_inv = g_inv
         self.e = e
         self.g_sq = g_sq
-        self._gate = None
 
     @property
     def field(self):
@@ -411,13 +410,6 @@ def _holds(field, rows, scaled, dim):
             sides[s].append((c, word))
         lhs, rhs = sides
         yield all(residue(side(lhs, i)) == residue(side(rhs, i)) for i in range(dim))
-
-
-def relation_gate(rep):
-    """Cached relation verification used as the build gate for M(n)."""
-    if rep._gate is None:
-        rep._gate = verify_relations(rep)
-    return rep._gate
 
 
 # ---------------------------------------------------------------------------

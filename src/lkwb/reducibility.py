@@ -52,10 +52,10 @@ from .lkrep import (
     build_rep,
     pair_basis,
     pair_index_map,
-    relation_gate,
     rep_dim,
     substituted_rep,
     symbolic_rep,
+    verify_relations,
 )
 from .scalars import (
     QQ,
@@ -121,11 +121,11 @@ def named_locus(name, n, custom_l=None):
         return Locus("l=r", 1, 1)
     if name == "l=-r3":
         return Locus("l=-r3", -1, 3)
-    if name in ("l=r3-2n", "l=1/r3"):
+    if name == "l=r3-2n":
         return Locus("l=r3-2n", 1, 3 - 2 * n)
-    if name in ("l=+r3-n", "l=1"):
+    if name == "l=+r3-n":
         return Locus("l=+r3-n", 1, 3 - n)
-    if name in ("l=-r3-n", "l=-1"):
+    if name == "l=-r3-n":
         return Locus("l=-r3-n", -1, 3 - n)
     raise ValueError(f"unknown locus name {name!r}")
 
@@ -249,7 +249,7 @@ def build_m_matrix(rep):
     g + m(1 - e), which is the inverse of g by the e definition and cubic
     identities that the gate has just verified.
     """
-    gate = relation_gate(rep)
+    gate = verify_relations(rep)
     if not gate.all_passed:
         raise RelationGateNotPassed(f"relation gate failed: {gate.failures}")
     n = rep.n
@@ -678,18 +678,12 @@ def _annihilates(int_rows, w, p):
     nbytes = (len(int_rows) * min(alen, wlen) * amax * (p - 1)).bit_length() // 8 + 1
     shift = 8 * nbytes
     half = 1 << (shift - 1)
-
-    def packed(coeffs):
-        x = 0
-        for c in reversed(coeffs):
-            x = (x << shift) + c
-        return x
-
-    at_x = [packed(w[j]) for j in cols]
+    packed = kernels.poly_eval_pow2
+    at_x = [packed(w[j], shift) for j in cols]
     length = alen + wlen - 1
-    offset = packed([half] * length)
+    offset = packed([half] * length, shift)
     for row in rows:
-        s = sum(packed(e) * x for e, x in zip(row, at_x) if e)
+        s = sum(packed(e, shift) * x for e, x in zip(row, at_x) if e)
         if not s:
             continue
         digits = (s + offset).to_bytes(length * nbytes, "little")

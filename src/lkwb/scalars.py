@@ -8,14 +8,16 @@ Four kinds of scalars, one per ground field:
   Q(l,r); a coefficient is an int whenever it is integral, so that
   arithmetic over Z[l, r] builds no rationals,
 * the same restricted to r only -- the field Q(r),
-* elements of quotient rings Q[x]/(f) for algebraic values of r
-  (``AlgebraicNumber`` over a ``NumberField``), each kept as an integer
-  coefficient vector over one positive denominator, in lowest terms, so
-  that arithmetic in Z[x]/(f) builds no rationals.
+* elements of quotient rings Q[x]/(f), f monic in Z[x], for algebraic
+  values of r (``AlgebraicNumber`` over a ``NumberField``), each kept as
+  an integer coefficient vector over one positive denominator, in lowest
+  terms, so that arithmetic in Z[x]/(f) builds no rationals.
 
 Every value has exactly one representation, so equality is structural.
 All values are immutable after construction and safe to share between
-workers.  Text serialization round-trips bit-exactly for every type.
+workers.  Its text (``scalar_to_text``) is canonical too: distinct
+values have distinct text.  Only rationals are read back from
+text (``parse_rat``, for the command line).
 """
 
 from __future__ import annotations
@@ -772,43 +774,37 @@ class RatFunc:
 
 
 class NumberField:
-    """Quotient ring Q[x]/(f) for a monic modulus f of degree d.
+    """Quotient ring Q[x]/(f) for a monic modulus f in Z[x] of degree d.
 
     Irreducibility of f is the caller's contract; a reducible modulus
     surfaces as ZeroDivisorEncountered during inversion.  Products need f
     only through the reductions of x^d .. x^(2d-2) modulo f, kept as
-    sparse rows of (index, coefficient): int coefficients when f is
-    integral, Rat ones otherwise.  Inversion needs f only as the primitive
-    integer polynomial ``modulus_int``.  ``image_ring`` is the
-    ModularImage of Z[x]/(f) when f is in Z[x], else None.
+    sparse rows of (index, int coefficient).  ``image_ring`` is the
+    ModularImage of Z[x]/(f).
     """
 
     def __init__(self, modulus, label=None):
         coeffs = tuple(Rat(c) for c in modulus)
         if len(coeffs) < 2:
             raise ValueError("modulus must have degree >= 1")
-        if coeffs[-1] != 1:
-            raise ValueError("modulus must be monic")
-        self.modulus = coeffs
-        self.modulus_int = kernels.qpoly_to_int(coeffs)[1]
+        if coeffs[-1] != 1 or any(c.denominator != 1 for c in coeffs):
+            raise ValueError("modulus must be monic with integer coefficients")
+        self.modulus = tuple(c.numerator for c in coeffs)
         self.degree = len(coeffs) - 1
         self.label = label
         d = self.degree
         # reductions of x^d .. x^(2d-2) modulo f
-        red = [tuple(-c for c in coeffs[:-1])]
+        red = [tuple(-c for c in self.modulus[:-1])]
         for _ in range(d - 2):
             prev = red[-1]
-            shifted = [Rat(0)] + list(prev[:-1])
+            shifted = [0] + list(prev[:-1])
             top = prev[-1]
             if top:
                 base = red[0]
                 shifted = [s + top * b for s, b in zip(shifted, base)]
             red.append(tuple(shifted))
-        if all(c.denominator == 1 for c in coeffs):
-            red = [[int(c) for c in row] for row in red]
         self._red = tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in red)
-        self.image_ring = (ModularImage(self) if all(c.denominator == 1 for c in coeffs)
-                           else None)
+        self.image_ring = ModularImage(self)
 
     @property
     def tag(self):
@@ -866,9 +862,6 @@ class NumberField:
 
     def random(self, rng, bound=9):
         return self.element([rat(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(self.degree)])
-
-    def parse(self, s):
-        return parse_algebraic(s, self)
 
 
 class AlgebraicNumber:
@@ -970,10 +963,10 @@ class AlgebraicNumber:
     def inverse(self):
         if not self:
             raise DivisionByZero("inverse of zero in quotient ring")
-        # extended Euclid over Z[x] against the primitive modulus F, keeping
-        # s_i * nums = r_i (mod F) with the content of (r_i, s_i) divided out;
+        # extended Euclid over Z[x] against the modulus f, keeping
+        # s_i * nums = r_i (mod f) with the content of (r_i, s_i) divided out;
         # at a constant r_i = c, the inverse is den * s_i / c
-        r0, r1 = list(self.field.modulus_int), list(self.nums)
+        r0, r1 = list(self.field.modulus), list(self.nums)
         while not r1[-1]:
             r1.pop()
         s0, s1 = [], [1]
@@ -1030,14 +1023,6 @@ class AlgebraicNumber:
 # ---------------------------------------------------------------------------
 
 
-def _at(coeffs, b):
-    """sum coeffs[i] 2^(b i), by Horner's rule."""
-    v = 0
-    for c in reversed(coeffs):
-        v = (v << b) + c
-    return v
-
-
 class LaurentImage:
     """The integer image of Q(r)'s Laurent ring: Z[r] -> Z by r -> t = 2^b.
 
@@ -1092,7 +1077,7 @@ class ModularImage:
     """
 
     def __init__(self, field):
-        self.f = tuple(int(c) for c in field.modulus)
+        self.f = field.modulus
         self.norm_f = sum(map(abs, self.f))
         self.gamma = max([1] + [sum(abs(c) for _, c in row) for row in field._red])
 
@@ -1108,7 +1093,7 @@ class ModularImage:
     @staticmethod
     def at(x, scale, b):
         """The image of scale x."""
-        return _at(x.nums, b) * (scale // x.den)
+        return kernels.poly_eval_pow2(x.nums, b) * (scale // x.den)
 
     @staticmethod
     def scale_norm(scale):
@@ -1119,7 +1104,7 @@ class ModularImage:
         return scale
 
     def modulus(self, b):
-        return _at(self.f, b)
+        return kernels.poly_eval_pow2(self.f, b)
 
 
 # ---------------------------------------------------------------------------
@@ -1152,9 +1137,6 @@ class RationalField:
 
     def random(self, rng, bound=100):
         return rat(rng.randint(-bound, bound), rng.randint(1, bound))
-
-    def parse(self, s):
-        return parse_rat(s)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -1224,9 +1206,6 @@ class FunctionField:
             num = LaurentPoly.one()
         return RatFunc(num)
 
-    def parse(self, s):
-        return self.coerce(parse_ratfunc(s))
-
     def __eq__(self, other):
         return isinstance(other, FunctionField) and self.variables == other.variables
 
@@ -1287,7 +1266,7 @@ def m_of_r(r_val):
 
 
 # ---------------------------------------------------------------------------
-# Text serialization
+# Text output
 # ---------------------------------------------------------------------------
 
 
@@ -1327,81 +1306,6 @@ def ratfunc_to_text(f):
 
 def algebraic_to_text(x):
     return "[" + ",".join(format_rat(c) for c in x.coeffs) + "]"
-
-
-def parse_algebraic(s, field):
-    s = s.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError(f"not an algebraic element: {s!r}")
-    inner = s[1:-1].strip()
-    coeffs = [parse_rat(t) for t in inner.split(",")] if inner else []
-    return field.element(coeffs)
-
-
-_TERM_FACTOR_RE = re.compile(r"^([a-z])(?:\^(-?\d+))?$")
-
-
-def _parse_term(tok, varnames):
-    exps = dict.fromkeys(varnames, 0)
-    coeff = Rat(1)
-    sign = 1
-    tok = tok.strip()
-    while tok.startswith("-") or tok.startswith("+"):
-        if tok[0] == "-":
-            sign = -sign
-        tok = tok[1:].strip()
-    if not tok:
-        raise ValueError("empty term")
-    saw_coeff = False
-    for factor in tok.split("*"):
-        factor = factor.strip()
-        m = _TERM_FACTOR_RE.match(factor)
-        if m and m.group(1) in varnames:
-            exps[m.group(1)] += int(m.group(2)) if m.group(2) else 1
-        else:
-            if saw_coeff:
-                coeff = coeff * parse_rat(factor)
-            else:
-                coeff = parse_rat(factor)
-                saw_coeff = True
-    return sign * coeff, exps
-
-
-def _split_terms(s):
-    # split a sum on top-level "+" / "-" (no parentheses inside a sum)
-    s = s.strip()
-    out = []
-    cur = ""
-    for i, ch in enumerate(s):
-        if ch in "+-" and cur.strip() and s[i - 1] not in "^*/eE+-" and not cur.rstrip().endswith("^"):
-            out.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    if cur.strip():
-        out.append(cur)
-    return out
-
-
-def parse_laurent(s, varnames=("l", "r")):
-    s = s.strip()
-    if s == "0":
-        return LaurentPoly.zero()
-    pairs = []
-    for term in _split_terms(s):
-        coeff, exps = _parse_term(term, varnames)
-        pairs.append(((exps.get("l", 0), exps.get("r", 0)), coeff))
-    return LaurentPoly.from_pairs(pairs)
-
-
-def parse_ratfunc(s):
-    s = s.strip()
-    if s.startswith("(") and ")/(" in s and s.endswith(")"):
-        idx = s.index(")/(")
-        num = parse_laurent(s[1:idx])
-        den = parse_laurent(s[idx + 3 : -1])
-        return RatFunc(num, den)
-    return RatFunc.from_laurent(parse_laurent(s))
 
 
 def poly_x_to_text(coeffs):

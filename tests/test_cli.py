@@ -421,6 +421,16 @@ class TestScanClosurePersist:
     def test_persist_wrong_locus(self):
         run_cli("persist", "--locus", "l=r3-2n", "--r", "2/1", "--n", "5", expect=2)
 
+    @pytest.mark.parametrize("args", [
+        ("--n", "9", "--locus", "l=r", "--r", "2/1", "--n-max", "6"),
+        # refused for --n, before the locus, which n = 3 would also refuse
+        ("--n", "3", "--locus", "l=r", "--r", "2/1"),
+    ])
+    def test_persist_starts_at_n_5_only(self, args):
+        proc = run_cli("persist", *args, expect=2)
+        assert proc.stdout == ""
+        assert "--n must be 5" in proc.stderr and "l=r is a locus" not in proc.stderr
+
 
 class TestConfigValidation:
     # a catalog locus fixes l, and det takes no --r

