@@ -17,8 +17,8 @@ class ExponentOverflow(LKWBError):
     """A Laurent exponent exceeded the bound 2^16 in absolute value."""
 
 
-class DenominatorVanishesIdentically(LKWBError):
-    """A locus substitution sent a denominator to the zero polynomial."""
+class DenominatorInL(LKWBError):
+    """A Q(l,r) denominator involves l: values are Laurent polynomials in l over Q(r)."""
 
 
 class PoleAtSpecialization(LKWBError):

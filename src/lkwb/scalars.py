@@ -5,8 +5,10 @@ Four kinds of scalars, one per ground field:
 * arbitrary-precision rationals (``Rat``, which is fractions.Fraction),
 * bivariate Laurent polynomials in l and r over Q (``LaurentPoly``) and
   their fractions (``RatFunc``, always in lowest terms) -- the field
-  Q(l,r); a coefficient is an int whenever it is integral, so that
-  arithmetic over Z[l, r] builds no rationals,
+  Q(l,r), kept as Laurent polynomials in l over Q(r): a denominator is a
+  polynomial in r alone, so the one gcd is a fold over Z[r]; a
+  coefficient is an int whenever it is integral, so that arithmetic over
+  Z[l, r] builds no rationals,
 * the same restricted to r only -- the field Q(r),
 * elements of quotient rings Q[x]/(f), f monic in Z[x], for algebraic
   values of r (``AlgebraicNumber`` over a ``NumberField``), each kept as
@@ -29,7 +31,7 @@ from operator import add, sub
 from . import kernels
 from .kernels import Rat
 from .errors import (
-    DenominatorVanishesIdentically,
+    DenominatorInL,
     DivisionByZero,
     ExponentOverflow,
     FieldMismatch,
@@ -79,6 +81,7 @@ def parse_rat(s):
 
 _pack = kernels.pack_exp
 _unpack = kernels.unpack_exp
+_HALF_PACK = kernels.PACK >> 1
 
 
 def _coeff(c):
@@ -301,7 +304,14 @@ class LaurentPoly:
         return (amin, amax, bmin, bmax)
 
     def is_univariate_r(self):
-        return all(_unpack(k)[0] == 0 for k in self.terms)
+        """Whether self is a Laurent polynomial in r alone.
+
+        A key is a * PACK + b with |b| < PACK / 2, so the keys of a
+        polynomial in r alone are its exponents, and any other key lies
+        outside (-PACK / 2, PACK / 2).
+        """
+        terms = self.terms
+        return not terms or (-_HALF_PACK < min(terms) and max(terms) < _HALF_PACK)
 
     def leading_coeff(self):
         return self.terms[max(self.terms)]
@@ -407,17 +417,14 @@ class LaurentPoly:
     def to_dense_r(self):
         """(shift, coeffs): self = r^shift * sum coeffs[i] r^i, univariate only.
 
-        A key is a * PACK + b with |b| < PACK / 2, so the keys of a
-        polynomial in r alone are its exponents, and any other key lies
-        outside (-PACK / 2, PACK / 2).
+        The keys of a polynomial in r alone are its exponents.
         """
+        if not self.is_univariate_r():
+            raise ValueError("not univariate in r")
         terms = self.terms
         if not terms:
             return 0, []
         lo, hi = min(terms), max(terms)
-        half = kernels.PACK >> 1
-        if lo <= -half or hi >= half:
-            raise ValueError("not univariate in r")
         coeffs = [0] * (hi - lo + 1)
         for k, c in terms.items():
             coeffs[k - lo] = c
@@ -435,22 +442,35 @@ class LaurentPoly:
     # -- gcd ----------------------------------------------------------------
 
     def gcd(self, other):
-        """Polynomial gcd, exact, with a positive leading coefficient.
+        """gcd of two nonzero Laurent polynomials, at least one in r alone.
 
-        A gcd in the Laurent ring is unique up to a monomial and a rational
-        factor.  With both inputs nonzero this one has integer coefficients
-        with content 1 and minimum exponents 0; with one input zero it is
-        the other input.
+        With q in Z[r], gcd(p, q) is the gcd in Z[r] of q and the
+        coefficients of p as a Laurent polynomial in l: one fold of
+        poly_gcd_int.  A gcd in the Laurent ring is unique up to a monomial
+        and a rational factor; this one is in r alone, with integer
+        coefficients of content 1, minimum exponent 0 and a positive
+        leading coefficient.  Two inputs that both involve l raise
+        DenominatorInL.
         """
-        if not self.terms:
-            return _make_positive(other)
-        if not other.terms:
-            return _make_positive(self)
-        a_uni = self.is_univariate_r()
-        b_uni = other.is_univariate_r()
-        if a_uni and b_uni:
-            return _gcd_univariate_r(self, other)
-        return _gcd_bivariate(self, other)
+        p, q = self, other
+        if not q.is_univariate_r():
+            if not p.is_univariate_r():
+                raise DenominatorInL("gcd of two polynomials that involve l")
+            p, q = q, p
+        if p.is_univariate_r():
+            cols = [p]
+        else:
+            by_l = {}
+            for k, c in p.terms.items():
+                a, b = _unpack(k)
+                by_l.setdefault(a, {})[b] = c
+            cols = map(LaurentPoly, by_l.values())
+        g = q.to_dense_int_r()[2]
+        for col in cols:
+            if g == [1]:
+                break
+            g = kernels.poly_gcd_int(g, col.to_dense_int_r()[2])
+        return LaurentPoly.from_pairs([((0, i), c) for i, c in enumerate(g)])
 
     # -- text ---------------------------------------------------------------
 
@@ -476,120 +496,21 @@ class _PowCache:
         return c
 
 
-def _make_positive(p):
-    if p.terms and p.leading_coeff() < 0:
-        return -p
-    return p
-
-
-def _gcd_univariate_r(p, q):
-    _, ps, pi = p.to_dense_int_r()
-    _, qs, qi = q.to_dense_int_r()
-    g = kernels.poly_gcd_int(pi, qi)
-    return LaurentPoly.from_pairs([((0, i), c) for i, c in enumerate(g)])
-
-
-def _bi_coeff_map(p):
-    """Map a -> dense int-list in r: p cleared of denominators, min exponents 0."""
-    amin, _amax, bmin, _bmax = p.exp_range()
-    cols = {}
-    den_lcm = 1
-    for c in p.terms.values():
-        den_lcm = lcm(den_lcm, c.denominator)
-    for k, c in p.terms.items():
-        a, b = _unpack(k)
-        cols.setdefault(a - amin, {})[b - bmin] = c.numerator * (den_lcm // c.denominator)
-    dense = {}
-    for a, col in cols.items():
-        hi = max(col)
-        lst = [0] * (hi + 1)
-        for b, v in col.items():
-            lst[b] = v
-        dense[a] = lst
-    return dense
-
-
-def _gcd_bivariate(p, q):
-    """Primitive-PRS gcd viewing p, q in (Z[r])[l]; see LaurentPoly.gcd."""
-    dp = _bi_coeff_map(p)
-    dq = _bi_coeff_map(q)
-
-    def content(d):
-        """gcd in Z[r] of the l-coefficients, integer content included."""
-        cols = iter(d.values())
-        g = next(cols)
-        for lst in cols:
-            if g == [1]:
-                break
-            g = kernels.poly_gcd_int(g, lst)
-        return g
-
-    def primitive(d):
-        c = content(d)
-        if c == [1]:
-            return d, c
-        return {a: kernels.poly_divexact_int(lst, c) for a, lst in d.items()}, c
-
-    def degree(d):
-        return max(d) if d else -1
-
-    def pseudo_rem(u, v):
-        dv = degree(v)
-        lv = v[dv]
-        u = {a: list(l) for a, l in u.items()}
-        while u and degree(u) >= dv:
-            du = degree(u)
-            lu = u.pop(du)
-            # u = lv*u - lu*l^(du-dv)*v  (leading term cancels)
-            nu = {}
-            for a, l in u.items():
-                nu[a] = kernels.poly_mul_int(lv, l)
-            for a, l in v.items():
-                if a == dv:
-                    continue
-                tgt = a + du - dv
-                s = kernels.poly_sub(nu.get(tgt, []), kernels.poly_mul_int(lu, l))
-                if s:
-                    nu[tgt] = s
-                elif tgt in nu:
-                    del nu[tgt]
-            u = {a: l for a, l in nu.items() if l}
-        return u
-
-    u, cu = primitive(dp)
-    v, cv = primitive(dq)
-    # the primitive part of gcd(cu, cv): poly_gcd_int with one input zero
-    cont_gcd = kernels.poly_gcd_int([], kernels.poly_gcd_int(cu, cv))
-    if degree(u) < degree(v):
-        u, v = v, u
-    while v:
-        r = pseudo_rem(u, v)
-        if r:
-            r, _ = primitive(r)
-        u, v = v, r
-    # result = cont_gcd * u, as a LaurentPoly with nonnegative exponents
-    pairs = []
-    for a, lst in u.items():
-        for i, c in enumerate(lst):
-            if c:
-                pairs.append(((a, i), c))
-    g = LaurentPoly.from_pairs(pairs)
-    if cont_gcd != [1]:
-        g = g * LaurentPoly.from_pairs([((0, i), c) for i, c in enumerate(cont_gcd)])
-    return _make_positive(g)
-
-
 # ---------------------------------------------------------------------------
 # Rational functions
 # ---------------------------------------------------------------------------
 
 class RatFunc:
-    """Quotient of Laurent polynomials in lowest terms.
+    """Quotient of a Laurent polynomial by a polynomial in r, in lowest terms.
 
-    The denominator is a true polynomial (minimum exponents zero), has
-    integer coefficients with content 1 and a positive leading coefficient,
-    and shares no nonconstant factor with the numerator.  That form is
-    unique, so equality is structural.
+    A value of Q(l,r) is kept as a Laurent polynomial in l over Q(r): with
+    q = r^-2 and tau = r^3/l the representation needs no other, and its
+    only true denominators come from m = 1/r - r.  The denominator is a
+    polynomial in r alone (minimum exponent zero), has integer
+    coefficients with content 1 and a positive leading coefficient, and
+    shares no nonconstant factor with the numerator.  That form is unique,
+    so equality is structural.  A denominator that still involves l once
+    its monomial factor is divided out raises DenominatorInL.
     """
 
     __slots__ = ("num", "den")
@@ -607,7 +528,9 @@ class RatFunc:
             self.num = LaurentPoly.zero()
             self.den = LaurentPoly.one()
             return
-        amin, _, bmin, _ = den.exp_range()
+        amin, amax, bmin, _ = den.exp_range()
+        if amax != amin:
+            raise DenominatorInL(f"denominator {laurent_to_text(den)} involves l")
         if amin or bmin:
             den = den.shift(-amin, -bmin)
             num = num.shift(-amin, -bmin)
@@ -619,9 +542,7 @@ class RatFunc:
             den = den.divexact(c)
             num = num.divexact(c)
         if not den.is_const():
-            namin, _, nbmin, _ = num.exp_range()
-            shifted = num.shift(-namin, -nbmin) if (namin or nbmin) else num
-            g = shifted.gcd(den)
+            g = num.gcd(den)
             if not g.is_const():
                 num = num.divexact(g)
                 den = den.divexact(g)
@@ -666,7 +587,7 @@ class RatFunc:
         return _cdiv(self.num.const_value(), self.den.const_value())
 
     def is_univariate_r(self):
-        return self.num.is_univariate_r() and self.den.is_univariate_r()
+        return self.num.is_univariate_r()  # the denominator always is
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -746,10 +667,7 @@ class RatFunc:
 
     def substitute_l(self, eps, k):
         """Substitute l -> eps*r^k; univariate-in-r result."""
-        den = self.den.substitute_l(eps, k)
-        if not den:
-            raise DenominatorVanishesIdentically(f"denominator vanishes under l -> {eps:+d}*r^{k}")
-        return RatFunc(self.num.substitute_l(eps, k), den)
+        return RatFunc(self.num.substitute_l(eps, k), self.den)
 
     def evaluate(self, l_val, r_val):
         try:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -11,6 +12,7 @@ import pytest
 from lkwb import linalg
 from lkwb.errors import (
     AmbientMismatch,
+    DenominatorInL,
     DimensionMismatch,
     DivisionByZero,
     FieldMismatch,
@@ -94,6 +96,36 @@ class TestDet:
         x = field.gen()
         m = Matrix(field, [[x, field.one()], [field.zero(), x ** 3]])
         assert det(m) == x ** 4
+
+    def test_bivariate_against_sympy(self):
+        # entries in Z[l^-1, l, r^-1, r] over denominators in Z[r]; the Bareiss
+        # elimination divides exactly in the Laurent ring and takes no gcd
+        hyp = pytest.importorskip("hypothesis")
+        sympy = pytest.importorskip("sympy")
+        st = hyp.strategies
+        sl, sr = sympy.symbols("l r")
+
+        def poly(a):
+            return st.builds(LaurentPoly.from_pairs, st.lists(
+                st.tuples(st.tuples(a, st.integers(-2, 2)), st.integers(-5, 5)), max_size=3))
+
+        entry = st.builds(RatFunc, poly(st.integers(-2, 2)),
+                          poly(st.just(0)).filter(bool) | st.just(LaurentPoly.one()))
+
+        def to_sympy(p):
+            return sum((sympy.Rational(c.numerator, c.denominator) * sl ** a * sr ** b
+                        for (a, b), c in p.pairs()), sympy.Integer(0))
+
+        @hyp.settings(max_examples=40, deadline=None, derandomize=True)
+        @hyp.given(st.integers(1, 3).flatmap(
+            lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+        def check(rows):
+            d = det(Matrix(QLR, rows))
+            want = sympy.Matrix([[to_sympy(x.num) / to_sympy(x.den) for x in row]
+                                 for row in rows]).det(method="berkowitz")
+            assert sympy.cancel(to_sympy(d.num) / to_sympy(d.den) - want) == 0
+
+        check()
 
     @pytest.mark.parametrize("name", ["phi12", "phi24"])
     def test_number_field_against_charpoly_and_products(self, name):
@@ -193,11 +225,13 @@ class TestRowClearing:
                              ids=["Q", "Q(r)", "Q(l,r)", "phi12"])
     def test_clear_entries_in_the_domain(self, field):
         # den * x is the cleared entry, an int over Q and a Laurent polynomial
-        # over Q(r) and Q(l,r); Q[x]/(f) is its own domain
+        # over Q(r) and Q(l,r), whose denominators are in r; Q[x]/(f) is its
+        # own domain
         rng = random.Random(81)
         entries = [field.random(rng) for _ in range(6)] + [field.zero()]
         if field in (QR, QLR):
-            entries += [field.one() / (field.r() + 2), field.r() / field.random(rng)]
+            entries += [field.one() / (field.r() + 2), field.r() / QR.random(rng),
+                        field.random(rng) / (field.r() ** 2 - 1)]
         den, cleared = linalg.clear_entries(field, entries)
         assert den and len(cleared) == len(entries)
         for x, c in zip(entries, cleared):
@@ -1130,11 +1164,22 @@ class TestSubmatrixCertificates:
         L, R = RatFunc.var_l(), RatFunc.var_r()
         top = [[L, R, 1, L * R, 0], [1, L + R, R, 0, L]]
         dependent = [L * a - R * b for a, b in zip(*top)]
-        m = Matrix(QLR, top + [dependent, [1 / (R + 1), 0, L, 1, R / (L - 1)]])
+        m = Matrix(QLR, top + [dependent, [1 / (R + 1), 0, L, 1, L / (R - 1)]])
         ri, ci = find_invertible_submatrix(m, 3)
-        assert rank(m.submatrix(ri, ci)) == 3
+        assert det(m.submatrix(ri, ci))
         with pytest.raises(SubmatrixNotFound):
             find_invertible_submatrix(m, 4)
+
+    def test_bivariate_field_elimination_refused(self):
+        # a 4 x 5 product of rank 2 over Q(l,r), whose field elimination once
+        # ran a bivariate gcd for 117 s: its pivots involve l, so dividing by
+        # one is refused at once
+        rng = random.Random(23)
+        m = rand_matrix(QLR, rng, 4, 2) * rand_matrix(QLR, rng, 2, 5)
+        start = time.perf_counter()
+        with pytest.raises(DenominatorInL):
+            rank(m)
+        assert time.perf_counter() - start < 1
 
     def test_number_field_path(self):
         # B C with B 4 x 2 and C 2 x 5 has rank at most 2

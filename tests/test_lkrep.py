@@ -6,7 +6,7 @@ import pytest
 
 from fractions import Fraction
 
-from lkwb.errors import ParameterZero, RelationGateNotPassed, SemisimplicityViolation
+from lkwb.errors import DenominatorInL, ParameterZero, RelationGateNotPassed, SemisimplicityViolation
 from lkwb.linalg import Matrix, det, inverse, rank
 from lkwb.lkrep import (
     LKParams,
@@ -141,6 +141,15 @@ class TestBuildRep:
         # only a matrix with one nonzero row is factored, as every e_k has
         with pytest.raises(AssertionError):
             _rank1_factor(Matrix(QQ, [[0, 0], [2, 4], [1, 2]])._row_nonzeros())
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_symbolic_denominators_are_one_or_r2_minus_1(self, n):
+        # with q = r^-2 and tau = r^3/l every entry is a Laurent polynomial in
+        # l, and the only true denominator comes from m = 1/r - r
+        rep = symbolic_rep(n)
+        mats = rep.g + rep.g_inv + rep.e + rep.g_sq + (build_m_matrix(rep).matrix,)
+        dens = {x.den.to_text() for m in mats for row in m.rows for x in row if x}
+        assert dens == {"1", "r^2 - 1"}
 
     def test_semisimplicity_violation(self):
         with pytest.raises(SemisimplicityViolation):
@@ -361,8 +370,8 @@ class TestGateClearedReports:
 
     Over Q(r) the substituted reps have Laurent polynomial entries, so the
     entry with denominator r + 2 is the only one the gate has to clear; over
-    Q(l,r) the denominator l + r joins the r^2 - 1 of e and delta.  The
-    reports were recorded from the gate that multiplied field entries.
+    Q(l,r) it joins the r^2 - 1 of e and delta.  The reports were recorded
+    from the gate that multiplied field entries.
     """
 
     Q_R_DELTA = "2"
@@ -383,16 +392,19 @@ class TestGateClearedReports:
             "Q(r)", self.Q_R_DELTA, {"e_products", "e_definition", "e_square"},
             ["ee(1,3)", "edef(3)", "esq(3)"])
 
-    def test_q_lr_denominator_l_plus_r(self):
+    def test_q_lr_denominator_r_plus_2(self):
         rep = symbolic_rep(5)
-        g_entry = perturbed_by("g", 1, 0, 0, lambda f: f.one() / (f.l() + f.r()))
+        g_entry = perturbed_by("g", 1, 0, 0, lambda f: f.one() / (f.r() + 2))
         assert verify_relations(g_entry(rep)).to_json_obj() == self.report(
             "Q(l,r)", self.Q_LR_DELTA, {"braid", "e_definition", "cubic_annihilation"},
             ["braid(1,2)", "braid(2,3)", "edef(2)", "cubic(2)"])
-        g_sq_entry = perturbed_by("g_sq", 2, 3, 4, lambda f: f.l() / (f.l() + f.r()))
+        g_sq_entry = perturbed_by("g_sq", 2, 3, 4, lambda f: f.l() / (f.r() + 2))
         assert verify_relations(g_sq_entry(rep)).to_json_obj() == self.report(
             "Q(l,r)", self.Q_LR_DELTA, {"e_definition", "cubic_annihilation"},
             ["edef(3)", "cubic(3)"])
+        # a Q(l,r) value is a Laurent polynomial in l over Q(r)
+        with pytest.raises(DenominatorInL):
+            perturbed_by("g", 1, 0, 0, lambda f: f.one() / (f.l() + f.r()))(rep)
 
 
 def fraction_mats(rep):
