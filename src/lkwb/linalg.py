@@ -27,7 +27,7 @@ import sys
 from functools import lru_cache
 from itertools import combinations
 from math import lcm, prod
-from operator import floordiv, mul, sub
+from operator import floordiv, mul, sub, truediv
 
 from . import kernels
 from .errors import (
@@ -483,23 +483,6 @@ def _fraction_free(work, s, ring):
     return rows, cols, pivot
 
 
-def _inverse_once():
-    """Exact division in a field as a product by the divisor's inverse.
-
-    _fraction_free divides a whole step by the same previous pivot, so
-    only the inverse of the last divisor is kept, and each pivot is
-    inverted once instead of once per updated entry.
-    """
-    last = [None, None]
-
-    def divexact(t, d):
-        if d is not last[0]:
-            last[:] = d, d.inverse()
-        return t * last[1]
-
-    return divexact
-
-
 def _domain(m):
     """(work, ring, finish): m as rows over the integral domain that eliminates it.
 
@@ -509,7 +492,7 @@ def _domain(m):
     full elimination into det m, negated when odd, by dividing out the
     product of the row denominators.  The rings: Z; the Laurent ring, with
     the term count as the pivot cost; any other field, such as Q[x]/(f),
-    divides in the field through _inverse_once.
+    divides in the field.
     """
     field = m.field
     cleared = [clear_entries(field, row) for row in m.rows]
@@ -521,7 +504,7 @@ def _domain(m):
         ring = (mul, sub, LaurentPoly.divexact, lambda e: len(e.terms))
         return work, ring, lambda d, odd: RatFunc(-d if odd else d,
                                                   prod(dens, start=LaurentPoly.one()))
-    return work, (mul, sub, _inverse_once(), lambda x: 0), lambda d, odd: -d if odd else d
+    return work, (mul, sub, truediv, lambda x: 0), lambda d, odd: -d if odd else d
 
 
 def det(m):
@@ -549,7 +532,8 @@ def find_invertible_submatrix(m, s):
 
     The rows and columns of s fraction-free pivoting steps; raises
     SubmatrixNotFound when rank(m) < s.  The minor is verified exactly by
-    its rank through _rref, an elimination independent of the search.
+    det on the submatrix alone, which, like the search, divides by no
+    pivot, so over Q(l,r) it needs no division by a value that involves l.
     """
     if s > min(m.nrows, m.ncols):
         raise DimensionMismatch("requested size exceeds matrix dimensions")
@@ -561,7 +545,7 @@ def find_invertible_submatrix(m, s):
         raise SubmatrixNotFound(f"no invertible {s}x{s} submatrix (rank < {s})")
     rows_idx = tuple(sorted(found[0]))
     cols_idx = tuple(sorted(found[1]))
-    if rank(m.submatrix(rows_idx, cols_idx)) != s:
+    if not det(m.submatrix(rows_idx, cols_idx)):
         raise AssertionError("fraction-free pivoting found a singular minor; this is a bug")
     return rows_idx, cols_idx
 

@@ -14,7 +14,7 @@ refuses representations that fail that gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import prod
 
 from .errors import ParameterZero, SemisimplicityViolation
@@ -228,38 +228,37 @@ def build_rep(params):
 # ---------------------------------------------------------------------------
 
 
+class Report:
+    """A report whose JSON keys are its dataclass fields, in declaration order.
+
+    Tuples become lists and nested reports their objects; a field declared
+    with metadata={"json": False} stays out of the JSON.
+    """
+
+    def to_json_obj(self):
+        return {f.name: _json_value(getattr(self, f.name))
+                for f in fields(self) if f.metadata.get("json", True)}
+
+
+def _json_value(v):
+    if isinstance(v, tuple):
+        return [_json_value(x) for x in v]
+    return v.to_json_obj() if isinstance(v, Report) else v
+
+
 @dataclass(frozen=True)
-class RelationReport:
+class RelationReport(Report):
     n: int
-    field_tag: str
+    field: str
     braid: bool
     far_commutation: bool
     e_products: bool
     e_definition: bool
-    cubic: bool
+    cubic_annihilation: bool
     e_square: bool
     delta: str
+    all_passed: bool
     failures: tuple
-
-    @property
-    def all_passed(self):
-        return (self.braid and self.far_commutation and self.e_products
-                and self.e_definition and self.cubic and self.e_square)
-
-    def to_json_obj(self):
-        return {
-            "n": self.n,
-            "field": self.field_tag,
-            "braid": self.braid,
-            "far_commutation": self.far_commutation,
-            "e_products": self.e_products,
-            "e_definition": self.e_definition,
-            "cubic_annihilation": self.cubic,
-            "e_square": self.e_square,
-            "delta": self.delta,
-            "all_passed": self.all_passed,
-            "failures": list(self.failures),
-        }
 
 
 def verify_relations(rep):
@@ -305,21 +304,21 @@ def verify_relations(rep):
         # and Q(l,r), m/l has no denominator to reduce against and l/m has
         *(("e_definition", f"edef({i + 1})", [(p.m / p.l, (e[i],))],
            [(one, (g_sq[i],)), (p.m, (g[i],)), (-one, ())]) for i in gens),
-        *(("cubic", f"cubic({i + 1})", [(one, (g_sq[i], g[i]))],
+        *(("cubic_annihilation", f"cubic({i + 1})", [(one, (g_sq[i], g[i]))],
            [(s1, (g_sq[i],)), (-s2, (g[i],)), (-l_inv, ())]) for i in gens),
         *(("e_square", f"esq({i + 1})", [(one, (e[i], e[i]))], [(delta, (e[i],))]) for i in gens),
     ]
     den, rows = clear_rows(field, [row for m in mats for row in m._row_nonzeros()])
     scaled = [_scaled(lhs, rhs, den, field) for _, _, lhs, rhs in table]
-    passed = dict.fromkeys(("braid", "far_commutation", "e_products", "e_definition", "cubic",
-                            "e_square"), True)
+    passed = dict.fromkeys(("braid", "far_commutation", "e_products", "e_definition",
+                            "cubic_annihilation", "e_square"), True)
     failures = []
     for (family, label, _, _), ok in zip(table, _holds(field, rows, scaled, rep.dim)):
         if not ok:
             passed[family] = False
             failures.append(label)
-    return RelationReport(n=p.n, field_tag=field.tag, delta=scalar_to_text(delta),
-                          failures=tuple(failures), **passed)
+    return RelationReport(n=p.n, field=field.tag, delta=scalar_to_text(delta),
+                          all_passed=all(passed.values()), failures=tuple(failures), **passed)
 
 
 def _cleared(field, mats):

@@ -48,6 +48,7 @@ from .linalg import (
 )
 from .lkrep import (
     LKParams,
+    Report,
     _cleared,
     build_rep,
     pair_basis,
@@ -298,7 +299,7 @@ def build_m_matrix(rep):
 
 
 @dataclass(frozen=True)
-class DetVerdict:
+class DetVerdict(Report):
     n: int
     locus: str
     verdict: str  # "identically_zero" | "nonzero"
@@ -306,17 +307,6 @@ class DetVerdict:
     probabilistic: bool
     witness: dict = dc_field(default_factory=dict)
     proof: dict = dc_field(default_factory=dict)
-
-    def to_json_obj(self):
-        return {
-            "n": self.n,
-            "locus": self.locus,
-            "verdict": self.verdict,
-            "method": self.method,
-            "probabilistic": self.probabilistic,
-            "witness": self.witness,
-            "proof": self.proof,
-        }
 
 
 _SYMBOLIC_MAX_N = 5
@@ -524,16 +514,15 @@ def _kernel_witness(int_rows, width, p, degree_bound):
     * where A(t) is invertible mod p no w exists, and the search gives up
       (None) at once.
 
-    A common denominator q of v comes from rational reconstruction of its
-    coordinates, and w = q v from their numerators.  At every count of
-    kept points from 4 on, one probe, a fixed combination of the
-    coordinates, is reconstructed; the f + 1 coordinates are built
-    (_interpolate_kernel_vector) only when the probe's fraction is the one
-    of the count before, once per fraction.  The search takes at most the
-    largest 4 * 2^j points with 4 * 2^j <= (degree_bound + 1) / 2, none
-    when 4 is already above that.  w, padded with zeros right of f, is
-    accepted only when it is nonzero and A(r) w(r) = 0 holds as an
-    identity in GF(p)[r] (_annihilates).  Nothing rests on the search being
+    At every count of kept points from 4 on, one probe, a fixed
+    combination of the coordinates of v, is reconstructed as a fraction
+    a / b.  Only when that fraction is the one of the count before, once
+    per fraction, is w = b v built (_interpolate_kernel_vector): b, the
+    probe's denominator, is then taken as a common denominator of v.  The
+    search takes at most the largest 4 * 2^j points with
+    4 * 2^j <= (degree_bound + 1) / 2, none when 4 is already above that.
+    w, padded with zeros right of f, is accepted only when it is nonzero
+    and A(r) w(r) = 0 holds as an identity in GF(p)[r] (_annihilates).  Nothing rests on the search being
     right: a w that passes the identity check is a kernel vector.
     """
     ncols = len(int_rows)
@@ -566,8 +555,8 @@ def _kernel_witness(int_rows, width, p, degree_bound):
         rec = kernels.modp_ratrecon(probe, modulus, p)
         if rec is not None and rec == last and rec != tried:
             tried = rec
-            w = _interpolate_kernel_vector(good, f + 1, p)
-            if w is not None and any(w):
+            w = _interpolate_kernel_vector(good, f + 1, p, rec[1])
+            if any(w):
                 w += [[] for _ in range(ncols - f - 1)]
                 if _annihilates(int_rows, w, p):
                     return w
@@ -619,40 +608,18 @@ def _leading_kernel_vector(int_rows, width, pt, p, f):
     return f, v
 
 
-def _interpolate_kernel_vector(good, ncols, p):
-    """q v from the values v(t) at distinct points t, given as (t, v(t)) pairs, or None.
+def _interpolate_kernel_vector(good, ncols, p, b):
+    """b v from the values v(t) at distinct points t, given as (t, v(t)) pairs.
 
-    Coordinate j of q v, with q the product of the denominators found
-    before it, is interpolated from the values of q v_j.  An interpolant of
-    degree at most k - 3, for k points, agrees with two points to spare
-    and is taken as q v_j itself.  One spare point is not enough: the grid
-    is symmetric at every even k, where the interpolant of an even or odd
-    function has degree at most k - 2 whatever the function.  Any other
-    coordinate is reconstructed as a / b (kernels.modp_ratrecon), b then
-    joins q, and the numerators already found are multiplied by b.  None
-    at the first coordinate that does not reconstruct.
+    b is the denominator of the probe's fraction, and coordinate j of b v
+    is the interpolant of the values b(t) v_j(t).  Where b is not a common
+    denominator of v, or b v has too high a degree for the points, the
+    result is no kernel vector and fails the identity check.
     """
     xs = [t for t, _ in good]
-    vs = [v for _, v in good]
-    modulus = [1]
-    for t in xs:
-        modulus = kernels.modp_poly_mul(modulus, [-t % p, 1], p)
-    q_at = [1] * len(xs)
-    w = []
-    for j in range(ncols):
-        u = kernels.modp_interpolate(xs, [qt * v[j] for qt, v in zip(q_at, vs)], p)
-        if len(u) < len(xs) - 1:
-            w.append(u)
-            continue
-        rec = kernels.modp_ratrecon(u, modulus, p)
-        if rec is None:
-            return None
-        a, b = rec
-        if len(b) > 1:
-            q_at = [qt * kernels.modp_poly_eval(b, t, p) % p for qt, t in zip(q_at, xs)]
-            w = [kernels.modp_poly_mul(c, b, p) for c in w]
-        w.append(a)
-    return w
+    b_at = [kernels.modp_poly_eval(b, t, p) for t in xs]
+    return [kernels.modp_interpolate(xs, [bt * v[j] for bt, (_, v) in zip(b_at, good)], p)
+            for j in range(ncols)]
 
 
 def _annihilates(int_rows, w, p):
@@ -808,30 +775,17 @@ def _det_sampled(n, locus, rng):
 
 
 @dataclass(frozen=True)
-class KernelReport:
+class KernelReport(Report):
     n: int
     locus: str
-    l_text: str
-    r_text: str
-    field_tag: str
+    l: str
+    r: str
+    field: str
     k: int
-    basis: SubspaceBasis
+    basis: SubspaceBasis = dc_field(metadata={"json": False})
     invariant: bool
     minimal_dims: tuple
     unique_minimal: bool
-
-    def to_json_obj(self):
-        return {
-            "n": self.n,
-            "locus": self.locus,
-            "l": self.l_text,
-            "r": self.r_text,
-            "field": self.field_tag,
-            "k": self.k,
-            "invariant": self.invariant,
-            "minimal_dims": list(self.minimal_dims),
-            "unique_minimal": self.unique_minimal,
-        }
 
 
 def rep_at(n, locus, r_val, l_val=None):
@@ -859,9 +813,9 @@ def _kernel_at(n, locus, r_val, l_val=None, with_closures=True):
     report = KernelReport(
         n=n,
         locus=locus.name if locus else "custom",
-        l_text=scalar_to_text(rep.params.l),
-        r_text=scalar_to_text(rep.params.r),
-        field_tag=rep.field.tag,
+        l=scalar_to_text(rep.params.l),
+        r=scalar_to_text(rep.params.r),
+        field=rep.field.tag,
         k=basis.dim,
         basis=basis,
         invariant=invariant,
@@ -974,21 +928,17 @@ def embed_subspace(space, n_from, n_to):
 
 
 @dataclass(frozen=True)
-class PersistenceReport:
+class PersistenceReport(Report):
     locus: str
-    r_text: str
+    r: str
     base_n: int
     checked: tuple  # (n, annihilated) pairs
     verified: bool
 
     def to_json_obj(self):
-        return {
-            "locus": self.locus,
-            "r": self.r_text,
-            "base_n": self.base_n,
-            "checked": [{"n": n, "annihilated": ok} for n, ok in self.checked],
-            "verified": self.verified,
-        }
+        # checked stays (n, annihilated) pairs in Python; the JSON names them
+        return {**super().to_json_obj(),
+                "checked": [{"n": n, "annihilated": ok} for n, ok in self.checked]}
 
 
 def persistent_vector_check(locus, n_max, r_val):
@@ -1013,7 +963,7 @@ def persistent_vector_check(locus, n_max, r_val):
         checked.append((n, annihilates(mn.matrix, [v])))
     return PersistenceReport(
         locus=locus.name,
-        r_text=report.r_text,
+        r=report.r,
         base_n=5,
         checked=tuple(checked),
         verified=all(ok for _, ok in checked),
@@ -1033,16 +983,6 @@ class ProbeReport:
     probabilistic: bool
     samples: tuple = ()
     witness: dict = dc_field(default_factory=dict)
-
-    def to_json_obj(self):
-        return {
-            "verdict": self.verdict,
-            "commutant_dim": self.commutant_dim,
-            "trials": self.trials,
-            "probabilistic": self.probabilistic,
-            "samples": list(self.samples),
-            "witness": self.witness,
-        }
 
 
 def indecomposability_probe(rep, trials, rng):
@@ -1287,11 +1227,11 @@ def _verify_split(sample, ops, u, v):
 
 
 @dataclass(frozen=True)
-class LocusRecord:
+class LocusRecord(Report):
     locus: str
-    l_text: str
-    det_vanishes: bool
-    det_method: str
+    l: str
+    det_verdict: str  # "zero" | "nonzero"
+    method: str
     k: int
     expected_k: int
     k_source: str
@@ -1307,72 +1247,34 @@ class LocusRecord:
     mismatches: tuple
     witnesses: dict
 
-    def to_json_obj(self):
-        return {
-            "locus": self.locus,
-            "l": self.l_text,
-            "det_verdict": "zero" if self.det_vanishes else "nonzero",
-            "method": self.det_method,
-            "k": self.k,
-            "expected_k": self.expected_k,
-            "k_source": self.k_source,
-            "minimal_dims": list(self.minimal_dims),
-            "expected_min_dim": self.expected_min_dim,
-            "unique": self.unique,
-            "invariant": self.invariant,
-            "one_dim_count": self.one_dim_count,
-            "expected_count": self.expected_count,
-            "indecomposable": self.indecomposable,
-            "probabilistic": self.probabilistic,
-            "match": self.match,
-            "mismatches": list(self.mismatches),
-            "witnesses": self.witnesses,
-        }
-
 
 @dataclass(frozen=True)
-class GenericRecord:
-    l_text: str
-    det_vanishes: bool
+class GenericRecord(Report):
+    locus: str  # "generic"
+    l: str
+    det_verdict: str
+    method: str
     k: int
     commutant_dim: int
     match: bool
     mismatches: tuple
 
-    def to_json_obj(self):
-        return {
-            "locus": "generic",
-            "l": self.l_text,
-            "det_verdict": "zero" if self.det_vanishes else "nonzero",
-            "method": "specialized-point",
-            "k": self.k,
-            "commutant_dim": self.commutant_dim,
-            "match": self.match,
-            "mismatches": list(self.mismatches),
-        }
-
 
 @dataclass(frozen=True)
-class CertificationReport:
+class CertificationReport(Report):
     n: int
-    r_text: str
-    field_tag: str
+    r: dict  # {"value", "field"}
     seed: object
-    records: tuple
-    generic: GenericRecord
+    all_match: bool
+    loci: tuple  # the LocusRecords, then the GenericRecord
 
     @property
-    def all_match(self):
-        return all(rec.match for rec in self.records) and self.generic.match
+    def records(self):
+        return self.loci[:-1]
 
-    def to_json_obj(self):
-        return {
-            "n": self.n,
-            "r": {"value": self.r_text, "field": self.field_tag},
-            "seed": self.seed,
-            "all_match": self.all_match,
-            "loci": [rec.to_json_obj() for rec in self.records] + [self.generic.to_json_obj()],
-        }
+    @property
+    def generic(self):
+        return self.loci[-1]
 
 
 # Largest n at which certify runs the indecomposability probe and the
@@ -1417,11 +1319,10 @@ def certify(n, r_val, *, seed=0, probe_trials=10, jobs=1):
     generic = _certify_generic(n, r_val, _random.Random(f"{seed}|generic"))
     return CertificationReport(
         n=n,
-        r_text=scalar_to_text(fieldobj.coerce(r_val)),
-        field_tag=fieldobj.tag,
+        r={"value": scalar_to_text(fieldobj.coerce(r_val)), "field": fieldobj.tag},
         seed=seed,
-        records=tuple(records),
-        generic=generic,
+        all_match=all(rec.match for rec in records) and generic.match,
+        loci=(*records, generic),
     )
 
 
@@ -1477,9 +1378,9 @@ def _certify_locus(n, locus, r_val, rng, probe_trials):
         witnesses["kernel_basis"] = report.basis.to_json_obj()
     return LocusRecord(
         locus=locus.name,
-        l_text=report.l_text,
-        det_vanishes=det_vanishes,
-        det_method="specialized-point",
+        l=report.l,
+        det_verdict="zero" if det_vanishes else "nonzero",
+        method="specialized-point",
         k=report.k,
         expected_k=expected["k"],
         k_source=expected["k_source"],
@@ -1513,8 +1414,10 @@ def _certify_generic(n, r_val, rng):
         if cdim != 1:
             mismatches.append(f"commutant dimension {cdim} at a non-locus point")
     return GenericRecord(
-        l_text=report.l_text,
-        det_vanishes=det_vanishes,
+        locus="generic",
+        l=report.l,
+        det_verdict="zero" if det_vanishes else "nonzero",
+        method="specialized-point",
         k=k,
         commutant_dim=cdim,
         match=not mismatches,
@@ -1528,21 +1431,12 @@ def _certify_generic(n, r_val, rng):
 
 
 @dataclass(frozen=True)
-class ScanReport:
+class ScanReport(Report):
     n: int
-    r_text: str
+    r: str
     seed: object
-    rows: tuple
     all_match: bool
-
-    def to_json_obj(self):
-        return {
-            "n": self.n,
-            "r": self.r_text,
-            "seed": self.seed,
-            "all_match": self.all_match,
-            "rows": list(self.rows),
-        }
+    rows: tuple
 
 
 # random non-locus rows of a scan
@@ -1566,7 +1460,7 @@ def scan(n, r_val, rng, seed=None):
         ok = ok and match
         rows.append({
             "locus": locus.name,
-            "l": report.l_text,
+            "l": report.l,
             "k": report.k,
             "reducible": reducible,
             "expected_reducible": True,
@@ -1580,11 +1474,11 @@ def scan(n, r_val, rng, seed=None):
         ok = ok and match
         rows.append({
             "locus": "random",
-            "l": report.l_text,
+            "l": report.l,
             "k": report.k,
             "reducible": reducible,
             "expected_reducible": False,
             "match": match,
         })
-    return ScanReport(n=n, r_text=scalar_to_text(QQ.coerce(r_val)), seed=seed,
-                      rows=tuple(rows), all_match=ok)
+    return ScanReport(n=n, r=scalar_to_text(QQ.coerce(r_val)), seed=seed, all_match=ok,
+                      rows=tuple(rows))

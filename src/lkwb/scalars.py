@@ -357,12 +357,14 @@ class LaurentPoly:
         quot = {}
         lead_k = max(oterms)
         lead_c = oterms[lead_k]
-        # any exact quotient has its lowest key >= qmin
-        qmin = min(self.terms) - min(oterms)
+        # the exponents of l and of r in an exact quotient run from the min
+        # of self's minus the min of other's to the max minus the max
+        alo, ahi, blo, bhi = (x - y for x, y in zip(self.exp_range(), other.exp_range()))
         while rem:
             rk = max(rem)
             qk = rk - lead_k
-            if qk < qmin:
+            a, b = _unpack(qk)
+            if not (alo <= a <= ahi and blo <= b <= bhi):
                 raise ValueError("inexact Laurent division")
             qc = _cdiv(rem[rk], lead_c)
             quot[qk] = qc

@@ -1181,6 +1181,17 @@ class TestSubmatrixCertificates:
             rank(m)
         assert time.perf_counter() - start < 1
 
+    def test_bivariate_minor_checked_by_det(self):
+        # the same product: the search and the det check of its minor both
+        # eliminate fraction-free, so neither divides by a pivot in l
+        rng = random.Random(23)
+        m = rand_matrix(QLR, rng, 4, 2) * rand_matrix(QLR, rng, 2, 5)
+        ri, ci = find_invertible_submatrix(m, 2)
+        assert (ri, ci) == ((0, 1), (2, 4))
+        assert det(m.submatrix(ri, ci))
+        with pytest.raises(SubmatrixNotFound):
+            find_invertible_submatrix(m, 3)
+
     def test_number_field_path(self):
         # B C with B 4 x 2 and C 2 x 5 has rank at most 2
         field = cyclotomic_field("phi12")

@@ -235,7 +235,8 @@ class TestGateMutation:
         assert verify_relations(rep).all_passed
         for broken in self.broken_reps(rep):
             report = verify_relations(broken)
-            assert not (report.braid and report.cubic and report.e_square), report.failures
+            assert not (report.braid and report.cubic_annihilation
+                        and report.e_square), report.failures
             with pytest.raises(RelationGateNotPassed):
                 build_m_matrix(broken)
 

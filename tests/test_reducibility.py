@@ -564,7 +564,7 @@ class TestKernelWitness:
         matrix, locus = self.locus_matrix(4, "l=r")
         want = _univariate_zero_verdict(matrix, 4, locus, "substituted")
         monkeypatch.setattr(reducibility, "_interpolate_kernel_vector",
-                            lambda good, ncols, p: [[] for _ in range(ncols)])
+                            lambda good, ncols, p, b: [[] for _ in range(ncols)])
         seen = self.spy(monkeypatch)
         assert _univariate_zero_verdict(matrix, 4, locus, "substituted") == want
         assert seen["witness"][0][1] is None
@@ -1102,8 +1102,8 @@ class TestCertifyAndScan:
         monkeypatch.setattr(reducibility, "det", no_det)
         report = certify(3, rat(2), seed=7)
         assert report.all_match
-        assert all(rec.det_vanishes and rec.k > 0 for rec in report.records)
-        assert not report.generic.det_vanishes and report.generic.k == 0
+        assert all(rec.det_verdict == "zero" and rec.k > 0 for rec in report.records)
+        assert report.generic.det_verdict == "nonzero" and report.generic.k == 0
 
     def test_jobs_pool_capped_by_loci(self, monkeypatch):
         import concurrent.futures

@@ -1,6 +1,7 @@
 """Scalar arithmetic: rationals, Laurent rational functions, quotient rings."""
 
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -606,10 +607,14 @@ class TestLaurentIntegerCoefficients:
 
     def test_inexact_division_raises(self):
         r, l = LaurentPoly.var_r(), LaurentPoly.var_l()
-        with pytest.raises(ValueError):
-            (r ** 2 + 1).divexact(r + 1)
-        with pytest.raises(ValueError):
-            (l + r).divexact(l - r)
+        start = time.perf_counter()
+        # the leading term of r + 1 sits a power of l below that of l + r,
+        # where the quotient's terms once ran down in r without end
+        for a, b in [(r ** 2 + 1, r + 1), (l + r, l - r), (l + r, r + 1),
+                     (l * r + 1, l + r ** 3), (l ** 2 + r, l * r - 1)]:
+            with pytest.raises(ValueError):
+                a.divexact(b)
+        assert time.perf_counter() - start < 1
         with pytest.raises(DivisionByZero):
             (r + 1).divexact(LaurentPoly.zero())
 
