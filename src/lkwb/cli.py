@@ -26,6 +26,8 @@ from .lkrep import (
     convention_report,
 )
 from .reducibility import (
+    CATALOG,
+    PERSISTENT_LOCI,
     build_m_matrix,
     certify,
     det_on_locus,
@@ -47,7 +49,6 @@ from .scalars import (
     scalar_to_text,
 )
 
-_LOCUS_CHOICES = ("generic", "l=r", "l=-r3", "l=r3-2n", "l=+r3-n", "l=-r3-n", "custom")
 _MODE_CHOICES = ("symbolic", "substituted", "sampled")
 
 
@@ -67,7 +68,7 @@ def build_parser():
             # certify and scan take l from the catalog or draw it: no --l
             p.add_argument("--l", help="rational l value (custom locus)")
         if locus:
-            p.add_argument("--locus", choices=_LOCUS_CHOICES, default="generic")
+            p.add_argument("--locus", choices=("generic", *CATALOG, "custom"), default="generic")
         if mode:
             p.add_argument("--mode", choices=_MODE_CHOICES, default="substituted")
         p.add_argument("--seed", type=int, default=0)
@@ -352,7 +353,7 @@ def _cmd_persist(args):
     if args.n != 5:
         raise InvalidConfig("persist starts from K(5) at n = 5; --n must be 5")
     locus = _locus_from_args(args)
-    if locus.name not in ("l=r", "l=-r3"):
+    if locus.name not in PERSISTENT_LOCI:
         raise InvalidConfig("persist runs at --locus l=r or l=-r3")
     r_val = parse_r(args.r)
     if args.n_max < 6:

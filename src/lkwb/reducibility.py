@@ -9,7 +9,7 @@ at every reducibility locus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from math import comb, isqrt
+from math import isqrt
 from operator import mul
 
 from . import kernels
@@ -105,7 +105,20 @@ class Locus:
 
 GENERIC = Locus("generic")
 
-_CATALOG_NAMES = ("l=r", "l=-r3", "l=r3-2n", "l=+r3-n", "l=-r3-n")
+# The paper's table, one row per reducibility locus in catalog order:
+# l = eps * r^k(n), the least invariant dimension d(n), and whether d(n)
+# comes from the classification literature or is measured here.  A locus
+# exists for the n with d(n) > 0, so l=r from n = 4 on.
+CATALOG = {
+    "l=r": (1, lambda n: 1, lambda n: n * (n - 3) // 2, "literature"),
+    "l=-r3": (-1, lambda n: 3, lambda n: (n - 1) * (n - 2) // 2, "literature"),
+    "l=r3-2n": (1, lambda n: 3 - 2 * n, lambda n: 1, "measured"),
+    "l=+r3-n": (1, lambda n: 3 - n, lambda n: n - 1, "measured"),
+    "l=-r3-n": (-1, lambda n: 3 - n, lambda n: n - 1, "measured"),
+}
+
+# the inductive reducibility loci, where persistent_vector_check runs
+PERSISTENT_LOCI = ("l=r", "l=-r3")
 
 
 def named_locus(name, n, custom_l=None):
@@ -116,92 +129,58 @@ def named_locus(name, n, custom_l=None):
         if custom_l is None:
             raise ValueError("custom locus requires an l value")
         return Locus("custom", custom_l=custom_l)
-    if name == "l=r":
-        if n < 4:
-            raise ValueError("l=r is a locus only for n >= 4")
-        return Locus("l=r", 1, 1)
-    if name == "l=-r3":
-        return Locus("l=-r3", -1, 3)
-    if name == "l=r3-2n":
-        return Locus("l=r3-2n", 1, 3 - 2 * n)
-    if name == "l=+r3-n":
-        return Locus("l=+r3-n", 1, 3 - n)
-    if name == "l=-r3-n":
-        return Locus("l=-r3-n", -1, 3 - n)
-    raise ValueError(f"unknown locus name {name!r}")
+    if name not in CATALOG:
+        raise ValueError(f"unknown locus name {name!r}")
+    if n < 3:
+        raise ValueError("n must be at least 3")
+    eps, k, dim, _ = CATALOG[name]
+    if dim(n) < 1:
+        # d(n) grows with n: only l=r misses a strand count, n = 3
+        raise ValueError(f"{name} is a locus only for n >= {n + 1}")
+    return Locus(name, eps, k(n))
 
 
 def catalog(n):
-    """The reducibility loci for strand count n.
+    """The reducibility loci for strand count n, in table order.
 
-    For n >= 4 the five named loci; for n = 3 the four-element catalog
-    {-r^3, 1/r^3, 1, -1} (the same named loci minus l=r, with the
-    exponents collapsing to k = -3 and k = 0).
+    For n >= 4 the five named loci; for n = 3, where d(3) = 0 at l=r, the
+    four-element catalog {-r^3, 1/r^3, 1, -1}.
     """
     if n < 3:
         raise ValueError("n must be at least 3")
-    names = _CATALOG_NAMES if n >= 4 else _CATALOG_NAMES[1:]
-    return tuple(named_locus(name, n) for name in names)
+    return tuple(named_locus(name, n) for name, (_, _, dim, _) in CATALOG.items() if dim(n) > 0)
 
 
 def expected_spectrum(n, locus, r_val=None):
     """Expected kernel dimension and invariant-subspace data at a locus.
 
-    Dimensions established in the classification literature carry
-    k_source="literature"; the kernel dimensions at the 1-dimensional and
-    (n-1)-dimensional loci are values measured by this workbench
-    (k_source="measured").  Returns None for generic/custom loci.
+    Read off CATALOG: min_dim is d(n) and, off the exceptional points, k
+    is d(n) too.  The kernel dimension at a one-dimensional locus is
+    always measured by this workbench.  At an exceptional point
+    (exceptional_layering) l=-r3 and l=r3-2n both get the entry of l=-r3
+    plus the line S^(n).  Returns None for generic/custom loci.
     """
     if locus.is_generic or locus.is_custom:
         return None
-    exceptional = r_val is not None and _is_exceptional(n, r_val)
-    if locus.name == "l=r":
-        d = n * (n - 3) // 2
-        return {"min_dim": d, "k": d, "k_source": "literature", "count": 1}
-    if locus.name == "l=-r3":
-        d = (n - 1) * (n - 2) // 2
-        if n == 3:
-            count = 2 if exceptional else 1
-            return {"min_dim": 1, "k": 2 if exceptional else 1,
-                    "k_source": "measured", "count": count}
-        if _minus_r3_collision(n, r_val):
-            return {"min_dim": d, "k": d + 1, "k_source": "literature", "count": 1}
-        return {"min_dim": d, "k": d, "k_source": "literature", "count": 1}
-    if locus.name == "l=r3-2n":
-        if n >= 4 and _minus_r3_collision(n, r_val):
-            # r^(3-2n) = -r^3 here: the locus is l=-r3
-            return expected_spectrum(n, named_locus("l=-r3", n), r_val)
-        if n == 3:
-            count = 2 if exceptional else 1
-            return {"min_dim": 1, "k": 2 if exceptional else 1,
-                    "k_source": "measured", "count": count}
-        return {"min_dim": 1, "k": 1, "k_source": "measured", "count": 1}
-    if locus.name in ("l=+r3-n", "l=-r3-n"):
-        d = 3 if n == 4 else n - 1
-        return {"min_dim": d, "k": d, "k_source": "measured", "count": 1}
-    raise ValueError(f"no expectation table for locus {locus.name!r}")
-
-
-def _is_exceptional(n, r_val):
-    # n = 3 exceptional point r^6 = -1, where -r^3 = 1/r^3
-    return n == 3 and r_val ** 6 == -1
-
-
-def _minus_r3_collision(n, r_val):
-    # at r^(2n) = -1, r^(3-2n) = -r^3: the loci l=-r3 and l=r3-2n coincide
-    return r_val is not None and r_val ** (2 * n) == -1
+    layered = exceptional_layering(n, locus, r_val)
+    _, _, dim, source = CATALOG["l=-r3" if layered else locus.name]
+    d = dim(n)
+    return {"min_dim": d, "k": d + layered, "k_source": "measured" if d == 1 else source,
+            # where d(n) = 1 the line is a second one-dimensional subspace
+            "count": 1 + (layered and d == 1)}
 
 
 def exceptional_layering(n, locus, r_val):
-    """True at the exceptional points, where K(n) is layered at this locus.
+    """True at the exceptional points r^(2n) = -1 of l=-r3 and l=r3-2n.
 
-    There (r^6 = -1 for n = 3; r^(2n) = -1 at l=-r3 and l=r3-2n for
-    n >= 4) the kernel is a line plus the (n-1)(n-2)/2-dimensional
-    subspace, so the closure of one kernel vector may be all of K(n):
-    minimal dimensions are recorded, not checked against the table.
+    There r^(3-2n) = -r^3, so the two loci coincide (n = 3's r^6 = -1 is
+    the first case), and K(n) is the line S^(n) plus the
+    (n-1)(n-2)/2-dimensional subspace of l=-r3.  The closure of one
+    kernel vector may be all of K(n): minimal dimensions are recorded,
+    not checked against the table.
     """
-    return _is_exceptional(n, r_val) or (n >= 4 and _minus_r3_collision(n, r_val)
-                                         and locus.name in ("l=-r3", "l=r3-2n"))
+    return (locus.name in ("l=-r3", "l=r3-2n") and r_val is not None
+            and r_val ** (2 * n) == -1)
 
 
 # ---------------------------------------------------------------------------
@@ -946,7 +925,7 @@ def persistent_vector_check(locus, n_max, r_val):
 
     Locus must be l=r or l=-r3 (the inductive reducibility loci).
     """
-    if locus.name not in ("l=r", "l=-r3"):
+    if locus.name not in PERSISTENT_LOCI:
         raise ValueError("persistence is checked at l=r and l=-r3 only")
     if n_max < 6:
         raise ValueError("n_max must be at least 6")
@@ -998,7 +977,9 @@ def probe_operators(ops, trials, rng):
     verified coprime kernel splitting is returned as a DecomposableWitness.
     Samples whose characteristic polynomial is certified a perfect power of
     one linear or irreducible factor count as indecomposability evidence
-    (a probabilistic verdict).
+    (a probabilistic verdict).  A one-dimensional commutant, the scalars,
+    holds no idempotent but 0 and 1: that verdict is exact, and no sample
+    is drawn.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -1009,24 +990,19 @@ def probe_operators(ops, trials, rng):
     if fieldobj != QQ:
         return ProbeReport("inconclusive", cdim, 0, False,
                            samples=("factor analysis is implemented over Q only",))
-    scalar = comm == [Matrix.identity(QQ, n)]
+    if cdim == 1:
+        return ProbeReport("indecomposable_evidence", cdim, trials, False)
     sample_notes = []
     all_evidence = True
     for t in range(trials):
         coeffs = [rng.randint(-9, 9) for _ in comm]
         if not any(coeffs):
             coeffs[0] = 1
-        if scalar:
-            # the sample c I is not built: its characteristic polynomial is
-            # (x - c)^n, one linear factor, which never splits
-            c = coeffs[0]
-            cp = [Rat(comb(n, i) * (-c) ** (n - i)) for i in range(n + 1)]
-        else:
-            sample = Matrix.zeros(QQ, n, n)
-            for c, b in zip(coeffs, comm):
-                if c:
-                    sample = sample + b.scale(Rat(c))
-            cp = charpoly(sample)
+        sample = Matrix.zeros(QQ, n, n)
+        for c, b in zip(coeffs, comm):
+            if c:
+                sample = sample + b.scale(Rat(c))
+        cp = charpoly(sample)
         analysis = _charpoly_factor_analysis(cp)
         if analysis["kind"] == "split":
             witness = _verify_split(sample, ops, analysis["u"], analysis["v"])
@@ -1041,9 +1017,7 @@ def probe_operators(ops, trials, rng):
             sample_notes.append(f"sample {t}: inconclusive factor structure")
             all_evidence = False
     if all_evidence:
-        # a one-dimensional commutant leaves no room for idempotents, so the
-        # verdict is then exact rather than sampled evidence
-        return ProbeReport("indecomposable_evidence", cdim, trials, cdim != 1,
+        return ProbeReport("indecomposable_evidence", cdim, trials, True,
                            samples=tuple(sample_notes))
     return ProbeReport("inconclusive", cdim, trials, False, samples=tuple(sample_notes))
 
@@ -1451,34 +1425,19 @@ def scan(n, r_val, rng, seed=None):
     """
     if isinstance(r_val, int):
         r_val = Rat(r_val)
+    # the kernels draw nothing from rng: the random rows' l values are its only draws
+    draws = [_random_l_off_catalog(n, r_val, rng, 50) for _ in range(_SCAN_RANDOM_ROWS)]
     rows = []
-    ok = True
-    for locus in catalog(n):
-        report = kernel_k(n, locus, r_val, with_closures=False)
+    for locus, l_val in [*((loc, None) for loc in catalog(n)), *((None, l) for l in draws)]:
+        report, _, _, _ = _kernel_at(n, locus, r_val, l_val, with_closures=False)
         reducible = report.k > 0
-        match = reducible
-        ok = ok and match
         rows.append({
-            "locus": locus.name,
+            "locus": locus.name if locus else "random",
             "l": report.l,
             "k": report.k,
             "reducible": reducible,
-            "expected_reducible": True,
-            "match": match,
+            "expected_reducible": locus is not None,
+            "match": reducible == (locus is not None),
         })
-    for _ in range(_SCAN_RANDOM_ROWS):
-        l_val = _random_l_off_catalog(n, r_val, rng, 50)
-        report, _, _, _ = _kernel_at(n, None, r_val, l_val, with_closures=False)
-        reducible = report.k > 0
-        match = not reducible
-        ok = ok and match
-        rows.append({
-            "locus": "random",
-            "l": report.l,
-            "k": report.k,
-            "reducible": reducible,
-            "expected_reducible": False,
-            "match": match,
-        })
-    return ScanReport(n=n, r=scalar_to_text(QQ.coerce(r_val)), seed=seed, all_match=ok,
-                      rows=tuple(rows))
+    return ScanReport(n=n, r=scalar_to_text(QQ.coerce(r_val)), seed=seed,
+                      all_match=all(row["match"] for row in rows), rows=tuple(rows))

@@ -703,7 +703,7 @@ class NumberField:
     ModularImage of Z[x]/(f).
     """
 
-    def __init__(self, modulus, label=None):
+    def __init__(self, modulus):
         coeffs = tuple(Rat(c) for c in modulus)
         if len(coeffs) < 2:
             raise ValueError("modulus must have degree >= 1")
@@ -711,7 +711,6 @@ class NumberField:
             raise ValueError("modulus must be monic with integer coefficients")
         self.modulus = tuple(c.numerator for c in coeffs)
         self.degree = len(coeffs) - 1
-        self.label = label
         d = self.degree
         # reductions of x^d .. x^(2d-2) modulo f
         red = [tuple(-c for c in self.modulus[:-1])]
@@ -1154,7 +1153,7 @@ def cyclotomic_field(name):
         coeffs = CYCLOTOMIC_MODULI[name]
     except KeyError:
         raise KeyError(f"unknown cyclotomic modulus {name!r}; known: {sorted(CYCLOTOMIC_MODULI)}")
-    return NumberField(coeffs, label=name)
+    return NumberField(coeffs)
 
 
 def field_of(x):
@@ -1176,13 +1175,7 @@ def m_of_r(r_val):
         r_val = Rat(r_val)
     if not r_val:
         raise DivisionByZero("m_of_r at r = 0")
-    if is_rat(r_val):
-        return Rat(1) / r_val - r_val
-    if isinstance(r_val, RatFunc):
-        return RatFunc.one() / r_val - r_val
-    if isinstance(r_val, AlgebraicNumber):
-        return r_val.inverse() - r_val
-    raise FieldMismatch(f"unsupported scalar type {type(r_val).__name__}")
+    return 1 / r_val - r_val
 
 
 # ---------------------------------------------------------------------------

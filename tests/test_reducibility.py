@@ -1,5 +1,6 @@
 """Test element M(n), kernels at loci, invariant subspaces, certification."""
 
+import argparse
 import functools
 import json
 import random
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import lkwb.reducibility as reducibility
-from lkwb import kernels, linalg
+from lkwb import cli, kernels, linalg
 from lkwb.errors import (
     DepthTooLarge,
     InfeasibleMode,
@@ -20,7 +21,6 @@ from lkwb.linalg import (
     MERSENNE_EXPONENTS,
     Matrix,
     SubspaceBasis,
-    charpoly,
     kernel,
     operator_closure,
 )
@@ -37,6 +37,7 @@ from lkwb.reducibility import (
     dense_int_row,
     det_on_locus,
     embed_subspace,
+    exceptional_layering,
     expected_spectrum,
     indecomposability_probe,
     kernel_k,
@@ -977,29 +978,19 @@ class TestProbe:
         assert probe.commutant_dim == 1
         assert not probe.probabilistic
 
-    def test_scalar_commutant_skips_charpoly(self, monkeypatch):
-        def no_charpoly(m):
-            raise AssertionError("charpoly called for a scalar sample")
+    def test_scalar_commutant_is_exact_without_samples(self, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("a sample analysed at a scalar commutant")
 
-        analysed = []
-
-        def record(cp):
-            analysed.append(cp)
-            return analyse(cp)
-
-        analyse = reducibility._charpoly_factor_analysis
-        monkeypatch.setattr(reducibility, "charpoly", no_charpoly)
-        monkeypatch.setattr(reducibility, "_charpoly_factor_analysis", record)
+        monkeypatch.setattr(reducibility, "charpoly", unexpected)
+        monkeypatch.setattr(reducibility, "_charpoly_factor_analysis", unexpected)
         rep = rational_rep(4, rat(5), rat(2))
-        probe = indecomposability_probe(rep, 10, random.Random(1))
-        assert probe.verdict == "indecomposable_evidence"
-        assert probe.commutant_dim == 1
-        assert probe.samples == tuple(f"sample {t}: charpoly is (linear)^{rep.dim}"
-                                      for t in range(10))
-        # the same draws, and Faddeev-LeVerrier on each c I, give the same polynomials
         rng = random.Random(1)
-        scalars = [rng.randint(-9, 9) or 1 for _ in range(10)]
-        assert analysed == [charpoly(Matrix.identity(QQ, rep.dim).scale(rat(c))) for c in scalars]
+        state = rng.getstate()
+        probe = indecomposability_probe(rep, 10, rng)
+        assert rng.getstate() == state
+        assert (probe.verdict, probe.commutant_dim, probe.trials, probe.probabilistic) == \
+            ("indecomposable_evidence", 1, 10, False)
 
     def test_locus_evidence(self):
         rep = rep_at(4, named_locus("l=r", 4), rat(2))
@@ -1160,6 +1151,47 @@ class TestCertifyAndScan:
         assert expected_spectrum(6, named_locus("l=-r3", 6))["k"] == 10
         assert expected_spectrum(7, named_locus("l=-r3", 7))["min_dim"] == 15
         assert expected_spectrum(4, GENERIC) is None
+
+    # expected_spectrum as (min_dim, k, k_source, count) per catalog locus,
+    # in catalog order: l=r (not at n = 3), l=-r3, l=r3-2n, l=+r3-n, l=-r3-n
+    L, M = "literature", "measured"
+    SPECTRA = {
+        3: ((1, 1, M, 1), (1, 1, M, 1), (2, 2, M, 1), (2, 2, M, 1)),
+        4: ((2, 2, L, 1), (3, 3, L, 1), (1, 1, M, 1), (3, 3, M, 1), (3, 3, M, 1)),
+        5: ((5, 5, L, 1), (6, 6, L, 1), (1, 1, M, 1), (4, 4, M, 1), (4, 4, M, 1)),
+        6: ((9, 9, L, 1), (10, 10, L, 1), (1, 1, M, 1), (5, 5, M, 1), (5, 5, M, 1)),
+        7: ((14, 14, L, 1), (15, 15, L, 1), (1, 1, M, 1), (6, 6, M, 1), (6, 6, M, 1)),
+        8: ((20, 20, L, 1), (21, 21, L, 1), (1, 1, M, 1), (7, 7, M, 1), (7, 7, M, 1)),
+    }
+    # at r^(2n) = -1
+    LAYERED_SPECTRA = {
+        (3, "phi12"): ((1, 2, M, 2), (1, 2, M, 2), (2, 2, M, 1), (2, 2, M, 1)),
+        (5, "phi20"): ((5, 5, L, 1), (6, 7, L, 1), (6, 7, L, 1), (4, 4, M, 1), (4, 4, M, 1)),
+        (6, "phi24"): ((9, 9, L, 1), (10, 11, L, 1), (10, 11, L, 1), (5, 5, M, 1), (5, 5, M, 1)),
+    }
+
+    @staticmethod
+    def spectra(n, r_val):
+        return tuple(tuple(expected_spectrum(n, locus, r_val).values()) for locus in catalog(n))
+
+    def test_expected_spectrum_literal_table(self):
+        for r_val in (rat(2), rat(3, 2)):
+            for n, want in self.SPECTRA.items():
+                assert self.spectra(n, r_val) == want, (n, r_val)
+                assert not any(exceptional_layering(n, locus, r_val) for locus in catalog(n))
+        for (n, name), want in self.LAYERED_SPECTRA.items():
+            x = cyclotomic_field(name).gen()
+            assert self.spectra(n, x) == want, (n, name)
+            # layered at l=-r3 and l=r3-2n only, n = 3 included
+            assert [locus.name for locus in catalog(n)
+                    if exceptional_layering(n, locus, x)] == ["l=-r3", "l=r3-2n"]
+
+    def test_cli_locus_choices_are_the_catalog(self):
+        subparsers, = (a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+        choices = {tuple(action.choices) for p in subparsers.choices.values()
+                   for action in p._actions if action.dest == "locus"}
+        assert choices == {("generic", "l=r", "l=-r3", "l=r3-2n", "l=+r3-n", "l=-r3-n", "custom")}
 
     def test_expected_spectrum_r3_minus_2n_collides_with_minus_r3(self):
         x = cyclotomic_field("phi20").gen()
