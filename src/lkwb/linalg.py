@@ -9,13 +9,13 @@ inverses, subspace spans and intersections, operator closure, and
 kernels over every field but Q.  Fraction-free pivoting over Z, the
 Laurent ring or Q[x]/(f) gives determinants and invertible-submatrix
 certificates, and rows cleared into those domains check subspace
-invariance.  A sparse semi-echelon over GF(p) gives one-sided rank
-bounds, among them the scalar-commutant certificate, modular kernels and
-spin dimensions; a kernel over Q is taken mod p too and lifted by
-rational reconstruction, with the exact RREF as its fallback.  Every
-exact check is a product on rows cleared into the domain and mapped into
-the integers by int_images: annihilates decides M v = 0 and
-SubspaceBasis.contains decides v in U.  Matrices and
+invariance.  One sparse pivot step over GF(p) gives one-sided rank
+bounds, among them the scalar-commutant certificate, modular kernels,
+spin dimensions and the substituted det's point solves; a kernel over Q
+is taken mod p too and lifted by rational reconstruction, with the exact
+RREF as its fallback.  Every exact check is a product on rows cleared
+into the domain and mapped into the integers by int_images: annihilates
+decides M v = 0 and SubspaceBasis.contains decides v in U.  Matrices and
 bases are immutable values; all operations are pure functions, so
 independent jobs can run concurrently without shared state.
 """
@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import sys
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, count
 from math import lcm, prod
 from operator import floordiv, mul, sub, truediv
 
@@ -920,25 +920,39 @@ def _residue(x, p, powers):
 def _pivot_mod_p(pivots, row, p):
     """Reduce a sparse integer row against the pivot rows over GF(p).
 
-    A nonzero residue, made 1 at its leading column, becomes the pivot row
-    of that column and is returned; a zero residue returns None.
+    The row's columns are scanned in order from its first entry.  A nonzero
+    residue at a column with no pivot row is made 1 there, becomes the
+    pivot row of that column and is returned; a zero residue returns None.
+    For p below one digit of a Python int the residues stay reduced and
+    zeros are dropped.  For a wider p an entry is reduced only where it is
+    read, so it grows by less than p^2 a step; the pivot rows are reduced.
     """
-    r = {c: v % p for c, v in row.items() if v % p}
-    while r:
-        c = min(r)
-        prow = pivots.get(c)
-        if prow is None:
-            inv = pow(r[c], -1, p)
-            prow = pivots[c] = {k: v * inv % p for k, v in r.items()}
-            return prow
-        f = r[c]
-        for k, v in prow.items():
-            x = (r.get(k, 0) - f * v) % p
+    narrow = not p >> sys.int_info.bits_per_digit
+    r = {c: y for c, v in row.items() if (y := v % p)} if narrow else dict(row)
+    if not r:
+        return None
+    for c in count(min(r)):
+        if c in r:
+            x = r[c] % p
             if x:
-                r[k] = x
-            else:
-                del r[k]
-    return None
+                prow = pivots.get(c)
+                if prow is None:
+                    inv = pow(x, -1, p)
+                    prow = pivots[c] = {k: y for k, v in r.items() if (y := v * inv % p)}
+                    return prow
+                if narrow:
+                    for k, v in prow.items():
+                        y = (r.get(k, 0) - x * v) % p
+                        if y:
+                            r[k] = y
+                        else:
+                            del r[k]
+                else:
+                    for k, v in prow.items():
+                        r[k] = r.get(k, 0) - x * v
+            r.pop(c, None)
+            if not r:
+                return None
 
 
 def _semi_echelon_mod_p(rows, p, stop=None):
@@ -1014,9 +1028,13 @@ def nullspace_mod_p(rows, p, ncols):
     the free column; each is a dense list of residues, 1 at its own free
     column and 0 at the other free columns.
     """
-    pivots = _semi_echelon_mod_p(rows, p)
+    return _back_substitute_mod_p(_semi_echelon_mod_p(rows, p), p, ncols)
+
+
+def _back_substitute_mod_p(pivots, p, ncols):
+    """nullspace_mod_p's (pivot columns, kernel basis) from its pivot rows,
+    cleared in place of every later pivot column, right to left: the RREF."""
     order = sorted(pivots)
-    # back substitution, right to left: clear every later pivot column
     for c in reversed(order):
         r = pivots[c]
         for k in [k for k in r if k != c and k in pivots]:

@@ -26,6 +26,8 @@ from .linalg import (
     MERSENNE_EXPONENTS,
     Matrix,
     SubspaceBasis,
+    _back_substitute_mod_p,
+    _pivot_mod_p,
     _row_combination,
     annihilates,
     charpoly,
@@ -548,41 +550,24 @@ def _leading_kernel_vector(int_rows, width, pt, p, f):
 
     f_t is the first free column of those columns, f + 1 when they are
     independent.  v is the kernel vector of length f + 1 that is 1 at f
-    when f_t = f, else None.  The rows are reduced in order, dense on the
-    columns 0..f: pivot row c holds the entries right of c, reduced mod p,
-    of a row that is 1 at c.  A row is reduced only where it is read, so
-    its entries grow by less than p^2 a step.  Once the columns 0..f-1 all
-    have a pivot row, v comes from back substitution, and each later row is
-    only checked against it.
+    when f_t = f, else None.  The rows are reduced in order by the pivot
+    step of nullspace_mod_p.  Once the columns 0..f-1 all have a pivot row,
+    v comes from its back substitution, and each later row is only checked
+    against it.
     """
-    powers = [1]
-    for _ in range(width - 1):
-        powers.append(powers[-1] * pt % p)
     pivots = {}
-    rows = iter(int_rows)
+    rows = _rows_at(int_rows, width, pt, p, f + 1)
     for row in rows:
-        r = [sum(map(mul, e, powers)) for e in row[:f + 1]]
-        for c in range(f + 1):
-            x = r[c] % p
-            if not x:
-                continue
-            tail = pivots.get(c)
-            if tail is None:
-                inv = pow(x, -1, p)
-                pivots[c] = [y * inv % p for y in r[c + 1:]]
-                break
-            r[c + 1:] = [y - x * z for y, z in zip(r[c + 1:], tail)]
+        _pivot_mod_p(pivots, row, p)
         if len(pivots) == f + 1:
             return f + 1, None
         if len(pivots) == f and f not in pivots:
             break
     else:
         return next(c for c in range(f + 1) if c not in pivots), None
-    v = [0] * f + [1]
-    for c in range(f - 1, -1, -1):
-        v[c] = -sum(map(mul, pivots[c], v[c + 1:])) % p
+    v = _back_substitute_mod_p(pivots, p, f + 1)[1][0]
     for row in rows:
-        if sum(sum(map(mul, e, powers)) * x for e, x in zip(row, v)) % p:
+        if sum(x * v[j] for j, x in row.items()) % p:
             return f + 1, None
     return f, v
 
@@ -655,16 +640,18 @@ def _coefficient_bound(int_rows):
     return isqrt(b2)
 
 
-def _rows_at(int_rows, width, pt, p):
+def _rows_at(int_rows, width, pt, p, ncols=None):
     """Sparse rows {column: value} of the integer matrix at pt, correct mod p.
 
-    The powers of pt are reduced mod p, and rank_mod_p reduces the values;
+    Yielded one at a time, cut to the first ncols columns when given.  The
+    powers of pt are reduced mod p and the pivot step reduces the values;
     width is the largest number of coefficients of an entry.
     """
     powers = [1]
     for _ in range(width - 1):
         powers.append(powers[-1] * pt % p)
-    return [{j: sum(map(mul, e, powers)) for j, e in enumerate(row) if e} for row in int_rows]
+    for row in int_rows:
+        yield {j: sum(map(mul, e, powers)) for j, e in enumerate(row[:ncols]) if e}
 
 
 def _bivariate_grid_verdict(matrix, n):
@@ -1130,38 +1117,24 @@ _PROBE_PRIMES = (10007, 10009, 10037, 10039, 10061, 10067)
 
 
 def _modp_irreducible(s):
-    """Certify irreducibility over Q by exhibiting a prime with one factor."""
-    deg = len(s) - 1
-    for p in _PROBE_PRIMES:
-        if s[-1] % p == 0:
-            continue
-        sp = [c % p for c in s]
-        if _modp_factor_count(sp, p) == 1:
-            return True
-    return False
+    """Certify irreducibility over Q by exhibiting a prime where s is irreducible."""
+    return any(s[-1] % p and _irreducible_mod_p(s, p) for p in _PROBE_PRIMES)
 
 
-def _modp_factor_count(s, p):
-    """Number of irreducible factors mod p (Berlekamp kernel dimension)."""
-    deg = len(s) - 1
-    deriv = [c % p for c in kernels.poly_deriv(s)]
-    while deriv and not deriv[-1]:
-        deriv.pop()
-    if not deriv or len(kernels.modp_poly_gcd(list(s), deriv, p)) > 1:
-        return 0  # not squarefree mod p: caller tries another prime
-    # rows of the Frobenius matrix: x^(p*i) mod s
-    xp = kernels.modp_poly_powmod([0, 1], p, s, p)
-    rows = []
-    cur = [1]
-    for _ in range(deg):
-        row = [0] * deg
-        for j, c in enumerate(cur):
-            row[j] = c
-        rows.append(row)
-        cur = kernels.modp_poly_mulmod(cur, xp, s, p)
-    # kernel dimension of (Q - I) over GF(p)
-    mat = [[(rows[j][i] - (1 if i == j else 0)) % p for j in range(deg)] for i in range(deg)]
-    return deg - rank_mod_p([dict(enumerate(row)) for row in mat], p)
+def _irreducible_mod_p(f, p):
+    """True when f is irreducible over GF(p); p does not divide its leading coefficient.
+
+    Ben-Or's test (FOCS 1981): a reducible f of degree d has an irreducible
+    factor of some degree i <= d/2, which divides x^(p^i) - x, so f is
+    irreducible exactly when gcd(x^(p^i) - x, f) = 1 for every i <= d/2.
+    """
+    f = [c % p for c in f]
+    x = h = [0, 1]
+    for _ in range((len(f) - 1) // 2):
+        h = kernels.modp_poly_powmod(h, p, f, p)
+        if len(kernels.modp_poly_gcd(f, kernels.modp_poly_sub(h, x, p), p)) > 1:
+            return False
+    return True
 
 
 def _poly_of_matrix(coeffs, a):

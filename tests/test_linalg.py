@@ -1361,7 +1361,9 @@ class TestRankModP:
         for _ in range(20):
             m = Matrix(QQ, [[rng.randint(-3, 3) for _ in range(6)] for _ in range(5)])
             rows = [{j: int(x) for j, x in enumerate(row) if x} for row in m.rows]
-            assert rank_mod_p(rows, (1 << 61) - 1) == rank(m)
+            # a wide prime, reduced where read, and one below an int digit
+            for p in ((1 << 61) - 1, 1073740201):
+                assert rank_mod_p(rows, p) == rank(m)
 
     def test_rank_drops_mod_small_prime(self):
         rows = [{0: 1, 1: 2}, {0: 3, 1: 1}]
@@ -1386,15 +1388,18 @@ class TestNullspaceModP:
                 ints[-1] = [2 * a - b for a, b in zip(ints[0], ints[1])]
             m = Matrix(QQ, ints)
             rows = [{j: x for j, x in enumerate(row) if x} for row in ints]
-            pivots, basis = nullspace_mod_p(rows, self.P, ncols)
-            assert len(basis) == kernel(m).dim
-            assert len(pivots) == rank(m)
-            free = [j for j in range(ncols) if j not in pivots]
-            for f, v in zip(free, basis):
-                assert len(v) == ncols
-                assert [v[j] for j in free] == [int(j == f) for j in free]
-                for row in ints:
-                    assert sum(a * b for a, b in zip(row, v)) % self.P == 0
+            # entries in [-9, 9] and at most 6 x 6: every minor is below
+            # 1.2e8 (Hadamard), so both primes see the rank over Q
+            for p in (self.P, 1073740201):
+                pivots, basis = nullspace_mod_p(rows, p, ncols)
+                assert len(basis) == kernel(m).dim
+                assert len(pivots) == rank(m)
+                free = [j for j in range(ncols) if j not in pivots]
+                for f, v in zip(free, basis):
+                    assert len(v) == ncols
+                    assert [v[j] for j in free] == [int(j == f) for j in free]
+                    for row in ints:
+                        assert sum(a * b for a, b in zip(row, v)) % p == 0
 
     def test_pivots_are_the_rref_pivots(self):
         # the semi-echelon meets column 1 before column 0 here

@@ -76,10 +76,11 @@ class TestMnMatrix:
         total = Matrix.zeros(rep.field, rep.dim, rep.dim)
         for e in rep.e:
             total = total + e
+        g_inv = [linalg.inverse(g) for g in rep.g]
         for i in range(1, rep.n):
             t = rep.e[i - 1]
             for j in range(i + 2, rep.n + 1):
-                t = rep.g_inv[j - 2] * t * rep.g[j - 2]
+                t = g_inv[j - 2] * t * rep.g[j - 2]
                 total = total + t
         return total
 
@@ -127,8 +128,9 @@ class TestMnMatrix:
     def by_field_loop(rep):
         """M(n) from oracles.m_matrix_by_field_loop, summed in the field."""
         f = rep.field
+        g_inv = [linalg.inverse(g) for g in rep.g]
         rows = oracles.m_matrix_by_field_loop(*([m.rows for m in mats] for mats in
-                                                (rep.g, rep.g_inv, rep.e)), f.zero(), f.one())
+                                                (rep.g, g_inv, rep.e)), f.zero(), f.one())
         return Matrix(f, rows)
 
     @pytest.mark.parametrize("field, n", [
@@ -622,6 +624,55 @@ class TestKernelWitness:
         assert seen["candidates"] == 1
         assert seen["rank"] == 0
 
+    @staticmethod
+    def cut_solve(int_rows, width, pt, p, f):
+        """(f_t, v) from nullspace_mod_p on the rows at pt cut to the columns 0..f."""
+        rows = [{j: x for j, x in row.items() if j <= f}
+                for row in reducibility._rows_at(int_rows, width, pt, p)]
+        pivots, basis = linalg.nullspace_mod_p(rows, p, f + 1)
+        f_t = min(set(range(f + 1)).difference(pivots), default=f + 1)
+        return f_t, basis[0] if f_t == f else None
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_leading_solves_agree_with_the_cut_nullspace(self, monkeypatch, n):
+        # every catalog locus at the first 8 grid points, with f the first
+        # free column of the first point's full kernel, as the search takes it
+        solved = 0
+        for locus in catalog(n):
+            matrix = build_m_matrix(substituted_rep(n, locus.eps, locus.k)).matrix
+            with monkeypatch.context() as mp:
+                seen = self.spy(mp)
+                _univariate_zero_verdict(matrix, n, locus, "substituted")
+            (int_rows, width, p, _), _ = seen["witness"][0]
+            points = reducibility._grid_points(8)
+            pivots, _ = linalg.nullspace_mod_p(reducibility._rows_at(int_rows, width, points[0], p),
+                                               p, len(int_rows))
+            f = min(set(range(len(int_rows))).difference(pivots))
+            for pt in points:
+                got = reducibility._leading_kernel_vector(int_rows, width, pt, p, f)
+                assert got == self.cut_solve(int_rows, width, pt, p, f), (locus.name, pt)
+                solved += got[1] is not None
+        assert solved == 8 * len(catalog(n))
+
+    @pytest.mark.parametrize("p", [(1 << 61) - 1, 1073740201])
+    def test_leading_solve_restarts_and_skips(self, p):
+        # (r - 2, 0, 1; 0, 1, 0; 0, 0, 0): first free column 2, but 0 at r = 2
+        skip = [[[-2, 1], [], [1]], [[], [1], []], [[], [], []]]
+        # (1, 1, 0; 2, 2, 0; 1, r, 0): first free column 1 at r = 1; at r = 2
+        # only the last row, checked against v = (-1, 1), shows that the
+        # columns 0..1 are independent
+        restart = [[[1], [1], []], [[2], [2], []], [[1], [0, 1], []]]
+        # the pivot at column f comes first: independent, then short of column 0
+        ahead = [[[], [1]], [[1], []]]
+        short = [[[], [1]], [[], [2]]]
+        cases = [(skip, 2, 2, (0, None)), (skip, 3, 2, (2, [p - 1, 0, 1])),
+                 (restart, 1, 1, (1, [p - 1, 1])), (restart, 2, 1, (2, None)),
+                 (ahead, 2, 1, (2, None)), (short, 2, 1, (0, None))]
+        for rows, pt, f, want in cases:
+            width = max(len(e) for row in rows for e in row)
+            got = reducibility._leading_kernel_vector(rows, width, pt, p, f)
+            assert got == want == self.cut_solve(rows, width, pt, p, f), (rows, pt)
+
     def test_a_row_past_the_pivots_shows_the_restart(self, monkeypatch):
         # column 0 is (r - 2) times column 1 = (r + 2, 1, 0), so w = (-1, r - 2, 0).
         # At r = 2 column 0 vanishes: first free column 0.  At r = -2 row 0 is
@@ -765,11 +816,12 @@ class TestMinimalInvariant:
     def test_generators_alone_give_the_closure_under_inverses(self, n, r_val):
         for locus in catalog(n):
             rep = rep_at(n, locus, r_val)
+            g_inv = [linalg.inverse(g) for g in rep.g]
             basis = kernel(build_m_matrix(rep).matrix)
             assert basis.dim
             for v in basis.vectors:
                 closure = minimal_invariant(rep, v)
-                assert closure == operator_closure([v], list(rep.g) + list(rep.g_inv))
+                assert closure == operator_closure([v], list(rep.g) + g_inv)
                 assert closure == SubspaceBasis.from_vectors(rep.field, closure.ambient_dim,
                                                              closure.vectors)
 
@@ -1027,23 +1079,24 @@ class TestProbe:
         assert probe.witness["split_dims"] == [1, 1]
         assert probe.witness["verified_invariant"]
 
-    def test_modp_factor_count_matches_sympy(self):
-        # sympy's factor_list over GF(p) counts the irreducible factors
+    def test_irreducible_mod_p_matches_sympy(self):
+        # sympy's is_irreducible over GF(p), on squarefree and repeated factors alike
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
         rng = random.Random(5)
-        checked = 0
+        verdicts = set()
         for p in (3, 5, 7, 10007):
             for _ in range(30):
                 deg = rng.randint(1, 8)
                 s = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
                 poly = sympy.Poly(list(reversed(s)), x, modulus=p)
-                if sympy.degree(sympy.gcd(poly, poly.diff(x))) > 0:
-                    continue  # not squarefree mod p
-                _, factors = poly.factor_list()
-                assert reducibility._modp_factor_count(s, p) == sum(m for _, m in factors), (s, p)
-                checked += 1
-        assert checked >= 60
+                want = poly.is_irreducible
+                assert reducibility._irreducible_mod_p(s, p) == want, (s, p)
+                squarefree = sympy.degree(sympy.gcd(poly, poly.diff(x))) <= 0
+                verdicts.add((want, squarefree))
+        assert verdicts == {(True, True), (False, True), (False, False)}
+        # (x^2 + 1)^2: reducible with no root, as -1 is no square mod 10007
+        assert not reducibility._irreducible_mod_p([1, 0, 2, 0, 1], 10007)
 
 
 def loci_distinct(n, r_val):
