@@ -337,7 +337,8 @@ def _cmd_commutant(args):
         raise InvalidConfig("commutant at generic parameters requires --l")
     rep = rep_at(args.n, locus if not locus.is_generic else None, r_val, l_val=l_val)
     gate = verify_relations(rep)
-    basis = commutant_basis(list(rep.g))
+    # e_1 leaves the commutant of a gated rep as it is (commutant_basis)
+    basis = commutant_basis([*rep.g, rep.e[0]] if gate.all_passed else list(rep.g))
     obj = {
         "n": args.n,
         "locus": locus.name,

@@ -1146,6 +1146,17 @@ def commutant_basis(ops):
     Dense exact elimination over the field decides every other case: the
     field has no such prime, p divides a denominator, or the nullity mod p
     is above 1.
+
+    One spin comes first.  If some E in ops has exactly one nonzero row a,
+    E = e_a w^T with w nonzero, then X E = E X applied to a u with
+    w^T u != 0 gives X e_a = c e_a, so X = c on the spin of e_a under ops,
+    and X = c 1 when that spin is the whole space.  A spin mod p is at
+    most the exact one, so spin_mod_p of e_a reaching n proves the same
+    basis [I] before the system is built.  A caller holding a rep that
+    passed the relation gate may add its e_1 to the g_i: the gate's
+    e_definition makes e_1 = (l/m)(g_1^2 + m g_1 - 1), with g_1^2 the
+    product g_1 g_1 that build_rep forms, a polynomial in g_1, so every X
+    commuting with the g_i commutes with e_1 and the commutant is the same.
     """
     if not ops:
         raise DimensionMismatch("no operators given")
@@ -1157,7 +1168,15 @@ def commutant_basis(ops):
     p = residue_prime(field)
     images = [image_mod_p(op, p) for op in ops]
     if None not in images:
-        rows = _commutant_rows([[row.items() for row in image] for image in images], n, 0)
+        images = [[row.items() for row in image] for image in images]
+        for op in ops:
+            support = [i for i, row in enumerate(op._row_nonzeros()) if row]
+            if len(support) == 1:
+                columns = [sparse_columns(rows, n) for rows in images]
+                if spin_mod_p({support[0]: 1}, columns, p) == n:
+                    return [Matrix.identity(field, n)]
+                break
+        rows = _commutant_rows(images, n, 0)
         if rank_mod_p(rows, p, stop=n * n - 1) == n * n - 1:
             return [Matrix.identity(field, n)]
     zero = field.zero()

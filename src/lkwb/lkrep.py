@@ -7,9 +7,10 @@ The defining relations are one table of identities between sums of words
 in g, g^2 and e.  Each identity is multiplied through by a nonzero scalar
 that puts every entry and coefficient in the field's integral domain (Z
 for Q, the Laurent ring for Q(r) and Q(l,r), the field for Q[x]/(f)),
-then checked row by row on the integer images of those sparse integral
-rows (linalg.int_images); build_m_matrix in the reducibility module
-refuses representations that fail that gate.
+then checked on the integer images of those sparse integral rows
+(linalg.int_images), on whole packed sides where the images fit one
+digit and row by row elsewhere; build_m_matrix in the reducibility
+module refuses representations that fail that gate.
 """
 
 from __future__ import annotations
@@ -18,7 +19,15 @@ from dataclasses import dataclass, fields
 from math import prod
 
 from .errors import ParameterZero, SemisimplicityViolation
-from .linalg import Matrix, _row_combination, clear_entries, clear_rows, int_images
+from .linalg import (
+    Matrix,
+    _images_pay,
+    _nonzero,
+    _row_combination,
+    clear_entries,
+    clear_rows,
+    int_images,
+)
 from .scalars import QLR, QQ, QR, Rat, m_of_r, scalar_to_text
 
 
@@ -113,12 +122,14 @@ class LKRep:
         return f"LKRep(n={self.n}, dim={self.dim}, field={self.field.tag})"
 
 
-def build_sigma(n, q, tau, field):
-    """Matrices of the braid generators sigma_k on the pair basis.
+def build_sigma(n, q, tau, field, scale=None):
+    """Matrices of the braid generators sigma_k on the pair basis, times scale.
 
     Case-wise action on x_{s,t}; transcription fidelity is enforced by the
     relation gate, which rejects any build violating the braid/BMW laws.
-    Each matrix keeps the nonzeros of its columns as its sparse rows.
+    Each distinct constant of the case table is formed once, scale (one by
+    default) folded in, so an entry takes no product of its own.  Each
+    matrix keeps the nonzeros of its columns as its sparse rows.
     """
     if not q or not tau:
         raise ParameterZero("q and tau must be nonzero")
@@ -126,16 +137,15 @@ def build_sigma(n, q, tau, field):
     idx = {p: i for i, p in enumerate(basis)}
     N = len(basis)
     one = field.one()
+    c = one if scale is None else scale
     qm1 = q - one
-    one_minus_q = one - q
-    qpow = {1: q}
-
-    def qp(e):
-        v = qpow.get(e)
-        if v is None:
-            v = q ** e
-            qpow[e] = v
-        return v
+    one_minus_q, cq = c * (one - q), c * q
+    # tq[e] = scale tau q^e, times q - 1 once in lin and twice in sq
+    tq = [c * tau]
+    for _ in range(n):
+        tq.append(tq[-1] * q)
+    lin = [x * qm1 for x in tq]
+    sq = [x * qm1 for x in lin]
 
     mats = []
     for k in range(1, n):
@@ -143,36 +153,36 @@ def build_sigma(n, q, tau, field):
         for j, (s, t) in enumerate(basis):
             col = cols[j]
 
-            def add(pair, c):
+            def add(pair, x):
                 i = idx[pair]
-                col[i] = col[i] + c if i in col else c
+                col[i] = col[i] + x if i in col else x
 
             if k < s - 1 or k > t:
-                add((s, t), one)
+                add((s, t), c)
             elif k == s - 1:
-                add((s - 1, t), one)
+                add((s - 1, t), c)
                 add((s, t), one_minus_q)
             elif k == s and s < t - 1:
-                add((s, s + 1), tau * q * qm1)
-                add((s + 1, t), q)
+                add((s, s + 1), lin[1])
+                add((s + 1, t), cq)
             elif k == s and s == t - 1:
-                add((s, t), tau * qp(2))
+                add((s, t), tq[2])
             elif s < k < t - 1:
-                add((s, t), one)
-                add((k, k + 1), tau * qp(k - s) * qm1 * qm1)
+                add((s, t), c)
+                add((k, k + 1), sq[k - s])
             elif s < k and k == t - 1:
-                add((s, t - 1), one)
-                add((t - 1, t), tau * qp(t - s) * qm1)
+                add((s, t - 1), c)
+                add((t - 1, t), lin[t - s])
             elif k == t:
                 add((s, t), one_minus_q)
-                add((s, t + 1), q)
+                add((s, t + 1), cq)
             else:  # unreachable: the cases cover 1 <= k <= n-1  # pragma: no cover
                 raise AssertionError((k, s, t))
         nonzeros = tuple([] for _ in range(N))
         for j, col in enumerate(cols):
-            for i, c in col.items():
-                if c:
-                    nonzeros[i].append((j, c))
+            for i, x in col.items():
+                if x:
+                    nonzeros[i].append((j, x))
         mats.append(Matrix.from_nonzeros(field, nonzeros, N))
     return tuple(mats)
 
@@ -185,10 +195,12 @@ def build_rep(params):
     scalar r once q = 1/r^2 and tau = r^3/l.
 
     Every matrix is built on its sparse rows, which it keeps as its cached
-    row nonzeros: g_k from those of sigma_k, g_k^2 by the sparse product.
-    e_k has rank 1, with one nonzero row, at the pair a = (k, k+1), so only
-    row a of g_k^2 + m g_k - 1 is formed.  The inverses come in closed form,
-    g_k^-1 = g_k + m(1 - e_k), which is g_k + m 1 off row a.  Soundness:
+    row nonzeros: g_k is r sigma_k as build_sigma forms it, r folded into
+    its constants, and g_k^2 comes by the sparse product.  e_k has rank 1,
+    with one nonzero row, at the pair a = (k, k+1), so only row a of
+    g_k^2 + m g_k - 1 is formed.  The inverses come in closed form,
+    g_k^-1 = g_k + m(1 - e_k), which is g_k plus m on the diagonal off
+    row a, with no product.  Soundness:
     the e_k definition gives m g e = l (g^3 + m g^2 - g), and the cubic
     g^3 = (1/l - m) g^2 + (1 + m/l) g - 1/l reduces that to g^2 + m g - 1,
     so g (g + m(1 - e)) = g^2 + m g - m g e = 1.  The relation gate checks
@@ -198,23 +210,26 @@ def build_rep(params):
     gate failed.
     """
     field = params.field
-    r, m = params.r, params.m
+    m = params.m
     one = field.one()
     coef = params.l / m
     N = rep_dim(params.n)
     index = pair_index_map(params.n)
     g, g_sq, e, g_inv = [], [], [], []
-    for k, sigma in enumerate(build_sigma(params.n, params.q, params.tau, field), start=1):
-        gk = Matrix.from_nonzeros(field, tuple([(j, r * c) for j, c in row]
-                                               for row in sigma._row_nonzeros()), N)
+    sigma = build_sigma(params.n, params.q, params.tau, field, scale=params.r)
+    for k, gk in enumerate(sigma, start=1):
         g2 = gk * gk
         rows = gk._row_nonzeros()
         a = index[(k, k + 1)]
         # the one nonzero row of e_k: (l/m) times row a of g_k^2 + m g_k - 1
         erow = [(j, coef * y) for j, y in _row_combination(
             ((0, None), (1, m), (2, -one)), (g2._row_nonzeros()[a], rows[a], ((a, one),)))]
-        # g_k^-1 = g_k + m 1 - m e_k: g_k + m 1, less m e_k on row a
-        inv = [_row_combination(((0, None), (1, m)), (row, ((i, one),))) for i, row in enumerate(rows)]
+        # g_k^-1 = g_k + m 1 - m e_k: g_k plus m on the diagonal, less m e_k on row a
+        inv = []
+        for i, row in enumerate(rows):
+            d = dict(row)
+            d[i] = d[i] + m if i in d else m
+            inv.append([(j, x) for j, x in sorted(d.items()) if x])
         inv[a] = _row_combination(((0, None), (1, -m)), (inv[a], erow))
         g.append(gk)
         g_sq.append(g2)
@@ -351,7 +366,7 @@ def _scaled(lhs, rhs, den, field):
 
 
 def _holds(field, rows, scaled, dim):
-    """For each scaled row, True iff its sides agree, compared on int_images row by row.
+    """For each scaled row, True iff its sides agree, compared on int_images.
 
     The images come from one linalg.int_images call on three kinds of
     groups: the rows of the cleared matrices, dim rows each, with one
@@ -361,15 +376,31 @@ def _holds(field, rows, scaled, dim):
     s^L.  Its value has an L1 norm of at most ||c||_1 (gamma ||s||_1)^(L-k)
     gamma^k prod nu(M) over the k matrices M of w, nu(M) the largest row L1
     norm of M, and C bounds the sum of those over both sides of any row.
+    A coefficient of one adds its word with no product, and a term with
+    coefficient -1 moves to the other side as such a term.
 
-    Row i of a word is row i of its first matrix carried through the rest
-    by linalg._row_combination, the one sparse row loop, and a side
-    combines its word rows the same way; the empty word gives row i of the
-    identity.  A coefficient of one adds its word row with no product, and
-    a term with coefficient -1 moves to the other side as such a term.
-    Both sides give sorted nonzero (column, image) pairs, and the row
-    holds exactly when their residues are equal.  The check of a row stops
-    at the first index where they differ.
+    Where the images are integers compared as they are (over Q, and over
+    Q(r) where int_images takes them) and every matrix image fits one
+    digit (_images_pay of its bit length), whole sides are compared on
+    packed rows.  Row i of a matrix X packs to sum_j X_ij 2^(w j); the
+    packed rows of a word M_1 ... M_k are M_1(M_2(...(M_k X))) on the
+    packed identity, each step a sparse product on dim integers, and a
+    side is the sum of its terms.  No entry of a side exceeds the largest
+    sum of |c| prod nu(M) over one side of a row (gamma = 1, and the
+    identity's image is 1), so an entry of the difference of two sides is
+    below 2^w (_pack_width) and a packed row, read as balanced base-2^w
+    digits, is zero only when every entry is.
+
+    Elsewhere (Q(l,r), Q[x]/(f), and images past one digit, such as the
+    many-digit images of Q(r), where packing was measured to lose) row i
+    of a word is row i of its first matrix carried through the rest by
+    linalg._row_combination, the one sparse row loop, and a side combines
+    its word rows the same way; the empty word gives row i of the
+    identity.  Both sides give sorted nonzero (column, image) pairs, and a
+    row holds exactly when their residues are equal.  A row that is empty
+    in the first matrix of every word is empty on both sides and is
+    skipped, and the check of a table row stops at the first row where
+    the sides differ.
     """
     _, (unit,) = clear_entries(field, [field.one()])
 
@@ -385,6 +416,46 @@ def _holds(field, rows, scaled, dim):
         field, [rows, [[(i, unit)] for i in range(dim)],
                 *([[(k, c) for k, (_, _, c) in enumerate(terms)]] for _, terms in scaled)], bound)
     mats = [rows[k:k + dim] for k in range(0, len(rows), dim)]
+    checks = []
+    for (longest, terms), (cs,) in zip(scaled, coeffs):
+        sides = ([], [])
+        for (s, word, _), (_, c) in zip(terms, cs):
+            if scale != 1:
+                c = c * scale ** (longest - len(word))
+            if c == -1:
+                s, c = 1 - s, None
+            elif c == 1:
+                c = None
+            sides[s].append((c, word))
+        checks.append(sides)
+
+    width = _pack_width(mats, checks) if field == QQ or residue is _nonzero else None
+    if width is not None:
+        packed = {(): [sum(x << width * j for j, x in row) for row in eye]}
+
+        def word_rows(word):
+            vec = packed.get(word)
+            if vec is None:
+                rest = word_rows(word[1:])
+                vec = packed[word] = []
+                for row in mats[word[0]]:
+                    acc = 0
+                    for j, x in row:
+                        acc += x * rest[j]
+                    vec.append(acc)
+            return vec
+
+        def packed_side(terms):
+            if len(terms) == 1 and terms[0][0] is None:
+                return word_rows(terms[0][1])
+            acc = [0] * dim
+            for c, word in terms:
+                acc = [a + (x if c is None else c * x) for a, x in zip(acc, word_rows(word))]
+            return acc
+
+        for lhs, rhs in checks:
+            yield packed_side(lhs) == packed_side(rhs)
+        return
 
     def side(terms, i):
         rows = []
@@ -397,18 +468,39 @@ def _holds(field, rows, scaled, dim):
             return rows[0]
         return _row_combination(enumerate(c for c, _ in terms), rows)
 
-    for (longest, terms), (cs,) in zip(scaled, coeffs):
-        sides = ([], [])
-        for (s, word, _), (_, c) in zip(terms, cs):
-            if scale != 1:
-                c = c * scale ** (longest - len(word))
-            if c == -1:
-                s, c = 1 - s, None
-            elif c == 1:
-                c = None
-            sides[s].append((c, word))
-        lhs, rhs = sides
-        yield all(residue(side(lhs, i)) == residue(side(rhs, i)) for i in range(dim))
+    filled = [[i for i, row in enumerate(m) if row] for m in mats]
+    for lhs, rhs in checks:
+        words = [word for _, word in lhs + rhs]
+        live = sorted({i for w in words for i in filled[w[0]]}) if all(words) else range(dim)
+        yield all(residue(side(lhs, i)) == residue(side(rhs, i)) for i in live)
+
+
+def _pack_width(mats, checks):
+    """w with 2^w > 2C, or None when an entry of mats is past one digit (_images_pay).
+
+    mats are lists of integer sparse rows and each side of a check a list
+    of (c, word) terms, c None for one; C is the largest sum of
+    |c| prod nu(M) over the terms of one side, nu(M) the largest row L1
+    norm of M, so the two sides of a check differ by at most 2C < 2^w in
+    any entry.
+    """
+    nu = []
+    for m in mats:
+        most = top = 0
+        for row in m:
+            norm = 0
+            for _, x in row:
+                x = abs(x)
+                norm += x
+                if x > top:
+                    top = x
+            most = max(most, norm)
+        if not _images_pay(top.bit_length()):
+            return None
+        nu.append(most)
+    c = max((sum((1 if c is None else abs(c)) * prod(nu[m] for m in word) for c, word in side)
+             for sides in checks for side in sides), default=0)
+    return (2 * c).bit_length()
 
 
 # ---------------------------------------------------------------------------

@@ -952,8 +952,12 @@ class ProbeReport:
 
 
 def indecomposability_probe(rep, trials, rng):
-    """Probe for direct-sum decompositions via the commutant of the g_i."""
-    return probe_operators(list(rep.g), trials, rng)
+    """Probe for direct-sum decompositions via the commutant of the g_i.
+
+    rep has passed the relation gate, so e_1 joins the operators with the
+    commutant unchanged and certifies it from one spin (commutant_basis).
+    """
+    return probe_operators([*rep.g, rep.e[0]], trials, rng)
 
 
 def probe_operators(ops, trials, rng):
@@ -1357,7 +1361,8 @@ def _certify_generic(n, r_val, rng):
         mismatches.append(f"kernel dimension {k} at a non-locus point")
     cdim = -1
     if n <= _PROBE_MAX_N and rep.field == QQ:
-        cdim = len(commutant_basis(list(rep.g)))
+        # the gate passed in _kernel_at: e_1 leaves the commutant as it is
+        cdim = len(commutant_basis([*rep.g, rep.e[0]]))
         if cdim != 1:
             mismatches.append(f"commutant dimension {cdim} at a non-locus point")
     return GenericRecord(

@@ -1277,7 +1277,11 @@ class TestCommutant:
 
     @staticmethod
     def _system_nullity(ops):
-        """Dimension of the dense exact kernel of A X - X A = 0, X row-major.
+        return len(TestCommutant._dense_commutant(ops))
+
+    @staticmethod
+    def _dense_commutant(ops):
+        """The RREF kernel of the whole exact system A X - X A = 0, X row-major, as matrices.
 
         Entry (i, j) of A X - X A is sum_p A_ip X_pj - sum_q X_iq A_qj.
         """
@@ -1291,7 +1295,8 @@ class TestCommutant:
                         row[p * n + j] = row[p * n + j] + a.rows[i][p]
                         row[i * n + p] = row[i * n + p] - a.rows[p][j]
                     rows.append(row)
-        return kernel(Matrix(field, rows)).dim
+        return [Matrix(field, [v[i * n:(i + 1) * n] for i in range(n)])
+                for v in kernel(Matrix(field, rows)).vectors]
 
     @pytest.mark.parametrize("name", ["phi12", "phi20", "phi24"])
     def test_number_field_scalars_exactly_when_system_nullity_is_one(self, name, monkeypatch):
@@ -1324,6 +1329,97 @@ class TestCommutant:
         ops = [Matrix(field, [[0, -1], [1, 0]]), Matrix(field, [[1, x * rat(1, p)], [0, 1]])]
         assert commutant_basis(ops) == [Matrix.identity(field, 2)]
         assert len(calls) == 1
+
+    def _count_systems(self, monkeypatch):
+        calls = []
+        build = linalg._commutant_rows
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(linalg, "_commutant_rows", counted)
+        return calls
+
+    def test_one_row_operator_spin_against_dense_commutant(self, monkeypatch):
+        # a planted E = e_a w^T among random operators: wherever the spin of
+        # e_a reaches n, [I] comes back before any system is built, and every
+        # basis equals the dense exact one
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        entries = st.sampled_from([rat(0), rat(0), rat(0), rat(1), rat(-1), rat(2), rat(1, 2),
+                                   rat(-3, 5)])
+        systems = self._count_systems(monkeypatch)
+        seen = set()
+
+        @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+        @hyp.given(st.integers(1, 4), st.data())
+        def check(n, data):
+            ops = [Matrix(QQ, [[data.draw(entries) for _ in range(n)] for _ in range(n)])
+                   for _ in range(data.draw(st.integers(0, 2)))]
+            a = data.draw(st.integers(0, n - 1))
+            w = [data.draw(entries) for _ in range(n)]
+            hyp.assume(any(w))
+            planted = Matrix(QQ, [w if i == a else [rat(0)] * n for i in range(n)])
+            ops.insert(0, planted)  # the first operator with one nonzero row
+            before = len(systems)
+            basis = commutant_basis(ops)
+            assert basis == self._dense_commutant(ops)
+            spun = spin_mod_p({a: 1}, [columns_mod_p(op, residue_prime(QQ)) for op in ops],
+                              residue_prime(QQ)) == n
+            assert (len(systems) == before) == spun
+            seen.add((spun, len(basis) == 1))
+
+        check()
+        assert seen == {(True, True), (False, True), (False, False)}
+
+    def test_short_spin_leaves_the_rank_and_dense_paths(self, monkeypatch):
+        systems = self._count_systems(monkeypatch)
+        calls = self._count_dense_kernels(monkeypatch)
+        p = residue_prime(QQ)
+        # E = e_0 e_1^T and diag(1, 2): the spin of e_0 is its line, yet
+        # X = diag(x, y) with x = y, so the rank mod p certifies the scalars
+        line = [Matrix(QQ, [[0, 1], [0, 0]]), Matrix(QQ, [[1, 0], [0, 2]])]
+        assert spin_mod_p({0: 1}, [columns_mod_p(op, p) for op in line], p) == 1
+        assert commutant_basis(line) == [Matrix.identity(QQ, 2)]
+        assert len(systems) == 1 and not calls
+        # block diagonal: the spin of e_0 stays in the first block, where the
+        # commutant is diag(a, a, b), and the dense path gives its dimension 2
+        blocks = [Matrix(QQ, [[1, 1, 0], [0, 0, 0], [0, 0, 0]]),
+                  Matrix(QQ, [[0, 1, 0], [1, 0, 0], [0, 0, 2]])]
+        assert spin_mod_p({0: 1}, [columns_mod_p(op, p) for op in blocks], p) == 2
+        basis = commutant_basis(blocks)
+        assert len(basis) == 2 == self._system_nullity(blocks)
+        assert basis == self._dense_commutant(blocks)
+        assert len(systems) == 3 and len(calls) == 1
+
+    def test_one_row_operator_with_denominator_p_falls_back(self, monkeypatch):
+        p = residue_prime(QQ)
+        systems = self._count_systems(monkeypatch)
+        calls = self._count_dense_kernels(monkeypatch)
+        # the spin of e_0 under E and the cyclic shift is everything, but E
+        # has no image mod p: no spin and no rank mod p, one dense kernel
+        shift = Matrix(QQ, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+        ops = [Matrix(QQ, [[1, rat(1, p), 0], [0, 0, 0], [0, 0, 0]]), shift]
+        assert commutant_basis(ops) == [Matrix.identity(QQ, 3)]
+        assert len(systems) == 1 and len(calls) == 1
+
+    @pytest.mark.parametrize("r", ["2", "3/2", "37/11", "phi12", "phi20", "phi24"])
+    def test_adding_e1_keeps_the_commutant_of_a_gated_rep(self, r, monkeypatch):
+        # e_1 = (l/m)(g_1^2 + m g_1 - 1) on a rep that passes the gate; with
+        # it the spin certifies, without it the rank mod p does
+        r_val = cyclotomic_field(r).gen() if r.startswith("phi") else parse_rat(r)
+        systems = self._count_systems(monkeypatch)
+        for n in range(3, 7):
+            if r == "phi12" and n == 6:  # r^12 = 1
+                continue
+            for locus in catalog(n):
+                rep = rep_at(n, locus, r_val)
+                with_e1 = commutant_basis([*rep.g, rep.e[0]])
+                assert not systems
+                assert with_e1 == commutant_basis(list(rep.g)) == [Matrix.identity(rep.field,
+                                                                                   rep.dim)]
+                systems.clear()
 
     def test_commutant_dim_against_sympy_nullspace(self):
         hyp = pytest.importorskip("hypothesis")

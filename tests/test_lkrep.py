@@ -1,16 +1,19 @@
 """Lawrence-Krammer construction: sigma action, dictionary, relations."""
 
 import random
+import sys
 
 import pytest
 
 from fractions import Fraction
 
+from lkwb import lkrep
 from lkwb.errors import DenominatorInL, ParameterZero, RelationGateNotPassed, SemisimplicityViolation
 from lkwb.linalg import Matrix, det, inverse, rank
 from lkwb.lkrep import (
     LKParams,
     LKRep,
+    _holds,
     build_rep,
     build_sigma,
     convention_report,
@@ -319,11 +322,14 @@ class TestGateMutantReports:
                       [f"{rel}({i})" for rel in ("edef", "cubic", "esq") for i in range(1, 5)]),
     }
 
-    # field -> (rep, delta text, delta text of wrong_delta)
+    # build -> (field, rep, delta text, delta text of wrong_delta, packed rows);
+    # over Q the gate packs its rows at r = 2 and takes the row path at 37/11
     BUILDS = {
-        "Q": (lambda: rational_rep(5, rat(5), rat(2)), "21/5", "44/9"),
-        "Q(r)": (lambda: substituted_rep(5, 1, 1), "2",
-                 "(2*r^3 + 3*r^2 - r - 1)/(r^3 + r^2 - r - 1)"),
+        "Q": ("Q", lambda: rational_rep(5, rat(5), rat(2)), "21/5", "44/9", True),
+        "Q at r=37/11": ("Q", lambda: rational_rep(5, rat(5), rat(37, 11)), "667/260",
+                         "21733/7488", False),
+        "Q(r)": ("Q(r)", lambda: substituted_rep(5, 1, 1), "2",
+                 "(2*r^3 + 3*r^2 - r - 1)/(r^3 + r^2 - r - 1)", False),
     }
 
     # g_4 x_{4,5} = (1/l) x_{4,5}, and g_sq is not rebuilt: the change of
@@ -332,6 +338,8 @@ class TestGateMutantReports:
     LAST_ROW = {
         "Q": ({"braid", "far_commutation", "e_definition", "cubic_annihilation"},
               ["braid(3,4)", "far(1,4)", "far(2,4)", "edef(4)", "cubic(4)"]),
+        "Q at r=37/11": ({"braid", "far_commutation", "e_definition", "cubic_annihilation"},
+                         ["braid(3,4)", "far(1,4)", "far(2,4)", "edef(4)", "cubic(4)"]),
         "Q(r)": ({"braid", "far_commutation", "e_definition"},
                  ["braid(3,4)", "far(1,4)", "far(2,4)", "edef(4)"]),
     }
@@ -342,19 +350,103 @@ class TestGateMutantReports:
         out.update({"delta": delta, "all_passed": False, "failures": failures})
         return out
 
+    @staticmethod
+    def verify(rep, packs, monkeypatch):
+        """verify_relations(rep), asserting whether it compared packed rows."""
+        widths = spy_pack_width(monkeypatch)
+        report = verify_relations(rep)
+        assert any(w is not None for w in widths) == packs
+        return report
+
     @pytest.mark.parametrize("mutant", list(EXPECTED), ids=lambda m: m.__name__)
     @pytest.mark.parametrize("field_tag", sorted(BUILDS))
-    def test_report_pinned(self, field_tag, mutant):
-        build, delta, wrong = self.BUILDS[field_tag]
-        expected = self.expected(field_tag, wrong if mutant is wrong_delta else delta,
+    def test_report_pinned(self, field_tag, mutant, monkeypatch):
+        field, build, delta, wrong, packs = self.BUILDS[field_tag]
+        expected = self.expected(field, wrong if mutant is wrong_delta else delta,
                                  *self.EXPECTED[mutant])
-        assert verify_relations(mutant(build())).to_json_obj() == expected
+        assert self.verify(mutant(build()), packs, monkeypatch).to_json_obj() == expected
 
     @pytest.mark.parametrize("field_tag", sorted(BUILDS))
-    def test_last_row_report_pinned(self, field_tag):
-        build, delta, _ = self.BUILDS[field_tag]
-        expected = self.expected(field_tag, delta, *self.LAST_ROW[field_tag])
-        assert verify_relations(perturbed_last_row(build())).to_json_obj() == expected
+    def test_last_row_report_pinned(self, field_tag, monkeypatch):
+        field, build, delta, _, packs = self.BUILDS[field_tag]
+        expected = self.expected(field, delta, *self.LAST_ROW[field_tag])
+        report = self.verify(perturbed_last_row(build()), packs, monkeypatch)
+        assert report.to_json_obj() == expected
+
+
+def spy_pack_width(monkeypatch):
+    """The list of every lkrep._pack_width result from now on, None for the row path."""
+    widths = []
+    width = lkrep._pack_width
+
+    def spied(mats, checks):
+        widths.append(width(mats, checks))
+        return widths[-1]
+
+    monkeypatch.setattr(lkrep, "_pack_width", spied)
+    return widths
+
+
+class TestPackedGate:
+    """The gate on packed rows: where it packs, its width, and its verdicts."""
+
+    def test_one_perturbed_entry_on_packed_rows(self, monkeypatch):
+        # one-digit reps over Q, which the gate checks on packed rows, against
+        # the whole-matrix oracle, unperturbed and with one entry moved
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        small = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+        widths = spy_pack_width(monkeypatch)
+        seen = set()
+
+        @hyp.settings(max_examples=40, deadline=None, derandomize=True)
+        @hyp.given(st.sampled_from((3, 4, 5)), small,
+                   st.sampled_from((Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(3, 2))),
+                   st.data())
+        def check(n, l, r, data):
+            try:
+                rep = rational_rep(n, l, r)
+            except SemisimplicityViolation:
+                hyp.reject()
+            if data.draw(st.booleans()):
+                name = data.draw(st.sampled_from(("g", "e", "g_sq")))
+                k = data.draw(st.integers(0, n - 2))
+                i, j = (data.draw(st.integers(0, rep.dim - 1)) for _ in range(2))
+                extra = data.draw(small)
+                rep = perturbed_by(name, k, i, j, lambda f: extra)(rep)
+            failures = list(verify_relations(rep).failures)
+            hyp.assume(widths[-1] is not None)
+            assert failures == oracles.relation_failures(n, l, r, *fraction_mats(rep))
+            seen.add(not failures)
+
+        check()
+        assert seen == {True, False}
+
+    def test_width_one_bit_short_collides(self, monkeypatch):
+        # M0 = (3 0; 0 0) against M1 = (-1 1; 0 0): each side is at most
+        # C = 3, so 2^w > 6 gives w = 3.  Their row 0 differs by (4, -1),
+        # which packs to 4 - 2^2 = 0 at w = 2
+        rows = [[(0, 3)], [], [(0, -1), (1, 1)], []]
+        check = (1, [(0, (0,), 1), (1, (1,), 1)])
+        widths = spy_pack_width(monkeypatch)
+        assert list(_holds(QQ, rows, [check], 2)) == [False]
+        assert widths == [3]
+        width = lkrep._pack_width
+        monkeypatch.setattr(lkrep, "_pack_width", lambda mats, checks: width(mats, checks) - 1)
+        assert list(_holds(QQ, rows, [check], 2)) == [True]
+
+    @pytest.mark.parametrize("bits", [sys.int_info.bits_per_digit,
+                                      sys.int_info.bits_per_digit + 1])
+    def test_one_digit_images_pack(self, bits, monkeypatch):
+        # M M = x M on the 1 x 1 matrix M = (x), x of the given bit length
+        x = 2 ** (bits - 1) + 1
+        widths = spy_pack_width(monkeypatch)
+        for c, holds in ((x, True), (x + 1, False)):
+            check = (2, [(0, (0, 0), 1), (1, (0,), c)])
+            assert list(_holds(QQ, [[(0, x)]], [check], 1)) == [holds]
+        packs = bits <= sys.int_info.bits_per_digit
+        assert [w is not None for w in widths] == [packs, packs]
+
 
 
 def perturbed_by(name, k, i, j, extra):
