@@ -15,7 +15,7 @@ module refuses representations that fail that gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field as dc_field, fields
 from math import prod
 
 from .errors import ParameterZero, SemisimplicityViolation
@@ -95,14 +95,13 @@ class LKParams:
 
 
 class LKRep:
-    """The representation: generator matrices, their inverses, and the e_i."""
+    """The representation: g_k, e_k and g_k^2; build_m_matrix forms g_k^-1 where it reads it."""
 
-    __slots__ = ("params", "g", "g_inv", "e", "g_sq")
+    __slots__ = ("params", "g", "e", "g_sq")
 
-    def __init__(self, params, g, g_inv, e, g_sq):
+    def __init__(self, params, g, e, g_sq):
         self.params = params
         self.g = g
-        self.g_inv = g_inv
         self.e = e
         self.g_sq = g_sq
 
@@ -188,7 +187,7 @@ def build_sigma(n, q, tau, field, scale=None):
 
 
 def build_rep(params):
-    """Build g_k = r * sigma_k, e_k = (l/m)(g_k^2 + m g_k - 1) and the inverses.
+    """Build g_k = r * sigma_k, g_k^2 and e_k = (l/m)(g_k^2 + m g_k - 1).
 
     The rescale factor r is forced: matching the sigma eigenvalues
     {1, -q, tau q^2} to the BMW eigenvalues {r, -1/r, 1/l} requires the
@@ -198,16 +197,9 @@ def build_rep(params):
     row nonzeros: g_k is r sigma_k as build_sigma forms it, r folded into
     its constants, and g_k^2 comes by the sparse product.  e_k has rank 1,
     with one nonzero row, at the pair a = (k, k+1), so only row a of
-    g_k^2 + m g_k - 1 is formed.  The inverses come in closed form,
-    g_k^-1 = g_k + m(1 - e_k), which is g_k plus m on the diagonal off
-    row a, with no product.  Soundness:
-    the e_k definition gives m g e = l (g^3 + m g^2 - g), and the cubic
-    g^3 = (1/l - m) g^2 + (1 + m/l) g - 1/l reduces that to g^2 + m g - 1,
-    so g (g + m(1 - e)) = g^2 + m g - m g e = 1.  The relation gate checks
-    both identities (e_definition and cubic) on every row, which refuses
-    any other nonzero row of g_k^2 + m g_k - 1, and every verdict that
-    reads g_inv goes through build_m_matrix, which refuses a rep whose
-    gate failed.
+    g_k^2 + m g_k - 1 is formed.  The relation gate checks the e_k
+    definition on every row, which refuses any other nonzero row of
+    g_k^2 + m g_k - 1.
     """
     field = params.field
     m = params.m
@@ -215,7 +207,7 @@ def build_rep(params):
     coef = params.l / m
     N = rep_dim(params.n)
     index = pair_index_map(params.n)
-    g, g_sq, e, g_inv = [], [], [], []
+    g, g_sq, e = [], [], []
     sigma = build_sigma(params.n, params.q, params.tau, field, scale=params.r)
     for k, gk in enumerate(sigma, start=1):
         g2 = gk * gk
@@ -224,18 +216,10 @@ def build_rep(params):
         # the one nonzero row of e_k: (l/m) times row a of g_k^2 + m g_k - 1
         erow = [(j, coef * y) for j, y in _row_combination(
             ((0, None), (1, m), (2, -one)), (g2._row_nonzeros()[a], rows[a], ((a, one),)))]
-        # g_k^-1 = g_k + m 1 - m e_k: g_k plus m on the diagonal, less m e_k on row a
-        inv = []
-        for i, row in enumerate(rows):
-            d = dict(row)
-            d[i] = d[i] + m if i in d else m
-            inv.append([(j, x) for j, x in sorted(d.items()) if x])
-        inv[a] = _row_combination(((0, None), (1, -m)), (inv[a], erow))
         g.append(gk)
         g_sq.append(g2)
         e.append(Matrix.from_nonzeros(field, tuple(erow if i == a else [] for i in range(N)), N))
-        g_inv.append(Matrix.from_nonzeros(field, tuple(inv), N))
-    return LKRep(params, tuple(g), tuple(g_inv), tuple(e), tuple(g_sq))
+    return LKRep(params, tuple(g), tuple(e), tuple(g_sq))
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +247,8 @@ def _json_value(v):
 
 @dataclass(frozen=True)
 class RelationReport(Report):
+    """Per-family verdicts; cleared is the gate's (D, rows), out of the JSON, == and repr."""
+
     n: int
     field: str
     braid: bool
@@ -274,6 +260,7 @@ class RelationReport(Report):
     delta: str
     all_passed: bool
     failures: tuple
+    cleared: tuple = dc_field(compare=False, repr=False, metadata={"json": False})
 
 
 def verify_relations(rep):
@@ -295,7 +282,9 @@ def verify_relations(rep):
     multiplies each row through by the nonzero K D^L that makes every
     coefficient lie in that domain, so the products and sums stay there;
     the scaled identity holds exactly when the row does, since the domain
-    has no zero divisors.  _holds compares the sides on int_images.
+    has no zero divisors.  _holds compares the sides on int_images.  The
+    report carries D and the cleared rows as RelationReport.cleared: dim
+    rows per matrix of g + e + g_sq, in that order.
     """
     p = rep.params
     field = p.field
@@ -333,20 +322,8 @@ def verify_relations(rep):
             passed[family] = False
             failures.append(label)
     return RelationReport(n=p.n, field=field.tag, delta=scalar_to_text(delta),
-                          all_passed=all(passed.values()), failures=tuple(failures), **passed)
-
-
-def _cleared(field, mats):
-    """(D, rows): every matrix times D, as its sparse rows.
-
-    D is the common denominator that linalg.clear_rows takes of all their
-    sparse rows; a matrix is the list of its rows, each a list of
-    (column, entry) pairs over the field's integral domain.
-    """
-    views = [m._row_nonzeros() for m in mats]
-    den, cleared = clear_rows(field, [row for rows in views for row in rows])
-    it = iter(cleared)
-    return den, [[next(it) for _ in rows] for rows in views]
+                          all_passed=all(passed.values()), failures=tuple(failures),
+                          cleared=(den, rows), **passed)
 
 
 def _scaled(lhs, rhs, den, field):

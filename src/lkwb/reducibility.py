@@ -51,7 +51,6 @@ from .linalg import (
 from .lkrep import (
     LKParams,
     Report,
-    _cleared,
     build_rep,
     pair_basis,
     pair_index_map,
@@ -210,6 +209,21 @@ def _rank1_factor(rows):
     return a, rows[a]
 
 
+def _inverse_rows(g, a, e_row, den, m_den, m_num):
+    """Sparse rows of S g^-1, S = m_den D, from the rows of D g and row a of D e.
+
+    g^-1 = g + m(1 - e) with m = m_num / m_den, so S g^-1 is m_den (D g),
+    plus m_num D on the diagonal, less m_num (D e)_a on row a, e's one row.
+    """
+    diagonal = m_num * den
+    # m_den is one over Q(r), Q(l,r) and Q[x]/(f), where a product by it costs
+    scale = None if m_den == 1 else m_den
+    rows = [_row_combination(((0, scale), (1, None)), (row, ((i, diagonal),)))
+            for i, row in enumerate(g)]
+    rows[a] = _row_combination(((0, None), (1, -m_num)), (rows[a], e_row))
+    return rows
+
+
 def build_m_matrix(rep):
     """Matrix of sum(e_i) + sum of conjugates g_{j-1}^-1..e_i..g_{j-1}.
 
@@ -217,19 +231,22 @@ def build_m_matrix(rep):
     built incrementally.  Each e_i = outer(u, w) has rank 1: u is the unit
     vector at its one nonzero row, that of the pair (i, i+1), and w is that
     row (_rank1_factor).  Vectors are pushed instead of multiplying
-    matrices: u through g_inv and w through g, both on sparse rows.
+    matrices: u through g^-1 and w through g, both on sparse rows.
 
-    The arithmetic runs in the field's integral domain (Z for Q, the
-    Laurent ring for Q(r) and Q(l,r), Q[x]/(f) itself).  g, g_inv and e are
-    cleared once each, to D_g g, D_i g_inv and D_e e (lkrep._cleared), so the
-    summand of a chain of length k is outer(u_k, w_k) / (D_e S^k) with
-    S = D_i D_g.  Each summand is scaled by S^(K-k), K = n - 2 the longest
-    chain, and added to one sum in the domain, which is divided by
-    D_e S^K once per entry at the end (divide_entries); the division puts
-    each entry in its canonical form, so the matrix is the one the field
-    arithmetic gives.  For a rep from build_rep, g_inv is the closed form
-    g + m(1 - e), which is the inverse of g by the e definition and cubic
-    identities that the gate has just verified.
+    The inputs are the rows the gate checked, D g and D e of
+    RelationReport.cleared, in the field's integral domain (Z for Q, the
+    Laurent ring for Q(r) and Q(l,r), Q[x]/(f) itself).  g^-1 is the closed
+    form g + m(1 - e), as S g^-1 with S = m_den D (_inverse_rows).  With
+    g g = g^2, the e definition gives m g e = l (g^3 + m g^2 - g), the cubic
+    reduces that to g^2 + m g - 1, and so g (g + m(1 - e)) = 1.  The gate
+    checks both identities on every row of g^2 as stored; g g = g^2 holds
+    because build_rep forms g^2 as that product, and is the one input of
+    M(n) that the gate leaves unchecked.
+
+    The summand of a chain of length k is outer(u_k, w_k) / (D (S D)^k).
+    It is scaled by (S D)^(K-k), K = n - 2 the longest chain, and added to
+    one sum in the domain, divided by D (S D)^K once per entry at the end
+    (divide_entries), which puts each entry in its canonical form.
     """
     gate = verify_relations(rep)
     if not gate.all_passed:
@@ -237,14 +254,18 @@ def build_m_matrix(rep):
     n = rep.n
     N = rep.dim
     fieldobj = rep.field
-    den_g, g = _cleared(fieldobj, rep.g)
-    den_i, g_inv = _cleared(fieldobj, rep.g_inv)
-    den_e, e = _cleared(fieldobj, rep.e)
-    inv_cols = [sparse_columns(rows, N) for rows in g_inv]
+    den, rows = gate.cleared
+    # N rows per matrix of g + e + g_sq, as verify_relations clears them
+    g = [rows[k * N:(k + 1) * N] for k in range(n - 1)]
+    factors = [_rank1_factor(rows[k * N:(k + 1) * N]) for k in range(n - 1, 2 * n - 2)]
+    del gate, rows
+    m_den, (m_num,) = clear_entries(fieldobj, [rep.params.m])
+    inv_cols = [sparse_columns(_inverse_rows(gk, a, w, den, m_den, m_num), N)
+                for gk, (a, w) in zip(g, factors)]
     _, (unit,) = clear_entries(fieldobj, [fieldobj.one()])
-    step = den_i * den_g
+    step = m_den * den * den
     longest = n - 2
-    # the factor S^(K-k) of a chain of length k
+    # the factor (S D)^(K-k) of a chain of length k
     scales = [step ** (longest - k) for k in range(longest + 1)]
     total = [{} for _ in range(N)]
 
@@ -258,14 +279,14 @@ def build_m_matrix(rep):
                 row[b] = x * y if t is None else t + x * y
 
     for i in range(1, n):
-        a, w = _rank1_factor(e[i - 1])
+        a, w = factors[i - 1]
         u = [(a, unit)]
         add_outer(u, w, scales[0])
         for k, j in enumerate(range(i + 2, n + 1), start=1):
             u = _row_combination(u, inv_cols[j - 2])
             w = _row_combination(w, g[j - 2])
             add_outer(u, w, scales[k])
-    den = den_e * step ** longest
+    den = den * step ** longest
     nonzeros = []
     for row in total:
         cols = sorted(b for b, x in row.items() if x)

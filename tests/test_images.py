@@ -86,7 +86,7 @@ def perturbed(rep, name, k, i, j, extra):
     rows = [list(row) for row in mats[k].rows]
     rows[i][j] = rows[i][j] + extra
     mats[k] = Matrix(rep.field, rows)
-    parts = {"params": rep.params, "g": rep.g, "g_inv": rep.g_inv, "e": rep.e, "g_sq": rep.g_sq}
+    parts = {"params": rep.params, "g": rep.g, "e": rep.e, "g_sq": rep.g_sq}
     parts[name] = tuple(mats)
     return LKRep(**parts)
 

@@ -1,5 +1,6 @@
 """Lawrence-Krammer construction: sigma action, dictionary, relations."""
 
+import dataclasses
 import random
 import sys
 
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 from lkwb import lkrep
 from lkwb.errors import DenominatorInL, ParameterZero, RelationGateNotPassed, SemisimplicityViolation
-from lkwb.linalg import Matrix, det, inverse, rank
+from lkwb.linalg import Matrix, clear_entries, det, divide_entries, inverse, rank
 from lkwb.lkrep import (
     LKParams,
     LKRep,
@@ -26,7 +27,7 @@ from lkwb.lkrep import (
     symbolic_rep,
     verify_relations,
 )
-from lkwb.reducibility import _rank1_factor, build_m_matrix, catalog, rep_at
+from lkwb.reducibility import _inverse_rows, _rank1_factor, build_m_matrix, catalog, rep_at
 from lkwb.scalars import NumberField, QLR, QQ, cyclotomic_field, rat
 
 import oracles
@@ -95,11 +96,12 @@ class TestBuildRep:
     def test_inverses(self):
         rep = rational_rep(4, rat(7, 3), rat(3, 2))
         eye = Matrix.identity(QQ, rep.dim)
-        for gk, gki in zip(rep.g, rep.g_inv):
+        for gk, gki in zip(rep.g, closed_form_inverses(rep)):
             assert gk * gki == eye
 
     def test_closed_form_inverses_match_elimination(self):
-        # g_inv = g + m(1 - e) equals the Gauss-Jordan inverse, value and text
+        # g + m(1 - e), formed by build_m_matrix's _inverse_rows on the gate's
+        # rows, equals the Gauss-Jordan inverse, value and text
         phi20 = cyclotomic_field("phi20")
         reps = [rep_at(n, locus, rat(2)) for n in (4, 5) for locus in catalog(n)]
         reps += [rep_at(5, locus, phi20.gen()) for locus in catalog(5)]
@@ -107,7 +109,7 @@ class TestBuildRep:
         reps.append(symbolic_rep(3))
         for rep in reps:
             eye = Matrix.identity(rep.field, rep.dim)
-            for gk, gki in zip(rep.g, rep.g_inv):
+            for gk, gki in zip(rep.g, closed_form_inverses(rep)):
                 dense = inverse(gk)
                 assert gki == dense
                 assert gki.to_text() == dense.to_text()
@@ -129,8 +131,7 @@ class TestBuildRep:
             g_sq = tuple(gk * gk for gk in g)
             e = tuple((g2 + gk.scale(p.m) + eye.scale(-1)).scale(p.l / p.m)
                       for g2, gk in zip(g_sq, g))
-            g_inv = tuple(gk + (eye + ek.scale(-1)).scale(p.m) for gk, ek in zip(g, e))
-            for built, dense in ((rep.g, g), (rep.g_sq, g_sq), (rep.e, e), (rep.g_inv, g_inv)):
+            for built, dense in ((rep.g, g), (rep.g_sq, g_sq), (rep.e, e)):
                 for a, b in zip(built, dense):
                     assert a == b and a.to_text() == b.to_text()
                     view = [[(j, x) for j, x in enumerate(row) if x] for row in a.rows]
@@ -150,7 +151,7 @@ class TestBuildRep:
         # with q = r^-2 and tau = r^3/l every entry is a Laurent polynomial in
         # l, and the only true denominator comes from m = 1/r - r
         rep = symbolic_rep(n)
-        mats = rep.g + rep.g_inv + rep.e + rep.g_sq + (build_m_matrix(rep).matrix,)
+        mats = rep.g + rep.e + rep.g_sq + (build_m_matrix(rep).matrix,)
         dens = {x.den.to_text() for m in mats for row in m.rows for x in row if x}
         assert dens == {"1", "r^2 - 1"}
 
@@ -192,6 +193,22 @@ class TestRelations:
                     * det(gk + eye.scale(rat(-1, 5))))
             assert not prod
 
+    def test_report_carries_the_checked_rows_outside_json_eq_and_repr(self):
+        rep = rational_rep(4, rat(5), rat(37, 11))
+        report = verify_relations(rep)
+        den, rows = report.cleared
+        # D times the sparse rows of g, then e, then g^2
+        mats = rep.g + rep.e + rep.g_sq
+        assert rows == [[(j, den * x) for j, x in row] for m in mats for row in m._row_nonzeros()]
+        assert all(isinstance(x, int) for row in rows for _, x in row)
+        bare = dataclasses.replace(report, cleared=None)
+        assert bare == report and repr(bare) == repr(report)
+        assert "cleared" not in repr(report)
+        assert bare.to_json_obj() == report.to_json_obj()
+        assert list(report.to_json_obj()) == [
+            "n", "field", "braid", "far_commutation", "e_products", "e_definition",
+            "cubic_annihilation", "e_square", "delta", "all_passed", "failures"]
+
     def test_relations_at_random_points_n6(self):
         rng = random.Random(12)
         for _ in range(2):
@@ -203,16 +220,37 @@ class TestRelations:
             assert report.all_passed, report.failures
 
 
+def closed_form_inverses(rep):
+    """Every g_k^-1 from _inverse_rows on the gate's rows, divided out in the field.
+
+    The rows are S g_k^-1 with S = m_den D, D the gate's denominator and
+    m = m_num / m_den.
+    """
+    field, N, count = rep.field, rep.dim, rep.n - 1
+    den, rows = verify_relations(rep).cleared
+    m_den, (m_num,) = clear_entries(field, [rep.params.m])
+    inverses = []
+    for k in range(count):
+        a, w = _rank1_factor(rows[(count + k) * N:(count + k + 1) * N])
+        scaled = _inverse_rows(rows[k * N:(k + 1) * N], a, w, den, m_den, m_num)
+        dense = [[field.zero()] * N for _ in range(N)]
+        for i, row in enumerate(scaled):
+            cols = [j for j, _ in row]
+            for j, x in zip(cols, divide_entries(field, m_den * den, [x for _, x in row])):
+                dense[i][j] = x
+        inverses.append(Matrix(field, dense))
+    return tuple(inverses)
+
+
 def rep_with_generator(rep, k, rows):
-    """rep with g_k replaced by rows, and g_sq, e and g_inv rebuilt as build_rep does."""
+    """rep with g_k replaced by rows, and g_sq and e rebuilt as build_rep does."""
     p = rep.params
     g = list(rep.g)
     g[k] = Matrix(rep.field, rows)
     eye = Matrix.identity(rep.field, rep.dim)
     g_sq = tuple(gk * gk for gk in g)
     e = tuple((g2 + gk.scale(p.m) + eye.scale(-1)).scale(p.l / p.m) for g2, gk in zip(g_sq, g))
-    g_inv = tuple(gk + (eye + ek.scale(-1)).scale(p.m) for gk, ek in zip(g, e))
-    return LKRep(p, tuple(g), g_inv, e, g_sq)
+    return LKRep(p, tuple(g), e, g_sq)
 
 
 class TestGateMutation:
@@ -252,7 +290,7 @@ def with_entry(m, i, j, x):
 
 def replaced(rep, **fields):
     """rep with some of its fields swapped for others, nothing rebuilt."""
-    parts = {"params": rep.params, "g": rep.g, "g_inv": rep.g_inv, "e": rep.e, "g_sq": rep.g_sq}
+    parts = {"params": rep.params, "g": rep.g, "e": rep.e, "g_sq": rep.g_sq}
     parts.update(fields)
     return LKRep(**parts)
 
@@ -587,7 +625,7 @@ def coordinate_inclusion_preserved(rep, k):
     basis = pair_basis(rep.n)
     inside = [j for j, (_, t) in enumerate(basis) if t <= k]
     outside = [i for i, (_, t) in enumerate(basis) if t > k]
-    for gk in list(rep.g[: k - 1]) + list(rep.g_inv[: k - 1]):
+    for gk in list(rep.g[: k - 1]) + [inverse(gk) for gk in rep.g[: k - 1]]:
         for j in inside:
             for i in outside:
                 if gk.rows[i][j]:

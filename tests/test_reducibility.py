@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import lkwb.reducibility as reducibility
-from lkwb import cli, kernels, linalg
+from lkwb import cli, kernels, linalg, lkrep
 from lkwb.errors import (
     DepthTooLarge,
     InfeasibleMode,
@@ -24,7 +24,14 @@ from lkwb.linalg import (
     kernel,
     operator_closure,
 )
-from lkwb.lkrep import LKRep, pair_index_map, rational_rep, substituted_rep, symbolic_rep
+from lkwb.lkrep import (
+    LKRep,
+    pair_index_map,
+    rational_rep,
+    substituted_rep,
+    symbolic_rep,
+    verify_relations,
+)
 from lkwb.reducibility import (
     GENERIC,
     _certified_closures,
@@ -60,13 +67,12 @@ class TestMnMatrix:
         rep = rational_rep(3, rat(5), rat(2))
         mn = build_m_matrix(rep)
         e1, e2 = rep.e
-        conj = rep.g_inv[1] * e1 * rep.g[1]
+        conj = linalg.inverse(rep.g[1]) * e1 * rep.g[1]
         assert mn.matrix == e1 + e2 + conj
 
     def test_gate_enforced(self):
         rep = rational_rep(3, rat(5), rat(2))
-        broken = LKRep(rep.params, rep.g, rep.g_inv,
-                       tuple(e.scale(rat(2)) for e in rep.e), rep.g_sq)
+        broken = LKRep(rep.params, rep.g, tuple(e.scale(rat(2)) for e in rep.e), rep.g_sq)
         with pytest.raises(RelationGateNotPassed):
             build_m_matrix(broken)
 
@@ -88,6 +94,42 @@ class TestMnMatrix:
         # same M(n) whether or not the rank-1 factorization is exploited
         rep = rational_rep(4, rat(7, 2), rat(3))
         assert build_m_matrix(rep).matrix == self.dense_chain(rep)
+
+    def test_shared_denominator_past_the_families(self):
+        # over Q at height the gate's one D exceeds the common denominators of
+        # g alone and of e alone, so M(n)'s chains run on larger integers
+        rng = random.Random(36)
+        for r in (rat(37, 11), rat(101, 7)):
+            for n in (3, 4, 5):
+                for _ in range(2):
+                    l = rat(rng.randint(1, 99) * rng.choice((1, -1)), rng.randint(1, 99))
+                    rep = rational_rep(n, l, r)
+                    den, _ = verify_relations(rep).cleared
+                    for mats in (rep.g, rep.e):
+                        family, _ = linalg.clear_entries(QQ, [x for m in mats for row in m.rows
+                                                              for x in row])
+                        assert den > family
+                    assert build_m_matrix(rep).matrix == self.dense_chain(rep), (n, l, r)
+
+    def test_one_clearing_per_build(self, monkeypatch):
+        # build_m_matrix reads the rows the gate cleared and clears no matrix itself
+        calls = []
+        original = linalg.clear_rows
+
+        def spied(field, rows):
+            calls.append(len(rows))
+            return original(field, rows)
+
+        for module in (linalg, lkrep, reducibility):
+            if getattr(module, "clear_rows", None) is original:
+                monkeypatch.setattr(module, "clear_rows", spied)
+        phi20 = cyclotomic_field("phi20").gen()
+        for rep in (rational_rep(5, rat(5), rat(37, 11)), substituted_rep(5, 1, 1),
+                    rep_at(5, named_locus("l=-r3", 5), phi20), symbolic_rep(4)):
+            calls.clear()
+            build_m_matrix(rep)
+            # the gate's one call, on every row of g, e and g^2
+            assert calls == [3 * (rep.n - 1) * rep.dim]
 
     @pytest.mark.parametrize("n, field", [(4, "Q(r)"), (5, "Q(r)"), (5, "phi20")])
     def test_rank1_chains_equal_dense_chain_on_every_locus(self, n, field):
