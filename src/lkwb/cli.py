@@ -311,7 +311,7 @@ def _cmd_closure(args):
         obj = {"n": args.n, "locus": locus.name, "k": 0, "closure_dim": None}
         return _finish(args, obj, False)
     closure = minimal_invariant(rep, ker.vectors[0])
-    contained = all(ker.contains(v) for v in closure.vectors)
+    contained = ker.contains_space(closure)
     expected = expected_spectrum(args.n, locus, r_val)
     # at exceptional points the closure may be all of a layered K(n)
     ok = (expected is None or exceptional_layering(args.n, locus, r_val)

@@ -13,11 +13,11 @@ invariance.  One sparse pivot step over GF(p) gives one-sided rank
 bounds, among them the scalar-commutant certificate, modular kernels,
 spin dimensions and the substituted det's point solves; a kernel over Q
 is taken mod p too and lifted by rational reconstruction, with the exact
-RREF as its fallback.  Every exact check is a product on rows cleared
-into the domain and mapped into the integers by int_images: annihilates
-decides M v = 0 and SubspaceBasis.contains decides v in U.  Matrices and
-bases are immutable values; all operations are pure functions, so
-independent jobs can run concurrently without shared state.
+RREF as its fallback.  One exact check, SubspaceBasis._spans, decides
+M v = 0 (annihilates), v in U, W in U and g U in U (is_invariant) on rows
+cleared into the domain and mapped into the integers by int_images.
+Matrices and bases are immutable values; all operations are pure
+functions, so independent jobs can run concurrently without shared state.
 """
 
 from __future__ import annotations
@@ -184,9 +184,9 @@ def _row_combination(pairs, rows):
     adds y with no product.  A column whose sum cancels is left out, like
     one that no row reaches.  This is the one sparse row loop:
     Matrix.__mul__ densifies its pairs, the relation gate carries them
-    through each word, operator_closure spins with it, and build_m_matrix,
-    annihilates and the pivot identity of SubspaceBasis push vectors
-    through cleared rows and columns with it.
+    through each word, operator_closure spins with it, and build_m_matrix
+    and the pivot identity of SubspaceBasis push vectors through cleared
+    rows and columns with it.
     """
     acc = {}
     for i, x in pairs:
@@ -615,29 +615,44 @@ class SubspaceBasis:
                                                     for v in self.vectors])
         return self._cleared
 
-    def _spans(self, groups, bound_y, ys):
-        """True iff every row that ys gives lies in the span, by the pivot identity.
+    def _spans(self, ops, vectors, ncols):
+        """True iff op v, or v itself with no ops, lies in the span for every op and vector v.
 
-        The RREF basis b_i is the identity on its pivots p_i, so w lies in
-        the span exactly when w = sum_i w[p_i] b_i, that is, for c_i = D b_i
-        and y a nonzero multiple of w over the field's integral domain, when
-        D y = sum_i y[p_i] c_i in the domain, which has no zero divisors.
-        The check runs on int_images of the cleared basis and of the
-        groups: ys(basis, images) gives the rows y from the images, and
-        bound_y(norms, gamma) bounds the L1 norm of their entries by some
-        Y.  c_i is D at p_i and zero at the other pivots, so the two sides
-        agree at every pivot, and elsewhere differ by at most
-        gamma Y (||D||_1 + sum_i ||c_i[j]||_1) <= gamma Y sum_i ||c_i||_1;
-        with no basis, D = 1 and the bound is gamma Y.
+        Vectors and ops are sparse rows cleared into the field's integral
+        domain (clear_rows), which has no zero divisors; ops have ncols
+        columns.  The RREF basis b_i is the identity on its pivots p_i, so w
+        lies in the span exactly when, for c_i = D b_i (_cleared_rows) and y
+        a nonzero multiple of w, D y = sum_i y[p_i] c_i.  One int_images call
+        on [cleared basis, vectors, *ops] gives the sides, the basis imaged
+        once when it is the vectors.  Y, the largest entry L1 norm of the
+        vectors, times gamma nu with ops, nu their largest row L1 norm,
+        bounds the entries of y.  c_i is D at p_i and zero at the other
+        pivots, so the sides agree at the pivots and elsewhere differ by at
+        most gamma Y (||D||_1 + sum_i ||c_i[j]||_1) <= C = gamma Y sum_i ||c_i||_1.
+        On the zero space the difference is y itself, C = Y, and an op may
+        be cleared row by row, as a row times a nonzero domain element is
+        zero exactly when the row is; elsewhere an op is cleared whole, so
+        that y is a nonzero multiple of op v.  No vectors map nothing.
         """
+        if not vectors:
+            return True
         _, basis = self._cleared_rows()
+        groups = [basis, *ops] if vectors is basis else [basis, vectors, *ops]
+        first_op = len(groups) - len(ops)
 
         def bound(norms, scale_norms, gamma):
-            return gamma * bound_y(norms, gamma) * (sum(map(sum, norms[0])) or 1)
+            y = max((max(row, default=0) for row in norms[first_op - 1]), default=0)
+            if ops:
+                y *= gamma * max((sum(row) for rows in norms[first_op:] for row in rows),
+                                 default=0)
+            return gamma * y * sum(map(sum, norms[0])) if basis else y
 
-        (basis, *images), _, residue = int_images(self.field, [basis, *groups], bound)
+        images, _, residue = int_images(self.field, groups, bound)
+        basis, vectors = images[0], images[first_op - 1]
+        columns = (sparse_columns(rows, ncols) for rows in images[first_op:])
+        ys = (_row_combination(v, cols) for cols in columns for v in vectors) if ops else vectors
         den = dict(basis[0])[self.pivots[0]] if basis else 1
-        for y in ys(basis, images):
+        for y in ys:
             at = dict(y)
             spanned = _row_combination(
                 ((i, at[p]) for i, p in enumerate(self.pivots) if p in at), basis)
@@ -646,18 +661,22 @@ class SubspaceBasis:
         return True
 
     def contains(self, v):
-        """True iff v lies in the subspace: at once for a basis vector, else by _spans."""
-        if len(v) != self.ambient_dim:
-            raise AmbientMismatch("vector length differs from ambient dimension")
-        if any(v is b for b in self.vectors):
-            return True
-        field = self.field
-        _, (y,) = clear_rows(field, [[(j, field.coerce(x)) for j, x in enumerate(v) if x]])
-        return self._spans([[y]], lambda norms, gamma: max(norms[1][0], default=0),
-                           lambda basis, images: images[0])
+        """True iff v lies in the subspace (_contains_all)."""
+        return self._contains_all([v])
 
     def contains_space(self, other):
-        return all(self.contains(v) for v in other.vectors)
+        """True iff the subspace other lies in this one (_contains_all)."""
+        return self._contains_all(other.vectors)
+
+    def _contains_all(self, vectors):
+        """True iff all vectors lie in the subspace: basis vectors at once, the rest by _spans."""
+        for v in vectors:
+            if len(v) != self.ambient_dim:
+                raise AmbientMismatch("vector length differs from ambient dimension")
+        field = self.field
+        rest = [[field.coerce(x) if x else x for x in v] for v in vectors
+                if not any(v is b for b in self.vectors)]
+        return self._spans([], _cleared_each(field, rest), self.ambient_dim)
 
     def to_json_obj(self):
         return {
@@ -711,14 +730,18 @@ def _rref_kernel(m):
                          _trusted=True)
 
 
+def _cleared_each(field, vectors):
+    """The vectors as sparse rows, each cleared on its own (clear_rows)."""
+    return [clear_rows(field, [[(j, x) for j, x in enumerate(v) if x]])[1][0] for v in vectors]
+
+
 def annihilates(m, vectors):
     """True iff M v = 0 for every vector v; DimensionMismatch for a length other than ncols.
 
-    Each row of m and each v is cleared on its own (clear_rows) into the
-    field's integral domain, which has no zero divisors, and mapped by
-    int_images; the product is _row_combination of the image of v on the
-    image columns.  An entry of M v has an L1 norm of at most gamma times
-    the largest row L1 norm of M times the largest entry norm of v.
+    SubspaceBasis._spans on the zero space of M's codomain.  Each row of M
+    and each v is cleared on its own (clear_rows): a row times a nonzero
+    element of the field's integral domain is zero exactly when the row
+    is, so this holds for the zero target only.
     """
     n = m.ncols
     for v in vectors:
@@ -726,16 +749,7 @@ def annihilates(m, vectors):
             raise DimensionMismatch("vector length differs from column count")
     field = m.field
     rows = [clear_rows(field, [row])[1][0] for row in m._row_nonzeros()]
-    ws = [clear_rows(field, [[(j, x) for j, x in enumerate(v) if x]])[1][0] for v in vectors]
-
-    def bound(norms, scale_norms, gamma):
-        rows, ws = norms
-        return (gamma * max((sum(r) for r in rows), default=0)
-                * max((max(w, default=0) for w in ws), default=0))
-
-    (rows, ws), _, residue = int_images(field, [rows, ws], bound)
-    cols = sparse_columns(rows, n)
-    return not any(residue(_row_combination(w, cols)) for w in ws)
+    return SubspaceBasis.zero(field, m.nrows)._spans([rows], _cleared_each(field, vectors), n)
 
 
 def subspace_intersect(a, b):
@@ -805,33 +819,15 @@ def operator_closure(seed_vectors, ops):
 def is_invariant(space, ops):
     """True iff op.v lies in the space for every op and basis vector v.
 
-    The pivot identity on cleared rows (SubspaceBasis._spans): each op g
-    is cleared to D_g g and each basis vector b_j to c_j = D b_j, over the
-    field's integral domain (Z for Q), and y = (D_g g) c_j = D D_g g b_j
-    must lie in the span.  y is formed on the int_images, and its entries
-    have L1 norms of at most gamma times the largest row L1 norm of D_g g
-    times the largest entry norm of the c_j.
+    SubspaceBasis._spans on the cleared basis c_j = D b_j as its vectors and
+    each op g cleared whole: (D_g g) c_j = D D_g g b_j, a multiple of g b_j.
     """
     n = space.ambient_dim
     for op in ops:
         if op.ncols != n:
             raise DimensionMismatch("operator size differs from ambient dimension")
-    if not space.vectors:
-        return True
-
-    def bound_y(norms, gamma):
-        c = max(max(row) for row in norms[0])
-        return gamma * c * max((max((sum(r) for r in rows), default=0) for rows in norms[1:]),
-                               default=0)
-
-    def ys(basis, images):
-        for rows in images:
-            cols = sparse_columns(rows, n)
-            for c in basis:
-                yield _row_combination(c, cols)
-
-    return space._spans([clear_rows(space.field, op._row_nonzeros())[1] for op in ops],
-                        bound_y, ys)
+    _, basis = space._cleared_rows()
+    return space._spans([clear_rows(space.field, op._row_nonzeros())[1] for op in ops], basis, n)
 
 
 # Exponents e, ascending, of the proven Mersenne primes 2^e - 1 from 2^61 - 1

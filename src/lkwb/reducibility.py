@@ -260,8 +260,9 @@ def build_m_matrix(rep):
     factors = [_rank1_factor(rows[k * N:(k + 1) * N]) for k in range(n - 1, 2 * n - 2)]
     del gate, rows
     m_den, (m_num,) = clear_entries(fieldobj, [rep.params.m])
+    # S g_k^-1 for k = 2..n-1: a chain is conjugated by g_{j-1} for j >= 3 only
     inv_cols = [sparse_columns(_inverse_rows(gk, a, w, den, m_den, m_num), N)
-                for gk, (a, w) in zip(g, factors)]
+                for gk, (a, w) in zip(g[1:], factors[1:])]
     _, (unit,) = clear_entries(fieldobj, [fieldobj.one()])
     step = m_den * den * den
     longest = n - 2
@@ -283,7 +284,7 @@ def build_m_matrix(rep):
         u = [(a, unit)]
         add_outer(u, w, scales[0])
         for k, j in enumerate(range(i + 2, n + 1), start=1):
-            u = _row_combination(u, inv_cols[j - 2])
+            u = _row_combination(u, inv_cols[j - 3])
             w = _row_combination(w, g[j - 2])
             add_outer(u, w, scales[k])
     den = den * step ** longest

@@ -32,7 +32,7 @@ from lkwb.lkrep import (
     substituted_rep,
     verify_relations,
 )
-from lkwb.scalars import QLR, QQ, QR, LaurentPoly, NumberField, RatFunc, cyclotomic_field
+from lkwb.scalars import QLR, QQ, QR, LaurentPoly, NumberField, RatFunc, cyclotomic_field, rat
 
 import oracles
 
@@ -643,3 +643,126 @@ class TestAgainstFieldArithmetic:
 
         check()
         assert seen == {True, False}
+
+
+FIVE_FIELDS = [QQ, *IMAGE_FIELDS]
+FIVE_IDS = ["Q", *IDS]
+
+
+def any_scalars(field, rng):
+    """scalars(field, rng), with 30-bit fractions over Q."""
+    if field != QQ:
+        return scalars(field, rng)
+
+    def draw(zeros=0.0):
+        if zeros is not None and rng.random() < zeros:
+            return QQ.zero()
+        return rat(rng.choice((-1, 1)) * rng.randint(1, 2 ** 30), rng.randint(1, 2 ** 30))
+    return draw
+
+
+class TestOneCheck:
+    """contains_space, annihilates and is_invariant: each one call of SubspaceBasis._spans."""
+
+    def test_contains_space(self):
+        # W holds some basis vectors of U themselves, combinations of them and
+        # at most one mutant; U may be the zero space
+        hyp, st = st_seed()
+        seen = set()
+
+        @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+        @hyp.given(st.sampled_from(FIVE_FIELDS), st.integers(0, 2 ** 32), st.booleans())
+        def check(field, seed, mutant):
+            rng = random.Random(seed)
+            draw = any_scalars(field, rng)
+            n = rng.randint(1, 4)
+            zero = field.zero()
+            space = SubspaceBasis.from_vectors(
+                field, n, [[draw(0.3) for _ in range(n)] for _ in range(rng.randint(0, n))])
+            vectors = [b for b in space.vectors if rng.random() < 0.5]
+            for _ in range(rng.randint(0, 2)):
+                v = [zero] * n
+                for b in space.vectors:
+                    c = draw(0.2)
+                    v = [x + c * y for x, y in zip(v, b)]
+                vectors.append(tuple(v))
+            if mutant:
+                v = list(rng.choice(vectors)) if vectors else [zero] * n
+                v[rng.randrange(n)] += draw(None)
+                vectors.insert(rng.randint(0, len(vectors)), tuple(v))
+            # only .vectors of W is read
+            other = SubspaceBasis(field, n, tuple(vectors), (), _trusted=True)
+            expect = all(not any(oracles.residue_by_reduction(space.vectors, space.pivots, v))
+                         for v in vectors)
+            assert space.contains_space(other) == expect
+            assert expect == all(space.contains(v) for v in vectors)
+            assert space.contains_space(space)
+            seen.add(expect)
+
+        check()
+        assert seen == {True, False}
+
+    def test_annihilates_on_a_non_square_matrix_with_a_zero_row(self):
+        hyp, st = st_seed()
+        seen = set()
+
+        @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+        @hyp.given(st.sampled_from(FIVE_FIELDS), st.integers(0, 2 ** 32),
+                   st.sampled_from(("none", "m", "v")))
+        def check(field, seed, mutant):
+            rng = random.Random(seed)
+            draw = any_scalars(field, rng)
+            ncols = rng.randint(2, 4)
+            nrows = rng.choice([k for k in range(1, 6) if k != ncols])
+            zero = field.zero()
+            v = [draw(0.3) for _ in range(ncols - 1)] + [field.one()]
+            rows = []
+            for _ in range(nrows - 1):
+                row = [draw(0.3) for _ in range(ncols - 1)]
+                row.append(-sum((a * b for a, b in zip(row, v)), zero))
+                rows.append(row)
+            rows.insert(rng.randint(0, nrows - 1), [zero] * ncols)
+            if mutant == "m":
+                rows[rng.randrange(nrows)][rng.randrange(ncols)] += draw(None)
+            if mutant == "v":
+                v[rng.randrange(ncols)] += draw(None)
+            expect = not any(sum((a * b for a, b in zip(row, v)), zero) for row in rows)
+            m = Matrix(field, rows)
+            assert (m.nrows, m.ncols) == (nrows, ncols)
+            assert annihilates(m, [tuple(v)]) == expect
+            assert annihilates(m, [(zero,) * ncols, tuple(v)]) == expect
+            seen.add(expect)
+
+        check()
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("field", FIVE_FIELDS, ids=FIVE_IDS)
+    def test_one_int_images_call(self, field, monkeypatch):
+        calls = []
+        original = linalg.int_images
+
+        def spied(field, groups, bound):
+            calls.append([len(rows) for rows in groups])
+            return original(field, groups, bound)
+
+        monkeypatch.setattr(linalg, "int_images", spied)
+        rng = random.Random(37)
+        draw = any_scalars(field, rng)
+        n = 4
+        space = SubspaceBasis.from_vectors(field, n, [[draw() for _ in range(n)] for _ in range(2)])
+        combos = [tuple(draw() * a + draw() * b for a, b in zip(*space.vectors)) for _ in range(3)]
+        other = SubspaceBasis(field, n, (space.vectors[0], *combos), (), _trusted=True)
+        ops = [Matrix(field, [[draw(0.3) for _ in range(n)] for _ in range(n)]) for _ in range(3)]
+        m = Matrix(field, [[draw(0.3) for _ in range(n)] for _ in range(3)])
+        ws = [tuple(draw() for _ in range(n)) for _ in range(3)]
+        # the groups: [basis, vectors, *ops]; is_invariant's vectors are the
+        # basis, and a basis vector itself is answered with no map
+        for check, expect in ((lambda: space.contains_space(other), [[2, 3]]),
+                              (lambda: space.contains(combos[0]), [[2, 1]]),
+                              (lambda: is_invariant(space, ops), [[2, n, n, n]]),
+                              (lambda: annihilates(m, ws), [[0, 3, 3]]),
+                              (lambda: space.contains(space.vectors[1]), []),
+                              (lambda: space.contains_space(space), [])):
+            calls.clear()
+            check()
+            assert calls == expect

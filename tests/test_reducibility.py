@@ -131,6 +131,25 @@ class TestMnMatrix:
             # the gate's one call, on every row of g, e and g^2
             assert calls == [3 * (rep.n - 1) * rep.dim]
 
+    def test_no_inverse_of_g1(self, monkeypatch):
+        # a chain is conjugated by g_{j-1} for j >= 3 only, so S g_k^-1 is
+        # formed for k = 2..n-1 alone: n - 2 inverses, one at n = 3
+        calls = []
+        original = reducibility._inverse_rows
+
+        def spied(g, a, e_row, den, m_den, m_num):
+            calls.append(a)
+            return original(g, a, e_row, den, m_den, m_num)
+
+        monkeypatch.setattr(reducibility, "_inverse_rows", spied)
+        phi20 = cyclotomic_field("phi20").gen()
+        for rep in (rational_rep(3, rat(5), rat(2)), rational_rep(6, rat(-3, 7), rat(37, 11)),
+                    substituted_rep(5, 1, 1), rep_at(5, named_locus("l=-r3", 5), phi20),
+                    symbolic_rep(4)):
+            calls.clear()
+            assert build_m_matrix(rep).matrix == self.dense_chain(rep)
+            assert len(calls) == rep.n - 2
+
     @pytest.mark.parametrize("n, field", [(4, "Q(r)"), (5, "Q(r)"), (5, "phi20")])
     def test_rank1_chains_equal_dense_chain_on_every_locus(self, n, field):
         for locus in catalog(n):
