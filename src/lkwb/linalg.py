@@ -1150,9 +1150,9 @@ def commutant_basis(ops):
     most the exact one, so spin_mod_p of e_a reaching n proves the same
     basis [I] before the system is built.  A caller holding a rep that
     passed the relation gate may add its e_1 to the g_i: the gate's
-    e_definition makes e_1 = (l/m)(g_1^2 + m g_1 - 1), with g_1^2 the
-    product g_1 g_1 that build_rep forms, a polynomial in g_1, so every X
-    commuting with the g_i commutes with e_1 and the commutant is the same.
+    e_definition checks e_1 = (l/m)(g_1 g_1 + m g_1 - 1) on g_1 itself, a
+    polynomial in g_1, so every X commuting with the g_i commutes with e_1
+    and the commutant is the same.
     """
     if not ops:
         raise DimensionMismatch("no operators given")

@@ -4,7 +4,7 @@ The braid-generator action is built on the pair basis x_{s,t}
 (1 <= s < t <= n), rescaled by r so that the generator eigenvalues are
 {r, -1/r, 1/l}, with the parameter dictionary q = 1/r^2 and tau = r^3/l.
 The defining relations are one table of identities between sums of words
-in g, g^2 and e.  Each identity is multiplied through by a nonzero scalar
+in g and e.  Each identity is multiplied through by a nonzero scalar
 that puts every entry and coefficient in the field's integral domain (Z
 for Q, the Laurent ring for Q(r) and Q(l,r), the field for Q[x]/(f)),
 then checked on the integer images of those sparse integral rows
@@ -95,15 +95,14 @@ class LKParams:
 
 
 class LKRep:
-    """The representation: g_k, e_k and g_k^2; build_m_matrix forms g_k^-1 where it reads it."""
+    """The representation: g_k and e_k; build_m_matrix forms g_k^-1 where it reads it."""
 
-    __slots__ = ("params", "g", "e", "g_sq")
+    __slots__ = ("params", "g", "e")
 
-    def __init__(self, params, g, e, g_sq):
+    def __init__(self, params, g, e):
         self.params = params
         self.g = g
         self.e = e
-        self.g_sq = g_sq
 
     @property
     def field(self):
@@ -187,7 +186,7 @@ def build_sigma(n, q, tau, field, scale=None):
 
 
 def build_rep(params):
-    """Build g_k = r * sigma_k, g_k^2 and e_k = (l/m)(g_k^2 + m g_k - 1).
+    """Build g_k = r * sigma_k and e_k = (l/m)(g_k^2 + m g_k - 1).
 
     The rescale factor r is forced: matching the sigma eigenvalues
     {1, -q, tau q^2} to the BMW eigenvalues {r, -1/r, 1/l} requires the
@@ -195,11 +194,11 @@ def build_rep(params):
 
     Every matrix is built on its sparse rows, which it keeps as its cached
     row nonzeros: g_k is r sigma_k as build_sigma forms it, r folded into
-    its constants, and g_k^2 comes by the sparse product.  e_k has rank 1,
-    with one nonzero row, at the pair a = (k, k+1), so only row a of
-    g_k^2 + m g_k - 1 is formed.  The relation gate checks the e_k
-    definition on every row, which refuses any other nonzero row of
-    g_k^2 + m g_k - 1.
+    its constants.  e_k has rank 1, with one nonzero row, at the pair
+    a = (k, k+1), so only row a of g_k^2 + m g_k - 1 is formed, row a of
+    g_k^2 as row a of g_k through g_k's own rows.  The relation gate
+    checks the e_k definition on every row of the word g_k g_k, which
+    refuses any other nonzero row of g_k^2 + m g_k - 1.
     """
     field = params.field
     m = params.m
@@ -207,19 +206,17 @@ def build_rep(params):
     coef = params.l / m
     N = rep_dim(params.n)
     index = pair_index_map(params.n)
-    g, g_sq, e = [], [], []
-    sigma = build_sigma(params.n, params.q, params.tau, field, scale=params.r)
-    for k, gk in enumerate(sigma, start=1):
-        g2 = gk * gk
+    g = build_sigma(params.n, params.q, params.tau, field, scale=params.r)
+    e = []
+    for k, gk in enumerate(g, start=1):
         rows = gk._row_nonzeros()
         a = index[(k, k + 1)]
+        sq = _row_combination(rows[a], rows)
         # the one nonzero row of e_k: (l/m) times row a of g_k^2 + m g_k - 1
         erow = [(j, coef * y) for j, y in _row_combination(
-            ((0, None), (1, m), (2, -one)), (g2._row_nonzeros()[a], rows[a], ((a, one),)))]
-        g.append(gk)
-        g_sq.append(g2)
+            ((0, None), (1, m), (2, -one)), (sq, rows[a], ((a, one),)))]
         e.append(Matrix.from_nonzeros(field, tuple(erow if i == a else [] for i in range(N)), N))
-    return LKRep(params, tuple(g), tuple(e), tuple(g_sq))
+    return LKRep(params, g, tuple(e))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +244,7 @@ def _json_value(v):
 
 @dataclass(frozen=True)
 class RelationReport(Report):
-    """Per-family verdicts; cleared is the gate's (D, rows), out of the JSON, == and repr."""
+    """Per-family verdicts; cleared is (D, rows of D g, D e), out of the JSON, == and repr."""
 
     n: int
     field: str
@@ -271,11 +268,11 @@ def verify_relations(rep):
     (X-r)(X+1/r)(X-1/l), (f) e_i^2 = delta e_i.  Each instance is a row of
     one table: family, failure label and two sides, each a list of
     (coefficient, word) terms, a word being matrices multiplied left to
-    right and () the identity; a matrix is named by its index in
-    g + e + g_sq.
+    right and () the identity; a matrix is named by its index in g + e,
+    and g_i^2 is the word g_i g_i.
 
     The rows are checked on cleared entries.  linalg.clear_entries gives
-    one common denominator D of every entry of g, e and g_sq over the
+    one common denominator D of every entry of g and e over the
     field's integral domain (Z for Q, the Laurent ring for Q(r) and
     Q(l,r), where D = 1 on every substituted rep, the field itself for
     Q[x]/(f)), and the words run on the matrices times D.  _scaled
@@ -284,7 +281,7 @@ def verify_relations(rep):
     the scaled identity holds exactly when the row does, since the domain
     has no zero divisors.  _holds compares the sides on int_images.  The
     report carries D and the cleared rows as RelationReport.cleared: dim
-    rows per matrix of g + e + g_sq, in that order.
+    rows per matrix of g + e, in that order.
     """
     p = rep.params
     field = p.field
@@ -294,9 +291,9 @@ def verify_relations(rep):
     s1 = p.r - r_inv + l_inv
     s2 = -one + p.r * l_inv - r_inv * l_inv
     delta = p.delta()
-    mats = (*rep.g, *rep.e, *rep.g_sq)
+    mats = (*rep.g, *rep.e)
     gens = range(p.n - 1)
-    g, e, g_sq = (range(k * len(gens), (k + 1) * len(gens)) for k in range(3))
+    g, e = gens, range(len(gens), 2 * len(gens))
     far = [(i, j) for i in gens for j in range(i + 2, p.n - 1)]
     table = [
         *(("braid", f"braid({i + 1},{i + 2})", [(one, (g[i], g[i + 1], g[i]))],
@@ -307,9 +304,9 @@ def verify_relations(rep):
         # e_i = (l/m)(g_i^2 + m g_i - 1) multiplied through by m/l: over Q(r)
         # and Q(l,r), m/l has no denominator to reduce against and l/m has
         *(("e_definition", f"edef({i + 1})", [(p.m / p.l, (e[i],))],
-           [(one, (g_sq[i],)), (p.m, (g[i],)), (-one, ())]) for i in gens),
-        *(("cubic_annihilation", f"cubic({i + 1})", [(one, (g_sq[i], g[i]))],
-           [(s1, (g_sq[i],)), (-s2, (g[i],)), (-l_inv, ())]) for i in gens),
+           [(one, (g[i], g[i])), (p.m, (g[i],)), (-one, ())]) for i in gens),
+        *(("cubic_annihilation", f"cubic({i + 1})", [(one, (g[i], g[i], g[i]))],
+           [(s1, (g[i], g[i])), (-s2, (g[i],)), (-l_inv, ())]) for i in gens),
         *(("e_square", f"esq({i + 1})", [(one, (e[i], e[i]))], [(delta, (e[i],))]) for i in gens),
     ]
     den, rows = clear_rows(field, [row for m in mats for row in m._row_nonzeros()])

@@ -236,12 +236,10 @@ def build_m_matrix(rep):
     The inputs are the rows the gate checked, D g and D e of
     RelationReport.cleared, in the field's integral domain (Z for Q, the
     Laurent ring for Q(r) and Q(l,r), Q[x]/(f) itself).  g^-1 is the closed
-    form g + m(1 - e), as S g^-1 with S = m_den D (_inverse_rows).  With
-    g g = g^2, the e definition gives m g e = l (g^3 + m g^2 - g), the cubic
-    reduces that to g^2 + m g - 1, and so g (g + m(1 - e)) = 1.  The gate
-    checks both identities on every row of g^2 as stored; g g = g^2 holds
-    because build_rep forms g^2 as that product, and is the one input of
-    M(n) that the gate leaves unchecked.
+    form g + m(1 - e), as S g^-1 with S = m_den D (_inverse_rows).  The e
+    definition gives m g e = l (g^3 + m g^2 - g), the cubic reduces that
+    to g^2 + m g - 1, and so g (g + m(1 - e)) = 1.  The gate checks both
+    identities on every row, on the words g g and g g g of g itself.
 
     The summand of a chain of length k is outer(u_k, w_k) / (D (S D)^k).
     It is scaled by (S D)^(K-k), K = n - 2 the longest chain, and added to
@@ -255,7 +253,7 @@ def build_m_matrix(rep):
     N = rep.dim
     fieldobj = rep.field
     den, rows = gate.cleared
-    # N rows per matrix of g + e + g_sq, as verify_relations clears them
+    # N rows per matrix of g + e, as verify_relations clears them
     g = [rows[k * N:(k + 1) * N] for k in range(n - 1)]
     factors = [_rank1_factor(rows[k * N:(k + 1) * N]) for k in range(n - 1, 2 * n - 2)]
     del gate, rows

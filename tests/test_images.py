@@ -86,7 +86,7 @@ def perturbed(rep, name, k, i, j, extra):
     rows = [list(row) for row in mats[k].rows]
     rows[i][j] = rows[i][j] + extra
     mats[k] = Matrix(rep.field, rows)
-    parts = {"params": rep.params, "g": rep.g, "e": rep.e, "g_sq": rep.g_sq}
+    parts = {"params": rep.params, "g": rep.g, "e": rep.e}
     parts[name] = tuple(mats)
     return LKRep(**parts)
 
@@ -101,8 +101,8 @@ def small_rep(field, n=3):
 
 def oracle_failures(rep):
     p = rep.params
-    mats = [[[list(row) for row in m.rows] for m in ms] for ms in (rep.g, rep.e, rep.g_sq)]
-    return oracles.relation_failures(p.n, p.l, p.r, *mats)
+    g, e = ([[list(row) for row in m.rows] for m in ms] for ms in (rep.g, rep.e))
+    return oracles.relation_failures(p.n, p.l, p.r, g, e, [oracles.mat_mul(x, x) for x in g])
 
 
 class TestBase:
@@ -229,7 +229,7 @@ class TestOffByTheBase:
     @pytest.mark.parametrize("field", IMAGE_FIELDS, ids=IDS)
     def test_gate(self, field, monkeypatch):
         rep = small_rep(field)
-        mutant = perturbed(rep, "g_sq", 1, 0, 2, self.delta(field))
+        mutant = perturbed(rep, "g", 1, 0, 2, self.delta(field))
         expect = oracle_failures(mutant)
         assert expect and list(verify_relations(mutant).failures) == expect
         forced_base(monkeypatch, self.B0)
@@ -532,7 +532,7 @@ class TestAgainstFieldArithmetic:
 
         @hyp.settings(max_examples=24, deadline=None, derandomize=True)
         @hyp.given(st.sampled_from(IMAGE_FIELDS), st.integers(3, 4), st.integers(0, 2 ** 32),
-                   st.sampled_from(("none", "g", "e", "g_sq")))
+                   st.sampled_from(("none", "g", "e")))
         def check(field, n, seed, name):
             rng = random.Random(seed)
             r = gen(field)

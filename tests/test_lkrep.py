@@ -128,10 +128,8 @@ class TestBuildRep:
             p = rep.params
             eye = Matrix.identity(rep.field, rep.dim)
             g = tuple(s.scale(p.r) for s in build_sigma(p.n, p.q, p.tau, rep.field))
-            g_sq = tuple(gk * gk for gk in g)
-            e = tuple((g2 + gk.scale(p.m) + eye.scale(-1)).scale(p.l / p.m)
-                      for g2, gk in zip(g_sq, g))
-            for built, dense in ((rep.g, g), (rep.g_sq, g_sq), (rep.e, e)):
+            e = tuple((gk * gk + gk.scale(p.m) + eye.scale(-1)).scale(p.l / p.m) for gk in g)
+            for built, dense in ((rep.g, g), (rep.e, e)):
                 for a, b in zip(built, dense):
                     assert a == b and a.to_text() == b.to_text()
                     view = [[(j, x) for j, x in enumerate(row) if x] for row in a.rows]
@@ -146,12 +144,30 @@ class TestBuildRep:
         with pytest.raises(AssertionError):
             _rank1_factor(Matrix(QQ, [[0, 0], [2, 4], [1, 2]])._row_nonzeros())
 
+    def test_no_matrix_product_and_no_stored_square(self, monkeypatch):
+        # row a of g_k^2 comes from g_k's own rows, so the build multiplies
+        # no matrices, and the rep keeps g and e only
+        calls = []
+        mul = Matrix.__mul__
+
+        def spied(a, b):
+            calls.append((a.nrows, b.ncols))
+            return mul(a, b)
+
+        monkeypatch.setattr(Matrix, "__mul__", spied)
+        phi20 = cyclotomic_field("phi20").gen()
+        for rep in (rational_rep(5, rat(5), rat(37, 11)), substituted_rep(5, 1, 1),
+                    rep_at(5, catalog(5)[1], phi20), symbolic_rep(4)):
+            assert calls == []
+            assert len(rep.g) == len(rep.e) == rep.n - 1
+        assert LKRep.__slots__ == ("params", "g", "e")
+
     @pytest.mark.parametrize("n", range(3, 9))
     def test_symbolic_denominators_are_one_or_r2_minus_1(self, n):
         # with q = r^-2 and tau = r^3/l every entry is a Laurent polynomial in
         # l, and the only true denominator comes from m = 1/r - r
         rep = symbolic_rep(n)
-        mats = rep.g + rep.e + rep.g_sq + (build_m_matrix(rep).matrix,)
+        mats = rep.g + rep.e + (build_m_matrix(rep).matrix,)
         dens = {x.den.to_text() for m in mats for row in m.rows for x in row if x}
         assert dens == {"1", "r^2 - 1"}
 
@@ -197,8 +213,8 @@ class TestRelations:
         rep = rational_rep(4, rat(5), rat(37, 11))
         report = verify_relations(rep)
         den, rows = report.cleared
-        # D times the sparse rows of g, then e, then g^2
-        mats = rep.g + rep.e + rep.g_sq
+        # D times the sparse rows of g, then e
+        mats = rep.g + rep.e
         assert rows == [[(j, den * x) for j, x in row] for m in mats for row in m._row_nonzeros()]
         assert all(isinstance(x, int) for row in rows for _, x in row)
         bare = dataclasses.replace(report, cleared=None)
@@ -243,14 +259,13 @@ def closed_form_inverses(rep):
 
 
 def rep_with_generator(rep, k, rows):
-    """rep with g_k replaced by rows, and g_sq and e rebuilt as build_rep does."""
+    """rep with g_k replaced by rows, and e rebuilt as build_rep does."""
     p = rep.params
     g = list(rep.g)
     g[k] = Matrix(rep.field, rows)
     eye = Matrix.identity(rep.field, rep.dim)
-    g_sq = tuple(gk * gk for gk in g)
-    e = tuple((g2 + gk.scale(p.m) + eye.scale(-1)).scale(p.l / p.m) for g2, gk in zip(g_sq, g))
-    return LKRep(p, tuple(g), e, g_sq)
+    e = tuple((gk * gk + gk.scale(p.m) + eye.scale(-1)).scale(p.l / p.m) for gk in g)
+    return LKRep(p, tuple(g), e)
 
 
 class TestGateMutation:
@@ -290,7 +305,7 @@ def with_entry(m, i, j, x):
 
 def replaced(rep, **fields):
     """rep with some of its fields swapped for others, nothing rebuilt."""
-    parts = {"params": rep.params, "g": rep.g, "e": rep.e, "g_sq": rep.g_sq}
+    parts = {"params": rep.params, "g": rep.g, "e": rep.e}
     parts.update(fields)
     return LKRep(**parts)
 
@@ -319,12 +334,6 @@ def far_e(rep):
     return replaced(rep, e=tuple(e))
 
 
-def perturbed_g_sq(rep):
-    g_sq = list(rep.g_sq)
-    g_sq[3] = with_entry(g_sq[3], 2, 5, g_sq[3].rows[2][5] + rep.field.one())
-    return replaced(rep, g_sq=tuple(g_sq))
-
-
 def perturbed_last_row(rep):
     g = list(rep.g)
     last = rep.dim - 1
@@ -341,7 +350,8 @@ class TestGateMutantReports:
     """Each relation family broken on purpose, with the full report pinned.
 
     The reports were recorded from the gate that compared whole matrices,
-    so they fix the booleans, delta and the order of the failure labels.
+    so they fix the booleans, delta and the order of the failure labels,
+    and the labels are those of the whole-matrix oracle with g g as g^2.
     """
 
     FAMILIES = ("braid", "far_commutation", "e_products", "e_definition",
@@ -349,13 +359,14 @@ class TestGateMutantReports:
 
     # mutant -> (families that fail, failure labels in report order)
     EXPECTED = {
-        swapped_far: ({"braid", "far_commutation", "e_definition", "cubic_annihilation"},
-                      ["braid(3,4)", "far(1,4)", "edef(1)", "edef(3)", "cubic(1)", "cubic(3)"]),
+        swapped_far: ({"braid", "far_commutation", "e_definition"},
+                      ["braid(3,4)", "far(1,4)", "edef(1)", "edef(3)"]),
         perturbed_g: ({"braid", "e_definition", "cubic_annihilation"},
                       ["braid(1,2)", "braid(2,3)", "edef(2)", "cubic(2)"]),
         perturbed_e: ({"e_definition", "e_square"}, ["edef(2)", "esq(2)"]),
         far_e: ({"e_products", "e_definition"}, ["ee(1,3)", "ee(1,4)", "edef(1)"]),
-        perturbed_g_sq: ({"e_definition", "cubic_annihilation"}, ["edef(4)", "cubic(4)"]),
+        perturbed_last_row: ({"braid", "far_commutation", "e_definition"},
+                             ["braid(3,4)", "far(1,4)", "far(2,4)", "edef(4)"]),
         wrong_delta: ({"e_definition", "cubic_annihilation", "e_square"},
                       [f"{rel}({i})" for rel in ("edef", "cubic", "esq") for i in range(1, 5)]),
     }
@@ -368,18 +379,6 @@ class TestGateMutantReports:
                          "21733/7488", False),
         "Q(r)": ("Q(r)", lambda: substituted_rep(5, 1, 1), "2",
                  "(2*r^3 + 3*r^2 - r - 1)/(r^3 + r^2 - r - 1)", False),
-    }
-
-    # g_4 x_{4,5} = (1/l) x_{4,5}, and g_sq is not rebuilt: the change of
-    # g_4 in that row adds (1/l^2) d to g_4^2 g_4 and -s2 d to the right
-    # side of cubic(4), equal at l = r, so cubic(4) holds over Q(r) only
-    LAST_ROW = {
-        "Q": ({"braid", "far_commutation", "e_definition", "cubic_annihilation"},
-              ["braid(3,4)", "far(1,4)", "far(2,4)", "edef(4)", "cubic(4)"]),
-        "Q at r=37/11": ({"braid", "far_commutation", "e_definition", "cubic_annihilation"},
-                         ["braid(3,4)", "far(1,4)", "far(2,4)", "edef(4)", "cubic(4)"]),
-        "Q(r)": ({"braid", "far_commutation", "e_definition"},
-                 ["braid(3,4)", "far(1,4)", "far(2,4)", "edef(4)"]),
     }
 
     def expected(self, field_tag, delta, failing, failures):
@@ -405,11 +404,10 @@ class TestGateMutantReports:
         assert self.verify(mutant(build()), packs, monkeypatch).to_json_obj() == expected
 
     @pytest.mark.parametrize("field_tag", sorted(BUILDS))
-    def test_last_row_report_pinned(self, field_tag, monkeypatch):
-        field, build, delta, _, packs = self.BUILDS[field_tag]
-        expected = self.expected(field, delta, *self.LAST_ROW[field_tag])
-        report = self.verify(perturbed_last_row(build()), packs, monkeypatch)
-        assert report.to_json_obj() == expected
+    def test_pins_are_the_oracle_labels(self, field_tag):
+        build = self.BUILDS[field_tag][1]
+        for mutant, (_, failures) in self.EXPECTED.items():
+            assert oracle_failures(mutant(build())) == failures, mutant.__name__
 
 
 def spy_pack_width(monkeypatch):
@@ -447,7 +445,7 @@ class TestPackedGate:
             except SemisimplicityViolation:
                 hyp.reject()
             if data.draw(st.booleans()):
-                name = data.draw(st.sampled_from(("g", "e", "g_sq")))
+                name = data.draw(st.sampled_from(("g", "e")))
                 k = data.draw(st.integers(0, n - 2))
                 i, j = (data.draw(st.integers(0, rep.dim - 1)) for _ in range(2))
                 extra = data.draw(small)
@@ -529,18 +527,63 @@ class TestGateClearedReports:
         assert verify_relations(g_entry(rep)).to_json_obj() == self.report(
             "Q(l,r)", self.Q_LR_DELTA, {"braid", "e_definition", "cubic_annihilation"},
             ["braid(1,2)", "braid(2,3)", "edef(2)", "cubic(2)"])
-        g_sq_entry = perturbed_by("g_sq", 2, 3, 4, lambda f: f.l() / (f.r() + 2))
-        assert verify_relations(g_sq_entry(rep)).to_json_obj() == self.report(
-            "Q(l,r)", self.Q_LR_DELTA, {"e_definition", "cubic_annihilation"},
-            ["edef(3)", "cubic(3)"])
+        e_entry = perturbed_by("e", 2, 3, 4, lambda f: f.l() / (f.r() + 2))
+        assert verify_relations(e_entry(rep)).to_json_obj() == self.report(
+            "Q(l,r)", self.Q_LR_DELTA, {"e_products", "e_definition", "e_square"},
+            ["ee(1,3)", "edef(3)", "esq(3)"])
         # a Q(l,r) value is a Laurent polynomial in l over Q(r)
         with pytest.raises(DenominatorInL):
             perturbed_by("g", 1, 0, 0, lambda f: f.one() / (f.l() + f.r()))(rep)
 
 
+def oracle_failures(rep):
+    """oracles.relation_failures on the rows of g and e, with g g as g^2."""
+    p = rep.params
+    g, e = ([[list(row) for row in m.rows] for m in mats] for mats in (rep.g, rep.e))
+    return oracles.relation_failures(p.n, p.l, p.r, g, e, [oracles.mat_mul(x, x) for x in g])
+
+
+class TestSquareIsChecked:
+    """An e_k built from a g_k^2 that is not g_k g_k fails e_definition.
+
+    The gate reads g_k^2 as the word g_k g_k, so no stored square stands
+    between e_k and g_k: here g_k^2 is off by one in one entry of row a,
+    the one row of e_k.
+    """
+
+    @pytest.mark.parametrize("build", [
+        lambda: rational_rep(5, rat(5), rat(2)),
+        lambda: rational_rep(5, rat(5), rat(37, 11)),
+        lambda: substituted_rep(5, 1, 1),
+        lambda: rep_at(5, catalog(5)[1], cyclotomic_field("phi20").gen()),
+        lambda: symbolic_rep(5),
+    ], ids=["Q", "Q at r=37/11", "Q(r)", "phi20", "Q(l,r)"])
+    def test_e_from_a_wrong_square(self, build):
+        rep = build()
+        p, k = rep.params, 1
+        a = pair_basis(p.n).index((k + 1, k + 2))
+        gk = rep.g[k]
+        eye = Matrix.identity(rep.field, rep.dim)
+
+        def e_from(square):
+            return (square + gk.scale(p.m) + eye.scale(-1)).scale(p.l / p.m)
+
+        square = gk * gk
+        assert e_from(square) == rep.e[k]
+        e = list(rep.e)
+        e[k] = e_from(with_entry(square, a, 0, square.rows[a][0] + rep.field.one()))
+        mutant = replaced(rep, e=tuple(e))
+        report = verify_relations(mutant)
+        assert not report.e_definition and f"edef({k + 1})" in report.failures
+        assert list(report.failures) == oracle_failures(mutant)
+        with pytest.raises(RelationGateNotPassed):
+            build_m_matrix(mutant)
+
+
 def fraction_mats(rep):
-    """g, e and g_sq of a rep over Q as Fraction row lists, for the oracle."""
-    return [[oracles.to_fraction_rows(m) for m in mats] for mats in (rep.g, rep.e, rep.g_sq)]
+    """g, e and g g of a rep over Q as Fraction row lists, for the oracle."""
+    g, e = ([oracles.to_fraction_rows(m) for m in mats] for mats in (rep.g, rep.e))
+    return g, e, [oracles.mat_mul(x, x) for x in g]
 
 
 class TestGateAgainstWholeMatrixOracle:
@@ -569,7 +612,7 @@ class TestGateAgainstWholeMatrixOracle:
                 rep = rational_rep(n, l, r)
             except SemisimplicityViolation:
                 hyp.reject()
-            name = data.draw(st.sampled_from(("g", "e", "g_sq")))
+            name = data.draw(st.sampled_from(("g", "e")))
             k = data.draw(st.integers(0, n - 2))
             i = data.draw(st.integers(0, rep.dim - 1))
             j = data.draw(st.integers(0, rep.dim - 1))

@@ -3,6 +3,7 @@
 import argparse
 import functools
 import json
+import math
 import random
 from types import SimpleNamespace
 
@@ -72,7 +73,7 @@ class TestMnMatrix:
 
     def test_gate_enforced(self):
         rep = rational_rep(3, rat(5), rat(2))
-        broken = LKRep(rep.params, rep.g, tuple(e.scale(rat(2)) for e in rep.e), rep.g_sq)
+        broken = LKRep(rep.params, rep.g, tuple(e.scale(rat(2)) for e in rep.e))
         with pytest.raises(RelationGateNotPassed):
             build_m_matrix(broken)
 
@@ -95,9 +96,9 @@ class TestMnMatrix:
         rep = rational_rep(4, rat(7, 2), rat(3))
         assert build_m_matrix(rep).matrix == self.dense_chain(rep)
 
-    def test_shared_denominator_past_the_families(self):
-        # over Q at height the gate's one D exceeds the common denominators of
-        # g alone and of e alone, so M(n)'s chains run on larger integers
+    def test_shared_denominator_of_g_and_e(self):
+        # over Q at height the gate's one D is the lcm of the common
+        # denominators of g alone and of e alone, and M(n)'s chains run on it
         rng = random.Random(36)
         for r in (rat(37, 11), rat(101, 7)):
             for n in (3, 4, 5):
@@ -105,10 +106,12 @@ class TestMnMatrix:
                     l = rat(rng.randint(1, 99) * rng.choice((1, -1)), rng.randint(1, 99))
                     rep = rational_rep(n, l, r)
                     den, _ = verify_relations(rep).cleared
+                    families = []
                     for mats in (rep.g, rep.e):
                         family, _ = linalg.clear_entries(QQ, [x for m in mats for row in m.rows
                                                               for x in row])
-                        assert den > family
+                        families.append(family)
+                    assert den == math.lcm(*families)
                     assert build_m_matrix(rep).matrix == self.dense_chain(rep), (n, l, r)
 
     def test_one_clearing_per_build(self, monkeypatch):
@@ -128,8 +131,8 @@ class TestMnMatrix:
                     rep_at(5, named_locus("l=-r3", 5), phi20), symbolic_rep(4)):
             calls.clear()
             build_m_matrix(rep)
-            # the gate's one call, on every row of g, e and g^2
-            assert calls == [3 * (rep.n - 1) * rep.dim]
+            # the gate's one call, on every row of g and e
+            assert calls == [2 * (rep.n - 1) * rep.dim]
 
     def test_no_inverse_of_g1(self, monkeypatch):
         # a chain is conjugated by g_{j-1} for j >= 3 only, so S g_k^-1 is
