@@ -3,8 +3,8 @@
 Conventions, in one place:
 
 * ``Rat`` is the exact rational type, fractions.Fraction.
-* "terms" dicts map packed exponent keys (int) to nonzero coefficient
-  objects supporting +, * and truthiness (Rat or int).  Packing is
+* "terms" dicts map packed exponent keys (int) to nonzero int
+  coefficients (a LaurentPoly's, in Z[l^±1, r^±1]).  Packing is
   key = a*PACK + b for the monomial l^a r^b, so key addition is exponent
   addition.
 * A dense polynomial is a list of coefficients in ascending order
@@ -104,31 +104,14 @@ def poly_mul_int(a, b):
 
 
 def poly_divexact_int(a, b):
-    """Exact quotient a // b in Z[x]; raises ValueError if inexact."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return []
-    if len(a) < len(b):
+    """Exact quotient a // b in Z[x]; raises ValueError if inexact.
+
+    b divides a in Z[x] exactly when pseudo-division takes every quotient
+    coefficient without scaling (s = 1) and leaves no remainder.
+    """
+    s, q, r = poly_pseudo_divmod(a, b)
+    if s != 1 or r:
         raise ValueError("inexact polynomial division")
-    rem = list(a)
-    lead = b[-1]
-    db = len(b) - 1
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = rem[i]
-        if not c:
-            continue
-        qc, r = divmod(c, lead)
-        if r:
-            raise ValueError("inexact polynomial division")
-        q[i - db] = qc
-        for j in range(db + 1):
-            rem[i - db + j] -= qc * b[j]
-    if any(rem):
-        raise ValueError("inexact polynomial division")
-    while q and not q[-1]:
-        q.pop()
     return q
 
 
@@ -323,14 +306,10 @@ def modp_poly_rem(a, mod, p):
 
 
 def modp_poly_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return [c % p for c in out]
+    out = [c % p for c in poly_mul_int(a, b)]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def modp_poly_sub(a, b, p):

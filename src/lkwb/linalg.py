@@ -297,13 +297,18 @@ def inverse(m):
 
 
 def clear_denominators(row):
-    """(den, polys): a row of RatFunc entries times den, the lcm of their denominators."""
+    """(den, polys): a row of RatFunc entries times den, a common multiple of their denominators.
+
+    den is the lcm of the denominators' primitive parts times the product
+    of their integer contents, since the gcd that folds each one in is
+    primitive: the lcm itself unless two contents share a factor.
+    """
     den = LaurentPoly.one()
     for x in row:
-        if x and not x.den.is_const():
+        if x and not x.den.is_one():
             g = den.gcd(x.den)
             den = den.divexact(g) * x.den
-    if den.is_const():  # every denominator is 1
+    if den.is_one():  # every denominator is 1
         return den, [x.num for x in row]
     return den, [x.num * den.divexact(x.den) if x else LaurentPoly.zero() for x in row]
 
@@ -372,7 +377,9 @@ def int_images(field, groups, bound):
     Each group is a list of sparse rows over the field's integral domain
     (clear_rows).  The field's image_ring (scalars.LaurentImage over Q(r),
     scalars.ModularImage over Q[x]/(f)) scales each group by one nonzero
-    s into Z[r] or Z[x]/(f).  bound(norms, scale_norms,
+    s into Z[r] or Z[x]/(f): r^shift, the least that leaves no negative
+    exponent, over Q(r), and the lcm of the denominators over Q[x]/(f).
+    bound(norms, scale_norms,
     gamma) gets norms[g][i][k], the L1 norm of s times entry k of row i of
     group g, scale_norms[g], the L1 norm of that group's s, and gamma, with
     ||a b||_1 <= gamma ||a||_1 ||b||_1 in the ring, and returns C, a bound

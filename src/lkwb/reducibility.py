@@ -384,8 +384,9 @@ def dense_int_row(polys):
     """(scale, shift, ints): a row of univariate-in-r LaurentPolys over Z[r].
 
     Entry j equals scale * r^shift * ints[j], with ints[j] a dense integer
-    polynomial, one rational scale and one shift for the whole row, and the
-    integer row of content 1.  A zero row gives scale 0 and all ints [].
+    polynomial, one scale, the row's integer content, and one shift for the
+    whole row, and the integer row of content 1.  A zero row gives scale 0
+    and all ints [].
     """
     dense = [p.to_dense_r() for p in polys]
     # one primitive integer list for the coefficients of the whole row, in
@@ -457,7 +458,7 @@ def _univariate_zero_verdict(matrix, n, locus, method):
     p = (1 << exponent) - 1
     modular = {"modulus": f"2^{exponent}-1", "coefficient_bound_bits": bound.bit_length()}
     # a row's lcm vanishes exactly where one of its entry denominators does
-    dens = {tuple(den.to_dense_int_r()[2]) for den in {den for den, _ in cleared}
+    dens = {tuple(den.to_dense_int_r()) for den in {den for den, _ in cleared}
             if not den.is_const()}
     width = max(len(e) for row in int_rows for e in row)
     witness = _kernel_witness(int_rows, width, p, degree_bound)

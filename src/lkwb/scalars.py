@@ -3,12 +3,12 @@
 Four kinds of scalars, one per ground field:
 
 * arbitrary-precision rationals (``Rat``, which is fractions.Fraction),
-* bivariate Laurent polynomials in l and r over Q (``LaurentPoly``) and
-  their fractions (``RatFunc``, always in lowest terms) -- the field
-  Q(l,r), kept as Laurent polynomials in l over Q(r): a denominator is a
-  polynomial in r alone, so the one gcd is a fold over Z[r]; a
-  coefficient is an int whenever it is integral, so that arithmetic over
-  Z[l, r] builds no rationals,
+* bivariate Laurent polynomials in l and r over Z (``LaurentPoly``, int
+  coefficients only) and their fractions (``RatFunc``, always in lowest
+  terms) -- the field Q(l,r), kept as Laurent polynomials in l over
+  Q(r): a denominator is a polynomial in r alone, so the one gcd is a
+  fold over Z[r], and a rational constant lives in the denominator, so
+  that arithmetic builds no rationals,
 * the same restricted to r only -- the field Q(r),
 * elements of quotient rings Q[x]/(f), f monic in Z[x], for algebraic
   values of r (``AlgebraicNumber`` over a ``NumberField``), each kept as
@@ -84,43 +84,36 @@ _unpack = kernels.unpack_exp
 _HALF_PACK = kernels.PACK >> 1
 
 
-def _coeff(c):
-    """A Laurent coefficient: an int when c is integral, a Rat otherwise."""
-    if type(c) is not int:
-        if not isinstance(c, _RAT_TYPES):
-            c = Rat(c)
-        if c.denominator == 1:
-            return c.numerator
-    return c
+def _as_int(c):
+    """c as an int Laurent coefficient: c is an int or an integral Rat.
+
+    A true fraction is not in Z[l^±1, r^±1] and raises ValueError; its
+    place is a RatFunc denominator.
+    """
+    if type(c) is int:
+        return c
+    if c.denominator != 1:
+        raise ValueError(f"Laurent coefficient {c} is not an integer")
+    return c.numerator
 
 
-def _settle(terms):
-    """terms with each integral Rat coefficient replaced by its int, in place."""
-    for k, c in terms.items():
-        if type(c) is not int:
-            terms[k] = _coeff(c)
-    return terms
-
-
-def _cdiv(a, b):
-    """Exact quotient of two Laurent coefficients, an int when integral."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return Rat(a, b) if r else q
-    return _coeff(a / b)
+def _quotient(a, b):
+    """a / b for ints when b divides a; ValueError otherwise."""
+    q, rem = divmod(a, b)
+    if rem:
+        raise ValueError("inexact Laurent division")
+    return q
 
 
 class LaurentPoly:
-    """Laurent polynomial in l and r with rational coefficients.
+    """Laurent polynomial in l and r with integer coefficients: Z[l^±1, r^±1].
 
-    Terms are stored as a dict from packed exponent keys to nonzero
-    coefficients; equality is structural.  A coefficient is an int whenever
-    it is integral and a Rat only when it is a true fraction, so products
-    and sums over Z[l, r] stay in ints; every constructor and operation
-    keeps that form (``_coeff``, ``_settle``, ``_cdiv``).  Equality, hashes
-    and text do not depend on it, since Rat(2) == 2 and both hash alike.
-    Exponents are bounded by 2^16 in absolute value and overflow raises
-    ExponentOverflow.
+    Terms are stored as a dict from packed exponent keys to nonzero int
+    coefficients; equality is structural.  The constructors take an int or
+    an integral Rat and refuse a true fraction with ValueError, and so do
+    + and * with a fraction: a rational constant lives in a RatFunc
+    denominator.  Exponents are bounded by 2^16 in absolute value and
+    overflow raises ExponentOverflow.
     """
 
     __slots__ = ("terms",)
@@ -136,7 +129,7 @@ class LaurentPoly:
         for (a, b), c in pairs:
             if abs(a) > bound or abs(b) > bound:
                 raise ExponentOverflow(f"exponent ({a},{b}) exceeds bound {bound}")
-            c = _coeff(c)
+            c = _as_int(c)
             if not c:
                 continue
             k = _pack(a, b)
@@ -144,7 +137,7 @@ class LaurentPoly:
             if v is None:
                 terms[k] = c
             else:
-                v = _coeff(v + c)
+                v += c
                 if v:
                     terms[k] = v
                 else:
@@ -153,7 +146,7 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c):
-        c = _coeff(c)
+        c = _as_int(c)
         return cls({0: c} if c else {})
 
     @classmethod
@@ -188,7 +181,7 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return self.terms == other.terms
         if is_rat(other):
-            return self.terms == ({0: _coeff(other)} if other else {})
+            return self.terms == ({0: other} if other else {})
         return NotImplemented
 
     def __hash__(self):
@@ -208,7 +201,7 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return LaurentPoly(_settle(kernels.terms_add(self.terms, o.terms)))
+        return LaurentPoly(kernels.terms_add(self.terms, o.terms))
 
     __radd__ = __add__
 
@@ -230,7 +223,7 @@ class LaurentPoly:
         elif len(self.terms) == 1 and o.terms:
             out = o._mul_single(self)
         else:
-            out = LaurentPoly(_settle(kernels.terms_mul(self.terms, o.terms)))
+            out = LaurentPoly(kernels.terms_mul(self.terms, o.terms))
         out._check_bound()
         return out
 
@@ -239,17 +232,19 @@ class LaurentPoly:
     def _mul_single(self, mono):
         ((k0, c0),) = mono.terms.items()
         if k0 == 0:
-            return LaurentPoly(_settle({k: c * c0 for k, c in self.terms.items()}))
-        return LaurentPoly(_settle({k + k0: c * c0 for k, c in self.terms.items()}))
+            return LaurentPoly({k: c * c0 for k, c in self.terms.items()})
+        return LaurentPoly({k + k0: c * c0 for k, c in self.terms.items()})
 
     def __pow__(self, n):
         if n < 0:
+            # only the units +-l^a r^b have inverses in the ring
             if len(self.terms) == 1:
                 ((k, c),) = self.terms.items()
-                out = LaurentPoly({k * n: _cdiv(1, c ** (-n))})
-                out._check_bound()
-                return out
-            raise ValueError("negative power of a non-monomial Laurent polynomial")
+                if c in (1, -1):
+                    out = LaurentPoly({k * n: c if n & 1 else 1})
+                    out._check_bound()
+                    return out
+            raise ValueError("negative power of a Laurent polynomial that is not a unit")
         result = LaurentPoly.one()
         base = self
         while n:
@@ -274,6 +269,9 @@ class LaurentPoly:
 
     def is_const(self):
         return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
+
+    def is_one(self):
+        return self.terms == {0: 1}
 
     def const_value(self):
         if not self.terms:
@@ -317,22 +315,14 @@ class LaurentPoly:
         return self.terms[max(self.terms)]
 
     def content(self):
-        """Positive gcd of the coefficients (0 for the zero poly).
-
-        An int fold when every coefficient is an int; otherwise the gcd of
-        the numerators over the lcm of the denominators, a true fraction.
-        """
-        cs = self.terms.values()
-        try:
-            return gcd(*cs)
-        except TypeError:  # math.gcd takes only ints: a Rat coefficient
-            return Rat(gcd(*(c.numerator for c in cs)), lcm(*(c.denominator for c in cs)))
+        """Positive gcd of the coefficients (0 for the zero poly)."""
+        return gcd(*self.terms.values())
 
     def scale(self, c):
-        c = _coeff(c)
+        c = _as_int(c)
         if not c:
             return LaurentPoly.zero()
-        return LaurentPoly(_settle({k: v * c for k, v in self.terms.items()}))
+        return LaurentPoly({k: v * c for k, v in self.terms.items()})
 
     def shift(self, da, db):
         """Multiply by the monomial l^da * r^db."""
@@ -344,15 +334,15 @@ class LaurentPoly:
         return out
 
     def divexact(self, other):
-        """Exact division in the Laurent ring; ValueError when inexact."""
+        """Exact division in Z[l^±1, r^±1]; ValueError when inexact."""
         if not other.terms:
             raise DivisionByZero("division by zero polynomial")
         if not self.terms:
             return LaurentPoly.zero()
         oterms = other.terms
-        if len(oterms) == 1:  # a monomial divides every Laurent polynomial
+        if len(oterms) == 1:  # a monomial: one int division per term
             ((k0, c0),) = oterms.items()
-            return LaurentPoly({k - k0: _cdiv(c, c0) for k, c in self.terms.items()})
+            return LaurentPoly({k - k0: _quotient(c, c0) for k, c in self.terms.items()})
         rem = dict(self.terms)
         quot = {}
         lead_k = max(oterms)
@@ -366,7 +356,7 @@ class LaurentPoly:
             a, b = _unpack(qk)
             if not (alo <= a <= ahi and blo <= b <= bhi):
                 raise ValueError("inexact Laurent division")
-            qc = _cdiv(rem[rk], lead_c)
+            qc = _quotient(rem[rk], lead_c)
             quot[qk] = qc
             for k, c in oterms.items():
                 kk = qk + k
@@ -401,7 +391,7 @@ class LaurentPoly:
                     out[nk] = v
                 else:
                     del out[nk]
-        return LaurentPoly(_settle(out))
+        return LaurentPoly(out)
 
     def evaluate(self, l_val, r_val):
         """Exact evaluation; the result lives in the arithmetic of the inputs."""
@@ -433,13 +423,11 @@ class LaurentPoly:
         return lo, coeffs
 
     def to_dense_int_r(self):
-        """(scale, shift, intcoeffs): self = scale * r^shift * poly(intcoeffs).
+        """The primitive part of self as a dense polynomial in r, less its power of r.
 
-        Univariate in r only; intcoeffs is primitive with no trailing zeros.
+        Univariate in r only; self is the content times r^shift times it.
         """
-        lo, coeffs = self.to_dense_r()
-        scale, ints = kernels.qpoly_to_int(coeffs)
-        return scale, lo, ints
+        return kernels.qpoly_to_int(self.to_dense_r()[1])[1]
 
     # -- gcd ----------------------------------------------------------------
 
@@ -467,11 +455,11 @@ class LaurentPoly:
                 a, b = _unpack(k)
                 by_l.setdefault(a, {})[b] = c
             cols = map(LaurentPoly, by_l.values())
-        g = q.to_dense_int_r()[2]
+        g = q.to_dense_int_r()
         for col in cols:
             if g == [1]:
                 break
-            g = kernels.poly_gcd_int(g, col.to_dense_int_r()[2])
+            g = kernels.poly_gcd_int(g, col.to_dense_int_r())
         return LaurentPoly.from_pairs([((0, i), c) for i, c in enumerate(g)])
 
     # -- text ---------------------------------------------------------------
@@ -507,12 +495,14 @@ class RatFunc:
 
     A value of Q(l,r) is kept as a Laurent polynomial in l over Q(r): with
     q = r^-2 and tau = r^3/l the representation needs no other, and its
-    only true denominators come from m = 1/r - r.  The denominator is a
-    polynomial in r alone (minimum exponent zero), has integer
-    coefficients with content 1 and a positive leading coefficient, and
-    shares no nonconstant factor with the numerator.  That form is unique,
-    so equality is structural.  A denominator that still involves l once
-    its monomial factor is divided out raises DenominatorInL.
+    only true denominators come from m = 1/r - r.  Numerator and
+    denominator have int coefficients (LaurentPoly), so a rational constant
+    lives in the denominator: 1/2 is 1 over 2.  The denominator is a
+    polynomial in r alone (minimum exponent zero) with a positive leading
+    coefficient, and the two share no factor, their integer contents
+    included.  That form is unique, so equality is structural.  A
+    denominator that still involves l once its monomial factor is divided
+    out raises DenominatorInL.
     """
 
     __slots__ = ("num", "den")
@@ -540,9 +530,10 @@ class RatFunc:
         if den.leading_coeff() < 0:
             c = -c
         if c != 1:
-            c = LaurentPoly.const(c)
-            den = den.divexact(c)
-            num = num.divexact(c)
+            g = gcd(c, num.content())
+            g = LaurentPoly.const(g if c > 0 else -g)
+            den = den.divexact(g)
+            num = num.divexact(g)
         if not den.is_const():
             g = num.gcd(den)
             if not g.is_const():
@@ -555,7 +546,8 @@ class RatFunc:
 
     @classmethod
     def from_const(cls, c):
-        return cls(LaurentPoly.const(c), LaurentPoly.one(), _normalized=True)
+        return cls(LaurentPoly.const(c.numerator), LaurentPoly.const(c.denominator),
+                   _normalized=True)
 
     @classmethod
     def zero(cls):
@@ -586,7 +578,7 @@ class RatFunc:
         return self.num.is_const() and self.den.is_const()
 
     def const_value(self):
-        return _cdiv(self.num.const_value(), self.den.const_value())
+        return Rat(self.num.const_value(), self.den.const_value())
 
     def is_univariate_r(self):
         return self.num.is_univariate_r()  # the denominator always is
@@ -637,9 +629,8 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den.is_const() and o.den.is_const():
-            # a normalized constant denominator is 1
-            return RatFunc(self.num * o.num, LaurentPoly.one(), _normalized=True)
+        if self.den.is_one() and o.den.is_one():
+            return RatFunc(self.num * o.num, self.den, _normalized=True)
         return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -945,10 +936,10 @@ class AlgebraicNumber:
 class LaurentImage:
     """The integer image of Q(r)'s Laurent ring: Z[r] -> Z by r -> t = 2^b.
 
-    A group of entries is scaled by c r^s into Z[r], c the lcm of their
-    coefficient denominators and s >= 0 the least shift that leaves no
-    negative exponent (a Q(r) term key is its r exponent).  ||ab||_1 <=
-    ||a||_1 ||b||_1 over Z[r], so gamma is 1, and there is no modulus.
+    A group of entries is scaled by r^s into Z[r], s >= 0 the least shift
+    that leaves no negative exponent (a Q(r) term key is its r exponent):
+    the scale is the shift s.  ||ab||_1 <= ||a||_1 ||b||_1 over Z[r], so
+    gamma is 1, and there is no modulus.
     """
 
     gamma = 1
@@ -956,30 +947,25 @@ class LaurentImage:
 
     @staticmethod
     def scale(xs):
-        terms = [x.terms for x in xs]
-        return (lcm(*(c.denominator for t in terms for c in t.values())),
-                max(0, -min((min(t) for t in terms if t), default=0)))
+        return max(0, -min((min(x.terms) for x in xs if x.terms), default=0))
 
     @staticmethod
-    def norm(x, scale):
-        """||scale x||_1."""
-        return sum(abs(c.numerator) * (scale[0] // c.denominator) for c in x.terms.values())
+    def norm(x, shift):
+        """||r^shift x||_1."""
+        return sum(map(abs, x.terms.values()))
 
     @staticmethod
-    def at(x, scale, b):
-        """The image of scale x."""
-        s, shift = scale
-        return sum(c.numerator * (s // c.denominator) << b * (e + shift)
-                   for e, c in x.terms.items())
+    def at(x, shift, b):
+        """The image of r^shift x."""
+        return sum(c << b * (e + shift) for e, c in x.terms.items())
 
     @staticmethod
-    def scale_norm(scale):
-        return scale[0]
+    def scale_norm(shift):
+        return 1
 
     @staticmethod
-    def scale_at(scale, b):
-        s, shift = scale
-        return s << b * shift
+    def scale_at(shift, b):
+        return 1 << b * shift
 
     @staticmethod
     def modulus(b):
@@ -1120,10 +1106,11 @@ class FunctionField:
             a = rng.randint(-2, 2) if "l" in self.variables else 0
             b = rng.randint(-3, 3)
             pairs.append(((a, b), rat(rng.randint(-bound, bound), rng.randint(1, 4))))
-        num = LaurentPoly.from_pairs(pairs)
+        den = lcm(*(c.denominator for _, c in pairs))
+        num = LaurentPoly.from_pairs((k, c.numerator * (den // c.denominator)) for k, c in pairs)
         if not num:
-            num = LaurentPoly.one()
-        return RatFunc(num)
+            return RatFunc.one()
+        return RatFunc(num, LaurentPoly.const(den))
 
     def __eq__(self, other):
         return isinstance(other, FunctionField) and self.variables == other.variables
@@ -1193,11 +1180,14 @@ def _term_text(c, parts):
     return f"{ac}*{body}"
 
 
-def laurent_to_text(p):
+def laurent_to_text(p, over=1):
+    """The text of p, or of p / over for a positive int over."""
     if not p.terms:
         return "0"
     chunks = []
     for (a, b), c in p.pairs():
+        if over != 1:
+            c = Rat(c, over)
         parts = []
         if a:
             parts.append("l" if a == 1 else f"l^{a}")
@@ -1212,9 +1202,11 @@ def laurent_to_text(p):
 
 
 def ratfunc_to_text(f):
-    if f.den.is_const() and f.den.const_value() == 1:
-        return laurent_to_text(f.num)
-    return f"({laurent_to_text(f.num)})/({laurent_to_text(f.den)})"
+    """num/den as num/c over den/c: den's integer content c goes into num's coefficients."""
+    c = f.den.content()
+    if f.den.is_const():
+        return laurent_to_text(f.num, c)
+    return f"({laurent_to_text(f.num, c)})/({laurent_to_text(f.den, c)})"
 
 
 def algebraic_to_text(x):

@@ -12,6 +12,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -55,17 +56,20 @@ def scalars(field, rng):
     """draw(zeros): a random scalar, zero with probability zeros, and a nonzero one for zeros=None.
 
     Over Q(r) Laurent polynomials with 30-bit rational coefficients over a
-    denominator r + c, c of 30 bits, one c for all the draws; over Q[x]/(f)
-    30-bit numerators over one denominator of up to 10^9.
+    denominator r + c, c of 30 bits, one c for all the draws: an integer
+    numerator over r + c times the lcm of the coefficient denominators;
+    over Q[x]/(f) 30-bit numerators over one denominator of up to 10^9.
     """
     if field == QR:
         den = LaurentPoly.from_pairs([((0, 1), 1), ((0, 0), rng.randint(1, 2 ** 30))])
 
         def scalar():
+            pairs = [((0, rng.randint(-3, 3)), Fraction(rng.randint(-2 ** 30, 2 ** 30),
+                                                        rng.randint(1, 2 ** 30)))
+                     for _ in range(rng.randint(1, 3))]
+            lcd = lcm(*(c.denominator for _, c in pairs))
             return RatFunc(LaurentPoly.from_pairs(
-                ((0, rng.randint(-3, 3)), Fraction(rng.randint(-2 ** 30, 2 ** 30),
-                                                   rng.randint(1, 2 ** 30)))
-                for _ in range(rng.randint(1, 3))), den)
+                (k, c.numerator * (lcd // c.denominator)) for k, c in pairs), den.scale(lcd))
     else:
         def scalar():
             den = rng.randint(1, 10 ** 9)
@@ -411,19 +415,23 @@ class TestBoundCoversTheComparedValues:
 class TestGateBoundTerms:
     """Each term of the gate's bound matters: the row r M = I on M = (1/S).
 
-    The cleared matrices have the scale s = S and the image 1, so the
-    sides map to t and to S, a word of length 0 padded by s^1.  Without
-    the factor (gamma ||s||_1)^(L - k) the bound would be gamma + 1, and S
-    is the base that bound gives, where t = S wrongly makes r/S = 1 hold.
+    Over Q[x]/(f) the cleared matrices have the scale s = S and the image
+    1, so the sides map to t and to S, a word of length 0 padded by s^1.
+    Without the factor (gamma ||s||_1)^(L - k) the bound would be
+    gamma + 1, and S is the base that bound gives, where t = S wrongly
+    makes r/S = 1 hold.  Over Q(r) the scale is a power of r, of norm 1,
+    and S is the denominator that clears M: the row reads r (S M) = S I,
+    the sides again map to t and to S, and the identity's coefficient S,
+    through its norm, keeps the base above S.
     """
 
     @pytest.mark.parametrize("field", IMAGE_FIELDS, ids=IDS)
     def test_short_word_padded_by_the_scale(self, field):
         ring = field.image_ring
         big = 2 ** linalg._image_base(ring.gamma + 1, ring.norm_f)
-        one = clear_entries(field, [field.one()])[1][0]
-        _, (r, entry) = clear_entries(field, [gen(field), field.one() / big])
-        row = (1, [(0, (0,), r), (1, (), one)])
+        den, (entry,) = clear_entries(field, [field.one() / big])
+        _, (r,) = clear_entries(field, [gen(field)])
+        row = (1, [(0, (0,), r), (1, (), den)])
         assert list(_holds(field, [[(0, entry)]], [row], 1)) == [False]
         with pytest.MonkeyPatch.context() as mp:
             forced_base(mp, linalg._image_base(ring.gamma + 1, ring.norm_f))

@@ -247,6 +247,28 @@ class TestAgainstSympy:
         check()
 
 
+    def test_modp_poly_mul(self, env):
+        # inputs in Z, not reduced mod p, whose product may vanish at the top mod p
+        hyp, st, _, settings, to_sympy, from_sympy = env
+
+        @st.composite
+        def cases(draw):
+            p = draw(st.sampled_from([2, 3, 5, 7, 13, 10007]))
+            polys = st.lists(st.integers(-2 * p, 2 * p), max_size=6).map(_trim)
+            return p, draw(polys), draw(polys)
+
+        @settings
+        @hyp.given(cases())
+        def check(case):
+            p, a, b = case
+            want = to_sympy([Rat(c) for c in a], modulus=p) * to_sympy([Rat(c) for c in b], modulus=p)
+            assert kernels.modp_poly_mul(a, b, p) == _trim(int(c) % p for c in from_sympy(want))
+
+        check()
+        assert kernels.modp_poly_mul([2], [3], 3) == []
+        assert kernels.modp_poly_mul([1, 2], [0, 5], 5) == []
+
+
 class TestModpReconstruction:
     """Newton interpolation and rational reconstruction over GF(p)."""
 

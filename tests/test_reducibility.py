@@ -165,6 +165,18 @@ class TestMnMatrix:
             if field == "Q(r)":  # no entry of M(n) has a denominator on the loci
                 assert all(x.den.is_const() for row in mn.rows for x in row), locus.name
 
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_every_coefficient_is_an_int(self, n):
+        # Z[l^+-1, r^+-1] is the one coefficient ring: g, e and M(n) over
+        # Q(l,r) and on every locus over Q(r) carry no Rat coefficient
+        reps = [substituted_rep(n, locus.eps, locus.k) for locus in catalog(n)]
+        if n <= 5:
+            reps.append(symbolic_rep(n))
+        for rep in reps:
+            for m in (*rep.g, *rep.e, build_m_matrix(rep).matrix):
+                assert all(type(c) is int for row in m.rows for x in row
+                           for p in (x.num, x.den) for c in p.terms.values())
+
     @staticmethod
     def _reps():
         yield from (symbolic_rep(n) for n in (3, 4))
@@ -353,15 +365,22 @@ class TestModularZeroProof:
         return hyp, draw_matrix(), settings
 
     def test_dense_int_row_reconstructs_entries(self):
+        # each entry an integer numerator over the lcm of its coefficient
+        # denominators, and the row cleared to int Laurent polynomials over den
         rng = random.Random(41)
         for _ in range(40):
-            row = [LaurentPoly.from_pairs([((0, rng.randint(-4, 6)), rat(rng.randint(-9, 9), rng.randint(1, 6)))
-                                           for _ in range(rng.randint(0, 3))])
-                   for _ in range(4)]
+            values = []
+            for _ in range(4):
+                pairs = [((0, rng.randint(-4, 6)), rat(rng.randint(-9, 9), rng.randint(1, 6)))
+                         for _ in range(rng.randint(0, 3))]
+                d = math.lcm(*(c.denominator for _, c in pairs))
+                values.append(RatFunc(LaurentPoly.from_pairs(
+                    (k, c.numerator * (d // c.denominator)) for k, c in pairs), LaurentPoly.const(d)))
+            den, row = linalg.clear_denominators(values)
             scale, shift, ints_row = dense_int_row(row)
-            for p, ints in zip(row, ints_row):
+            for x, p, ints in zip(values, row, ints_row):
                 back = LaurentPoly.from_pairs([((0, i + shift), scale * c) for i, c in enumerate(ints)])
-                assert back == p
+                assert back == p and RatFunc(back, den) == x
             content = kernels.poly_content_int([c for ints in ints_row for c in ints])
             assert content == (1 if any(row) else 0)
             assert bool(scale) == any(row)

@@ -3,7 +3,7 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -341,25 +341,78 @@ def _laurent_ref(p):
 
 
 def _assert_laurent_canonical(p):
-    for c in p.terms.values():
-        assert c
-        # an integral coefficient is an int, never a Rat with denominator 1
-        assert (type(c) is int) == (c.denominator == 1)
-        if type(c) is not int:
-            assert type(c) is type(rat(1, 2))
-    as_rats = LaurentPoly({k: rat(c) for k, c in p.terms.items()})
-    assert as_rats == p and p == as_rats and hash(as_rats) == hash(p)
+    # every coefficient is a nonzero int, and an integral Rat is taken as its int
+    assert all(type(c) is int and c for c in p.terms.values())
     again = LaurentPoly.from_pairs(p.pairs())
     assert again == p and hash(again) == hash(p) and again.to_text() == p.to_text()
-    assert {k: type(c) for k, c in again.terms.items()} == {k: type(c) for k, c in p.terms.items()}
+    as_rats = LaurentPoly.from_pairs((k, rat(c)) for k, c in p.pairs())
+    assert as_rats.terms == p.terms and all(type(c) is int for c in as_rats.terms.values())
 
 
 def _assert_ratfunc_canonical(f):
     _assert_laurent_canonical(f.num)
     _assert_laurent_canonical(f.den)
-    assert f.den.leading_coeff() > 0 and f.den.content() == 1
+    assert f.den.is_univariate_r() and f.den.exp_range()[2] == 0
+    assert f.den.leading_coeff() > 0 and gcd(f.den.content(), f.num.content()) == 1
     again = RatFunc(f.num * 3, f.den * 3)
     assert again == f and again.to_text() == f.to_text()
+
+
+def _over_lcm(pairs):
+    """(ints, d): pairs of rational coefficients as int numerators over d, the lcm of the denominators."""
+    d = lcm(*(rat(c).denominator for _, c in pairs))
+    return [(k, int(rat(c) * d)) for k, c in pairs], d
+
+
+def _fraction(num_pairs, den_pairs=()):
+    """num / den for pairs of rational coefficients, den 1 when it is zero, on int numerators."""
+    (num, dn), (den, dd) = _over_lcm(num_pairs), _over_lcm(den_pairs)
+    den = LaurentPoly.from_pairs(den)
+    if not den:
+        den, dd = LaurentPoly.one(), 1
+    return RatFunc(LaurentPoly.from_pairs(num).scale(dd), den.scale(dn))
+
+
+def _reference_laurent_text(p):
+    """The text of a dict of Fraction coefficients, terms in descending (l, r) exponents."""
+    chunks = []
+    for (a, b), c in sorted(p.items(), reverse=True):
+        parts = [v if e == 1 else f"{v}^{e}" for v, e in (("l", a), ("r", b)) if e]
+        text = "*".join([str(abs(c))] * (abs(c) != 1 or not parts) + parts)
+        chunks.append(("-" if c < 0 else "") + text if not chunks
+                      else ("- " if c < 0 else "+ ") + text)
+    return " ".join(chunks) or "0"
+
+
+def _reference_text(sympy, num, den):
+    """The text of num / den, dicts of Fraction coefficients with den in r alone.
+
+    sympy cancels the fraction.  Its denominator, less the monomial it
+    shares with every term, is c P with P in Z[r] of content 1 and a
+    positive leading coefficient; the numerator over c and that monomial
+    keeps Fraction coefficients.
+    """
+    sl, sr = sympy.symbols("l r")
+
+    def expr(p):
+        return sum((sympy.Rational(c.numerator, c.denominator) * sl ** a * sr ** b
+                    for (a, b), c in p.items()), sympy.Integer(0))
+
+    n, d = sympy.fraction(sympy.cancel(expr(num) / expr(den)))
+    if n == 0:
+        return "0"
+    n, d = (sympy.Poly(x, sl, sr).terms() for x in (n, d))
+    a0, b0 = (min(m[i] for m, _ in d) for i in (0, 1))
+    assert all(a == a0 for (a, _), _ in d)
+    coeffs = [Fraction(int(c.p), int(c.q)) for _, c in d]
+    scale = lcm(*(c.denominator for c in coeffs))
+    lead = max(d)[1]
+    c = Fraction(gcd(*(int(v * scale) for v in coeffs)), scale) * (1 if lead > 0 else -1)
+    num = {(a - a0, b - b0): Fraction(int(v.p), int(v.q)) / c for (a, b), v in n}
+    den = {(0, b - b0): Fraction(int(v.p), int(v.q)) / c for (_, b), v in d}
+    if den == {(0, 0): 1}:
+        return _reference_laurent_text(num)
+    return f"({_reference_laurent_text(num)})/({_reference_laurent_text(den)})"
 
 
 def _same_fraction(f, num, den):
@@ -391,10 +444,16 @@ class TestLaurentAgainstReference:
         @hyp.given(pairs, pairs, scalar, st.integers(0, 3), mono, st.integers(-3, 3),
                    st.sampled_from([(1, 2), (-1, 3), (1, -5), (-1, -1)]))
         def check(pa, pb, c, e, m, me, locus):
-            a, b = LaurentPoly.from_pairs(pa), LaurentPoly.from_pairs(pb)
-            fa, fb = oracles.laurent(pa), oracles.laurent(pb)
-            mono_poly = LaurentPoly.term(m[2], m[0], m[1])
-            fm = oracles.laurent([((m[0], m[1]), m[2])])
+            # the ring Z[l^+-1, r^+-1] on the integer numerators of pa and pb
+            (ia, _), (ib, _) = _over_lcm(pa), _over_lcm(pb)
+            a, b = LaurentPoly.from_pairs(ia), LaurentPoly.from_pairs(ib)
+            fa, fb = oracles.laurent(ia), oracles.laurent(ib)
+            mono_poly = LaurentPoly.term(m[2].numerator, m[0], m[1])
+            ic = rat(c).numerator
+            fm = oracles.laurent([((m[0], m[1]), m[2].numerator)])
+            sign = 1 if m[2] > 0 else -1
+            unit = LaurentPoly.term(sign, m[0], m[1])
+            fu = oracles.laurent([((m[0], m[1]), sign)])
             eps, k = locus
             cases = [
                 (a, fa),
@@ -403,21 +462,61 @@ class TestLaurentAgainstReference:
                 (a * b, oracles.laurent_mul(fa, fb)),
                 (-a, oracles.laurent_neg(fa)),
                 (a ** e, oracles.laurent_pow(fa, e)),
-                (mono_poly ** me, oracles.laurent_pow(fm, me)),
+                (unit ** me, oracles.laurent_pow(fu, me)),
                 (a * mono_poly, oracles.laurent_mul(fa, fm)),
-                (a.scale(c), oracles.laurent_mul(fa, oracles.laurent([((0, 0), c)]))),
-                (a.divexact(mono_poly), oracles.laurent_mul(fa, oracles.laurent_pow(fm, -1))),
+                (a.scale(ic), oracles.laurent_mul(fa, oracles.laurent([((0, 0), ic)]))),
+                (a.divexact(unit), oracles.laurent_mul(fa, oracles.laurent_pow(fu, -1))),
                 (a.substitute_l(eps, k), oracles.laurent_substitute_l(fa, eps, k)),
             ]
             if b:
                 cases.append(((a * b).divexact(b), fa))
+            # a monomial divides exactly when its coefficient divides every coefficient
+            quotient = oracles.laurent_mul(fa, oracles.laurent_pow(fm, -1))
+            if all(v.denominator == 1 for v in quotient.values()):
+                cases.append((a.divexact(mono_poly), quotient))
+            else:
+                with pytest.raises(ValueError):
+                    a.divexact(mono_poly)
             for got, expect in cases:
                 _assert_laurent_canonical(got)
                 assert _laurent_ref(got) == expect
+            # a fraction is not in the ring, and only a unit has an inverse there
+            if rat(c).denominator != 1:
+                with pytest.raises(ValueError):
+                    a.scale(c)
+            if abs(m[2].numerator) != 1:
+                with pytest.raises(ValueError):
+                    mono_poly ** -1
             content = a.content()
-            assert content == oracles.laurent_content(fa)
-            assert (type(content) is int) == all(v.denominator == 1 for v in fa.values())
+            assert type(content) is int and content == oracles.laurent_content(fa)
             point = (rat(3, 2), rat(-5, 7))
+            assert a.evaluate(*point) == oracles.laurent_evaluate(fa, *point)
+
+            # the field Q(l,r) on the values of pa and pb, rational coefficients
+            # in the denominator
+            fa, fb = oracles.laurent(pa), oracles.laurent(pb)
+            fm = oracles.laurent([((m[0], m[1]), m[2])])
+            a, b = _fraction(pa), _fraction(pb)
+            mono = RatFunc.from_laurent(LaurentPoly.term(1, m[0], m[1])) * m[2]
+            mul = oracles.laurent_mul
+            cases = [
+                (a, fa),
+                (a + b, oracles.laurent_add(fa, fb)),
+                (a - b, oracles.laurent_add(fa, oracles.laurent_neg(fb))),
+                (a * b, mul(fa, fb)),
+                (-a, oracles.laurent_neg(fa)),
+                (a ** e, oracles.laurent_pow(fa, e)),
+                (mono ** me, oracles.laurent_pow(fm, me)),
+                (a * mono, mul(fa, fm)),
+                (a * c, mul(fa, oracles.laurent([((0, 0), c)]))),
+                (a / mono, mul(fa, oracles.laurent_pow(fm, -1))),
+                (a.substitute_l(eps, k), oracles.laurent_substitute_l(fa, eps, k)),
+            ]
+            if b and _one_power_of_l(b.num):
+                cases.append(((a * b) / b, fa))
+            for got, expect in cases:
+                _assert_ratfunc_canonical(got)
+                assert _same_fraction(got, expect, {(0, 0): Fraction(1)})
             assert a.evaluate(*point) == oracles.laurent_evaluate(fa, *point)
 
         check()
@@ -431,8 +530,8 @@ class TestLaurentAgainstReference:
         @hyp.given(pairs, pairs, extra)
         def check(pa, pb, pc):
             # a common factor c makes a nontrivial gcd likely
-            common = LaurentPoly.from_pairs(pc) or LaurentPoly.one()
-            a, b = LaurentPoly.from_pairs(pa) * common, LaurentPoly.from_pairs(pb) * common
+            common = LaurentPoly.from_pairs(_over_lcm(pc)[0]) or LaurentPoly.one()
+            a, b = (LaurentPoly.from_pairs(_over_lcm(x)[0]) * common for x in (pa, pb))
             hyp.assume(a and b)
             got = a.gcd(b)
             _assert_laurent_canonical(got)
@@ -453,8 +552,7 @@ class TestLaurentAgainstReference:
         def check(pa, pb, pc, pd):
             na, da = oracles.laurent(pa), oracles.laurent(pb) or {(0, 0): Fraction(1)}
             nb, db = oracles.laurent(pc), oracles.laurent(pd) or {(0, 0): Fraction(1)}
-            f = RatFunc(LaurentPoly.from_pairs(pa), LaurentPoly.from_pairs(pb) or LaurentPoly.one())
-            g = RatFunc(LaurentPoly.from_pairs(pc), LaurentPoly.from_pairs(pd) or LaurentPoly.one())
+            f, g = _fraction(pa, pb), _fraction(pc, pd)
             mul = oracles.laurent_mul
             cases = [
                 (f, na, da),
@@ -500,7 +598,7 @@ class TestLaurentAgainstReference:
         @hyp.settings(max_examples=80, deadline=None, derandomize=True)
         @hyp.given(pairs(st.integers(-2, 2)), r_only, r_only, r_only)
         def check(pa, pb, pc, pd):
-            a, b, c, d = (LaurentPoly.from_pairs(x) for x in (pa, pb, pc, pd))
+            a, b, c, d = (LaurentPoly.from_pairs(_over_lcm(x)[0]) for x in (pa, pb, pc, pd))
             hyp.assume(a and b and c and d)
             ac, bc = (d.shift(-3, 0) + a) * c, d * b * c
             want = sympy.gcd(to_sympy(ac), to_sympy(bc)).primitive()[1]
@@ -511,11 +609,11 @@ class TestLaurentAgainstReference:
             assert _same_fraction(f, _laurent_ref(ac * 2), _laurent_ref(bc))
             _, den = sympy.fraction(sympy.cancel(to_sympy(ac).as_expr() / to_sympy(bc).as_expr()))
             want = sympy.Poly(den, sl, sr).primitive()[1]
-            assert to_sympy(f.den) in (want, -want)
+            assert to_sympy(f.den).primitive()[1] in (want, -want)
             amin, _, bmin, _ = f.den.exp_range()
             assert (amin, bmin) == (0, 0)
             assert all(type(v) is int for v in f.den.terms.values())
-            _assert_ratfunc_canonical(f)  # content 1, positive leading coefficient
+            _assert_ratfunc_canonical(f)  # coprime contents, positive leading coefficient
             with pytest.raises(DenominatorInL):
                 RatFunc(bc, ac)
 
@@ -540,14 +638,14 @@ class TestLaurentIntegerCoefficients:
         with pytest.raises(ExponentOverflow):
             (half + r) ** 3
         with pytest.raises(ExponentOverflow):
-            LaurentPoly.term(2, 0, 2 ** 15) ** -3
+            LaurentPoly.term(-1, 0, 2 ** 15) ** -3
         with pytest.raises(ExponentOverflow):
             (l ** 2 + r).substitute_l(-1, 2 ** 15 + 1)
         # every path reaches the bound itself without raising
         assert (half + r) * (half + 1) == half * half + half * (r + 1) + r
         assert (r + 1).shift(2 ** 16, -2 ** 16).exp_range() == (2 ** 16, 2 ** 16, -2 ** 16, 1 - 2 ** 16)
         assert (half + r) ** 2 == half * half + 2 * half * r + r * r
-        assert LaurentPoly.term(2, 0, 2 ** 14) ** -4 == LaurentPoly.term(rat(1, 16), 0, -2 ** 16)
+        assert LaurentPoly.term(-1, 0, 2 ** 14) ** -4 == LaurentPoly.term(1, 0, -2 ** 16)
         assert (l ** 2 + r).substitute_l(-1, 2 ** 15) == LaurentPoly.term(1, 0, 2 ** 16) + r
 
     def test_dense_r_reads_the_exponents_off_the_keys(self):
@@ -558,7 +656,8 @@ class TestLaurentIntegerCoefficients:
         for _ in range(200):
             exps = rng.sample(range(-bound, bound + 1), rng.randint(1, 4))
             exps += rng.choice(([], [bound], [-bound], [bound, -bound]))
-            pairs = [((0, e), rat(rng.randint(-9, 9) or 1, rng.randint(1, 4))) for e in exps]
+            pairs, _ = _over_lcm([((0, e), rat(rng.randint(-9, 9) or 1, rng.randint(1, 4)))
+                                  for e in exps])
             p = LaurentPoly.from_pairs(pairs)
             lo, coeffs = p.to_dense_r()
             assert coeffs[-1] and lo == min(b for (_, b), _ in pairs)
@@ -570,40 +669,70 @@ class TestLaurentIntegerCoefficients:
                 LaurentPoly.from_pairs([((a, b), 1), ((0, 3), 2)]).to_dense_r()
 
     def test_division_by_an_integer_gives_fractions(self):
+        # in the ring a division by an integer is exact or refused; the
+        # fraction is a RatFunc over the integer
         r = LaurentPoly.var_r()
-        half = (r + 1).divexact(LaurentPoly.const(2))
-        assert half == LaurentPoly.from_pairs([((0, 1), rat(1, 2)), ((0, 0), rat(1, 2))])
+        with pytest.raises(ValueError):
+            (r + 1).divexact(LaurentPoly.const(2))
+        half = RatFunc.from_laurent(r + 1) / 2
+        assert (half.num, half.den) == (r + 1, LaurentPoly.const(2))
+        assert half == _fraction([((0, 1), rat(1, 2)), ((0, 0), rat(1, 2))])
         assert half.to_text() == "1/2*r + 1/2"
-        assert all(c == rat(1, 2) and type(c) is not int for c in half.terms.values())
-        assert half * 2 == r + 1
-        _assert_laurent_canonical(half * 2)
+        assert half * 2 == r + 1 and (half * 2).den == 1
+        _assert_ratfunc_canonical(half * 2)
         even = (r * 6 + 4).divexact(LaurentPoly.const(-2))
         assert even == -3 * r - 2
         assert all(type(c) is int for c in even.terms.values())
-        thirds = (r * 2 + 1).divexact(LaurentPoly.term(3, 0, 1))
+        with pytest.raises(ValueError):
+            (r * 2 + 1).divexact(LaurentPoly.term(3, 0, 1))
+        thirds = RatFunc.from_laurent(r * 2 + 1) / RatFunc.from_laurent(LaurentPoly.term(3, 0, 1))
         assert thirds.to_text() == "2/3 + 1/3*r^-1"
-        assert (LaurentPoly.term(rat(1, 2), 0, 0) + rat(1, 2)).terms == {0: 1}
+        assert RatFunc.from_const(rat(1, 2)) + rat(1, 2) == 1
 
     def test_integral_results_of_fractional_operands_are_ints(self):
         half = rat(1, 2)
-        r, l = LaurentPoly.var_r(), LaurentPoly.var_l()
-        p = LaurentPoly.from_pairs([((1, 0), half), ((0, 1), half)])  # (l + r) / 2
+        r, l = RatFunc.var_r(), RatFunc.var_l()
+        p = _fraction([((1, 0), half), ((0, 1), half)])  # (l + r) / 2
         results = [
-            LaurentPoly.from_pairs([((0, 1), half), ((0, 1), half)]),
+            _fraction([((0, 1), half), ((0, 1), half)]),
             p + p,
-            p - LaurentPoly.from_pairs([((1, 0), rat(-1, 2)), ((0, 1), rat(-1, 2))]),
+            p - _fraction([((1, 0), rat(-1, 2)), ((0, 1), rat(-1, 2))]),
             p * 2,
             p * (r * 2 + l * 2),
-            p.scale(4),
+            p * 4,
             p.substitute_l(1, 1),
-            p.divexact(LaurentPoly.const(half)),
-            LaurentPoly.term(half, 0, 1) ** -1,
-            LaurentPoly.const(rat(6, 3)),
+            p / half,
+            (r * half) ** -1,
+            RatFunc.from_const(rat(6, 3)),
         ]
         for q in results:
-            assert q.terms and all(type(c) is int for c in q.terms.values()), q
-            _assert_laurent_canonical(q)
+            assert q and q.den == 1, q
+            _assert_ratfunc_canonical(q)
         assert p.substitute_l(1, 1) == r
+        assert LaurentPoly.const(rat(6, 3)).terms == {0: 2}
+
+    def test_a_fraction_is_refused(self):
+        # a true fraction is not in the ring; an integral Rat is its int
+        for make in (lambda: LaurentPoly.from_pairs([((0, 1), rat(1, 2))]),
+                     lambda: LaurentPoly.const(rat(-2, 3)),
+                     lambda: LaurentPoly.term(rat(1, 2), 1, 0),
+                     lambda: LaurentPoly.var_r().scale(rat(3, 2)),
+                     lambda: LaurentPoly.var_r() + rat(1, 2),
+                     lambda: LaurentPoly.var_r() * rat(1, 2)):
+            with pytest.raises(ValueError):
+                make()
+        assert LaurentPoly.from_pairs([((0, 1), rat(4, 2))]).terms == {1: 2}
+        # equality with a fraction is False, with an integral Rat that of its int
+        assert not LaurentPoly.one() == rat(1, 2) and LaurentPoly.one() != rat(1, 2)
+        assert LaurentPoly.const(2) == rat(2) and LaurentPoly.zero() == 0
+
+    def test_a_rational_constant_lives_in_the_denominator(self):
+        half = RatFunc.from_const(rat(1, 2))
+        assert (half.num, half.den) == (LaurentPoly.one(), LaurentPoly.const(2))
+        assert half.to_text() == "1/2" and half.const_value() == rat(1, 2)
+        third = RatFunc.from_const(rat(-4, 6))
+        assert (third.num, third.den) == (LaurentPoly.const(-2), LaurentPoly.const(3))
+        assert RatFunc.from_const(3).den == 1 and RatFunc.from_const(3).const_value() == 3
 
     def test_inexact_division_raises(self):
         r, l = LaurentPoly.var_r(), LaurentPoly.var_l()
@@ -641,9 +770,17 @@ class TestLaurentIntegerCoefficients:
 class TestNormalization:
     def test_denominator_positive_leading_and_content_one(self):
         f = (L - R) / (LaurentPoly.from_pairs([((0, 2), -2), ((0, 0), 2)]))
-        # den = -2r^2 + 2 normalizes to r^2 - 1 with the sign moved to num
+        # den = -2r^2 + 2 normalizes to 2r^2 - 2 with the sign moved to num;
+        # its content 2 shares nothing with num's, and text reads it as 1/2
         assert f.den.leading_coeff() > 0
-        assert f.den.content() == 1
+        assert f.num == R.num - L.num
+        assert f.den == LaurentPoly.from_pairs([((0, 2), 2), ((0, 0), -2)])
+        assert f.to_text() == "(-1/2*l + 1/2*r)/(r^2 - 1)"
+        # a content that the numerator shares is divided out of both
+        g = (L * 2 + R * 4) / (LaurentPoly.from_pairs([((0, 2), -6), ((0, 0), 6)]))
+        assert (g.num.content(), g.den.content(), g.den.leading_coeff()) == (1, 3, 3)
+        assert g.to_text() == "(-1/3*l - 2/3*r)/(r^2 - 1)"
+        _assert_ratfunc_canonical(g)
 
     def test_gcd_reduction_univariate(self):
         f = (R ** 2 - 1) / (R - 1)
@@ -723,8 +860,35 @@ class TestSerialization:
         check()
         assert seen == {True, False}
 
+    @pytest.mark.parametrize("univariate", [True, False], ids=["Q(r)", "Q(l,r)"])
+    def test_text_matches_the_fraction_reference(self, univariate):
+        # values of rational coefficients, and their sums and products, write
+        # the text of the dict-of-Fraction form: Rat numerator coefficients
+        # over a denominator in Z[r] of content 1
+        hyp = pytest.importorskip("hypothesis")
+        sympy = pytest.importorskip("sympy")
+        pairs = TestLaurentAgainstReference()._pairs
+        nums = pairs(hyp, univariate=univariate, max_size=4)
+        dens = pairs(hyp, univariate=True, max_size=4)
+        one = {(0, 0): Fraction(1)}
+        mul = oracles.laurent_mul
+
+        @hyp.settings(max_examples=50, deadline=None, derandomize=True)
+        @hyp.given(nums, dens, nums, dens)
+        def check(pa, pb, pc, pd):
+            na, da = oracles.laurent(pa), oracles.laurent(pb) or one
+            nb, db = oracles.laurent(pc), oracles.laurent(pd) or one
+            f, g = _fraction(pa, pb), _fraction(pc, pd)
+            for got, num, den in ((f, na, da), (f * g, mul(na, nb), mul(da, db)),
+                                  (f + g, oracles.laurent_add(mul(na, db), mul(nb, da)),
+                                   mul(da, db))):
+                assert scalar_to_text(got) == _reference_text(sympy, num, den)
+
+        check()
+
     def test_term_format(self):
-        p = LaurentPoly.from_pairs([((2, -1), rat(3, 2)), ((0, 1), -1), ((0, 0), 5)])
+        p = _fraction([((2, -1), rat(3, 2)), ((0, 1), -1), ((0, 0), 5)])
+        assert p.num.to_text() == "3*l^2*r^-1 - 2*r + 10" and p.den == 2
         assert p.to_text() == "3/2*l^2*r^-1 - r + 5"
 
     def test_algebraic_text(self):
