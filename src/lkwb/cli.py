@@ -90,7 +90,6 @@ def build_parser():
     common(p, needs_r=True, locus=True)
 
     p = sub.add_parser("certify", help="certify the full dimension table at a point")
-    p.add_argument("--probe-trials", type=int, default=10)
     p.add_argument("--jobs", type=int, default=1, help="worker processes, one locus each")
     common(p, needs_r=True, takes_l=False)
 
@@ -286,8 +285,7 @@ def _cmd_kernel(args):
 
 def _cmd_certify(args):
     r_val = parse_r(args.r)
-    report = certify(args.n, r_val, seed=args.seed, probe_trials=args.probe_trials,
-                     jobs=args.jobs)
+    report = certify(args.n, r_val, seed=args.seed, jobs=args.jobs)
     return _finish(args, report.to_json_obj(), report.all_match)
 
 

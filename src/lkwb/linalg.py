@@ -10,8 +10,8 @@ kernels over every field but Q.  Fraction-free pivoting over Z, the
 Laurent ring or Q[x]/(f) gives determinants and invertible-submatrix
 certificates, and rows cleared into those domains check subspace
 invariance.  One sparse pivot step over GF(p) gives one-sided rank
-bounds, among them the scalar-commutant certificate, modular kernels,
-spin dimensions and the substituted det's point solves; a kernel over Q
+bounds: spin dimensions, among them the scalar-commutant certificate,
+modular kernels and the substituted det's point solves; a kernel over Q
 is taken mod p too and lifted by rational reconstruction, with the exact
 RREF as its fallback.  One exact check, SubspaceBasis._spans, decides
 M v = 0 (annihilates), v in U, W in U and g U in U (is_invariant) on rows
@@ -913,8 +913,6 @@ def _residue(x, p, powers):
         num, den = sum(map(mul, x.nums, powers)), x.den
     else:
         num, den = x.numerator, x.denominator
-    if den == 1:
-        return num % p
     if den % p == 0:
         return None
     return num * pow(den, -1, p) % p
@@ -926,12 +924,10 @@ def _pivot_mod_p(pivots, row, p):
     The row's columns are scanned in order from its first entry.  A nonzero
     residue at a column with no pivot row is made 1 there, becomes the
     pivot row of that column and is returned; a zero residue returns None.
-    For p below one digit of a Python int the residues stay reduced and
-    zeros are dropped.  For a wider p an entry is reduced only where it is
-    read, so it grows by less than p^2 a step; the pivot rows are reduced.
+    An entry of the row is reduced only where it is read, so it grows by
+    less than p^2 a step; the pivot rows are reduced.
     """
-    narrow = not p >> sys.int_info.bits_per_digit
-    r = {c: y for c, v in row.items() if (y := v % p)} if narrow else dict(row)
+    r = dict(row)
     if not r:
         return None
     for c in count(min(r)):
@@ -943,33 +939,22 @@ def _pivot_mod_p(pivots, row, p):
                     inv = pow(x, -1, p)
                     prow = pivots[c] = {k: y for k, v in r.items() if (y := v * inv % p)}
                     return prow
-                if narrow:
-                    for k, v in prow.items():
-                        y = (r.get(k, 0) - x * v) % p
-                        if y:
-                            r[k] = y
-                        else:
-                            del r[k]
-                else:
-                    for k, v in prow.items():
-                        r[k] = r.get(k, 0) - x * v
+                for k, v in prow.items():
+                    r[k] = r.get(k, 0) - x * v
             r.pop(c, None)
             if not r:
                 return None
 
 
-def _semi_echelon_mod_p(rows, p, stop=None):
+def _semi_echelon_mod_p(rows, p):
     """Pivot rows {leading column: row} over GF(p) of sparse integer rows.
 
     Semi-echelon elimination on the leading column of each row, so only
     the entries a row actually has are touched: each pivot row is 1 at its
-    leading column and has no other entry left of it.  Stops as soon as
-    the rank reaches stop, when given.
+    leading column and has no other entry left of it.
     """
     pivots = {}
     for row in rows:
-        if len(pivots) == stop:
-            break
         _pivot_mod_p(pivots, row, p)
     return pivots
 
@@ -1015,12 +1000,9 @@ def spin_mod_p(seed, columns, p, stop=None):
     return min(len(found), cap)
 
 
-def rank_mod_p(rows, p, stop=None):
-    """Rank over GF(p) of sparse integer rows, each a {column: value} dict.
-
-    Returns as soon as the rank reaches stop, when given.
-    """
-    return len(_semi_echelon_mod_p(rows, p, stop))
+def rank_mod_p(rows, p):
+    """Rank over GF(p) of sparse integer rows, each a {column: value} dict."""
+    return len(_semi_echelon_mod_p(rows, p))
 
 
 def nullspace_mod_p(rows, p, ncols):
@@ -1111,15 +1093,18 @@ def _lift(v, p):
     return tuple(out)
 
 
-def _commutant_rows(ops, n, zero):
-    """Sparse rows of the system A X - X A = 0, X flattened row-major.
+def _commutant_rows(ops):
+    """Sparse rows of the system A X - X A = 0 over the field, X flattened row-major.
 
-    Each operator A is given by its rows, the (column, entry) pairs of its
-    nonzero entries in ascending column, over any ring whose zero is
-    given; the rows of the system are {column: entry} dicts.
+    Entry (i, j) of A X - X A is sum_p A_ip X_pj - sum_q X_iq A_qj; each row
+    is a {column: entry} dict of its nonzero entries, and zero rows are
+    left out.
     """
+    n = ops[0].nrows
+    zero = ops[0].field.zero()
     rows = []
-    for a in ops:
+    for op in ops:
+        a = op._row_nonzeros()
         cols = sparse_columns(a, n)
         for i in range(n):
             for j in range(n):
@@ -1137,29 +1122,22 @@ def _commutant_rows(ops, n, zero):
 def commutant_basis(ops):
     """Basis of {X : X A = A X for all A in ops}; always contains the identity.
 
-    The basis is the echelonized kernel of the (len(ops) n^2) x n^2 system
-    A X - X A = 0.  Wherever residue_prime gives a prime p, over Q and
-    Q[x]/(f), each operator is first reduced mod p once and the system is
-    built over GF(p).  Reduction mod p is a ring map from the scalars whose
-    denominators p does not divide, so every minor that vanishes over the
-    field vanishes mod p: rank mod p <= rank over the field.  The identity
-    always commutes, so the nullity over the field is at least 1; a
-    nullity of 1 mod p therefore proves that the commutant is exactly the
-    scalars, and the basis is [I], the echelonized form of that kernel.
-    Dense exact elimination over the field decides every other case: the
-    field has no such prime, p divides a denominator, or the nullity mod p
-    is above 1.
-
     One spin comes first.  If some E in ops has exactly one nonzero row a,
     E = e_a w^T with w nonzero, then X E = E X applied to a u with
     w^T u != 0 gives X e_a = c e_a, so X = c on the spin of e_a under ops,
-    and X = c 1 when that spin is the whole space.  A spin mod p is at
-    most the exact one, so spin_mod_p of e_a reaching n proves the same
-    basis [I] before the system is built.  A caller holding a rep that
-    passed the relation gate may add its e_1 to the g_i: the gate's
+    and X = c 1 when that spin is the whole space.  Wherever residue_prime
+    gives a prime p, over Q and Q[x]/(f), reduction mod p is a ring map
+    from the scalars whose denominators p does not divide, so a spin mod p
+    is at most the exact one: spin_mod_p of e_a reaching n proves that the
+    commutant is the scalars, and the basis is [I].  A caller holding a rep
+    that passed the relation gate may add its e_1 to the g_i: the gate's
     e_definition checks e_1 = (l/m)(g_1 g_1 + m g_1 - 1) on g_1 itself, a
     polynomial in g_1, so every X commuting with the g_i commutes with e_1
     and the commutant is the same.
+
+    Every other case (no operator with one nonzero row, a spin short of n,
+    or no image mod p) is decided by kernel on the (len(ops) n^2) x n^2
+    system A X - X A = 0, whose echelonized basis is the basis returned.
     """
     if not ops:
         raise DimensionMismatch("no operators given")
@@ -1168,27 +1146,19 @@ def commutant_basis(ops):
     for op in ops:
         if not op.is_square() or op.nrows != n:
             raise DimensionMismatch("operators must be square of equal size")
-    p = residue_prime(field)
-    images = [image_mod_p(op, p) for op in ops]
-    if None not in images:
-        images = [[row.items() for row in image] for image in images]
-        for op in ops:
-            support = [i for i, row in enumerate(op._row_nonzeros()) if row]
-            if len(support) == 1:
-                columns = [sparse_columns(rows, n) for rows in images]
-                if spin_mod_p({support[0]: 1}, columns, p) == n:
-                    return [Matrix.identity(field, n)]
-                break
-        rows = _commutant_rows(images, n, 0)
-        if rank_mod_p(rows, p, stop=n * n - 1) == n * n - 1:
-            return [Matrix.identity(field, n)]
+    for op in ops:
+        support = [i for i, row in enumerate(op._row_nonzeros()) if row]
+        if len(support) == 1:
+            p = residue_prime(field)
+            columns = [columns_mod_p(a, p) for a in ops]
+            if None not in columns and spin_mod_p({support[0]: 1}, columns, p) == n:
+                return [Matrix.identity(field, n)]
+            break
     zero = field.zero()
-    rows = _commutant_rows([op._row_nonzeros() for op in ops], n, zero)
-    dense = [tuple(_dense(row.items(), n * n, zero)) for row in rows]
+    dense = [tuple(_dense(row.items(), n * n, zero)) for row in _commutant_rows(ops)]
     big = Matrix(field, tuple(dense), _trusted=True) if dense else Matrix.zeros(field, 1, n * n)
-    ker = kernel(big)
     mats = []
-    for v in ker.vectors:
+    for v in kernel(big).vectors:
         mats.append(Matrix(field, tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n)),
                            _trusted=True))
     return mats

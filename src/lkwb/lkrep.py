@@ -8,9 +8,10 @@ in g and e.  Each identity is multiplied through by a nonzero scalar
 that puts every entry and coefficient in the field's integral domain (Z
 for Q, the Laurent ring for Q(r) and Q(l,r), the field for Q[x]/(f)),
 then checked on the integer images of those sparse integral rows
-(linalg.int_images), on whole packed sides where the images fit one
-digit and row by row elsewhere; build_m_matrix in the reducibility
-module refuses representations that fail that gate.
+(linalg.int_images), on whole packed sides over Q where the entries fit
+one digit and row by row elsewhere; build_m_matrix in the reducibility
+module refuses representations that fail that gate and reads the rows
+it checked, one row list per matrix (RelationReport.cleared).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .errors import ParameterZero, SemisimplicityViolation
 from .linalg import (
     Matrix,
     _images_pay,
-    _nonzero,
     _row_combination,
     clear_entries,
     clear_rows,
@@ -244,7 +244,10 @@ def _json_value(v):
 
 @dataclass(frozen=True)
 class RelationReport(Report):
-    """Per-family verdicts; cleared is (D, rows of D g, D e), out of the JSON, == and repr."""
+    """Per-family verdicts; cleared is (D, D g, D e), out of the JSON, == and repr.
+
+    D g and D e hold one list of sparse rows per matrix of g and of e.
+    """
 
     n: int
     field: str
@@ -280,8 +283,8 @@ def verify_relations(rep):
     coefficient lie in that domain, so the products and sums stay there;
     the scaled identity holds exactly when the row does, since the domain
     has no zero divisors.  _holds compares the sides on int_images.  The
-    report carries D and the cleared rows as RelationReport.cleared: dim
-    rows per matrix of g + e, in that order.
+    report carries D and the cleared rows as RelationReport.cleared,
+    (D, D g, D e), each of D g and D e one list of dim rows per matrix.
     """
     p = rep.params
     field = p.field
@@ -318,9 +321,11 @@ def verify_relations(rep):
         if not ok:
             passed[family] = False
             failures.append(label)
+    per_matrix = [rows[k:k + rep.dim] for k in range(0, len(rows), rep.dim)]
     return RelationReport(n=p.n, field=field.tag, delta=scalar_to_text(delta),
                           all_passed=all(passed.values()), failures=tuple(failures),
-                          cleared=(den, rows), **passed)
+                          cleared=(den, per_matrix[:len(gens)], per_matrix[len(gens):]),
+                          **passed)
 
 
 def _scaled(lhs, rhs, den, field):
@@ -353,28 +358,26 @@ def _holds(field, rows, scaled, dim):
     A coefficient of one adds its word with no product, and a term with
     coefficient -1 moves to the other side as such a term.
 
-    Where the images are integers compared as they are (over Q, and over
-    Q(r) where int_images takes them) and every matrix image fits one
-    digit (_images_pay of its bit length), whole sides are compared on
-    packed rows.  Row i of a matrix X packs to sum_j X_ij 2^(w j); the
-    packed rows of a word M_1 ... M_k are M_1(M_2(...(M_k X))) on the
-    packed identity, each step a sparse product on dim integers, and a
-    side is the sum of its terms.  No entry of a side exceeds the largest
-    sum of |c| prod nu(M) over one side of a row (gamma = 1, and the
+    Over Q, where the images are the integer rows themselves, and where
+    every matrix entry fits one digit (_images_pay of its bit length), whole
+    sides are compared on packed rows.  Row i of a matrix X packs to
+    sum_j X_ij 2^(w j); the packed rows of a word M_1 ... M_k are
+    M_1(M_2(...(M_k X))) on the packed identity, each step a sparse product
+    on dim integers, and a side is the sum of its terms.  No entry of a side exceeds the
+    largest sum of |c| prod nu(M) over one side of a row (gamma = 1, and the
     identity's image is 1), so an entry of the difference of two sides is
     below 2^w (_pack_width) and a packed row, read as balanced base-2^w
     digits, is zero only when every entry is.
 
-    Elsewhere (Q(l,r), Q[x]/(f), and images past one digit, such as the
-    many-digit images of Q(r), where packing was measured to lose) row i
-    of a word is row i of its first matrix carried through the rest by
+    Elsewhere (Q(r), whose images run to hundreds of bits, Q(l,r), Q[x]/(f),
+    and entries over Q past one digit, where packing was measured to lose)
+    row i of a word is row i of its first matrix carried through the rest by
     linalg._row_combination, the one sparse row loop, and a side combines
-    its word rows the same way; the empty word gives row i of the
-    identity.  Both sides give sorted nonzero (column, image) pairs, and a
-    row holds exactly when their residues are equal.  A row that is empty
-    in the first matrix of every word is empty on both sides and is
-    skipped, and the check of a table row stops at the first row where
-    the sides differ.
+    its word rows the same way; the empty word gives row i of the identity.
+    Both sides give sorted nonzero (column, image) pairs, and a row holds
+    exactly when their residues are equal.  A row that is empty in the first
+    matrix of every word is empty on both sides and is skipped, and the
+    check of a table row stops at the first row where the sides differ.
     """
     _, (unit,) = clear_entries(field, [field.one()])
 
@@ -403,7 +406,7 @@ def _holds(field, rows, scaled, dim):
             sides[s].append((c, word))
         checks.append(sides)
 
-    width = _pack_width(mats, checks) if field == QQ or residue is _nonzero else None
+    width = _pack_width(mats, checks) if field == QQ else None
     if width is not None:
         packed = {(): [sum(x << width * j for j, x in row) for row in eye]}
 

@@ -252,11 +252,9 @@ def build_m_matrix(rep):
     n = rep.n
     N = rep.dim
     fieldobj = rep.field
-    den, rows = gate.cleared
-    # N rows per matrix of g + e, as verify_relations clears them
-    g = [rows[k * N:(k + 1) * N] for k in range(n - 1)]
-    factors = [_rank1_factor(rows[k * N:(k + 1) * N]) for k in range(n - 1, 2 * n - 2)]
-    del gate, rows
+    den, g, e = gate.cleared
+    factors = [_rank1_factor(ek) for ek in e]
+    del gate, e
     m_den, (m_num,) = clear_entries(fieldobj, [rep.params.m])
     # S g_k^-1 for k = 2..n-1: a chain is conjugated by g_{j-1} for j >= 3 only
     inv_cols = [sparse_columns(_inverse_rows(gk, a, w, den, m_den, m_num), N)
@@ -1250,11 +1248,12 @@ class CertificationReport(Report):
 
 
 # Largest n at which certify runs the indecomposability probe and the
-# generic commutant
+# generic commutant, and the probe's trial count
 _PROBE_MAX_N = 5
+_PROBE_TRIALS = 10
 
 
-def certify(n, r_val, *, seed=0, probe_trials=10, jobs=1):
+def certify(n, r_val, *, seed=0, jobs=1):
     """Certify the dimension/uniqueness table at every catalog locus.
 
     Per locus: point determinant, k(n), invariance of K(n), minimal
@@ -1272,13 +1271,10 @@ def certify(n, r_val, *, seed=0, probe_trials=10, jobs=1):
 
     if jobs < 1:
         raise InvalidConfig(f"jobs must be at least 1, got {jobs}")
-    if probe_trials < 0:
-        raise InvalidConfig(f"probe_trials must be at least 0, got {probe_trials}")
     if isinstance(r_val, int):
         r_val = Rat(r_val)
     fieldobj = field_of(r_val)
-    tasks = [(n, locus, r_val, _random.Random(f"{seed}|{locus.name}"), probe_trials)
-             for locus in catalog(n)]
+    tasks = [(n, locus, r_val, _random.Random(f"{seed}|{locus.name}")) for locus in catalog(n)]
     workers = min(jobs, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -1302,7 +1298,7 @@ def _certify_locus_task(args):
     return _certify_locus(*args)
 
 
-def _certify_locus(n, locus, r_val, rng, probe_trials):
+def _certify_locus(n, locus, r_val, rng):
     expected = expected_spectrum(n, locus, r_val)
     report, rep, mn, closures = _kernel_at(n, locus, r_val)
     # over a field det M = 0 exactly when the kernel, checked by M v = 0, is nonzero
@@ -1339,8 +1335,8 @@ def _certify_locus(n, locus, r_val, rng, probe_trials):
             break
     probe_verdict = "skipped"
     probabilistic = False
-    if probe_trials and n <= _PROBE_MAX_N and rep.field == QQ:
-        probe = indecomposability_probe(rep, probe_trials, rng)
+    if n <= _PROBE_MAX_N and rep.field == QQ:
+        probe = indecomposability_probe(rep, _PROBE_TRIALS, rng)
         probe_verdict = probe.verdict
         probabilistic = probe.probabilistic
         if probe.verdict == "decomposable_witness":

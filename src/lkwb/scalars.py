@@ -185,7 +185,10 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
+        terms = self.terms
+        if terms.keys() <= {0}:  # a constant equals its int, so it hashes as that int
+            return hash(terms.get(0, 0))
+        return hash(tuple(sorted(terms.items())))
 
     def __neg__(self):
         return LaurentPoly({k: -c for k, c in self.terms.items()})
@@ -218,22 +221,11 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if len(o.terms) == 1 and len(self.terms) > 1:
-            out = self._mul_single(o)
-        elif len(self.terms) == 1 and o.terms:
-            out = o._mul_single(self)
-        else:
-            out = LaurentPoly(kernels.terms_mul(self.terms, o.terms))
+        out = LaurentPoly(kernels.terms_mul(self.terms, o.terms))
         out._check_bound()
         return out
 
     __rmul__ = __mul__
-
-    def _mul_single(self, mono):
-        ((k0, c0),) = mono.terms.items()
-        if k0 == 0:
-            return LaurentPoly({k: c * c0 for k, c in self.terms.items()})
-        return LaurentPoly({k + k0: c * c0 for k, c in self.terms.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -819,7 +811,9 @@ class AlgebraicNumber:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        if not any(self.nums[1:]):  # a rational value equals its Rat, so it hashes as that Rat
+            return hash(Rat(self.nums[0], self.den))
+        return hash((self.field, self.nums, self.den))
 
     def _coerce(self, other):
         if isinstance(other, AlgebraicNumber):

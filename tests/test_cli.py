@@ -314,10 +314,11 @@ class TestCertify:
         proc = run_cli("certify", "--n", "3", "--r", "2/1", "--jobs", "0", expect=2)
         assert "jobs" in proc.stderr
 
-    def test_negative_probe_trials_is_invalid(self):
-        proc = run_cli("certify", "--n", "5", "--r", "2", "--probe-trials", "-1", expect=2)
-        assert "probe_trials" in proc.stderr
+    def test_probe_trials_is_not_an_option(self):
+        proc = run_cli("certify", "--n", "5", "--r", "2", "--probe-trials", "10", expect=2)
+        assert "unrecognized arguments: --probe-trials 10" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_text_format_same_verdicts(self):
         a = run_cli("certify", "--n", "3", "--r", "2/1", "--seed", "5").stdout

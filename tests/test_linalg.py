@@ -1251,11 +1251,11 @@ class TestCommutant:
         monkeypatch.setattr(linalg, "kernel", counted)
         return calls
 
-    def test_scalar_commutant_skips_dense_elimination(self, monkeypatch):
+    def test_scalar_commutant_with_no_one_row_operator_takes_the_exact_kernel(self, monkeypatch):
         calls = self._count_dense_kernels(monkeypatch)
         ops = [Matrix(QQ, [[0, -1], [1, 0]]), Matrix(QQ, [[1, rat(1, 3)], [0, 1]])]
-        assert commutant_basis(ops) == [Matrix.identity(QQ, 2)]
-        assert not calls
+        assert commutant_basis(ops) == [Matrix.identity(QQ, 2)] == self._dense_commutant(ops)
+        assert len(calls) == 1
 
     def test_denominator_divisible_by_p_falls_back(self, monkeypatch):
         p = residue_prime(QQ)
@@ -1299,7 +1299,7 @@ class TestCommutant:
                 for v in kernel(Matrix(field, rows)).vectors]
 
     @pytest.mark.parametrize("name", ["phi12", "phi20", "phi24"])
-    def test_number_field_scalars_exactly_when_system_nullity_is_one(self, name, monkeypatch):
+    def test_number_field_scalars_exactly_when_system_nullity_is_one(self, name):
         field = cyclotomic_field(name)
         x = field.gen()
         rng = random.Random(name)
@@ -1310,16 +1310,13 @@ class TestCommutant:
         one, zero = field.one(), field.zero()
         cases.append([Matrix(field, [[x, one, zero], [zero, x, zero], [zero, zero, one]]),
                       Matrix(field, [[one, zero, zero], [x, one, zero], [zero, zero, x * x]])])
-        nullities = [self._system_nullity(ops) for ops in cases]
+        dense = [self._dense_commutant(ops) for ops in cases]
+        nullities = [len(basis) for basis in dense]
         assert 1 in nullities and nullities[-1] == 2
-        calls = self._count_dense_kernels(monkeypatch)
-        for ops, nullity in zip(cases, nullities):
-            before = len(calls)
+        for ops, nullity, expected in zip(cases, nullities, dense):
             basis = commutant_basis(ops)
-            assert len(basis) == nullity
+            assert basis == expected
             assert (basis == [Matrix.identity(field, ops[0].nrows)]) == (nullity == 1)
-            # the modular certificate leaves no dense kernel for a scalar commutant
-            assert len(calls) - before == (nullity != 1)
 
     def test_number_field_denominator_divisible_by_p_falls_back(self, monkeypatch):
         field = cyclotomic_field("phi24")
@@ -1373,16 +1370,16 @@ class TestCommutant:
         check()
         assert seen == {(True, True), (False, True), (False, False)}
 
-    def test_short_spin_leaves_the_rank_and_dense_paths(self, monkeypatch):
+    def test_short_spin_falls_to_the_exact_kernel(self, monkeypatch):
         systems = self._count_systems(monkeypatch)
         calls = self._count_dense_kernels(monkeypatch)
         p = residue_prime(QQ)
         # E = e_0 e_1^T and diag(1, 2): the spin of e_0 is its line, yet
-        # X = diag(x, y) with x = y, so the rank mod p certifies the scalars
+        # X = diag(x, y) with x = y, so the exact kernel gives the scalars
         line = [Matrix(QQ, [[0, 1], [0, 0]]), Matrix(QQ, [[1, 0], [0, 2]])]
         assert spin_mod_p({0: 1}, [columns_mod_p(op, p) for op in line], p) == 1
         assert commutant_basis(line) == [Matrix.identity(QQ, 2)]
-        assert len(systems) == 1 and not calls
+        assert len(systems) == 1 and len(calls) == 1
         # block diagonal: the spin of e_0 stays in the first block, where the
         # commutant is diag(a, a, b), and the dense path gives its dimension 2
         blocks = [Matrix(QQ, [[1, 1, 0], [0, 0, 0], [0, 0, 0]]),
@@ -1391,14 +1388,14 @@ class TestCommutant:
         basis = commutant_basis(blocks)
         assert len(basis) == 2 == self._system_nullity(blocks)
         assert basis == self._dense_commutant(blocks)
-        assert len(systems) == 3 and len(calls) == 1
+        assert len(systems) == 2 and len(calls) == 2
 
     def test_one_row_operator_with_denominator_p_falls_back(self, monkeypatch):
         p = residue_prime(QQ)
         systems = self._count_systems(monkeypatch)
         calls = self._count_dense_kernels(monkeypatch)
         # the spin of e_0 under E and the cyclic shift is everything, but E
-        # has no image mod p: no spin and no rank mod p, one dense kernel
+        # has no image mod p: no spin, one dense kernel
         shift = Matrix(QQ, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
         ops = [Matrix(QQ, [[1, rat(1, p), 0], [0, 0, 0], [0, 0, 0]]), shift]
         assert commutant_basis(ops) == [Matrix.identity(QQ, 3)]
@@ -1407,7 +1404,7 @@ class TestCommutant:
     @pytest.mark.parametrize("r", ["2", "3/2", "37/11", "phi12", "phi20", "phi24"])
     def test_adding_e1_keeps_the_commutant_of_a_gated_rep(self, r, monkeypatch):
         # e_1 = (l/m)(g_1^2 + m g_1 - 1) on a rep that passes the gate; with
-        # it the spin certifies, without it the rank mod p does
+        # it the spin certifies, without it the exact kernel does
         r_val = cyclotomic_field(r).gen() if r.startswith("phi") else parse_rat(r)
         systems = self._count_systems(monkeypatch)
         for n in range(3, 7):
@@ -1457,7 +1454,7 @@ class TestRankModP:
         for _ in range(20):
             m = Matrix(QQ, [[rng.randint(-3, 3) for _ in range(6)] for _ in range(5)])
             rows = [{j: int(x) for j, x in enumerate(row) if x} for row in m.rows]
-            # a wide prime, reduced where read, and one below an int digit
+            # a prime wider than one int digit and one below it
             for p in ((1 << 61) - 1, 1073740201):
                 assert rank_mod_p(rows, p) == rank(m)
 
@@ -1466,10 +1463,48 @@ class TestRankModP:
         assert rank_mod_p(rows, 7) == 2
         assert rank_mod_p(rows, 5) == 1
 
-    def test_stop(self):
-        rows = [{0: 1}, {1: 1}, {2: 1}]
-        assert rank_mod_p(rows, 101, stop=2) == 2
+    def test_no_rows(self):
         assert rank_mod_p([], 101) == 0
+
+
+class TestWideEntriesModP:
+    @pytest.mark.parametrize("p", [1073740201, (1 << 61) - 1])
+    def test_wide_entries_give_the_results_of_their_residues(self, p):
+        # the pivot step reduces an entry only where it reads it, so entries
+        # up to p^3 in absolute value, nonzero multiples of p among them,
+        # give the rank, nullspace and spin of the rows reduced mod p first
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        entries = st.builds(lambda a, k: a + k * p, st.sampled_from([0, 0, 0, 1, -1, 2]),
+                            st.integers(-p * p, p * p))
+
+        def reduced(row):
+            return {j: y for j, x in row.items() if (y := x % p)}
+
+        @st.composite
+        def cases(draw):
+            n = draw(st.integers(1, 5))
+            vector = st.lists(entries, min_size=n, max_size=n).map(
+                lambda xs: {j: x for j, x in enumerate(xs) if x})
+            rows = draw(st.lists(vector, max_size=6))
+            ops = draw(st.lists(st.lists(vector, min_size=n, max_size=n), min_size=1, max_size=2))
+            return n, rows, draw(vector), ops
+
+        @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+        @hyp.given(cases())
+        def check(case):
+            n, rows, seed, ops = case
+            small = [reduced(row) for row in rows]
+            assert rank_mod_p(rows, p) == rank_mod_p(small, p)
+            assert nullspace_mod_p(rows, p, n) == nullspace_mod_p(small, p, n)
+            columns = [[[(i, op[i][j]) for i in range(n) if j in op[i]] for j in range(n)]
+                       for op in ops]
+            small_columns = [[[(i, y) for i, x in col if (y := x % p)] for col in cols]
+                             for cols in columns]
+            assert (spin_mod_p(seed, columns, p)
+                    == spin_mod_p(reduced(seed), small_columns, p))
+
+        check()
 
 
 class TestNullspaceModP:

@@ -212,11 +212,12 @@ class TestRelations:
     def test_report_carries_the_checked_rows_outside_json_eq_and_repr(self):
         rep = rational_rep(4, rat(5), rat(37, 11))
         report = verify_relations(rep)
-        den, rows = report.cleared
-        # D times the sparse rows of g, then e
-        mats = rep.g + rep.e
-        assert rows == [[(j, den * x) for j, x in row] for m in mats for row in m._row_nonzeros()]
-        assert all(isinstance(x, int) for row in rows for _, x in row)
+        den, g, e = report.cleared
+        # D times the sparse rows of each g_i, then of each e_i
+        for cleared, mats in ((g, rep.g), (e, rep.e)):
+            assert cleared == [[[(j, den * x) for j, x in row] for row in m._row_nonzeros()]
+                               for m in mats]
+            assert all(isinstance(x, int) for m in cleared for row in m for _, x in row)
         bare = dataclasses.replace(report, cleared=None)
         assert bare == report and repr(bare) == repr(report)
         assert "cleared" not in repr(report)
@@ -242,13 +243,13 @@ def closed_form_inverses(rep):
     The rows are S g_k^-1 with S = m_den D, D the gate's denominator and
     m = m_num / m_den.
     """
-    field, N, count = rep.field, rep.dim, rep.n - 1
-    den, rows = verify_relations(rep).cleared
+    field, N = rep.field, rep.dim
+    den, g, e = verify_relations(rep).cleared
     m_den, (m_num,) = clear_entries(field, [rep.params.m])
     inverses = []
-    for k in range(count):
-        a, w = _rank1_factor(rows[(count + k) * N:(count + k + 1) * N])
-        scaled = _inverse_rows(rows[k * N:(k + 1) * N], a, w, den, m_den, m_num)
+    for gk, ek in zip(g, e):
+        a, w = _rank1_factor(ek)
+        scaled = _inverse_rows(gk, a, w, den, m_den, m_num)
         dense = [[field.zero()] * N for _ in range(N)]
         for i, row in enumerate(scaled):
             cols = [j for j, _ in row]

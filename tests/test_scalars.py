@@ -237,7 +237,8 @@ def _assert_canonical(x):
     assert x.den > 0
     assert gcd(x.den, *x.nums) == 1
     assert x.coeffs == tuple(rat(c, x.den) for c in x.nums)
-    assert hash(x) == hash((field, x.coeffs))
+    if not any(x.nums[1:]):  # a rational value equals its Rat, and hashes as it
+        assert x == x.coeffs[0] and hash(x) == hash(x.coeffs[0])
     again = field.element(list(x.coeffs))
     assert again == x and hash(again) == hash(x) and again.to_text() == x.to_text()
     assert bool(x) == any(x.coeffs)
@@ -765,6 +766,33 @@ class TestLaurentIntegerCoefficients:
         monkeypatch.undo()
         assert len(results) == len(polys) ** 2 and rep.dim == 10
         assert created == []
+
+
+class TestHashAgreesWithEquality:
+    def test_a_rational_value_hashes_as_its_rational(self):
+        # values that compare equal hash equally, so a set keeps one of them:
+        # a constant Laurent polynomial and a rational element of Q[x]/(f)
+        # against the int or Fraction they equal
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        fields = [cyclotomic_field(name) for name in ("phi12", "phi20", "phi24")]
+
+        @hyp.settings(max_examples=100, deadline=None, derandomize=True)
+        @hyp.given(st.one_of(st.integers(-10 ** 30, 10 ** 30),
+                             st.fractions(max_denominator=10 ** 12)))
+        @hyp.example(0)
+        @hyp.example(3)
+        @hyp.example(Fraction(-4))
+        def check(c):
+            values = [field.from_rat(c) for field in fields]
+            if Fraction(c).denominator == 1:
+                values.append(LaurentPoly.const(c))
+            for x in values:
+                assert x == c
+                assert hash(x) == hash(c)
+                assert len({x, c}) == 1
+
+        check()
 
 
 class TestNormalization:
