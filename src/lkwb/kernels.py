@@ -148,11 +148,6 @@ def poly_pseudo_divmod(a, b):
     return s, q, r
 
 
-def poly_deriv(a):
-    """Derivative of a dense integer polynomial."""
-    return [i * c for i, c in enumerate(a)][1:]
-
-
 def poly_eval_int(c, x):
     """Horner evaluation of a dense integer polynomial at integer x."""
     acc = 0

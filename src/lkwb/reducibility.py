@@ -966,12 +966,12 @@ class ProbeReport:
     commutant_dim: int
     trials: int
     probabilistic: bool
-    samples: tuple = ()
+    notes: tuple = ()
     witness: dict = dc_field(default_factory=dict)
 
 
 def indecomposability_probe(rep, trials, rng):
-    """Probe for direct-sum decompositions via the commutant of the g_i.
+    """Decide whether V splits as a direct sum from the commutant of the g_i (probe_operators).
 
     rep has passed the relation gate, so e_1 joins the operators with the
     commutant unchanged and certifies it from one spin (commutant_basis).
@@ -980,128 +980,90 @@ def indecomposability_probe(rep, trials, rng):
 
 
 def probe_operators(ops, trials, rng):
-    """Commutant-based decomposability probe over Q.
+    """Exact indecomposability decision over Q from the commutant C = End(V) of the ops.
 
-    Any direct-sum decomposition yields projections in the commutant whose
-    generic element has at least two coprime characteristic factors; a
-    verified coprime kernel splitting is returned as a DecomposableWitness.
-    Samples whose characteristic polynomial is certified a perfect power of
-    one linear or irreducible factor count as indecomposability evidence
-    (a probabilistic verdict).  A one-dimensional commutant, the scalars,
-    holds no idempotent but 0 and 1: that verdict is exact, and no sample
-    is drawn.
+    V is indecomposable exactly when C is local.  No sample is drawn and no
+    verdict is probabilistic: trials is echoed in the report, rng is not
+    read.  With d = dim C and n = dim V:
+
+    1. d = 1: C is the scalars, and V is indecomposable.
+    2. Fitting split: for a basis element b of C and a rational eigenvalue
+       c of b (_rational_roots of charpoly(b)), y = b - c gives
+       V = ker y^n + im y^n, both parts invariant.  A proper part is
+       checked, not assumed from commutation: the dims add to n, the parts
+       meet in 0 and is_invariant holds on both.  They are the witness,
+       and a part failing the check leaves the verdict inconclusive.
+    3. In characteristic 0 the radical J of C is the null space of the
+       trace form [tr(b_i b_j)] (Dickson; Cohen, Ivanyos & Wales 1997);
+       q = d - dim J.
+    4. If C/J is commutative (every b_i b_j - b_j b_i lies in J), the
+       elements x = sum_i j^i b_i, j = 1, .., d + 1, are tried.  When
+       1, x, .., x^q have exactly one dependency modulo J and it uses x^q,
+       it is the minimal polynomial mu of x mod J, and C/J = Q[x]/(mu).  If
+       q = 1, or mu is irreducible mod a prime of _PROBE_PRIMES that does
+       not divide its leading coefficient, and so irreducible over Q, C/J
+       is a field: C is local and V is indecomposable.
+    5. Otherwise the verdict is inconclusive, with the reason in notes.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     comm = commutant_basis(ops)
-    cdim = len(comm)
-    fieldobj = ops[0].field
+    d = len(comm)
     n = ops[0].nrows
-    if fieldobj != QQ:
-        return ProbeReport("inconclusive", cdim, 0, False,
-                           samples=("factor analysis is implemented over Q only",))
-    if cdim == 1:
-        return ProbeReport("indecomposable_evidence", cdim, trials, False)
-    sample_notes = []
-    all_evidence = True
-    for t in range(trials):
-        coeffs = [rng.randint(-9, 9) for _ in comm]
-        if not any(coeffs):
-            coeffs[0] = 1
-        sample = Matrix.zeros(QQ, n, n)
-        for c, b in zip(coeffs, comm):
-            if c:
-                sample = sample + b.scale(Rat(c))
-        cp = charpoly(sample)
-        analysis = _charpoly_factor_analysis(cp)
-        if analysis["kind"] == "split":
-            witness = _verify_split(sample, ops, analysis["u"], analysis["v"])
-            if witness:
-                return ProbeReport("decomposable_witness", cdim, t + 1, False,
-                                   samples=tuple(sample_notes), witness=witness)
-            sample_notes.append(f"sample {t}: split candidate failed verification")
-            all_evidence = False
-        elif analysis["kind"] == "power":
-            sample_notes.append(f"sample {t}: charpoly is {analysis['note']}")
-        else:
-            sample_notes.append(f"sample {t}: inconclusive factor structure")
-            all_evidence = False
-    if all_evidence:
-        return ProbeReport("indecomposable_evidence", cdim, trials, True,
-                           samples=tuple(sample_notes))
-    return ProbeReport("inconclusive", cdim, trials, False, samples=tuple(sample_notes))
+    if ops[0].field != QQ:
+        return ProbeReport("inconclusive", d, 0, False, notes=("the probe is implemented over Q only",))
+    if d == 1:
+        return ProbeReport("indecomposable_evidence", d, trials, False, notes=("C is the scalars",))
+    one = Matrix.identity(QQ, n)
+    for b in comm:
+        for c in _rational_roots(kernels.qpoly_to_int(charpoly(b))[1]):
+            y = b + one.scale(-c)
+            power = y
+            for _ in range(n - 1):
+                power = power * y
+            low = kernel(power)
+            if 0 < low.dim < n:
+                high = SubspaceBasis.from_vectors(QQ, n, zip(*power.rows))
+                if (low.dim + high.dim == n and subspace_intersect(low, high).dim == 0
+                        and is_invariant(low, ops) and is_invariant(high, ops)):
+                    return ProbeReport("decomposable_witness", d, trials, False,
+                                       notes=("Fitting split",),
+                                       witness={"split_dims": [low.dim, high.dim],
+                                                "parts": (low, high)})
+                return ProbeReport("inconclusive", d, trials, False,
+                                   notes=("a Fitting split failed its check",))
 
+    def flat(m):
+        return [x for row in m.rows for x in row]
 
-def _yun_squarefree(p):
-    """Yun's squarefree decomposition of a primitive p in Z[x]: (factor, multiplicity) pairs.
-
-    Each factor is primitive with a positive leading coefficient.  Every
-    gcd is primitive, so by Gauss's lemma each division it takes part in
-    is exact in Z[x].
-    """
-    dp = kernels.poly_deriv(p)
-    g = kernels.poly_gcd_int(p, dp)
-    if len(g) == 1:
-        return [(p, 1)]
-    out = []
-    c = kernels.poly_divexact_int(p, g)
-    d = kernels.poly_sub(kernels.poly_divexact_int(dp, g), kernels.poly_deriv(c))
-    i = 1
-    while len(c) > 1:
-        s = kernels.poly_gcd_int(c, d)
-        if len(s) > 1:
-            out.append((s, i))
-        c = kernels.poly_divexact_int(c, s)
-        d = kernels.poly_sub(kernels.poly_divexact_int(d, s), kernels.poly_deriv(c))
-        i += 1
-    return out
-
-
-def _poly_pow_mul(base, e, acc):
-    for _ in range(e):
-        acc = kernels.poly_mul_int(acc, base)
-    return acc
-
-
-def _charpoly_factor_analysis(cp):
-    """Classify a characteristic polynomial for the probe.
-
-    Returns {"kind": "power", ...} when p is certified a perfect power of a
-    single linear or irreducible factor, {"kind": "split", "u": .., "v": ..}
-    with coprime nonconstant u*v ~ p when a coprime split is found, else
-    {"kind": "unknown"}.
-    """
-    p = kernels.qpoly_to_int(cp)[1]
-    deg = len(p) - 1
-    classes = _yun_squarefree(p)
-    if len(classes) >= 2:
-        u = _poly_pow_mul(classes[0][0], classes[0][1], [1])
-        v = kernels.poly_divexact_int(p, u)
-        return {"kind": "split", "u": u, "v": v}
-    s, mult = classes[0]
-    sdeg = len(s) - 1
-    if sdeg * mult != deg:
-        # multiplicity structure did not account for the whole polynomial
-        return {"kind": "unknown"}
-    if sdeg == 1:
-        return {"kind": "power", "note": f"(linear)^{mult}"}
-    roots = _rational_roots(s)
-    if roots:
-        lin = _linear_factor(roots[0])
-        u = _poly_pow_mul(lin, mult, [1])
-        v = kernels.poly_divexact_int(p, u)
-        if len(v) > 1:
-            return {"kind": "split", "u": u, "v": v}
-        return {"kind": "power", "note": f"(linear)^{mult}"}
-    if _modp_irreducible(s):
-        return {"kind": "power", "note": f"(irreducible deg {sdeg})^{mult}"}
-    return {"kind": "unknown"}
-
-
-def _linear_factor(root):
-    # x - root with integer coefficients
-    num, den = root.numerator, root.denominator
-    return [-num, den]
+    flats = [flat(b) for b in comm]
+    transposed = [[x for col in zip(*b.rows) for x in col] for b in comm]
+    form = Matrix(QQ, [[sum(map(mul, u, v)) for v in transposed] for u in flats])
+    radical = SubspaceBasis.from_vectors(
+        QQ, n * n, [[sum(c * u[t] for c, u in zip(v, flats) if c) for t in range(n * n)]
+                    for v in kernel(form).vectors])
+    q = d - radical.dim
+    if not radical._contains_all([[s - t for s, t in zip(flat(a * b), flat(b * a))]
+                                  for i, a in enumerate(comm) for b in comm[i + 1:]]):
+        return ProbeReport("inconclusive", d, trials, False, notes=("C/J is noncommutative",))
+    for j in range(1, d + 2):
+        x = comm[0]
+        for i, b in enumerate(comm[1:], 1):
+            x = x + b.scale(j ** i)
+        powers = [one]
+        for _ in range(q):
+            powers.append(powers[-1] * x)
+        relations = kernel(Matrix(QQ, list(zip(*map(flat, powers), *radical.vectors))))
+        if relations.dim != 1 or not relations.vectors[0][q]:
+            continue
+        mu = kernels.qpoly_to_int(relations.vectors[0][:q + 1])[1]
+        prime = next((p for p in _PROBE_PRIMES if mu[-1] % p and _irreducible_mod_p(mu, p)), None)
+        if q == 1 or prime:
+            return ProbeReport("indecomposable_evidence", d, trials, False,
+                               notes=(f"C is local: C/J is a field of degree {q}",),
+                               witness={"radical_dim": radical.dim, "minimal_polynomial": mu,
+                                        "prime": prime})
+    return ProbeReport("inconclusive", d, trials, False, notes=("no generator of C/J was found",))
 
 
 # the largest divisor of the end coefficients that _rational_roots tries
@@ -1139,11 +1101,6 @@ def _rational_roots(p):
 _PROBE_PRIMES = (10007, 10009, 10037, 10039, 10061, 10067)
 
 
-def _modp_irreducible(s):
-    """Certify irreducibility over Q by exhibiting a prime where s is irreducible."""
-    return any(s[-1] % p and _irreducible_mod_p(s, p) for p in _PROBE_PRIMES)
-
-
 def _irreducible_mod_p(f, p):
     """True when f is irreducible over GF(p); p does not divide its leading coefficient.
 
@@ -1158,37 +1115,6 @@ def _irreducible_mod_p(f, p):
         if len(kernels.modp_poly_gcd(f, kernels.modp_poly_sub(h, x, p), p)) > 1:
             return False
     return True
-
-
-def _poly_of_matrix(coeffs, a):
-    """Evaluate an integer polynomial at a rational matrix (Horner)."""
-    fieldobj = a.field
-    n = a.nrows
-    acc = Matrix.identity(fieldobj, n).scale(Rat(coeffs[-1]))
-    for c in reversed(coeffs[:-1]):
-        acc = acc * a
-        if c:
-            acc = acc + Matrix.identity(fieldobj, n).scale(Rat(c))
-    return acc
-
-
-def _verify_split(sample, ops, u, v):
-    """Check that ker u(A), ker v(A) split the space into invariant parts."""
-    n = sample.nrows
-    ku = kernel(_poly_of_matrix(u, sample))
-    kv = kernel(_poly_of_matrix(v, sample))
-    if ku.dim == 0 or kv.dim == 0 or ku.dim + kv.dim != n:
-        return {}
-    if subspace_intersect(ku, kv).dim != 0:
-        return {}
-    if not (is_invariant(ku, ops) and is_invariant(kv, ops)):
-        return {}
-    return {
-        "split_dims": [ku.dim, kv.dim],
-        "u_degree": len(u) - 1,
-        "v_degree": len(v) - 1,
-        "verified_invariant": True,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -1248,7 +1174,7 @@ class CertificationReport(Report):
 
 
 # Largest n at which certify runs the indecomposability probe and the
-# generic commutant, and the probe's trial count
+# generic commutant, and the trial count the probe echoes
 _PROBE_MAX_N = 5
 _PROBE_TRIALS = 10
 
@@ -1263,9 +1189,10 @@ def certify(n, r_val, *, seed=0, jobs=1):
     random l off the loci follows the catalog loci.  A failing comparison
     is a first-class result recorded in the report, not a crash.
 
-    Per-locus randomness is derived from (seed, locus name), so output is
-    byte-identical regardless of jobs; records merge sorted by locus name.
-    At most one worker process runs per locus.
+    Only the generic record draws from the seed (its l), and the locus
+    records draw nothing, so output is byte-identical regardless of jobs;
+    records merge sorted by locus name.  At most one worker process runs
+    per locus.
     """
     import random as _random
 
@@ -1274,7 +1201,7 @@ def certify(n, r_val, *, seed=0, jobs=1):
     if isinstance(r_val, int):
         r_val = Rat(r_val)
     fieldobj = field_of(r_val)
-    tasks = [(n, locus, r_val, _random.Random(f"{seed}|{locus.name}")) for locus in catalog(n)]
+    tasks = [(n, locus, r_val) for locus in catalog(n)]
     workers = min(jobs, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -1298,7 +1225,7 @@ def _certify_locus_task(args):
     return _certify_locus(*args)
 
 
-def _certify_locus(n, locus, r_val, rng):
+def _certify_locus(n, locus, r_val):
     expected = expected_spectrum(n, locus, r_val)
     report, rep, mn, closures = _kernel_at(n, locus, r_val)
     # over a field det M = 0 exactly when the kernel, checked by M v = 0, is nonzero
@@ -1336,7 +1263,7 @@ def _certify_locus(n, locus, r_val, rng):
     probe_verdict = "skipped"
     probabilistic = False
     if n <= _PROBE_MAX_N and rep.field == QQ:
-        probe = indecomposability_probe(rep, _PROBE_TRIALS, rng)
+        probe = indecomposability_probe(rep, _PROBE_TRIALS, None)
         probe_verdict = probe.verdict
         probabilistic = probe.probabilistic
         if probe.verdict == "decomposable_witness":

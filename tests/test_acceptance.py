@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, one printed pass/fail line each.
 
 Exact arithmetic throughout: every assertion is an equality of exact
-values (zero tolerance); the only flagged-probabilistic verdicts are the
-sampled ones in AC-8's evidence path.  Run with -s to see the lines live.
+values (zero tolerance); the only flagged-probabilistic verdict is the
+sampled determinant's identically_zero.  Run with -s to see the lines live.
 """
 
 import random

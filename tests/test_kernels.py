@@ -142,7 +142,6 @@ class TestAgainstSympy:
         def check(a, b):
             sa, sb = to_sympy(a, domain="ZZ"), to_sympy(b, domain="ZZ")
             assert kernels.poly_sub(a, b) == from_sympy(sa.sub(sb))
-            assert kernels.poly_deriv(a) == from_sympy(sa.diff())
             s, q, r = kernels.poly_pseudo_divmod(a, b)
             scaled = [s * c for c in a]
             assert kernels.poly_sub(kernels.poly_sub(scaled, kernels.poly_mul_int(q, b)), r) == []
@@ -174,27 +173,6 @@ class TestAgainstSympy:
                 assert scale > 0
             else:
                 assert ints == []
-
-        check()
-
-    def test_yun_squarefree_against_sqf_list(self, env):
-        hyp, st, _, settings, to_sympy, from_sympy = env
-        from lkwb.reducibility import _yun_squarefree
-
-        factors = st.lists(st.integers(-6, 6), min_size=2, max_size=4).map(_trim).filter(
-            lambda f: len(f) > 1 and kernels.poly_content_int(f) == 1)
-
-        @settings
-        @hyp.given(st.lists(st.tuples(factors, st.integers(1, 3)), min_size=1, max_size=3))
-        def check(parts):
-            p = [1]
-            for f, m in parts:
-                for _ in range(m):
-                    p = kernels.poly_mul_int(p, f)
-            if p[-1] < 0:
-                p = [-c for c in p]
-            _, want = to_sympy([Rat(c) for c in p], domain="ZZ").sqf_list()
-            assert _yun_squarefree(p) == [([int(c) for c in from_sympy(f)], m) for f, m in want]
 
         check()
 

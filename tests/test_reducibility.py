@@ -1105,6 +1105,62 @@ class TestPersistence:
         assert report.verified
 
 
+def block_diagonal(*blocks):
+    """The Matrix over Q with the given square integer blocks on its diagonal."""
+    n = sum(len(b) for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[at + i][at:at + len(row)] = row
+        at += len(b)
+    return Matrix(QQ, rows)
+
+
+QUARTER_TURN = [[0, -1], [1, 0]]
+AC8_CONTROL = [
+    block_diagonal([[2, 0], [0, 2]], [[3, 0, 0], [0, 3, 0], [0, 0, 3]]),
+    block_diagonal([[2, 1], [0, 2]], [[3, 0, 0], [1, 3, 1], [0, 0, 3]]),
+]
+
+
+def catalog_ops():
+    return [[*rep.g, rep.e[0]] for n in (4, 5) for rep in
+            (rep_at(n, locus, rat(2)) for locus in catalog(n))]
+
+
+def check_probe_witness(ops, probe):
+    """Recheck a probe verdict from its witness with the naive oracles alone."""
+    assert not probe.probabilistic
+    n = ops[0].nrows
+    if probe.verdict == "decomposable_witness":
+        parts = probe.witness["parts"]
+        assert probe.witness["split_dims"] == [part.dim for part in parts]
+        assert all(0 < part.dim < n for part in parts)
+        # the parts span V with dims adding to n, so they meet in 0
+        assert sum(part.dim for part in parts) == n
+        assert oracles.naive_rank([list(v) for part in parts for v in part.vectors]) == n
+        rows = [oracles.to_fraction_rows(op) for op in ops]
+        for part in parts:
+            assert oracles.invariant_by_reduction(
+                [list(v) for v in part.vectors], part.pivots, rows, 0)
+        return [part.dim for part in parts]
+    assert probe.verdict == "indecomposable_evidence"
+    comm = linalg.commutant_basis(ops)
+    assert probe.commutant_dim == len(comm)
+    if len(comm) == 1:
+        return 1
+    # the radical is the null space of the trace form, here from full products
+    form = [[sum((a * b).rows[i][i] for i in range(n)) for b in comm] for a in comm]
+    radical_dim = oracles.naive_kernel_dim(oracles.to_fraction_rows(Matrix(QQ, form)))
+    assert probe.witness["radical_dim"] == radical_dim
+    mu, p = probe.witness["minimal_polynomial"], probe.witness["prime"]
+    q = len(comm) - radical_dim
+    assert len(mu) - 1 == q
+    assert mu[-1] % p and reducibility._irreducible_mod_p(mu, p)
+    return q
+
+
 class TestProbe:
     def test_generic_commutant_scalars(self):
         rep = rational_rep(4, rat(5), rat(2))
@@ -1115,10 +1171,9 @@ class TestProbe:
 
     def test_scalar_commutant_is_exact_without_samples(self, monkeypatch):
         def unexpected(*args):
-            raise AssertionError("a sample analysed at a scalar commutant")
+            raise AssertionError("a charpoly taken at a scalar commutant")
 
         monkeypatch.setattr(reducibility, "charpoly", unexpected)
-        monkeypatch.setattr(reducibility, "_charpoly_factor_analysis", unexpected)
         rep = rational_rep(4, rat(5), rat(2))
         rng = random.Random(1)
         state = rng.getstate()
@@ -1132,35 +1187,132 @@ class TestProbe:
         probe = indecomposability_probe(rep, 10, random.Random(2))
         assert probe.verdict == "indecomposable_evidence"
 
-    def test_block_diagonal_control(self):
-        ops = [
-            Matrix(QQ, [[2, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 3, 0, 0],
-                        [0, 0, 0, 3, 0], [0, 0, 0, 0, 3]]),
-            Matrix(QQ, [[2, 1, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 3, 0, 0],
-                        [0, 0, 1, 3, 1], [0, 0, 0, 0, 3]]),
-        ]
-        probe = probe_operators(ops, 5, random.Random(3))
-        assert probe.verdict == "decomposable_witness"
-        assert probe.witness["verified_invariant"]
-        assert sum(probe.witness["split_dims"]) == 5
-
     def test_irreducible_charpoly_is_evidence(self):
-        # the commutant of a quarter turn is Q(i); a sample a + bJ with b != 0
-        # has the irreducible charpoly x^2 - 2ax + a^2 + b^2, found to have
-        # no rational root and certified irreducible by one factor mod p
-        probe = probe_operators([Matrix(QQ, [[0, -1], [1, 0]])], 10, random.Random(1))
+        # the commutant of a quarter turn is Q(i), a field: local, exactly, with
+        # no sample drawn; the generator 1 - J has minimal polynomial x^2 - 2x + 2
+        rng = random.Random(1)
+        state = rng.getstate()
+        probe = probe_operators([Matrix(QQ, QUARTER_TURN)], 10, rng)
+        assert rng.getstate() == state
         assert probe.verdict == "indecomposable_evidence"
-        assert probe.commutant_dim == 2 and probe.probabilistic
-        assert probe.samples == tuple(f"sample {t}: charpoly is (irreducible deg 2)^1"
-                                      for t in range(10))
+        assert probe.commutant_dim == 2 and not probe.probabilistic
+        assert probe.notes == ("C is local: C/J is a field of degree 2",)
+        assert check_probe_witness([Matrix(QQ, QUARTER_TURN)], probe) == 2
 
-    def test_rational_root_splits_charpoly(self):
-        # a diagonal sample diag(a, b), a != b, splits at the rational root a
-        probe = probe_operators([Matrix(QQ, [[2, 0], [0, 3]])], 10, random.Random(1))
-        assert probe.verdict == "decomposable_witness"
-        assert not probe.probabilistic
-        assert probe.witness["split_dims"] == [1, 1]
-        assert probe.witness["verified_invariant"]
+    @pytest.mark.parametrize("cases, verdict, detail", [
+        (lambda: [[Matrix(QQ, QUARTER_TURN)]], "indecomposable_evidence", 2),
+        (lambda: [[Matrix(QQ, [[2, 0], [0, 3]])]], "decomposable_witness", [1, 1]),
+        (lambda: [AC8_CONTROL], "decomposable_witness", [3, 2]),
+        (lambda: [[Matrix(QQ, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])]], "indecomposable_evidence", 1),
+        (lambda: [[block_diagonal(QUARTER_TURN, [[0, -2], [1, 0]])]],
+         "decomposable_witness", [2, 2]),
+        (lambda: [[block_diagonal(QUARTER_TURN, QUARTER_TURN)]], "decomposable_witness", [2, 2]),
+        (catalog_ops, "indecomposable_evidence", 1),
+    ], ids=["quarter-turn", "diag-2-3", "ac8-control", "jordan-3",
+            "quarter-turn+sqrt-2", "quarter-turn+quarter-turn", "catalog-n4-n5"])
+    def test_exact_verdict_table(self, cases, verdict, detail):
+        # detail: the split dims, or the degree of C/J (1 for a scalar commutant)
+        for ops in cases():
+            rng = random.Random(3)
+            state = rng.getstate()
+            probe = probe_operators(ops, 10, rng)
+            assert rng.getstate() == state
+            assert (probe.verdict, probe.trials) == (verdict, 10)
+            assert check_probe_witness(ops, probe) == detail
+
+    def test_conjugated_direct_sum_splits(self):
+        hyp = pytest.importorskip("hypothesis")
+
+        def has_rational_eigenvalue(b):
+            if len(b) == 1:
+                return True
+            disc = (b[0][0] - b[1][1]) ** 2 + 4 * b[0][1] * b[1][0]
+            return disc >= 0 and math.isqrt(disc) ** 2 == disc
+
+        st = hyp.strategies
+        entries = st.integers(-3, 3)
+        block = st.integers(1, 2).flatmap(
+            lambda k: st.lists(st.lists(entries, min_size=k, max_size=k), min_size=k, max_size=k))
+
+        @hyp.settings(max_examples=40, deadline=None, derandomize=True)
+        @hyp.given(st.lists(block, min_size=2, max_size=3), st.data())
+        def check(blocks, data):
+            a = block_diagonal(*blocks)
+            n = a.nrows
+            # a unimodular change of basis: a product of elementary matrices
+            p = Matrix.identity(QQ, n)
+            for _ in range(2 * n):
+                i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                          unique=True))
+                e = [[int(r == c) for c in range(n)] for r in range(n)]
+                e[i][j] = data.draw(st.integers(-2, 2))
+                p = p * Matrix(QQ, e)
+            ops = [p * a * linalg.inverse(p)]
+            probe = probe_operators(ops, 1, None)
+            assert not probe.probabilistic
+            if any(has_rational_eigenvalue(b) for b in blocks):
+                # that block gives C/J a factor Q, so some basis element of C
+                # that is not scalar mod J has a rational eigenvalue whose
+                # Fitting split is proper
+                assert probe.verdict == "decomposable_witness", blocks
+            else:
+                # a product of number fields of degree 2 is split only when a
+                # basis element has a rational eigenvalue (see the next test)
+                assert probe.verdict in ("decomposable_witness", "inconclusive"), blocks
+            if probe.verdict == "decomposable_witness":
+                assert sum(check_probe_witness(ops, probe)) == n
+
+        check()
+
+    def test_product_of_quadratic_fields_is_not_claimed_local(self):
+        # [[-3, -3], [-2, -1]] + [[-1, 1], [1, -2]] after a change of basis:
+        # C = Q(sqrt 7) x Q(sqrt 5), and no basis element of C has a rational
+        # eigenvalue.  Each generator's minimal polynomial is reducible over Q,
+        # so no prime certifies it; the probe factors nothing over Q, so V is
+        # left undecided, and never claimed indecomposable
+        a = Matrix(QQ, [[-7, -10, 9, 5], [10, 21, -4, -8], [-6, -16, -3, 5], [22, 49, -5, -18]])
+        assert linalg.charpoly(a) == [-3, -5, 10, 7, 1]  # (t^2 + 4t - 3)(t^2 + 3t + 1)
+        probe = probe_operators([a], 10, None)
+        assert (probe.verdict, probe.commutant_dim, probe.probabilistic) == ("inconclusive", 4, False)
+        assert probe.notes == ("no generator of C/J was found",)
+
+    def test_quaternion_commutant_is_inconclusive(self):
+        # right multiplication by i and j on H = Q^4 (basis 1, i, j, k) has the
+        # left multiplications as commutant: Hamilton's quaternions, a division
+        # algebra, so V is indecomposable, but C/J = H is noncommutative, the
+        # case the exact probe leaves open
+        right_i = Matrix(QQ, [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+        right_j = Matrix(QQ, [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
+        probe = probe_operators([right_i, right_j], 10, None)
+        assert (probe.verdict, probe.commutant_dim, probe.probabilistic) == ("inconclusive", 4, False)
+        assert probe.notes == ("C/J is noncommutative",)
+
+    def test_noncommuting_commutant_element_claims_no_split(self, monkeypatch):
+        # diag(1, 0) does not commute with the quarter turn: its Fitting parts
+        # are the coordinate axes, which the quarter turn swaps
+        monkeypatch.setattr(reducibility, "commutant_basis", lambda ops: [
+            Matrix.identity(QQ, 2), Matrix(QQ, [[1, 0], [0, 0]])])
+        probe = probe_operators([Matrix(QQ, QUARTER_TURN)], 10, None)
+        assert probe.verdict == "inconclusive" and not probe.witness
+        assert probe.notes == ("a Fitting split failed its check",)
+
+    def test_failed_invariance_claims_no_split(self, monkeypatch):
+        monkeypatch.setattr(reducibility, "is_invariant", lambda space, ops: False)
+        probe = probe_operators([Matrix(QQ, [[2, 0], [0, 3]])], 10, None)
+        assert probe.verdict == "inconclusive" and not probe.witness
+
+    def test_prime_dividing_the_leading_coefficient_certifies_nothing(self, monkeypatch):
+        # C = Q[a] with a^2 = 10007: every generator's primitive minimal
+        # polynomial has leading coefficient 10007, so mod 10007 it drops degree
+        ops = [Matrix(QQ, [[0, 10007], [1, 0]])]
+        probe = probe_operators(ops, 10, None)
+        assert probe.verdict == "indecomposable_evidence"
+        assert probe.witness["minimal_polynomial"][-1] == 10007
+        assert probe.witness["prime"] != 10007
+        monkeypatch.setattr(reducibility, "_PROBE_PRIMES", (10007,))
+        probe = probe_operators(ops, 10, None)
+        assert probe.verdict == "inconclusive"
+        assert probe.notes == ("no generator of C/J was found",)
 
     def test_irreducible_mod_p_matches_sympy(self):
         # sympy's is_irreducible over GF(p), on squarefree and repeated factors alike
