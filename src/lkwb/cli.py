@@ -28,7 +28,6 @@ from .lkrep import (
 from .reducibility import (
     CATALOG,
     PERSISTENT_LOCI,
-    build_m_matrix,
     certify,
     det_on_locus,
     exceptional_layering,
@@ -36,6 +35,7 @@ from .reducibility import (
     kernel_k,
     minimal_invariant,
     named_locus,
+    pair_chains,
     persistent_vector_check,
     rep_at,
     scan,
@@ -303,8 +303,7 @@ def _cmd_closure(args):
         raise InvalidConfig("closure needs a reducibility locus (or custom l)")
     r_val = parse_r(args.r)
     rep = rep_at(args.n, locus, r_val)
-    mn = build_m_matrix(rep)
-    ker = kernel(mn.matrix)
+    ker = kernel(pair_chains(rep).w)
     if ker.dim == 0:
         obj = {"n": args.n, "locus": locus.name, "k": 0, "closure_dim": None}
         return _finish(args, obj, False)

@@ -184,7 +184,7 @@ def _row_combination(pairs, rows):
     adds y with no product.  A column whose sum cancels is left out, like
     one that no row reaches.  This is the one sparse row loop:
     Matrix.__mul__ densifies its pairs, the relation gate carries them
-    through each word, operator_closure spins with it, and build_m_matrix
+    through each word, operator_closure spins with it, and pair_chains
     and the pivot identity of SubspaceBasis push vectors through cleared
     rows and columns with it.
     """
@@ -420,6 +420,8 @@ def divide_entries(field, den, entries):
     Any field other than Q, Q(r) and Q(l,r) is its own domain, with den one.
     """
     if field == QQ:
+        if den == 1:  # an int alone takes Fraction's path with no gcd
+            return [Rat(x) for x in entries]
         return [Rat(x, den) for x in entries]
     if isinstance(field, FunctionField):
         if den == 1:

@@ -9,7 +9,7 @@ that puts every entry and coefficient in the field's integral domain (Z
 for Q, the Laurent ring for Q(r) and Q(l,r), the field for Q[x]/(f)),
 then checked on the integer images of those sparse integral rows
 (linalg.int_images), on whole packed sides over Q where the entries fit
-one digit and row by row elsewhere; build_m_matrix in the reducibility
+one digit and row by row elsewhere; pair_chains in the reducibility
 module refuses representations that fail that gate and reads the rows
 it checked, one row list per matrix (RelationReport.cleared).
 """
@@ -95,7 +95,7 @@ class LKParams:
 
 
 class LKRep:
-    """The representation: g_k and e_k; build_m_matrix forms g_k^-1 where it reads it."""
+    """The representation: g_k and e_k; pair_chains forms g_k^-1 where it reads it."""
 
     __slots__ = ("params", "g", "e")
 

@@ -9,6 +9,7 @@ at every reducibility locus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from math import isqrt
 from operator import mul
 
@@ -224,8 +225,69 @@ def _inverse_rows(g, a, e_row, den, m_den, m_num):
     return rows
 
 
-def build_m_matrix(rep):
-    """Matrix of sum(e_i) + sum of conjugates g_{j-1}^-1..e_i..g_{j-1}.
+@dataclass(frozen=True)
+class PairChains:
+    """The pair chains that M(n) is summed from: M(n) = Uᵀ·C·W.
+
+    chains holds ((i, j), k, u, w) for each pair i < j, in build order:
+    the summand e_ij of the chain of length k = j - i - 1 is
+    outer(u, w) / (D (S D)^k) (pair_chains).  So M(n) = Uᵀ C W, with
+    rows u_ij of U, rows w_ij of W and C the diagonal of the nonzero
+    1 / (D (S D)^k).  u_ij lies on the pairs (i', j) with i <= i' < j and
+    is nonzero at (i, j), so U is block triangular with a nonzero
+    diagonal, hence invertible, and K(n) = ker M(n) = ker W.  w checks
+    that support exactly on every row before it forms W, and matrix sums
+    M(n); each is formed on its first read.
+    """
+
+    field: object
+    n: int
+    den: object  # D (S D)^K, the one denominator of the sum
+    scales: tuple  # the factor (S D)^(K-k) of a chain of length k
+    chains: tuple
+
+    @cached_property
+    def w(self):
+        """W, whose rows are the w_ij, once every u_ij is checked; AssertionError otherwise.
+
+        A row of W is its w_ij in the field's integral domain, read as a
+        field element: a nonzero multiple of the true row has the same
+        kernel, and the RREF of the kernel is unique.
+        """
+        index = pair_index_map(self.n)
+        rows = []
+        for (i, j), _, u, w in self.chains:
+            block = {index[(h, j)] for h in range(i, j)}
+            if not dict(u).get(index[(i, j)]) or any(a not in block for a, _ in u):
+                raise AssertionError(f"u of the pair ({i}, {j}) leaves its block "
+                                     "or vanishes at its own pair")
+            cols = [b for b, _ in w]
+            rows.append(list(zip(cols, divide_entries(self.field, 1, [y for _, y in w]))))
+        return Matrix.from_nonzeros(self.field, tuple(rows), rep_dim(self.n))
+
+    @cached_property
+    def matrix(self):
+        """M(n): each outer(u, w) scaled by (S D)^(K-k), summed, and divided by D (S D)^K."""
+        total = [{} for _ in range(rep_dim(self.n))]
+        for _, k, u, w in self.chains:
+            scale = self.scales[k]
+            if scale != 1:
+                u = [(a, x * scale) for a, x in u]
+            for a, x in u:
+                row = total[a]
+                for b, y in w:
+                    t = row.get(b)
+                    row[b] = x * y if t is None else t + x * y
+        nonzeros = []
+        for row in total:
+            cols = sorted(b for b, x in row.items() if x)
+            nonzeros.append(list(zip(cols, divide_entries(self.field, self.den,
+                                                          [row[b] for b in cols]))))
+        return Matrix.from_nonzeros(self.field, tuple(nonzeros), len(total))
+
+
+def pair_chains(rep):
+    """The PairChains of a rep: the relation gate once, then every chain pushed.
 
     The summand for (i, j) with j = i+1 is e_i itself; conjugate chains are
     built incrementally.  Each e_i = outer(u, w) has rank 1: u is the unit
@@ -242,9 +304,10 @@ def build_m_matrix(rep):
     identities on every row, on the words g g and g g g of g itself.
 
     The summand of a chain of length k is outer(u_k, w_k) / (D (S D)^k).
-    It is scaled by (S D)^(K-k), K = n - 2 the longest chain, and added to
-    one sum in the domain, divided by D (S D)^K once per entry at the end
-    (divide_entries), which puts each entry in its canonical form.
+    PairChains.matrix scales it by (S D)^(K-k), K = n - 2 the longest
+    chain, adds it to one sum in the domain and divides that by
+    D (S D)^K once per entry at the end (divide_entries), which puts each
+    entry in its canonical form.
     """
     gate = verify_relations(rep)
     if not gate.all_passed:
@@ -262,34 +325,30 @@ def build_m_matrix(rep):
     _, (unit,) = clear_entries(fieldobj, [fieldobj.one()])
     step = m_den * den * den
     longest = n - 2
-    # the factor (S D)^(K-k) of a chain of length k
-    scales = [step ** (longest - k) for k in range(longest + 1)]
-    total = [{} for _ in range(N)]
-
-    def add_outer(u, w, scale):
-        if scale != 1:
-            u = [(a, x * scale) for a, x in u]
-        for a, x in u:
-            row = total[a]
-            for b, y in w:
-                t = row.get(b)
-                row[b] = x * y if t is None else t + x * y
-
+    chains = []
     for i in range(1, n):
         a, w = factors[i - 1]
         u = [(a, unit)]
-        add_outer(u, w, scales[0])
+        chains.append(((i, i + 1), 0, u, w))
         for k, j in enumerate(range(i + 2, n + 1), start=1):
             u = _row_combination(u, inv_cols[j - 3])
             w = _row_combination(w, g[j - 2])
-            add_outer(u, w, scales[k])
-    den = den * step ** longest
-    nonzeros = []
-    for row in total:
-        cols = sorted(b for b, x in row.items() if x)
-        nonzeros.append(list(zip(cols, divide_entries(fieldobj, den, [row[b] for b in cols]))))
-    mat = Matrix.from_nonzeros(fieldobj, tuple(nonzeros), N)
-    return MnMatrix(matrix=mat)
+            chains.append(((i, j), k, u, w))
+    return PairChains(field=fieldobj, n=n, den=den * step ** longest,
+                      scales=tuple(step ** (longest - k) for k in range(longest + 1)),
+                      chains=tuple(chains))
+
+
+def build_m_matrix(rep):
+    """Matrix of sum(e_i) + sum of conjugates g_{j-1}^-1..e_i..g_{j-1}.
+
+    The sum of outer(u_ij, w_ij) over the pair chains (pair_chains).
+    Only what reads M(n) itself builds it: the det verdicts, whose degree
+    and coefficient bounds are properties of M.  A kernel reads W
+    (PairChains.w), and certify's m_matrix_sha256 reads the M of the
+    chains its kernel came from.
+    """
+    return MnMatrix(matrix=pair_chains(rep).matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -783,10 +842,15 @@ def rep_at(n, locus, r_val, l_val=None):
 
 
 def _kernel_at(n, locus, r_val, l_val=None, with_closures=True):
-    """Workhorse for kernel_k; also returns the rep and M(n) for reuse."""
+    """Workhorse for kernel_k; also returns the rep and its PairChains for reuse.
+
+    K(n) = ker W, read off the chain rows once U is checked
+    (PairChains.w), so M(n) is not summed here; the chains' matrix sums it
+    on its first read.
+    """
     rep = rep_at(n, locus, r_val, l_val)
-    mn = build_m_matrix(rep)
-    basis = kernel(mn.matrix)
+    chains = pair_chains(rep)
+    basis = kernel(chains.w)
     invariant = is_invariant(basis, rep.g) if basis.dim else False
     minimal_dims = ()
     unique = True
@@ -807,7 +871,7 @@ def _kernel_at(n, locus, r_val, l_val=None, with_closures=True):
         minimal_dims=minimal_dims,
         unique_minimal=unique,
     )
-    return report, rep, mn, closures
+    return report, rep, chains, closures
 
 
 def kernel_k(n, locus, r_val, l_val=None, with_closures=True):
@@ -929,7 +993,8 @@ class PersistenceReport(Report):
 def persistent_vector_check(locus, n_max, r_val):
     """A nonzero vector of K(5) ∩ V^(4) stays in ker M(n) for 6 <= n <= n_max.
 
-    Locus must be l=r or l=-r3 (the inductive reducibility loci).
+    Locus must be l=r or l=-r3 (the inductive reducibility loci).  M(n) v
+    = 0 is checked as W v = 0, since ker M(n) = ker W (PairChains).
     """
     if locus.name not in PERSISTENT_LOCI:
         raise ValueError("persistence is checked at l=r and l=-r3 only")
@@ -943,9 +1008,8 @@ def persistent_vector_check(locus, n_max, r_val):
     checked = []
     for n in range(6, n_max + 1):
         rep = rep_at(n, locus, r_val)
-        mn = build_m_matrix(rep)
         v = embed_pair_vector(v5, 5, n, rep.field)
-        checked.append((n, annihilates(mn.matrix, [v])))
+        checked.append((n, annihilates(pair_chains(rep).w, [v])))
     return PersistenceReport(
         locus=locus.name,
         r=report.r,
@@ -1227,8 +1291,10 @@ def _certify_locus_task(args):
 
 def _certify_locus(n, locus, r_val):
     expected = expected_spectrum(n, locus, r_val)
-    report, rep, mn, closures = _kernel_at(n, locus, r_val)
-    # over a field det M = 0 exactly when the kernel, checked by M v = 0, is nonzero
+    report, rep, chains, closures = _kernel_at(n, locus, r_val)
+    # over a field det M = 0 exactly when K(n) = ker W is nonzero: M = Uᵀ C W
+    # with U and C invertible, U checked on every row and each kernel
+    # vector by W v = 0
     det_vanishes = report.k > 0
     exceptional = exceptional_layering(n, locus, r_val)
     mismatches = []
@@ -1268,7 +1334,7 @@ def _certify_locus(n, locus, r_val):
         probabilistic = probe.probabilistic
         if probe.verdict == "decomposable_witness":
             mismatches.append("probe found a direct-sum decomposition")
-    witnesses = {"m_matrix_sha256": mn.matrix.content_hash()}
+    witnesses = {"m_matrix_sha256": chains.matrix.content_hash()}
     if mismatches:
         witnesses["kernel_basis"] = report.basis.to_json_obj()
     return LocusRecord(

@@ -1,6 +1,7 @@
 """Test element M(n), kernels at loci, invariant subspaces, certification."""
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -209,6 +210,14 @@ class TestMnMatrix:
                                                 (rep.g, g_inv, rep.e)), f.zero(), f.one())
         return Matrix(f, rows)
 
+    @staticmethod
+    def catalog_reps(field, n):
+        """(locus, r, rep) on every catalog locus at n; r is None over Q(r)."""
+        if field == "Q(r)":
+            return [(locus, None, substituted_rep(n, locus.eps, locus.k)) for locus in catalog(n)]
+        r = cyclotomic_field(field).gen() if field.startswith("phi") else parse_rat(field)
+        return [(locus, r, rep_at(n, locus, r)) for locus in catalog(n)]
+
     @pytest.mark.parametrize("field, n", [
         *((r, n) for r in ("2", "37/11", "101/7") for n in range(3, 8)),
         *(("Q(r)", n) for n in range(4, 8)),
@@ -216,19 +225,82 @@ class TestMnMatrix:
         ("phi20", 4), ("phi20", 5), ("phi24", 6)])
     def test_domain_sum_equals_the_field_loop(self, field, n):
         # one sum over a common denominator, divided once, against the field sum
-        if field == "Q(l,r)":
-            reps = [symbolic_rep(n)]
-        elif field == "Q(r)":
-            reps = [substituted_rep(n, locus.eps, locus.k) for locus in catalog(n)]
-        else:
-            r = cyclotomic_field(field).gen() if field.startswith("phi") else parse_rat(field)
-            reps = [rep_at(n, locus, r) for locus in catalog(n)]
+        reps = ([symbolic_rep(n)] if field == "Q(l,r)"
+                else [rep for _, _, rep in self.catalog_reps(field, n)])
         for rep in reps:
             got = build_m_matrix(rep).matrix
             want = self.by_field_loop(rep)
             assert got == want and got.to_text() == want.to_text()
             assert [list(row) for row in got._row_nonzeros()] == [
                 [(j, x) for j, x in enumerate(row) if x] for row in got.rows]
+
+    @pytest.mark.parametrize("field, n", [
+        *((r, n) for r in ("2", "37/11") for n in range(3, 9)),
+        *(("Q(r)", n) for n in range(3, 8)),
+        ("phi12", 3), ("phi20", 5), ("phi24", 6)])
+    def test_u_is_block_triangular_and_w_has_the_kernel_of_m(self, field, n):
+        # M(n) = U^T C W: u_ij lies on the pairs (i', j), i <= i' < j, and is
+        # nonzero at (i, j), so ker W = ker M, with the same RREF basis
+        index = pair_index_map(n)
+        for locus, r, rep in self.catalog_reps(field, n):
+            chains = reducibility.pair_chains(rep)
+            assert [pair for pair, _, _, _ in chains.chains] == list(index)
+            for (i, j), k, u, _ in chains.chains:
+                assert k == j - i - 1
+                assert {a for a, _ in u} <= {index[(h, j)] for h in range(i, j)}, (i, j)
+                assert dict(u).get(index[(i, j)]), (i, j)
+            got, want = kernel(chains.w), kernel(chains.matrix)
+            assert got.dim == expected_spectrum(n, locus, r)["k"], locus.name
+            assert got.vectors == want.vectors and got.pivots == want.pivots
+            assert got.to_json_obj() == want.to_json_obj()
+
+    @staticmethod
+    def corrupt_u(chains, mutant):
+        """The chains with u_13 lost at (1, 3), or given an entry at (2, 4), off its block."""
+        index = pair_index_map(chains.n)
+        out = []
+        for (i, j), k, u, w in chains.chains:
+            if (i, j) == (1, 3):
+                diagonal = dict(u)[index[(1, 3)]]
+                if mutant == "lost its pair":
+                    u = [(a, x) for a, x in u if a != index[(1, 3)]]
+                else:
+                    u = sorted([*u, (index[(2, 4)], diagonal)])
+            out.append(((i, j), k, u, w))
+        return dataclasses.replace(chains, chains=tuple(out))
+
+    @pytest.mark.parametrize("mutant", ["lost its pair", "left its block"])
+    def test_a_corrupted_u_is_refused_before_any_kernel(self, monkeypatch, mutant):
+        # ker W = ker M needs U invertible: a chain whose u_ij is not on its
+        # block, or vanishes at (i, j), stops every reader of W before a
+        # kernel is taken or M v = 0 is decided on W
+        original = reducibility.pair_chains
+        for module in (reducibility, cli):
+            monkeypatch.setattr(module, "pair_chains",
+                                lambda rep: self.corrupt_u(original(rep), mutant))
+        read = []
+        for module, name in ((reducibility, "kernel"), (cli, "kernel"),
+                             (reducibility, "annihilates")):
+            def spied(*args, _f=getattr(module, name), _name=name):
+                read.append(_name)
+                return _f(*args)
+            monkeypatch.setattr(module, name, spied)
+        refused = r"u of the pair \(1, 3\) leaves its block or vanishes at its own pair"
+        locus = named_locus("l=-r3", 5)
+        with pytest.raises(AssertionError, match=refused):
+            kernel_k(5, locus, rat(2))
+        with pytest.raises(AssertionError, match=refused):
+            certify(5, rat(2))
+        with pytest.raises(AssertionError, match=refused):
+            scan(5, rat(2), random.Random(1))
+        with pytest.raises(AssertionError, match=refused):
+            cli.main(["closure", "--n", "5", "--locus", "l=-r3", "--r", "2/1"])
+        # persistence reads K(5) first, so the chains at n = 6 alone are corrupted
+        monkeypatch.setattr(reducibility, "pair_chains", lambda rep: (
+            self.corrupt_u(original(rep), mutant) if rep.n == 6 else original(rep)))
+        with pytest.raises(AssertionError, match=refused):
+            persistent_vector_check(locus, 6, rat(2))
+        assert read == ["kernel"]  # K(5), the one kernel of persistence
 
     def test_rank1_factor_rejects_other_ranks(self):
         with pytest.raises(AssertionError):
