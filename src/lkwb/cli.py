@@ -3,28 +3,22 @@
 Subcommands: relations, det, kernel, certify, scan, closure, commutant,
 persist.  Exit status is a pure function of the verdict set: 0 when every
 verdict matches its expectation, 1 on a mismatch (with the report still
-emitted) or a typed error (no report), 2 on invalid configuration.  Every
-random draw flows from the single --seed, so reruns reproduce reports
-byte-identically.
+emitted) or a typed error (no report), 2 on invalid configuration.  Each
+command that draws passes --seed to its reducibility function, which
+seeds its own random.Random and echoes the seed, so reruns reproduce
+reports byte-identically.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from functools import cache
 
 from .errors import DivisionByZero, InvalidConfig, IoFailure, LKWBError
 from .linalg import commutant_basis, kernel
-from .lkrep import (
-    build_rep,
-    LKParams,
-    symbolic_rep,
-    verify_relations,
-    convention_report,
-)
+from .lkrep import symbolic_rep, verify_relations, convention_report
 from .reducibility import (
     CATALOG,
     PERSISTENT_LOCI,
@@ -43,7 +37,6 @@ from .reducibility import (
 from .scalars import (
     CYCLOTOMIC_MODULI,
     cyclotomic_field,
-    field_of,
     is_rat,
     parse_rat,
     scalar_to_text,
@@ -119,23 +112,39 @@ def parse_r(spec):
         if name not in CYCLOTOMIC_MODULI:
             raise InvalidConfig(f"unknown cyclotomic modulus {name!r}; known: {sorted(CYCLOTOMIC_MODULI)}")
         return cyclotomic_field(name).gen()
-    if "." in spec:
-        raise InvalidConfig("decimal r values are not accepted; use an exact rational p/q")
-    try:
-        return parse_rat(spec)
-    except (ValueError, DivisionByZero) as exc:
-        raise InvalidConfig(f"cannot parse --r: {exc}")
+    return _parse_rational(spec, "r")
 
 
 def parse_l(spec):
-    if spec is None:
-        return None
+    """An exact rational l, 'p/q', or None when --l is not given."""
+    return None if spec is None else _parse_rational(spec, "l")
+
+
+def _parse_rational(spec, name):
+    """The exact rational that --r or --l (name "r" or "l") spells; no decimals."""
     if "." in spec:
-        raise InvalidConfig("decimal l values are not accepted; use an exact rational p/q")
+        raise InvalidConfig(f"decimal {name} values are not accepted; use an exact rational p/q")
     try:
         return parse_rat(spec)
     except (ValueError, DivisionByZero) as exc:
-        raise InvalidConfig(f"cannot parse --l: {exc}")
+        raise InvalidConfig(f"cannot parse --{name}: {exc}")
+
+
+def _point_from_args(args, missing_l):
+    """(locus, r) of a command at one point (n, locus, r).
+
+    --r is parsed after the locus; a generic locus then takes its l from
+    --l, which it requires (InvalidConfig(missing_l) otherwise), and
+    keeps its name in the report.
+    """
+    locus = _locus_from_args(args)
+    r_val = parse_r(args.r)
+    if locus.is_generic:
+        l_val = parse_l(args.l)
+        if l_val is None:
+            raise InvalidConfig(missing_l)
+        locus = named_locus("generic", args.n, custom_l=l_val)
+    return locus, r_val
 
 
 def _locus_from_args(args):
@@ -219,11 +228,8 @@ def _cmd_relations(args):
             raise InvalidConfig("--symbolic keeps l and r symbolic; it takes no --r or --l")
         rep = symbolic_rep(args.n)
     else:
-        r_val = parse_r(args.r)
-        l_val = parse_l(args.l)
-        if l_val is None:
-            raise InvalidConfig("point mode requires --l (or pass --symbolic)")
-        rep = build_rep(LKParams(args.n, l_val, r_val, field_of(r_val)))
+        locus, r_val = _point_from_args(args, "point mode requires --l (or pass --symbolic)")
+        rep = rep_at(args.n, locus, r_val)
     report = verify_relations(rep)
     obj = report.to_json_obj()
     if args.convention:
@@ -255,8 +261,7 @@ def _cmd_det(args):
     if locus.is_generic and args.l is not None:
         raise InvalidConfig("det at the generic locus keeps l symbolic or samples it; "
                             "--l is for --locus custom")
-    rng = random.Random(args.seed) if args.mode == "sampled" else None
-    verdict = det_on_locus(args.n, locus, args.mode, rng=rng)
+    verdict = det_on_locus(args.n, locus, args.mode, seed=args.seed)
     expected = "nonzero" if locus.is_generic or locus.is_custom else "identically_zero"
     ok = verdict.verdict == expected
     obj = verdict.to_json_obj()
@@ -265,12 +270,8 @@ def _cmd_det(args):
 
 
 def _cmd_kernel(args):
-    locus = _locus_from_args(args)
-    r_val = parse_r(args.r)
-    l_val = parse_l(args.l)
-    if locus.is_generic and l_val is None:
-        raise InvalidConfig("kernel at generic parameters requires --l")
-    report = kernel_k(args.n, locus, r_val, l_val=l_val)
+    locus, r_val = _point_from_args(args, "kernel at generic parameters requires --l")
+    report = kernel_k(args.n, locus, r_val)
     expected = expected_spectrum(args.n, locus, r_val)
     obj = report.to_json_obj()
     if expected is None:
@@ -293,7 +294,7 @@ def _cmd_scan(args):
     r_val = parse_r(args.r)
     if not is_rat(r_val):
         raise InvalidConfig("scan works at rational r only")
-    report = scan(args.n, r_val, random.Random(args.seed), seed=args.seed)
+    report = scan(args.n, r_val, args.seed)
     return _finish(args, report.to_json_obj(), report.all_match)
 
 
@@ -327,12 +328,8 @@ def _cmd_closure(args):
 
 
 def _cmd_commutant(args):
-    locus = _locus_from_args(args)
-    r_val = parse_r(args.r)
-    l_val = parse_l(args.l)
-    if locus.is_generic and l_val is None:
-        raise InvalidConfig("commutant at generic parameters requires --l")
-    rep = rep_at(args.n, locus if not locus.is_generic else None, r_val, l_val=l_val)
+    locus, r_val = _point_from_args(args, "commutant at generic parameters requires --l")
+    rep = rep_at(args.n, locus, r_val)
     gate = verify_relations(rep)
     # e_1 leaves the commutant of a gated rep as it is (commutant_basis)
     basis = commutant_basis([*rep.g, rep.e[0]] if gate.all_passed else list(rep.g))

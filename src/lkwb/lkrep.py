@@ -28,7 +28,7 @@ from .linalg import (
     clear_rows,
     int_images,
 )
-from .scalars import QLR, QQ, QR, Rat, m_of_r, scalar_to_text
+from .scalars import QLR, QQ, QR, m_of_r, scalar_to_text
 
 
 def pair_basis(n):
@@ -46,8 +46,6 @@ def rep_dim(n):
 
 def semisimplicity_guard(r_val, n):
     """True iff r^(2k) != 1 for every k in 1..n (Hecke semisimplicity)."""
-    if isinstance(r_val, int):
-        r_val = Rat(r_val)
     if not r_val:
         raise ParameterZero("r = 0")
     p = r_val * r_val

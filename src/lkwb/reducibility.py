@@ -8,6 +8,7 @@ at every reducibility locus.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from math import isqrt
@@ -76,7 +77,12 @@ from .scalars import (
 
 @dataclass(frozen=True)
 class Locus:
-    """A reducibility locus l = eps * r^k, or the generic/custom cases."""
+    """The l of a point: a reducibility locus l = eps * r^k, or an l off the catalog.
+
+    A "custom" locus carries its l in custom_l, and so may a "generic"
+    one (--locus generic --l); GENERIC, with no l, keeps l symbolic or
+    sampled.
+    """
 
     name: str
     eps: int = 0
@@ -92,17 +98,13 @@ class Locus:
         return self.name == "custom"
 
     def l_value(self, r_val):
-        """The value of l at this locus for a concrete r."""
-        if self.is_custom:
+        """The value of l at this locus for a concrete r: custom_l whenever it is set."""
+        if self.custom_l is not None:
             return self.custom_l
         if self.is_generic:
             raise ValueError("generic locus has no l value")
         v = r_val ** self.k
         return v if self.eps == 1 else -v
-
-    def substitute(self, rf):
-        """Apply l -> eps * r^k to a rational function."""
-        return rf.substitute_l(self.eps, self.k)
 
 
 GENERIC = Locus("generic")
@@ -124,9 +126,13 @@ PERSISTENT_LOCI = ("l=r", "l=-r3")
 
 
 def named_locus(name, n, custom_l=None):
-    """Locus by CLI name; the exponents depend on n."""
+    """Locus by CLI name; the exponents depend on n.
+
+    custom_l is the l of a "custom" locus, which requires it, or of a
+    point on the generic locus; without it "generic" is GENERIC.
+    """
     if name == "generic":
-        return GENERIC
+        return GENERIC if custom_l is None else Locus("generic", custom_l=custom_l)
     if name == "custom":
         if custom_l is None:
             raise ValueError("custom locus requires an l value")
@@ -188,13 +194,6 @@ def exceptional_layering(n, locus, r_val):
 # ---------------------------------------------------------------------------
 # The test element M(n)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MnMatrix:
-    """The matrix of the test element acting on the pair basis."""
-
-    matrix: Matrix
 
 
 def _rank1_factor(rows):
@@ -340,15 +339,18 @@ def pair_chains(rep):
 
 
 def build_m_matrix(rep):
-    """Matrix of sum(e_i) + sum of conjugates g_{j-1}^-1..e_i..g_{j-1}.
+    """The PairChains of rep with M(n) summed: PairChains.matrix is
+    sum(e_i) + sum of conjugates g_{j-1}^-1..e_i..g_{j-1}.
 
-    The sum of outer(u_ij, w_ij) over the pair chains (pair_chains).
-    Only what reads M(n) itself builds it: the det verdicts, whose degree
-    and coefficient bounds are properties of M.  A kernel reads W
+    M(n) is the sum of outer(u_ij, w_ij) over the chains.  Only what
+    reads M(n) itself builds it: the det verdicts, whose degree and
+    coefficient bounds are properties of M.  A kernel reads W
     (PairChains.w), and certify's m_matrix_sha256 reads the M of the
     chains its kernel came from.
     """
-    return MnMatrix(matrix=pair_chains(rep).matrix)
+    chains = pair_chains(rep)
+    chains.matrix  # the first read sums M(n) and caches it
+    return chains
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +376,16 @@ _SAMPLE_BOUND = 10 ** 4
 _DET_SAMPLES = 3
 
 
-def det_on_locus(n, locus, mode, rng=None):
+def det_on_locus(n, locus, mode, seed=0):
     """Decide whether det M(n) vanishes on a locus (or generically).
 
     symbolic: exact, n <= 5, over Q(l,r) (for a named locus the symbolic
     matrix is substituted entrywise before the univariate decision).
     substituted: exact, n <= 7, builds univariate entries directly.
-    sampled: probabilistic zero verdicts from random evaluation points
-    (flagged); a nonzero witness is exact.  The exact modes substitute l
-    as a power of r, so they refuse a custom locus, whose l is a number.
+    sampled: probabilistic zero verdicts from evaluation points drawn from
+    random.Random(seed) (flagged); a nonzero witness is exact.  The exact
+    modes draw nothing, and they substitute l as a power of r, so they
+    refuse a custom locus, whose l is a number.
     """
     if mode in ("symbolic", "substituted") and locus.is_custom:
         raise InfeasibleMode(f"{mode} mode needs a catalog locus, where l is a power of r; "
@@ -400,9 +403,7 @@ def det_on_locus(n, locus, mode, rng=None):
         mn = build_m_matrix(rep)
         return _univariate_zero_verdict(mn.matrix, n, locus, "substituted-univariate")
     if mode == "sampled":
-        if rng is None:
-            raise ValueError("sampled mode requires an rng")
-        return _det_sampled(n, locus, rng)
+        return _det_sampled(n, locus, random.Random(seed))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -420,7 +421,8 @@ def _det_symbolic(n, locus):
                               proof={"technique": "bareiss"})
         return _bivariate_grid_verdict(mn.matrix, n)
     # substitute the symbolic matrix entrywise, then decide the univariate det
-    sub_rows = tuple(tuple(locus.substitute(x) for x in row) for row in mn.matrix.rows)
+    sub_rows = tuple(tuple(x.substitute_l(locus.eps, locus.k) for x in row)
+                     for row in mn.matrix.rows)
     sub = Matrix(QR, sub_rows, _trusted=True)
     return _univariate_zero_verdict(sub, n, locus, "symbolic")
 
@@ -832,23 +834,19 @@ class KernelReport(Report):
     unique_minimal: bool
 
 
-def rep_at(n, locus, r_val, l_val=None):
-    """Representation at a concrete point: l from the locus (or explicit)."""
-    if locus is not None and not locus.is_generic:
-        l_val = locus.l_value(r_val)
-    if l_val is None:
-        raise ValueError("generic locus requires an explicit l value")
-    return build_rep(LKParams(n, l_val, r_val, field_of(r_val)))
+def rep_at(n, locus, r_val):
+    """Representation at the point (n, locus, r), l = locus.l_value(r); GENERIC has no l."""
+    return build_rep(LKParams(n, locus.l_value(r_val), r_val, field_of(r_val)))
 
 
-def _kernel_at(n, locus, r_val, l_val=None, with_closures=True):
-    """Workhorse for kernel_k; also returns the rep and its PairChains for reuse.
+def _kernel_at(n, locus, r_val, with_closures=True):
+    """Workhorse for kernel_k at (n, locus, r); also returns the rep, PairChains and closures.
 
     K(n) = ker W, read off the chain rows once U is checked
     (PairChains.w), so M(n) is not summed here; the chains' matrix sums it
     on its first read.
     """
-    rep = rep_at(n, locus, r_val, l_val)
+    rep = rep_at(n, locus, r_val)
     chains = pair_chains(rep)
     basis = kernel(chains.w)
     invariant = is_invariant(basis, rep.g) if basis.dim else False
@@ -861,7 +859,7 @@ def _kernel_at(n, locus, r_val, l_val=None, with_closures=True):
         unique = all(c == closures[0] for c in closures[1:])
     report = KernelReport(
         n=n,
-        locus=locus.name if locus else "custom",
+        locus=locus.name,
         l=scalar_to_text(rep.params.l),
         r=scalar_to_text(rep.params.r),
         field=rep.field.tag,
@@ -874,9 +872,9 @@ def _kernel_at(n, locus, r_val, l_val=None, with_closures=True):
     return report, rep, chains, closures
 
 
-def kernel_k(n, locus, r_val, l_val=None, with_closures=True):
-    """K(n) = ker M(n) at a concrete point, with the invariance verdict."""
-    report, _, _, _ = _kernel_at(n, locus, r_val, l_val, with_closures)
+def kernel_k(n, locus, r_val, with_closures=True):
+    """K(n) = ker M(n) at the point (n, locus, r), with the invariance verdict."""
+    report, _, _, _ = _kernel_at(n, locus, r_val, with_closures)
     return report
 
 
@@ -1258,12 +1256,8 @@ def certify(n, r_val, *, seed=0, jobs=1):
     records merge sorted by locus name.  At most one worker process runs
     per locus.
     """
-    import random as _random
-
     if jobs < 1:
         raise InvalidConfig(f"jobs must be at least 1, got {jobs}")
-    if isinstance(r_val, int):
-        r_val = Rat(r_val)
     fieldobj = field_of(r_val)
     tasks = [(n, locus, r_val) for locus in catalog(n)]
     workers = min(jobs, len(tasks))
@@ -1271,11 +1265,11 @@ def certify(n, r_val, *, seed=0, jobs=1):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            records = list(ex.map(_certify_locus_task, tasks))
+            records = list(ex.map(_certify_locus, *zip(*tasks)))
     else:
-        records = [_certify_locus_task(t) for t in tasks]
+        records = [_certify_locus(*t) for t in tasks]
     records.sort(key=lambda rec: rec.locus)
-    generic = _certify_generic(n, r_val, _random.Random(f"{seed}|generic"))
+    generic = _certify_generic(n, r_val, random.Random(f"{seed}|generic"))
     return CertificationReport(
         n=n,
         r={"value": scalar_to_text(fieldobj.coerce(r_val)), "field": fieldobj.tag},
@@ -1283,10 +1277,6 @@ def certify(n, r_val, *, seed=0, jobs=1):
         all_match=all(rec.match for rec in records) and generic.match,
         loci=(*records, generic),
     )
-
-
-def _certify_locus_task(args):
-    return _certify_locus(*args)
 
 
 def _certify_locus(n, locus, r_val):
@@ -1360,8 +1350,8 @@ def _certify_locus(n, locus, r_val):
 
 
 def _certify_generic(n, r_val, rng):
-    l_val = _random_l_off_catalog(n, r_val, rng, 50)
-    report, rep, _, _ = _kernel_at(n, None, r_val, l_val, with_closures=False)
+    locus = named_locus("custom", n, custom_l=_random_l_off_catalog(n, r_val, rng, 50))
+    report, rep, _, _ = _kernel_at(n, locus, r_val, with_closures=False)
     k = report.k
     det_vanishes = k > 0
     mismatches = []
@@ -1405,27 +1395,30 @@ class ScanReport(Report):
 _SCAN_RANDOM_ROWS = 5
 
 
-def scan(n, r_val, rng, seed=None):
+def scan(n, r_val, seed):
     """Sweep the catalog loci plus random non-locus l values at a fixed r.
 
     Catalog rows must be reducible (det zero, k > 0), random rows
-    irreducible; random draws that hit a catalog value exactly are redrawn.
+    irreducible.  The random rows are custom loci whose l values are drawn
+    from random.Random(seed), which the report echoes; draws that hit a
+    catalog value exactly are redrawn.
     """
-    if isinstance(r_val, int):
-        r_val = Rat(r_val)
+    rng = random.Random(seed)
     # the kernels draw nothing from rng: the random rows' l values are its only draws
-    draws = [_random_l_off_catalog(n, r_val, rng, 50) for _ in range(_SCAN_RANDOM_ROWS)]
+    draws = [named_locus("custom", n, custom_l=_random_l_off_catalog(n, r_val, rng, 50))
+             for _ in range(_SCAN_RANDOM_ROWS)]
     rows = []
-    for locus, l_val in [*((loc, None) for loc in catalog(n)), *((None, l) for l in draws)]:
-        report, _, _, _ = _kernel_at(n, locus, r_val, l_val, with_closures=False)
+    for locus in [*catalog(n), *draws]:
+        report, _, _, _ = _kernel_at(n, locus, r_val, with_closures=False)
         reducible = report.k > 0
+        on_catalog = not locus.is_custom
         rows.append({
-            "locus": locus.name if locus else "random",
+            "locus": locus.name if on_catalog else "random",
             "l": report.l,
             "k": report.k,
             "reducible": reducible,
-            "expected_reducible": locus is not None,
-            "match": reducible == (locus is not None),
+            "expected_reducible": on_catalog,
+            "match": reducible == on_catalog,
         })
     return ScanReport(n=n, r=scalar_to_text(QQ.coerce(r_val)), seed=seed,
                       all_match=all(row["match"] for row in rows), rows=tuple(rows))

@@ -1152,8 +1152,6 @@ def field_of(x):
 
 def m_of_r(r_val):
     """m = 1/r - r; satisfies r^2 + m*r - 1 = 0."""
-    if isinstance(r_val, int):
-        r_val = Rat(r_val)
     if not r_val:
         raise DivisionByZero("m_of_r at r = 0")
     return 1 / r_val - r_val

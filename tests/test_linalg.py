@@ -1303,7 +1303,8 @@ class TestCommutant:
         field = cyclotomic_field(name)
         x = field.gen()
         rng = random.Random(name)
-        cases = [list(rep_at(3, None, x, l_val=rat(2)).g), list(rep_at(4, None, x, l_val=rat(5)).g)]
+        cases = [list(rep_at(n, named_locus("custom", n, custom_l=rat(l)), x).g)
+                 for n, l in ((3, 2), (4, 5))]
         cases += [list(rep_at(n, locus, x).g) for n in (3, 4) for locus in catalog(n)]
         cases.append([rand_matrix(field, rng, 3) for _ in range(2)])
         # block-diagonal control: X = diag(a, a, b) commutes with both operators

@@ -59,7 +59,7 @@ from lkwb.reducibility import (
     rep_at,
     scan,
 )
-from lkwb.scalars import QQ, QR, LaurentPoly, RatFunc, cyclotomic_field, parse_rat, rat
+from lkwb.scalars import QLR, QQ, QR, LaurentPoly, RatFunc, cyclotomic_field, parse_rat, rat
 
 import oracles
 
@@ -292,7 +292,7 @@ class TestMnMatrix:
         with pytest.raises(AssertionError, match=refused):
             certify(5, rat(2))
         with pytest.raises(AssertionError, match=refused):
-            scan(5, rat(2), random.Random(1))
+            scan(5, rat(2), 1)
         with pytest.raises(AssertionError, match=refused):
             cli.main(["closure", "--n", "5", "--locus", "l=-r3", "--r", "2/1"])
         # persistence reads K(5) first, so the chains at n = 6 alone are corrupted
@@ -333,7 +333,7 @@ class TestKernelDims:
                 named_locus(name, 3)
 
     def test_generic_point_trivial_kernel(self):
-        rep = rep_at(4, None, rat(2), l_val=rat(5))
+        rep = rep_at(4, named_locus("custom", 4, custom_l=rat(5)), rat(2))
         mn = build_m_matrix(rep)
         assert kernel(mn.matrix).dim == 0
 
@@ -364,7 +364,8 @@ class TestDetOnLocus:
         rep_sym = symbolic_rep(3)
         mn_sym = build_m_matrix(rep_sym)
         locus = named_locus("l=-r3", 3)
-        sub_rows = tuple(tuple(locus.substitute(x) for x in row) for row in mn_sym.matrix.rows)
+        sub_rows = tuple(tuple(x.substitute_l(locus.eps, locus.k) for x in row)
+                         for row in mn_sym.matrix.rows)
         rep_sub = substituted_rep(3, -1, 3)
         mn_sub = build_m_matrix(rep_sub)
         assert Matrix(QR, sub_rows) == mn_sub.matrix
@@ -373,9 +374,8 @@ class TestDetOnLocus:
         assert verdict.method == "symbolic"
 
     def test_sampled_modes(self):
-        rng = random.Random(42)
-        assert det_on_locus(4, GENERIC, "sampled", rng=rng).verdict == "nonzero"
-        v = det_on_locus(4, named_locus("l=r", 4), "sampled", rng=rng)
+        assert det_on_locus(4, GENERIC, "sampled", seed=42).verdict == "nonzero"
+        v = det_on_locus(4, named_locus("l=r", 4), "sampled", seed=42)
         assert v.verdict == "identically_zero"
         assert v.probabilistic
 
@@ -1471,8 +1471,8 @@ class TestCertifyAndScan:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         pooled = certify(3, rat(2), seed=3, jobs=100000)
@@ -1501,7 +1501,7 @@ class TestCertifyAndScan:
         assert report.all_match
 
     def test_scan(self):
-        report = scan(4, rat(3, 2), random.Random(42), seed=42)
+        report = scan(4, rat(3, 2), 42)
         assert report.all_match
         kinds = [row["locus"] for row in report.rows]
         assert kinds.count("random") == 5
@@ -1559,3 +1559,151 @@ class TestCertifyAndScan:
             expected_spectrum(5, named_locus("l=-r3", 5), x)
         assert expected_spectrum(5, named_locus("l=r3-2n", 5), x)["k"] == 7
         assert expected_spectrum(5, named_locus("l=r3-2n", 5), rat(2))["k"] == 1
+
+
+class TestCertifyMismatches:
+    """certify's failure path: each comparison forced to fail, one at a time."""
+
+    N, R, SEED = 4, rat(2), 7
+
+    @pytest.fixture(scope="class")
+    def clean(self):
+        report = certify(self.N, self.R, seed=self.SEED)
+        assert report.all_match
+        return report
+
+    @staticmethod
+    def records_json(report):
+        return {rec.locus: rec.to_json_obj() for rec in report.loci}
+
+    def test_an_expected_k_off_by_one_is_recorded_with_its_kernel(self, clean, monkeypatch):
+        original = reducibility.expected_spectrum
+
+        def off_by_one(n, locus, r_val=None):
+            expected = original(n, locus, r_val)
+            if locus.name == "l=+r3-n":
+                expected = {**expected, "k": expected["k"] + 1}
+            return expected
+
+        monkeypatch.setattr(reducibility, "expected_spectrum", off_by_one)
+        report = certify(self.N, self.R, seed=self.SEED)
+        assert not report.all_match
+        got, want = self.records_json(report), self.records_json(clean)
+        rec, was = got.pop("l=+r3-n"), want.pop("l=+r3-n")
+        assert got == want
+        basis = kernel_k(self.N, named_locus("l=+r3-n", self.N), self.R).basis
+        assert rec == {**was, "expected_k": 4, "match": False,
+                       "mismatches": ["k=3, expected 4 (measured)"],
+                       "witnesses": {**was["witnesses"], "kernel_basis": basis.to_json_obj()}}
+
+    def test_a_generic_draw_on_a_catalog_l_fails_both_generic_checks(self, clean, monkeypatch):
+        locus = named_locus("l=-r3", self.N)
+        monkeypatch.setattr(reducibility, "_random_l_off_catalog",
+                            lambda n, r_val, rng, bound: locus.l_value(r_val))
+        report = certify(self.N, self.R, seed=self.SEED)
+        assert not report.all_match
+        got, want = self.records_json(report), self.records_json(clean)
+        generic = got.pop("generic")
+        want.pop("generic")
+        assert got == want
+        k = kernel_k(self.N, locus, self.R, with_closures=False).k
+        assert generic["l"] == "-8" and generic["k"] == k > 0
+        assert generic["det_verdict"] == "zero" and generic["match"] is False
+        assert generic["mismatches"][:2] == ["determinant vanishes at a non-locus point",
+                                             f"kernel dimension {k} at a non-locus point"]
+
+    def test_a_closure_outside_the_kernel_is_a_mismatch(self, monkeypatch):
+        # the whole space is invariant and escapes every proper K(n)
+        monkeypatch.setattr(reducibility, "_certified_closures", lambda rep, vectors, known: [
+            reducibility.coordinate_subspace(rep.n, rep.n, rep.field)] * len(vectors))
+        report = certify(self.N, self.R, seed=self.SEED)
+        assert not report.all_match
+        for rec in report.records:
+            assert "a minimal invariant subspace escapes K(n)" in rec.mismatches, rec.locus
+            assert "kernel_basis" in rec.witnesses
+
+    def test_the_cli_exits_1_with_the_report_on_stdout(self, clean, monkeypatch, capsys):
+        original = reducibility.expected_spectrum
+        monkeypatch.setattr(reducibility, "expected_spectrum", lambda n, locus, r_val=None: {
+            **original(n, locus, r_val), "k": -1})
+        args = ["certify", "--n", str(self.N), "--r", "2/1", "--seed", str(self.SEED)]
+        assert cli.main(args) == 1
+        out = capsys.readouterr()
+        assert out.err == ""
+        obj = json.loads(out.out)
+        report = certify(self.N, self.R, seed=self.SEED)
+        assert obj == {"command": "certify", "seed": self.SEED, **report.to_json_obj()}
+        assert obj["all_match"] is False
+        assert all(not rec["match"] for rec in obj["loci"][:-1])
+
+
+class TestBivariateGridVerdict:
+    """_bivariate_grid_verdict on 2 x 2 matrices over Q(l,r)."""
+
+    @staticmethod
+    def matrix(rows):
+        return Matrix(QLR, [[QLR.coerce(x) for x in row] for row in rows])
+
+    def test_a_singular_matrix_is_identically_zero_on_the_whole_grid(self):
+        l, r = QLR.l(), QLR.r()
+        # row 2 is l times row 1; each row spans degree 1 in l and in r
+        m = self.matrix([[l + r, l * r], [l * l + l * r, l * l * r]])
+        verdict = reducibility._bivariate_grid_verdict(m, 4)
+        dl = dr = 1 + 1
+        assert verdict.verdict == "identically_zero" and not verdict.probabilistic
+        assert verdict.proof == {"technique": "grid", "degree_bounds": [dl, dr],
+                                 "points": [dl + 1, dr + 1], "all_zero": True}
+        assert verdict.witness == {}
+
+    def test_a_nonsingular_matrix_gives_its_first_nonzero_grid_point(self):
+        l, r = QLR.l(), QLR.r()
+        one = QLR.one()
+        # det = l + r^2 + r - l^2 r, which vanishes at the first grid point (2, 2)
+        m = self.matrix([[l + r, l * r], [l + one, r + one]])
+        verdict = reducibility._bivariate_grid_verdict(m, 4)
+        assert verdict.verdict == "nonzero"
+        assert verdict.proof == {"technique": "grid", "degree_bounds": [2, 2]}
+        grid = [(lv, rv) for rv in (2, -2, 3) for lv in (2, -2, 3)]
+        dets = [oracles.naive_det([[x.evaluate(rat(lv), rat(rv)) for x in row] for row in m.rows])
+                for lv, rv in grid]
+        first = next(i for i, d in enumerate(dets) if d)
+        assert first > 0
+        assert verdict.witness == {"l": str(grid[first][0]), "r": str(grid[first][1])}
+
+
+class TestOnePoint:
+    """A point is (n, Locus, r): an l off the catalog is carried by its locus."""
+
+    def test_a_generic_locus_with_l_reports_as_the_custom_one(self):
+        for n, l_val, r_val in ((4, rat(5), rat(2)), (5, rat(-7, 3), rat(37, 11))):
+            generic = kernel_k(n, named_locus("generic", n, custom_l=l_val), r_val).to_json_obj()
+            custom = kernel_k(n, named_locus("custom", n, custom_l=l_val), r_val).to_json_obj()
+            assert generic.pop("locus") == "generic" and custom.pop("locus") == "custom"
+            assert generic == custom
+
+    def test_the_generic_locus_has_no_point(self):
+        with pytest.raises(ValueError):
+            rep_at(4, GENERIC, rat(2))
+
+    @pytest.mark.parametrize("n, locus, seed", [(4, "generic", 3), (5, "l=r", 11),
+                                                (4, "custom", 7)])
+    def test_sampled_det_is_the_cli_det_at_its_seed(self, n, locus, seed, capsys):
+        args = ["det", "--n", str(n), "--locus", locus, "--mode", "sampled", "--seed", str(seed)]
+        custom_l = None
+        if locus == "custom":
+            custom_l = rat(5)
+            args += ["--l", "5/1"]
+        point = named_locus(locus, n, custom_l=custom_l)
+        verdict = det_on_locus(n, point, "sampled", seed=seed)
+        # the draws are those of one random.Random(seed), handed to the sampler
+        assert verdict == reducibility._det_sampled(n, point, random.Random(seed))
+        assert cli.main(args) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj.pop("command") == "det" and obj.pop("seed") == seed
+        obj.pop("expected")
+        assert obj == verdict.to_json_obj()
+
+    def test_sampled_det_points_at_a_seed(self):
+        verdict = det_on_locus(5, named_locus("l=r", 5), "sampled", seed=11)
+        assert [(p["l"], p["r"]) for p in verdict.proof["points"]] == [
+            ("-34/35", "-34/35"), ("-7403/9624", "-7403/9624"), ("778/2097", "778/2097")]
