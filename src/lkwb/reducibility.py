@@ -20,6 +20,7 @@ from .errors import (
     EmptyIntersection,
     InfeasibleMode,
     InvalidConfig,
+    ParameterZero,
     PoleAtSpecialization,
     RelationGateNotPassed,
     ZeroSeed,
@@ -63,7 +64,6 @@ from .lkrep import (
 )
 from .scalars import (
     QQ,
-    QR,
     Rat,
     field_of,
     rat,
@@ -98,11 +98,13 @@ class Locus:
         return self.name == "custom"
 
     def l_value(self, r_val):
-        """The value of l at this locus for a concrete r: custom_l whenever it is set."""
+        """l at this locus for a concrete r: custom_l when it is set; ParameterZero at r = 0."""
         if self.custom_l is not None:
             return self.custom_l
         if self.is_generic:
             raise ValueError("generic locus has no l value")
+        if not r_val:
+            raise ParameterZero("l and r must be nonzero")
         v = r_val ** self.k
         return v if self.eps == 1 else -v
 
@@ -379,52 +381,37 @@ _DET_SAMPLES = 3
 def det_on_locus(n, locus, mode, seed=0):
     """Decide whether det M(n) vanishes on a locus (or generically).
 
-    symbolic: exact, n <= 5, over Q(l,r) (for a named locus the symbolic
-    matrix is substituted entrywise before the univariate decision).
-    substituted: exact, n <= 7, builds univariate entries directly.
+    symbolic (n <= 5) and substituted (n <= 7) are exact and draw
+    nothing.  At a catalog locus both decide one matrix, M(n) over Q(r)
+    built with l = eps * r^k, and differ only in the method they report;
+    only symbolic decides the generic locus, on M(n) over Q(l,r).  They
+    refuse a custom locus, whose l is a number and not a power of r.
     sampled: probabilistic zero verdicts from evaluation points drawn from
-    random.Random(seed) (flagged); a nonzero witness is exact.  The exact
-    modes draw nothing, and they substitute l as a power of r, so they
-    refuse a custom locus, whose l is a number.
+    random.Random(seed) (flagged); a nonzero witness is exact.
     """
-    if mode in ("symbolic", "substituted") and locus.is_custom:
-        raise InfeasibleMode(f"{mode} mode needs a catalog locus, where l is a power of r; "
-                             "use --mode sampled for a custom l")
-    if mode == "symbolic":
-        if n > _SYMBOLIC_MAX_N:
-            raise InfeasibleMode(f"symbolic mode supports n <= {_SYMBOLIC_MAX_N}")
-        return _det_symbolic(n, locus)
-    if mode == "substituted":
-        if n > _SUBSTITUTED_MAX_N:
-            raise InfeasibleMode(f"substituted mode supports n <= {_SUBSTITUTED_MAX_N}")
-        if locus.is_generic:
-            raise InfeasibleMode("substituted mode needs a locus substitution for l")
-        rep = substituted_rep(n, locus.eps, locus.k)
-        mn = build_m_matrix(rep)
-        return _univariate_zero_verdict(mn.matrix, n, locus, "substituted-univariate")
     if mode == "sampled":
         return _det_sampled(n, locus, random.Random(seed))
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _det_symbolic(n, locus):
-    rep = symbolic_rep(n)
-    mn = build_m_matrix(rep)
-    if locus.is_generic:
-        if n <= 4:
-            d = det(mn.matrix)
-            if not d:
-                return DetVerdict(n, "generic", "identically_zero", "symbolic", False,
-                                  proof={"technique": "bareiss"})
-            wit = _nonzero_point_witness_bivariate(d)
-            return DetVerdict(n, "generic", "nonzero", "symbolic", False, witness=wit,
-                              proof={"technique": "bareiss"})
+    if mode not in ("symbolic", "substituted"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if locus.is_custom:
+        raise InfeasibleMode(f"{mode} mode needs a catalog locus, where l is a power of r; "
+                             "use --mode sampled for a custom l")
+    cap = _SYMBOLIC_MAX_N if mode == "symbolic" else _SUBSTITUTED_MAX_N
+    if n > cap:
+        raise InfeasibleMode(f"{mode} mode supports n <= {cap}")
+    if not locus.is_generic:
+        mn = build_m_matrix(substituted_rep(n, locus.eps, locus.k))
+        method = "symbolic" if mode == "symbolic" else "substituted-univariate"
+        return _univariate_zero_verdict(mn.matrix, n, locus, method)
+    if mode == "substituted":
+        raise InfeasibleMode("substituted mode needs a locus substitution for l")
+    mn = build_m_matrix(symbolic_rep(n))
+    if n > 4:
         return _bivariate_grid_verdict(mn.matrix, n)
-    # substitute the symbolic matrix entrywise, then decide the univariate det
-    sub_rows = tuple(tuple(x.substitute_l(locus.eps, locus.k) for x in row)
-                     for row in mn.matrix.rows)
-    sub = Matrix(QR, sub_rows, _trusted=True)
-    return _univariate_zero_verdict(sub, n, locus, "symbolic")
+    d = det(mn.matrix)
+    return DetVerdict(n, "generic", "nonzero" if d else "identically_zero", "symbolic", False,
+                      witness=_nonzero_point_witness_bivariate(d) if d else {},
+                      proof={"technique": "bareiss"})
 
 
 def _nonzero_point_witness_bivariate(d):
@@ -735,19 +722,22 @@ def _rows_at(int_rows, width, pt, p, ncols=None):
 
 
 def _bivariate_grid_verdict(matrix, n):
-    """Exact symbolic zero decision via a degree-bounded evaluation grid."""
+    """Exact symbolic zero decision via a degree-bounded evaluation grid.
+
+    Cleared of its denominators, a row is a monomial times polynomials of
+    degree at most its spread in l, the largest exponent of l over its
+    entries less the smallest, and its spread in r.  So the cleared
+    determinant is a monomial times a polynomial of degree at most dl, the
+    sum of the spreads in l, and dr in r, and it vanishes identically when
+    it vanishes on a grid of dl + 1 by dr + 1 nonzero points.
+    """
     poly_rows = [clear_denominators(row)[1] for row in matrix.rows]
-    dl = 0
-    dr = 0
+    dl = dr = 0
     for row in poly_rows:
-        row_dl = row_dr = 0
-        for p in row:
-            if p:
-                amin, amax, bmin, bmax = p.exp_range()
-                row_dl = max(row_dl, amax - amin)
-                row_dr = max(row_dr, bmax - bmin)
-        dl += row_dl
-        dr += row_dr
+        # a zero row adds nothing to the bounds, and the det is zero at every point
+        amin, amax, bmin, bmax = zip(*[p.exp_range() for p in row if p] or [(0, 0, 0, 0)])
+        dl += max(amax) - min(amin)
+        dr += max(bmax) - min(bmin)
     l_points = _grid_points(dl + 1)
     r_points = _grid_points(dr + 1)
     for rv in r_points:

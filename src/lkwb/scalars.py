@@ -360,30 +360,7 @@ class LaurentPoly:
                     del rem[kk]
         return LaurentPoly(quot)
 
-    # -- substitution and evaluation ----------------------------------------
-
-    def substitute_l(self, eps, k):
-        """Replace l by eps*r^k (eps in {1,-1}); result is univariate in r."""
-        if eps not in (1, -1):
-            raise ValueError("eps must be +1 or -1")
-        out = {}
-        for key, c in self.terms.items():
-            a, b = _unpack(key)
-            nb = b + k * a
-            if abs(nb) > _EXP_BOUND:
-                raise ExponentOverflow(f"exponent {nb} exceeds bound after substitution")
-            cc = c if (eps == 1 or a % 2 == 0) else -c
-            nk = _pack(0, nb)
-            v = out.get(nk)
-            if v is None:
-                out[nk] = cc
-            else:
-                v = v + cc
-                if v:
-                    out[nk] = v
-                else:
-                    del out[nk]
-        return LaurentPoly(out)
+    # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, l_val, r_val):
         """Exact evaluation; the result lives in the arithmetic of the inputs."""
@@ -648,11 +625,7 @@ class RatFunc:
             return RatFunc(self.den ** (-n), self.num ** (-n))
         return RatFunc(self.num ** n, self.den ** n)
 
-    # -- substitution / evaluation ----------------------------------------------
-
-    def substitute_l(self, eps, k):
-        """Substitute l -> eps*r^k; univariate-in-r result."""
-        return RatFunc(self.num.substitute_l(eps, k), self.den)
+    # -- evaluation -------------------------------------------------------------
 
     def evaluate(self, l_val, r_val):
         try:

@@ -252,6 +252,21 @@ class TestKernel:
         assert "cannot parse" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    # r = 0 at a locus l = eps r^k with k < 0, and certify, whose first
+    # point is generic
+    @pytest.mark.parametrize("args", [
+        ("scan", "--n", "4", "--r", "0/1"),
+        ("kernel", "--n", "4", "--locus", "l=r3-2n", "--r", "0/1"),
+        ("closure", "--n", "4", "--locus", "l=-r3-n", "--r", "0/1"),
+        ("commutant", "--n", "4", "--locus", "l=+r3-n", "--r", "0/1"),
+        ("certify", "--n", "5", "--r", "0/1"),
+    ])
+    def test_zero_r_is_refused(self, args):
+        proc = run_cli(*args, expect=1)
+        assert proc.stdout == ""
+        assert proc.stderr == "error: ParameterZero: l and r must be nonzero\n"
+        assert "Traceback" not in proc.stderr
+
     def test_generic_locus_requires_l(self):
         proc = run_cli("kernel", "--n", "4", "--r", "2/1", expect=2)
         assert proc.stdout == ""

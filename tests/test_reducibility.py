@@ -6,6 +6,7 @@ import functools
 import json
 import math
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -360,18 +361,47 @@ class TestDetOnLocus:
         assert verdict.witness
 
     def test_symbolic_locus_matches_substituted_build(self):
-        # substituting the symbolic matrix equals building with l substituted
-        rep_sym = symbolic_rep(3)
-        mn_sym = build_m_matrix(rep_sym)
-        locus = named_locus("l=-r3", 3)
-        sub_rows = tuple(tuple(x.substitute_l(locus.eps, locus.k) for x in row)
-                         for row in mn_sym.matrix.rows)
-        rep_sub = substituted_rep(3, -1, 3)
-        mn_sub = build_m_matrix(rep_sub)
-        assert Matrix(QR, sub_rows) == mn_sub.matrix
-        verdict = det_on_locus(3, locus, "symbolic")
-        assert verdict.verdict == "identically_zero"
-        assert verdict.method == "symbolic"
+        # l -> eps r^k is a ring map, so it carries M(n) over Q(l,r), whose
+        # denominators lie in r alone, to M(n) built with l substituted:
+        # checked entry by entry in the reference arithmetic on every
+        # catalog locus for n = 3, 4, 5
+        def ref(p):
+            return {key: Fraction(c) for key, c in p.pairs()}
+
+        for n in (3, 4, 5):
+            symbolic = build_m_matrix(symbolic_rep(n)).matrix
+            for locus in catalog(n):
+                built = build_m_matrix(substituted_rep(n, locus.eps, locus.k)).matrix
+                for sym_row, sub_row in zip(symbolic.rows, built.rows):
+                    for f, g in zip(sym_row, sub_row):
+                        assert f.den.is_univariate_r()
+                        image = oracles.laurent_substitute_l(ref(f.num), locus.eps, locus.k)
+                        assert (oracles.laurent_mul(image, ref(g.den))
+                                == oracles.laurent_mul(ref(g.num), ref(f.den))), (n, locus.name)
+
+    def test_both_exact_modes_decide_a_locus_on_one_matrix(self, monkeypatch):
+        # symbolic differs from substituted at a catalog locus only in its
+        # method, and no rep over Q(l,r) is built there
+        fields = []
+        build_rep = lkrep.build_rep
+
+        def spied(params):
+            fields.append(params.field)
+            return build_rep(params)
+
+        monkeypatch.setattr(lkrep, "build_rep", spied)
+        loci = [(n, locus) for n in (3, 4, 5) for locus in catalog(n)]
+        assert len(loci) == 14
+        for n, locus in loci:
+            symbolic = det_on_locus(n, locus, "symbolic").to_json_obj()
+            substituted = det_on_locus(n, locus, "substituted").to_json_obj()
+            assert symbolic.pop("method") == "symbolic"
+            assert substituted.pop("method") == "substituted-univariate"
+            assert symbolic == substituted
+        assert fields == [QR] * 28
+        # the generic locus is the one that builds over Q(l,r)
+        det_on_locus(3, GENERIC, "symbolic")
+        assert fields[-1] == QLR
 
     def test_sampled_modes(self):
         assert det_on_locus(4, GENERIC, "sampled", seed=42).verdict == "nonzero"
@@ -1669,6 +1699,16 @@ class TestBivariateGridVerdict:
         first = next(i for i, d in enumerate(dets) if d)
         assert first > 0
         assert verdict.witness == {"l": str(grid[first][0]), "r": str(grid[first][1])}
+
+    def test_the_degree_bound_spans_the_whole_row(self):
+        # det = l - 2: no entry spans a degree in l, but row 1 does, from
+        # the 2 to the l, so the grid needs a second value of l
+        l = QLR.l()
+        m = self.matrix([[l, 2], [1, 1]])
+        verdict = reducibility._bivariate_grid_verdict(m, 4)
+        assert verdict.verdict == "nonzero"
+        assert verdict.proof == {"technique": "grid", "degree_bounds": [1, 0]}
+        assert verdict.witness == {"l": "-2", "r": "2"}
 
 
 class TestOnePoint:
